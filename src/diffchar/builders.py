@@ -11,6 +11,7 @@ before taking orbits so that the orbit map stays simplicial.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
 from .complexes import ComplexError, SimplicialComplex, barycentric_subdivision
 
@@ -207,7 +208,7 @@ def lens_space(p, q) -> SimplicialComplex:
     if p < 2:
         raise ComplexError("lens space needs p >= 2")
     q %= p
-    if q == 0 or _gcd(p, q) != 1:
+    if q == 0 or gcd(p, q) != 1:
         raise ComplexError("lens space needs gcd(p, q) = 1")
     m = 2 * p
     # a-ring vertices 0..m-1, b-ring vertices m..2m-1
@@ -271,12 +272,6 @@ def lens_space(p, q) -> SimplicialComplex:
 def rp3() -> SimplicialComplex:
     """Real projective 3-space, as the lens space L(2, 1)."""
     return lens_space(2, 1)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

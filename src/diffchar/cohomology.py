@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .complexes import Chain, Cochain, SimplicialComplex
 from .exact import (
     invariant_factors,
     mat_vec,
+    mul_rows,
     smith_normal_form,
     transpose_rows,
 )
@@ -96,30 +98,11 @@ class LatticeQuotient:
         r = self.snfA.rank
         self.kernel_dim = ncols - r
         # relation matrix: im(B) written in kernel coordinates
-        W = []
-        for t in range(self.kernel_dim):
-            acc = {}
-            for j, c in self.snfA.Vinv_rows[r + t].items():
-                for col, v in self._B_rows[j].items():
-                    w = acc.get(col, 0) + c * v
-                    if w:
-                        acc[col] = w
-                    else:
-                        acc.pop(col, None)
-            W.append(acc)
+        W = mul_rows(self.snfA.Vinv_rows[r:], self._B_rows)
         self.snfW = smith_normal_form(W, nrows=self.kernel_dim, ncols=B_cols)
         # guard misuse: every column of B must lie in ker A
-        for arow in self._A_rows:
-            acc = {}
-            for j, c in arow.items():
-                for col, v in self._B_rows[j].items():
-                    w = acc.get(col, 0) + c * v
-                    if w:
-                        acc[col] = w
-                    else:
-                        acc.pop(col, None)
-            if acc:
-                raise ValueError("columns of B do not lie in ker A")
+        if any(mul_rows(self._A_rows, self._B_rows)):
+            raise ValueError("columns of B do not lie in ker A")
         self._torsion_idx = [
             i for i, d in enumerate(self.snfW.diag) if d > 1
         ]
@@ -198,38 +181,11 @@ class LatticeQuotient:
 
     def preimage_int(self, v):
         """Integer x with B x = v, or None."""
-        y = self._kernel_coords(v)
-        full = mat_vec(self.snfW.U_rows, y)
-        s = [0] * self.B_cols
-        for i in range(self.kernel_dim):
-            if i < self.snfW.rank:
-                d = self.snfW.diag[i]
-                if full[i] % d:
-                    return None
-                s[i] = full[i] // d
-            elif full[i]:
-                return None
-        out = [0] * self.B_cols
-        for i in range(min(self.B_cols, self.kernel_dim)):
-            if i < self.snfW.rank and s[i]:
-                for j, v2 in self.snfW.VT_rows[i].items():
-                    out[j] += s[i] * v2
-        return out
+        return self.snfW.solve_int(self._kernel_coords(v))
 
     def preimage_rat(self, v):
         """Rational x with B x = v, or None (v rational allowed)."""
-        y = self._kernel_coords(v, rational=True)
-        full = mat_vec(self.snfW.U_rows, y)
-        out = [Fraction(0)] * self.B_cols
-        for i in range(self.kernel_dim):
-            if i < self.snfW.rank:
-                c = Fraction(full[i], self.snfW.diag[i])
-                if c:
-                    for j, v2 in self.snfW.VT_rows[i].items():
-                        out[j] += c * v2
-            elif full[i]:
-                return None
-        return out
+        return self.snfW.solve_rat(self._kernel_coords(v, rational=True))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +279,7 @@ def _tensor(a: AbelianGroupStructure, b: AbelianGroupStructure):
     cyclic.extend(d for d in a.torsion for _ in range(b.free_rank))
     for d1 in a.torsion:
         for d2 in b.torsion:
-            g = _gcd(d1, d2)
+            g = gcd(d1, d2)
             if g > 1:
                 cyclic.append(g)
     return free, cyclic
@@ -333,16 +289,10 @@ def _tor_product(a: AbelianGroupStructure, b: AbelianGroupStructure):
     cyclic = []
     for d1 in a.torsion:
         for d2 in b.torsion:
-            g = _gcd(d1, d2)
+            g = gcd(d1, d2)
             if g > 1:
                 cyclic.append(g)
     return cyclic
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def kunneth_structure(factors_a, factors_b, k) -> AbelianGroupStructure:

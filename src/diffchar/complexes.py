@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatElim, mat_vec, transpose_rows
+from .exact import RatElim, mat_vec, transpose_apply, transpose_rows
 
 
 class ComplexError(ValueError):
@@ -560,14 +560,7 @@ def apply_chain_map(maps, z: Chain) -> Chain:
 
 def pull_cochain(maps, u: Cochain, src_size) -> Cochain:
     """Cochain pullback along a chain map: transpose application."""
-    rows = maps[u.degree]
-    out = [0] * src_size
-    for i, row in enumerate(rows):
-        a = u.values[i]
-        if a:
-            for j, s in row.items():
-                out[j] += s * a
-    return Cochain(u.degree, tuple(out))
+    return Cochain(u.degree, tuple(transpose_apply(maps[u.degree], u.values, src_size)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +58,64 @@ def mat_vec(rows, vec):
                 acc += v * x
         out.append(acc)
     return out
+
+
+def transpose_apply(rows, vec, ncols):
+    """Transposed sparse rows times dense vector: rows^T @ vec."""
+    out = [0] * ncols
+    for r, row in enumerate(rows):
+        x = vec[r]
+        if x:
+            for c, v in row.items():
+                out[c] += v * x
+    return out
+
+
+def mul_rows(A, B):
+    """Sparse product A @ B, rows kept free of explicit zeros."""
+    out = []
+    for row in A:
+        acc = {}
+        for m, v in row.items():
+            for c, w in B[m].items():
+                val = acc.get(c, 0) + v * w
+                if val:
+                    acc[c] = val
+                else:
+                    acc.pop(c, None)
+        out.append(acc)
+    return out
+
+
+def add_rows(A, B):
+    """Sparse sum A + B, rows kept free of explicit zeros."""
+    out = []
+    for ra, rb in zip(A, B):
+        acc = dict(ra)
+        for c, w in rb.items():
+            val = acc.get(c, 0) + w
+            if val:
+                acc[c] = val
+            else:
+                acc.pop(c, None)
+        out.append(acc)
+    return out
+
+
+def gram_rows(rows, ncols, weights=None):
+    """Sparse rows of A^T W A, W the diagonal of row ``weights`` (default 1).
+
+    Entries that cancel to zero are dropped.
+    """
+    out = [dict() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        w = 1 if weights is None else weights[r]
+        items = list(row.items())
+        for i, vi in items:
+            oi = out[i]
+            for j, vj in items:
+                oi[j] = oi.get(j, 0) + vi * vj * w
+    return [{j: v for j, v in row.items() if v} for row in out]
 
 
 def identity_rows(n):
@@ -124,23 +181,13 @@ class SmithDecomposition:
 
     def V_times(self, vec):
         """V @ vec, using V columns = VT rows."""
-        out = [0] * self.ncols
-        for j, x in enumerate(vec):
-            if x:
-                for i, v in self.VT_rows[j].items():
-                    out[i] += x * v
-        return out
+        return transpose_apply(self.VT_rows, vec, self.ncols)
 
     def Vinv_times(self, vec):
         return mat_vec(self.Vinv_rows, vec)
 
     def Uinv_times(self, vec):
-        out = [0] * self.nrows
-        for j, x in enumerate(vec):
-            if x:
-                for i, v in self.UinvT_rows[j].items():
-                    out[i] += x * v
-        return out
+        return transpose_apply(self.UinvT_rows, vec, self.nrows)
 
     def kernel_basis(self):
         """Basis of the integer kernel of A: V columns past the rank.
@@ -405,62 +452,6 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 
 
 # ---------------------------------------------------------------------------
-# Hermite form (row style), for canonical lattice bases
-
-
-def row_hermite_form(mat):
-    """(H, C) with C @ mat == H, C unimodular.
-
-    H is in row Hermite form: pivots positive, strictly to the right as
-    rows descend, entries above each pivot reduced into [0, pivot), zero
-    rows last.  Canonical for the row lattice of ``mat``.
-    """
-    H = [list(row) for row in mat]
-    n = len(H)
-    m = len(H[0]) if H else 0
-    C = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def raxpy(i, j, c):
-        H[i] = [a + c * b for a, b in zip(H[i], H[j])]
-        C[i] = [a + c * b for a, b in zip(C[i], C[j])]
-
-    def rswap(i, j):
-        H[i], H[j] = H[j], H[i]
-        C[i], C[j] = C[j], C[i]
-
-    def rneg(i):
-        H[i] = [-a for a in H[i]]
-        C[i] = [-a for a in C[i]]
-
-    top = 0
-    for col in range(m):
-        # gcd-reduce column entries at rows >= top into one pivot
-        while True:
-            live = [i for i in range(top, n) if H[i][col]]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: (abs(H[i][col]), i))
-            p = live[0]
-            for i in live[1:]:
-                q = _nearest_div(H[i][col], H[p][col])
-                raxpy(i, p, -q)
-        live = [i for i in range(top, n) if H[i][col]]
-        if not live:
-            continue
-        p = live[0]
-        rswap(top, p)
-        if H[top][col] < 0:
-            rneg(top)
-        piv = H[top][col]
-        for i in range(top):
-            q = H[i][col] // piv  # floor: entries land in [0, piv)
-            if q:
-                raxpy(i, top, -q)
-        top += 1
-    return H, C
-
-
-# ---------------------------------------------------------------------------
 # sparse rational elimination
 
 
@@ -637,6 +628,3 @@ def _factor(n):
         out[n] = out.get(n, 0) + 1
     return out
 
-
-def gcd_pair(a, b):
-    return gcd(a, b)

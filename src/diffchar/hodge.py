@@ -3,9 +3,13 @@
 Inner products on cochains are diagonal: one positive weight per
 simplex.  On top of the resulting coboundary adjoint sit the Laplacian,
 harmonic projection and Green operator, solved either exactly over the
-rationals or by conjugate gradients in floating point.  These give
-canonical spark representatives (coexact potential, harmonic curvature)
-and Abel-Jacobi values of bounding cycles.
+rationals or by conjugate gradients in floating point.  In exact mode
+the harmonic representatives are the weighted projections g + delta x
+of the integral free cohomology generators g, with x from the
+degree-(k-1) normal equations that spark potentials solve too; the
+degree-k Laplacian is only eliminated by the Green operator.  These
+give canonical spark representatives (coexact potential, harmonic
+curvature) and Abel-Jacobi values of bounding cycles.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from fractions import Fraction
 
 from .cohomology import cohomology_generators, integer_homology
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import RatElim, rat_nullspace
-from .sparks import Spark, SparkError, mod1
+from .exact import RatElim, gram_rows, mat_vec, transpose_apply
+from .sparks import Spark, SparkError, least_squares_potentials, mod1
 
 EXACT_SIZE_LIMIT = 2000
 
@@ -47,6 +51,8 @@ class HodgeContext:
     method is "exact" (rational arithmetic), "cg" (float conjugate
     gradients) or "auto", which picks exact below EXACT_SIZE_LIMIT total
     simplices.  Spark-producing operations require the exact method.
+    The exact harmonic basis in degree k holds the weighted harmonic
+    projections of the free generators of H^k(K; Z).
     """
 
     def __init__(self, K: SimplicialComplex, weights=None, method="auto",
@@ -83,21 +89,12 @@ class HodgeContext:
     # -- basic operators -------------------------------------------------
     def adjoint_delta(self, u: Cochain) -> Cochain:
         """Adjoint of the coboundary; maps degree k+1 down to k."""
-        K = self.K
         k = u.degree - 1
-        n_k = K.n_simplices(k)
-        rows = K.delta_rows(k)
-        w_hi = self.weight(u.degree)
+        n_k = self.K.n_simplices(k)
+        wu = [c * w for c, w in zip(u.values, self.weight(u.degree))]
+        acc = transpose_apply(self.K.delta_rows(k), wu, n_k)
         w_lo = self.weight(k)
-        acc = [0] * n_k
-        for j, row in enumerate(rows):
-            c = u.values[j]
-            if c:
-                c = c * w_hi[j]
-                for i, v in row.items():
-                    acc[i] += v * c
-        out = tuple(self._one(acc[i]) / w_lo[i] for i in range(n_k))
-        return Cochain(k, out)
+        return Cochain(k, tuple(self._one(acc[i]) / w_lo[i] for i in range(n_k)))
 
     def laplacian(self, u: Cochain) -> Cochain:
         K = self.K
@@ -119,41 +116,34 @@ class HodgeContext:
             return self._cache[key]
         K = self.K
         n_k = K.n_simplices(k)
-        rows = [dict() for _ in range(n_k)]
         w_k = self.weight(k)
         # up part: (1/w_i) sum_j d_{ji} w_j d_{ji'}
-        w_up = self.weight(k + 1)
-        for j, row in enumerate(K.delta_rows(k)):
-            items = list(row.items())
-            for i, vi in items:
-                ri = rows[i]
-                for i2, vi2 in items:
-                    ri[i2] = ri.get(i2, 0) + Fraction(vi * vi2 * w_up[j], w_k[i])
+        up = gram_rows(K.delta_rows(k), n_k, self.weight(k + 1))
+        rows = [
+            {i2: Fraction(v, w_k[i]) for i2, v in r.items()} for i, r in enumerate(up)
+        ]
         # down part: sum_j d_{ij} (1/w_j) d_{i'j} w_{i'}
         if k >= 1:
-            w_dn = self.weight(k - 1)
-            cols = [dict() for _ in range(K.n_simplices(k - 1))]
-            for i, row in enumerate(K.delta_rows(k - 1)):
-                for j, v in row.items():
-                    cols[j][i] = v
-            for j, col in enumerate(cols):
-                items = list(col.items())
-                for i, vi in items:
-                    ri = rows[i]
-                    for i2, vi2 in items:
-                        ri[i2] = ri.get(i2, 0) + Fraction(vi * vi2 * w_k[i2], w_dn[j])
-        for r in rows:
-            for i2 in [i2 for i2, v in r.items() if v == 0]:
-                del r[i2]
+            inv = [Fraction(1, w) for w in self.weight(k - 1)]
+            for r, dn in zip(rows, gram_rows(K.boundary_rows(k), n_k, inv)):
+                for i2, v in dn.items():
+                    r[i2] = r.get(i2, 0) + v * w_k[i2]
+        rows = [{i2: v for i2, v in r.items() if v} for r in rows]
         self._cache[key] = rows
         return rows
 
     def _harmonic_vectors(self, k):
+        """Harmonic projections g + delta x of the free generators g."""
         key = ("harmonics", k)
         if key not in self._cache:
-            rows = self._laplacian_rows(k)
-            basis = rat_nullspace([dict(r) for r in rows], self.K.n_simplices(k))
-            self._cache[key] = [tuple(b) for b in basis]
+            free, _ = cohomology_generators(self.K, k)
+            w = self.weight(k)
+            uniform = all(x == 1 for x in w)
+            pots = least_squares_potentials(self.K, free, None if uniform else w)
+            self._cache[key] = [
+                tuple(Fraction(v) for v in (g + self.K.delta(x)).values)
+                for g, x in zip(free, pots)
+            ]
         return self._cache[key]
 
     def harmonic_basis(self, k):
@@ -165,28 +155,18 @@ class HodgeContext:
         basis = self._harmonic_vectors(u.degree)
         if not basis:
             return self.K.zero_cochain(u.degree)
-        w = self.weight(u.degree)
+        # u's harmonic part is B c with (B^T W B) c = B^T W u, where the
+        # columns of B are the basis vectors
         m = len(basis)
-        gram = [
-            {
-                s: sum(wi * a * b for wi, a, b in zip(w, basis[r], basis[s]))
-                for s in range(m)
-            }
-            for r in range(m)
-        ]
-        rhs = [
-            sum(wi * a * b for wi, a, b in zip(w, basis[r], u.values))
-            for r in range(m)
-        ]
-        coeffs = RatElim(gram, m, rhs=[rhs]).solution()
+        w = self.weight(u.degree)
+        B = [{r: x for r, x in enumerate(row) if x} for row in zip(*basis)]
+        wu = [wi * x for wi, x in zip(w, u.values)]
+        coeffs = RatElim(
+            gram_rows(B, m, w), m, rhs=[transpose_apply(B, wu, m)]
+        ).solution()
         if coeffs is None:
             raise AssertionError("Gram system must be solvable")
-        out = [Fraction(0)] * self.K.n_simplices(u.degree)
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(b):
-                    out[i] += c * x
-        return Cochain(u.degree, tuple(out))
+        return Cochain(u.degree, tuple(Fraction(x) for x in mat_vec(B, coeffs)))
 
     def harmonic_projection(self, u: Cochain) -> Cochain:
         if self.exact:
@@ -197,9 +177,8 @@ class HodgeContext:
         """Green operator: Laplacian(G u) = u - H(u) and H(G u) = 0."""
         v = u - self.harmonic_projection(u)
         if self.exact:
-            rows = self._laplacian_rows(u.degree)
             g0 = RatElim(
-                [dict(r) for r in rows],
+                self._laplacian_rows(u.degree),
                 self.K.n_simplices(u.degree),
                 rhs=[list(v.values)],
             ).solution()
@@ -309,12 +288,6 @@ class HodgeContext:
             self.green(self.K.delta(a))
         )
         return Spark(na, s.R)
-
-    def integral_harmonic_basis(self, k):
-        """Harmonic representatives of the free integral classes."""
-        self._require_exact("integral harmonic basis")
-        free, _ = cohomology_generators(self.K, k)
-        return [self._project_harmonic_exact(g) for g in free]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .complexes import (
     Cochain,
     ComplexEmbedding,
     SimplicialComplex,
+    _sort_sign,
     closed_star,
     induced_subcomplex,
 )
@@ -271,17 +272,6 @@ def check_star_trivialization(K: SimplicialComplex, t: Cochain, v) -> bool:
 # per patch and a 0-cochain per double overlap plus integer constants.
 
 
-def _perm_sign(seq):
-    sign = 1
-    arr = list(seq)
-    for i in range(len(arr)):
-        m = min(range(i, len(arr)), key=arr.__getitem__)
-        if m != i:
-            arr[i], arr[m] = arr[m], arr[i]
-            sign = -sign
-    return sign
-
-
 @dataclass(frozen=True)
 class PatchCover:
     """Cover of a complex by face-closed patches, with its overlaps.
@@ -502,7 +492,7 @@ def _triple_at(g: CechGerbe, i, j, k) -> Cochain:
     u = g.triple_part.get(key)
     if u is None:
         return g.cover.K.zero_cochain(0)
-    sign = _perm_sign((i, j, k))
+    sign = _sort_sign((i, j, k))
     return u if sign == 1 else -u
 
 

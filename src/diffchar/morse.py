@@ -15,55 +15,12 @@ from dataclasses import dataclass
 
 from .cohomology import AbelianGroupStructure, LatticeQuotient
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import identity_rows, mat_vec
+from .exact import add_rows, identity_rows, mat_vec, mul_rows, transpose_apply
 from .sparks import Spark, SparkError
 
 
 class MorseError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# sparse row helpers (all rows kept free of explicit zeros)
-
-
-def _mul_rows(A, B):
-    out = []
-    for row in A:
-        acc = {}
-        for m, v in row.items():
-            for c, w in B[m].items():
-                val = acc.get(c, 0) + v * w
-                if val:
-                    acc[c] = val
-                else:
-                    acc.pop(c, None)
-        out.append(acc)
-    return out
-
-
-def _add_rows(A, B):
-    out = []
-    for ra, rb in zip(A, B):
-        acc = dict(ra)
-        for c, w in rb.items():
-            val = acc.get(c, 0) + w
-            if val:
-                acc[c] = val
-            else:
-                acc.pop(c, None)
-        out.append(acc)
-    return out
-
-
-def _transpose_apply(rows, vec, ncols):
-    out = [0] * ncols
-    for r, row in enumerate(rows):
-        x = vec[r]
-        if x:
-            for c, v in row.items():
-                out[c] += v * x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +186,8 @@ class MorseFlow:
         self._phi = {}
         for k in range(n + 1):
             phi = identity_rows(K.n_simplices(k))
-            phi = _add_rows(phi, _mul_rows(K.boundary_rows(k + 1), self._V[k]))
-            phi = _add_rows(phi, _mul_rows(self._V[k - 1], K.boundary_rows(k)))
+            phi = add_rows(phi, mul_rows(K.boundary_rows(k + 1), self._V[k]))
+            phi = add_rows(phi, mul_rows(self._V[k - 1], K.boundary_rows(k)))
             self._phi[k] = phi
         # stabilize globally
         self._P = {}
@@ -239,7 +196,7 @@ class MorseFlow:
             prev = self._phi[k]
             steps = 0
             while True:
-                cur = _mul_rows(prev, self._phi[k])
+                cur = mul_rows(prev, self._phi[k])
                 if cur == prev:
                     break
                 prev = cur
@@ -255,9 +212,9 @@ class MorseFlow:
             acc = identity_rows(K.n_simplices(deg))
             power = identity_rows(K.n_simplices(deg))
             for _ in range(N - 1):
-                power = _mul_rows(power, phi_deg)
-                acc = _add_rows(acc, power)
-            prod = _mul_rows(acc, self._V[k])
+                power = mul_rows(power, phi_deg)
+                acc = add_rows(acc, power)
+            prod = mul_rows(acc, self._V[k])
             self._T[k] = [{c: -v for c, v in row.items()} for row in prod]
 
     # -- chain operators -------------------------------------------------
@@ -277,14 +234,14 @@ class MorseFlow:
     def project_cochain(self, u: Cochain) -> Cochain:
         n = self.K.n_simplices(u.degree)
         return Cochain(
-            u.degree, tuple(_transpose_apply(self._P[u.degree], list(u.values), n))
+            u.degree, tuple(transpose_apply(self._P[u.degree], list(u.values), n))
         )
 
     def homotopy_cochain(self, u: Cochain) -> Cochain:
         """Degree-lowering transpose of T; pairs with delta like 1 - P."""
         k = u.degree - 1
         n = self.K.n_simplices(k)
-        return Cochain(k, tuple(_transpose_apply(self._T[k], list(u.values), n)))
+        return Cochain(k, tuple(transpose_apply(self._T[k], list(u.values), n)))
 
     # -- critical complex ------------------------------------------------
     def morse_boundary_rows(self, k):

@@ -32,7 +32,7 @@ from .complexes import (
     pull_cochain,
     simplicial_chain_maps,
 )
-from .exact import RatElim
+from .exact import RatElim, gram_rows, transpose_apply
 
 
 class SparkError(ValueError):
@@ -94,45 +94,56 @@ def mod1(x) -> Fraction:
 # constructors
 
 
+def least_squares_potentials(K: SimplicialComplex, cochains, weights=None):
+    """Potentials x minimizing |g + delta x| for each degree-k cochain g.
+
+    Solves the normal equations delta^T W delta x = -delta^T W g over Q,
+    all right-hand sides in one elimination; W is the diagonal of the
+    degree-k ``weights`` (standard inner product when None, whose
+    integer matrix is cached on K).  Free variables of the pivoted
+    solve are set to zero, so the output is deterministic.  For a
+    cocycle g, g + delta x is its W-harmonic representative.
+    """
+    if not cochains:
+        return []
+    k = cochains[0].degree - 1
+    n_k = K.n_simplices(k)
+    D = K.delta_rows(k)
+    if weights is None:
+        key = ("lsq_delta", k)
+        if key not in K._cache:
+            K._cache[key] = gram_rows(D, n_k)
+        normal = K._cache[key]
+    else:
+        normal = gram_rows(D, n_k, weights)
+    rhs = []
+    for g in cochains:
+        wg = g.values
+        if weights is not None:
+            wg = [w * v for w, v in zip(weights, wg)]
+        rhs.append([-v for v in transpose_apply(D, wg, n_k)])
+    elim = RatElim(normal, n_k, rhs=rhs)
+    out = [elim.solution(which) for which in range(len(rhs))]
+    if None in out:
+        raise AssertionError("normal equations must be consistent")
+    return [K.cochain(k, x) for x in out]
+
+
 def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
     """Spark with the given integral cocycle as its second component.
 
     The first component is the least-squares minimizer of |R + delta a|
-    (standard inner product), solved exactly over Q via the normal
-    equations; free variables of the pivoted solve are set to zero, so
-    the output is deterministic.
+    (standard inner product), so the curvature is the harmonic
+    representative of R; see :func:`least_squares_potentials`.
     """
     if not R.is_integral():
         raise SparkError("R must be integral")
     if not K.delta(R).is_zero():
         raise SparkError("R must be a cocycle")
-    k = R.degree - 1
-    if k < -1:
+    if R.degree < 0:
         raise SparkError("cocycle degree must be nonnegative")
-    n_k = K.n_simplices(k)
-    key = ("lsq_delta", k)
-    if key not in K._cache:
-        D = K.delta_rows(k)
-        normal = [dict() for _ in range(n_k)]
-        for row in D:
-            items = list(row.items())
-            for i, vi in items:
-                ni = normal[i]
-                for j, vj in items:
-                    ni[j] = ni.get(j, 0) + vi * vj
-        K._cache[key] = (D, normal)
-    D, normal = K._cache[key]
-    rhs = [0] * n_k
-    for rowidx, row in enumerate(D):
-        r = R.values[rowidx]
-        if r:
-            for i, vi in row.items():
-                rhs[i] -= vi * r
-    elim = RatElim([dict(r) for r in normal], n_k, rhs=[rhs])
-    a = elim.solution()
-    if a is None:
-        raise AssertionError("normal equations must be consistent")
-    return Spark(K.cochain(k, a), R)
+    (a,) = least_squares_potentials(K, [R])
+    return Spark(a, R)
 
 
 def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain, j=1) -> Spark:

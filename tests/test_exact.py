@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith/Hermite forms, rational elimination."""
+"""Exact linear algebra: Smith form, sparse kernels, rational elimination."""
 
 import random
 from fractions import Fraction
@@ -7,13 +7,16 @@ import pytest
 
 from diffchar.exact import (
     RatElim,
+    add_rows,
     dense_to_rows,
+    gram_rows,
     invariant_factors,
+    mul_rows,
     rat_nullspace,
     rat_rank,
     rat_solve,
-    row_hermite_form,
     smith_normal_form,
+    transpose_apply,
 )
 
 
@@ -111,27 +114,29 @@ class TestSmith:
         assert s.diag == [1, 6]
 
 
-class TestHermite:
-    def test_canonical_example(self):
-        H, C = row_hermite_form([[2, 4], [4, 2]])
-        assert H == [[2, 4], [0, 6]]
-        assert matmul(C, [[2, 4], [4, 2]]) == H
-
-    def test_row_lattice_invariance(self):
-        # same lattice, generators mixed by [[1,1],[1,2]] (det 1)
-        H1, _ = row_hermite_form([[1, 2, 3], [0, 4, 1]])
-        H2, _ = row_hermite_form([[1, 6, 4], [1, 10, 5]])
-        assert H1 == H2
-
-    def test_transform_unimodular(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            n, m = rng.randint(1, 4), rng.randint(1, 5)
-            A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-            H, C = row_hermite_form(A)
-            assert matmul(C, A) == H
-            s = smith_normal_form(C)
-            assert s.diag == [1] * n  # unimodular
+class TestSparseKernels:
+    def test_against_dense(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            A = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(n)]
+            B = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(p)] for _ in range(m)]
+            C = [[rng.choice((0, 1, -2)) for _ in range(m)] for _ in range(n)]
+            rA, rB, rC = dense_to_rows(A), dense_to_rows(B), dense_to_rows(C)
+            assert mul_rows(rA, rB) == dense_to_rows(matmul(A, B))
+            assert add_rows(rA, rC) == dense_to_rows(
+                [[a + c for a, c in zip(ra, rc)] for ra, rc in zip(A, C)]
+            )
+            vec = [rng.randint(-3, 3) for _ in range(n)]
+            AT = [list(col) for col in zip(*A)]
+            assert transpose_apply(rA, vec, m) == [
+                sum(a * x for a, x in zip(row, vec)) for row in AT
+            ]
+            w = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n)]
+            WA = [[wi * a for a in row] for wi, row in zip(w, A)]
+            gram = matmul(AT, WA)
+            for i, row in enumerate(gram_rows(rA, m, w)):
+                assert [row.get(j, 0) for j in range(m)] == gram[i]
 
 
 class TestRatElim:

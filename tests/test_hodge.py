@@ -15,6 +15,7 @@ from diffchar.builders import (
 )
 from diffchar.cohomology import betti_numbers, cohomology_generators
 from diffchar.complexes import Chain
+from diffchar.exact import RatElim
 from diffchar.hodge import (
     HodgeContext,
     HodgeError,
@@ -71,6 +72,27 @@ def test_harmonic_basis_dimensions():
         for k, dim in expected.items():
             assert len(ctx.harmonic_basis(k)) == dim
             assert betti_numbers(K)[k] == dim
+
+
+@pytest.mark.parametrize(
+    "K", [sphere(2), rp2(), moebius_kuehnel_torus()], ids=["sphere2", "rp2", "torus"]
+)
+def test_weighted_harmonic_basis_spans_laplacian_kernel(K):
+    ctx = HodgeContext(K, weights=varied_weights(K, random.Random(7)))
+    betti = betti_numbers(K)
+    for k in range(K.dimension + 1):
+        basis = ctx.harmonic_basis(k)
+        assert len(basis) == betti[k]
+        for b in basis:
+            assert ctx.laplacian(b).is_zero()
+        # the rational kernel of the weighted Laplacian is the oracle:
+        # stacking either basis onto the other must not raise the rank
+        oracle = RatElim(ctx._laplacian_rows(k), K.n_simplices(k)).nullspace()
+        assert len(oracle) == betti[k]
+        both = [dict(enumerate(v)) for v in oracle] + [
+            dict(enumerate(b.values)) for b in basis
+        ]
+        assert RatElim(both, K.n_simplices(k)).rank == betti[k]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

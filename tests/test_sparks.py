@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from diffchar.builders import (
+    build_space,
     circle,
     lens_space,
     moebius_kuehnel_torus,
+    rp2,
     rp3,
     sphere,
     surface_of_genus,
@@ -41,6 +43,9 @@ from diffchar.sparks import (
     torsion_linking_matrix,
     validate_spark,
 )
+from diffchar.hodge import HodgeContext
+
+F = Fraction
 
 
 class TestBasics:
@@ -89,6 +94,31 @@ class TestConstructors:
                 row.get(col, 0) * phi.values[i] for i, row in enumerate(D)
             )
             assert val == 0
+
+    def test_spark_from_cocycle_frozen(self):
+        # potentials of the normal-equations solve, frozen by hand
+        K = sphere(2)
+        R = cohomology_generators(K, 2)[0][0]
+        assert R.values == (0, 0, 0, 1)
+        assert spark_from_cocycle(K, R).a.values == (
+            F(1, 4), F(1, 2), 0, 0, 0, F(-3, 4)
+        )
+        K = rp2()
+        R = cohomology_generators(K, 2)[1][0][1]
+        assert R.values == (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+        h = F(1, 2)
+        assert spark_from_cocycle(K, R).a.values == (
+            0, 0, 0, 0, 0, -h, -h, 0, 0, 0, 0, -h, h, 0, -h
+        )
+
+    @pytest.mark.parametrize("name", ["torus", "genus2"])
+    def test_spark_curvature_is_harmonic_projection(self, name):
+        K = build_space(name)
+        ctx = HodgeContext(K)
+        for k in range(K.dimension + 1):
+            for g in cohomology_generators(K, k)[0]:
+                phi = curvature(K, spark_from_cocycle(K, g))
+                assert phi == ctx.harmonic_projection(g)
 
     def test_spark_from_cocycle_deterministic(self):
         K = sphere(2)
