@@ -9,16 +9,19 @@ Matrices live in two shapes:
 The two workhorses are :func:`smith_normal_form`, which tracks all four
 unimodular transforms (needed downstream for kernels, integer solves,
 quotient-group coordinates and torsion witnesses), and :class:`RatElim`,
-a sparse fraction Gauss-Jordan used for rational solves, nullspaces and
-ranks.  Pivoting is Markowitz-style (least fill among entries of minimal
-magnitude) with deterministic tie-breaks, so identical inputs give
-identical outputs everywhere.
+a fraction-free sparse Gauss-Jordan used for rational solves, nullspaces
+and ranks: it eliminates primitive integer rows once and replays the
+recorded row operations on every right-hand side (factor once, solve
+many).  Pivoting is Markowitz-style with deterministic tie-breaks (the
+Smith form also prefers entries of minimal magnitude), so identical
+inputs give identical outputs everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -456,29 +459,54 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 
 
 class RatElim:
-    """Sparse Gauss-Jordan over Q.
+    """Fraction-free sparse Gauss-Jordan over Q: factor once, solve many.
 
     ``rows`` is a list of {col: value} dicts (int or Fraction values);
     ``rhs`` an optional list of dense right-hand-side vectors (one entry
-    per row each).  After ``run()``:
+    per row each).  Each row is scaled by the lcm of its denominators
+    and divided by its content, so elimination runs on primitive integer
+    rows: ``row_r := (p/g) row_r - (c/g) prow`` with ``g = gcd(p, c)``,
+    then ``row_r`` is divided by its content.  Rows stay proportional to
+    the rows of a rational Gauss-Jordan, so the sparsity pattern, the
+    pivots and the results are the same.  ``run()`` records every row
+    operation; :meth:`solve` replays them on a further right-hand side,
+    and the constructor's ``rhs`` goes through the same replay.  After
+    ``run()``:
 
     * ``pivots``  -- list of (row, col) in elimination order,
     * ``rank``    -- len(pivots),
-    * ``solution(which)`` -- particular solution with free vars 0, or
-      None if that rhs is inconsistent,
+    * ``rows``    -- the eliminated integer rows,
+    * ``solve(b)``        -- particular solution with free vars 0, or
+      None if b is inconsistent,
+    * ``solution(which)`` -- the same for the constructor's rhs,
     * ``nullspace()``     -- basis of the kernel.
+
+    Solutions and nullspace vectors have ``Fraction`` entries.
     """
 
     def __init__(self, rows, ncols, rhs=None):
-        self.rows = [dict(r) for r in rows]
+        self.rows = []
+        # per-row factor num/den taking an input row to its integer row
+        self._scale = {}
+        for i, r in enumerate(rows):
+            mult = lcm(*(v.denominator for v in r.values()))
+            row = {j: v.numerator * (mult // v.denominator) for j, v in r.items()}
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: v // g for j, v in row.items()}
+            if mult != 1 or g > 1:
+                self._scale[i] = (mult, g)
+            self.rows.append(row)
         self.ncols = ncols
-        self.nrhs = len(rhs) if rhs else 0
-        self.rhs = [list(map(Fraction, vec)) for vec in (rhs or [])]
+        self._rhs = list(rhs or [])
         self.cols = [set() for _ in range(ncols)]
         for i, row in enumerate(self.rows):
             for j in row:
                 self.cols[j].add(i)
         self.pivots = []
+        # one (pivot row, [r, a, b, d, r, a, b, d, ...]) per step, for
+        # row_r := (a row_r - b prow) / d; flat lists keep the record small
+        self._ops = []
         self._ran = False
 
     def _pick(self, active_rows):
@@ -500,7 +528,8 @@ class RatElim:
         if self._ran:
             return self
         self._ran = True
-        active = set(range(len(self.rows)))
+        rows, cols = self.rows, self.cols
+        active = set(range(len(rows)))
         while True:
             picked = self._pick(active)
             if picked is None:
@@ -508,52 +537,73 @@ class RatElim:
             pr, pc = picked
             active.discard(pr)
             self.pivots.append((pr, pc))
-            piv = Fraction(self.rows[pr][pc])
-            if piv != 1:
-                inv = 1 / piv
-                self.rows[pr] = {j: v * inv for j, v in self.rows[pr].items()}
-                for k in range(self.nrhs):
-                    self.rhs[k][pr] *= inv
-            prow = self.rows[pr]
-            for r in sorted(self.cols[pc]):
+            prow = rows[pr]
+            p = prow[pc]
+            steps = []
+            for r in sorted(cols[pc]):
                 if r == pr:
                     continue
-                c = self.rows[r][pc]
-                row = self.rows[r]
+                row = rows[r]
+                c = row[pc]
+                g = gcd(p, c)
+                a, b = p // g, c // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
                 for j, v in prow.items():
-                    w = row.get(j, 0) - c * v
+                    w = row.get(j, 0) - b * v
                     if w:
                         row[j] = w
-                        self.cols[j].add(r)
+                        cols[j].add(r)
                     else:
                         row.pop(j, None)
-                        self.cols[j].discard(r)
-                for k in range(self.nrhs):
-                    self.rhs[k][r] -= c * self.rhs[k][pr]
+                        cols[j].discard(r)
+                d = gcd(*row.values()) or 1
+                if d > 1:
+                    for j in row:
+                        row[j] //= d
+                steps += (r, a, b, d)
+            self._ops.append((pr, steps))
+        # dicts keep their peak size after deletions; copies release the fill
+        self.rows = [dict(row) for row in rows]
+        self.cols = None
+        self._rhs = [self._reduce(b) for b in self._rhs]
         return self
+
+    def _reduce(self, b):
+        """Replay the recorded row operations on the right-hand side b."""
+        y = list(b)
+        for i, (num, den) in self._scale.items():
+            y[i] = _exact_div(y[i] * num, den)
+        for pr, steps in self._ops:
+            yp = y[pr]
+            it = iter(steps)
+            for r, a, c, d in zip(it, it, it, it):
+                y[r] = _exact_div(a * y[r] - c * yp, d)
+        return y
+
+    def _extract(self, y):
+        pivot_rows = {r for r, _ in self.pivots}
+        if any(y[i] for i in range(len(self.rows)) if i not in pivot_rows):
+            return None
+        x = [Fraction(0)] * self.ncols
+        for r, c in self.pivots:
+            x[c] = Fraction(y[r], self.rows[r][c])
+        return x
 
     @property
     def rank(self):
         self.run()
         return len(self.pivots)
 
-    def consistent(self, which=0):
+    def solve(self, b):
+        """Particular solution of rows @ x = b (free vars 0), or None."""
         self.run()
-        pivot_rows = {r for r, _ in self.pivots}
-        return all(
-            not self.rhs[which][i]
-            for i in range(len(self.rows))
-            if i not in pivot_rows
-        )
+        return self._extract(self._reduce(b))
 
     def solution(self, which=0):
         self.run()
-        if not self.consistent(which):
-            return None
-        x = [Fraction(0)] * self.ncols
-        for r, c in self.pivots:
-            x[c] = self.rhs[which][r]
-        return x
+        return self._extract(self._rhs[which])
 
     def nullspace(self):
         self.run()
@@ -566,9 +616,17 @@ class RatElim:
             for c, r in pivot_cols.items():
                 v = self.rows[r].get(f)
                 if v:
-                    vec[c] = -Fraction(v)
+                    vec[c] = -Fraction(v, self.rows[r][c])
             basis.append(vec)
         return basis
+
+
+def _exact_div(t, d):
+    """t / d for an int or Fraction t; an int whenever the quotient is one."""
+    if type(t) is int:
+        return t // d if not t % d else Fraction(t, d)
+    q = Fraction(t, d)
+    return q.numerator if q.denominator == 1 else q
 
 
 def rat_solve(rows, ncols, b):

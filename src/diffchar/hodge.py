@@ -7,8 +7,9 @@ rationals or by conjugate gradients in floating point.  In exact mode
 the harmonic representatives are the weighted projections g + delta x
 of the integral free cohomology generators g, with x from the
 degree-(k-1) normal equations that spark potentials solve too; the
-degree-k Laplacian is only eliminated by the Green operator.  These
-give canonical spark representatives (coexact potential, harmonic
+degree-k Laplacian is only eliminated by the Green operator, once per
+degree per context, whose factorization then serves every later call.
+These give canonical spark representatives (coexact potential, harmonic
 curvature) and Abel-Jacobi values of bounding cycles.
 """
 
@@ -111,9 +112,6 @@ class HodgeContext:
     # -- exact machinery -------------------------------------------------
     def _laplacian_rows(self, k):
         """Sparse rational rows of the degree-k Laplacian (exact mode)."""
-        key = ("laplacian", k)
-        if key in self._cache:
-            return self._cache[key]
         K = self.K
         n_k = K.n_simplices(k)
         w_k = self.weight(k)
@@ -128,9 +126,13 @@ class HodgeContext:
             for r, dn in zip(rows, gram_rows(K.boundary_rows(k), n_k, inv)):
                 for i2, v in dn.items():
                     r[i2] = r.get(i2, 0) + v * w_k[i2]
-        rows = [{i2: v for i2, v in r.items() if v} for r in rows]
-        self._cache[key] = rows
-        return rows
+        return [{i2: v for i2, v in r.items() if v} for r in rows]
+
+    def _factor(self, key, build_rows, ncols):
+        """The factorization of a cached system, eliminated once."""
+        if key not in self._cache:
+            self._cache[key] = RatElim(build_rows(), ncols).run()
+        return self._cache[key]
 
     def _harmonic_vectors(self, k):
         """Harmonic projections g + delta x of the free generators g."""
@@ -152,21 +154,21 @@ class HodgeContext:
         return [Cochain(k, b) for b in self._harmonic_vectors(k)]
 
     def _project_harmonic_exact(self, u: Cochain) -> Cochain:
-        basis = self._harmonic_vectors(u.degree)
+        k = u.degree
+        basis = self._harmonic_vectors(k)
         if not basis:
-            return self.K.zero_cochain(u.degree)
+            return self.K.zero_cochain(k)
         # u's harmonic part is B c with (B^T W B) c = B^T W u, where the
         # columns of B are the basis vectors
         m = len(basis)
-        w = self.weight(u.degree)
+        w = self.weight(k)
         B = [{r: x for r, x in enumerate(row) if x} for row in zip(*basis)]
+        gram = self._factor(("gram", k), lambda: gram_rows(B, m, w), m)
         wu = [wi * x for wi, x in zip(w, u.values)]
-        coeffs = RatElim(
-            gram_rows(B, m, w), m, rhs=[transpose_apply(B, wu, m)]
-        ).solution()
+        coeffs = gram.solve(transpose_apply(B, wu, m))
         if coeffs is None:
             raise AssertionError("Gram system must be solvable")
-        return Cochain(u.degree, tuple(Fraction(x) for x in mat_vec(B, coeffs)))
+        return Cochain(k, tuple(Fraction(x) for x in mat_vec(B, coeffs)))
 
     def harmonic_projection(self, u: Cochain) -> Cochain:
         if self.exact:
@@ -177,11 +179,11 @@ class HodgeContext:
         """Green operator: Laplacian(G u) = u - H(u) and H(G u) = 0."""
         v = u - self.harmonic_projection(u)
         if self.exact:
-            g0 = RatElim(
-                self._laplacian_rows(u.degree),
-                self.K.n_simplices(u.degree),
-                rhs=[list(v.values)],
-            ).solution()
+            k = u.degree
+            lap = self._factor(
+                ("green", k), lambda: self._laplacian_rows(k), self.K.n_simplices(k)
+            )
+            g0 = lap.solve(list(v.values))
             if g0 is None:
                 raise AssertionError("Green system must be solvable")
             g0 = Cochain(u.degree, tuple(g0))
@@ -364,6 +366,9 @@ def point_abel_jacobi(ctx: HodgeContext, src, dst, path=None, basis=None):
     edge path is used.  The result does not depend on that choice.
     """
     K = ctx.K
+    for v in (src, dst):
+        if not 0 <= v < K.n_vertices:
+            raise HodgeError(f"vertex {v} outside 0..{K.n_vertices - 1}")
     z_vals = [0] * K.n_simplices(0)
     z_vals[dst] += 1
     z_vals[src] -= 1

@@ -98,9 +98,9 @@ def least_squares_potentials(K: SimplicialComplex, cochains, weights=None):
     """Potentials x minimizing |g + delta x| for each degree-k cochain g.
 
     Solves the normal equations delta^T W delta x = -delta^T W g over Q,
-    all right-hand sides in one elimination; W is the diagonal of the
-    degree-k ``weights`` (standard inner product when None, whose
-    integer matrix is cached on K).  Free variables of the pivoted
+    every right-hand side on one factorization; W is the diagonal of
+    the degree-k ``weights`` (standard inner product when None, whose
+    factorization is cached on K).  Free variables of the pivoted
     solve are set to zero, so the output is deterministic.  For a
     cocycle g, g + delta x is its W-harmonic representative.
     """
@@ -112,21 +112,20 @@ def least_squares_potentials(K: SimplicialComplex, cochains, weights=None):
     if weights is None:
         key = ("lsq_delta", k)
         if key not in K._cache:
-            K._cache[key] = gram_rows(D, n_k)
-        normal = K._cache[key]
+            K._cache[key] = RatElim(gram_rows(D, n_k), n_k).run()
+        elim = K._cache[key]
     else:
-        normal = gram_rows(D, n_k, weights)
-    rhs = []
+        elim = RatElim(gram_rows(D, n_k, weights), n_k).run()
+    out = []
     for g in cochains:
         wg = g.values
         if weights is not None:
             wg = [w * v for w, v in zip(weights, wg)]
-        rhs.append([-v for v in transpose_apply(D, wg, n_k)])
-    elim = RatElim(normal, n_k, rhs=rhs)
-    out = [elim.solution(which) for which in range(len(rhs))]
-    if None in out:
-        raise AssertionError("normal equations must be consistent")
-    return [K.cochain(k, x) for x in out]
+        x = elim.solve([-v for v in transpose_apply(D, wg, n_k)])
+        if x is None:
+            raise AssertionError("normal equations must be consistent")
+        out.append(K.cochain(k, x))
+    return out
 
 
 def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
@@ -309,7 +308,12 @@ def torsion_linking_matrix(K: SimplicialComplex, p, q):
 
 
 def random_spark(K: SimplicialComplex, k, rng: random.Random, denom=6) -> Spark:
-    """Random spark of degree k with mixed exact and topological charge."""
+    """Random spark of degree k with mixed exact and topological charge.
+
+    k runs over -1..dimension, the degrees of the character groups.
+    """
+    if not -1 <= k <= K.dimension:
+        raise SparkError(f"spark degree {k} outside -1..{K.dimension}")
     n_k = K.n_simplices(k)
     a = K.cochain(
         k,

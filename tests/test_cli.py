@@ -241,6 +241,23 @@ def test_lowdeg_gerbe_obstruction_is_input_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("src,dst", [("0", "99"), ("-1", "3")])
+def test_hodge_aj_vertex_out_of_range_is_input_error(capsys, src, dst):
+    code = main(["hodge", "aj", "--space", "torus", "--src", src, "--dst", dst])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "vertex" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k,expected", [(-2, 3), (-1, 0), (2, 0), (3, 3), (7, 3)])
+def test_spark_new_degree_range(capsys, k, expected):
+    code = main(["spark", "new", "--space", "torus", f"--k={k}", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected == 3:
+        assert "degree" in captured.err and captured.out == ""
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

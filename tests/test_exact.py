@@ -162,6 +162,9 @@ class TestRatElim:
     def test_inconsistent_detected(self):
         rows = dense_to_rows([[1, 1], [2, 2]])
         assert rat_solve(rows, 2, [1, 3]) is None
+        elim = RatElim(rows, 2)
+        assert elim.solve([1, 3]) is None
+        assert elim.solve([1, 2]) == [Fraction(1), Fraction(0)]
 
     def test_nullspace_annihilates(self):
         A = [[1, 2, 3], [4, 5, 6]]
@@ -176,6 +179,101 @@ class TestRatElim:
         inv_cols = [elim.solution(0), elim.solution(1)]
         assert inv_cols[0] == [Fraction(1), Fraction(-1)]
         assert inv_cols[1] == [Fraction(-1), Fraction(2)]
+
+    def test_solve_replays_constructor_rhs(self):
+        # one factorization, many right-hand sides: each replay equals a
+        # fresh elimination with that right-hand side
+        rng = random.Random(31)
+        for _ in range(40):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            rows = random_sparse_rows(rng, n, m, fractional=rng.random() < 0.5)
+            elim = RatElim(rows, m)
+            for _ in range(5):
+                b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                assert elim.solve(b) == RatElim(rows, m, rhs=[b]).solution()
+
+    def test_fractional_rows(self):
+        rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(3, 4)}]
+        x = RatElim(rows, 2).solve([Fraction(5, 6), 3])
+        assert x == [Fraction(4), Fraction(-7, 2)]
+
+    def test_outputs_are_fractions(self):
+        elim = RatElim(dense_to_rows([[2, 1, 0], [0, 3, 3]]), 3)
+        assert all(type(v) is Fraction for v in elim.solve([1, 1]))
+        assert all(type(v) is Fraction for vec in elim.nullspace() for v in vec)
+
+
+def random_sparse_rows(rng, n, m, fractional=False, density=0.4):
+    """Random sparse rows; with probability 0.35 the last row is a
+    combination of the first two, so the matrix is rank-deficient."""
+    dens = (1, 2, 3, 6) if fractional else (1,)
+    rows = []
+    for _ in range(n):
+        row = {}
+        for j in range(m):
+            if rng.random() < density:
+                v = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 5)), rng.choice(dens))
+                row[j] = v if v.denominator != 1 else v.numerator
+        rows.append(row)
+    if n >= 3 and rng.random() < 0.35:
+        a, b = rng.randint(-2, 2), Fraction(rng.randint(1, 3), rng.choice(dens))
+        comb = {j: a * rows[0].get(j, 0) + b * rows[1].get(j, 0) for j in range(m)}
+        rows[-1] = {j: v for j, v in comb.items() if v}
+    return rows
+
+
+class TestRatElimOracle:
+    """RatElim against sympy's dense rational linear algebra."""
+
+    @pytest.fixture(scope="class")
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    def cases(self, seed, count=60):
+        rng = random.Random(seed)
+        for i in range(count):
+            n, m = rng.randint(1, 8), rng.randint(1, 8)
+            yield rng, m, random_sparse_rows(rng, n, m, fractional=i % 2 == 1)
+
+    def matrix(self, sympy, rows, m):
+        return sympy.Matrix(
+            [[sympy.Rational(str(Fraction(r.get(j, 0)))) for j in range(m)] for r in rows]
+        )
+
+    def test_rank(self, sympy):
+        for _, m, rows in self.cases(41):
+            assert RatElim(rows, m).rank == self.matrix(sympy, rows, m).rank()
+
+    def test_nullspace_spans_oracle(self, sympy):
+        for _, m, rows in self.cases(43):
+            A = self.matrix(sympy, rows, m)
+            ours = RatElim(rows, m).nullspace()
+            oracle = A.nullspace()
+            assert len(ours) == len(oracle)
+            if not ours:
+                continue
+            N = sympy.Matrix([[sympy.Rational(str(v)) for v in vec] for vec in ours]).T
+            assert (A * N).is_zero_matrix
+            assert N.rank() == len(ours)
+            assert N.row_join(sympy.Matrix.hstack(*oracle)).rank() == len(ours)
+
+    def test_solution_exact(self, sympy):
+        for rng, m, rows in self.cases(47):
+            A = self.matrix(sympy, rows, m)
+            n = len(rows)
+            x0 = [sympy.Rational(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)]
+            consistent_b = list(A * sympy.Matrix(x0))
+            other_b = [sympy.Rational(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            elim = RatElim(rows, m)
+            for b in (consistent_b, other_b):
+                b = [Fraction(str(v)) for v in b]
+                x = elim.solve(b)
+                solvable = A.rank() == A.row_join(sympy.Matrix(b)).rank()
+                if not solvable:
+                    assert x is None
+                    continue
+                assert x is not None
+                assert [sum(r.get(j, 0) * x[j] for j in range(m)) for r in rows] == b
 
 
 class TestInvariantFactors:

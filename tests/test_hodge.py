@@ -253,6 +253,36 @@ def test_point_abel_jacobi_grid_frozen():
     assert point_abel_jacobi(ctx, 0, 7, basis=basis) == (F(1, 3), F(2, 3))
 
 
+def test_point_abel_jacobi_rejects_bad_vertices():
+    K = moebius_kuehnel_torus()
+    ctx = HodgeContext(K)
+    for src, dst in ((0, 99), (0, 7), (-1, 3), (3, -1)):
+        with pytest.raises(HodgeError, match="vertex"):
+            point_abel_jacobi(ctx, src, dst)
+
+
+def test_green_rp2_varied_weights_frozen():
+    # frozen from the Fraction Gauss-Jordan of the weighted Laplacian
+    K = rp2()
+    ctx = HodgeContext(K, weights=varied_weights(K, random.Random(5)))
+    u = K.cochain(1, tuple(F((i * 7) % 5 - 2, 1 + i % 3) for i in range(15)))
+    expected = (
+        "-10224407468437/5512269774480 7482188064917/11024539548960 "
+        "3069769013963/1837423258160 -1749567803111/11024539548960 "
+        "-585340696223/1837423258160 -19476277303867/11024539548960 "
+        "124264689481/2756134887240 3800450964829/1574934221280 "
+        "-1033878969577/918711629080 2220590612813/1574934221280 "
+        "-181145988488/114838953635 1003807868599/11024539548960 "
+        "7591549747189/3674846516320 3130992731791/2756134887240 "
+        "10586044981657/11024539548960"
+    )
+    assert ctx.green(u).values == tuple(F(v) for v in expected.split())
+    # the second call replays the cached factorization
+    lap = ctx._cache[("green", 1)]
+    assert ctx.green(u).values == tuple(F(v) for v in expected.split())
+    assert ctx._cache[("green", 1)] is lap
+
+
 def test_point_abel_jacobi_path_invariance():
     K = torus_grid(3)
     ctx = HodgeContext(K)

@@ -1,5 +1,6 @@
 """Spark calculus: products, equivalence, holonomy, linking."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from diffchar.builders import (
     sphere,
     surface_of_genus,
 )
+from diffchar import sparks
+from diffchar.cli import canonical_json
 from diffchar.cohomology import cohomology_generators, cycle_lattice_basis
 from diffchar.complexes import (
     Chain,
@@ -60,6 +63,14 @@ class TestBasics:
         R = K.elementary_cochain((0, 1))
         with pytest.raises(SparkError, match="cocycle"):
             validate_spark(K, Spark(K.zero_cochain(0), R))
+
+    def test_random_spark_degree_range(self):
+        K = moebius_kuehnel_torus()
+        for k in (-1, K.dimension):
+            validate_spark(K, random_spark(K, k, random.Random(k)))
+        for k in (-2, K.dimension + 1):
+            with pytest.raises(SparkError, match="degree"):
+                random_spark(K, k, random.Random(0))
 
     def test_curvature_periods_integral(self):
         rng = random.Random(0)
@@ -110,6 +121,31 @@ class TestConstructors:
         assert spark_from_cocycle(K, R).a.values == (
             0, 0, 0, 0, 0, -h, -h, 0, 0, 0, 0, -h, h, 0, -h
         )
+
+    def test_spark_from_cocycle_rp3_frozen(self):
+        # sha256 of the canonical JSON of the potential of rp3's Z_2
+        # generator in degree 2, frozen from the Fraction Gauss-Jordan
+        K = rp3()
+        free, tor = cohomology_generators(K, 2)
+        assert free == [] and [m for m, _, _ in tor] == [2]
+        text = canonical_json(spark_to_json(spark_from_cocycle(K, tor[0][1])))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fe0829df765e4ec3969c850545161c4018b4a142247404c1f260591dd44fdab8"
+        )
+
+    def test_spark_from_cocycle_reuses_factorization(self, monkeypatch):
+        K = moebius_kuehnel_torus()
+        g1, g2 = cohomology_generators(K, 1)[0]
+        s1 = spark_from_cocycle(K, g1)
+        cached = K._cache[("lsq_delta", 0)]
+
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("normal matrix eliminated again")
+
+        monkeypatch.setattr(sparks, "RatElim", no_elimination)
+        assert spark_from_cocycle(K, g1) == s1
+        spark_from_cocycle(K, g2)
+        assert K._cache[("lsq_delta", 0)] is cached
 
     @pytest.mark.parametrize("name", ["torus", "genus2"])
     def test_spark_curvature_is_harmonic_projection(self, name):
