@@ -18,10 +18,12 @@ from fractions import Fraction
 
 from .cohomology import (
     AbelianGroupStructure,
+    CircleGroupStructure,
     TRIVIAL_GROUP,
     circle_cohomology_structure,
     cohomology_generators,
     cohomology_structure,
+    homology_structure,
     integer_cohomology,
     kunneth_structure,
 )
@@ -32,7 +34,6 @@ from .sparks import (
     curvature,
     d2_class,
     flat_spark_from_torsion,
-    random_spark,
     spark_equivalent,
     spark_from_cocycle,
 )
@@ -422,17 +423,17 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
         )
     )
 
-    # 9. the flat subgroup has the circle-coefficient structure
-    s_struct = circle_cohomology_structure(K, k) if 0 <= k <= n else None
-    if s_struct is not None:
-        b_k = cohomology_structure(K, k).free_rank
-        tor = cohomology_structure(K, k + 1).torsion
-        ok9 = s_struct.circle_rank == b_k and s_struct.torsion == tor
+    # 9. the flat subgroup H^k(S^1) has the universal coefficient
+    # structure Hom(H_k, S^1) = (S^1)^{b_k} x tor H_k, with b_k from the
+    # rational coboundary ranks and the torsion from integral homology
+    if 0 <= k <= n:
+        got = circle_cohomology_structure(K, k)
+        want = CircleGroupStructure(b_rat, homology_structure(K, k).torsion)
         checks.append(
             SequenceCheck(
                 "flat_subgroup_structure",
-                ok9,
-                f"(S1)^{b_k} x {list(tor)}",
+                got == want,
+                f"{got.format()} == {want.format()}",
             )
         )
     else:

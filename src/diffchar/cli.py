@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .builders import DEFAULT_BUDGET, build_space
 from .characters import (
+    CharacterStructure,
     character_structure,
-    character_table,
     dual_structure,
     duality_match,
     kunneth_character_rows,
@@ -365,34 +365,26 @@ def cmd_tables(args):
                 "degree": k,
                 "torus_rank": t,
                 "discrete": g.format(),
-                "structure": _kunneth_format(t, g),
+                "structure": CharacterStructure(k, t, 0, g).format(),
             }
             for k, t, g in kunneth_character_rows(fa, fb, total)
         ]
         return RunReport("tables", {"space": name}, {"table": rows}), rows
     K = build_space(name, args.budget)
-    rows = [
-        {
-            "degree": c.degree,
-            "torus_rank": c.torus_rank,
-            "exact_dim": c.exact_dim,
-            "discrete": c.discrete.format(),
-            "structure": c.format(),
-        }
-        for c in character_table(K)
-    ]
+    rows = _character_rows(K, range(-1, K.dimension + 1))
     return RunReport("tables", {"space": name}, {"table": rows}), rows
 
 
-def _kunneth_format(torus_rank, discrete):
-    parts = []
-    if torus_rank == 1:
-        parts.append("S1")
-    elif torus_rank > 1:
-        parts.append(f"(S1)^{torus_rank}")
-    if not discrete.is_trivial():
-        parts.append(discrete.format())
-    return " x ".join(parts) if parts else "0"
+def _homotopy_identity(K, flow):
+    """Whether dT + Td = 1 - P holds on every elementary chain."""
+    for k in range(K.dimension + 1):
+        nk = K.n_simplices(k)
+        for i in range(nk):
+            z = K.chain(k, tuple(1 if j == i else 0 for j in range(nk)))
+            lhs = K.boundary(flow.homotopy(z)) + flow.homotopy(K.boundary(z))
+            if lhs != z - flow.project(z):
+                return False
+    return True
 
 
 def cmd_verify(args):
@@ -440,13 +432,7 @@ def cmd_verify(args):
     checks["holonomy_invariance"] = ok_hol
 
     flow = MorseFlow(K, greedy_matching(K))
-    ok_homotopy = True
-    for k in range(n + 1):
-        for i in range(K.n_simplices(k)):
-            z = K.chain(k, tuple(1 if j == i else 0 for j in range(K.n_simplices(k))))
-            lhs = K.boundary(flow.homotopy(z)) + flow.homotopy(K.boundary(z))
-            ok_homotopy = ok_homotopy and lhs == z - flow.project(z)
-    checks["morse_homotopy_identity"] = ok_homotopy
+    checks["morse_homotopy_identity"] = _homotopy_identity(K, flow)
     checks["morse_homology"] = all(
         flow.morse_homology(k) == homology_structure(K, k) for k in range(n + 1)
     )
@@ -668,16 +654,8 @@ def cmd_morse_homology(args):
 def cmd_morse_verify(args):
     K, inputs = load_complex(args)
     flow = MorseFlow(K, greedy_matching(K))
-    ok = True
-    for k in range(K.dimension + 1):
-        nk = K.n_simplices(k)
-        for i in range(nk):
-            z = K.chain(k, tuple(1 if j == i else 0 for j in range(nk)))
-            lhs = K.boundary(flow.homotopy(z)) + flow.homotopy(K.boundary(z))
-            ok = ok and lhs == z - flow.project(z)
-    return RunReport(
-        "morse verify", inputs, checks={"homotopy_identity": ok}
-    ), None
+    checks = {"homotopy_identity": _homotopy_identity(K, flow)}
+    return RunReport("morse verify", inputs, checks=checks), None
 
 
 def cmd_morse_spark(args):

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .complexes import Chain, Cochain, SimplicialComplex
+from .complexes import Chain, SimplicialComplex
 from .exact import (
     invariant_factors,
     mat_vec,
     mul_rows,
     smith_normal_form,
-    transpose_rows,
 )
 
 
@@ -36,12 +35,6 @@ class AbelianGroupStructure:
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
-
-    def torsion_order(self):
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
 
     def format(self):
         parts = []
@@ -141,12 +134,6 @@ class LatticeQuotient:
                 witness[j] = v
             out.append((d, gen, witness))
         return out
-
-    def generator_vectors(self):
-        """Free generators then torsion generators, coordinate order."""
-        return self.free_generator_vectors() + [
-            g for _, g, _ in self.torsion_generator_vectors()
-        ]
 
     # -- coordinates -----------------------------------------------------
     def _kernel_coords(self, v, rational=False):

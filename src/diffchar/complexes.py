@@ -114,17 +114,6 @@ def _check_same(a, b):
         raise ValueError("degree/length mismatch")
 
 
-def as_int_values(values):
-    """Coerce exact-integer Fractions to int; error on true fractions."""
-    out = []
-    for v in values:
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise ValueError(f"non-integral value {v}")
-        out.append(f.numerator)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the complex
 
@@ -249,13 +238,6 @@ class SimplicialComplex:
             )
         return Chain(k, values)
 
-    def chain_of(self, k, coeffs: dict) -> Chain:
-        """Chain from {simplex tuple: coefficient}."""
-        vec = [0] * self.n_simplices(k)
-        for simp, c in coeffs.items():
-            vec[self.index[k][tuple(sorted(simp))]] += c
-        return Chain(k, tuple(vec))
-
     def elementary_cochain(self, simp) -> Cochain:
         simp = tuple(sorted(simp))
         k = len(simp) - 1
@@ -337,9 +319,6 @@ class SimplicialComplex:
             result = Chain(0, (1,))
         self._cache["fundamental"] = result
         return result
-
-    def is_orientable_closed(self):
-        return self.fundamental_cycle() is not None
 
     # -- graph structure -------------------------------------------------
     def vertex_components(self):

@@ -189,9 +189,6 @@ class SmithDecomposition:
     def Vinv_times(self, vec):
         return mat_vec(self.Vinv_rows, vec)
 
-    def Uinv_times(self, vec):
-        return transpose_apply(self.UinvT_rows, vec, self.nrows)
-
     def kernel_basis(self):
         """Basis of the integer kernel of A: V columns past the rank.
 

@@ -3,13 +3,15 @@
 Inner products on cochains are diagonal: one positive weight per
 simplex.  On top of the resulting coboundary adjoint sit the Laplacian,
 harmonic projection and Green operator, solved either exactly over the
-rationals or by conjugate gradients in floating point.  In exact mode
-the harmonic representatives are the weighted projections g + delta x
-of the integral free cohomology generators g, with x from the
-degree-(k-1) normal equations that spark potentials solve too; the
-degree-k Laplacian is only eliminated by the Green operator, once per
-degree per context, whose factorization then serves every later call.
-These give canonical spark representatives (coexact potential, harmonic
+rationals or by conjugate gradients in floating point.  Exact mode
+eliminates no Laplacian: every operator comes from the coboundary
+normal matrices N_j = delta_j^T W delta_j (finite-difference Hodge
+theory), each factored once per degree and weight profile, plus a small
+Gram system on the harmonic basis.  The harmonic representatives are
+the projections g - delta x of the integral free cohomology generators
+g; delta x, with N_{k-1} x = delta^T W u, is the exact part of any u;
+and N_k y = W v inverts adjoint_delta(delta y) = v on coexact v.  These
+give canonical spark representatives (coexact potential, harmonic
 curvature) and Abel-Jacobi values of bounding cycles.
 """
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 from .cohomology import cohomology_generators, integer_homology
 from .complexes import Chain, Cochain, SimplicialComplex
 from .exact import RatElim, gram_rows, mat_vec, transpose_apply
-from .sparks import Spark, SparkError, least_squares_potentials, mod1
+from .sparks import Spark, SparkError, exact_potential, mod1, normal_factorization
 
 EXACT_SIZE_LIMIT = 2000
 
@@ -53,7 +55,10 @@ class HodgeContext:
     gradients) or "auto", which picks exact below EXACT_SIZE_LIMIT total
     simplices.  Spark-producing operations require the exact method.
     The exact harmonic basis in degree k holds the weighted harmonic
-    projections of the free generators of H^k(K; Z).
+    projections of the free generators of H^k(K; Z).  Exact operators
+    solve with the normal-matrix factorizations of
+    :func:`~diffchar.sparks.normal_factorization`; uniform weights share
+    them with spark_from_cocycle through K's cache.
     """
 
     def __init__(self, K: SimplicialComplex, weights=None, method="auto",
@@ -110,42 +115,36 @@ class HodgeContext:
         return sum(wi * a * b for wi, a, b in zip(w, u.values, v.values))
 
     # -- exact machinery -------------------------------------------------
-    def _laplacian_rows(self, k):
-        """Sparse rational rows of the degree-k Laplacian (exact mode)."""
-        K = self.K
-        n_k = K.n_simplices(k)
-        w_k = self.weight(k)
-        # up part: (1/w_i) sum_j d_{ji} w_j d_{ji'}
-        up = gram_rows(K.delta_rows(k), n_k, self.weight(k + 1))
-        rows = [
-            {i2: Fraction(v, w_k[i]) for i2, v in r.items()} for i, r in enumerate(up)
-        ]
-        # down part: sum_j d_{ij} (1/w_j) d_{i'j} w_{i'}
-        if k >= 1:
-            inv = [Fraction(1, w) for w in self.weight(k - 1)]
-            for r, dn in zip(rows, gram_rows(K.boundary_rows(k), n_k, inv)):
-                for i2, v in dn.items():
-                    r[i2] = r.get(i2, 0) + v * w_k[i2]
-        return [{i2: v for i2, v in r.items() if v} for r in rows]
+    def _normal_weights(self, k):
+        """Degree-k weights for the normal matrix N_{k-1}; None if uniform."""
+        w = self.weight(k)
+        return None if all(x == 1 for x in w) else w
 
-    def _factor(self, key, build_rows, ncols):
-        """The factorization of a cached system, eliminated once."""
-        if key not in self._cache:
-            self._cache[key] = RatElim(build_rows(), ncols).run()
-        return self._cache[key]
+    def _exact_potential(self, u: Cochain) -> Cochain:
+        """x with delta x the exact part of u: N_{k-1} x = delta^T W_k u."""
+        return exact_potential(self.K, u, self._normal_weights(u.degree), self._cache)
+
+    def _up_potential(self, v: Cochain) -> Cochain:
+        """y with adjoint_delta(delta y) = v for a coexact v: N_k y = W_k v."""
+        k = v.degree
+        N = normal_factorization(self.K, k, self._normal_weights(k + 1), self._cache)
+        y = N.solve([w * x for w, x in zip(self.weight(k), v.values)])
+        if y is None:
+            raise AssertionError("normal equations must be consistent")
+        return Cochain(k, tuple(y))
+
+    def _coexact_part(self, x: Cochain) -> Cochain:
+        """x minus its harmonic and exact parts."""
+        rest = x - self._project_harmonic_exact(x)
+        return rest - self.K.delta(self._exact_potential(x))
 
     def _harmonic_vectors(self, k):
-        """Harmonic projections g + delta x of the free generators g."""
+        """Harmonic projections g - delta x of the free generators g."""
         key = ("harmonics", k)
         if key not in self._cache:
             free, _ = cohomology_generators(self.K, k)
-            w = self.weight(k)
-            uniform = all(x == 1 for x in w)
-            pots = least_squares_potentials(self.K, free, None if uniform else w)
-            self._cache[key] = [
-                tuple(Fraction(v) for v in (g + self.K.delta(x)).values)
-                for g, x in zip(free, pots)
-            ]
+            harmonic = [g - self.K.delta(self._exact_potential(g)) for g in free]
+            self._cache[key] = [tuple(Fraction(v) for v in h.values) for h in harmonic]
         return self._cache[key]
 
     def harmonic_basis(self, k):
@@ -163,9 +162,10 @@ class HodgeContext:
         m = len(basis)
         w = self.weight(k)
         B = [{r: x for r, x in enumerate(row) if x} for row in zip(*basis)]
-        gram = self._factor(("gram", k), lambda: gram_rows(B, m, w), m)
+        if ("gram", k) not in self._cache:
+            self._cache[("gram", k)] = RatElim(gram_rows(B, m, w), m).run()
         wu = [wi * x for wi, x in zip(w, u.values)]
-        coeffs = gram.solve(transpose_apply(B, wu, m))
+        coeffs = self._cache[("gram", k)].solve(transpose_apply(B, wu, m))
         if coeffs is None:
             raise AssertionError("Gram system must be solvable")
         return Cochain(k, tuple(Fraction(x) for x in mat_vec(B, coeffs)))
@@ -175,19 +175,22 @@ class HodgeContext:
             return self._project_harmonic_exact(u)
         return self.decompose(u).harmonic
 
+    def _exact_parts(self, u: Cochain):
+        """(H u, x, y) with u = H u + delta x + adjoint_delta(delta y)."""
+        h = self._project_harmonic_exact(u)
+        x = self._exact_potential(u)
+        y = self._up_potential(u - h - self.K.delta(x))
+        return h, x, y
+
     def green(self, u: Cochain) -> Cochain:
         """Green operator: Laplacian(G u) = u - H(u) and H(G u) = 0."""
-        v = u - self.harmonic_projection(u)
         if self.exact:
-            k = u.degree
-            lap = self._factor(
-                ("green", k), lambda: self._laplacian_rows(k), self.K.n_simplices(k)
-            )
-            g0 = lap.solve(list(v.values))
-            if g0 is None:
-                raise AssertionError("Green system must be solvable")
-            g0 = Cochain(u.degree, tuple(g0))
-            return g0 - self._project_harmonic_exact(g0)
+            # the coexact part of y and the exact delta y1 invert the up
+            # and down Laplacians on the coexact and exact parts of u
+            _, x, y = self._exact_parts(u)
+            y1 = self._up_potential(self._coexact_part(x))
+            return self._coexact_part(y) + self.K.delta(y1)
+        v = u - self.harmonic_projection(u)
         return self._cg(self.laplacian, u.degree, v)
 
     # -- conjugate gradients ---------------------------------------------
@@ -230,12 +233,9 @@ class HodgeContext:
         """Split u into harmonic + coboundary + adjoint-coboundary parts."""
         K = self.K
         if self.exact:
-            g = self.green(u)
-            h = u - self.adjoint_delta(K.delta(g)) - K.delta(self.adjoint_delta(g))
+            h, x, y = self._exact_parts(u)
             return HodgeDecomposition(
-                harmonic=h,
-                primitive=self.adjoint_delta(g),
-                coprimitive=K.delta(g),
+                harmonic=h, primitive=self._coexact_part(x), coprimitive=K.delta(y)
             )
         k = u.degree
         b = self._cg(
@@ -269,9 +269,9 @@ class HodgeContext:
             raise HodgeError(f"{what} needs the exact method")
 
     def sigma(self, R: Cochain) -> Cochain:
-        """Canonical potential: minus the adjoint coboundary of Green."""
+        """Canonical potential: minus the coexact primitive of R."""
         self._require_exact("spark potential")
-        return -self.adjoint_delta(self.green(R))
+        return -self._coexact_part(self._exact_potential(R))
 
     def hodge_spark(self, R: Cochain) -> Spark:
         """The spark with charge R and harmonic curvature."""
@@ -285,11 +285,7 @@ class HodgeContext:
     def spark_normal_form(self, s: Spark) -> Spark:
         """Equivalent spark whose potential has no coboundary component."""
         self._require_exact("spark normal form")
-        a = s.a
-        na = self._project_harmonic_exact(a) + self.adjoint_delta(
-            self.green(self.K.delta(a))
-        )
-        return Spark(na, s.R)
+        return Spark(s.a - self.K.delta(self._exact_potential(s.a)), s.R)
 
 
 @dataclass(frozen=True)

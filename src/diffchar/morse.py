@@ -36,10 +36,6 @@ class Matching:
     def up_map(self, k):
         return {i: j for kk, i, j in self.pairs if kk == k}
 
-    def down_map(self, k):
-        """Map from a matched (k+1)-simplex down to its partner."""
-        return {j: i for kk, i, j in self.pairs if kk == k}
-
     def cells(self):
         out = set()
         for k, i, j in self.pairs:

@@ -94,46 +94,50 @@ def mod1(x) -> Fraction:
 # constructors
 
 
-def least_squares_potentials(K: SimplicialComplex, cochains, weights=None):
-    """Potentials x minimizing |g + delta x| for each degree-k cochain g.
+def normal_factorization(K: SimplicialComplex, k, weights=None, cache=None):
+    """The factored normal matrix N_k = delta_k^T W delta_k, eliminated once.
 
-    Solves the normal equations delta^T W delta x = -delta^T W g over Q,
-    every right-hand side on one factorization; W is the diagonal of
-    the degree-k ``weights`` (standard inner product when None, whose
-    factorization is cached on K).  Free variables of the pivoted
-    solve are set to zero, so the output is deterministic.  For a
-    cocycle g, g + delta x is its W-harmonic representative.
+    W is the diagonal of the degree-(k+1) ``weights``.  Uniform weights
+    (None) are cached on K, so spark_from_cocycle and every uniform
+    HodgeContext on K share one factorization per degree; any other
+    profile is cached in ``cache``.
     """
-    if not cochains:
-        return []
-    k = cochains[0].degree - 1
-    n_k = K.n_simplices(k)
-    D = K.delta_rows(k)
     if weights is None:
-        key = ("lsq_delta", k)
-        if key not in K._cache:
-            K._cache[key] = RatElim(gram_rows(D, n_k), n_k).run()
-        elim = K._cache[key]
-    else:
-        elim = RatElim(gram_rows(D, n_k, weights), n_k).run()
-    out = []
-    for g in cochains:
-        wg = g.values
-        if weights is not None:
-            wg = [w * v for w, v in zip(weights, wg)]
-        x = elim.solve([-v for v in transpose_apply(D, wg, n_k)])
-        if x is None:
-            raise AssertionError("normal equations must be consistent")
-        out.append(K.cochain(k, x))
-    return out
+        cache = K._cache
+    key = ("normal", k)
+    if key not in cache:
+        n_k = K.n_simplices(k)
+        cache[key] = RatElim(gram_rows(K.delta_rows(k), n_k, weights), n_k).run()
+    return cache[key]
+
+
+def exact_potential(K: SimplicialComplex, u: Cochain, weights=None, cache=None):
+    """(k-1)-cochain x whose coboundary is the exact part of the k-cochain u.
+
+    Solves N_{k-1} x = delta^T W u over Q (see
+    :func:`normal_factorization`), so delta x is the orthogonal
+    projection of u onto the coboundaries, W the diagonal of the
+    degree-k ``weights`` (standard inner product when None).  Free
+    variables of the pivoted solve are set to zero, so the output is
+    deterministic.
+    """
+    k = u.degree - 1
+    n_k = K.n_simplices(k)
+    wu = u.values if weights is None else [w * v for w, v in zip(weights, u.values)]
+    x = normal_factorization(K, k, weights, cache).solve(
+        transpose_apply(K.delta_rows(k), wu, n_k)
+    )
+    if x is None:
+        raise AssertionError("normal equations must be consistent")
+    return K.cochain(k, x)
 
 
 def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
     """Spark with the given integral cocycle as its second component.
 
-    The first component is the least-squares minimizer of |R + delta a|
-    (standard inner product), so the curvature is the harmonic
-    representative of R; see :func:`least_squares_potentials`.
+    The first component is minus the :func:`exact_potential` of R, the
+    least-squares minimizer of |R + delta a| (standard inner product),
+    so the curvature is the harmonic representative of R.
     """
     if not R.is_integral():
         raise SparkError("R must be integral")
@@ -141,8 +145,7 @@ def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
         raise SparkError("R must be a cocycle")
     if R.degree < 0:
         raise SparkError("cocycle degree must be nonnegative")
-    (a,) = least_squares_potentials(K, [R])
-    return Spark(a, R)
+    return Spark(-exact_potential(K, R), R)
 
 
 def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain, j=1) -> Spark:

@@ -13,6 +13,7 @@ from diffchar.builders import (
     sphere,
     surface_of_genus,
 )
+from diffchar import characters
 from diffchar.characters import (
     character_structure,
     character_table,
@@ -23,6 +24,7 @@ from diffchar.characters import (
 )
 from diffchar.cohomology import (
     AbelianGroupStructure,
+    CircleGroupStructure,
     cohomology_structures,
 )
 
@@ -198,3 +200,19 @@ def test_verify_sequences_rp3_torsion_degree():
     assert report.ok, [(c.name, c.detail) for c in report.failures()]
     names = {c.name: c for c in report.checks}
     assert names["flat_torsion_generators"].detail == "1 generators"
+
+
+def test_flat_subgroup_check_is_independent(monkeypatch):
+    # rp2 in degree 1: H^1(S^1) = Z_2 = tor H_1, predicted from homology
+    K = rp2()
+    report = verify_sequences(K, 1, rng=random.Random(1), trials=1)
+    check = {c.name: c for c in report.checks}["flat_subgroup_structure"]
+    assert check.ok and check.detail == "Z_2 == Z_2"
+
+    def wrong(K, k):
+        return CircleGroupStructure(1, ())
+
+    monkeypatch.setattr(characters, "circle_cohomology_structure", wrong)
+    report = verify_sequences(K, 1, rng=random.Random(1), trials=1)
+    check = {c.name: c for c in report.checks}["flat_subgroup_structure"]
+    assert not check.ok and check.detail == "S1 == Z_2"

@@ -1,15 +1,19 @@
 """End-to-end checks of the command line front end."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from diffchar.builders import circle, moebius_kuehnel_torus
+from diffchar.builders import build_space, circle, moebius_kuehnel_torus
 from diffchar.cli import canonical_json, main
 from diffchar.cohomology import cohomology_generators
+from diffchar.complexes import scalar_str
+from diffchar.hodge import varied_weights
 from diffchar.lowdegree import gerbe_from_global, star_cover
-from diffchar.sparks import Spark, spark_to_json
+from diffchar.sparks import Spark, random_spark, spark_to_json
 
 
 def run(capsys, *argv):
@@ -287,3 +291,98 @@ def test_characters_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("degree,")
     assert len(lines) == 1 + 4
+
+
+def _write_hodge_inputs(tmp_path, K, k, weighted):
+    """Deterministic decompose/spark/normal inputs for degree k of K."""
+    rng = random.Random(100 + k)
+    u = [
+        scalar_str(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        for _ in range(K.n_simplices(k))
+    ]
+    free, tor = cohomology_generators(K, k)
+    R = K.zero_cochain(k)
+    for g in free + [t[1] for t in tor]:
+        R = R + g.scale(rng.randint(1, 2))
+    if k >= 1:
+        x = [rng.randint(-2, 2) for _ in range(K.n_simplices(k - 1))]
+        R = R + K.delta(K.cochain(k - 1, x))
+    files = {
+        "cochain": {"degree": k, "values": u},
+        "cocycle": {"degree": k, "values": [scalar_str(v) for v in R.values]},
+        "spark": spark_to_json(random_spark(K, k, rng)),
+    }
+    if weighted:
+        w = varied_weights(K, random.Random(5))
+        files["weights"] = {str(d): [scalar_str(x) for x in w[d]] for d in w}
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}{k}.json"
+        paths[name].write_text(canonical_json(obj))
+    return paths
+
+
+# sha256 of the concatenated stdout over every degree, frozen from the
+# Laplacian-elimination Green operator
+HODGE_STDOUT_SHA = {
+    "cp2 decompose uniform": (
+        "16e7715cf094dcbc1f522ce87bd358718972ddcb342137970615e4699487e777"
+    ),
+    "cp2 decompose weighted": (
+        "c3af104ecda4422617f57a71a247e6ecebcf7b2d344b6f77085bd457ff6f560b"
+    ),
+    "cp2 normal uniform": (
+        "d3952c0e56168e11c0c888f1bf98cd2c01c92fc817cd5553e47ddd9ec1f8b177"
+    ),
+    "cp2 normal weighted": (
+        "e426658246fab4d00bab2a348fc54bca448e3d5fe8d13b6be4ada62d03bbab3b"
+    ),
+    "cp2 spark uniform": (
+        "463cd050b7e6021b8c4033d6249b7b20ec31fa969bf03622df011890a6a28b59"
+    ),
+    "cp2 spark weighted": (
+        "4a0eb0021587ec518340fd9246e6e91cfda54667bc03f3e0dfd29077e5f70b41"
+    ),
+    "rp2 decompose uniform": (
+        "194c112320b9c926654e35dc0b657ad771434297a945934a265f56b99822ecb1"
+    ),
+    "rp2 decompose weighted": (
+        "19b9ec4c38efa364b11733830b3efef5449a5a5c9efaed4d655cda5c4727b2e0"
+    ),
+    "rp2 normal uniform": (
+        "588b26bf2f68d161f1240db8f9eccafd3bada913e951108e24ba40c4dea0dd14"
+    ),
+    "rp2 normal weighted": (
+        "135dfe6af4f158c7737f286a4d76353f7def32decb7bce5864f55ad942bc6b21"
+    ),
+    "rp2 spark uniform": (
+        "ca6ed6758ad5789599bcd2979a44eba51ce7806da7a6af1c697d07ceb47d67af"
+    ),
+    "rp2 spark weighted": (
+        "d2af8d4de91bdd53284b5c1a107a1deb21c74caef8e721ed351dd5773c37dc96"
+    ),
+}
+
+
+@pytest.mark.parametrize("space", ["rp2", "cp2"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_hodge_commands_stdout_frozen(tmp_path, capsys, space, weighted):
+    K = build_space(space)
+    outs = {"decompose": "", "spark": "", "normal": ""}
+    for k in range(K.dimension + 1):
+        paths = _write_hodge_inputs(tmp_path, K, k, weighted)
+        extra = ["--weights", str(paths["weights"])] if weighted else []
+        for cmd, args in (
+            ("decompose", ["--cochain", str(paths["cochain"])]),
+            ("spark", ["--cocycle", str(paths["cocycle"])]),
+            ("normal", [str(paths["spark"])]),
+        ):
+            code, out = run(capsys, "hodge", cmd, "--space", space, *args, *extra)
+            assert code == 0
+            outs[cmd] += out
+    label = "weighted" if weighted else "uniform"
+    got = {
+        f"{space} {cmd} {label}": hashlib.sha256(text.encode()).hexdigest()
+        for cmd, text in outs.items()
+    }
+    assert got == {key: HODGE_STDOUT_SHA.get(key) for key in got}

@@ -86,8 +86,15 @@ def test_weighted_harmonic_basis_spans_laplacian_kernel(K):
         for b in basis:
             assert ctx.laplacian(b).is_zero()
         # the rational kernel of the weighted Laplacian is the oracle:
-        # stacking either basis onto the other must not raise the rank
-        oracle = RatElim(ctx._laplacian_rows(k), K.n_simplices(k)).nullspace()
+        # stacking either basis onto the other must not raise the rank;
+        # its matrix is read off the Laplacian of each unit cochain
+        n_k = K.n_simplices(k)
+        cols = [
+            ctx.laplacian(K.cochain(k, [int(i == j) for i in range(n_k)])).values
+            for j in range(n_k)
+        ]
+        rows = [{j: c[i] for j, c in enumerate(cols) if c[i]} for i in range(n_k)]
+        oracle = RatElim(rows, n_k).nullspace()
         assert len(oracle) == betti[k]
         both = [dict(enumerate(v)) for v in oracle] + [
             dict(enumerate(b.values)) for b in basis
@@ -108,6 +115,22 @@ def test_harmonic_projection_properties(seed):
     assert ctx.harmonic_projection(h) == h
     for b in ctx.harmonic_basis(1):
         assert ctx.inner(u - h, b) == 0
+
+
+@pytest.mark.parametrize(
+    "K", [sphere(2), rp2(), moebius_kuehnel_torus()], ids=["sphere2", "rp2", "torus"]
+)
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_decompose_primitive_coexact_coprimitive_exact(K, weighted):
+    rng = random.Random(11)
+    ctx = HodgeContext(K, weights=varied_weights(K, rng) if weighted else None)
+    for k in range(K.dimension + 1):
+        dec = ctx.decompose(rand_cochain(K, k, rng))
+        b, c = dec.primitive, dec.coprimitive
+        assert ctx.adjoint_delta(b).is_zero()
+        assert ctx.harmonic_projection(b).is_zero()
+        assert K.delta(c).is_zero()
+        assert ctx.harmonic_projection(c).is_zero()
 
 
 def test_green_properties():
@@ -277,10 +300,10 @@ def test_green_rp2_varied_weights_frozen():
         "10586044981657/11024539548960"
     )
     assert ctx.green(u).values == tuple(F(v) for v in expected.split())
-    # the second call replays the cached factorization
-    lap = ctx._cache[("green", 1)]
+    # the second call replays the cached normal factorizations
+    normal = {j: ctx._cache[("normal", j)] for j in (0, 1)}
     assert ctx.green(u).values == tuple(F(v) for v in expected.split())
-    assert ctx._cache[("green", 1)] is lap
+    assert all(ctx._cache[("normal", j)] is f for j, f in normal.items())
 
 
 def test_point_abel_jacobi_path_invariance():

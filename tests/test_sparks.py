@@ -137,7 +137,7 @@ class TestConstructors:
         K = moebius_kuehnel_torus()
         g1, g2 = cohomology_generators(K, 1)[0]
         s1 = spark_from_cocycle(K, g1)
-        cached = K._cache[("lsq_delta", 0)]
+        cached = K._cache[("normal", 0)]
 
         def no_elimination(*args, **kwargs):
             raise AssertionError("normal matrix eliminated again")
@@ -145,7 +145,7 @@ class TestConstructors:
         monkeypatch.setattr(sparks, "RatElim", no_elimination)
         assert spark_from_cocycle(K, g1) == s1
         spark_from_cocycle(K, g2)
-        assert K._cache[("lsq_delta", 0)] is cached
+        assert K._cache[("normal", 0)] is cached
 
     @pytest.mark.parametrize("name", ["torus", "genus2"])
     def test_spark_curvature_is_harmonic_projection(self, name):
