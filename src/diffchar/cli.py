@@ -203,7 +203,13 @@ def _cochain_from_data(K, data, where, expect_degree=None):
         raise InputDataError(f"{where}: malformed cochain ({exc})") from exc
     if expect_degree is not None and k != expect_degree:
         raise InputDataError(f"{where}: degree {k}, expected {expect_degree}")
+    _check_degree(K, k, where)
     return K.cochain(k, values)
+
+
+def _check_degree(K, k, where):
+    if not -1 <= k <= K.dimension:
+        raise InputDataError(f"{where}: degree {k} outside -1..{K.dimension}")
 
 
 def _load_cochain(K, path, expect_degree=None):
@@ -229,6 +235,7 @@ def _load_chain(K, path):
         values = tuple(parse_scalar(v) for v in data["values"])
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"{path}: malformed chain ({exc})") from exc
+    _check_degree(K, k, path)
     return K.chain(k, values)
 
 

@@ -26,10 +26,16 @@ class ComplexError(ValueError):
 
 
 def parse_scalar(text):
-    """Parse "p/q" or "p" into Fraction or int (integers stay int)."""
+    """Parse "p/q" or "p" into Fraction or int (integers stay int).
+
+    Raises ValueError on malformed text and on a zero denominator.
+    """
     if isinstance(text, int):
         return text
-    f = Fraction(str(text))
+    try:
+        f = Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     return int(f) if f.denominator == 1 else f
 
 

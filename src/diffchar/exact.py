@@ -12,15 +12,19 @@ quotient-group coordinates and torsion witnesses), and :class:`RatElim`,
 a fraction-free sparse Gauss-Jordan used for rational solves, nullspaces
 and ranks: it eliminates primitive integer rows once and replays the
 recorded row operations on every right-hand side (factor once, solve
-many).  Pivoting is Markowitz-style with deterministic tie-breaks (the
-Smith form also prefers entries of minimal magnitude), so identical
-inputs give identical outputs everywhere.
+many).  Pivoting is Markowitz-style with deterministic tie-breaks, so
+identical inputs give identical outputs everywhere.  The Smith form
+takes the unit entry of least (Markowitz cost, col, row) from a lazy
+heap kept up to date across steps, re-keying only the rows and columns
+the last step changed; only when no unit entry is left does it scan for
+the entry of least (|v|, cost, col, row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 
@@ -231,6 +235,21 @@ class SmithDecomposition:
 
 
 class _SnfWorker:
+    """Sparse Smith elimination with a Markowitz pivot queue kept across steps.
+
+    At step t the pivot is the unit (+-1) entry of the active submatrix
+    (rows and columns >= t) with the least key (cost, col, row), where
+    cost = (len(row) - 1) * (len(col) - 1); without a unit it is the
+    entry with the least (|v|, cost, col, row), found by a full scan.
+    Unit keys sit in a lazy min-heap, each packed into the one int
+    (cost * ncols + col) * nrows + row, which orders like the tuple and
+    keeps the heap small.  The elementary operations mark as dirty the
+    rows and columns whose entries, lengths or indices they change;
+    before each pick the unit entries of dirty rows and columns are
+    pushed again with their current keys, and a popped key counts only
+    if it is still the current key of an active unit entry.
+    """
+
     def __init__(self, rows, nrows, ncols):
         self.rows = rows
         self.nrows = nrows
@@ -243,34 +262,49 @@ class _SnfWorker:
         self.UinvT = identity_rows(nrows)
         self.VT = identity_rows(ncols)
         self.Vinv = identity_rows(ncols)
+        self._heap = []
+        self._dirty_rows = set(range(nrows))
+        self._dirty_cols = set()
 
     # elementary operations, mirrored into the transforms ---------------
     def row_axpy(self, i, j, c):
         """row i += c * row j."""
         row_j = self.rows[j]
         row_i = self.rows[i]
+        dirty_cols = self._dirty_cols
         for col, v in row_j.items():
-            w = row_i.get(col, 0) + c * v
+            old = row_i.get(col, 0)
+            w = old + c * v
             if w:
                 row_i[col] = w
-                self.cols[col].add(i)
+                if not old:
+                    self.cols[col].add(i)
+                    dirty_cols.add(col)
             else:
                 row_i.pop(col, None)
                 self.cols[col].discard(i)
+                dirty_cols.add(col)
+        self._dirty_rows.add(i)
         _row_axpy(self.U[i], self.U[j], c)
         _row_axpy(self.UinvT[j], self.UinvT[i], -c)
 
     def col_axpy(self, i, j, c):
         """col i += c * col j."""
+        dirty_rows = self._dirty_rows
         for r in list(self.cols[j]):
             row = self.rows[r]
-            w = row.get(i, 0) + c * row[j]
+            old = row.get(i, 0)
+            w = old + c * row[j]
             if w:
                 row[i] = w
-                self.cols[i].add(r)
+                if not old:
+                    self.cols[i].add(r)
+                    dirty_rows.add(r)
             else:
                 row.pop(i, None)
                 self.cols[i].discard(r)
+                dirty_rows.add(r)
+        self._dirty_cols.add(i)
         _row_axpy(self.VT[i], self.VT[j], c)
         _row_axpy(self.Vinv[j], self.Vinv[i], -c)
 
@@ -290,6 +324,7 @@ class _SnfWorker:
                 members.add(j)
             else:
                 members.discard(j)
+        self._dirty_rows.update((i, j))
         self.U[i], self.U[j] = self.U[j], self.U[i]
         self.UinvT[i], self.UinvT[j] = self.UinvT[j], self.UinvT[i]
 
@@ -305,6 +340,7 @@ class _SnfWorker:
             if vi is not None:
                 row[j] = vi
         self.cols[i], self.cols[j] = self.cols[j], self.cols[i]
+        self._dirty_cols.update((i, j))
         self.VT[i], self.VT[j] = self.VT[j], self.VT[i]
         self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
 
@@ -318,28 +354,44 @@ class _SnfWorker:
 
     # pivot machinery ----------------------------------------------------
     def _find_pivot(self, t):
-        """Best pivot in the active submatrix (rows/cols >= t)."""
+        """Best pivot (row, col) in the active submatrix, or None."""
+        rows, cols, heap = self.rows, self.cols, self._heap
+        dirty_rows, dirty_cols = self._dirty_rows, self._dirty_cols
+        m, n = self.ncols, self.nrows
+        for i in dirty_rows:
+            if i >= t:
+                row = rows[i]
+                rcost = len(row) - 1
+                for j, v in row.items():
+                    if v == 1 or v == -1:
+                        heappush(heap, (rcost * (len(cols[j]) - 1) * m + j) * n + i)
+        for j in dirty_cols:
+            if j >= t:
+                ccost = len(cols[j]) - 1
+                for i in cols[j]:
+                    v = rows[i][j]
+                    # entries of dirty rows were pushed above
+                    if (v == 1 or v == -1) and i not in dirty_rows:
+                        heappush(heap, ((len(rows[i]) - 1) * ccost * m + j) * n + i)
+        dirty_rows.clear()
+        dirty_cols.clear()
+        while heap:
+            rest, i = divmod(heappop(heap), n)
+            cost, j = divmod(rest, m)
+            if i < t or j < t:
+                continue
+            v = rows[i].get(j)
+            if (v == 1 or v == -1) and cost == (len(rows[i]) - 1) * (len(cols[j]) - 1):
+                return i, j
+        # no unit entry is left: least (|v|, cost, col, row)
         best = None
-        best_unit = None
         for i in range(t, self.nrows):
-            for j, v in self.rows[i].items():
-                if j < t:
-                    continue
-                cost = (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
-                key = (cost, j, i)
-                if v == 1 or v == -1:
-                    if best_unit is None or key < best_unit[0]:
-                        best_unit = (key, i, j)
-                else:
-                    mag = abs(v)
-                    mkey = (mag, cost, j, i)
-                    if best is None or mkey < best[0]:
-                        best = (mkey, i, j)
-        if best_unit is not None:
-            return best_unit[1], best_unit[2]
-        if best is not None:
-            return best[1], best[2]
-        return None
+            rcost = len(rows[i]) - 1
+            for j, v in rows[i].items():
+                key = (abs(v), rcost * (len(cols[j]) - 1), j, i)
+                if best is None or key < best:
+                    best = key
+        return None if best is None else (best[3], best[2])
 
     def _clear_pivot(self, t):
         """Make (t,t) the only nonzero of row t and column t via gcd steps."""

@@ -262,6 +262,71 @@ def test_spark_new_degree_range(capsys, k, expected):
         assert "degree" in captured.err and captured.out == ""
 
 
+def _rp2_input_files(tmp_path, bad):
+    """Paths of rp2 input files of every kind, each with one value ``bad``,
+    plus a valid cochain and spark (``cochain_ok``, ``spark_ok``)."""
+    K = build_space("rp2")
+    zero = ["0"] * K.n_simplices(1)
+    edges = zero[:-1] + [bad]
+    spark = spark_to_json(Spark(K.cochain(1, zero), K.cochain(2, ["0"] * K.n_simplices(2))))
+    bad_spark = json.loads(json.dumps(spark))
+    bad_spark["a"]["values"][-1] = bad
+    payloads = {
+        "cochain": {"degree": 1, "values": edges},
+        "chain": {"degree": 1, "values": edges},
+        "spark": bad_spark,
+        "weights": {"1": [bad]},
+        "connection": {"edges": edges},
+        "cochain_ok": {"degree": 1, "values": zero},
+        "spark_ok": spark,
+    }
+    paths = {}
+    for name, payload in payloads.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_json(payload))
+        paths[name] = str(path)
+    return paths
+
+
+ZERO_DENOMINATOR_COMMANDS = {
+    "cochain": ["hodge", "decompose", "--space", "rp2", "--cochain", "{cochain}"],
+    "chain": ["spark", "holonomy", "--space", "rp2", "{spark_ok}", "--cycle", "{chain}"],
+    "spark": ["spark", "d1", "--space", "rp2", "{spark}"],
+    "weights": [
+        "hodge", "decompose", "--space", "rp2",
+        "--cochain", "{cochain_ok}", "--weights", "{weights}",
+    ],
+    "connection": ["lowdeg", "conn", "--space", "rp2", "--theta", "{connection}"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_DENOMINATOR_COMMANDS))
+def test_zero_denominator_is_input_error(tmp_path, capsys, kind):
+    paths = _rp2_input_files(tmp_path, "1/0")
+    argv = [a.format(**paths) for a in ZERO_DENOMINATOR_COMMANDS[kind]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "zero denominator" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("degree", [-3, -2, 3, 9])
+@pytest.mark.parametrize("command", [
+    ["hodge", "decompose", "--space", "rp2", "--cochain"],
+    ["spark", "new", "--space", "rp2", "--cocycle"],
+    ["spark", "holonomy", "--space", "rp2", "{spark_ok}", "--cycle"],
+], ids=["cochain", "cocycle", "chain"])
+def test_out_of_range_degree_is_input_error(tmp_path, capsys, command, degree):
+    paths = _rp2_input_files(tmp_path, "0")
+    data = tmp_path / "data.json"
+    data.write_text(canonical_json({"degree": degree, "values": []}))
+    code = main([a.format(**paths) for a in command] + [str(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"degree {degree} outside -1..2" in captured.err and captured.out == ""
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
