@@ -74,6 +74,10 @@ from .sparks import (
 )
 
 
+DEFAULT_METHOD = "auto"
+DEFAULT_TOL = 1e-10
+
+
 class InputDataError(Exception):
     """A file or parameter could not be understood."""
 
@@ -273,12 +277,23 @@ def _write_artifact(path, obj):
         fh.write(canonical_json(obj))
 
 
-def _hodge_context(K, args):
+def _hodge_context(K, args, inputs):
+    """Context from --weights/--method/--tol.
+
+    The flags that differ from their defaults go into ``inputs`` (the
+    weights as a file sha), so default-flag digests stay unchanged.
+    """
+    if args.weights is not None:
+        inputs["weights"] = _file_sha(args.weights)
+    if args.method != DEFAULT_METHOD:
+        inputs["method"] = args.method
+    if args.tol != DEFAULT_TOL:
+        inputs["tol"] = args.tol
     return HodgeContext(
         K,
-        weights=_load_weights(K, getattr(args, "weights", None)),
-        method=getattr(args, "method", "auto"),
-        tol=getattr(args, "tol", 1e-10),
+        weights=_load_weights(K, args.weights),
+        method=args.method,
+        tol=args.tol,
     )
 
 
@@ -444,7 +459,7 @@ def cmd_verify(args):
         flow.morse_homology(k) == homology_structure(K, k) for k in range(n + 1)
     )
 
-    ctx = _hodge_context(K, args)
+    ctx = _hodge_context(K, args, inputs)
     worst = Fraction(0) if ctx.exact else 0.0
     for k in range(n + 1):
         if K.n_simplices(k) == 0:
@@ -570,7 +585,7 @@ def cmd_hodge_decompose(args):
     K, inputs = load_complex(args)
     u = _load_cochain(K, args.cochain)
     inputs["cochain"] = _file_sha(args.cochain)
-    ctx = _hodge_context(K, args)
+    ctx = _hodge_context(K, args, inputs)
     dec = ctx.decompose(u)
     res = {
         k: v if isinstance(v, float) else Fraction(v)
@@ -591,7 +606,7 @@ def cmd_hodge_spark(args):
     K, inputs = load_complex(args)
     R = _load_cochain(K, args.cocycle)
     inputs["cocycle"] = _file_sha(args.cocycle)
-    ctx = _hodge_context(K, args)
+    ctx = _hodge_context(K, args, inputs)
     s = ctx.hodge_spark(R)
     results = {
         "spark": spark_to_json(s),
@@ -607,7 +622,7 @@ def cmd_hodge_normal(args):
     K, inputs = load_complex(args)
     s = _load_spark(K, args.spark)
     inputs["spark"] = _file_sha(args.spark)
-    ctx = _hodge_context(K, args)
+    ctx = _hodge_context(K, args, inputs)
     nf = ctx.spark_normal_form(s)
     checks = {"equivalent": spark_equivalent(K, s, nf)}
     return RunReport(
@@ -618,7 +633,7 @@ def cmd_hodge_normal(args):
 def cmd_hodge_aj(args):
     K, inputs = load_complex(args)
     inputs.update({"src": args.src, "dst": args.dst, "path": args.path})
-    ctx = _hodge_context(K, args)
+    ctx = _hodge_context(K, args, inputs)
     path = None
     if args.path:
         path = path_chain(K, [int(v) for v in args.path.split(",")])
@@ -826,8 +841,8 @@ def _add_format_arg(p):
 
 def _add_hodge_args(p):
     p.add_argument("--weights", help="JSON file: degree -> list of weights")
-    p.add_argument("--method", choices=("auto", "exact", "cg"), default="auto")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--method", choices=("auto", "exact", "cg"), default=DEFAULT_METHOD)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
 def build_parser():
@@ -877,7 +892,12 @@ def build_parser():
 
     p = ssub.add_parser("new")
     _add_space_args(p)
-    p.add_argument("--cocycle", help="integral cocycle JSON file")
+    p.add_argument(
+        "--cocycle",
+        help="integral cocycle JSON file; cohomologous cocycles give one "
+        "character, and a cohomology generator gets the character of "
+        "'hodge spark'",
+    )
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -922,7 +942,13 @@ def build_parser():
 
     p = hsub.add_parser("spark")
     _add_space_args(p)
-    p.add_argument("--cocycle", required=True)
+    p.add_argument(
+        "--cocycle",
+        required=True,
+        help="integral cocycle JSON file; the character follows the cocycle: "
+        "R + delta S gives that of R plus the flat spark of the harmonic "
+        "part of S",
+    )
     p.add_argument("--out")
     _add_hodge_args(p)
     p.set_defaults(handler=cmd_hodge_spark)

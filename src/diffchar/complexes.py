@@ -255,7 +255,8 @@ class SimplicialComplex:
     def evaluate(self, u: Cochain, z: Chain):
         if u.degree != z.degree:
             raise ValueError("evaluate needs matching degrees")
-        return sum(a * b for a, b in zip(u.values, z.values))
+        # cycles are mostly zero: multiply only their nonzero entries
+        return sum(a * b for a, b in zip(u.values, z.values) if b)
 
     def cup(self, u: Cochain, v: Cochain) -> Cochain:
         """Front-face/back-face product C^p x C^q -> C^{p+q}."""

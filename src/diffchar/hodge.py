@@ -7,12 +7,16 @@ rationals or by conjugate gradients in floating point.  Exact mode
 eliminates no Laplacian: every operator comes from the coboundary
 normal matrices N_j = delta_j^T W delta_j (finite-difference Hodge
 theory), each factored once per degree and weight profile, plus a small
-Gram system on the harmonic basis.  The harmonic representatives are
-the projections g - delta x of the integral free cohomology generators
-g; delta x, with N_{k-1} x = delta^T W u, is the exact part of any u;
-and N_k y = W v inverts adjoint_delta(delta y) = v on coexact v.  These
-give canonical spark representatives (coexact potential, harmonic
-curvature) and Abel-Jacobi values of bounding cycles.
+Gram system on the harmonic basis; both come from
+:mod:`diffchar.sparks`, which owns the one harmonic projection.  The
+harmonic representatives are the projections g - delta x of the
+integral free cohomology generators g; delta x, with
+N_{k-1} x = delta^T W u, is the exact part of any u; and N_k y = W v
+inverts adjoint_delta(delta y) = v on coexact v.  Harmonic sparks are
+the weighted harmonic potential of their cocycle in normal form
+(coexact potential, harmonic curvature); they agree with
+spark_from_cocycle on the generators.  Abel-Jacobi values of bounding
+cycles integrate the harmonic representatives.
 """
 
 from __future__ import annotations
@@ -22,8 +26,17 @@ from fractions import Fraction
 
 from .cohomology import cohomology_generators, integer_homology
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import RatElim, gram_rows, mat_vec, transpose_apply
-from .sparks import Spark, SparkError, exact_potential, mod1, normal_factorization
+from .exact import transpose_apply
+from .sparks import (
+    Spark,
+    degree_weights,
+    exact_potential,
+    harmonic_potential,
+    harmonic_projection,
+    harmonic_vectors,
+    mod1,
+    normal_factorization,
+)
 
 EXACT_SIZE_LIMIT = 2000
 
@@ -56,9 +69,9 @@ class HodgeContext:
     simplices.  Spark-producing operations require the exact method.
     The exact harmonic basis in degree k holds the weighted harmonic
     projections of the free generators of H^k(K; Z).  Exact operators
-    solve with the normal-matrix factorizations of
-    :func:`~diffchar.sparks.normal_factorization`; uniform weights share
-    them with spark_from_cocycle through K's cache.
+    solve with the normal-matrix factorizations and the harmonic
+    projection of :mod:`diffchar.sparks`; in degrees with uniform
+    weights they share K's cache with the sparks built there.
     """
 
     def __init__(self, K: SimplicialComplex, weights=None, method="auto",
@@ -115,19 +128,17 @@ class HodgeContext:
         return sum(wi * a * b for wi, a, b in zip(w, u.values, v.values))
 
     # -- exact machinery -------------------------------------------------
-    def _normal_weights(self, k):
-        """Degree-k weights for the normal matrix N_{k-1}; None if uniform."""
-        w = self.weight(k)
-        return None if all(x == 1 for x in w) else w
-
     def _exact_potential(self, u: Cochain) -> Cochain:
         """x with delta x the exact part of u: N_{k-1} x = delta^T W_k u."""
-        return exact_potential(self.K, u, self._normal_weights(u.degree), self._cache)
+        w = degree_weights(self.weights, u.degree)
+        return exact_potential(self.K, u, w, self._cache)
 
     def _up_potential(self, v: Cochain) -> Cochain:
         """y with adjoint_delta(delta y) = v for a coexact v: N_k y = W_k v."""
         k = v.degree
-        N = normal_factorization(self.K, k, self._normal_weights(k + 1), self._cache)
+        N = normal_factorization(
+            self.K, k, degree_weights(self.weights, k + 1), self._cache
+        )
         y = N.solve([w * x for w, x in zip(self.weight(k), v.values)])
         if y is None:
             raise AssertionError("normal equations must be consistent")
@@ -135,49 +146,27 @@ class HodgeContext:
 
     def _coexact_part(self, x: Cochain) -> Cochain:
         """x minus its harmonic and exact parts."""
-        rest = x - self._project_harmonic_exact(x)
+        rest = x - self.harmonic_projection(x)
         return rest - self.K.delta(self._exact_potential(x))
 
-    def _harmonic_vectors(self, k):
-        """Harmonic projections g - delta x of the free generators g."""
-        key = ("harmonics", k)
-        if key not in self._cache:
-            free, _ = cohomology_generators(self.K, k)
-            harmonic = [g - self.K.delta(self._exact_potential(g)) for g in free]
-            self._cache[key] = [tuple(Fraction(v) for v in h.values) for h in harmonic]
-        return self._cache[key]
-
     def harmonic_basis(self, k):
+        """Harmonic projections g - delta x of the free generators g."""
         if not self.exact:
             raise HodgeError("harmonic basis needs the exact method")
-        return [Cochain(k, b) for b in self._harmonic_vectors(k)]
-
-    def _project_harmonic_exact(self, u: Cochain) -> Cochain:
-        k = u.degree
-        basis = self._harmonic_vectors(k)
-        if not basis:
-            return self.K.zero_cochain(k)
-        # u's harmonic part is B c with (B^T W B) c = B^T W u, where the
-        # columns of B are the basis vectors
-        m = len(basis)
-        w = self.weight(k)
-        B = [{r: x for r, x in enumerate(row) if x} for row in zip(*basis)]
-        if ("gram", k) not in self._cache:
-            self._cache[("gram", k)] = RatElim(gram_rows(B, m, w), m).run()
-        wu = [wi * x for wi, x in zip(w, u.values)]
-        coeffs = self._cache[("gram", k)].solve(transpose_apply(B, wu, m))
-        if coeffs is None:
-            raise AssertionError("Gram system must be solvable")
-        return Cochain(k, tuple(Fraction(x) for x in mat_vec(B, coeffs)))
+        w = degree_weights(self.weights, k)
+        vectors = harmonic_vectors(self.K, k, w, self._cache)
+        return [Cochain(k, b) for b in vectors]
 
     def harmonic_projection(self, u: Cochain) -> Cochain:
         if self.exact:
-            return self._project_harmonic_exact(u)
+            return harmonic_projection(
+                self.K, u, degree_weights(self.weights, u.degree), self._cache
+            )
         return self.decompose(u).harmonic
 
     def _exact_parts(self, u: Cochain):
         """(H u, x, y) with u = H u + delta x + adjoint_delta(delta y)."""
-        h = self._project_harmonic_exact(u)
+        h = self.harmonic_projection(u)
         x = self._exact_potential(u)
         y = self._up_potential(u - h - self.K.delta(x))
         return h, x, y
@@ -268,19 +257,18 @@ class HodgeContext:
         if not self.exact:
             raise HodgeError(f"{what} needs the exact method")
 
-    def sigma(self, R: Cochain) -> Cochain:
-        """Canonical potential: minus the coexact primitive of R."""
-        self._require_exact("spark potential")
-        return -self._coexact_part(self._exact_potential(R))
-
     def hodge_spark(self, R: Cochain) -> Spark:
-        """The spark with charge R and harmonic curvature."""
+        """The spark with charge R, harmonic curvature and coexact potential.
+
+        The :func:`~diffchar.sparks.harmonic_potential` of R under this
+        context's weights, put in :meth:`spark_normal_form`; the result is
+        the unique such spark.  It depends on the cocycle R, not only on
+        its class: for an integral S, the spark of R + delta S is that of
+        R plus the flat spark (H_{k-1} S, 0).
+        """
         self._require_exact("spark construction")
-        if not R.is_integral():
-            raise SparkError("charge must be integral")
-        if not self.K.delta(R).is_zero():
-            raise SparkError("charge must be a cocycle")
-        return Spark(self.sigma(R), R)
+        a = harmonic_potential(self.K, R, self.weights, self._cache)
+        return self.spark_normal_form(Spark(a, R))
 
     def spark_normal_form(self, s: Spark) -> Spark:
         """Equivalent spark whose potential has no coboundary component."""

@@ -387,8 +387,22 @@ def _write_hodge_inputs(tmp_path, K, k, weighted):
     return paths
 
 
+def _without_weights_input(out, weights_path):
+    """A weighted report as printed before --weights entered ``inputs``.
+
+    Checks that ``inputs`` carries the sha256 of the weights file, drops
+    it and recomputes the digest; the rest of the report is unchanged.
+    """
+    report = json.loads(out)
+    sha = hashlib.sha256(weights_path.read_bytes()).hexdigest()
+    assert report["inputs"].pop("weights") == sha
+    report["digest"] = hashlib.sha256(canonical_json(report["inputs"]).encode()).hexdigest()
+    return canonical_json(report)
+
+
 # sha256 of the concatenated stdout over every degree, frozen from the
-# Laplacian-elimination Green operator
+# Laplacian-elimination Green operator (weighted reports as printed
+# before the weights file sha entered their inputs)
 HODGE_STDOUT_SHA = {
     "cp2 decompose uniform": (
         "16e7715cf094dcbc1f522ce87bd358718972ddcb342137970615e4699487e777"
@@ -444,6 +458,8 @@ def test_hodge_commands_stdout_frozen(tmp_path, capsys, space, weighted):
         ):
             code, out = run(capsys, "hodge", cmd, "--space", space, *args, *extra)
             assert code == 0
+            if weighted:
+                out = _without_weights_input(out, paths["weights"])
             outs[cmd] += out
     label = "weighted" if weighted else "uniform"
     got = {
@@ -451,3 +467,99 @@ def test_hodge_commands_stdout_frozen(tmp_path, capsys, space, weighted):
         for cmd, text in outs.items()
     }
     assert got == {key: HODGE_STDOUT_SHA.get(key) for key in got}
+
+
+def _weights_file(tmp_path, K):
+    w = varied_weights(K, random.Random(5))
+    path = tmp_path / "weights.json"
+    path.write_text(canonical_json({str(d): [scalar_str(x) for x in w[d]] for d in w}))
+    return path
+
+
+# sha256 of the concatenated `hodge spark` stdout over every integral
+# generator (free, then torsion) of every degree, frozen from the
+# construction that factored N_k for every charge (weighted reports as
+# printed before the weights file sha entered their inputs)
+HODGE_SPARK_GENERATORS_SHA = {
+    "rp2 uniform": (
+        "197ece2153d404e6e834634c0784c150c1bd0437709cdcf47da407753e2ae923"
+    ),
+    "rp2 weighted": (
+        "86a8b475e03747aa90ee30f1a04f025c06ebbc138017d50044102e56f3dfa322"
+    ),
+    "cp2 uniform": (
+        "5720b92ee63cba2809aadb015069b94b9970d74b4f59f2dab22b08da3e4bf54e"
+    ),
+    "cp2 weighted": (
+        "3478b047ff8bdcd8dcc530c0a770c269932db815a76b1b6f9900fedd58dcc8d3"
+    ),
+    "torus uniform": (
+        "b68fb2898e8617d218213c538ddef68930a4d3fc087a8f743d0be71da3e16a42"
+    ),
+    "torus weighted": (
+        "9d0651636dd7ac6fed626af563cd5bdca98c48dddf9a3ab110bb8927ee420468"
+    ),
+}
+
+
+@pytest.mark.parametrize("space", ["rp2", "cp2", "torus"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_hodge_spark_generators_stdout_frozen(tmp_path, capsys, space, weighted):
+    K = build_space(space)
+    weights = _weights_file(tmp_path, K) if weighted else None
+    extra = ["--weights", str(weights)] if weighted else []
+    text = ""
+    for k in range(K.dimension + 1):
+        free, tor = cohomology_generators(K, k)
+        for i, g in enumerate(free + [t[1] for t in tor]):
+            path = tmp_path / f"gen{k}_{i}.json"
+            path.write_text(
+                canonical_json({"degree": k, "values": [scalar_str(v) for v in g.values]})
+            )
+            code, out = run(
+                capsys, "hodge", "spark", "--space", space, "--cocycle", str(path), *extra
+            )
+            assert code == 0
+            text += _without_weights_input(out, weights) if weighted else out
+    label = f"{space} {'weighted' if weighted else 'uniform'}"
+    assert hashlib.sha256(text.encode()).hexdigest() == HODGE_SPARK_GENERATORS_SHA[label]
+
+
+def test_hodge_default_flag_digest_frozen(capsys):
+    # frozen from the reports that carried no Hodge flags in their inputs
+    code, data = run_json(capsys, "hodge", "aj", "--space", "torus", "--src", "0", "--dst", "3")
+    assert code == 0
+    assert data["inputs"] == {"dst": 3, "path": None, "space": "torus", "src": 0}
+    assert data["digest"] == (
+        "9e3151660bbe08e2ee1f6460cfcf12264b96990bf4c3d62d03c442b872cb6dff"
+    )
+
+
+def test_hodge_flags_enter_digest(tmp_path, capsys):
+    K = build_space("cp2")
+    cochain = tmp_path / "u.json"
+    cochain.write_text(
+        canonical_json({"degree": 4, "values": ["1/2"] * K.n_simplices(4)})
+    )
+    base = ["hodge", "decompose", "--space", "cp2", "--cochain", str(cochain)]
+    weights = _weights_file(tmp_path, K)
+    runs = {
+        "default": [],
+        "weights": ["--weights", str(weights)],
+        "method": ["--method", "exact"],
+        "tol": ["--tol", "1e-8"],
+    }
+    reports = {}
+    for name, extra in runs.items():
+        code, reports[name] = run_json(capsys, *base, *extra)
+        assert code == 0
+    assert reports["weights"]["inputs"]["weights"] == hashlib.sha256(
+        weights.read_bytes()
+    ).hexdigest()
+    assert reports["method"]["inputs"]["method"] == "exact"
+    assert reports["tol"]["inputs"]["tol"] == "1e-08"
+    assert set(reports["default"]["inputs"]) == {"space", "cochain"}
+    # the weighted run computes something else, under its own digest
+    assert reports["weights"]["results"] != reports["default"]["results"]
+    digests = {r["digest"] for r in reports.values()}
+    assert len(digests) == len(runs)

@@ -1,8 +1,11 @@
 """Spark calculus: products, equivalence, holonomy, linking."""
 
+import functools
 import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from diffchar.complexes import (
     Chain,
     Cochain,
     ComplexError,
+    SimplicialComplex,
     apply_chain_map,
     simplicial_chain_maps,
 )
@@ -46,9 +50,10 @@ from diffchar.sparks import (
     torsion_linking_matrix,
     validate_spark,
 )
-from diffchar.hodge import HodgeContext
+from diffchar.hodge import HodgeContext, varied_weights
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 class TestBasics:
@@ -107,30 +112,47 @@ class TestConstructors:
             assert val == 0
 
     def test_spark_from_cocycle_frozen(self):
-        # potentials of the normal-equations solve, frozen by hand
+        # potentials frozen by hand: the normal-equations solve of the
+        # earlier construction, and the canonical one; b_k = b_{k-1} = 0
+        # on both spaces, so they present the same character
         K = sphere(2)
         R = cohomology_generators(K, 2)[0][0]
         assert R.values == (0, 0, 0, 1)
-        assert spark_from_cocycle(K, R).a.values == (
-            F(1, 4), F(1, 2), 0, 0, 0, F(-3, 4)
-        )
+        old = Spark(K.cochain(1, (F(1, 4), F(1, 2), 0, 0, 0, F(-3, 4))), R)
+        s = spark_from_cocycle(K, R)
+        assert s.a.values == (F(1, 4), F(-1, 4), 0, F(-3, 4), 0, 0)
+        assert curvature(K, s) == curvature(K, old)
+        assert sparks.spark_equivalent(K, s, old)
         K = rp2()
         R = cohomology_generators(K, 2)[1][0][1]
         assert R.values == (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
         h = F(1, 2)
-        assert spark_from_cocycle(K, R).a.values == (
-            0, 0, 0, 0, 0, -h, -h, 0, 0, 0, 0, -h, h, 0, -h
-        )
+        old = Spark(K.cochain(1, (0, 0, 0, 0, 0, -h, -h, 0, 0, 0, 0, -h, h, 0, -h)), R)
+        s = spark_from_cocycle(K, R)
+        assert s.a.values == (0, -h, 0, -h, 0, -1, -h, -h, 0, h, 0, 0, 0, 0, 0)
+        assert curvature(K, s) == curvature(K, old)
+        assert sparks.spark_equivalent(K, s, old)
 
     def test_spark_from_cocycle_rp3_frozen(self):
-        # sha256 of the canonical JSON of the potential of rp3's Z_2
-        # generator in degree 2, frozen from the Fraction Gauss-Jordan
+        # rp3's Z_2 generator in degree 2: the spark of the earlier
+        # normal-equations construction is stored as data (its sha256 was
+        # fe0829df...); the canonical spark presents the same character,
+        # and the sha256 of its canonical JSON is frozen
         K = rp3()
         free, tor = cohomology_generators(K, 2)
         assert free == [] and [m for m, _, _ in tor] == [2]
-        text = canonical_json(spark_to_json(spark_from_cocycle(K, tor[0][1])))
+        text = (DATA / "rp3_z2_spark_parent.json").read_text()
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "fe0829df765e4ec3969c850545161c4018b4a142247404c1f260591dd44fdab8"
+        )
+        old = spark_from_json(K, json.loads(text))
+        s = spark_from_cocycle(K, tor[0][1])
+        assert old.R == s.R
+        assert curvature(K, s) == curvature(K, old)
+        assert sparks.spark_equivalent(K, s, old)
+        text = canonical_json(spark_to_json(s))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bb74331c86c223341a1d5095035ecf96d66763f494f306aabcd36e4e050410e7"
         )
 
     def test_spark_from_cocycle_reuses_factorization(self, monkeypatch):
@@ -185,6 +207,119 @@ class TestConstructors:
         s = flat_spark_from_torsion(K, d, g, w, j=d)
         zero = Spark(K.zero_cochain(1), K.zero_cochain(2))
         assert spark_equivalent(K, s, zero)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared(name):
+    """One complex per name for the canonicality tests, so the normal
+    factorizations they need are made once."""
+    return build_space(name)
+
+
+def _generators(K, k):
+    free, tor = cohomology_generators(K, k)
+    return free + [g for _, g, _ in tor]
+
+
+def _relabelled(K, seed=3):
+    """K with its vertices permuted: (L, vertex map K -> L)."""
+    perm = list(range(K.n_vertices))
+    random.Random(seed).shuffle(perm)
+    L = SimplicialComplex(
+        [[perm[v] for v in t] for k in K.simplices for t in K.simplices[k]]
+    )
+    return L, perm
+
+
+class TestCanonical:
+    """Generators get their harmonic spark; characters follow the class."""
+
+    @pytest.mark.parametrize(
+        "name", ["torus", "genus2", "rp2", "rp3", "cp2", "torus_grid5"]
+    )
+    def test_spark_from_cocycle_is_hodge_spark_class(self, name):
+        K = _shared(name)
+        ctx = HodgeContext(K)
+        for k in range(K.dimension + 1):
+            for g in _generators(K, k):
+                s, h = spark_from_cocycle(K, g), ctx.hodge_spark(g)
+                assert curvature(K, s) == curvature(K, h)
+                assert sparks.spark_equivalent(K, s, h)
+
+    @pytest.mark.parametrize("name", ["torus", "genus2", "rp3"])
+    def test_relabelling_keeps_the_hodge_spark(self, name):
+        # build on the relabelled complex, pull back, and compare with the
+        # spark built on K from the pulled-back charge
+        K = _shared(name)
+        L, perm = _relabelled(K)
+        ctx_K, ctx_L = HodgeContext(K), HodgeContext(L)
+        for k in range(K.dimension + 1):
+            for g in _generators(L, k):
+                pulled = pullback_spark(K, L, perm, ctx_L.hodge_spark(g))
+                assert sparks.spark_equivalent(K, ctx_K.hodge_spark(pulled.R), pulled)
+
+    @pytest.mark.parametrize("name", ["torus", "genus2", "rp3"])
+    def test_relabelling_keeps_spark_from_cocycle_class(self, name):
+        # the pulled-back charge is no generator of K: curvature and class
+        # agree, and the characters agree wherever b_{k-1} = 0
+        K = _shared(name)
+        L, perm = _relabelled(K)
+        for k in range(K.dimension + 1):
+            for g in _generators(L, k):
+                pulled = pullback_spark(K, L, perm, spark_from_cocycle(L, g))
+                s = spark_from_cocycle(K, pulled.R)
+                assert curvature(K, s) == curvature(K, pulled)
+                assert d2_class(K, s) == d2_class(K, pulled)
+                if not sparks.harmonic_vectors(K, k - 1):
+                    assert sparks.spark_equivalent(K, s, pulled)
+
+    @pytest.mark.parametrize("name", ["torus", "rp3"])
+    def test_cohomologous_cocycles_give_one_character(self, name):
+        K = _shared(name)
+        rng = random.Random(4)
+        for k in range(1, K.dimension + 1):
+            n = K.n_simplices(k - 1)
+            S = K.cochain(k - 1, [rng.randint(-2, 2) for _ in range(n)])
+            for g in _generators(K, k):
+                moved = spark_from_cocycle(K, g + K.delta(S))
+                assert sparks.spark_equivalent(K, moved, spark_from_cocycle(K, g))
+
+    def test_hodge_spark_moves_by_the_flat_spark_of_the_shift(self):
+        # torus top generator R and integral S: hodge_spark(R + delta S) is
+        # hodge_spark(R) plus the flat spark (H_1 S, 0), which is not
+        # trivial here, so the two harmonic sparks differ
+        K = _shared("torus")
+        ctx = HodgeContext(K)
+        R = _generators(K, 2)[0]
+        rng = random.Random(0)
+        S = K.cochain(1, [rng.randint(-2, 2) for _ in range(K.n_simplices(1))])
+        flat = Spark(ctx.harmonic_projection(S), K.zero_cochain(2))
+        zero = Spark(K.zero_cochain(1), K.zero_cochain(2))
+        assert not sparks.spark_equivalent(K, flat, zero)
+        s, moved = ctx.hodge_spark(R), ctx.hodge_spark(R + K.delta(S))
+        assert sparks.spark_equivalent(K, moved, s + flat)
+        assert not sparks.spark_equivalent(K, moved, s)
+        assert sparks.spark_equivalent(K, spark_from_cocycle(K, R + K.delta(S)), s)
+
+    def test_weighted_hodge_spark_is_harmonic(self):
+        K = _shared("torus")
+        ctx = HodgeContext(K, weights=varied_weights(K, random.Random(5)))
+        for k in range(K.dimension + 1):
+            for g in _generators(K, k):
+                s = ctx.hodge_spark(g)
+                assert curvature(K, s) == ctx.harmonic_projection(g)
+                assert ctx.harmonic_projection(s.a).is_zero()
+                assert sparks.spark_equivalent(
+                    K, s, Spark(sparks.harmonic_potential(K, g, ctx.weights), g)
+                )
+
+    def test_torsion_charge_factors_no_normal_matrix(self):
+        # b_1 = b_2 = 0 on rp3: the Z_2 charge needs only the Smith forms
+        K = rp3()
+        _, tor = cohomology_generators(K, 2)
+        spark_from_cocycle(K, tor[0][1])
+        assert ("normal", 1) not in K._cache
+        assert not [key for key in K._cache if key[0] == "normal"]
 
 
 class TestEquivalence:
