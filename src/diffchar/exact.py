@@ -12,7 +12,18 @@ quotient-group coordinates and torsion witnesses), and :class:`RatElim`,
 a fraction-free sparse Gauss-Jordan used for rational solves, nullspaces
 and ranks: it eliminates primitive integer rows once and replays the
 recorded row operations on every right-hand side (factor once, solve
-many).  Pivoting is Markowitz-style with deterministic tie-breaks, so
+many).
+
+Denominators are cleared once per vector, as fraction-free elimination
+clears them once per row: :func:`mat_vec`, :func:`transpose_apply` and
+the right-hand-side replay of :class:`RatElim` scale a rational vector
+by the lcm L of its denominators, run on ints and divide once at the
+end.  A product entry is ``Fraction(acc, L)`` when a nonzero
+``Fraction`` of the vector met it and the int ``acc // L`` otherwise,
+so entries keep the value and the type of the term-by-term
+``Fraction`` sum.  Vectors with float entries are summed as they are.
+
+Pivoting is Markowitz-style with deterministic tie-breaks, so
 identical inputs give identical outputs everywhere.  The Smith form
 takes the unit entry of least (Markowitz cost, col, row) from a lazy
 heap kept up to date across steps, re-keying only the rows and columns
@@ -54,27 +65,74 @@ def transpose_rows(rows, ncols):
     return out
 
 
+def _clear_denominators(vec):
+    """(L, scaled, fracs): a dense vector over one common denominator.
+
+    L is the lcm of the denominators of vec's ``Fraction`` entries,
+    ``scaled`` the integer vector L * vec and ``fracs`` the set of
+    positions holding a nonzero ``Fraction``.  A vector without
+    ``Fraction`` entries, or with an entry that is neither int nor
+    ``Fraction`` (the floats of the CG path), comes back as
+    (1, vec, None), unchanged.
+    """
+    types = set(map(type, vec))
+    if Fraction not in types or not types <= {int, Fraction}:
+        return 1, vec, None
+    dens = {x.denominator for x in vec if type(x) is Fraction}
+    L = lcm(*dens)
+    mult = {d: L // d for d in dens}
+    mult[1] = L  # int entries have denominator 1
+    scaled = [x.numerator * mult[x.denominator] for x in vec]
+    fracs = {j for j, x in enumerate(vec) if x and type(x) is Fraction}
+    return L, scaled, fracs
+
+
 def mat_vec(rows, vec):
-    """Sparse rows times dense vector."""
+    """Sparse integer rows times dense vector.
+
+    A ``vec`` with ``Fraction`` entries goes over one common
+    denominator L first (:func:`_clear_denominators`), so every product
+    and sum is an int one and each output entry is divided once at the
+    end.  An entry is
+    ``Fraction(acc, L)`` when a nonzero ``Fraction`` of ``vec`` met its
+    row, else the int ``acc // L`` (exact).  So each entry equals, in
+    value and in type, the plain sum of ``v * vec[j]`` over the row's
+    nonzero terms, started at int 0.  Vectors without ``Fraction``
+    entries, float ones included, are summed as they are.
+    """
+    L, xs, fracs = _clear_denominators(vec)
     out = []
     for row in rows:
         acc = 0
         for j, v in row.items():
-            x = vec[j]
+            x = xs[j]
             if x:
                 acc += v * x
         out.append(acc)
+    if fracs:
+        out = [
+            acc // L if fracs.isdisjoint(row) else Fraction(acc, L)
+            for row, acc in zip(rows, out)
+        ]
     return out
 
 
 def transpose_apply(rows, vec, ncols):
-    """Transposed sparse rows times dense vector: rows^T @ vec."""
+    """Transposed sparse integer rows times dense vector: rows^T @ vec.
+
+    One entry of ``vec`` per row; denominators are cleared and entry
+    types follow the rule of :func:`mat_vec`.
+    """
+    L, xs, fracs = _clear_denominators(vec)
     out = [0] * ncols
     for r, row in enumerate(rows):
-        x = vec[r]
+        x = xs[r]
         if x:
             for c, v in row.items():
                 out[c] += v * x
+    if fracs:
+        hit = set().union(*(rows[r] for r in fracs))
+        out = [Fraction(acc, L) if c in hit else acc // L for c, acc in enumerate(out)]
     return out
 
 
@@ -519,7 +577,8 @@ class RatElim:
     the rows of a rational Gauss-Jordan, so the sparsity pattern, the
     pivots and the results are the same.  ``run()`` records every row
     operation; :meth:`solve` replays them on a further right-hand side,
-    and the constructor's ``rhs`` goes through the same replay.  After
+    scaled to integers by the lcm of its denominators, and the
+    constructor's ``rhs`` goes through the same replay.  After
     ``run()``:
 
     * ``pivots``  -- list of (row, col) in elimination order,
@@ -620,8 +679,13 @@ class RatElim:
         return self
 
     def _reduce(self, b):
-        """Replay the recorded row operations on the right-hand side b."""
-        y = list(b)
+        """Replay the recorded row operations on the right-hand side b.
+
+        b is scaled by the lcm L of its denominators first, so the
+        replay starts from ints; returns (L, replayed L * b).
+        """
+        L, y, _ = _clear_denominators(b)
+        y = list(y)
         for i, (num, den) in self._scale.items():
             y[i] = _exact_div(y[i] * num, den)
         for pr, steps in self._ops:
@@ -629,15 +693,16 @@ class RatElim:
             it = iter(steps)
             for r, a, c, d in zip(it, it, it, it):
                 y[r] = _exact_div(a * y[r] - c * yp, d)
-        return y
+        return L, y
 
-    def _extract(self, y):
+    def _extract(self, reduced):
+        L, y = reduced
         pivot_rows = {r for r, _ in self.pivots}
         if any(y[i] for i in range(len(self.rows)) if i not in pivot_rows):
             return None
         x = [Fraction(0)] * self.ncols
         for r, c in self.pivots:
-            x[c] = Fraction(y[r], self.rows[r][c])
+            x[c] = Fraction(y[r], self.rows[r][c] * L)
         return x
 
     @property

@@ -5,7 +5,10 @@ with an integral (k+1)-cocycle.  Its curvature is phi = delta(a) + R,
 a rational cocycle with integer periods.  Two sparks present the same
 character when they differ by (delta b - S, delta S) for a rational
 (k-1)-cochain b and an integral k-cochain S; the membership test here
-decides that relation exactly.
+decides that relation exactly.  It and the holonomy check of
+``diffchar verify`` read a cochain's values on the primitive integral
+cycle basis through one kernel, :func:`periods`: a sparse integer
+product with the basis rows of the cached Smith form of the boundary.
 
 Sparks are built from integral cocycles on the Smith forms that the
 cohomology generators already cached.  The harmonic potential of a
@@ -31,8 +34,8 @@ from fractions import Fraction
 
 from .cohomology import (
     cohomology_generators,
-    cycle_lattice_basis,
     integer_cohomology,
+    integer_homology,
 )
 from .complexes import (
     Chain,
@@ -42,7 +45,7 @@ from .complexes import (
     pull_cochain,
     simplicial_chain_maps,
 )
-from .exact import RatElim, gram_rows, transpose_apply
+from .exact import RatElim, gram_rows, mat_vec, transpose_apply
 
 
 class SparkError(ValueError):
@@ -300,29 +303,40 @@ def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain, j=1) -> Sp
 # equivalence and holonomy
 
 
+def periods(K: SimplicialComplex, u: Cochain) -> list:
+    """Values of the k-cochain u on the primitive basis of integral k-cycles.
+
+    The basis is :func:`~diffchar.cohomology.cycle_lattice_basis`: the
+    columns of V past the rank in the cached Smith form of boundary_k,
+    kept sparse there.  One :func:`~diffchar.exact.mat_vec` over the lcm
+    of u's denominators gives all periods; an entry is a ``Fraction``
+    when a nonzero ``Fraction`` value of u lies on the cycle, else an
+    int.  Every integral k-cycle is an integer combination of the basis,
+    so these values mod 1 determine the holonomy of a spark with
+    potential u on every integral cycle.
+    """
+    snf = integer_homology(K, u.degree).snfA
+    return mat_vec(snf.VT_rows[snf.rank:], u.values)
+
+
 def spark_equivalent(K: SimplicialComplex, s1: Spark, s2: Spark) -> bool:
     """Decide whether two sparks present the same character.
 
-    Exact test: equal curvatures, equal integral classes of R, and
-    integer periods of a_1 - a_2 on a basis of the integral cycle
-    lattice.  Sufficiency: with [R_1] = [R_2] pick integral S with
+    Exact test: equal curvatures, that is delta(a_1 - a_2) = R_2 - R_1,
+    equal integral classes of R, and integer :func:`periods` of
+    a_1 - a_2.  Sufficiency: with [R_1] = [R_2] pick integral S with
     delta S = R_2 - R_1; then a_2 - a_1 + S is a rational cocycle with
     integer periods, hence an integral cocycle plus a rational
     coboundary, which is exactly the allowed shift.
     """
     if s1.degree != s2.degree:
         return False
-    k = s1.degree
-    if curvature(K, s1) != curvature(K, s2):
+    diff = s1.a - s2.a
+    if K.delta(diff) != s2.R - s1.R:
         return False
     if d2_class(K, s1) != d2_class(K, s2):
         return False
-    diff = s1.a - s2.a
-    for z in cycle_lattice_basis(K, k):
-        period = sum(c * v for c, v in zip(diff.values, z) if v)
-        if not is_integer(period):
-            return False
-    return True
+    return all(is_integer(p) for p in periods(K, diff))
 
 
 def holonomy(K: SimplicialComplex, s: Spark, z: Chain) -> Fraction:

@@ -76,6 +76,37 @@ def test_verify_small_fixture(capsys):
     assert data["residuals"]["hodge_max"] == "0"
 
 
+
+def test_verify_negative_trials_is_input_error(capsys):
+    code = main(["verify", "--space", "circle4", "--trials", "-3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "trials" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_verify_zero_trials(capsys):
+    code, data = run_json(capsys, "verify", "--space", "circle4", "--trials", "0")
+    assert code == 0
+    assert data["inputs"]["trials"] == 0
+
+
+# sha256 of `verify --trials 20 --seed 0` stdout, frozen from the
+# term-by-term Fraction kernels (before denominators were cleared once)
+VERIFY_STDOUT_SHA = {
+    "cp2": "5f970e50cf1b790012c91e4a15a0514f7f4faecfa0af54d0efacb0292794e4a0",
+    "torus_grid5": "d117df2927e011606eb11b26301d716f2f231ad1ab2a4484226b0d5c1c7fd5eb",
+    "rp2": "e9f4c181685efe781901c05abfca301f996768a71b9dba2f41fbb3cb157e7692",
+    "rp3": "b0a7b81b70a882589f76970bf834ddc5c93bab3e0f117243d35953d3dff42574",
+}
+
+
+@pytest.mark.parametrize("space", sorted(VERIFY_STDOUT_SHA))
+def test_verify_stdout_frozen(capsys, space):
+    code, out = run(capsys, "verify", "--space", space, "--trials", "20", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA[space]
+
 def test_spark_equiv_distinguishes(tmp_path, capsys):
     K = circle(3)
     half = Spark(K.cochain(0, (Fraction(1, 2), 0, 0)), K.zero_cochain(1))

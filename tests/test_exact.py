@@ -441,3 +441,136 @@ class TestInvariantFactors:
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
+
+
+# ---------------------------------------------------------------------------
+# denominators cleared once: the kernels against plain Fraction arithmetic
+
+
+def plain_mat_vec(rows, vec):
+    """Sparse rows times dense vector, term by term (the reference)."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j, v in row.items():
+            x = vec[j]
+            if x:
+                acc += v * x
+        out.append(acc)
+    return out
+
+
+def plain_transpose_apply(rows, vec, ncols):
+    out = [0] * ncols
+    for r, row in enumerate(rows):
+        x = vec[r]
+        if x:
+            for c, v in row.items():
+                out[c] += v * x
+    return out
+
+
+def plain_solve(elim, b):
+    """RatElim.solve replaying its row operations on b in Fractions."""
+    y = list(b)
+    for i, (num, den) in elim._scale.items():
+        y[i] = exact._exact_div(y[i] * num, den)
+    for pr, steps in elim._ops:
+        yp = y[pr]
+        it = iter(steps)
+        for r, a, c, d in zip(it, it, it, it):
+            y[r] = exact._exact_div(a * y[r] - c * yp, d)
+    pivot_rows = {r for r, _ in elim.pivots}
+    if any(y[i] for i in range(len(elim.rows)) if i not in pivot_rows):
+        return None
+    x = [Fraction(0)] * elim.ncols
+    for r, c in elim.pivots:
+        x[c] = Fraction(y[r], elim.rows[r][c])
+    return x
+
+
+BIG_PRIMES = (1_000_003, 998_244_353, 2**61 - 1)
+
+
+def mixed_entry(rng, kind):
+    if kind == "float":
+        return rng.choice((0.0, 0, rng.uniform(-3, 3)))
+    choice = rng.randrange(7)
+    if choice == 0:
+        return 0
+    if choice == 1:
+        return rng.randint(-5, 5)
+    if choice == 2:
+        return Fraction(0)
+    if choice == 3:
+        return Fraction(rng.randint(-4, 4), 1)
+    if choice == 4:
+        return Fraction(rng.randint(-9, 9), rng.choice(BIG_PRIMES))
+    if kind == "int":
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+
+
+def mixed_vector(rng, n):
+    kind = rng.choice(("mixed", "mixed", "float", "int", "fraction"))
+    if kind == "int":
+        return [rng.randint(-4, 4) for _ in range(n)]
+    if kind == "fraction":
+        return [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)]
+    return [mixed_entry(rng, kind) for _ in range(n)]
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and a == b, (a, b)
+
+
+class TestClearedDenominators:
+    """Each entry of the integer kernels equals the term-by-term Fraction
+    sum in value and in type (the JSON encoder prints a Fraction 2 as
+    "2" and an int 2 as 2)."""
+
+    def test_mat_vec_and_transpose_apply(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n, m = rng.randint(0, 9), rng.randint(1, 9)
+            rows = [{j: int(v) for j, v in r.items()} for r in random_sparse_rows(rng, n, m)]
+            vec = mixed_vector(rng, m)
+            assert_same_entries(exact.mat_vec(rows, vec), plain_mat_vec(rows, vec))
+            vec_t = mixed_vector(rng, n)
+            assert_same_entries(
+                transpose_apply(rows, vec_t, m), plain_transpose_apply(rows, vec_t, m)
+            )
+
+    def test_cancelling_fractions_stay_fractions(self):
+        rows = [{0: 1, 1: 1}, {2: 3}, {0: 2, 2: 1}]
+        vec = [Fraction(1, 3), Fraction(-1, 3), 2]
+        got = exact.mat_vec(rows, vec)
+        assert_same_entries(got, [Fraction(0), 6, Fraction(8, 3)])
+        assert_same_entries(got, plain_mat_vec(rows, vec))
+
+    def test_float_vectors_pass_unchanged(self):
+        rows = [{0: 1, 1: -2}, {1: 3}]
+        vec = [0.5, 0.25]
+        assert_same_entries(exact.mat_vec(rows, vec), [0.0, 0.75])
+        assert_same_entries(transpose_apply(rows, vec, 2), [0.5, -0.25])
+
+    def test_ratelim_solve_matches_fraction_replay(self):
+        rng = random.Random(43)
+        seen_none = seen_solution = 0
+        for _ in range(120):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            rows = random_sparse_rows(rng, n, m, fractional=rng.random() < 0.5)
+            elim = RatElim(rows, m).run()
+            for _ in range(3):
+                b = [mixed_entry(rng, "mixed") for _ in range(n)]
+                want = plain_solve(elim, b)
+                got = elim.solve(b)
+                if want is None:
+                    assert got is None
+                    seen_none += 1
+                else:
+                    assert_same_entries(got, want)
+                    seen_solution += 1
+        assert seen_none and seen_solution

@@ -362,6 +362,90 @@ class TestEquivalence:
         # same curvature (both flat), same R, but periods differ by 1/3
         assert not spark_equivalent(K, s, t)
 
+    def test_curvature_difference_with_integer_periods_not_equivalent(self):
+        from diffchar.sparks import periods, spark_equivalent
+
+        # an integral non-cocycle moves the curvature but no period off Z
+        K = moebius_kuehnel_torus()
+        s = random_spark(K, 1, random.Random(6))
+        bump = K.cochain(1, (1,) + (0,) * (K.n_simplices(1) - 1))
+        t = Spark(s.a + bump, s.R)
+        assert d2_class(K, s) == d2_class(K, t)
+        assert all(p.denominator == 1 for p in map(Fraction, periods(K, bump)))
+        assert not spark_equivalent(K, s, t)
+
+    @pytest.mark.parametrize("name", ["torus", "rp2", "cp2"])
+    def test_verdict_matches_curvature_comparison(self, name):
+        from diffchar.sparks import spark_equivalent
+
+        def compared_curvatures(K, s1, s2):
+            # both curvatures, then a dense period per lattice cycle
+            if s1.degree != s2.degree:
+                return False
+            if curvature(K, s1) != curvature(K, s2) or d2_class(K, s1) != d2_class(K, s2):
+                return False
+            diff = s1.a - s2.a
+            return all(
+                Fraction(sum(c * v for c, v in zip(diff.values, z) if v)).denominator == 1
+                for z in cycle_lattice_basis(K, s1.degree)
+            )
+
+        K = _shared(name)
+        rng = random.Random(7)
+        verdicts = []
+        for i in range(50):
+            k = rng.randrange(-1, K.dimension + 1)
+            s = random_spark(K, k, rng)
+            t = random_equivalent_shift(K, s, rng)
+            kind = i % 4
+            if kind == 1 and K.n_simplices(k):
+                t = Spark(t.a + _bump(K, k, rng), t.R)
+            elif kind == 2:
+                free, _ = cohomology_generators(K, k) if k >= 0 else ([], [])
+                if free:
+                    t = Spark(t.a + free[0].scale(Fraction(1, rng.randint(2, 5))), t.R)
+            elif kind == 3:
+                t = random_spark(K, k, rng)
+            got = spark_equivalent(K, s, t)
+            assert got == compared_curvatures(K, s, t)
+            verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+
+def _bump(K, k, rng):
+    """A k-cochain with one rational entry."""
+    n = K.n_simplices(k)
+    j = rng.randrange(n)
+    return K.cochain(k, tuple(Fraction(1, 3) if i == j else 0 for i in range(n)))
+
+
+class TestPeriods:
+    @pytest.mark.parametrize("name", ["torus", "genus2", "rp3", "cp2"])
+    def test_periods_are_evaluations_on_the_cycle_basis(self, name):
+        from diffchar.sparks import periods
+
+        K = _shared(name)
+        rng = random.Random(11)
+        for k in range(K.dimension + 1):
+            n = K.n_simplices(k)
+            # mixed int and nonzero Fraction values, zeros as int 0
+            values = tuple(
+                rng.choice((0, rng.randint(1, 3), F(rng.randint(1, 7), rng.randint(2, 9))))
+                for _ in range(n)
+            )
+            u = K.cochain(k, values)
+            want = [K.evaluate(u, K.chain(k, z)) for z in cycle_lattice_basis(K, k)]
+            got = periods(K, u)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert type(a) is type(b) and a == b
+            # a Fraction(0) entry is a Fraction term for evaluate but skipped
+            # by the sparse product; the values agree either way
+            fracs = K.cochain(k, tuple(Fraction(v) for v in values))
+            assert periods(K, fracs) == [
+                K.evaluate(fracs, K.chain(k, z)) for z in cycle_lattice_basis(K, k)
+            ]
+
 
 class TestHolonomy:
     def test_invariance_under_shifts(self):
