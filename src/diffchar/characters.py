@@ -391,12 +391,8 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
 
     # 7. integer and rational routes agree on the torus rank
     if 0 <= k <= n:
-        r_k = rat_rank(
-            [dict(r) for r in K.delta_rows(k)], K.n_simplices(k)
-        )
-        r_km1 = rat_rank(
-            [dict(r) for r in K.delta_rows(k - 1)], K.n_simplices(k - 1)
-        ) if k >= 1 else 0
+        r_k = rat_rank(K.delta_rows(k), K.n_simplices(k))
+        r_km1 = rat_rank(K.delta_rows(k - 1), K.n_simplices(k - 1)) if k >= 1 else 0
         b_rat = K.n_simplices(k) - r_k - r_km1
         b_int = cohomology_structure(K, k).free_rank
         checks.append(

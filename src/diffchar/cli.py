@@ -379,7 +379,10 @@ def cmd_dual(args):
 def cmd_tables(args):
     name = args.space.strip().lower()
     if name.startswith("kunneth:"):
-        left, right = name[len("kunneth:"):].split(",", 1)
+        body = name[len("kunneth:"):]
+        if "," not in body:
+            raise InputDataError(f"expected kunneth:A,B, got {name!r}")
+        left, right = body.split(",", 1)
         A, B = build_space(left, args.budget), build_space(right, args.budget)
         fa, fb = cohomology_structures(A), cohomology_structures(B)
         total = A.dimension + B.dimension
@@ -396,18 +399,6 @@ def cmd_tables(args):
     K = build_space(name, args.budget)
     rows = _character_rows(K, range(-1, K.dimension + 1))
     return RunReport("tables", {"space": name}, {"table": rows}), rows
-
-
-def _homotopy_identity(K, flow):
-    """Whether dT + Td = 1 - P holds on every elementary chain."""
-    for k in range(K.dimension + 1):
-        nk = K.n_simplices(k)
-        for i in range(nk):
-            z = K.chain(k, tuple(1 if j == i else 0 for j in range(nk)))
-            lhs = K.boundary(flow.homotopy(z)) + flow.homotopy(K.boundary(z))
-            if lhs != z - flow.project(z):
-                return False
-    return True
 
 
 def cmd_verify(args):
@@ -457,7 +448,7 @@ def cmd_verify(args):
     checks["holonomy_invariance"] = ok_hol
 
     flow = MorseFlow(K, greedy_matching(K))
-    checks["morse_homotopy_identity"] = _homotopy_identity(K, flow)
+    checks["morse_homotopy_identity"] = flow.homotopy_identity()
     checks["morse_homology"] = all(
         flow.morse_homology(k) == homology_structure(K, k) for k in range(n + 1)
     )
@@ -679,7 +670,7 @@ def cmd_morse_homology(args):
 def cmd_morse_verify(args):
     K, inputs = load_complex(args)
     flow = MorseFlow(K, greedy_matching(K))
-    checks = {"homotopy_identity": _homotopy_identity(K, flow)}
+    checks = {"homotopy_identity": flow.homotopy_identity()}
     return RunReport("morse verify", inputs, checks=checks), None
 
 

@@ -19,6 +19,7 @@ from .exact import (
     invariant_factors,
     mat_vec,
     mul_rows,
+    rows_to_dense,
     smith_normal_form,
 )
 
@@ -77,24 +78,21 @@ class LatticeQuotient:
 
     A and B are sparse integer matrices (lists of row dicts); the rows
     of B are indexed by the same Z^ncols coordinates, with B_cols
-    columns.  Columns of B must lie in ker A.
+    columns.  Columns of B must lie in ker A.  A and B are read, not
+    modified.
     """
 
     def __init__(self, A_rows, ncols, B_rows, B_cols):
         self.ncols = ncols
         self.B_cols = B_cols
-        self._A_rows = [dict(r) for r in A_rows]
-        self._B_rows = [dict(r) for r in B_rows]
-        self.snfA = smith_normal_form(
-            [dict(r) for r in A_rows], nrows=len(A_rows), ncols=ncols
-        )
+        self.snfA = smith_normal_form(A_rows, nrows=len(A_rows), ncols=ncols)
         r = self.snfA.rank
         self.kernel_dim = ncols - r
         # relation matrix: im(B) written in kernel coordinates
-        W = mul_rows(self.snfA.Vinv_rows[r:], self._B_rows)
+        W = mul_rows(self.snfA.Vinv_rows[r:], B_rows)
         self.snfW = smith_normal_form(W, nrows=self.kernel_dim, ncols=B_cols)
         # guard misuse: every column of B must lie in ker A
-        if any(mul_rows(self._A_rows, self._B_rows)):
+        if any(mul_rows(A_rows, B_rows)):
             raise ValueError("columns of B do not lie in ker A")
         self._torsion_idx = [
             i for i, d in enumerate(self.snfW.diag) if d > 1
@@ -112,10 +110,7 @@ class LatticeQuotient:
         return self.snfA.V_times(padded)
 
     def _uinv_column(self, i):
-        y = [0] * self.kernel_dim
-        for j, v in self.snfW.UinvT_rows[i].items():
-            y[j] = v
-        return y
+        return rows_to_dense([self.snfW.UinvT_rows[i]], self.kernel_dim)[0]
 
     def free_generator_vectors(self):
         out = []
@@ -129,9 +124,7 @@ class LatticeQuotient:
         for i in self._torsion_idx:
             d = self.snfW.diag[i]
             gen = self._from_kernel_coords(self._uinv_column(i))
-            witness = [0] * self.B_cols
-            for j, v in self.snfW.VT_rows[i].items():
-                witness[j] = v
+            witness = rows_to_dense([self.snfW.VT_rows[i]], self.B_cols)[0]
             out.append((d, gen, witness))
         return out
 

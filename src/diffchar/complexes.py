@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatElim, mat_vec, transpose_apply, transpose_rows
+from .exact import mat_vec, transpose_apply, transpose_rows
 
 
 class ComplexError(ValueError):
@@ -299,33 +299,21 @@ class SimplicialComplex:
         """Top-degree cycle with all coefficients +-1, or None.
 
         Exists (up to global sign, fixed by making the first coefficient
-        +1) exactly when the complex is a closed orientable pseudomanifold
-        in its top dimension.  Found as the rational kernel of the top
+        +1) exactly when the integral top-degree cycles are the multiples
+        of one such cycle, as on a closed orientable pseudomanifold.
+        Read off the kernel basis of the cached Smith form of the top
         boundary matrix.
         """
-        if "fundamental" in self._cache:
-            return self._cache["fundamental"]
-        result = None
-        n = self.dimension
-        if n >= 1 and self.n_simplices(n) > 0:
-            rows = self.boundary_rows(n)
-            kernel = RatElim([dict(r) for r in rows], self.n_simplices(n)).nullspace()
-            if len(kernel) == 1:
-                vec = kernel[0]
-                nz = [v for v in vec if v]
-                if len(nz) == len(vec):
-                    scaled = [v / nz[0] for v in vec]
-                    if all(abs(v) == 1 for v in scaled):
-                        ints = [int(v) for v in scaled]
-                        if ints[0] < 0:
-                            ints = [-v for v in ints]
-                        cand = Chain(n, tuple(ints))
-                        if self.boundary(cand).is_zero():
-                            result = cand
-        elif n == 0 and self.n_simplices(0) == 1:
-            result = Chain(0, (1,))
-        self._cache["fundamental"] = result
-        return result
+        from .cohomology import cycle_lattice_basis
+
+        if "fundamental" not in self._cache:
+            basis = cycle_lattice_basis(self, self.dimension)
+            fc = None
+            if len(basis) == 1 and all(abs(v) == 1 for v in basis[0]):
+                sign = basis[0][0]
+                fc = Chain(self.dimension, tuple(sign * v for v in basis[0]))
+            self._cache["fundamental"] = fc
+        return self._cache["fundamental"]
 
     # -- graph structure -------------------------------------------------
     def vertex_components(self):

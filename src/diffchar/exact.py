@@ -7,12 +7,15 @@ Matrices live in two shapes:
 * sparse: list of row dicts ``{col: value}`` with zero entries absent.
 
 The two workhorses are :func:`smith_normal_form`, which tracks all four
-unimodular transforms (needed downstream for kernels, integer solves,
-quotient-group coordinates and torsion witnesses), and :class:`RatElim`,
-a fraction-free sparse Gauss-Jordan used for rational solves, nullspaces
-and ranks: it eliminates primitive integer rows once and replays the
-recorded row operations on every right-hand side (factor once, solve
-many).
+unimodular transforms (needed downstream for kernels, integer and
+rational preimages, quotient-group coordinates and torsion witnesses),
+and :class:`RatElim`, a fraction-free sparse Gauss-Jordan that
+eliminates primitive integer rows once and replays the recorded row
+operations on every right-hand side (factor once, solve many).  In the
+library, :class:`RatElim` factors the coboundary normal and harmonic
+Gram systems of :mod:`diffchar.sparks` and gives the rational rank of
+check 7 in :mod:`diffchar.characters`; every kernel and preimage comes
+from a Smith form.
 
 Denominators are cleared once per vector, as fraction-free elimination
 clears them once per row: :func:`mat_vec`, :func:`transpose_apply` and
@@ -257,14 +260,7 @@ class SmithDecomposition:
         The basis is primitive (spans the full kernel lattice).  Returned
         as a list of dense length-``ncols`` integer vectors.
         """
-        out = []
-        for j in range(self.rank, self.ncols):
-            row = self.VT_rows[j]
-            vec = [0] * self.ncols
-            for i, v in row.items():
-                vec[i] = v
-            out.append(vec)
-        return out
+        return rows_to_dense(self.VT_rows[self.rank:], self.ncols)
 
     def solve_int(self, b):
         """Integer solution x of A x = b, or None."""
@@ -568,9 +564,15 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 class RatElim:
     """Fraction-free sparse Gauss-Jordan over Q: factor once, solve many.
 
-    ``rows`` is a list of {col: value} dicts (int or Fraction values);
-    ``rhs`` an optional list of dense right-hand-side vectors (one entry
-    per row each).  Each row is scaled by the lcm of its denominators
+    The library builds it for the normal and Gram systems of
+    :mod:`diffchar.sparks`, whose solutions enter outputs only through
+    unique projections, and for :func:`rat_rank`; so no pivot choice
+    reaches an output.  ``nullspace()``, ``rhs=`` and ``solution()``
+    serve the tests and ``perfbench``.
+
+    ``rows`` is a list of {col: value} dicts (int or Fraction values),
+    read and not modified; ``rhs`` an optional list of dense
+    right-hand-side vectors (one entry per row each).  Each row is scaled by the lcm of its denominators
     and divided by its content, so elimination runs on primitive integer
     rows: ``row_r := (p/g) row_r - (c/g) prow`` with ``g = gcd(p, c)``,
     then ``row_r`` is divided by its content.  Rows stay proportional to
@@ -741,12 +743,6 @@ def _exact_div(t, d):
         return t // d if not t % d else Fraction(t, d)
     q = Fraction(t, d)
     return q.numerator if q.denominator == 1 else q
-
-
-def rat_solve(rows, ncols, b):
-    """Particular rational solution of (sparse rows) x = b, or None."""
-    elim = RatElim(rows, ncols, rhs=[b])
-    return elim.solution()
 
 
 def rat_nullspace(rows, ncols):

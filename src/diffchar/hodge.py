@@ -78,6 +78,11 @@ class HodgeContext:
                  tol=1e-10, max_iter=None):
         self.K = K
         given = weights or {}
+        stray = sorted(set(given) - set(range(K.dimension + 1)))
+        if stray:
+            raise HodgeError(
+                f"weights given in degree {stray[0]}, outside 0..{K.dimension}"
+            )
         self.weights = {}
         for k in range(K.dimension + 1):
             w = tuple(given.get(k, (Fraction(1),) * K.n_simplices(k)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import cohomology_structure
+from .cohomology import cohomology_structure, integer_cohomology
 from .complexes import (
     Chain,
     Cochain,
@@ -36,7 +36,7 @@ from .complexes import (
     closed_star,
     induced_subcomplex,
 )
-from .exact import rat_solve, smith_normal_form
+from .exact import smith_normal_form
 from .sparks import Spark, mod1
 
 
@@ -710,8 +710,7 @@ def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain, what):
     K = emb.parent
     k = target.degree
     local = emb.restrict_cochain(target)
-    rows = emb.sub.delta_rows(k - 1)
-    x = rat_solve(rows, emb.sub.n_simplices(k - 1), list(local.values))
+    x = integer_cohomology(emb.sub, k).preimage_rat(local.values)
     if x is None:
         raise GerbeError(
             f"no primitive for the {what} layer on an overlap; "

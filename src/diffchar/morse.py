@@ -80,13 +80,11 @@ def validate_matching(K: SimplicialComplex, matching: Matching):
     # to another matched facet of that partner; they must not cycle
     for k in range(K.dimension):
         up = matching.up_map(k)
-        succ = {}
-        for i, j in up.items():
-            succ[i] = [
-                i2
-                for i2, row in enumerate(K.boundary_rows(k + 1))
-                if j in row and i2 != i and i2 in up
-            ]
+        facets = K.delta_rows(k)
+        succ = {
+            i: [i2 for i2 in facets[j] if i2 != i and i2 in up]
+            for i, j in up.items()
+        }
         state = {}
 
         def visit(node):
@@ -239,23 +237,34 @@ class MorseFlow:
         n = self.K.n_simplices(k)
         return Cochain(k, tuple(transpose_apply(self._T[k], list(u.values), n)))
 
+    def homotopy_identity(self):
+        """Whether boundary T + T boundary == 1 - P holds in every degree.
+
+        Checked as the sparse matrix identity
+        d_{k+1} T_k + T_{k-1} d_k + P_k == I for k = 0..dimension.
+        """
+        K = self.K
+        for k in range(K.dimension + 1):
+            dt = mul_rows(K.boundary_rows(k + 1), self._T[k])
+            td = mul_rows(self._T[k - 1], K.boundary_rows(k))
+            total = add_rows(add_rows(dt, td), self._P[k])
+            if total != identity_rows(K.n_simplices(k)):
+                return False
+        return True
+
     # -- critical complex ------------------------------------------------
     def morse_boundary_rows(self, k):
-        """Boundary of the critical complex, M_k -> M_{k-1}."""
-        crit_k = self.critical.get(k, ())
-        crit_low = self.critical.get(k - 1, ())
-        low_pos = {idx: p for p, idx in enumerate(crit_low)}
-        rows = [dict() for _ in range(len(crit_low))]
+        """Boundary of the critical complex, M_k -> M_{k-1}.
+
+        The critical rows of d_k times P_k restricted to critical columns.
+        """
+        col_pos = {idx: p for p, idx in enumerate(self.critical.get(k, ()))}
         brows = self.K.boundary_rows(k)
-        for col, idx in enumerate(crit_k):
-            e = [0] * self.K.n_simplices(k)
-            e[idx] = 1
-            stable = mat_vec(self._P[k], e)
-            bnd = mat_vec(brows, stable)
-            for i, val in enumerate(bnd):
-                if val and i in low_pos:
-                    rows[low_pos[i]][col] = val
-        return rows
+        stable = [
+            {col_pos[c]: v for c, v in row.items() if c in col_pos}
+            for row in self._P.get(k, ())
+        ]
+        return mul_rows([brows[i] for i in self.critical.get(k - 1, ())], stable)
 
     def morse_homology(self, k) -> AbelianGroupStructure:
         crit_k = self.critical.get(k, ())

@@ -447,6 +447,8 @@ def linking_number(K: SimplicialComplex, torsion_u, gen_v: Cochain) -> Fraction:
 
 def torsion_linking_matrix(K: SimplicialComplex, p, q):
     """All pairwise linkings of torsion generators of H^p and H^q."""
+    if not (0 <= p <= K.dimension and 0 <= q <= K.dimension):
+        raise SparkError(f"linking degrees must lie in 0..{K.dimension}")
     if p + q != K.dimension + 1:
         raise SparkError("linking degrees must add to dimension + 1")
     _, tor_p = cohomology_generators(K, p)

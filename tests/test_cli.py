@@ -594,3 +594,34 @@ def test_hodge_flags_enter_digest(tmp_path, capsys):
     assert reports["weights"]["results"] != reports["default"]["results"]
     digests = {r["digest"] for r in reports.values()}
     assert len(digests) == len(runs)
+
+
+def test_weights_outside_degree_range_is_input_error(tmp_path, capsys):
+    K = build_space("torus_grid3")
+    cochain = tmp_path / "u.json"
+    cochain.write_text(
+        canonical_json({"degree": 1, "values": ["1"] * K.n_simplices(1)})
+    )
+    weights = tmp_path / "w.json"
+    weights.write_text(canonical_json({"7": ["2"]}))
+    code = main([
+        "hodge", "decompose", "--space", "torus_grid3",
+        "--cochain", str(cochain), "--weights", str(weights),
+    ])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("p, q", [(9, -5), (-1, 5), (5, -1)])
+def test_spark_link_degree_range(capsys, p, q):
+    code = main(["spark", "link", "--space", "rp3", "--p", str(p), "--q", str(q)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0..3" in captured.err
+
+
+def test_kunneth_needs_two_names(capsys):
+    code = main(["tables", "--space", "kunneth:cp2"])
+    assert code == 3
+    assert "kunneth:A,B" in capsys.readouterr().err

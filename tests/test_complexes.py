@@ -1,10 +1,12 @@
 """Complex core: operators, products, subdivision, maps, serialization."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from diffchar.builders import build_space
 from diffchar.complexes import (
     Chain,
     Cochain,
@@ -191,6 +193,52 @@ class TestFundamentalCycle:
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         )
         assert K.fundamental_cycle() is None
+
+    TETRA_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            build_space("rp2"),
+            build_space("simplex2"),
+            SimplicialComplex(
+                TETRA_FACES + [tuple(v + 4 for v in f) for f in TETRA_FACES]
+            ),
+            SimplicialComplex(
+                TETRA_FACES + [tuple(v + 3 for v in f) for f in TETRA_FACES]
+            ),
+            SimplicialComplex([(0,), (1,)]),
+            SimplicialComplex([]),
+        ],
+        ids=["rp2", "simplex2", "two_spheres", "wedge_of_spheres", "two_points", "empty"],
+    )
+    def test_none(self, K):
+        assert K.fundamental_cycle() is None
+
+    def test_sphere_with_dangling_edge(self):
+        K = SimplicialComplex(self.TETRA_FACES + [(3, 4)])
+        assert K.fundamental_cycle() == sphere2().fundamental_cycle()
+
+    def test_point(self):
+        assert SimplicialComplex([(0,)]).fundamental_cycle() == Chain(0, (1,))
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("torus", "19b2f7bd4e6f139af45466058b725a3d1645e138e0ba57c12c65305cdb9f4fc7"),
+            ("rp3", "efccf4f2328fe5ca9cb30ba2b40eee0abc7c2853465c991463d1b85b9e05c54a"),
+            ("cp2", "eb5c54121757b0e85cd0b6f64ad6c61872a198d1128f307e46a4f24ea9e57d14"),
+            ("lens:3,1", "af1f7d0addbac73193a57fc2bfdc25859f71a11d49065b01752001dfbcfb8cf7"),
+            (
+                "product:circle,circle",
+                "8a66df1c7806019a5b4f4014da4d0f4df7218449469904442f0150a53ad28bdf",
+            ),
+        ],
+    )
+    def test_frozen_vectors(self, name, digest):
+        # sha256 of repr(values): pins every sign and the int entry type
+        fc = build_space(name).fundamental_cycle()
+        assert hashlib.sha256(repr(fc.values).encode()).hexdigest() == digest
 
 
 class TestGraph:

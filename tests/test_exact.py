@@ -18,7 +18,6 @@ from diffchar.exact import (
     mul_rows,
     rat_nullspace,
     rat_rank,
-    rat_solve,
     smith_normal_form,
     transpose_apply,
 )
@@ -292,15 +291,15 @@ class TestRatElim:
             A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
             x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
             b = [sum(r[j] * x[j] for j in range(m)) for r in A]
-            sol = rat_solve(dense_to_rows(A), m, b)
+            sol = RatElim(dense_to_rows(A), m).solve(b)
             assert sol is not None
             assert [sum(r[j] * sol[j] for j in range(m)) for r in A] == b
 
     def test_inconsistent_detected(self):
         rows = dense_to_rows([[1, 1], [2, 2]])
-        assert rat_solve(rows, 2, [1, 3]) is None
         elim = RatElim(rows, 2)
         assert elim.solve([1, 3]) is None
+        assert RatElim(rows, 2, rhs=[[1, 3]]).solution() is None
         assert elim.solve([1, 2]) == [Fraction(1), Fraction(0)]
 
     def test_nullspace_annihilates(self):

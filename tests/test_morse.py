@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar.builders import circle, moebius_kuehnel_torus, rp2, sphere
+from diffchar.builders import circle, cp2, moebius_kuehnel_torus, rp2, rp3, sphere
 from diffchar.cohomology import (
     betti_numbers,
     cohomology_generators,
@@ -177,3 +177,77 @@ def test_morse_spark_needs_closed_curvature():
     u = K.cochain(1, (1,) + (0,) * (K.n_simplices(1) - 1))
     with pytest.raises(SparkError):
         morse_spark(K, flow, u)
+
+
+# -- sparse identity and critical boundary against per-cell oracles --------
+
+
+def per_cell_homotopy_identity(K, flow):
+    """dT + Td = 1 - P tested one elementary chain at a time."""
+    for k in range(K.dimension + 1):
+        nk = K.n_simplices(k)
+        for i in range(nk):
+            z = K.chain(k, tuple(1 if j == i else 0 for j in range(nk)))
+            lhs = K.boundary(flow.homotopy(z)) + flow.homotopy(K.boundary(z))
+            if lhs != z - flow.project(z):
+                return False
+    return True
+
+
+def per_cell_morse_boundary_rows(flow, k):
+    """Critical boundary from the stable image of each critical cell."""
+    K = flow.K
+    crit_low = flow.critical.get(k - 1, ())
+    low_pos = {idx: p for p, idx in enumerate(crit_low)}
+    rows = [dict() for _ in range(len(crit_low))]
+    for col, idx in enumerate(flow.critical.get(k, ())):
+        e = [0] * K.n_simplices(k)
+        e[idx] = 1
+        bnd = K.boundary(flow.project(K.chain(k, e)))
+        for i, val in enumerate(bnd.values):
+            if val and i in low_pos:
+                rows[low_pos[i]][col] = val
+    return rows
+
+
+@pytest.mark.parametrize("K", FIXTURES + [rp3()], ids=IDS + ["rp3"])
+def test_sparse_homotopy_identity_matches_per_cell(K):
+    flow = MorseFlow(K, greedy_matching(K))
+    assert flow.homotopy_identity() is per_cell_homotopy_identity(K, flow) is True
+
+
+def _bump(rows):
+    """Copy of sparse rows with entry (0, 0) raised by one."""
+    out = [dict(r) for r in rows]
+    val = out[0].get(0, 0) + 1
+    if val:
+        out[0][0] = val
+    else:
+        del out[0][0]
+    return out
+
+
+@pytest.mark.parametrize("K", FIXTURES, ids=IDS)
+def test_homotopy_identity_detects_one_changed_entry(K):
+    flow = MorseFlow(K, greedy_matching(K))
+    n = K.dimension
+    # T_k for k = 0..n-1 and P_k for k = 0..n hold every entry there is
+    for ops, degrees in ((flow._T, range(n)), (flow._P, range(n + 1))):
+        for k in degrees:
+            saved = ops[k]
+            ops[k] = _bump(saved)
+            try:
+                assert flow.homotopy_identity() is False, k
+                assert per_cell_homotopy_identity(K, flow) is False, k
+            finally:
+                ops[k] = saved
+    assert flow.homotopy_identity() is True
+
+
+@pytest.mark.parametrize(
+    "K", [rp2(), moebius_kuehnel_torus(), rp3(), cp2()], ids=["rp2", "t2", "rp3", "cp2"]
+)
+def test_morse_boundary_rows_match_per_cell(K):
+    flow = MorseFlow(K, greedy_matching(K))
+    for k in range(K.dimension + 2):
+        assert flow.morse_boundary_rows(k) == per_cell_morse_boundary_rows(flow, k), k
