@@ -203,7 +203,9 @@ def lens_space(p, q) -> SimplicialComplex:
     The sphere is the join of two 2p-gon circles; the generator rotates
     the first ring by two steps and the second by 2q steps.  One
     barycentric subdivision before the quotient makes the orbit map
-    simplicial and injective on closed simplices.
+    simplicial and injective on closed simplices.  Only the subdivided
+    complex and its vertex labels are read, so the subdivision's chain
+    maps (built on first use) are never formed here.
     """
     if p < 2:
         raise ComplexError("lens space needs p >= 2")

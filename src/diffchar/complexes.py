@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import mat_vec, transpose_apply, transpose_rows
 
@@ -130,40 +131,42 @@ class SimplicialComplex:
     ``simplices[k]`` is the sorted list of k-simplices (sorted vertex
     tuples).  Build from any generating set of simplices; faces are
     filled in when ``auto_close`` is true, otherwise missing faces raise
-    :class:`ComplexError`.
+    :class:`ComplexError`.  The closure runs level by level from the top
+    dimension down, adding only the codimension-one faces of each
+    simplex, so every face is formed once per coface rather than once per
+    subset of every generator.
     """
 
     def __init__(self, simplices, n_vertices=None, auto_close=True):
-        gen = []
+        levels = {}  # simplex size -> set of sorted vertex tuples
         for s in simplices:
             t = tuple(s)
             if len(set(t)) != len(t):
                 raise ComplexError(f"degenerate simplex {t}")
             if any(not isinstance(v, int) or v < 0 for v in t):
                 raise ComplexError(f"bad vertex id in {t}")
-            gen.append(tuple(sorted(t)))
-        present = set(gen)
+            if t:
+                levels.setdefault(len(t), set()).add(tuple(sorted(t)))
         if n_vertices is not None:
-            present.update((i,) for i in range(n_vertices))
-        closure = set()
-        for t in present:
-            for face in _all_faces(t):
-                closure.add(face)
-        if not auto_close:
-            missing = sorted(closure - present)
-            if missing:
-                raise ComplexError(f"closure violated: missing face {missing[0]}")
-        vertices = sorted(v for (v,) in (t for t in closure if len(t) == 1))
+            levels.setdefault(1, set()).update((i,) for i in range(n_vertices))
+        top = max(levels, default=0)
+        missing = []
+        for size in range(top, 1, -1):
+            below = levels.setdefault(size - 1, set())
+            faces = {t[:i] + t[i + 1:] for t in levels[size] for i in range(size)}
+            if not auto_close and not faces <= below:
+                missing.append(min(faces - below))
+            below |= faces
+        if missing:
+            raise ComplexError(f"closure violated: missing face {min(missing)}")
+        vertices = sorted(v for (v,) in levels.get(1, ()))
         n = (vertices[-1] + 1) if vertices else 0
         if vertices != list(range(n)):
             gap = next(i for i in range(n) if i not in set(vertices))
             raise ComplexError(f"vertex ids must be contiguous from 0; missing {gap}")
         self.n_vertices = n
-        self.dimension = max((len(t) - 1 for t in closure), default=-1)
-        self.simplices = {
-            k: sorted(t for t in closure if len(t) == k + 1)
-            for k in range(self.dimension + 1)
-        }
+        self.dimension = top - 1 if levels.get(top) else -1
+        self.simplices = {k: sorted(levels[k + 1]) for k in range(self.dimension + 1)}
         self.index = {
             k: {t: i for i, t in enumerate(lst)} for k, lst in self.simplices.items()
         }
@@ -382,26 +385,38 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, data, auto_close=False):
         try:
-            n = int(data["vertices"])
+            n = _json_int(data["vertices"], "vertices")
+            by_degree = data.get("simplices", {})
+            if not isinstance(by_degree, dict):
+                raise ComplexError(
+                    "malformed complex JSON: simplices must map degrees to lists"
+                )
             simps = []
-            for lst in data.get("simplices", {}).values():
+            for lst in by_degree.values():
                 for t in lst:
-                    simps.append(tuple(int(v) for v in t))
-        except (KeyError, TypeError, ValueError) as exc:
+                    simps.append(tuple(_json_int(v, "vertex id") for v in t))
+        except (KeyError, TypeError) as exc:
             raise ComplexError(f"malformed complex JSON: {exc}") from exc
         K = cls(simps, n_vertices=n, auto_close=auto_close)
-        if "dimension" in data and int(data["dimension"]) != K.dimension:
+        declared = data.get("dimension")
+        if "dimension" in data and _json_int(declared, "dimension") != K.dimension:
             raise ComplexError(
-                f"declared dimension {data['dimension']} but found {K.dimension}"
+                f"declared dimension {declared} but found {K.dimension}"
             )
         return K
 
 
-def _all_faces(simp):
-    """All nonempty subtuples of a sorted tuple (including itself)."""
-    n = len(simp)
-    for mask in range(1, 1 << n):
-        yield tuple(simp[i] for i in range(n) if mask >> i & 1)
+def _json_int(value, what):
+    """An integer field of complex JSON: an int, or text or a float that is one."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ComplexError(
+            f"malformed complex JSON: {what} {value!r} is not an integer"
+        )
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +455,17 @@ class ComplexEmbedding:
 
 def induced_subcomplex(K: SimplicialComplex, simplices) -> ComplexEmbedding:
     """Embedding of the face closure of ``simplices`` inside K."""
-    closure = set()
+    gens = []
     for s in simplices:
         t = tuple(sorted(s))
         if t not in K.index[len(t) - 1]:
             raise ComplexError(f"simplex {t} not in complex")
-        for f in _all_faces(t):
-            closure.add(f)
-    vertices = sorted(v for (v,) in (t for t in closure if len(t) == 1))
+        gens.append(t)
+    vertices = sorted({v for t in gens for v in t})
     to_local = {v: i for i, v in enumerate(vertices)}
-    local_simps = [tuple(to_local[v] for v in t) for t in closure]
-    sub = SimplicialComplex(local_simps, n_vertices=len(vertices))
+    # the relabelling keeps vertex order, so the constructor closes the
+    # generators to exactly the relabelled faces of their closure in K
+    sub = SimplicialComplex([tuple(to_local[v] for v in t) for t in gens])
     simplex_to_parent = {}
     for k in range(sub.dimension + 1):
         table = []
@@ -547,14 +562,60 @@ class ChainTransfer:
 
     ``subdivide[k]``: C_k(K) -> C_k(sd K) (rows over sd simplices);
     ``coarsen[k]``: C_k(sd K) -> C_k(K), the last-vertex projection.
-    coarsen o subdivide is the identity on chains.
+    coarsen o subdivide is the identity on chains.  Both maps are built
+    on first use, so a caller that only needs sd K and its vertex labels
+    (a quotient construction, say) never pays for them.
     """
 
     source: SimplicialComplex
     subdivided: SimplicialComplex
     vertex_of_simplex: dict
-    subdivide: dict
-    coarsen: dict
+
+    @cached_property
+    def subdivide(self):
+        """Subdivision chain map, by cone recursion over faces."""
+        K, sdK, vertex_of = self.source, self.subdivided, self.vertex_of_simplex
+        sd_of = {}
+
+        def sd_chain(t):
+            if t in sd_of:
+                return sd_of[t]
+            k = len(t) - 1
+            if k == 0:
+                result = {(vertex_of[t],): 1}
+            else:
+                bdry = {}
+                for i in range(len(t)):
+                    face = t[:i] + t[i + 1:]
+                    s = (-1) ** i
+                    for flag, c in sd_chain(face).items():
+                        bdry[flag] = bdry.get(flag, 0) + s * c
+                apex = vertex_of[t]
+                sign = (-1) ** k
+                result = {
+                    flag + (apex,): sign * c for flag, c in bdry.items() if c
+                }
+            sd_of[t] = result
+            return result
+
+        subdivide = {}
+        for k in range(K.dimension + 1):
+            rows = [dict() for _ in range(sdK.n_simplices(k))]
+            for j, t in enumerate(K.simplices[k]):
+                for flag, c in sd_chain(t).items():
+                    rows[sdK.index[k][flag]][j] = c
+            subdivide[k] = rows
+        for k in range(K.dimension + 1, sdK.dimension + 1):
+            subdivide[k] = [dict() for _ in range(sdK.n_simplices(k))]
+        return subdivide
+
+    @cached_property
+    def coarsen(self):
+        """Chain map of the last-vertex projection sd K -> K."""
+        last_vertex = [None] * self.subdivided.n_vertices
+        for t, v in self.vertex_of_simplex.items():
+            last_vertex[v] = t[-1]
+        return simplicial_chain_maps(self.subdivided, self.source, last_vertex)
 
     def subdivide_chain(self, z: Chain) -> Chain:
         return Chain(z.degree, tuple(mat_vec(self.subdivide[z.degree], list(z.values))))
@@ -575,77 +636,34 @@ def barycentric_subdivision(K: SimplicialComplex):
     """(sd K, ChainTransfer).  Vertices of sd K are simplices of K.
 
     sd-vertex ids are assigned dimension-major, so flags (chains in the
-    face poset) are automatically sorted tuples.
+    face poset) are automatically sorted tuples.  The full flags of the
+    maximal simplices of K (one simplex in each dimension) generate sd K:
+    every flag refines to one of them.  The full flags ending at t are
+    those ending at each facet of t, extended by t.
     """
     vertex_of = {}
-    counter = 0
     for k in range(K.dimension + 1):
         for t in K.simplices[k]:
-            vertex_of[t] = counter
-            counter += 1
+            vertex_of[t] = len(vertex_of)
 
-    # enumerate flags: chains sigma_0 < sigma_1 < ... ordered by inclusion
-    flags = set()
-    all_simps = [t for k in range(K.dimension + 1) for t in K.simplices[k]]
-    faces_of = {
-        t: [f for f in _all_faces(t) if len(f) < len(t)] for t in all_simps
-    }
-
-    chains_ending_at = {}
-    for t in sorted(all_simps, key=len):
-        own = [(t,)]
-        for f in sorted(faces_of[t], key=len):
-            for c in chains_ending_at[f]:
-                own.append(c + (t,))
-        chains_ending_at[t] = own
-        for c in own:
-            flags.add(tuple(vertex_of[s] for s in c))
-
-    sdK = SimplicialComplex(sorted(flags), n_vertices=counter)
-
-    # subdivision chain map by cone recursion
-    sd_of = {}
-
-    def sd_chain(t):
-        if t in sd_of:
-            return sd_of[t]
-        k = len(t) - 1
-        if k == 0:
-            result = {(vertex_of[t],): 1}
-        else:
-            bdry = {}
-            for i in range(len(t)):
-                face = t[:i] + t[i + 1:]
-                s = (-1) ** i
-                for flag, c in sd_chain(face).items():
-                    bdry[flag] = bdry.get(flag, 0) + s * c
-            apex = vertex_of[t]
-            sign = (-1) ** k
-            result = {
-                flag + (apex,): sign * c for flag, c in bdry.items() if c
-            }
-        sd_of[t] = result
-        return result
-
-    subdivide = {}
+    flags_at = {}
+    generators = []
     for k in range(K.dimension + 1):
-        rows = [dict() for _ in range(sdK.n_simplices(k))]
-        for j, t in enumerate(K.simplices[k]):
-            for flag, c in sd_chain(t).items():
-                rows[sdK.index[k][flag]][j] = c
-        subdivide[k] = rows
-    for k in range(K.dimension + 1, sdK.dimension + 1):
-        subdivide[k] = [dict() for _ in range(sdK.n_simplices(k))]
+        # facets of (k+1)-simplices; the other k-simplices are maximal
+        covered = {
+            t[:i] + t[i + 1:] for t in K.simplices.get(k + 1, ()) for i in range(k + 2)
+        }
+        for t in K.simplices[k]:
+            v = vertex_of[t]
+            if k == 0:
+                flags = [(v,)]
+            else:
+                flags = [
+                    c + (v,) for i in range(k + 1) for c in flags_at[t[:i] + t[i + 1:]]
+                ]
+            flags_at[t] = flags
+            if t not in covered:
+                generators.extend(flags)
 
-    # last-vertex projection sd K -> K
-    sd_vertex_to_simplex = {v: t for t, v in vertex_of.items()}
-    last_vertex = [max(sd_vertex_to_simplex[v]) for v in range(counter)]
-    coarsen = simplicial_chain_maps(sdK, K, last_vertex)
-
-    return sdK, ChainTransfer(
-        source=K,
-        subdivided=sdK,
-        vertex_of_simplex=vertex_of,
-        subdivide=subdivide,
-        coarsen=coarsen,
-    )
+    sdK = SimplicialComplex(generators, n_vertices=len(vertex_of))
+    return sdK, ChainTransfer(source=K, subdivided=sdK, vertex_of_simplex=vertex_of)

@@ -183,31 +183,38 @@ class MorseFlow:
             phi = add_rows(phi, mul_rows(K.boundary_rows(k + 1), self._V[k]))
             phi = add_rows(phi, mul_rows(self._V[k - 1], K.boundary_rows(k)))
             self._phi[k] = phi
-        # stabilize globally
+        # stabilize each degree: phi^i = P_k for i >= s_k, and the loop
+        # keeps the sum of the powers below s_k for the homotopy
         self._P = {}
-        N = 0
+        below = {}
+        exponent = {}
         for k in range(n + 1):
-            prev = self._phi[k]
-            steps = 0
+            phi = self._phi[k]
+            acc = identity_rows(K.n_simplices(k))
+            power, s = phi, 1
             while True:
-                cur = mul_rows(prev, self._phi[k])
-                if cur == prev:
+                nxt = mul_rows(power, phi)
+                if nxt == power:
                     break
-                prev = cur
-                steps += 1
-            self._P[k] = prev
-            N = max(N, steps + 1)
+                acc = add_rows(acc, power)
+                power, s = nxt, s + 1
+            self._P[k] = power
+            below[k] = acc
+            exponent[k] = s
+        N = max(exponent.values(), default=0)
         self.stabilization_exponent = N
         # homotopy T_k = -(sum of flow powers below N) V_k
-        self._T = {}
-        for k in range(-1, n + 1):
+        #             = -(sum_{i < s} phi^i + (N - s) P) V_k in degree k + 1;
+        # degree n + 1 is empty, so T_n has no rows
+        self._T = {n: []}
+        for k in range(-1, n):
             deg = k + 1
-            phi_deg = self._phi.get(deg, [])
-            acc = identity_rows(K.n_simplices(deg))
-            power = identity_rows(K.n_simplices(deg))
-            for _ in range(N - 1):
-                power = mul_rows(power, phi_deg)
-                acc = add_rows(acc, power)
+            acc = below[deg]
+            extra = N - exponent[deg]
+            if extra:
+                acc = add_rows(
+                    acc, [{c: extra * v for c, v in row.items()} for row in self._P[deg]]
+                )
             prod = mul_rows(acc, self._V[k])
             self._T[k] = [{c: -v for c, v in row.items()} for row in prod]
 

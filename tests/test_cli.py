@@ -367,6 +367,25 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert code == 3
 
 
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        ({"vertices": 3, "simplices": [[0, 1], [1, 2]]}, "simplices"),
+        ({"dimension": None, "vertices": 2, "simplices": {"1": [[0, 1]]}}, "dimension"),
+        ({"dimension": 1.5, "vertices": 2, "simplices": {"1": [[0, 1]]}}, "dimension"),
+    ],
+    ids=["simplices-list", "dimension-null", "dimension-fractional"],
+)
+def test_malformed_complex_json_is_input_error(tmp_path, capsys, data, reason):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    code = main(["build", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert reason in captured.err
+
 def test_build_writes_and_reloads(tmp_path, capsys):
     out = tmp_path / "c4.json"
     code, data = run_json(

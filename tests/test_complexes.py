@@ -353,6 +353,190 @@ class TestSubdivision:
         assert sdK.delta(tr.refine_cochain(u)) == tr.refine_cochain(K.delta(u))
 
 
+# ---------------------------------------------------------------------------
+# construction pinned to the all-subsets closure
+
+# sha256 of repr((n_vertices, dimension, simplices, index)), frozen from the
+# all-subsets closure and all-flags subdivision the constructor used to run
+BUILT_DIGESTS = {
+    "point": "9d149aa9704ee1475d05e2f889305c4b166bf4574b5b35b4c16d3ac99cce2eaa",
+    "circle": "da334655f740c2384f0ac171e094939cd5dbd484939b85d625e9043986583bf9",
+    "circle3": "da334655f740c2384f0ac171e094939cd5dbd484939b85d625e9043986583bf9",
+    "circle4": "04cd3f12ea1eb2d860d1bc174ed96da89ca5eef297a5f3b8e56aef3df6ecb880",
+    "circle5": "115f12ac3ce170bd93bb3b04d9c60f2dd19a2099221f9a3808ec928aec38e21c",
+    "circle6": "a3861e3e1f5325030efff0e5a37ce802e722fc0eebfb224c3dc07950048cd184",
+    "sphere2": "c397bad5d5e7e2fdb896165c09a607ddee940f5c22a7b7d1c56ae4cb4033f460",
+    "sphere3": "f1e6aa3d7c78177bb0194491b44092f5e968ffbb00d5628a32c3f507225d85fe",
+    "torus": "cdf67b4c313b320629985bd7fc82f950b8420f8b081890c1a03e5c7e2b2e306e",
+    "torus_grid3": "ccc5a90ec9182efea4f78923e62829abb5f3484225b975387b0cf188a1024faf",
+    "torus_grid4": "8e56e750b5a7893d2a195d4876904dcbf88d0a6c6d5e2c16c6e9ab2fd578da61",
+    "torus_grid5": "5dae6b4b854f52b96f9f2016157e336deeb74081288f31393a77cb711b471f0e",
+    "genus2": "e203583d7e089c9cd9ab027300813432d1d5a2a39676d2e05a21b0aba99dc301",
+    "rp2": "4d38a6beb4ca6b5fe4c0ba867b0dbe0f9fbf45df2f41403f1b91b73692e41002",
+    "rp3": "fc74dd4389ca83ca61bdd5bdd1b0a8e576c1a3615a185d62e2681f5bdeb5ff00",
+    "cp2": "bafc762d1a1bfed5d76ae17823327b237d378990882388ef6f99aa2f42608954",
+    "simplex2": "3df7cce513dc1af6f904df1db9048e16b6f829a099689bb8599cfe144a96828e",
+    "simplex3": "da74636427f29d3823be6f14542df6452b52b46bc376d62f223d1947a2be5dd4",
+    "lens:3,1": "019edf6bcbfee7f56ec01b90be86ae7683ff3646d150775aa5e12a379f05ef56",
+    "lens:5,2": "f5cf0739658ac21c80e00c2ac5bb151a062f8401eb27d7f5df0a0f33f5a273aa",
+    "lens:7,2": "da3125fdd5d53b4cb35200c93931cf9549ff8be4734fcfae074258033eef78cf",
+    "product:circle,circle": "3fa18e08930b6e354fde487d5331767d0f44a03376fa3c24dfe6f6d7117d79e6",
+    "product:circle,torus": "f8fc41f3662ebac3e580e5f5ae6079c3fa932bc450c310c3726edb1b5e938eca",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_DIGESTS))
+def test_built_complex_frozen(name):
+    K = build_space(name)
+    data = repr((K.n_vertices, K.dimension, K.simplices, K.index))
+    assert hashlib.sha256(data.encode()).hexdigest() == BUILT_DIGESTS[name]
+
+
+def all_subsets_closure(simplices, n_vertices=None, auto_close=True):
+    """Oracle: close every generator under all of its nonempty subsets."""
+    gen = []
+    for s in simplices:
+        t = tuple(s)
+        if len(set(t)) != len(t):
+            raise ComplexError(f"degenerate simplex {t}")
+        if any(not isinstance(v, int) or v < 0 for v in t):
+            raise ComplexError(f"bad vertex id in {t}")
+        gen.append(tuple(sorted(t)))
+    present = set(gen)
+    if n_vertices is not None:
+        present.update((i,) for i in range(n_vertices))
+    closure = set()
+    for t in present:
+        for mask in range(1, 1 << len(t)):
+            closure.add(tuple(v for i, v in enumerate(t) if mask >> i & 1))
+    if not auto_close:
+        missing = sorted(closure - present)
+        if missing:
+            raise ComplexError(f"closure violated: missing face {missing[0]}")
+    vertices = sorted(t[0] for t in closure if len(t) == 1)
+    n = (vertices[-1] + 1) if vertices else 0
+    if vertices != list(range(n)):
+        gap = next(i for i in range(n) if i not in set(vertices))
+        raise ComplexError(f"vertex ids must be contiguous from 0; missing {gap}")
+    dimension = max((len(t) - 1 for t in closure), default=-1)
+    simplices = {
+        k: sorted(t for t in closure if len(t) == k + 1) for k in range(dimension + 1)
+    }
+    index = {k: {t: i for i, t in enumerate(lst)} for k, lst in simplices.items()}
+    return n, dimension, simplices, index
+
+
+def _construction_outcome(build, *args):
+    """("error", message) or ("ok", repr of the complex's data)."""
+    try:
+        K = build(*args)
+    except ComplexError as exc:
+        return "error", str(exc)
+    if isinstance(K, SimplicialComplex):
+        K = (K.n_vertices, K.dimension, K.simplices, K.index)
+    return "ok", repr(K)
+
+
+def _random_generators(rng):
+    n_pool = rng.randint(1, 7)
+    pool = list(range(n_pool))
+    if rng.random() < 0.15:
+        pool.remove(rng.choice(pool))  # a gap in the vertex ids
+        pool = pool or [0]
+    gens = []
+    for _ in range(rng.randint(0, 6)):
+        size = rng.randint(1, min(4, len(pool)))
+        t = rng.sample(pool, size)  # unsorted
+        gens.append(t)
+        if rng.random() < 0.3:
+            gens.append(list(reversed(t)))  # a duplicate
+    roll = rng.random()
+    if roll < 0.03:
+        gens.append([1, 1])
+    elif roll < 0.06:
+        gens.append([0, -2])
+    elif roll < 0.08:
+        gens.append([])
+    rng.shuffle(gens)
+    return gens, max(pool) + 1
+
+
+def test_constructor_matches_all_subsets_closure():
+    rng = random.Random(20)
+    seen_errors = set()
+    for _ in range(300):
+        gens, top = _random_generators(rng)
+        n_vertices = rng.choice([None, None, top, top + rng.randint(1, 3), 1])
+        auto_close = rng.random() < 0.6
+        if not auto_close and rng.random() < 0.5:
+            # the full closure as generators: nothing is missing
+            if _construction_outcome(all_subsets_closure, gens, n_vertices)[0] == "ok":
+                _, _, simplices, _ = all_subsets_closure(gens, n_vertices)
+                gens = [list(reversed(t)) for lst in simplices.values() for t in lst]
+                rng.shuffle(gens)
+        want = _construction_outcome(all_subsets_closure, gens, n_vertices, auto_close)
+        got = _construction_outcome(SimplicialComplex, gens, n_vertices, auto_close)
+        assert got == want, (gens, n_vertices, auto_close)
+        if want[0] == "error":
+            seen_errors.add(want[1].split()[0])
+    # every check fired at least once
+    assert seen_errors == {"degenerate", "bad", "closure", "vertex"}
+
+
+def test_closure_violation_reports_first_sorted_missing_face():
+    with pytest.raises(ComplexError, match=r"missing face \(0,\)$"):
+        SimplicialComplex([(2, 3), (0, 1, 2), (0, 2, 3)], auto_close=False)
+    gens = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)]
+    with pytest.raises(ComplexError, match=r"missing face \(0, 2\)$"):
+        SimplicialComplex(gens, auto_close=False)
+
+
+def all_flags_subdivision(K):
+    """Oracle: every chain of the face poset of K, in sd-vertex ids."""
+    vertex_of = {}
+    for k in range(K.dimension + 1):
+        for t in K.simplices[k]:
+            vertex_of[t] = len(vertex_of)
+    chains_ending_at = {}
+    flags = set()
+    for t in sorted(vertex_of, key=len):
+        own = [(t,)]
+        for f in sorted(vertex_of, key=len):
+            if len(f) < len(t) and set(f) <= set(t):
+                own.extend(c + (t,) for c in chains_ending_at[f])
+        chains_ending_at[t] = own
+        flags.update(tuple(vertex_of[s] for s in c) for c in own)
+    return all_subsets_closure(flags, n_vertices=len(vertex_of))
+
+
+def _sparse_digest(maps):
+    shape = sorted((k, len(rows)) for k, rows in maps.items())
+    entries = sorted(
+        (k, i, c, v) for k, rows in maps.items() for i, row in enumerate(rows)
+        for c, v in row.items()
+    )
+    return hashlib.sha256(repr((shape, entries)).encode()).hexdigest()
+
+
+def test_subdivision_of_non_pure_complex():
+    # a triangle, a dangling edge and an isolated vertex
+    K = SimplicialComplex([(0, 1, 2), (2, 3)], n_vertices=5)
+    sdK, tr = barycentric_subdivision(K)
+    got = repr((sdK.n_vertices, sdK.dimension, sdK.simplices, sdK.index))
+    assert got == repr(all_flags_subdivision(K))
+    assert sdK.f_vector() == (10, 14, 6)
+    # frozen from the maps built eagerly by the all-flags subdivision
+    assert _sparse_digest(tr.subdivide) == (
+        "98e4357ca4869cac3bf5683b858db55facdff239d90b4a4d30ff4d7ef7bd5a28"
+    )
+    assert _sparse_digest(tr.coarsen) == (
+        "577cc004abe24059004c562d4e1f8f1ce121a351f1dcb5b2d9ef7276f09a01bc"
+    )
+    for k in range(K.dimension + 1):
+        z = Chain(k, tuple(range(1, K.n_simplices(k) + 1)))
+        assert tr.coarsen_chain(tr.subdivide_chain(z)) == z
+
+
 class TestSerialization:
     def test_round_trip(self):
         K = sphere2()

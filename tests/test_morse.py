@@ -1,11 +1,12 @@
 """Matchings, stabilized flows, critical complexes, flow sparks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from diffchar.builders import circle, cp2, moebius_kuehnel_torus, rp2, rp3, sphere
+from diffchar.builders import build_space, circle, cp2, moebius_kuehnel_torus, rp2, rp3, sphere
 from diffchar.cohomology import (
     betti_numbers,
     cohomology_generators,
@@ -251,3 +252,31 @@ def test_morse_boundary_rows_match_per_cell(K):
     flow = MorseFlow(K, greedy_matching(K))
     for k in range(K.dimension + 2):
         assert flow.morse_boundary_rows(k) == per_cell_morse_boundary_rows(flow, k), k
+
+
+# (stabilization exponent, sha256 of P, sha256 of T), frozen from the flow
+# that summed N - 1 powers of phi in every degree
+FLOW_DIGESTS = {
+    "rp2": (3, "a6eb630a12b37cecfd72d561c081627bbb5bf441bb8b1d4ab1600904f134981a", "d3f832ee3c477e0fc1a6e99b27ab89e79a93898f31948f6d7342723858e966cf"),
+    "torus": (4, "c6e427958f6a10f502300b836cecc1e9311d7938759165ee0e906432691e362e", "3124b386dc513d345dc7e7fff47e92476c9841a5bd427d380d4c673a608face4"),
+    "rp3": (12, "6e739ba6be2f1f40b240e4e933324e036a208ca4dae83d0afbde5058e60e882a", "6a42002df4901f3650dac50b598a67559defb6e365ac5e8ae8d2f9071c73c95c"),
+    "cp2": (4, "b619008a9f8cb1ce1de68db7b1ff69815b22e7dda7dca2e4d6b9e3a54a1cd37a", "64028e29cf8bdab1fb9cfa43818571a0e783c4a70aada48d55fe438976bc458f"),
+    "lens:5,2": (23, "9d5d469fc64c515b2350b40efc394c841d44672edfd686bbea56e82cdb27db98", "d579690afa9c4ba166eb023f316c87a1e6ed6083aef506df5420292f2ca74973"),
+}
+
+
+def _sparse_digest(ops):
+    shape = sorted((k, len(rows)) for k, rows in ops.items())
+    entries = sorted(
+        (k, i, c, repr(v)) for k, rows in ops.items() for i, row in enumerate(rows)
+        for c, v in row.items()
+    )
+    return hashlib.sha256(repr((shape, entries)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_DIGESTS))
+def test_flow_operators_frozen(name):
+    K = build_space(name)
+    flow = MorseFlow(K, greedy_matching(K))
+    got = (flow.stabilization_exponent, _sparse_digest(flow._P), _sparse_digest(flow._T))
+    assert got == FLOW_DIGESTS[name]
