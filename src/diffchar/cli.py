@@ -38,7 +38,13 @@ from .cohomology import (
     cohomology_structures,
     homology_structure,
 )
-from .complexes import ComplexError, SimplicialComplex, parse_scalar, scalar_str
+from .complexes import (
+    ComplexError,
+    SimplicialComplex,
+    json_int,
+    parse_scalar,
+    scalar_str,
+)
 from .hodge import HodgeContext, HodgeError, path_chain, point_abel_jacobi
 from .lowdegree import (
     PhaseError,
@@ -202,7 +208,7 @@ def load_complex(args) -> tuple[SimplicialComplex, dict]:
 
 def _cochain_from_data(K, data, where, expect_degree=None):
     try:
-        k = int(data["degree"])
+        k = json_int(data["degree"], f"{where}: degree")
         values = tuple(parse_scalar(v) for v in data["values"])
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"{where}: malformed cochain ({exc})") from exc
@@ -236,7 +242,7 @@ def _load_connection(K, path):
 def _load_chain(K, path):
     data = _read_json(path)
     try:
-        k = int(data["degree"])
+        k = json_int(data["degree"], f"{path}: degree")
         values = tuple(parse_scalar(v) for v in data["values"])
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"{path}: malformed chain ({exc})") from exc

@@ -6,6 +6,11 @@ one of the relation matrix to split the quotient into free and cyclic
 parts.  Every torsion generator comes with a witness x satisfying
 B x = d * generator, which is what the torsion linking form and the
 flat-spark constructions consume downstream.
+
+The Smith form of each coboundary delta_k is computed once per complex
+and cached on it (:func:`coboundary_smith_form`): it is the A of H^k
+and, in the top degree n, where delta_n has no rows and the kernel
+coordinates are the identity, also the relation matrix of H^n.
 """
 
 from __future__ import annotations
@@ -79,18 +84,23 @@ class LatticeQuotient:
     A and B are sparse integer matrices (lists of row dicts); the rows
     of B are indexed by the same Z^ncols coordinates, with B_cols
     columns.  Columns of B must lie in ker A.  A and B are read, not
-    modified.
+    modified.  ``snfA`` and ``snfW`` are the Smith forms of A and of the
+    relation matrix W (im B in kernel coordinates) when the caller has
+    them already; each one not given is computed here.
     """
 
-    def __init__(self, A_rows, ncols, B_rows, B_cols):
+    def __init__(self, A_rows, ncols, B_rows, B_cols, snfA=None, snfW=None):
         self.ncols = ncols
         self.B_cols = B_cols
-        self.snfA = smith_normal_form(A_rows, nrows=len(A_rows), ncols=ncols)
-        r = self.snfA.rank
+        if snfA is None:
+            snfA = smith_normal_form(A_rows, nrows=len(A_rows), ncols=ncols)
+        self.snfA = snfA
+        r = snfA.rank
         self.kernel_dim = ncols - r
-        # relation matrix: im(B) written in kernel coordinates
-        W = mul_rows(self.snfA.Vinv_rows[r:], B_rows)
-        self.snfW = smith_normal_form(W, nrows=self.kernel_dim, ncols=B_cols)
+        if snfW is None:
+            W = mul_rows(snfA.Vinv_rows[r:], B_rows)
+            snfW = smith_normal_form(W, nrows=self.kernel_dim, ncols=B_cols)
+        self.snfW = snfW
         # guard misuse: every column of B must lie in ker A
         if any(mul_rows(A_rows, B_rows)):
             raise ValueError("columns of B do not lie in ker A")
@@ -172,19 +182,40 @@ class LatticeQuotient:
 # complex-facing wrappers
 
 
+def coboundary_smith_form(K: SimplicialComplex, k):
+    """Smith form of delta_k (no rows outside 0..n-1), cached on K."""
+    key = ("snf_delta", k)
+    if key not in K._cache:
+        A = K.delta_rows(k) if 0 <= k <= K.dimension else []
+        K._cache[key] = smith_normal_form(A, nrows=len(A), ncols=K.n_simplices(k))
+    return K._cache[key]
+
+
 def integer_cohomology(K: SimplicialComplex, k) -> LatticeQuotient:
-    """H^k(K; Z) = ker(delta_k) / im(delta_{k-1}), cached on K."""
+    """H^k(K; Z) = ker(delta_k) / im(delta_{k-1}), cached on K.
+
+    A is delta_k with its :func:`coboundary_smith_form`.  In the top
+    degree n, delta_n has no rows, so the kernel coordinates are the
+    identity and the relation matrix is delta_{n-1} itself: its Smith
+    form is the cached one of delta_{n-1}, the object H^{n-1} uses, and
+    H^n forms no Smith form of its own beyond the empty delta_n.
+    """
     key = ("H_int", k)
     if key not in K._cache:
         n_k = K.n_simplices(k)
         A = K.delta_rows(k) if 0 <= k <= K.dimension else []
+        snfW = None
         if 0 < k <= K.dimension:
             B = K.delta_rows(k - 1)
             B_cols = K.n_simplices(k - 1)
+            if k == K.dimension:
+                snfW = coboundary_smith_form(K, k - 1)
         else:
             B = [dict() for _ in range(n_k)]
             B_cols = 0
-        K._cache[key] = LatticeQuotient(A, n_k, B, B_cols)
+        K._cache[key] = LatticeQuotient(
+            A, n_k, B, B_cols, snfA=coboundary_smith_form(K, k), snfW=snfW
+        )
     return K._cache[key]
 
 

@@ -385,7 +385,7 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, data, auto_close=False):
         try:
-            n = _json_int(data["vertices"], "vertices")
+            n = json_int(data["vertices"], "malformed complex JSON: vertices")
             by_degree = data.get("simplices", {})
             if not isinstance(by_degree, dict):
                 raise ComplexError(
@@ -394,28 +394,35 @@ class SimplicialComplex:
             simps = []
             for lst in by_degree.values():
                 for t in lst:
-                    simps.append(tuple(_json_int(v, "vertex id") for v in t))
+                    simps.append(tuple(
+                        json_int(v, "malformed complex JSON: vertex id") for v in t
+                    ))
         except (KeyError, TypeError) as exc:
             raise ComplexError(f"malformed complex JSON: {exc}") from exc
         K = cls(simps, n_vertices=n, auto_close=auto_close)
         declared = data.get("dimension")
-        if "dimension" in data and _json_int(declared, "dimension") != K.dimension:
+        if "dimension" in data and (
+            json_int(declared, "malformed complex JSON: dimension") != K.dimension
+        ):
             raise ComplexError(
                 f"declared dimension {declared} but found {K.dimension}"
             )
         return K
 
 
-def _json_int(value, what):
-    """An integer field of complex JSON: an int, or text or a float that is one."""
+def json_int(value, what):
+    """An integer field of JSON input: an int, or text or a float that is one.
+
+    Anything else (1.5, true, null, "x") raises ComplexError with the
+    message ``what`` followed by the value; this rule reads the integer
+    fields of complex, cochain, chain and spark files alike.
+    """
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or isinstance(value, bool) or (isinstance(value, float) and n != value):
-        raise ComplexError(
-            f"malformed complex JSON: {what} {value!r} is not an integer"
-        )
+        raise ComplexError(f"{what} {value!r} is not an integer")
     return n
 
 

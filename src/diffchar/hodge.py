@@ -9,9 +9,12 @@ normal matrices N_j = delta_j^T W delta_j (finite-difference Hodge
 theory), each factored once per degree and weight profile, plus a small
 Gram system on the harmonic basis; both come from
 :mod:`diffchar.sparks`, which owns the one harmonic projection.  The
-harmonic representatives are the projections g - delta x of the
-integral free cohomology generators g; delta x, with
-N_{k-1} x = delta^T W u, is the exact part of any u; and N_k y = W v
+harmonic representatives are the projections of the integral free
+cohomology generators g: g - delta x below the top degree, and in the
+top degree n, where delta_n = 0 and the harmonic cochains are W^{-1}
+times the rational cycles, a b_n x b_n Gram system on the cycle lattice
+basis with no normal matrix.  delta x, with N_{k-1} x = delta^T W u, is
+the exact part of any u; and N_k y = W v
 inverts adjoint_delta(delta y) = v on coexact v.  Harmonic sparks are
 the weighted harmonic potential of their cocycle in normal form
 (coexact potential, harmonic curvature); they agree with
@@ -155,7 +158,12 @@ class HodgeContext:
         return rest - self.K.delta(self._exact_potential(x))
 
     def harmonic_basis(self, k):
-        """Harmonic projections g - delta x of the free generators g."""
+        """Harmonic projections of the free generators g of H^k(K; Z).
+
+        g - delta x below the top degree; in the top degree the
+        projection onto W^{-1} times the cycles, with no normal matrix
+        (see :func:`~diffchar.sparks.harmonic_vectors`).
+        """
         if not self.exact:
             raise HodgeError("harmonic basis needs the exact method")
         w = degree_weights(self.weights, k)

@@ -17,8 +17,9 @@ orthogonal to the harmonic cochains; it is natural (independent of
 pivot order and vertex labels) but moves with R inside its class.
 spark_from_cocycle applies it to the generator combination of R's
 class and so depends on the class alone.  The harmonic projection
-(coboundary normal matrices plus a Gram system on the projected
-generators) lives here, shared with weighted Hodge theory.
+(coboundary normal matrices below the top degree, the cycle lattice in
+the top degree, plus a Gram system on the projected generators) lives
+here, shared with weighted Hodge theory.
 
 The star product pairs sparks of degrees k and l into one of degree
 k + l + 1, satisfying the Leibniz identity
@@ -45,7 +46,7 @@ from .complexes import (
     pull_cochain,
     simplicial_chain_maps,
 )
-from .exact import RatElim, gram_rows, mat_vec, transpose_apply
+from .exact import RatElim, gram_rows, mat_vec, transpose_apply, transpose_rows
 
 
 class SparkError(ValueError):
@@ -157,25 +158,52 @@ def exact_potential(K: SimplicialComplex, u: Cochain, weights=None, cache=None):
 
 
 def harmonic_vectors(K: SimplicialComplex, k, weights=None, cache=None):
-    """Harmonic projections g - delta x of the free generators g of H^k(K; Z).
+    """Harmonic projections of the free generators g of H^k(K; Z).
 
-    delta x is the :func:`exact_potential` of g under the degree-k
-    ``weights``; the vectors (tuples of Fractions) are cached like
-    :func:`normal_factorization`.
+    The projection is orthogonal under the degree-k ``weights`` W.
+    Below the top degree it is g - delta x, delta x the
+    :func:`exact_potential` of g.  In the top degree n, delta_n = 0, so
+    the harmonic n-cochains are W^{-1} z for the rational n-cycles z:
+    with Z the rows of :func:`~diffchar.cohomology.cycle_lattice_basis`,
+    already sparse in the cached Smith form of the boundary, the
+    projection is W^{-1} Z^T c with (Z W^{-1} Z^T) c = Z g, a b_n x b_n
+    Gram system, and no normal matrix is factored.  The vectors (tuples
+    of Fractions) are cached like :func:`normal_factorization`.
     """
     if weights is None:
         cache = K._cache
     key = ("harmonics", k)
     if key not in cache:
         free, _ = cohomology_generators(K, k)
-        cache[key] = [
-            tuple(
-                Fraction(v)
-                for v in (g - K.delta(exact_potential(K, g, weights, cache))).values
-            )
-            for g in free
-        ]
+        if k == K.dimension:
+            vectors = _cycle_harmonics(K, free, weights)
+        else:
+            vectors = [
+                (g - K.delta(exact_potential(K, g, weights, cache))).values
+                for g in free
+            ]
+        cache[key] = [tuple(Fraction(v) for v in h) for h in vectors]
     return cache[key]
+
+
+def _cycle_harmonics(K: SimplicialComplex, free, weights):
+    """W^{-1} Z^T c with (Z W^{-1} Z^T) c = Z g for each top-degree g in ``free``."""
+    if not free:
+        return []
+    n = K.dimension
+    n_n = K.n_simplices(n)
+    snf = integer_homology(K, n).snfA
+    Z = snf.VT_rows[snf.rank:]
+    winv = None if weights is None else [1 / Fraction(w) for w in weights]
+    gram = RatElim(gram_rows(transpose_rows(Z, n_n), len(Z), winv), len(Z)).run()
+    out = []
+    for g in free:
+        c = gram.solve(periods(K, g))
+        if c is None:
+            raise AssertionError("cycle Gram system must be solvable")
+        h = transpose_apply(Z, c, n_n)
+        out.append(h if winv is None else [x * w for x, w in zip(h, winv)])
+    return out
 
 
 def harmonic_projection(K: SimplicialComplex, u: Cochain, weights=None, cache=None):
@@ -237,9 +265,10 @@ def harmonic_potential(
     that is a harmonic part plus a coboundary, so the character of
     (a, R) does not depend on the choice of x, on pivot order or on
     vertex labels.  No normal matrix is factored when
-    b_k = b_{k-1} = 0.  The character moves with R inside its class:
-    for an integral S, (a, R + delta S) presents the character of
-    (a, R) plus the flat spark (H_{k-1} S, 0).
+    b_k = b_{k-1} = 0, nor in the top degree k = n when b_{n-1} = 0
+    (see :func:`harmonic_vectors`).  The character moves with R inside
+    its class: for an integral S, (a, R + delta S) presents the
+    character of (a, R) plus the flat spark (H_{k-1} S, 0).
 
     ``weights`` is an optional weight profile (degree -> weights) for
     both projections, with ``cache`` (a fresh dict when None) holding
@@ -540,14 +569,14 @@ def spark_to_json(s: Spark):
 
 
 def spark_from_json(K: SimplicialComplex, data) -> Spark:
-    from .complexes import parse_scalar
+    from .complexes import json_int, parse_scalar
 
     a = K.cochain(
-        int(data["a"]["degree"]),
+        json_int(data["a"]["degree"], "spark a degree"),
         tuple(parse_scalar(v) for v in data["a"]["values"]),
     )
     R = K.cochain(
-        int(data["R"]["degree"]),
+        json_int(data["R"]["degree"], "spark R degree"),
         tuple(parse_scalar(v) for v in data["R"]["values"]),
     )
     s = Spark(a, R)

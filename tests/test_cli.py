@@ -358,6 +358,48 @@ def test_out_of_range_degree_is_input_error(tmp_path, capsys, command, degree):
     assert f"degree {degree} outside -1..2" in captured.err and captured.out == ""
 
 
+NON_INTEGER_DEGREE_COMMANDS = {
+    "cochain": ["hodge", "decompose", "--space", "rp2", "--cochain", "{data}"],
+    "cocycle": ["spark", "new", "--space", "rp2", "--cocycle", "{data}"],
+    "chain": ["spark", "holonomy", "--space", "rp2", "{spark_ok}", "--cycle", "{data}"],
+    "spark": ["spark", "d1", "--space", "rp2", "{data}"],
+}
+
+
+def _degree_file(tmp_path, kind, degree):
+    """A zero rp2 input of the given kind whose (potential's) degree is ``degree``."""
+    K = build_space("rp2")
+    if kind == "spark":
+        data = spark_to_json(Spark(K.zero_cochain(1), K.zero_cochain(2)))
+        data["a"]["degree"] = degree
+    else:
+        data = {"degree": degree, "values": ["0"] * K.n_simplices(1)}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("degree", [1.5, True, None], ids=["fractional", "true", "null"])
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER_DEGREE_COMMANDS))
+def test_non_integer_degree_is_input_error(tmp_path, capsys, kind, degree):
+    paths = _rp2_input_files(tmp_path, "0")
+    paths["data"] = _degree_file(tmp_path, kind, degree)
+    code = main([a.format(**paths) for a in NON_INTEGER_DEGREE_COMMANDS[kind]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "degree" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER_DEGREE_COMMANDS))
+def test_integer_degree_as_text_loads(tmp_path, capsys, kind):
+    paths = _rp2_input_files(tmp_path, "0")
+    paths["data"] = _degree_file(tmp_path, kind, "1")
+    code = main([a.format(**paths) for a in NON_INTEGER_DEGREE_COMMANDS[kind]])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

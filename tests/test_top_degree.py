@@ -1,0 +1,194 @@
+"""The top degree n, where delta_n = 0.
+
+Harmonic n-cochains are W^{-1} z for the rational n-cycles z, so the
+harmonic projection needs only the cycle lattice, and H^n has the
+coboundary delta_{n-1} itself as its relation matrix.  These tests pin
+the values against the route g - delta x through the normal matrix
+N_{n-1} (a test-local copy), freeze the spark and Smith-form outputs,
+and check that neither N_{n-1} nor a second Smith form of delta_{n-1}
+is formed.
+"""
+
+import functools
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from diffchar import cohomology, sparks
+from diffchar.builders import build_space
+from diffchar.cohomology import (
+    cohomology_generators,
+    integer_cohomology,
+    integer_homology,
+)
+from diffchar.complexes import SimplicialComplex
+from diffchar.exact import RatElim, gram_rows, transpose_apply
+from diffchar.hodge import HodgeContext, varied_weights
+from diffchar.sparks import spark_from_cocycle
+
+SPHERE = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+EXTRA = {
+    # b_2 = 2: one fundamental class per component
+    "two_spheres": SPHERE + [tuple(v + 4 for v in t) for t in SPHERE],
+    # the edge adds no 2-simplex and no 2-cycle
+    "sphere_dangling_edge": SPHERE + [(3, 4)],
+}
+SPACES = ["rp3", "torus", "genus2", "cp2", "torus_grid5", "rp2", *sorted(EXTRA)]
+
+
+def _fresh(name):
+    return SimplicialComplex(EXTRA[name]) if name in EXTRA else build_space(name)
+
+
+_space = functools.lru_cache(maxsize=None)(_fresh)
+
+
+def _weights(K):
+    return varied_weights(K, random.Random(7))
+
+
+def normal_route_harmonics(K, weights=None):
+    """g - delta x with N_{n-1} x = delta^T W g, for each free generator g of H^n."""
+    n = K.dimension
+    free, _ = cohomology_generators(K, n)
+    D = K.delta_rows(n - 1)
+    m = K.n_simplices(n - 1)
+    N = RatElim(gram_rows(D, m, weights), m).run()
+    out = []
+    for g in free:
+        wg = g.values if weights is None else [w * v for w, v in zip(weights, g.values)]
+        x = N.solve(transpose_apply(D, wg, m))
+        h = g - K.delta(K.cochain(n - 1, x))
+        out.append(tuple(Fraction(v) for v in h.values))
+    return out
+
+
+@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "varied"])
+def test_top_harmonics_match_normal_route(name, weighted):
+    K = _space(name)
+    n = K.dimension
+    w = _weights(K)[n] if weighted else None
+    expected = normal_route_harmonics(K, w)
+    got = sparks.harmonic_vectors(K, n, w, {})
+    assert got == expected
+    assert all(type(x) is Fraction for b in got for x in b)
+    ctx = HodgeContext(K, weights=_weights(K) if weighted else None, method="exact")
+    assert [b.values for b in ctx.harmonic_basis(n)] == expected
+
+
+@pytest.mark.parametrize("name, b_n", [("rp2", 0), ("two_spheres", 2), ("torus", 1)])
+def test_top_harmonic_count(name, b_n):
+    K = _space(name)
+    assert len(sparks.harmonic_vectors(K, K.dimension)) == b_n
+
+
+def _top_generators(K):
+    free, torsion = cohomology_generators(K, K.dimension)
+    return free + [g for _, g, _ in torsion]
+
+
+# sha256 of repr((spark_from_cocycle, uniform hodge_spark, varied
+# hodge_spark)) over the free then torsion generators of H^n, frozen
+# from the normal-matrix route
+FROZEN_SPARKS = {
+    "rp3": "6430ccf87fa2e99c3be8ed09996909c967d5444511453e61d90763aae10ac980",
+    "torus": "164a8e3247012b2b1adea088be0a6899a18625aa0d9c2f65a616b43a49ba545e",
+    "genus2": "f1757466b606b4f8c2cd60e0de3aee34e4a1fff14ff205ab426b040b431aee0c",
+    "cp2": "08b45c9af2dd752fcdd34448c49c14c18ce2b30aa5b71ec277a800197a5f7bdd",
+    "torus_grid5": "020cc08e6c296244311c911040378406971f007b34fbab7d01431ca6c6734b5e",
+    "rp2": "b2311cd622ce5cfddd22a1da46ad55964012f7ca4cc7d35dcf151e3463f73f1d",
+    "sphere_dangling_edge": "f57da331b8ba06d721db17ce647d250fa52432af9397c2a50a527e2b42127f56",
+    "two_spheres": "adf47cb8f961d5a1e137e8c5027479116601a13fad44301a0c94f8d2a1626791",
+}
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_top_sparks_frozen(name):
+    K = _fresh(name)
+    n = K.dimension
+    contexts = [
+        HodgeContext(K, method="exact"),
+        HodgeContext(K, weights=_weights(K), method="exact"),
+    ]
+    h = hashlib.sha256()
+    for g in _top_generators(K):
+        h.update(repr(
+            (spark_from_cocycle(K, g), *(ctx.hodge_spark(g) for ctx in contexts))
+        ).encode())
+    assert h.hexdigest() == FROZEN_SPARKS[name]
+    for cache in [K._cache] + [ctx._cache for ctx in contexts]:
+        assert ("normal", n - 1) not in cache
+
+
+@pytest.mark.parametrize("name", ["rp3", "lens:5,2"])
+def test_top_sparks_factor_no_normal_matrix(monkeypatch, name):
+    # the normal form of a potential factors N_{n-2}, 12 s on lens:5,2;
+    # test_top_sparks_frozen runs it on rp3, here it is the identity
+    monkeypatch.setattr(HodgeContext, "spark_normal_form", lambda self, s: s)
+    K = build_space(name)
+    n = K.dimension
+    contexts = [
+        HodgeContext(K, method="exact"),
+        HodgeContext(K, weights=_weights(K), method="exact"),
+    ]
+    for g in _top_generators(K):
+        spark_from_cocycle(K, g)
+        for ctx in contexts:
+            ctx.hodge_spark(g)
+    for ctx in contexts:
+        assert len(ctx.harmonic_basis(n)) == 1
+    for cache in [K._cache] + [ctx._cache for ctx in contexts]:
+        assert ("normal", n - 1) not in cache
+        assert not [key for key in cache if key[0] == "normal"]
+
+
+SNF_SPACES = ["rp3", "lens:5,2", "lens:7,2", "cp2"]
+
+# sha256 of repr((rank, diag, U_rows, UinvT_rows, VT_rows, Vinv_rows)) over
+# snfA and snfW of integer_cohomology then integer_homology, degrees
+# -1..n+1, frozen from two fresh Smith forms per quotient
+FROZEN_SNF = {
+    "rp3": "6972750fc8ba1f2e04664a0f8a9277d63b6c76ec240858422734d03f1f269431",
+    "lens:5,2": "f5425f2b5504c5f5049adcf95c9a535efc4c4c95aa81f9758342ed4ff77c69b6",
+    "lens:7,2": "2ab9a219e555756e4215c4347110e58dbcbeccd95ce443e87daf0eca5b640362",
+    "cp2": "13bbdd0b7278b3db1331a2d17b4442e2110e92d01af0bd577f670d3c36506215",
+}
+
+
+@pytest.mark.parametrize("name", SNF_SPACES)
+def test_smith_transforms_frozen_all_degrees(name):
+    K = build_space(name)
+    h = hashlib.sha256()
+    for k in range(-1, K.dimension + 2):
+        for q in (integer_cohomology(K, k), integer_homology(K, k)):
+            for s in (q.snfA, q.snfW):
+                h.update(repr(
+                    (s.rank, s.diag, s.U_rows, s.UinvT_rows, s.VT_rows, s.Vinv_rows)
+                ).encode())
+    assert h.hexdigest() == FROZEN_SNF[name]
+
+
+@pytest.mark.parametrize("name", ["rp3", "lens:5,2", "cp2", "torus"])
+def test_top_relations_are_the_coboundary_smith_form(name):
+    K = build_space(name)
+    n = K.dimension
+    assert integer_cohomology(K, n).snfW is integer_cohomology(K, n - 1).snfA
+
+
+@pytest.mark.parametrize("name", ["rp3", "lens:5,2", "cp2"])
+def test_lone_top_cohomology_smith_calls(monkeypatch, name):
+    # two at the parent: the empty delta_n and the relation matrix delta_{n-1}
+    K = build_space(name)
+    calls = []
+    real = cohomology.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", counted)
+    integer_cohomology(K, K.dimension)
+    assert len(calls) <= 2
