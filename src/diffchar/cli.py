@@ -42,7 +42,7 @@ from .complexes import (
     ComplexError,
     SimplicialComplex,
     json_int,
-    parse_scalar,
+    json_scalars,
     scalar_str,
 )
 from .hodge import HodgeContext, HodgeError, path_chain, point_abel_jacobi
@@ -209,7 +209,7 @@ def load_complex(args) -> tuple[SimplicialComplex, dict]:
 def _cochain_from_data(K, data, where, expect_degree=None):
     try:
         k = json_int(data["degree"], f"{where}: degree")
-        values = tuple(parse_scalar(v) for v in data["values"])
+        values = json_scalars(data["values"], f"{where}: values")
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"{where}: malformed cochain ({exc})") from exc
     if expect_degree is not None and k != expect_degree:
@@ -231,11 +231,7 @@ def _load_connection(K, path):
     """Edge phases, either ``{"edges": [...]}`` or a degree-1 cochain file."""
     data = _read_json(path)
     if isinstance(data, dict) and "edges" in data:
-        try:
-            values = tuple(parse_scalar(v) for v in data["edges"])
-        except (TypeError, ValueError) as exc:
-            raise InputDataError(f"{path}: malformed connection ({exc})") from exc
-        return K.cochain(1, values)
+        return K.cochain(1, json_scalars(data["edges"], f"{path}: edges"))
     return _cochain_from_data(K, data, path, expect_degree=1)
 
 
@@ -243,7 +239,7 @@ def _load_chain(K, path):
     data = _read_json(path)
     try:
         k = json_int(data["degree"], f"{path}: degree")
-        values = tuple(parse_scalar(v) for v in data["values"])
+        values = json_scalars(data["values"], f"{path}: values")
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"{path}: malformed chain ({exc})") from exc
     _check_degree(K, k, path)
@@ -264,7 +260,7 @@ def _load_weights(K, path):
     data = _read_json(path)
     try:
         return {
-            int(k): tuple(parse_scalar(v) for v in vals)
+            int(k): json_scalars(vals, f"{path}: weights {k}")
             for k, vals in data.items()
         }
     except (TypeError, AttributeError) as exc:
@@ -700,7 +696,7 @@ def cmd_lowdeg_circle(args):
     K, inputs = load_complex(args)
     data = _read_json(args.values)
     inputs["values"] = _file_sha(args.values)
-    values = [parse_scalar(v) for v in data]
+    values = list(json_scalars(data, args.values))
     s = circle_function_spark(K, values)
     recovered = spark_circle_function(K, s)
     round_trip = list(recovered) == [Fraction(v) % 1 for v in values]
@@ -731,15 +727,16 @@ def cmd_lowdeg_conn(args):
 def _cover_from_json(K, choice):
     if choice is None or choice == "star":
         return star_cover(K)
-    if isinstance(choice, list):
-        try:
-            patches = [
-                [tuple(int(v) for v in s) for s in patch] for patch in choice
-            ]
-        except (TypeError, ValueError) as exc:
-            raise InputDataError(f"cover: malformed patch list ({exc})") from exc
-        return patch_cover(K, patches)
-    raise InputDataError('cover: expected "star" or a list of patch simplex lists')
+    nested = isinstance(choice, list) and all(
+        isinstance(patch, list) and all(isinstance(s, list) for s in patch)
+        for patch in choice
+    )
+    if not nested:
+        raise InputDataError('cover: expected "star" or a list of patch simplex lists')
+    return patch_cover(K, [
+        [tuple(json_int(v, "cover: vertex") for v in s) for s in patch]
+        for patch in choice
+    ])
 
 
 def _gerbe_from_data(K, data):
@@ -749,8 +746,8 @@ def _gerbe_from_data(K, data):
     if data.get("patch") is not None:
         try:
             patch = [
-                K.cochain(2, tuple(parse_scalar(v) for v in vals))
-                for vals in data["patch"]
+                K.cochain(2, json_scalars(vals, f"patch {i}"))
+                for i, vals in enumerate(data["patch"])
             ]
         except (TypeError, ValueError) as exc:
             raise InputDataError(f"patch layer: {exc}") from exc
@@ -763,7 +760,7 @@ def _gerbe_from_data(K, data):
         try:
             for key, vals in raw.items():
                 idx = tuple(int(p) for p in key.split(","))
-                out[idx] = K.cochain(degree, tuple(parse_scalar(v) for v in vals))
+                out[idx] = K.cochain(degree, json_scalars(vals, key))
         except (AttributeError, TypeError, ValueError) as exc:
             raise InputDataError(f"{name} layer: {exc}") from exc
         return out

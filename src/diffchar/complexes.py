@@ -426,6 +426,28 @@ def json_int(value, what):
     return n
 
 
+def json_scalars(values, what):
+    """A value list of JSON input: an array of numbers or number text.
+
+    Text such as ``"10000"`` and objects are not arrays and would be
+    read character by character or through their keys; ``true`` is not
+    a number.  These, and entries :func:`parse_scalar` cannot read,
+    raise ComplexError with the message ``what``.  Returns a tuple of
+    ints and Fractions.
+    """
+    if not isinstance(values, list):
+        raise ComplexError(
+            f"{what}: expected a list of numbers, got {type(values).__name__}"
+        )
+    for v in values:
+        if isinstance(v, bool):
+            raise ComplexError(f"{what}: expected a list of numbers, found {v!r}")
+    try:
+        return tuple(map(parse_scalar, values))
+    except ValueError as exc:
+        raise ComplexError(f"{what}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcomplexes
 
@@ -465,7 +487,7 @@ def induced_subcomplex(K: SimplicialComplex, simplices) -> ComplexEmbedding:
     gens = []
     for s in simplices:
         t = tuple(sorted(s))
-        if t not in K.index[len(t) - 1]:
+        if t not in K.index.get(len(t) - 1, ()):
             raise ComplexError(f"simplex {t} not in complex")
         gens.append(t)
     vertices = sorted({v for t in gens for v in t})

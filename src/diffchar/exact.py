@@ -31,14 +31,18 @@ identical inputs give identical outputs everywhere.  The Smith form
 takes the unit entry of least (Markowitz cost, col, row) from a lazy
 heap kept up to date across steps, re-keying only the rows and columns
 the last step changed; only when no unit entry is left does it scan for
-the entry of least (|v|, cost, col, row).
+the entry of least (|v|, cost, col, row).  Superseded keys stay in the
+heap until popped, so the heap is rebuilt from the live unit keys
+whenever it has grown past :data:`HEAP_SLACK` times the size of its
+last rebuild; it stays within a constant multiple of the live keys, and the
+pivots are the same as with no rebuild.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -203,6 +207,10 @@ def _row_axpy(target, source, c):
 # ---------------------------------------------------------------------------
 # Smith normal form
 
+# the pivot heap is rebuilt from the live unit keys once it holds more
+# than this many times the keys of its last rebuild (at least 64)
+HEAP_SLACK = 2
+
 
 @dataclass
 class SmithDecomposition:
@@ -302,6 +310,15 @@ class _SnfWorker:
     before each pick the unit entries of dirty rows and columns are
     pushed again with their current keys, and a popped key counts only
     if it is still the current key of an active unit entry.
+
+    Keys of eliminated rows and columns, and keys superseded by a new
+    cost, stay behind as stale keys.  Once the heap holds more than
+    ``HEAP_SLACK`` times the keys of its last rebuild (at least 64), the
+    pick rebuilds it instead: one pass over the active rows collects the
+    current key of every unit entry, which covers the dirty rows and
+    columns, and ``heapify`` orders them.  The first pick builds the
+    heap the same way.  A rebuild holds every key a pop would accept and
+    no stale one, so the pivot sequence is the same as without it.
     """
 
     def __init__(self, rows, nrows, ncols):
@@ -317,7 +334,8 @@ class _SnfWorker:
         self.VT = identity_rows(ncols)
         self.Vinv = identity_rows(ncols)
         self._heap = []
-        self._dirty_rows = set(range(nrows))
+        self._heap_limit = -1  # the first pick builds the heap
+        self._dirty_rows = set()
         self._dirty_cols = set()
 
     # elementary operations, mirrored into the transforms ---------------
@@ -412,21 +430,34 @@ class _SnfWorker:
         rows, cols, heap = self.rows, self.cols, self._heap
         dirty_rows, dirty_cols = self._dirty_rows, self._dirty_cols
         m, n = self.ncols, self.nrows
-        for i in dirty_rows:
-            if i >= t:
+        if len(heap) > self._heap_limit:
+            # stale keys dominate: rebuild from the current key of every
+            # active unit entry, which covers the dirty rows and columns
+            heap.clear()
+            for i in range(t, n):
                 row = rows[i]
                 rcost = len(row) - 1
                 for j, v in row.items():
                     if v == 1 or v == -1:
-                        heappush(heap, (rcost * (len(cols[j]) - 1) * m + j) * n + i)
-        for j in dirty_cols:
-            if j >= t:
-                ccost = len(cols[j]) - 1
-                for i in cols[j]:
-                    v = rows[i][j]
-                    # entries of dirty rows were pushed above
-                    if (v == 1 or v == -1) and i not in dirty_rows:
-                        heappush(heap, ((len(rows[i]) - 1) * ccost * m + j) * n + i)
+                        heap.append((rcost * (len(cols[j]) - 1) * m + j) * n + i)
+            heapify(heap)
+            self._heap_limit = HEAP_SLACK * max(len(heap), 64)
+        else:
+            for i in dirty_rows:
+                if i >= t:
+                    row = rows[i]
+                    rcost = len(row) - 1
+                    for j, v in row.items():
+                        if v == 1 or v == -1:
+                            heappush(heap, (rcost * (len(cols[j]) - 1) * m + j) * n + i)
+            for j in dirty_cols:
+                if j >= t:
+                    ccost = len(cols[j]) - 1
+                    for i in cols[j]:
+                        v = rows[i][j]
+                        # entries of dirty rows were pushed above
+                        if (v == 1 or v == -1) and i not in dirty_rows:
+                            heappush(heap, ((len(rows[i]) - 1) * ccost * m + j) * n + i)
         dirty_rows.clear()
         dirty_cols.clear()
         while heap:

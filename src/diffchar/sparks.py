@@ -425,20 +425,6 @@ def star(K: SimplicialComplex, s1, s2) -> Spark:
     return Spark(a_star, R_star)
 
 
-def star_alternate(K: SimplicialComplex, s1: Spark, s2: Spark) -> Spark:
-    """The other distribution of the star product.
-
-    a~ = a_1 cup R_2 + (-1)^{k+1} phi_1 cup a_2, same R component.
-    Differs from star() by the coboundary of (-1)^k a_1 cup a_2, so the
-    two results are equivalent sparks.
-    """
-    k = s1.degree
-    phi1 = curvature(K, s1)
-    a_alt = K.cup(s1.a, s2.R) + K.cup(phi1, s2.a).scale((-1) ** (k + 1))
-    R_star = K.cup(s1.R, s2.R)
-    return Spark(a_alt, R_star)
-
-
 def duality_pair(K: SimplicialComplex, s1: Spark, s2: Spark) -> Fraction:
     """Character pairing: holonomy of the star product on [X].
 
@@ -569,15 +555,15 @@ def spark_to_json(s: Spark):
 
 
 def spark_from_json(K: SimplicialComplex, data) -> Spark:
-    from .complexes import json_int, parse_scalar
+    from .complexes import json_int, json_scalars
 
     a = K.cochain(
         json_int(data["a"]["degree"], "spark a degree"),
-        tuple(parse_scalar(v) for v in data["a"]["values"]),
+        json_scalars(data["a"]["values"], "spark a values"),
     )
     R = K.cochain(
         json_int(data["R"]["degree"], "spark R degree"),
-        tuple(parse_scalar(v) for v in data["R"]["values"]),
+        json_scalars(data["R"]["values"], "spark R values"),
     )
     s = Spark(a, R)
     validate_spark(K, s)

@@ -686,3 +686,124 @@ def test_kunneth_needs_two_names(capsys):
     code = main(["tables", "--space", "kunneth:cp2"])
     assert code == 3
     assert "kunneth:A,B" in capsys.readouterr().err
+
+
+# A value list given as text would be read character by character, and an
+# object through its keys; false and true are not numbers.  Read that way,
+# the text and bool lists below would pass as valid zero (or unit) inputs.
+BAD_VALUE_LISTS = {
+    "text": lambda n, d: str(d) * n,
+    "object": lambda n, d: {str(i): str(d) for i in range(n)},
+    "bool": lambda n, d: [bool(d)] * n,
+}
+
+
+def _value_list_command(tmp_path, kind, bad):
+    """argv of a command whose input file holds one bad value list."""
+    K = build_space("rp2")
+    n1, n2 = K.n_simplices(1), K.n_simplices(2)
+    spark = spark_to_json(Spark(K.zero_cochain(1), K.zero_cochain(2)))
+    ok = {"spark": spark, "cochain": {"degree": 1, "values": ["0"] * n1}}
+    if kind == "spark_a":
+        spark["a"]["values"] = bad(n1, 0)
+        ok["bad"] = spark
+    elif kind == "spark_R":
+        spark["R"]["values"] = bad(n2, 0)
+        ok["bad"] = spark
+    else:
+        ok["bad"] = {
+            "cochain": {"degree": 1, "values": bad(n1, 0)},
+            "cocycle": {"degree": 1, "values": bad(5, 0)},
+            "chain": {"degree": 1, "values": bad(n1, 0)},
+            "connection": {"edges": bad(6, 0)},
+            "weights": {"1": bad(n1, 1)},
+            "circle": bad(4, 0),
+            "patch": {"cover": "star", "patch": [bad(14, 0)] + [["0"] * 14] * 6},
+            "pair": {"pair": {"0,1": bad(3, 0)}},
+            "triple": {"triple": {"0,1,2": bad(3, 0)}},
+        }[kind]
+    paths = {}
+    for name, payload in ok.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    return [str(a).format(**paths) for a in {
+        "cochain": ["hodge", "decompose", "--space", "rp2", "--cochain", "{bad}"],
+        "cocycle": ["spark", "new", "--space", "circle5", "--cocycle", "{bad}"],
+        "chain": ["spark", "holonomy", "--space", "rp2", "{spark}", "--cycle", "{bad}"],
+        "spark_a": ["spark", "d1", "--space", "rp2", "{bad}"],
+        "spark_R": ["spark", "d1", "--space", "rp2", "{bad}"],
+        "connection": ["lowdeg", "conn", "--space", "sphere2", "--theta", "{bad}"],
+        "weights": [
+            "hodge", "decompose", "--space", "rp2",
+            "--cochain", "{cochain}", "--weights", "{bad}",
+        ],
+        "circle": ["lowdeg", "circle", "--space", "circle4", "--values", "{bad}"],
+        "patch": ["lowdeg", "gerbe", "--space", "torus", "--gerbe", "{bad}"],
+        "pair": ["lowdeg", "gerbe", "--space", "circle3", "--gerbe", "{bad}"],
+        "triple": ["lowdeg", "gerbe", "--space", "circle3", "--gerbe", "{bad}"],
+    }[kind]]
+
+
+VALUE_LIST_KINDS = [
+    "cochain", "cocycle", "chain", "spark_a", "spark_R", "connection",
+    "weights", "circle", "patch", "pair", "triple",
+]
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_VALUE_LISTS))
+@pytest.mark.parametrize("kind", VALUE_LIST_KINDS)
+def test_value_list_not_array_of_numbers_is_input_error(tmp_path, capsys, kind, shape):
+    argv = _value_list_command(tmp_path, kind, BAD_VALUE_LISTS[shape])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3, captured.out
+    assert "list of numbers" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", VALUE_LIST_KINDS)
+def test_value_list_of_numbers_loads(tmp_path, capsys, kind):
+    # the same inputs as numbers, numerals and fractions are accepted
+    argv = _value_list_command(
+        tmp_path, kind, lambda n, d: [d, str(d), f"{d}/1"][:n] + [d] * (n - 3)
+    )
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertex", [1.9, True, "x"], ids=["fractional", "true", "text"])
+def test_cover_vertex_not_integer_is_input_error(tmp_path, capsys, vertex):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"cover": [[[0, vertex], [1, 2], [0, 2]]]}))
+    code = main(["lowdeg", "gerbe", "--space", "circle3", "--gerbe", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "cover: vertex" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "cover, reason",
+    [
+        ([[[0, 1, 2]]], "not in complex"),
+        ([[[]]], "not in complex"),
+        ([["01", "12", "02"]], "list of patch simplex lists"),
+        (["012"], "list of patch simplex lists"),
+        ({"0": [[0, 1]]}, "list of patch simplex lists"),
+    ],
+    ids=["too-high", "empty", "text-simplices", "text-patch", "object"],
+)
+def test_cover_malformed_is_input_error(tmp_path, capsys, cover, reason):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"cover": cover}))
+    code = main(["lowdeg", "gerbe", "--space", "circle3", "--gerbe", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert reason in captured.err and "Traceback" not in captured.err
+
+
+def test_cover_integer_vertices_load(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"cover": [[[0, 1.0], ["1", 2], [0, 2]]]}))
+    code = main(["lowdeg", "gerbe", "--space", "circle3", "--gerbe", str(path)])
+    assert code == 0, capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Exact linear algebra: Smith form, sparse kernels, rational elimination."""
 
 import hashlib
+import heapq
 import random
 from fractions import Fraction
 
@@ -8,7 +9,11 @@ import pytest
 
 from diffchar import exact
 from diffchar.builders import build_space
-from diffchar.cohomology import integer_cohomology, integer_homology
+from diffchar.cohomology import (
+    coboundary_smith_form,
+    integer_cohomology,
+    integer_homology,
+)
 from diffchar.exact import (
     RatElim,
     add_rows,
@@ -169,6 +174,39 @@ def pivot_oracle(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def heap_counter(monkeypatch):
+    """Count the pops and rebuilds of the Smith-form pivot heap.
+
+    ``peak`` is the largest heap length seen since the test last reset
+    it.  The first heapify of a worker's heap builds it; every later one
+    is a rebuild.
+    """
+    seen = {"pop": 0, "rebuilds": 0, "peak": 0}
+    built = []  # the heaps seen so far, kept alive so identities stay unique
+
+    def push(heap, key):
+        heapq.heappush(heap, key)
+        seen["peak"] = max(seen["peak"], len(heap))
+
+    def pop(heap):
+        seen["pop"] += 1
+        return heapq.heappop(heap)
+
+    def heapify(heap):
+        heapq.heapify(heap)
+        if any(h is heap for h in built):
+            seen["rebuilds"] += 1
+        else:
+            built.append(heap)
+        seen["peak"] = max(seen["peak"], len(heap))
+
+    monkeypatch.setattr(exact, "heappush", push)
+    monkeypatch.setattr(exact, "heappop", pop)
+    monkeypatch.setattr(exact, "heapify", heapify)
+    return seen
+
+
 def random_snf_rows(rng):
     """Random sparse integer rows: units and larger entries, zero rows and
     columns, some rank-deficient, some without any unit entry."""
@@ -203,14 +241,30 @@ class TestPivotQueue:
         assert pivot_oracle["non_unit"] > 100
 
     @pytest.mark.parametrize("space", ["rp3", "cp2", "lens:5,2"])
-    def test_coboundaries_and_relations(self, pivot_oracle, space):
+    def test_coboundaries_and_relations(self, pivot_oracle, heap_counter, space):
         # a fresh complex: every delta_k, boundary and relation matrix is
-        # reduced through the checked worker
+        # reduced through the checked worker, heap rebuilds included
         K = build_space(space)
         for k in range(-1, K.dimension + 2):
             integer_cohomology(K, k)
             integer_homology(K, k)
         assert pivot_oracle["steps"] > 0
+        assert heap_counter["rebuilds"] > 0
+
+    def test_heap_bounded_by_live_keys(self, heap_counter):
+        # lazy deletion alone lets stale keys pile up: with no rebuild the
+        # heap reached 21 times the unit entries of lens:7,2 delta_0, and
+        # these six Smith forms popped 212,246 keys
+        for space in ("lens:5,2", "lens:7,2"):
+            K = build_space(space)
+            for k in range(K.dimension + 1):
+                units = sum(
+                    v in (1, -1) for row in K.delta_rows(k) for v in row.values()
+                )
+                heap_counter["peak"] = 0
+                coboundary_smith_form(K, k)
+                assert heap_counter["peak"] <= 3 * units, (space, k)
+        assert heap_counter["pop"] <= 212246 // 4
 
 
 # sha256 of repr((rank, diag, U_rows, UinvT_rows, VT_rows, Vinv_rows)) over

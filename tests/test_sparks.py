@@ -46,7 +46,6 @@ from diffchar.sparks import (
     spark_from_json,
     spark_to_json,
     star,
-    star_alternate,
     torsion_linking_matrix,
     validate_spark,
 )
@@ -473,6 +472,19 @@ class TestHolonomy:
         nz = Chain(1, (1,) + (0,) * 5)
         with pytest.raises(SparkError, match="cycle"):
             holonomy(K, s, nz)
+
+
+def star_alternate(K, s1, s2):
+    """The other distribution of the star product, an oracle for star().
+
+    a~ = a_1 cup R_2 + (-1)^{k+1} phi_1 cup a_2, same R component.
+    Differs from star() by the coboundary of (-1)^k a_1 cup a_2, so the
+    two results are equivalent sparks.
+    """
+    k = s1.degree
+    phi1 = curvature(K, s1)
+    a_alt = K.cup(s1.a, s2.R) + K.cup(phi1, s2.a).scale((-1) ** (k + 1))
+    return Spark(a_alt, K.cup(s1.R, s2.R))
 
 
 class TestStar:
