@@ -50,14 +50,13 @@ from .lowdegree import (
     PhaseError,
     cech_gerbe,
     chern_cocycle,
-    circle_function_spark,
-    gerbe_curvature,
     gerbe_holonomy,
-    gerbe_is_flat,
-    gerbe_surface_holonomy,
     gerbe_total_differential,
     patch_cover,
-    spark_circle_function,
+    phase_curvature,
+    phase_holonomy,
+    phase_spark,
+    spark_phases,
     star_cover,
     total_flux,
 )
@@ -697,8 +696,8 @@ def cmd_lowdeg_circle(args):
     data = _read_json(args.values)
     inputs["values"] = _file_sha(args.values)
     values = list(json_scalars(data, args.values))
-    s = circle_function_spark(K, values)
-    recovered = spark_circle_function(K, s)
+    s = phase_spark(K, K.cochain(0, values))
+    recovered = spark_phases(s).values
     round_trip = list(recovered) == [Fraction(v) % 1 for v in values]
     results = {"spark": spark_to_json(s), "recovered": list(recovered)}
     return (
@@ -777,6 +776,12 @@ def cmd_lowdeg_gerbe(args):
     K, inputs = load_complex(args)
     data = _read_json(args.gerbe)
     inputs["gerbe"] = _file_sha(args.gerbe)
+    z = None
+    if args.cycle:
+        z = _load_chain(K, args.cycle)
+        inputs["cycle"] = _file_sha(args.cycle)
+    elif K.dimension == 2:
+        z = K.fundamental_cycle()
     layered = isinstance(data, dict) and not ("degree" in data and "values" in data)
     if layered:
         g = _gerbe_from_data(K, data)
@@ -793,25 +798,14 @@ def cmd_lowdeg_gerbe(args):
                 if not R.is_zero()
             },
         }
-        if args.cycle:
-            z = _load_chain(K, args.cycle)
-            inputs["cycle"] = _file_sha(args.cycle)
+        if z is not None:
             results["holonomy"] = gerbe_holonomy(g, z)
-        elif K.dimension == 2 and K.fundamental_cycle() is not None:
-            results["holonomy"] = gerbe_holonomy(g, K.fundamental_cycle())
-        return RunReport("lowdeg gerbe", inputs, results), None
-    t = _cochain_from_data(K, data, args.gerbe, expect_degree=2)
-    results = {
-        "model": "global",
-        "curvature": _cochain_json(gerbe_curvature(K, t)),
-        "flat": gerbe_is_flat(K, t),
-    }
-    if args.cycle:
-        z = _load_chain(K, args.cycle)
-        inputs["cycle"] = _file_sha(args.cycle)
-        results["holonomy"] = gerbe_surface_holonomy(K, t, z)
-    elif K.dimension == 2 and K.fundamental_cycle() is not None:
-        results["holonomy"] = gerbe_surface_holonomy(K, t, K.fundamental_cycle())
+    else:
+        t = _cochain_from_data(K, data, args.gerbe, expect_degree=2)
+        phi = phase_curvature(K, t)
+        results = {"model": "global", "curvature": _cochain_json(phi), "flat": phi.is_zero()}
+        if z is not None:
+            results["holonomy"] = phase_holonomy(K, t, z)
     return RunReport("lowdeg gerbe", inputs, results), None
 
 

@@ -58,59 +58,43 @@ def is_integer(x):
 
 
 @dataclass(frozen=True)
-class Chain:
+class _Vector:
+    """Coefficients on the k-simplices, tagged with the degree k.
+
+    Chains and cochains share this body.  The generated equality
+    compares classes first, so a chain never equals a cochain.
+    """
+
+    degree: int
+    values: tuple
+
+    def __add__(self, other):
+        _check_same(self, other)
+        return type(self)(self.degree, tuple(a + b for a, b in zip(self.values, other.values)))
+
+    def __sub__(self, other):
+        _check_same(self, other)
+        return type(self)(self.degree, tuple(a - b for a, b in zip(self.values, other.values)))
+
+    def __neg__(self):
+        return type(self)(self.degree, tuple(-a for a in self.values))
+
+    def scale(self, c):
+        return type(self)(self.degree, tuple(c * a for a in self.values))
+
+    def is_zero(self):
+        return not any(self.values)
+
+    def is_integral(self):
+        return all(is_integer(v) for v in self.values)
+
+
+class Chain(_Vector):
     """Formal sum of k-simplices; values indexed like K.simplices[k]."""
 
-    degree: int
-    values: tuple
 
-    def __add__(self, other):
-        _check_same(self, other)
-        return Chain(self.degree, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        _check_same(self, other)
-        return Chain(self.degree, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self):
-        return Chain(self.degree, tuple(-a for a in self.values))
-
-    def scale(self, c):
-        return Chain(self.degree, tuple(c * a for a in self.values))
-
-    def is_zero(self):
-        return not any(self.values)
-
-    def is_integral(self):
-        return all(is_integer(v) for v in self.values)
-
-
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Vector):
     """Function on k-simplices; values indexed like K.simplices[k]."""
-
-    degree: int
-    values: tuple
-
-    def __add__(self, other):
-        _check_same(self, other)
-        return Cochain(self.degree, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        _check_same(self, other)
-        return Cochain(self.degree, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self):
-        return Cochain(self.degree, tuple(-a for a in self.values))
-
-    def scale(self, c):
-        return Cochain(self.degree, tuple(c * a for a in self.values))
-
-    def is_zero(self):
-        return not any(self.values)
-
-    def is_integral(self):
-        return all(is_integer(v) for v in self.values)
 
     def ring(self):
         return "INT" if self.is_integral() else "RAT"
@@ -232,20 +216,18 @@ class SimplicialComplex:
         return Chain(k, (0,) * self.n_simplices(k))
 
     def cochain(self, k, values) -> Cochain:
-        values = tuple(values)
-        if len(values) != self.n_simplices(k):
-            raise ValueError(
-                f"expected {self.n_simplices(k)} values in degree {k}, got {len(values)}"
-            )
-        return Cochain(k, values)
+        return self._vector(Cochain, k, values)
 
     def chain(self, k, values) -> Chain:
+        return self._vector(Chain, k, values)
+
+    def _vector(self, cls, k, values):
         values = tuple(values)
         if len(values) != self.n_simplices(k):
             raise ValueError(
                 f"expected {self.n_simplices(k)} values in degree {k}, got {len(values)}"
             )
-        return Chain(k, values)
+        return cls(k, values)
 
     def elementary_cochain(self, simp) -> Cochain:
         simp = tuple(sorted(simp))

@@ -300,6 +300,27 @@ class HodgeDecomposition:
 # Abel-Jacobi values
 
 
+def _harmonic_periods(ctx: HodgeContext, chain: Chain, basis) -> tuple:
+    """Integrals mod 1 over an integral chain of harmonic representatives.
+
+    basis holds integral cocycles of the chain's degree, by default the
+    free cohomology generators.  On a rational chain the values would
+    depend on the chain chosen, so it is refused.
+    """
+    K = ctx.K
+    if not chain.is_integral():
+        raise HodgeError("the chain to integrate over must be integral")
+    if basis is None:
+        basis, _ = cohomology_generators(K, chain.degree)
+    vals = []
+    for g in basis:
+        if g.degree != chain.degree or not g.is_integral() or not K.delta(g).is_zero():
+            raise HodgeError("basis entries must be integral cocycles")
+        h = ctx.harmonic_projection(g)
+        vals.append(mod1(Fraction(K.evaluate(h, chain))))
+    return tuple(vals)
+
+
 def abel_jacobi(ctx: HodgeContext, z: Chain, basis=None):
     """Circle-valued periods of a bounding integral cycle.
 
@@ -318,16 +339,7 @@ def abel_jacobi(ctx: HodgeContext, z: Chain, basis=None):
     c = Hq.preimage_int([int(x) for x in z.values])
     if c is None:
         raise HodgeError("cycle does not bound")
-    chain = K.chain(q + 1, c)
-    if basis is None:
-        basis, _ = cohomology_generators(K, q + 1)
-    vals = []
-    for g in basis:
-        if not g.is_integral() or not K.delta(g).is_zero():
-            raise HodgeError("basis entries must be integral cocycles")
-        h = ctx.harmonic_projection(g)
-        vals.append(mod1(Fraction(K.evaluate(h, chain))))
-    return tuple(vals)
+    return _harmonic_periods(ctx, K.chain(q + 1, c), basis)
 
 
 def is_principal(ctx: HodgeContext, z: Chain, basis=None) -> bool:
@@ -381,10 +393,4 @@ def point_abel_jacobi(ctx: HodgeContext, src, dst, path=None, basis=None):
         chain = path_chain(K, list(path))
     if K.boundary(chain) != z:
         raise HodgeError("path does not run from src to dst")
-    if basis is None:
-        basis, _ = cohomology_generators(K, 1)
-    vals = []
-    for g in basis:
-        h = ctx.harmonic_projection(g)
-        vals.append(mod1(Fraction(K.evaluate(h, chain))))
-    return tuple(vals)
+    return _harmonic_periods(ctx, chain, basis)

@@ -1,12 +1,20 @@
-"""Circle-valued functions, lattice circle connections, and gerbes.
+"""Circle-valued phases in every low degree, on one chart or glued.
 
-Degree 0: rational vertex phases turn into a degree-0 spark whose
-curvature is the principal-value phase step along edges.  Degree 1:
-edge phases give loop holonomies, a principal-value field strength
-with integer total flux on a closed oriented surface, and a degree-1
-spark, all gauge-covariantly.  Degree 2: triangle phases form a gerbe
-with circle-valued surface holonomy; flat ones trivialize on every
-closed vertex star through an explicit cone primitive.
+One construction covers the classical models.  Rational phases theta on
+the k-simplices, read mod 1, have a phase curvature: the principal
+value of delta(theta) on each (k+1)-simplex.  They give the spark
+
+    (theta mod 1, phase_curvature - delta(theta mod 1)),
+
+whose integral part is a cocycle unless the phases wind around a
+(k+2)-simplex, and their holonomy on an integral k-cycle is theta on
+that cycle, mod 1.  Gauge moves add the coboundary of (k-1)-phases and
+an integral k-cochain; none of these values moves.  Degree 0 is a
+circle-valued function, degree 1 a lattice circle connection, whose
+phase curvature is its field strength with integer total flux (the
+Chern number) on a closed oriented surface, and degree 2 a gerbe, which
+on each closed vertex star trivializes through an explicit cone
+primitive when flat.
 
 Gerbes also come in glued form: a PatchCover carries triangle phases
 per patch, edge gluing data per double overlap, and vertex data per
@@ -37,7 +45,7 @@ from .complexes import (
     induced_subcomplex,
 )
 from .exact import smith_normal_form
-from .sparks import Spark, mod1
+from .sparks import Spark, holonomy, mod1
 
 
 class GerbeError(ValueError):
@@ -45,90 +53,95 @@ class GerbeError(ValueError):
 
 
 class PhaseError(Exception):
-    pass
+    """Phases on the branch cut, or phases that wind."""
 
 
 def principal_value(x) -> Fraction:
     """Representative of x mod 1 in (-1/2, 1/2]."""
-    f = mod1(Fraction(x))
+    f = mod1(x)
     return f if f <= Fraction(1, 2) else f - 1
 
 
-def _principal_cochain(u: Cochain, what) -> Cochain:
-    vals = []
-    for x in u.values:
-        f = mod1(Fraction(x))
-        if f == Fraction(1, 2):
-            raise PhaseError(f"{what} of one half sits on the branch cut")
-        vals.append(f if f < Fraction(1, 2) else f - 1)
-    return Cochain(u.degree, tuple(vals))
-
-
-def _canonical_phases(u: Cochain) -> Cochain:
-    return Cochain(u.degree, tuple(mod1(Fraction(x)) for x in u.values))
-
-
-# ---------------------------------------------------------------------------
-# degree 0: circle-valued vertex functions
-
-
-def circle_function_spark(K: SimplicialComplex, values) -> Spark:
-    """Degree-0 spark of a circle-valued vertex function.
-
-    values are rational phases, read mod 1.  The curvature is the
-    principal-value phase step along each edge; if those steps fail to
-    close up around some face the phase winds and no spark exists.
-    """
-    theta = _canonical_phases(K.cochain(0, [Fraction(v) for v in values]))
-    step = _principal_cochain(K.delta(theta), "phase step")
-    R = step - K.delta(theta)
-    if not R.is_integral():
+def _integral(u: Cochain) -> Cochain:
+    if not u.is_integral():
         raise AssertionError("integer correction must be integral")
-    R = Cochain(1, tuple(int(v) for v in R.values))
-    if not K.delta(R).is_zero():
-        raise PhaseError("phase winds around a face")
-    return Spark(theta, R)
+    return Cochain(u.degree, tuple(int(v) for v in u.values))
 
 
-def spark_circle_function(K: SimplicialComplex, s: Spark):
-    """Vertex phases in [0, 1) of a degree-0 spark."""
-    if s.degree != 0:
-        raise ValueError("need a degree-0 spark")
-    return tuple(mod1(Fraction(v)) for v in s.a.values)
+def _phases_mod1(u: Cochain) -> Cochain:
+    return Cochain(u.degree, tuple(mod1(x) for x in u.values))
 
 
 # ---------------------------------------------------------------------------
-# degree 1: lattice circle connections
+# phases on one chart, in any degree
 
 
-def field_strength(K: SimplicialComplex, theta: Cochain) -> Cochain:
-    """Principal-value flux of an edge-phase connection, one per triangle."""
-    if theta.degree != 1:
-        raise ValueError("connection phases live on edges")
-    return _principal_cochain(K.delta(theta), "flux")
+def phase_curvature(K: SimplicialComplex, theta: Cochain) -> Cochain:
+    """Principal values of delta(theta), one per (k+1)-simplex.
+
+    For edge phases this is the field strength of the connection.  It
+    is unchanged by gauge moves, which shift delta(theta) by integers.
+    """
+    vals = tuple(principal_value(x) for x in K.delta(theta).values)
+    if Fraction(1, 2) in vals:
+        raise PhaseError(
+            f"a degree-{theta.degree + 1} phase step of one half sits on the branch cut"
+        )
+    return Cochain(theta.degree + 1, vals)
+
+
+def phase_spark(K: SimplicialComplex, theta: Cochain) -> Spark:
+    """The spark (theta mod 1, phase_curvature - delta(theta mod 1)).
+
+    Its curvature is the phase curvature and its holonomy that of
+    theta; integer lifts of the phases give the same spark.  When the
+    principal values fail to close up around a (k+2)-simplex the
+    charge is no cocycle: the phases wind and no spark exists.
+    """
+    a = _phases_mod1(theta)
+    R = _integral(phase_curvature(K, theta) - K.delta(a))
+    if not K.delta(R).is_zero():
+        raise PhaseError(
+            f"degree-{theta.degree} phase winds around a {theta.degree + 2}-simplex"
+        )
+    return Spark(a, R)
+
+
+def spark_phases(s: Spark) -> Cochain:
+    """Phases in [0, 1) of a spark: the inverse of phase_spark."""
+    return _phases_mod1(s.a)
+
+
+def phase_holonomy(K: SimplicialComplex, theta: Cochain, z: Chain) -> Fraction:
+    """Phase mod 1 of theta on an integral k-cycle z.
+
+    This is the holonomy of the spark (theta, 0), so z goes through the
+    spark checks: matching degree, integral, closed.  Gauge moves do
+    not change it.
+    """
+    return holonomy(K, Spark(theta, K.zero_cochain(theta.degree + 1)), z)
+
+
+def gauge(K: SimplicialComplex, theta: Cochain, lam: Cochain, shift=None) -> Cochain:
+    """theta plus the coboundary of (k-1)-phases plus an integral shift."""
+    out = theta + K.delta(lam)
+    if shift is None:
+        return out
+    if not shift.is_integral():
+        raise ValueError("shift must be integral")
+    return out + shift
 
 
 def chern_cocycle(K: SimplicialComplex, theta: Cochain):
     """Field strength of a connection together with its integer part.
 
-    Returns (F, N) with delta(theta) = F + N: F is the principal-value
-    flux per triangle and N is integral.  Against a closed surface
-    cycle the F-total equals minus the N-total, so it is an integer,
-    the Chern number; F itself is invariant under gauge moves by vertex
-    phases since those telescope inside delta.
+    Returns (F, N) with delta(theta) = F + N: F is the phase curvature
+    and N is integral.  Against a closed surface cycle the F-total
+    equals minus the N-total, so it is an integer, the Chern number; F
+    itself is invariant under gauge moves.
     """
-    F = field_strength(K, theta)
-    N = K.delta(theta) - F
-    if not N.is_integral():
-        raise AssertionError("integer correction must be integral")
-    return F, Cochain(2, tuple(int(v) for v in N.values))
-
-
-def connection_holonomy(K: SimplicialComplex, theta: Cochain, loop: Chain):
-    """Phase mod 1 picked up around a closed edge loop."""
-    if not K.boundary(loop).is_zero():
-        raise ValueError("holonomy needs a closed loop")
-    return mod1(Fraction(K.evaluate(theta, loop)))
+    F = phase_curvature(K, theta)
+    return F, _integral(K.delta(theta) - F)
 
 
 def total_flux(K: SimplicialComplex, theta: Cochain):
@@ -136,77 +149,15 @@ def total_flux(K: SimplicialComplex, theta: Cochain):
     z = K.fundamental_cycle()
     if z is None or K.dimension != 2:
         raise PhaseError("total flux needs a closed oriented surface")
-    flux = K.evaluate(field_strength(K, theta), z)
+    flux = K.evaluate(phase_curvature(K, theta), z)
     if flux != int(flux):
         raise AssertionError("total flux must be an integer")
     return int(flux)
 
 
-def spark_of_connection(K: SimplicialComplex, theta: Cochain) -> Spark:
-    """Degree-1 spark whose curvature is the principal-value flux."""
-    F = field_strength(K, theta)
-    a = _canonical_phases(theta)
-    R = F - K.delta(a)
-    if not R.is_integral():
-        raise AssertionError("integer correction must be integral")
-    R = Cochain(2, tuple(int(v) for v in R.values))
-    if not K.delta(R).is_zero():
-        raise PhaseError("flux winds around a 3-face")
-    return Spark(a, R)
-
-
-def connection_of_spark(K: SimplicialComplex, s: Spark) -> Cochain:
-    """Edge phases in [0, 1) of a degree-1 spark."""
-    if s.degree != 1:
-        raise ValueError("need a degree-1 spark")
-    return _canonical_phases(s.a)
-
-
-def gauge_transform(K: SimplicialComplex, theta: Cochain, lam: Cochain, shift=None):
-    """theta plus the differential of vertex phases plus an integer shift."""
-    out = theta + K.delta(lam)
-    if shift is not None:
-        if not shift.is_integral():
-            raise ValueError("shift must be integral")
-        out = out + shift
-    return out
-
-
-# ---------------------------------------------------------------------------
-# degree 2: gerbes
-
-
-def gerbe_curvature(K: SimplicialComplex, t: Cochain) -> Cochain:
-    """Principal-value curvature of triangle phases, one per 3-simplex."""
-    if t.degree != 2:
-        raise ValueError("gerbe phases live on triangles")
-    return _principal_cochain(K.delta(t), "gerbe curvature")
-
-
-def gerbe_is_flat(K: SimplicialComplex, t: Cochain) -> bool:
-    return gerbe_curvature(K, t).is_zero()
-
-
-def gerbe_surface_holonomy(K: SimplicialComplex, t: Cochain, z: Chain):
-    """Phase mod 1 of a gerbe over a closed surface chain.
-
-    Invariant under gauge moves t -> t + delta(edge phases) + integers.
-    """
-    if t.degree != 2 or z.degree != 2:
-        raise ValueError("surface holonomy pairs triangle phases with a 2-chain")
-    if not K.boundary(z).is_zero():
-        raise ValueError("holonomy needs a closed surface chain")
-    return mod1(Fraction(K.evaluate(t, z)))
-
-
-def gerbe_gauge(K: SimplicialComplex, t: Cochain, alpha: Cochain, shift=None):
-    """t plus the differential of edge phases plus an integer shift."""
-    out = t + K.delta(alpha)
-    if shift is not None:
-        if not shift.is_integral():
-            raise ValueError("shift must be integral")
-        out = out + shift
-    return out
+def _in_closed_star(K: SimplicialComplex, v, simp) -> bool:
+    cone = tuple(sorted(set(simp) | {v}))
+    return cone in K.index.get(len(cone) - 1, {})
 
 
 def star_trivialization(K: SimplicialComplex, t: Cochain, v):
@@ -220,43 +171,27 @@ def star_trivialization(K: SimplicialComplex, t: Cochain, v):
     """
     if t.degree != 2:
         raise ValueError("gerbe phases live on triangles")
-    alpha = {}
-    edges = set()
-    for simp in closed_star(K, v):
-        if len(simp) >= 2:
-            for i in range(len(simp)):
-                for j in range(i + 1, len(simp)):
-                    edges.add((simp[i], simp[j]))
     tri_index = K.index[2]
-    for e in sorted(edges):
+    alpha = {}
+    for e in K.simplices[1]:
+        cone = tuple(sorted(set(e) | {v}))
         if v in e:
             alpha[e] = Fraction(0)
-            continue
-        cone = tuple(sorted((v,) + e))
-        pos = cone.index(v)
-        alpha[e] = Fraction((-1) ** pos) * Fraction(t.values[tri_index[cone]])
+        elif cone in tri_index:
+            alpha[e] = (-1) ** cone.index(v) * Fraction(t.values[tri_index[cone]])
     return alpha
 
 
 def check_star_trivialization(K: SimplicialComplex, t: Cochain, v) -> bool:
     """Does the cone primitive reproduce t mod 1 on the whole closed star?"""
     alpha = star_trivialization(K, t, v)
-    tri_index = K.index[2]
-    tris = set()
-    for simp in closed_star(K, v):
-        if len(simp) == 3:
-            tris.add(simp)
-        elif len(simp) > 3:
-            for i in range(len(simp)):
-                for j in range(i + 1, len(simp)):
-                    for l in range(j + 1, len(simp)):
-                        tris.add((simp[i], simp[j], simp[l]))
-    for tri in sorted(tris):
-        a, b, c = tri
-        d_alpha = alpha[(b, c)] - alpha[(a, c)] + alpha[(a, b)]
-        if mod1(d_alpha - Fraction(t.values[tri_index[tri]])) != 0:
-            return False
-    return True
+    a = K.cochain(1, (alpha.get(e, 0) for e in K.simplices[1]))
+    rest = gauge(K, t, -a)
+    return all(
+        mod1(rest.values[i]) == 0
+        for i, tri in enumerate(K.simplices[2])
+        if _in_closed_star(K, v, tri)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +231,12 @@ class PatchCover:
     @property
     def n_patches(self):
         return len(self.embeddings)
+
+    def overlaps(self, n):
+        """The nonempty n-fold overlaps, n = 1..4, keyed by sorted index tuples."""
+        if n == 1:
+            return {(i,): emb for i, emb in enumerate(self.embeddings)}
+        return (self.doubles, self.triples, self.quads)[n - 2]
 
     def patch_of(self, simp):
         """Lowest patch index containing the simplex, or None."""
@@ -423,44 +364,63 @@ def _masked(emb: ComplexEmbedding, u: Cochain) -> Cochain:
     return Cochain(u.degree, vals)
 
 
+def _layer(cover: PatchCover, n, layer, degree):
+    """Validated copy of one layer, {sorted n-fold overlap key: cochain}.
+
+    Every key must name an overlap of the cover and every value be an
+    ambient cochain of the given degree supported on that overlap.
+    """
+    K = cover.K
+    overlaps = cover.overlaps(n)
+    what = ("patch", "double overlap", "triple overlap")[n - 1]
+    out = {}
+    for key in sorted(layer or {}):
+        u = layer[key]
+        key = tuple(key)
+        if key != tuple(sorted(key)) or key not in overlaps:
+            raise GerbeError(f"{key} is not a sorted {what} of the cover")
+        if u.degree != degree or len(u.values) != K.n_simplices(degree):
+            raise GerbeError(f"{what} layer entries are ambient {degree}-cochains")
+        if not _support_ok(overlaps[key], u):
+            raise GerbeError(f"{what} cochain {key} has support outside its overlap")
+        out[key] = u
+    return out
+
+
+def _alternating(layer, idx, zero):
+    """Entry of an antisymmetric layer at an index tuple in any order."""
+    u = layer.get(tuple(sorted(idx))) if len(set(idx)) == len(idx) else None
+    if u is None:
+        return zero
+    return u if _sort_sign(idx) == 1 else -u
+
+
+def _cech(layer, key, zero):
+    """Cech coboundary of a layer at a sorted overlap key."""
+    out = zero
+    for m in range(len(key)):
+        u = _alternating(layer, key[:m] + key[m + 1:], zero)
+        out = out - u if m % 2 else out + u
+    return out
+
+
 def cech_gerbe(cover: PatchCover, patch_part=None, pair_part=None, triple_part=None):
     """Assemble and validate gerbe layer data over a cover.
 
     Missing layers default to zero.  Every supplied cochain has to be
     supported on its overlap and carry the right degree.
     """
-    K = cover.K
-    patches = list(patch_part) if patch_part is not None else []
-    while len(patches) < cover.n_patches:
-        patches.append(K.zero_cochain(2))
-    if len(patches) != cover.n_patches:
+    patches = list(patch_part or ())
+    if len(patches) > cover.n_patches:
         raise GerbeError("one patch cochain per patch, in order")
-    for i, u in enumerate(patches):
-        if u.degree != 2 or len(u.values) != K.n_simplices(2):
-            raise GerbeError("patch layer entries are ambient 2-cochains")
-        if not _support_ok(cover.embeddings[i], u):
-            raise GerbeError(f"patch cochain {i} has support outside its patch")
-    pairs = {}
-    for key in sorted(pair_part or {}):
-        u = (pair_part or {})[key]
-        if tuple(key) != tuple(sorted(key)) or tuple(key) not in cover.doubles:
-            raise GerbeError(f"{key} is not a sorted double overlap of the cover")
-        if u.degree != 1 or len(u.values) != K.n_simplices(1):
-            raise GerbeError("pair layer entries are ambient 1-cochains")
-        if not _support_ok(cover.doubles[tuple(key)], u):
-            raise GerbeError(f"pair cochain {key} has support outside its overlap")
-        pairs[tuple(key)] = u
-    triples = {}
-    for key in sorted(triple_part or {}):
-        u = (triple_part or {})[key]
-        if tuple(key) != tuple(sorted(key)) or tuple(key) not in cover.triples:
-            raise GerbeError(f"{key} is not a sorted triple overlap of the cover")
-        if u.degree != 0 or len(u.values) != K.n_simplices(0):
-            raise GerbeError("triple layer entries are ambient 0-cochains")
-        if not _support_ok(cover.triples[tuple(key)], u):
-            raise GerbeError(f"triple cochain {key} has support outside its overlap")
-        triples[tuple(key)] = u
-    return CechGerbe(cover, tuple(patches), pairs, triples)
+    patches += [cover.K.zero_cochain(2)] * (cover.n_patches - len(patches))
+    checked = _layer(cover, 1, {(i,): u for i, u in enumerate(patches)}, 2)
+    return CechGerbe(
+        cover,
+        tuple(checked[(i,)] for i in range(cover.n_patches)),
+        _layer(cover, 2, pair_part, 1),
+        _layer(cover, 3, triple_part, 0),
+    )
 
 
 def gerbe_from_global(cover: PatchCover, t: Cochain) -> CechGerbe:
@@ -475,27 +435,6 @@ def gerbe_from_global(cover: PatchCover, t: Cochain) -> CechGerbe:
     return cech_gerbe(cover, parts)
 
 
-def _pair_at(g: CechGerbe, i, j) -> Cochain:
-    if i == j:
-        return g.cover.K.zero_cochain(1)
-    key = tuple(sorted((i, j)))
-    u = g.pair_part.get(key)
-    if u is None:
-        return g.cover.K.zero_cochain(1)
-    return u if (i, j) == key else -u
-
-
-def _triple_at(g: CechGerbe, i, j, k) -> Cochain:
-    if len({i, j, k}) < 3:
-        return g.cover.K.zero_cochain(0)
-    key = tuple(sorted((i, j, k)))
-    u = g.triple_part.get(key)
-    if u is None:
-        return g.cover.K.zero_cochain(0)
-    sign = _sort_sign((i, j, k))
-    return u if sign == 1 else -u
-
-
 def gerbe_total_differential(g: CechGerbe):
     """Split the total differential into curvature and obstruction.
 
@@ -507,21 +446,19 @@ def gerbe_total_differential(g: CechGerbe):
     """
     cover = g.cover
     K = cover.K
-    for (i, j), emb in sorted(cover.doubles.items()):
-        mism = g.patch_part[j] - g.patch_part[i] + K.delta(_pair_at(g, i, j))
-        for idx in _parent_indices(emb, 2):
-            if mism.values[idx]:
-                raise GerbeError(
-                    f"patch and pair layers inconsistent on overlap ({i}, {j})"
-                )
-    for (i, j, k), emb in sorted(cover.triples.items()):
-        cech = _pair_at(g, j, k) - _pair_at(g, i, k) + _pair_at(g, i, j)
-        mism = K.delta(_triple_at(g, i, j, k)) - cech
-        for idx in _parent_indices(emb, 1):
-            if mism.values[idx]:
-                raise GerbeError(
-                    f"pair and triple layers inconsistent on overlap ({i}, {j}, {k})"
-                )
+    # the middle layers: the Cech coboundary of one layer plus (-1)^n
+    # times the simplicial coboundary of the next, on each n-fold overlap
+    patches = {(i,): u for i, u in enumerate(g.patch_part)}
+    layers = (
+        (patches, g.pair_part, 2, "patch and pair"),
+        (g.pair_part, g.triple_part, 1, "pair and triple"),
+    )
+    for n, (lower, upper, k, what) in enumerate(layers, start=2):
+        for key, emb in sorted(cover.overlaps(n).items()):
+            d_upper = K.delta(upper.get(key, K.zero_cochain(k - 1)))
+            mism = _cech(lower, key, K.zero_cochain(k)) + d_upper.scale((-1) ** n)
+            if any(mism.values[idx] for idx in _parent_indices(emb, k)):
+                raise GerbeError(f"{what} layers inconsistent on overlap {key}")
     n3 = K.n_simplices(3)
     phi_vals = [None] * n3
     for i, emb in enumerate(cover.embeddings):
@@ -534,22 +471,15 @@ def gerbe_total_differential(g: CechGerbe):
                 raise GerbeError("curvature mismatch between patches")
     phi = Cochain(3, tuple(v if v is not None else 0 for v in phi_vals))
     R = {}
-    for (i, j, k, l), emb in sorted(cover.quads.items()):
-        r = (
-            _triple_at(g, j, k, l)
-            - _triple_at(g, i, k, l)
-            + _triple_at(g, i, j, l)
-            - _triple_at(g, i, j, k)
-        )
+    for key, emb in sorted(cover.quads.items()):
+        r = _cech(g.triple_part, key, K.zero_cochain(0))
         vals = [0] * K.n_simplices(0)
         for idx in _parent_indices(emb, 0):
             v = r.values[idx]
             if v != int(v):
-                raise GerbeError(
-                    f"non-integral obstruction on overlap ({i}, {j}, {k}, {l})"
-                )
+                raise GerbeError(f"non-integral obstruction on overlap {key}")
             vals[idx] = int(v)
-        R[(i, j, k, l)] = Cochain(0, tuple(vals))
+        R[key] = Cochain(0, tuple(vals))
     return phi, R
 
 
@@ -570,64 +500,29 @@ def cech_gauge(g: CechGerbe, patch_gauge=None, pair_gauge=None, shift=None):
     """
     cover = g.cover
     K = cover.K
-    b1 = {}
-    for i, u in (patch_gauge or {}).items():
-        if u.degree != 1:
-            raise GerbeError("patch gauges are 1-cochains")
-        if not _support_ok(cover.embeddings[i], u):
-            raise GerbeError(f"patch gauge {i} has support outside its patch")
-        b1[i] = u
-    b0 = {}
-    for key, u in (pair_gauge or {}).items():
-        key = tuple(key)
-        if key != tuple(sorted(key)) or key not in cover.doubles:
-            raise GerbeError(f"{key} is not a sorted double overlap of the cover")
-        if u.degree != 0 or not _support_ok(cover.doubles[key], u):
-            raise GerbeError(f"pair gauge {key} does not live on its overlap")
-        b0[key] = u
-    s0 = {}
-    for key, u in (shift or {}).items():
-        key = tuple(key)
-        if key != tuple(sorted(key)) or key not in cover.triples:
-            raise GerbeError(f"{key} is not a sorted triple overlap of the cover")
-        if u.degree != 0 or not _support_ok(cover.triples[key], u):
-            raise GerbeError(f"shift {key} does not live on its overlap")
+    b1 = _layer(cover, 1, {(i,): u for i, u in (patch_gauge or {}).items()}, 1)
+    b0 = _layer(cover, 2, pair_gauge, 0)
+    s0 = _layer(cover, 3, shift, 0)
+    for key, u in s0.items():
         if not u.is_integral():
             raise GerbeError("shifts must be integral")
         if not _locally_constant_on(K, cover.triples[key], u):
             raise GerbeError("shifts must be locally constant on their overlap")
-        s0[key] = u
-
-    def b1_at(i):
-        return b1.get(i, K.zero_cochain(1))
-
-    def b0_at(i, j):
-        if i == j:
-            return K.zero_cochain(0)
-        key = tuple(sorted((i, j)))
-        u = b0.get(key)
-        if u is None:
-            return K.zero_cochain(0)
-        return u if (i, j) == key else -u
-
+    z1, z0 = K.zero_cochain(1), K.zero_cochain(0)
     new_patch = [
-        g.patch_part[i] + _masked(emb, K.delta(b1_at(i)))
+        g.patch_part[i] + _masked(emb, K.delta(b1.get((i,), z1)))
         for i, emb in enumerate(cover.embeddings)
     ]
     new_pair = {}
     for key, emb in cover.doubles.items():
-        i, j = key
-        move = K.delta(b0_at(i, j)) - (b1_at(j) - b1_at(i))
-        u = _pair_at(g, i, j) + _masked(emb, move)
+        move = K.delta(b0.get(key, z0)) - _cech(b1, key, z1)
+        u = g.pair_part.get(key, z1) + _masked(emb, move)
         if not u.is_zero():
             new_pair[key] = u
     new_triple = {}
     for key, emb in cover.triples.items():
-        i, j, k = key
-        move = b0_at(j, k) - b0_at(i, k) + b0_at(i, j)
-        u = _triple_at(g, i, j, k) + _masked(emb, move)
-        if key in s0:
-            u = u + s0[key]
+        u = g.triple_part.get(key, z0) + _masked(emb, _cech(b0, key, z0))
+        u = u + s0.get(key, z0)
         if not u.is_zero():
             new_triple[key] = u
     return cech_gerbe(cover, new_patch, new_pair, new_triple)
@@ -693,14 +588,14 @@ def gerbe_holonomy(
             if c:
                 j = rho1[idx]
                 seams.setdefault((j, i), [0] * K.n_simplices(1))[idx] = c
+    z1, z0 = K.zero_cochain(1), K.zero_cochain(0)
     for (j, i), vals in sorted(seams.items()):
         w_ji = Chain(1, tuple(vals))
-        if j != i:
-            total += Fraction(K.evaluate(_pair_at(g, j, i), w_ji))
+        total += Fraction(K.evaluate(_alternating(g.pair_part, (j, i), z1), w_ji))
         corners = K.boundary(w_ji)
         for idx, c in enumerate(corners.values):
             if c:
-                a0 = _triple_at(g, rho0[idx], j, i)
+                a0 = _alternating(g.triple_part, (rho0[idx], j, i), z0)
                 total -= c * Fraction(a0.values[idx])
     return mod1(total)
 
@@ -829,20 +724,16 @@ def gerbe_gauge_equivalent(g1: CechGerbe, g2: CechGerbe) -> bool:
     phi2, _ = gerbe_total_differential(g2)
     if phi1 != phi2:
         return False
-    cover = g1.cover
+    K = g1.cover.K
+
+    def difference(a, b, zero):
+        return {key: a.get(key, zero) - b.get(key, zero) for key in a.keys() | b.keys()}
+
     diff = cech_gerbe(
-        cover,
-        [g1.patch_part[i] - g2.patch_part[i] for i in range(cover.n_patches)],
-        {
-            key: _pair_at(g1, *key) - _pair_at(g2, *key)
-            for key in cover.doubles
-            if key in g1.pair_part or key in g2.pair_part
-        },
-        {
-            key: _triple_at(g1, *key) - _triple_at(g2, *key)
-            for key in cover.triples
-            if key in g1.triple_part or key in g2.triple_part
-        },
+        g1.cover,
+        [u1 - u2 for u1, u2 in zip(g1.patch_part, g2.patch_part)],
+        difference(g1.pair_part, g2.pair_part, K.zero_cochain(1)),
+        difference(g1.triple_part, g2.triple_part, K.zero_cochain(0)),
     )
     T = gerbe_flat_normal_form(diff)
-    return constant_triple_class_trivial(cover, T)
+    return constant_triple_class_trivial(g1.cover, T)

@@ -41,12 +41,10 @@ from diffchar.hodge import (
     varied_weights,
 )
 from diffchar.lowdegree import (
-    circle_function_spark,
-    gauge_transform,
-    gerbe_gauge,
-    gerbe_surface_holonomy,
-    spark_circle_function,
-    spark_of_connection,
+    gauge,
+    phase_holonomy,
+    phase_spark,
+    spark_phases,
     total_flux,
 )
 from diffchar.morse import Matching, MorseFlow, greedy_matching, validate_matching
@@ -386,7 +384,7 @@ def test_criterion_09_morse_homotopy_identity():
 def test_criterion_10_low_degree_bridges():
     K = circle(4)
     vals = (F(0), F(1, 4), F(1, 2), F(3, 4))
-    ok = spark_circle_function(K, circle_function_spark(K, vals)) == vals
+    ok = spark_phases(phase_spark(K, K.cochain(0, vals))).values == vals
 
     S = sphere(2)
     theta = S.cochain(1, (F(1, 4), 0, 0, 0, F(1, 2), F(1, 4)))
@@ -396,15 +394,15 @@ def test_criterion_10_low_degree_bridges():
     for _ in range(2):
         lam = S.cochain(0, tuple(F(rng.randint(-8, 8), 5) for _ in range(4)))
         shift = S.cochain(1, tuple(rng.randint(-2, 2) for _ in range(6)))
-        sections.append(spark_of_connection(S, gauge_transform(S, theta, lam, shift)))
+        sections.append(phase_spark(S, gauge(S, theta, lam, shift)))
     ok = ok and spark_equivalent(S, sections[0], sections[1])
 
     T = moebius_kuehnel_torus()
     t = T.cochain(2, (F(1, 3),) + (0,) * 13)
     z = T.fundamental_cycle()
-    ok = ok and gerbe_surface_holonomy(T, t, z) == F(1, 3)
+    ok = ok and phase_holonomy(T, t, z) == F(1, 3)
     for _ in range(100):
         alpha = T.cochain(1, tuple(F(rng.randint(-8, 8), 5) for _ in range(21)))
         shift = T.cochain(2, tuple(rng.randint(-3, 3) for _ in range(14)))
-        ok = ok and gerbe_surface_holonomy(T, gerbe_gauge(T, t, alpha, shift), z) == F(1, 3)
+        ok = ok and phase_holonomy(T, gauge(T, t, alpha, shift), z) == F(1, 3)
     record(10, "low degree round trips", ok)

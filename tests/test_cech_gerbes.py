@@ -24,9 +24,9 @@ from diffchar.lowdegree import (
     gerbe_from_global,
     gerbe_gauge_equivalent,
     gerbe_holonomy,
-    gerbe_surface_holonomy,
     gerbe_total_differential,
     patch_cover,
+    phase_holonomy,
     star_cover,
     _component_reps,
 )
@@ -156,7 +156,7 @@ def test_global_restriction_is_flat(windows, third_gerbe):
     assert phi.is_zero()
     z = K.fundamental_cycle()
     assert gerbe_holonomy(g, z) == F(1, 3)
-    assert gerbe_holonomy(g, z) == gerbe_surface_holonomy(K, t, z)
+    assert gerbe_holonomy(g, z) == phase_holonomy(K, t, z)
 
 
 def test_global_restriction_matches_single_chart_on_star_cover():
@@ -170,7 +170,7 @@ def test_global_restriction_matches_single_chart_on_star_cover():
             tuple(F(rng.randrange(-4, 5), 3) for _ in range(K.n_simplices(2))),
         )
         g = gerbe_from_global(cov, t)
-        assert gerbe_holonomy(g, z) == gerbe_surface_holonomy(K, t, z)
+        assert gerbe_holonomy(g, z) == phase_holonomy(K, t, z)
 
 
 def test_curved_gerbe_on_three_sphere():

@@ -266,6 +266,32 @@ def test_lowdeg_gerbe_triple_layer(tmp_path, capsys):
     assert data["results"]["n_patches"] == 3
 
 
+@pytest.mark.parametrize("model", ["global", "cover"])
+def test_lowdeg_gerbe_rational_cycle_is_input_error(tmp_path, capsys, model):
+    # half the fundamental cycle of the 7-vertex torus: both gerbe
+    # models refuse it rather than print a gauge-dependent holonomy
+    K = moebius_kuehnel_torus()
+    t = K.cochain(2, ("1/7",) * 14)
+    if model == "global":
+        payload = {"degree": 2, "values": list(t.values)}
+    else:
+        g = gerbe_from_global(star_cover(K), t)
+        payload = {"patch": [[str(v) for v in c.values] for c in g.patch_part]}
+    gerbe = tmp_path / "g.json"
+    gerbe.write_text(canonical_json(payload))
+    half = [scalar_str(Fraction(v, 2)) for v in K.fundamental_cycle().values]
+    cycle = tmp_path / "half.json"
+    cycle.write_text(canonical_json({"degree": 2, "values": half}))
+    code = main([
+        "lowdeg", "gerbe", "--space", "torus", "--gerbe", str(gerbe),
+        "--cycle", str(cycle),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "integral" in captured.err and "Traceback" not in captured.err
+
+
 def test_lowdeg_gerbe_obstruction_is_input_error(tmp_path):
     # the same gluing datum on the tetrahedron sphere leaves a
     # fractional residue on the quadruple overlap

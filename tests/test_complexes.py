@@ -572,3 +572,20 @@ class TestSerialization:
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
+
+
+def test_chain_never_equals_cochain():
+    K = build_space("circle3")
+    half = Fraction(1, 2)
+    z, u = K.chain(1, (1, half, 0)), K.cochain(1, (1, half, 0))
+    assert z != u and u != z
+    assert len({z, u}) == 2
+    for op in (lambda v: v + v, lambda v: v - v, lambda v: -v, lambda v: v.scale(2)):
+        assert type(op(z)) is Chain and type(op(u)) is Cochain
+        assert op(z) != op(u) and op(z).values == op(u).values
+    assert z.is_integral() == u.is_integral() is False
+    assert (z - z).is_zero() and (u - u).is_zero()
+    with pytest.raises(ValueError, match="expected 3 values"):
+        K.chain(1, (1, 2))
+    with pytest.raises(ValueError, match="expected 3 values"):
+        K.cochain(1, (1, 2))

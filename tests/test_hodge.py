@@ -339,6 +339,32 @@ def test_point_abel_jacobi_path_invariance():
         assert point_abel_jacobi(ctx, 0, 7, path=c, basis=basis) == target
 
 
+def test_point_abel_jacobi_rejects_rational_paths():
+    # both edge paths from 0 to 1 read (0, 1/3); their average, a
+    # rational chain with the same boundary, would read (0, 5/6)
+    K = torus_grid(3)
+    ctx = HodgeContext(K)
+    short, detour = path_chain(K, [0, 1]), path_chain(K, [0, 2, 1])
+    assert point_abel_jacobi(ctx, 0, 1, path=short) == (0, F(1, 3))
+    assert point_abel_jacobi(ctx, 0, 1, path=detour) == (0, F(1, 3))
+    average = (short + detour).scale(F(1, 2))
+    assert K.boundary(average) == K.boundary(short)
+    with pytest.raises(HodgeError, match="integral"):
+        point_abel_jacobi(ctx, 0, 1, path=average)
+
+
+def test_abel_jacobi_basis_must_be_integral_cocycles():
+    K = torus_grid(3)
+    ctx = HodgeContext(K)
+    g = list(torus_grid_axis_cocycles(K, 3))[0]
+    edge = K.elementary_cochain(K.simplices[1][0])
+    for bad in (g.scale(F(1, 2)), edge, K.zero_cochain(2)):
+        with pytest.raises(HodgeError, match="integral cocycles"):
+            point_abel_jacobi(ctx, 0, 7, basis=[bad])
+        with pytest.raises(HodgeError, match="integral cocycles"):
+            abel_jacobi(ctx, K.boundary(path_chain(K, [0, 1, 4, 7])), basis=[bad])
+
+
 def test_point_abel_jacobi_default_basis():
     K = torus_grid(3)
     ctx = HodgeContext(K)

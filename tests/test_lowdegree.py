@@ -11,18 +11,12 @@ from diffchar.lowdegree import (
     PhaseError,
     check_star_trivialization,
     chern_cocycle,
-    circle_function_spark,
-    connection_holonomy,
-    connection_of_spark,
-    field_strength,
-    gauge_transform,
-    gerbe_curvature,
-    gerbe_gauge,
-    gerbe_is_flat,
-    gerbe_surface_holonomy,
+    gauge,
+    phase_curvature,
+    phase_holonomy,
+    phase_spark,
     principal_value,
-    spark_circle_function,
-    spark_of_connection,
+    spark_phases,
     star_trivialization,
     total_flux,
 )
@@ -45,7 +39,7 @@ def test_principal_value_window():
 
 def test_circle_function_spark_winding_number():
     K = circle(4)
-    s = circle_function_spark(K, (0, F(1, 4), F(1, 2), F(3, 4)))
+    s = phase_spark(K, K.cochain(0, (0, F(1, 4), F(1, 2), F(3, 4))))
     validate_spark(K, s)
     phi = curvature(K, s)
     assert phi.values == (F(1, 4), F(-1, 4), F(1, 4), F(1, 4))
@@ -55,29 +49,29 @@ def test_circle_function_spark_winding_number():
 def test_circle_function_round_trip():
     K = circle(4)
     vals = (F(1, 5), F(3, 5), F(2, 5), F(4, 5))
-    s = circle_function_spark(K, vals)
-    assert spark_circle_function(K, s) == vals
+    s = phase_spark(K, K.cochain(0, vals))
+    assert spark_phases(s).values == vals
     # integer lifts do not matter
     lifted = tuple(v + n for v, n in zip(vals, (3, -2, 0, 5)))
-    assert circle_function_spark(K, lifted) == s
+    assert phase_spark(K, K.cochain(0, lifted)) == s
 
 
 def test_circle_function_branch_cut_rejected():
     K = circle(3)
     with pytest.raises(PhaseError, match="branch"):
-        circle_function_spark(K, (0, F(1, 2), 0))
+        phase_spark(K, K.cochain(0, (0, F(1, 2), 0)))
 
 
 def test_circle_function_winding_rejected():
     K = simplex(2)
     with pytest.raises(PhaseError, match="winds"):
-        circle_function_spark(K, (0, F(1, 3), F(2, 3)))
+        phase_spark(K, K.cochain(0, (0, F(1, 3), F(2, 3))))
 
 
 def test_monopole_field_strength_frozen():
     K = sphere(2)
     theta = K.cochain(1, MONOPOLE)
-    Fs = field_strength(K, theta)
+    Fs = phase_curvature(K, theta)
     assert Fs.values == (F(1, 4), F(-1, 4), F(1, 4), F(-1, 4))
     assert total_flux(K, theta) == 1
     flipped = K.cochain(1, tuple(-v for v in MONOPOLE))
@@ -89,16 +83,16 @@ def test_gauge_trivial_connection_has_no_flux():
     rng = random.Random(0)
     lam = K.cochain(0, tuple(F(rng.randint(-4, 4), 5) for _ in range(4)))
     shift = K.cochain(1, tuple(rng.randint(-2, 2) for _ in range(6)))
-    theta = gauge_transform(K, K.zero_cochain(1), lam, shift)
-    assert field_strength(K, theta).is_zero()
+    theta = gauge(K, K.zero_cochain(1), lam, shift)
+    assert phase_curvature(K, theta).is_zero()
     assert total_flux(K, theta) == 0
 
 
 def test_monopole_spark_charge():
     K = sphere(2)
-    s = spark_of_connection(K, K.cochain(1, MONOPOLE))
+    s = phase_spark(K, K.cochain(1, MONOPOLE))
     validate_spark(K, s)
-    assert curvature(K, s) == field_strength(K, K.cochain(1, MONOPOLE))
+    assert curvature(K, s) == phase_curvature(K, K.cochain(1, MONOPOLE))
     assert K.evaluate(s.R, K.fundamental_cycle()) == 1
     free, _ = integer_cohomology(K, 2).coords([int(v) for v in s.R.values])
     assert free in ((1,), (-1,))
@@ -111,10 +105,10 @@ def test_connection_gauge_gives_equivalent_sparks():
     for _ in range(5):
         lam = K.cochain(0, tuple(F(rng.randint(-10, 10), 5) for _ in range(7)))
         shift = K.cochain(1, tuple(rng.randint(-2, 2) for _ in range(21)))
-        theta2 = gauge_transform(K, theta, lam, shift)
-        assert field_strength(K, theta2) == field_strength(K, theta)
+        theta2 = gauge(K, theta, lam, shift)
+        assert phase_curvature(K, theta2) == phase_curvature(K, theta)
         assert spark_equivalent(
-            K, spark_of_connection(K, theta), spark_of_connection(K, theta2)
+            K, phase_spark(K, theta), phase_spark(K, theta2)
         )
 
 
@@ -128,36 +122,36 @@ def test_holonomy_gauge_invariant_on_loops():
     for a, b, sgn in ((0, 1, 1), (1, 2, 1), (0, 2, -1)):
         loop_vals[idx[(a, b)]] = sgn
     loop = K.chain(1, loop_vals)
-    h = connection_holonomy(K, theta, loop)
+    h = phase_holonomy(K, theta, loop)
     lam = K.cochain(0, tuple(F(rng.randint(-10, 10), 7) for _ in range(7)))
     shift = K.cochain(1, tuple(rng.randint(-2, 2) for _ in range(21)))
-    assert connection_holonomy(K, gauge_transform(K, theta, lam, shift), loop) == h
+    assert phase_holonomy(K, gauge(K, theta, lam, shift), loop) == h
 
 
 def test_holonomy_requires_closed_loop():
     K = circle(3)
     c = K.chain(1, (1, 0, 0))
     with pytest.raises(ValueError):
-        connection_holonomy(K, K.zero_cochain(1), c)
+        phase_holonomy(K, K.zero_cochain(1), c)
 
 
 def test_connection_of_spark_reduces_phases():
     K = circle(3)
-    s = spark_of_connection(K, K.cochain(1, (F(5, 4), F(-1, 3), 2)))
-    assert connection_of_spark(K, s).values == (F(1, 4), F(2, 3), 0)
+    s = phase_spark(K, K.cochain(1, (F(5, 4), F(-1, 3), 2)))
+    assert spark_phases(s).values == (F(1, 4), F(2, 3), 0)
 
 
 def test_flux_branch_cut_rejected():
     K = simplex(2)
     with pytest.raises(PhaseError, match="branch"):
-        field_strength(K, K.cochain(1, (F(1, 2), 0, 0)))
+        phase_curvature(K, K.cochain(1, (F(1, 2), 0, 0)))
 
 
 def test_chern_cocycle_monopole():
     K = sphere(2)
     theta = K.cochain(1, MONOPOLE)
     Fs, N = chern_cocycle(K, theta)
-    assert Fs == field_strength(K, theta)
+    assert Fs == phase_curvature(K, theta)
     assert N.values == (0, 1, 0, 0)
     # the two pieces reassemble the coboundary exactly
     step = K.delta(theta)
@@ -185,7 +179,7 @@ def test_chern_cocycle_gauge_moves():
     for _ in range(4):
         lam = K.cochain(0, tuple(F(rng.randint(-10, 10), 7) for _ in range(7)))
         shift = K.cochain(1, tuple(rng.randint(-2, 2) for _ in range(21)))
-        F2, N2 = chern_cocycle(K, gauge_transform(K, theta, lam, shift))
+        F2, N2 = chern_cocycle(K, gauge(K, theta, lam, shift))
         assert F2 == Fs
         d = K.delta(shift)
         assert N2.values == tuple(n + v for n, v in zip(N.values, d.values))
@@ -195,8 +189,8 @@ def test_circle_map_doubles_winding():
     # precomposing the one-turn function on the triangle with the
     # two-to-one hexagon map is the same as pulling its spark back
     K3, K6 = circle(3), circle(6)
-    s3 = circle_function_spark(K3, (0, F(1, 3), F(2, 3)))
-    composed = circle_function_spark(K6, tuple(F(i % 3, 3) for i in range(6)))
+    s3 = phase_spark(K3, K3.cochain(0, (0, F(1, 3), F(2, 3))))
+    composed = phase_spark(K6, K6.cochain(0, (F(i % 3, 3) for i in range(6))))
     assert pullback_spark(K6, K3, [i % 3 for i in range(6)], s3) == composed
     phi = curvature(K6, composed)
     assert K6.evaluate(phi, K6.fundamental_cycle()) == 2
@@ -206,13 +200,13 @@ def test_third_gerbe_holonomy():
     K = moebius_kuehnel_torus()
     t = K.cochain(2, (F(1, 3),) + (0,) * 13)
     z = K.fundamental_cycle()
-    assert gerbe_surface_holonomy(K, t, z) == F(1, 3)
+    assert phase_holonomy(K, t, z) == F(1, 3)
     rng = random.Random(5)
     for _ in range(10):
         alpha = K.cochain(1, tuple(F(rng.randint(-6, 6), 4) for _ in range(21)))
         shift = K.cochain(2, tuple(rng.randint(-3, 3) for _ in range(14)))
-        t2 = gerbe_gauge(K, t, alpha, shift)
-        assert gerbe_surface_holonomy(K, t2, z) == F(1, 3)
+        t2 = gauge(K, t, alpha, shift)
+        assert phase_holonomy(K, t2, z) == F(1, 3)
 
 
 def test_gerbe_curvature_and_flatness():
@@ -222,10 +216,10 @@ def test_gerbe_curvature_and_flatness():
     flat = K.cochain(2, tuple(rng.randint(-2, 2) for _ in range(n2))) + K.delta(
         K.cochain(1, tuple(F(rng.randint(-5, 5), 3) for _ in range(n1)))
     )
-    assert gerbe_is_flat(K, flat)
+    assert phase_curvature(K, flat).is_zero()
     spiky = K.cochain(2, (F(1, 3),) + (0,) * (n2 - 1))
-    assert not gerbe_is_flat(K, spiky)
-    assert any(gerbe_curvature(K, spiky).values)
+    assert not phase_curvature(K, spiky).is_zero()
+    assert any(phase_curvature(K, spiky).values)
 
 
 def test_star_trivialization_on_surface():
@@ -264,4 +258,26 @@ def test_gerbe_holonomy_validations():
     t = K.zero_cochain(2)
     open_chain = K.chain(2, (1,) + (0,) * 13)
     with pytest.raises(ValueError):
-        gerbe_surface_holonomy(K, t, open_chain)
+        phase_holonomy(K, t, open_chain)
+
+
+def test_holonomy_rejects_rational_cycles():
+    # t = 1/7 on half the fundamental cycle reads 0 mod 1, and 1/2
+    # after an integral shift on one triangle: no value on a rational
+    # cycle is gauge invariant, so none is given
+    K = moebius_kuehnel_torus()
+    t = K.cochain(2, (F(1, 7),) * 14)
+    half = K.fundamental_cycle().scale(F(1, 2))
+    shifted = gauge(K, t, K.zero_cochain(1), K.elementary_cochain(K.simplices[2][0]))
+    for phases in (t, shifted):
+        with pytest.raises(ValueError, match="integral"):
+            phase_holonomy(K, phases, half)
+    # half the vertex cycle 0 -> 1 -> 2 -> 0
+    theta = K.cochain(1, (F(1, 7),) * 21)
+    idx = K.index[1]
+    loop_vals = [0] * 21
+    for a, b, sgn in ((0, 1, 1), (1, 2, 1), (0, 2, -1)):
+        loop_vals[idx[(a, b)]] = F(sgn, 2)
+    loop = K.chain(1, loop_vals)
+    with pytest.raises(ValueError, match="integral"):
+        phase_holonomy(K, theta, loop)
