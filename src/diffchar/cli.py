@@ -695,10 +695,16 @@ def cmd_lowdeg_circle(args):
     K, inputs = load_complex(args)
     data = _read_json(args.values)
     inputs["values"] = _file_sha(args.values)
-    values = list(json_scalars(data, args.values))
-    s = phase_spark(K, K.cochain(0, values))
+    theta = K.cochain(0, list(json_scalars(data, args.values)))
+    s = phase_spark(K, theta)
     recovered = spark_phases(s).values
-    round_trip = list(recovered) == [Fraction(v) % 1 for v in values]
+    # read back through the character, not the phases: the holonomy on
+    # each vertex is theta there mod 1, and the curvature lifts delta(theta)
+    n = K.n_simplices(0)
+    round_trip = all(
+        holonomy(K, s, K.chain(0, [int(w == v) for w in range(n)])) == mod1(t)
+        for v, t in enumerate(theta.values)
+    ) and (curvature(K, s) - K.delta(theta)).is_integral()
     results = {"spark": spark_to_json(s), "recovered": list(recovered)}
     return (
         RunReport(
@@ -713,13 +719,21 @@ def cmd_lowdeg_conn(args):
     theta = _load_connection(K, args.theta)
     inputs["theta"] = _file_sha(args.theta)
     Fs, N = chern_cocycle(K, theta)
-    flux = total_flux(K, theta)
     results = {
         "field_strength": _cochain_json(Fs),
         "integral_part": _cochain_json(N),
-        "total_flux": flux,
     }
-    checks = {"integer_flux": flux == int(flux)}
+    checks = {}
+    z = K.fundamental_cycle()
+    if z is not None and K.dimension == 2:
+        # the total flux is defined on a closed oriented surface only; it
+        # is the Chern number, minus the period of the integral part
+        flux = total_flux(K, theta)
+        results["total_flux"] = flux
+        checks["integer_flux"] = (
+            Fs + N == K.delta(theta)
+            and K.evaluate(Fs, z) == -K.evaluate(N, z) == flux
+        )
     return RunReport("lowdeg conn", inputs, results, checks=checks), None
 
 

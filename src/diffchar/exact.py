@@ -6,10 +6,10 @@ Matrices live in two shapes:
 * dense: list of row lists,
 * sparse: list of row dicts ``{col: value}`` with zero entries absent.
 
-The two workhorses are :func:`smith_normal_form`, which tracks all four
-unimodular transforms (needed downstream for kernels, integer and
-rational preimages, quotient-group coordinates and torsion witnesses),
-and :class:`RatElim`, a fraction-free sparse Gauss-Jordan that
+The two workhorses are :func:`smith_normal_form`, whose four
+unimodular transforms serve kernels, integer and rational preimages,
+quotient-group coordinates and torsion witnesses downstream, and
+:class:`RatElim`, a fraction-free sparse Gauss-Jordan that
 eliminates primitive integer rows once and replays the recorded row
 operations on every right-hand side (factor once, solve many).  In the
 library, :class:`RatElim` factors the coboundary normal and harmonic
@@ -36,11 +36,20 @@ heap until popped, so the heap is rebuilt from the live unit keys
 whenever it has grown past :data:`HEAP_SLACK` times the size of its
 last rebuild; it stays within a constant multiple of the live keys, and the
 pivots are the same as with no rebuild.
+
+The Smith elimination keeps no transform up to date.  It logs its
+elementary operations instead, one list for the row side and one for
+the column side, and each transform is replayed from the identity on
+its first read, then cached.  The replay repeats the same operations in
+the same order, so a transform is the same, down to dict order, as one
+kept up to date through the elimination; a caller that reads only
+V^{-1} (a character table) or nothing (an invariant factor) pays for
+no other transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -212,25 +221,74 @@ def _row_axpy(target, source, c):
 HEAP_SLACK = 2
 
 
+def _replay(n, ops, inverse):
+    """Rows of the n x n transform that the logged ``ops`` make of I.
+
+    ``ops`` is one side of a :class:`_SnfWorker` log, flat triples
+    (i, j, c): line i += c * line j when c != 0, else swap lines i and
+    j, or negate line i when i == j.  The rows are those of U (row side)
+    or V^T (column side); with ``inverse`` they are those of U^{-1}
+    transposed or V^{-1}, where line i += c * line j acts as
+    line j -= c * line i.
+    """
+    rows = identity_rows(n)
+    it = iter(ops)
+    for i, j, c in zip(it, it, it):
+        if c:
+            if inverse:
+                _row_axpy(rows[j], rows[i], -c)
+            else:
+                _row_axpy(rows[i], rows[j], c)
+        elif i != j:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            row = rows[i]
+            for col in row:
+                row[col] = -row[col]
+    return rows
+
+
 @dataclass
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D = diag(invariant factors).
 
     ``diag`` holds the nonzero invariant factors d_1 | d_2 | ... | d_r,
-    all positive; ``rank`` is r.  The transforms are kept sparse:
-    ``U_rows`` are rows of U, ``UinvT_rows`` rows of U^{-1} transposed,
-    ``VT_rows`` rows of V transposed (i.e. columns of V), ``Vinv_rows``
-    rows of V^{-1}.
+    all positive; ``rank`` is r.  The transforms are sparse, read-only
+    properties: ``U_rows`` are rows of U, ``UinvT_rows`` rows of U^{-1}
+    transposed, ``VT_rows`` rows of V transposed (i.e. columns of V),
+    ``Vinv_rows`` rows of V^{-1}.  Each is replayed from the elimination's
+    ``row_ops`` or ``col_ops`` (see :func:`_replay`) on its first read
+    and cached in ``built``, keyed by name.
     """
 
     nrows: int
     ncols: int
     rank: int
     diag: list
-    U_rows: list
-    UinvT_rows: list
-    VT_rows: list
-    Vinv_rows: list
+    row_ops: list
+    col_ops: list
+    built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _transform(self, name, n, ops, inverse):
+        if name not in self.built:
+            self.built[name] = _replay(n, ops, inverse)
+        return self.built[name]
+
+    @property
+    def U_rows(self):
+        return self._transform("U_rows", self.nrows, self.row_ops, False)
+
+    @property
+    def UinvT_rows(self):
+        return self._transform("UinvT_rows", self.nrows, self.row_ops, True)
+
+    @property
+    def VT_rows(self):
+        return self._transform("VT_rows", self.ncols, self.col_ops, False)
+
+    @property
+    def Vinv_rows(self):
+        return self._transform("Vinv_rows", self.ncols, self.col_ops, True)
 
     # -- materialized views (tests, small matrices) ---------------------
     def U(self):
@@ -299,6 +357,11 @@ class SmithDecomposition:
 class _SnfWorker:
     """Sparse Smith elimination with a Markowitz pivot queue kept across steps.
 
+    The elementary operations change ``rows`` and ``cols`` only; each one
+    is appended to ``row_ops`` or ``col_ops`` as a triple in the format
+    of :func:`_replay`, and :class:`SmithDecomposition` builds a
+    transform from that log when it is first read.
+
     At step t the pivot is the unit (+-1) entry of the active submatrix
     (rows and columns >= t) with the least key (cost, col, row), where
     cost = (len(row) - 1) * (len(col) - 1); without a unit it is the
@@ -329,16 +392,14 @@ class _SnfWorker:
         for i, row in enumerate(rows):
             for j in row:
                 self.cols[j].add(i)
-        self.U = identity_rows(nrows)
-        self.UinvT = identity_rows(nrows)
-        self.VT = identity_rows(ncols)
-        self.Vinv = identity_rows(ncols)
+        self.row_ops = []
+        self.col_ops = []
         self._heap = []
         self._heap_limit = -1  # the first pick builds the heap
         self._dirty_rows = set()
         self._dirty_cols = set()
 
-    # elementary operations, mirrored into the transforms ---------------
+    # elementary operations, logged for the transforms -----------------
     def row_axpy(self, i, j, c):
         """row i += c * row j."""
         row_j = self.rows[j]
@@ -357,8 +418,7 @@ class _SnfWorker:
                 self.cols[col].discard(i)
                 dirty_cols.add(col)
         self._dirty_rows.add(i)
-        _row_axpy(self.U[i], self.U[j], c)
-        _row_axpy(self.UinvT[j], self.UinvT[i], -c)
+        self.row_ops += (i, j, c)
 
     def col_axpy(self, i, j, c):
         """col i += c * col j."""
@@ -377,8 +437,7 @@ class _SnfWorker:
                 self.cols[i].discard(r)
                 dirty_rows.add(r)
         self._dirty_cols.add(i)
-        _row_axpy(self.VT[i], self.VT[j], c)
-        _row_axpy(self.Vinv[j], self.Vinv[i], -c)
+        self.col_ops += (i, j, c)
 
     def row_swap(self, i, j):
         if i == j:
@@ -397,8 +456,7 @@ class _SnfWorker:
             else:
                 members.discard(j)
         self._dirty_rows.update((i, j))
-        self.U[i], self.U[j] = self.U[j], self.U[i]
-        self.UinvT[i], self.UinvT[j] = self.UinvT[j], self.UinvT[i]
+        self.row_ops += (i, j, 0)
 
     def col_swap(self, i, j):
         if i == j:
@@ -413,16 +471,13 @@ class _SnfWorker:
                 row[j] = vi
         self.cols[i], self.cols[j] = self.cols[j], self.cols[i]
         self._dirty_cols.update((i, j))
-        self.VT[i], self.VT[j] = self.VT[j], self.VT[i]
-        self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
+        self.col_ops += (i, j, 0)
 
     def row_negate(self, i):
         row = self.rows[i]
         for col in row:
             row[col] = -row[col]
-        for d in (self.U[i], self.UinvT[i]):
-            for col in d:
-                d[col] = -d[col]
+        self.row_ops += (i, i, 0)
 
     # pivot machinery ----------------------------------------------------
     def _find_pivot(self, t):
@@ -554,10 +609,8 @@ class _SnfWorker:
             ncols=self.ncols,
             rank=rank,
             diag=diag,
-            U_rows=self.U,
-            UinvT_rows=self.UinvT,
-            VT_rows=self.VT,
-            Vinv_rows=self.Vinv,
+            row_ops=self.row_ops,
+            col_ops=self.col_ops,
         )
 
 

@@ -107,6 +107,32 @@ def test_verify_stdout_frozen(capsys, space):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA[space]
 
+
+# sha256 of the concatenated stdout of `tables` and of `cohomology --k k`
+# for k = 0..n, frozen from Smith forms that kept all four transforms
+# up to date through every elimination step
+TABLES_COHOMOLOGY_SHA = {
+    "lens:5,2": "770370386de9ba31206696b7a6e7a4ef519072fa205f2afd31f66ea93779c01f",
+    "lens:7,2": "24564ef5f97631e15f2e8a3da64645a890a67b2a99dcc051f087f2263083daa1",
+    "rp3": "4395c2ffb40cb2fac2d6b691d7b5e91ee6dbc75d9bfb3d8aa82e02f1a0f14e3b",
+    "cp2": "da78f8a4bc7a12f6155cdfdaaa77d0ec0726afc13f6c605a909b6d55b479e13f",
+}
+
+
+@pytest.mark.parametrize("space", sorted(TABLES_COHOMOLOGY_SHA))
+def test_tables_and_cohomology_stdout_frozen(capsys, space):
+    h = hashlib.sha256()
+    runs = [("tables", "--space", space)] + [
+        ("cohomology", "--space", space, "--k", str(k))
+        for k in range(build_space(space).dimension + 1)
+    ]
+    for argv in runs:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        h.update(out.encode())
+    assert h.hexdigest() == TABLES_COHOMOLOGY_SHA[space]
+
+
 def test_spark_equiv_distinguishes(tmp_path, capsys):
     K = circle(3)
     half = Spark(K.cochain(0, (Fraction(1, 2), 0, 0)), K.zero_cochain(1))
@@ -214,6 +240,70 @@ def test_lowdeg_circle_round_trip(tmp_path, capsys):
     assert code == 0
     assert data["checks"]["round_trip"] is True
     assert data["results"]["recovered"] == ["0", "1/4", "1/2", "3/4"]
+
+
+@pytest.mark.parametrize("part", ["a", "R"])
+def test_lowdeg_circle_round_trip_catches_a_wrong_spark(tmp_path, capsys, monkeypatch, part):
+    # a phase off by 1/7 on one vertex moves its holonomy; a charge off
+    # by 1/7 on one edge leaves a curvature that no longer lifts delta(theta)
+    from diffchar import cli
+
+    make = cli.phase_spark
+
+    def corrupted(K, theta):
+        s = make(K, theta)
+        u = getattr(s, part)
+        bump = K.cochain(u.degree, [Fraction(1, 7)] + [0] * (len(u.values) - 1))
+        return Spark(s.a + bump, s.R) if part == "a" else Spark(s.a, s.R + bump)
+
+    monkeypatch.setattr(cli, "phase_spark", corrupted)
+    vals = tmp_path / "vals.json"
+    vals.write_text(canonical_json(["0", "1/4", "1/2", "3/4"]))
+    code, data = run_json(
+        capsys, "lowdeg", "circle", "--space", "circle4", "--values", str(vals)
+    )
+    assert code == 1
+    assert data["checks"]["round_trip"] is False
+
+
+@pytest.mark.parametrize("wrong", ["flux", "integral_part"])
+def test_lowdeg_conn_integer_flux_catches_a_wrong_value(tmp_path, capsys, monkeypatch, wrong):
+    from diffchar import cli
+
+    if wrong == "flux":
+        flux = cli.total_flux
+        monkeypatch.setattr(cli, "total_flux", lambda K, theta: flux(K, theta) + 1)
+    else:
+        split = cli.chern_cocycle
+
+        def shifted(K, theta):
+            F, N = split(K, theta)
+            return F, N + K.cochain(2, [1] + [0] * (len(N.values) - 1))
+
+        monkeypatch.setattr(cli, "chern_cocycle", shifted)
+    theta = tmp_path / "theta.json"
+    theta.write_text(
+        canonical_json({"edges": ["1/4", "0", "0", "0", "1/2", "1/4"]})
+    )
+    code, data = run_json(
+        capsys, "lowdeg", "conn", "--space", "sphere2", "--theta", str(theta)
+    )
+    assert code == 1
+    assert data["checks"]["integer_flux"] is False
+
+
+@pytest.mark.parametrize("space,edges", [("circle4", 4), ("sphere3", 10)])
+def test_lowdeg_conn_off_closed_surfaces(tmp_path, capsys, space, edges):
+    # field strength and integral part exist on any complex; the total
+    # flux and its check only on a closed oriented surface
+    theta = tmp_path / "theta.json"
+    theta.write_text(canonical_json({"edges": ["1/3"] + ["0"] * (edges - 1)}))
+    code, data = run_json(
+        capsys, "lowdeg", "conn", "--space", space, "--theta", str(theta)
+    )
+    assert code == 0
+    assert set(data["results"]) == {"field_strength", "integral_part"}
+    assert data["checks"] == {}
 
 
 def test_lowdeg_gerbe_holonomy(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from diffchar import exact
 from diffchar.builders import build_space
+from diffchar.characters import character_table
 from diffchar.cohomology import (
     coboundary_smith_form,
     integer_cohomology,
@@ -26,6 +27,7 @@ from diffchar.exact import (
     smith_normal_form,
     transpose_apply,
 )
+from test_top_degree import FROZEN_SNF
 
 
 def matmul(A, B):
@@ -287,6 +289,38 @@ def test_smith_transforms_frozen(space):
                     (s.rank, s.diag, s.U_rows, s.UinvT_rows, s.VT_rows, s.Vinv_rows)
                 ).encode())
     assert h.hexdigest() == FROZEN_TRANSFORMS[space]
+
+
+def test_character_table_builds_only_vinv():
+    # a character table reads V^{-1} of the delta_k Smith forms and no
+    # transform of a relation Smith form; the others stay an unreplayed log
+    K = build_space("lens:5,2")
+    character_table(K)
+    deltas = [s for key, s in K._cache.items() if key[0] == "snf_delta"]
+    assert len(deltas) == K.dimension + 1
+    assert {name for s in deltas for name in s.built} == {"Vinv_rows"}
+    relations = [
+        q.snfW for key, q in K._cache.items()
+        if key[0] == "H_int" and not any(q.snfW is s for s in deltas)
+    ]
+    assert len(relations) == K.dimension
+    assert all(not s.built for s in relations)
+    # read now, every transform is the one frozen from eager updates
+    h = hashlib.sha256()
+    for k in range(-1, K.dimension + 2):
+        for q in (integer_cohomology(K, k), integer_homology(K, k)):
+            for s in (q.snfA, q.snfW):
+                h.update(repr(
+                    (s.rank, s.diag, s.U_rows, s.UinvT_rows, s.VT_rows, s.Vinv_rows)
+                ).encode())
+    assert h.hexdigest() == FROZEN_SNF["lens:5,2"]
+
+
+def test_smith_transforms_are_read_only():
+    s = smith_normal_form([[2, 4], [6, 8]])
+    with pytest.raises(AttributeError):
+        s.U_rows = []
+    assert s.U_rows is s.U_rows
 
 
 def test_smith_diag_matches_sympy():

@@ -46,10 +46,10 @@ FROZEN = {
     "circle-sphere2": (0, "b7347d6d9c8fe866d7a2f3bf7faf87144b8640319157ffe69b863377a22e124b"),
     "circle-sphere2-winds": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "circle-torus": (0, "f2aa0c8ae1329e15edf8818a68bd1b96aefe35d8dec509280499c228fd523289"),
-    "conn-circle4": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conn-circle4": (0, "daf11806532c49ac662304fc562f434858ddd06e753f588718f8055c30b02239"),
     "conn-sphere2": (0, "ca94ea42e69b2df2963a839b12f0efb519872dd49eb5a3fabf0b5d649bbbe4fa"),
     "conn-sphere2-branch": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "conn-sphere3": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conn-sphere3": (0, "ac0ba768ca11f56d1414ac9fef0760a1ac574d22c770db41c2d610607a64deb6"),
     "conn-torus": (0, "9f988442d46879e74d8a9804a6b8f8356ed2db4cf3d7a5d97345015785d3cab6"),
     "flux-sphere2": (0, "fe0ebbe1195d40eafe1ee69b8a0699e52c6c8aaeaff81b8d7f623a0c4a192f90"),
     "gerbe-cover-circle3": (0, "f98c308912828721189064e5563aba733acaa7676fef14e059e27968b23942ac"),
