@@ -11,7 +11,7 @@ before taking orbits so that the orbit map stays simplicial.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import comb, gcd
 
 from .complexes import ComplexError, SimplicialComplex, barycentric_subdivision
 
@@ -288,11 +288,11 @@ def product(A: SimplicialComplex, B: SimplicialComplex, budget=DEFAULT_BUDGET):
     """
     nB = B.n_vertices
     top_count = 0
-    facets_A = _facets(A)
-    facets_B = _facets(B)
+    facets_A = A.maximal_simplices()
+    facets_B = B.maximal_simplices()
     for sa in facets_A:
         for sb in facets_B:
-            top_count += _binomial(len(sa) + len(sb) - 2, len(sa) - 1)
+            top_count += comb(len(sa) + len(sb) - 2, len(sa) - 1)
     _check_budget(top_count, budget)
 
     cells = []
@@ -302,25 +302,6 @@ def product(A: SimplicialComplex, B: SimplicialComplex, budget=DEFAULT_BUDGET):
             for path in _monotone_paths(p, q):
                 cells.append(tuple(sa[i] * nB + sb[j] for i, j in path))
     return SimplicialComplex(cells)
-
-
-def _facets(K: SimplicialComplex):
-    """Maximal simplices of K."""
-    all_simps = set()
-    for lst in K.simplices.values():
-        all_simps.update(lst)
-    facets = []
-    for t in sorted(all_simps, key=lambda s: (len(s), s)):
-        # t is a facet iff no proper coface present
-        k = len(t) - 1
-        if k < K.dimension:
-            has_coface = any(
-                set(t) < set(s) for s in K.simplices.get(k + 1, [])
-            )
-            if has_coface:
-                continue
-        facets.append(t)
-    return facets
 
 
 def _monotone_paths(p, q):
@@ -337,13 +318,6 @@ def _monotone_paths(p, q):
             path.append((i, j))
         paths.append(tuple(path))
     return paths
-
-
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .lowdegree import (
     PhaseError,
     cech_gerbe,
     chern_cocycle,
-    gerbe_holonomy,
+    gerbe_spark,
     gerbe_total_differential,
     patch_cover,
     phase_curvature,
@@ -813,7 +813,7 @@ def cmd_lowdeg_gerbe(args):
             },
         }
         if z is not None:
-            results["holonomy"] = gerbe_holonomy(g, z)
+            results["holonomy"] = holonomy(K, gerbe_spark(g), z)
     else:
         t = _cochain_from_data(K, data, args.gerbe, expect_degree=2)
         phi = phase_curvature(K, t)

@@ -169,6 +169,23 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * self.n_simplices(k) for k in range(self.dimension + 1))
 
+    def maximal_simplices(self):
+        """Simplices with no proper coface, by dimension, then sorted.
+
+        In a closed complex a simplex with a proper coface is a facet of
+        a coface one dimension up, so one pass over codimension-one
+        faces finds all the others.
+        """
+        out = []
+        for k in range(self.dimension + 1):
+            covered = {
+                t[:i] + t[i + 1:]
+                for t in self.simplices.get(k + 1, ())
+                for i in range(k + 2)
+            }
+            out.extend(t for t in self.simplices[k] if t not in covered)
+        return out
+
     # -- operators -------------------------------------------------------
     def boundary_rows(self, k):
         """Sparse rows of the boundary matrix C_k -> C_{k-1}.
@@ -244,10 +261,13 @@ class SimplicialComplex:
         return sum(a * b for a, b in zip(u.values, z.values) if b)
 
     def cup(self, u: Cochain, v: Cochain) -> Cochain:
-        """Front-face/back-face product C^p x C^q -> C^{p+q}."""
+        """Front-face/back-face product C^p x C^q -> C^{p+q}.
+
+        C^{-1} is empty, so a factor of negative degree gives zero.
+        """
         p, q = u.degree, v.degree
         k = p + q
-        if k > self.dimension:
+        if p < 0 or q < 0 or k > self.dimension:
             return self.zero_cochain(k)
         out = []
         idx_p, idx_q = self.index[p], self.index[q]
@@ -657,13 +677,10 @@ def barycentric_subdivision(K: SimplicialComplex):
         for t in K.simplices[k]:
             vertex_of[t] = len(vertex_of)
 
+    maximal = set(K.maximal_simplices())
     flags_at = {}
     generators = []
     for k in range(K.dimension + 1):
-        # facets of (k+1)-simplices; the other k-simplices are maximal
-        covered = {
-            t[:i] + t[i + 1:] for t in K.simplices.get(k + 1, ()) for i in range(k + 2)
-        }
         for t in K.simplices[k]:
             v = vertex_of[t]
             if k == 0:
@@ -673,7 +690,7 @@ def barycentric_subdivision(K: SimplicialComplex):
                     c + (v,) for i in range(k + 1) for c in flags_at[t[:i] + t[i + 1:]]
                 ]
             flags_at[t] = flags
-            if t not in covered:
+            if t in maximal:
                 generators.extend(flags)
 
     sdK = SimplicialComplex(generators, n_vertices=len(vertex_of))

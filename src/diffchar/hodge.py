@@ -78,7 +78,7 @@ class HodgeContext:
     """
 
     def __init__(self, K: SimplicialComplex, weights=None, method="auto",
-                 tol=1e-10, max_iter=None):
+                 tol=1e-10):
         self.K = K
         given = weights or {}
         stray = sorted(set(given) - set(range(K.dimension + 1)))
@@ -100,7 +100,6 @@ class HodgeContext:
             raise ValueError(f"unknown method {method!r}")
         self.method = method
         self.tol = tol
-        self.max_iter = max_iter
         self._cache = {}
 
     @property
@@ -211,7 +210,7 @@ class HodgeContext:
         p = list(r)
         rr = dot(r, r)
         target = (self.tol * max(1.0, rr ** 0.5)) ** 2
-        limit = self.max_iter or (5 * n + 100)
+        limit = 5 * n + 100
         steps = 0
         while rr > target:
             if steps >= limit:

@@ -12,17 +12,19 @@ that cycle, mod 1.  Gauge moves add the coboundary of (k-1)-phases and
 an integral k-cochain; none of these values moves.  Degree 0 is a
 circle-valued function, degree 1 a lattice circle connection, whose
 phase curvature is its field strength with integer total flux (the
-Chern number) on a closed oriented surface, and degree 2 a gerbe, which
-on each closed vertex star trivializes through an explicit cone
-primitive when flat.
+Chern number) on a closed oriented surface, and degree 2 a gerbe.  In
+every degree k >= 1, flat phases trivialize on each closed vertex star
+through an explicit cone primitive.
 
 Gerbes also come in glued form: a PatchCover carries triangle phases
 per patch, edge gluing data per double overlap, and vertex data per
 triple overlap.  The total differential returns the glued curvature
-together with the integer obstruction on quadruple overlaps, surface
-holonomy is computed by a zig-zag through the layers, and flat gerbes
-reduce to locally constant triple data whose class decides gauge
-equivalence.
+together with the integer obstruction on quadruple overlaps.  Glued
+along assignments of simplices to patches, the layers give one spark,
+whose holonomy and equivalence class are the surface holonomy and the
+gauge class of the gerbe.  Flat gerbes also reduce to locally constant
+triple data, a normal form whose class decides gauge equivalence on
+its own.
 
 Principal values live in (-1/2, 1/2]; a value landing exactly on 1/2
 where a branch has to be chosen raises PhaseError rather than picking
@@ -45,7 +47,7 @@ from .complexes import (
     induced_subcomplex,
 )
 from .exact import smith_normal_form
-from .sparks import Spark, holonomy, mod1
+from .sparks import Spark, holonomy, mod1, spark_equivalent
 
 
 class GerbeError(ValueError):
@@ -161,36 +163,38 @@ def _in_closed_star(K: SimplicialComplex, v, simp) -> bool:
 
 
 def star_trivialization(K: SimplicialComplex, t: Cochain, v):
-    """Cone primitive of a gerbe on the closed star of vertex v.
+    """Cone primitive of k-phases, k >= 1, on the closed star of vertex v.
 
-    Returns {edge: phase} on the star's edges; edges through v carry 0
-    and every other edge e receives the phase of the cone triangle on
-    v and e, signed by the position of v in the sorted triangle.  For a
-    flat gerbe the mod-1 differential of this primitive reproduces t on
-    every triangle of the closed star.
+    Returns {(k-1)-simplex: phase} on the star's (k-1)-simplices; those
+    through v carry 0 and every other one s receives the phase of the
+    cone k-simplex on v and s, signed by the position of v in the
+    sorted cone.  For flat phases the mod-1 differential of this
+    primitive reproduces t on every k-simplex of the closed star.
     """
-    if t.degree != 2:
-        raise ValueError("gerbe phases live on triangles")
-    tri_index = K.index[2]
+    k = t.degree
+    if k < 1:
+        raise ValueError("the cone primitive needs phases of degree at least 1")
+    index = K.index[k]
     alpha = {}
-    for e in K.simplices[1]:
-        cone = tuple(sorted(set(e) | {v}))
-        if v in e:
-            alpha[e] = Fraction(0)
-        elif cone in tri_index:
-            alpha[e] = (-1) ** cone.index(v) * Fraction(t.values[tri_index[cone]])
+    for s in K.simplices[k - 1]:
+        cone = tuple(sorted(set(s) | {v}))
+        if v in s:
+            alpha[s] = Fraction(0)
+        elif cone in index:
+            alpha[s] = (-1) ** cone.index(v) * Fraction(t.values[index[cone]])
     return alpha
 
 
 def check_star_trivialization(K: SimplicialComplex, t: Cochain, v) -> bool:
     """Does the cone primitive reproduce t mod 1 on the whole closed star?"""
+    k = t.degree
     alpha = star_trivialization(K, t, v)
-    a = K.cochain(1, (alpha.get(e, 0) for e in K.simplices[1]))
+    a = K.cochain(k - 1, (alpha.get(s, 0) for s in K.simplices[k - 1]))
     rest = gauge(K, t, -a)
     return all(
         mod1(rest.values[i]) == 0
-        for i, tri in enumerate(K.simplices[2])
-        if _in_closed_star(K, v, tri)
+        for i, simp in enumerate(K.simplices[k])
+        if _in_closed_star(K, v, simp)
     )
 
 
@@ -284,41 +288,32 @@ def patch_cover(K: SimplicialComplex, patch_simplices) -> PatchCover:
         for t in K.simplices[k]:
             if t not in covered:
                 raise GerbeError(f"cover misses simplex {t}")
-    flags = []
-    for i, emb in enumerate(embeddings):
-        flags.extend(_reduced_flags("patch", (i,), emb.sub))
-    doubles = {}
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            inter = sets[i] & sets[j]
-            if inter:
-                emb = induced_subcomplex(K, inter)
-                doubles[(i, j)] = emb
-                flags.extend(_reduced_flags("double", (i, j), emb.sub))
-    triples = {}
-    for (i, j) in sorted(doubles):
-        for k in range(j + 1, len(sets)):
-            if (i, k) not in doubles or (j, k) not in doubles:
-                continue
-            inter = sets[i] & sets[j] & sets[k]
-            if inter:
-                emb = induced_subcomplex(K, inter)
-                triples[(i, j, k)] = emb
-                flags.extend(_reduced_flags("triple", (i, j, k), emb.sub))
-    quads = {}
-    for (i, j, k) in sorted(triples):
-        for l in range(k + 1, len(sets)):
-            if (i, j, l) in triples and (i, k, l) in triples and (j, k, l) in triples:
-                inter = sets[i] & sets[j] & sets[k] & sets[l]
-                if inter:
-                    quads[(i, j, k, l)] = induced_subcomplex(K, inter)
+    # an n-fold overlap extends an (n-1)-fold one by a higher index; it
+    # can be nonempty only if all its (n-1)-fold faces are overlaps
+    levels = [{(i,): emb for i, emb in enumerate(embeddings)}]
+    for n in (2, 3, 4):
+        lower, level = levels[-1], {}
+        for key in sorted(lower):
+            for last in range(key[-1] + 1, len(sets)):
+                new = key + (last,)
+                if all(new[:m] + new[m + 1:] in lower for m in range(n - 1)):
+                    inter = frozenset.intersection(*(sets[i] for i in new))
+                    if inter:
+                        level[new] = induced_subcomplex(K, inter)
+        levels.append(level)
+    flags = [
+        flag
+        for level, kind in zip(levels, ("patch", "double", "triple"))
+        for key, emb in level.items()
+        for flag in _reduced_flags(kind, key, emb.sub)
+    ]
     return PatchCover(
         K=K,
         embeddings=tuple(embeddings),
         simplex_sets=tuple(sets),
-        doubles=doubles,
-        triples=triples,
-        quads=quads,
+        doubles=levels[1],
+        triples=levels[2],
+        quads=levels[3],
         acyclicity_flags=tuple(flags),
     )
 
@@ -548,6 +543,47 @@ def _assignment(cover: PatchCover, k, given):
     return out
 
 
+def gerbe_spark(
+    g: CechGerbe,
+    face_patches=None,
+    edge_patches=None,
+    vertex_patches=None,
+) -> Spark:
+    """The spark of a three-layer gerbe, glued along patch assignments.
+
+    Write i for the patch of a triangle, j for that of its a-th edge e_a
+    and v_b for the b-th vertex of e_a.  The potential on the triangle
+    is B_i plus, for a = 0, 1, 2, the term (-1)^a times
+    A_(j,i)(e_a) + sum_b (-1)^b C_(rho_0(v_b),j,i)(v_b), where B, A and
+    C are the patch, pair and triple layers and rho_0 assigns vertices.
+    The charge is the glued curvature minus delta(a); the layer checks
+    of gerbe_total_differential make it an integral cocycle.  Other
+    subordinate assignments and gauge moves give equivalent sparks.
+    """
+    cover = g.cover
+    K = cover.K
+    phi, _ = gerbe_total_differential(g)
+    rho2 = _assignment(cover, 2, face_patches)
+    rho1 = _assignment(cover, 1, edge_patches)
+    rho0 = _assignment(cover, 0, vertex_patches)
+    z1, z0 = K.zero_cochain(1), K.zero_cochain(0)
+    vals = []
+    for idx, (tri, i) in enumerate(zip(K.simplices.get(2, ()), rho2)):
+        x = g.patch_part[i].values[idx]
+        for a in range(3):
+            e = tri[:a] + tri[a + 1:]
+            e_idx = K.index[1][e]
+            j = rho1[e_idx]
+            y = _alternating(g.pair_part, (j, i), z1).values[e_idx]
+            for b, v in enumerate(e):
+                corner = _alternating(g.triple_part, (rho0[v], j, i), z0)
+                y += (-1) ** b * corner.values[v]
+            x += (-1) ** a * y
+        vals.append(x)
+    a = Cochain(2, tuple(vals))
+    return Spark(a, _integral(phi - K.delta(a)))
+
+
 def gerbe_holonomy(
     g: CechGerbe,
     z: Chain,
@@ -555,49 +591,14 @@ def gerbe_holonomy(
     edge_patches=None,
     vertex_patches=None,
 ) -> Fraction:
-    """Phase mod 1 of a three-layer gerbe over a closed surface cycle.
+    """Phase mod 1 of a three-layer gerbe on an integral 2-cycle.
 
-    The cycle is cut into per-patch pieces by the face assignment; the
-    patch layer pairs with the pieces, the pair layer with the boundary
-    seams between differently assigned pieces, and the triple layer
-    with the corner points of those seams.  The result is independent
-    of the assignments and of gauge moves, and additive in the cycle.
+    This is the holonomy of the glued spark, so z goes through the
+    spark checks.  The value does not depend on the assignments and
+    does not move under gauge moves.
     """
-    cover = g.cover
-    K = cover.K
-    if z.degree != 2:
-        raise GerbeError("surface holonomy needs a 2-chain")
-    if not z.is_integral():
-        raise GerbeError("surface holonomy needs an integral cycle")
-    if not K.boundary(z).is_zero():
-        raise GerbeError("surface holonomy needs a closed cycle")
-    rho2 = _assignment(cover, 2, face_patches)
-    rho1 = _assignment(cover, 1, edge_patches)
-    rho0 = _assignment(cover, 0, vertex_patches)
-    pieces = {}
-    for idx, c in enumerate(z.values):
-        if c:
-            pieces.setdefault(rho2[idx], [0] * K.n_simplices(2))[idx] = c
-    total = Fraction(0)
-    seams = {}
-    for i, vals in sorted(pieces.items()):
-        z_i = Chain(2, tuple(vals))
-        total += Fraction(K.evaluate(g.patch_part[i], z_i))
-        w_i = K.boundary(z_i)
-        for idx, c in enumerate(w_i.values):
-            if c:
-                j = rho1[idx]
-                seams.setdefault((j, i), [0] * K.n_simplices(1))[idx] = c
-    z1, z0 = K.zero_cochain(1), K.zero_cochain(0)
-    for (j, i), vals in sorted(seams.items()):
-        w_ji = Chain(1, tuple(vals))
-        total += Fraction(K.evaluate(_alternating(g.pair_part, (j, i), z1), w_ji))
-        corners = K.boundary(w_ji)
-        for idx, c in enumerate(corners.values):
-            if c:
-                a0 = _alternating(g.triple_part, (rho0[idx], j, i), z0)
-                total -= c * Fraction(a0.values[idx])
-    return mod1(total)
+    s = gerbe_spark(g, face_patches, edge_patches, vertex_patches)
+    return holonomy(g.cover.K, s, z)
 
 
 def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain, what):
@@ -712,28 +713,10 @@ def constant_triple_class_trivial(cover: PatchCover, T) -> bool:
 
 
 def gerbe_gauge_equivalent(g1: CechGerbe, g2: CechGerbe) -> bool:
-    """Do two three-layer gerbes differ by a gauge move and integers?
+    """Do two three-layer gerbes over one cover present one character?
 
-    The glued curvatures must match exactly; the difference is then
-    flat, its normal form is computed, and the remaining constants must
-    be expressible as an alternating pair sum plus integers.
+    Decided on their glued sparks by the exact spark equivalence test.
     """
     if not same_cover(g1.cover, g2.cover):
         raise GerbeError("gauge comparison needs a common cover")
-    phi1, _ = gerbe_total_differential(g1)
-    phi2, _ = gerbe_total_differential(g2)
-    if phi1 != phi2:
-        return False
-    K = g1.cover.K
-
-    def difference(a, b, zero):
-        return {key: a.get(key, zero) - b.get(key, zero) for key in a.keys() | b.keys()}
-
-    diff = cech_gerbe(
-        g1.cover,
-        [u1 - u2 for u1, u2 in zip(g1.patch_part, g2.patch_part)],
-        difference(g1.pair_part, g2.pair_part, K.zero_cochain(1)),
-        difference(g1.triple_part, g2.triple_part, K.zero_cochain(0)),
-    )
-    T = gerbe_flat_normal_form(diff)
-    return constant_triple_class_trivial(g1.cover, T)
+    return spark_equivalent(g1.cover.K, gerbe_spark(g1), gerbe_spark(g2))

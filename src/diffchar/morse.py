@@ -288,6 +288,8 @@ def morse_spark(K: SimplicialComplex, flow: MorseFlow, phi: Cochain) -> Spark:
     must come out integral, otherwise phi admits no spark through this
     matching and a SparkError is raised.
     """
+    if phi.degree < 0:
+        raise SparkError("curvature degree must be nonnegative")
     if not K.delta(phi).is_zero():
         raise SparkError("curvature must be closed")
     a = flow.homotopy_cochain(phi)

@@ -24,12 +24,14 @@ from diffchar.lowdegree import (
     gerbe_from_global,
     gerbe_gauge_equivalent,
     gerbe_holonomy,
+    gerbe_spark,
     gerbe_total_differential,
     patch_cover,
     phase_holonomy,
     star_cover,
     _component_reps,
 )
+from diffchar.sparks import SparkError, spark_equivalent, validate_spark
 
 F = Fraction
 M = 4
@@ -99,6 +101,30 @@ def random_gauge(K, cov, rng):
             vals[p] = per_rep[labels[p]]
         shift[key] = Cochain(0, tuple(vals))
     return patch, pair, shift
+
+
+def random_assignment(K, cov, rng, k):
+    """A random subordinate patch per k-simplex."""
+    out = []
+    for simp in K.simplices[k]:
+        opts = [i for i, s in enumerate(cov.simplex_sets) if simp in s]
+        out.append(rng.choice(opts))
+    return out
+
+
+def difference(g1, g2):
+    """The layerwise difference of two gerbes over one cover."""
+    K = g1.cover.K
+
+    def sub(a, b, zero):
+        return {key: a.get(key, zero) - b.get(key, zero) for key in a.keys() | b.keys()}
+
+    return cech_gerbe(
+        g1.cover,
+        [u1 - u2 for u1, u2 in zip(g1.patch_part, g2.patch_part)],
+        sub(g1.pair_part, g2.pair_part, K.zero_cochain(1)),
+        sub(g1.triple_part, g2.triple_part, K.zero_cochain(0)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +219,12 @@ def test_inconsistent_patch_layers_rejected():
     g = cech_gerbe(cov, parts)
     with pytest.raises(GerbeError, match="inconsistent"):
         gerbe_total_differential(g)
+    # no holonomy either, whatever the face assignment; without the layer
+    # checks these two assignments would read 0 and 1/2
+    z = K.fundamental_cycle()
+    for faces in ([cov.patch_of(t) for t in K.simplices[2]], [1, 3, 0, 1]):
+        with pytest.raises(GerbeError, match="inconsistent"):
+            gerbe_holonomy(g, z, face_patches=faces)
 
 
 def test_single_third_triple_without_quads_is_flat():
@@ -229,10 +261,10 @@ def test_holonomy_needs_closed_integral_surface(windows, third_gerbe):
     K, cov = windows
     _, g = third_gerbe
     open_chain = Chain(2, tuple(1 if i == 0 else 0 for i in range(K.n_simplices(2))))
-    with pytest.raises(GerbeError, match="closed"):
+    with pytest.raises(SparkError, match="boundary is nonzero"):
         gerbe_holonomy(g, open_chain)
     z = K.fundamental_cycle()
-    with pytest.raises(GerbeError, match="integral"):
+    with pytest.raises(SparkError, match="integral cycle"):
         gerbe_holonomy(g, Chain(2, tuple(F(v, 2) for v in z.values)))
 
 
@@ -270,16 +302,8 @@ def test_holonomy_assignment_independent(windows, third_gerbe):
     rng = random.Random(13)
     cur = cech_gauge(g, *random_gauge(K, cov, rng))
     z = K.fundamental_cycle()
-
-    def rand_assign(k):
-        out = []
-        for simp in K.simplices[k]:
-            opts = [i for i, s in enumerate(cov.simplex_sets) if simp in s]
-            out.append(rng.choice(opts))
-        return out
-
     values = {
-        gerbe_holonomy(cur, z, rand_assign(2), rand_assign(1), rand_assign(0))
+        gerbe_holonomy(cur, z, *(random_assignment(K, cov, rng, k) for k in (2, 1, 0)))
         for _ in range(10)
     }
     assert values == {F(1, 3)}
@@ -296,6 +320,50 @@ def test_holonomy_additive_in_the_cycle(windows, third_gerbe):
         zsum = Chain(2, tuple(a + b for a, b in zip(za.values, z.values)))
         total = gerbe_holonomy(cur, za) + gerbe_holonomy(cur, z)
         assert gerbe_holonomy(cur, zsum) == total % 1
+
+
+# ---------------------------------------------------------------------------
+# the glued spark
+
+
+def torus_star_cover():
+    K = moebius_kuehnel_torus()
+    return K, star_cover(K)
+
+
+def test_glued_spark_of_global_phases_is_the_phases(windows):
+    for K, cov in (torus_star_cover(), windows):
+        rng = random.Random(31)
+        t = Cochain(
+            2, tuple(F(rng.randrange(-6, 7), 5) for _ in range(K.n_simplices(2)))
+        )
+        s = gerbe_spark(gerbe_from_global(cov, t))
+        assert s.a == t
+        assert s.R.is_zero()
+
+
+@pytest.mark.parametrize("where", ["windows", "torus-stars"])
+def test_glued_spark_is_one_character(windows, where):
+    K, cov = windows if where == "windows" else torus_star_cover()
+    t = Cochain(2, tuple(F(1, 3) if i == 0 else F(0) for i in range(K.n_simplices(2))))
+    g = gerbe_from_global(cov, t)
+    ref = gerbe_spark(g)
+    rng = random.Random(37)
+    cur = g
+    for _ in range(5):
+        cur = cech_gauge(cur, *random_gauge(K, cov, rng))
+        s = gerbe_spark(cur, *(random_assignment(K, cov, rng, k) for k in (2, 1, 0)))
+        validate_spark(K, s)
+        assert spark_equivalent(K, s, ref)
+        assert gerbe_holonomy(cur, K.fundamental_cycle()) == F(1, 3)
+
+
+def test_glued_spark_without_triangles():
+    K = circle(3)
+    cov = star_cover(K)
+    g = cech_gerbe(cov, triple_part={(0, 1, 2): Cochain(0, (F(1, 3), 0, 0))})
+    s = gerbe_spark(g)
+    assert s.a == K.zero_cochain(2) and s.R == K.zero_cochain(3)
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +399,31 @@ def test_normal_form_unique_up_to_constants(windows, third_gerbe):
     assert constant_triple_class_trivial(cov, diff)
 
 
-def test_gauge_equivalence_decision(windows, third_gerbe):
+def decision_pairs(windows, third_gerbe):
+    """Pairs of gerbes over the window cover, with the expected answer."""
     K, cov = windows
     _, g = third_gerbe
     triv = cech_gerbe(cov)
     rng = random.Random(23)
     moved = cech_gauge(triv, *random_gauge(K, cov, rng))
-    assert gerbe_gauge_equivalent(triv, moved)
-    assert gerbe_gauge_equivalent(g, cech_gauge(g, *random_gauge(K, cov, rng)))
-    assert not gerbe_gauge_equivalent(triv, g)
-    assert gerbe_gauge_equivalent(
-        g, cech_gerbe(cov, triple_part=gerbe_flat_normal_form(g))
-    )
+    return [
+        (triv, moved, True),
+        (g, cech_gauge(g, *random_gauge(K, cov, rng)), True),
+        (triv, g, False),
+        (g, cech_gerbe(cov, triple_part=gerbe_flat_normal_form(g)), True),
+    ]
+
+
+def test_gauge_equivalence_decision(windows, third_gerbe):
+    for g1, g2, expected in decision_pairs(windows, third_gerbe):
+        assert gerbe_gauge_equivalent(g1, g2) == expected
+
+
+def test_gauge_equivalence_agrees_with_normal_form(windows, third_gerbe):
+    _, cov = windows
+    for g1, g2, expected in decision_pairs(windows, third_gerbe):
+        T = gerbe_flat_normal_form(difference(g1, g2))
+        assert constant_triple_class_trivial(cov, T) == expected
 
 
 def test_gauge_equivalence_needs_common_cover(windows, third_gerbe):

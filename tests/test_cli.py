@@ -13,7 +13,14 @@ from diffchar.cohomology import cohomology_generators
 from diffchar.complexes import scalar_str
 from diffchar.hodge import varied_weights
 from diffchar.lowdegree import gerbe_from_global, star_cover
-from diffchar.sparks import Spark, random_spark, spark_to_json
+from diffchar.sparks import (
+    Spark,
+    holonomy,
+    random_spark,
+    spark_from_json,
+    spark_to_json,
+    star,
+)
 
 
 def run(capsys, *argv):
@@ -164,6 +171,30 @@ def test_spark_from_cocycle_and_d2(tmp_path, capsys):
     code, data = run_json(capsys, "spark", "d2", "--space", "torus", str(sfile))
     assert code == 0
     assert sorted(abs(c) for c in data["results"]["free"]) == [0, 1]
+
+
+def test_degree_minus_one_sparks(tmp_path, capsys):
+    unit, top = tmp_path / "unit.json", tmp_path / "top.json"
+    for path, k in ((unit, -1), (top, 2)):
+        argv = ["spark", "new", "--space", "torus", "--k", str(k), "--seed", "1"]
+        code, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+    K = moebius_kuehnel_torus()
+    n = spark_from_json(K, json.loads(unit.read_text())).R.values[0]
+    s = spark_from_json(K, json.loads(top.read_text()))
+    for pair in ((unit, top), (top, unit)):
+        code, data = run_json(capsys, "spark", "star", "--space", "torus", *map(str, pair))
+        assert code == 0 and data["results"]["spark"] == spark_to_json(star(K, n, s))
+    code, data = run_json(capsys, "spark", "pair", "--space", "torus", str(unit), str(top))
+    expected = holonomy(K, star(K, n, s), K.fundamental_cycle())
+    assert code == 0 and data["results"]["pairing"] == scalar_str(expected)
+    # a curvature of degree -1 has no spark
+    cocycle = tmp_path / "c.json"
+    cocycle.write_text(canonical_json({"degree": -1, "values": []}))
+    code = main(["morse", "spark", "--space", "torus", "--cocycle", str(cocycle)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "nonnegative" in captured.err and "Traceback" not in captured.err
 
 
 def test_spark_link_rp3(capsys):

@@ -145,6 +145,16 @@ class TestProducts:
             assert K.cup(one, u) == u
             assert K.cup(u, one) == u
 
+    def test_cup_with_negative_degree_is_zero(self):
+        # C^{-1} is empty, so every product with it vanishes
+        K = sphere2()
+        empty = K.zero_cochain(-1)
+        rng = random.Random(7)
+        for k in range(K.dimension + 1):
+            u = random_cochain(rng, K, k)
+            assert K.cup(empty, u) == K.zero_cochain(k - 1)
+            assert K.cup(u, empty) == K.zero_cochain(k - 1)
+
     def test_cap_adjoint_to_cup(self):
         rng = random.Random(6)
         K = sphere2()
@@ -382,6 +392,8 @@ BUILT_DIGESTS = {
     "lens:7,2": "da3125fdd5d53b4cb35200c93931cf9549ff8be4734fcfae074258033eef78cf",
     "product:circle,circle": "3fa18e08930b6e354fde487d5331767d0f44a03376fa3c24dfe6f6d7117d79e6",
     "product:circle,torus": "f8fc41f3662ebac3e580e5f5ae6079c3fa932bc450c310c3726edb1b5e938eca",
+    # frozen from the product built on a pairwise subset scan for facets
+    "product:torus,torus": "8b495c6366f35d7f8f41c753701f26c24d9436265a0c811d825ee80ea0ddea56",
 }
 
 
@@ -535,6 +547,20 @@ def test_subdivision_of_non_pure_complex():
     for k in range(K.dimension + 1):
         z = Chain(k, tuple(range(1, K.n_simplices(k) + 1)))
         assert tr.coarsen_chain(tr.subdivide_chain(z)) == z
+
+
+def test_maximal_simplices_match_pairwise_subset_scan():
+    def subset_scan(K):
+        simps = sorted(
+            (t for lst in K.simplices.values() for t in lst), key=lambda t: (len(t), t)
+        )
+        return [t for t in simps if not any(set(t) < set(s) for s in simps)]
+
+    non_pure = SimplicialComplex([(0, 1, 2), (2, 3)], n_vertices=5)
+    for K in (non_pure, triangle_circle(), solid_tetra(), build_space("point"),
+              build_space("torus"), build_space("product:circle,circle")):
+        assert K.maximal_simplices() == subset_scan(K)
+    assert non_pure.maximal_simplices() == [(4,), (2, 3), (0, 1, 2)]
 
 
 class TestSerialization:

@@ -244,6 +244,37 @@ def test_star_trivialization_flat_three_dim():
     assert not check_star_trivialization(K, spiky, 3)
 
 
+def test_star_trivialization_flat_edge_phases():
+    # degree 1: delta of vertex phases plus integers
+    K = moebius_kuehnel_torus()
+    rng = random.Random(9)
+    theta = K.cochain(0, tuple(F(rng.randint(-6, 6), 5) for _ in range(7)))
+    t = K.delta(theta) + K.cochain(1, tuple(rng.randint(-2, 2) for _ in range(21)))
+    for v in range(7):
+        assert check_star_trivialization(K, t, v)
+
+
+def test_star_trivialization_degree_three():
+    K = sphere(4)
+    rng = random.Random(10)
+    n3, n2 = K.n_simplices(3), K.n_simplices(2)
+    t = K.cochain(3, tuple(rng.randint(-2, 2) for _ in range(n3))) + K.delta(
+        K.cochain(2, tuple(F(rng.randint(-5, 5), 3) for _ in range(n2)))
+    )
+    for v in range(K.n_vertices):
+        assert check_star_trivialization(K, t, v)
+    # 1/3 on the tetrahedron (0, 1, 2, 3) is seen from the star of 4
+    spiky = K.cochain(3, (F(1, 3),) + (0,) * (n3 - 1))
+    assert K.simplices[3][0] == (0, 1, 2, 3)
+    assert not check_star_trivialization(K, spiky, 4)
+
+
+def test_star_trivialization_needs_positive_degree():
+    K = moebius_kuehnel_torus()
+    with pytest.raises(ValueError, match="degree at least 1"):
+        star_trivialization(K, K.zero_cochain(0), 0)
+
+
 def test_star_trivialization_zero_through_apex():
     K = moebius_kuehnel_torus()
     t = K.cochain(2, tuple(F(i, 7) for i in range(14)))

@@ -551,6 +551,18 @@ class TestStar:
         assert star(K, -2, s) == Spark(s.a.scale(-2), s.R.scale(-2))
         assert star(K, s, 3) == Spark(s.a.scale(3), s.R.scale(3))
 
+    def test_degree_minus_one_sparks_act_as_integers(self):
+        # on a connected complex a degree -1 spark is (0, n * 1), and its
+        # star product in either slot is the action of the integer n
+        rng = random.Random(12)
+        K = moebius_kuehnel_torus()
+        for n in (-2, 1, 3):
+            unit = Spark(K.zero_cochain(-1), K.cochain(0, (n,) * K.n_vertices))
+            for k in range(-1, K.dimension + 1):
+                s = random_spark(K, k, rng)
+                assert star(K, unit, s) == star(K, n, s)
+                assert star(K, s, unit) == star(K, n, s)
+
     def test_d2_multiplicative_on_classes(self):
         # the degree-two class of a star product only depends on classes
         rng = random.Random(11)
