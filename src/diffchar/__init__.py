@@ -31,6 +31,7 @@ from .hodge import (
     abel_jacobi,
     is_principal,
     point_abel_jacobi,
+    spark_from_cocycle,
 )
 from .morse import Matching, MorseFlow, greedy_matching, morse_spark
 from .sparks import (
@@ -43,7 +44,6 @@ from .sparks import (
     linking_number,
     pullback_spark,
     spark_equivalent,
-    spark_from_cocycle,
     star,
     torsion_linking_matrix,
 )

@@ -29,13 +29,13 @@ from .cohomology import (
 )
 from .complexes import SimplicialComplex
 from .exact import rat_rank
+from .hodge import spark_from_cocycle
 from .sparks import (
     Spark,
     curvature,
     d2_class,
     flat_spark_from_torsion,
     spark_equivalent,
-    spark_from_cocycle,
 )
 
 

@@ -39,18 +39,26 @@ from .cohomology import (
     homology_structure,
 )
 from .complexes import (
+    Chain,
+    Cochain,
     ComplexError,
     SimplicialComplex,
     json_int,
     json_scalars,
     scalar_str,
 )
-from .hodge import HodgeContext, HodgeError, path_chain, point_abel_jacobi
+from .hodge import (
+    HodgeContext,
+    HodgeError,
+    path_chain,
+    point_abel_jacobi,
+    spark_from_cocycle,
+)
 from .lowdegree import (
     PhaseError,
+    _glued_spark,
     cech_gerbe,
     chern_cocycle,
-    gerbe_spark,
     gerbe_total_differential,
     patch_cover,
     phase_curvature,
@@ -72,7 +80,6 @@ from .sparks import (
     random_equivalent_shift,
     random_spark,
     spark_equivalent,
-    spark_from_cocycle,
     spark_from_json,
     spark_to_json,
     star,
@@ -205,25 +212,22 @@ def load_complex(args) -> tuple[SimplicialComplex, dict]:
     return build_space(args.space, budget), {"space": args.space}
 
 
-def _cochain_from_data(K, data, where, expect_degree=None):
+def _vector_from_data(K, cls, data, where, expect_degree=None):
+    """A Cochain or Chain (``cls``) from ``{"degree": k, "values": [...]}``."""
     try:
         k = json_int(data["degree"], f"{where}: degree")
         values = json_scalars(data["values"], f"{where}: values")
     except (KeyError, TypeError) as exc:
-        raise InputDataError(f"{where}: malformed cochain ({exc})") from exc
+        raise InputDataError(f"{where}: malformed {cls.__name__.lower()} ({exc})") from exc
     if expect_degree is not None and k != expect_degree:
         raise InputDataError(f"{where}: degree {k}, expected {expect_degree}")
-    _check_degree(K, k, where)
-    return K.cochain(k, values)
-
-
-def _check_degree(K, k, where):
     if not -1 <= k <= K.dimension:
         raise InputDataError(f"{where}: degree {k} outside -1..{K.dimension}")
+    return K.cochain(k, values) if cls is Cochain else K.chain(k, values)
 
 
 def _load_cochain(K, path, expect_degree=None):
-    return _cochain_from_data(K, _read_json(path), path, expect_degree)
+    return _vector_from_data(K, Cochain, _read_json(path), path, expect_degree)
 
 
 def _load_connection(K, path):
@@ -231,18 +235,11 @@ def _load_connection(K, path):
     data = _read_json(path)
     if isinstance(data, dict) and "edges" in data:
         return K.cochain(1, json_scalars(data["edges"], f"{path}: edges"))
-    return _cochain_from_data(K, data, path, expect_degree=1)
+    return _vector_from_data(K, Cochain, data, path, expect_degree=1)
 
 
 def _load_chain(K, path):
-    data = _read_json(path)
-    try:
-        k = json_int(data["degree"], f"{path}: degree")
-        values = json_scalars(data["values"], f"{path}: values")
-    except (KeyError, TypeError) as exc:
-        raise InputDataError(f"{path}: malformed chain ({exc})") from exc
-    _check_degree(K, k, path)
-    return K.chain(k, values)
+    return _vector_from_data(K, Chain, _read_json(path), path)
 
 
 def _load_spark(K, path):
@@ -813,9 +810,10 @@ def cmd_lowdeg_gerbe(args):
             },
         }
         if z is not None:
-            results["holonomy"] = holonomy(K, gerbe_spark(g), z)
+            # phi is checked already; gerbe_spark would check the layers again
+            results["holonomy"] = holonomy(K, _glued_spark(g, phi), z)
     else:
-        t = _cochain_from_data(K, data, args.gerbe, expect_degree=2)
+        t = _vector_from_data(K, Cochain, data, args.gerbe, expect_degree=2)
         phi = phase_curvature(K, t)
         results = {"model": "global", "curvature": _cochain_json(phi), "flat": phi.is_zero()}
         if z is not None:

@@ -13,9 +13,9 @@ quotient-group coordinates and torsion witnesses downstream, and
 eliminates primitive integer rows once and replays the recorded row
 operations on every right-hand side (factor once, solve many).  In the
 library, :class:`RatElim` factors the coboundary normal and harmonic
-Gram systems of :mod:`diffchar.sparks` and gives the rational rank of
-check 7 in :mod:`diffchar.characters`; every kernel and preimage comes
-from a Smith form.
+Gram systems of :class:`diffchar.hodge.HodgeContext` and gives the
+rational rank of check 7 in :mod:`diffchar.characters`; every kernel
+and preimage comes from a Smith form.
 
 Denominators are cleared once per vector, as fraction-free elimination
 clears them once per row: :func:`mat_vec`, :func:`transpose_apply` and
@@ -649,9 +649,9 @@ class RatElim:
     """Fraction-free sparse Gauss-Jordan over Q: factor once, solve many.
 
     The library builds it for the normal and Gram systems of
-    :mod:`diffchar.sparks`, whose solutions enter outputs only through
-    unique projections, and for :func:`rat_rank`; so no pivot choice
-    reaches an output.  ``nullspace()``, ``rhs=`` and ``solution()``
+    :class:`diffchar.hodge.HodgeContext`, whose solutions enter outputs
+    only through unique projections, and for :func:`rat_rank`; so no
+    pivot choice reaches an output.  ``nullspace()``, ``rhs=`` and ``solution()``
     serve the tests and ``perfbench``.
 
     ``rows`` is a list of {col: value} dicts (int or Fraction values),

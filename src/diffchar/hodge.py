@@ -7,8 +7,10 @@ rationals or by conjugate gradients in floating point.  Exact mode
 eliminates no Laplacian: every operator comes from the coboundary
 normal matrices N_j = delta_j^T W delta_j (finite-difference Hodge
 theory), each factored once per degree and weight profile, plus a small
-Gram system on the harmonic basis; both come from
-:mod:`diffchar.sparks`, which owns the one harmonic projection.  The
+Gram system on the harmonic basis.  :class:`HodgeContext` owns these
+systems and the library's one harmonic projection; what the weights of
+a degree fix is cached on K when they are all 1, so spark_from_cocycle
+and every context uniform in that degree share it.  The
 harmonic representatives are the projections of the integral free
 cohomology generators g: g - delta x below the top degree, and in the
 top degree n, where delta_n = 0 and the harmonic cochains are W^{-1}
@@ -27,19 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import cohomology_generators, integer_homology
+from .cohomology import cohomology_generators, integer_cohomology, integer_homology
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import transpose_apply
-from .sparks import (
-    Spark,
-    degree_weights,
-    exact_potential,
-    harmonic_potential,
-    harmonic_projection,
-    harmonic_vectors,
-    mod1,
-    normal_factorization,
-)
+from .exact import RatElim, gram_rows, transpose_apply, transpose_rows
+from .sparks import Spark, SparkError, mod1, periods
 
 EXACT_SIZE_LIMIT = 2000
 
@@ -71,10 +64,11 @@ class HodgeContext:
     gradients) or "auto", which picks exact below EXACT_SIZE_LIMIT total
     simplices.  Spark-producing operations require the exact method.
     The exact harmonic basis in degree k holds the weighted harmonic
-    projections of the free generators of H^k(K; Z).  Exact operators
-    solve with the normal-matrix factorizations and the harmonic
-    projection of :mod:`diffchar.sparks`; in degrees with uniform
-    weights they share K's cache with the sparks built there.
+    projections of the free generators of H^k(K; Z).  Degrees without
+    given weights, or with all given weights 1, are uniform: what their
+    weights fix (normal factorizations, harmonic bases, Gram systems)
+    is cached on K and shared with spark_from_cocycle and every other
+    context uniform there; the other degrees keep theirs in the context.
     """
 
     def __init__(self, K: SimplicialComplex, weights=None, method="auto",
@@ -86,14 +80,19 @@ class HodgeContext:
             raise HodgeError(
                 f"weights given in degree {stray[0]}, outside 0..{K.dimension}"
             )
-        self.weights = {}
-        for k in range(K.dimension + 1):
-            w = tuple(given.get(k, (Fraction(1),) * K.n_simplices(k)))
+        self.weights = {
+            k: (Fraction(1),) * K.n_simplices(k) for k in range(K.dimension + 1)
+        }
+        self._weighted = set()
+        for k in sorted(given):
+            w = tuple(given[k])
             if len(w) != K.n_simplices(k):
                 raise HodgeError(f"need {K.n_simplices(k)} weights in degree {k}")
             if any(x <= 0 for x in w):
                 raise HodgeError("weights must be positive")
             self.weights[k] = w
+            if any(x != 1 for x in w):
+                self._weighted.add(k)
         if method == "auto":
             method = "exact" if K.total_simplices() <= EXACT_SIZE_LIMIT else "cg"
         if method not in ("exact", "cg"):
@@ -135,18 +134,47 @@ class HodgeContext:
         return sum(wi * a * b for wi, a, b in zip(w, u.values, v.values))
 
     # -- exact machinery -------------------------------------------------
+    def _uneven(self, k):
+        """The degree-k weights when some differ from 1, else None."""
+        return self.weights[k] if k in self._weighted else None
+
+    def _store(self, k):
+        """Cache for what the degree-k weights fix: K's when they are uniform."""
+        return self._cache if k in self._weighted else self.K._cache
+
+    def _normal(self, k):
+        """The factored normal matrix N_k = delta_k^T W_{k+1} delta_k, eliminated once."""
+        store = self._store(k + 1)
+        key = ("normal", k)
+        if key not in store:
+            # no local for the rows: the elimination keeps its own copy,
+            # and the Gram rows are freed before it runs
+            n_k = self.K.n_simplices(k)
+            w = self._uneven(k + 1)
+            store[key] = RatElim(gram_rows(self.K.delta_rows(k), n_k, w), n_k).run()
+        return store[key]
+
     def _exact_potential(self, u: Cochain) -> Cochain:
-        """x with delta x the exact part of u: N_{k-1} x = delta^T W_k u."""
-        w = degree_weights(self.weights, u.degree)
-        return exact_potential(self.K, u, w, self._cache)
+        """x with delta x the exact part of u: N_{k-1} x = delta^T W_k u.
+
+        delta x is the orthogonal projection of u onto the coboundaries.
+        Free variables of the pivoted solve are set to zero, so the
+        output is deterministic.
+        """
+        K = self.K
+        k = u.degree - 1
+        n_k = K.n_simplices(k)
+        w = self._uneven(u.degree)
+        wu = u.values if w is None else [a * v for a, v in zip(w, u.values)]
+        x = self._normal(k).solve(transpose_apply(K.delta_rows(k), wu, n_k))
+        if x is None:
+            raise AssertionError("normal equations must be consistent")
+        return K.cochain(k, x)
 
     def _up_potential(self, v: Cochain) -> Cochain:
         """y with adjoint_delta(delta y) = v for a coexact v: N_k y = W_k v."""
         k = v.degree
-        N = normal_factorization(
-            self.K, k, degree_weights(self.weights, k + 1), self._cache
-        )
-        y = N.solve([w * x for w, x in zip(self.weight(k), v.values)])
+        y = self._normal(k).solve([w * x for w, x in zip(self.weight(k), v.values)])
         if y is None:
             raise AssertionError("normal equations must be consistent")
         return Cochain(k, tuple(y))
@@ -159,22 +187,77 @@ class HodgeContext:
     def harmonic_basis(self, k):
         """Harmonic projections of the free generators g of H^k(K; Z).
 
-        g - delta x below the top degree; in the top degree the
-        projection onto W^{-1} times the cycles, with no normal matrix
-        (see :func:`~diffchar.sparks.harmonic_vectors`).
+        The projection is orthogonal under the degree-k weights W.
+        Below the top degree it is g - delta x, delta x the exact part
+        of g.  In the top degree n, delta_n = 0, so the harmonic
+        n-cochains are W^{-1} z for the rational n-cycles z: with Z the
+        rows of :func:`~diffchar.cohomology.cycle_lattice_basis`,
+        already sparse in the cached Smith form of the boundary, the
+        projection is W^{-1} Z^T c with (Z W^{-1} Z^T) c = Z g, a
+        b_n x b_n Gram system, and no normal matrix is factored.  Values
+        are Fractions.
         """
-        if not self.exact:
-            raise HodgeError("harmonic basis needs the exact method")
-        w = degree_weights(self.weights, k)
-        vectors = harmonic_vectors(self.K, k, w, self._cache)
-        return [Cochain(k, b) for b in vectors]
+        self._require_exact("harmonic basis")
+        store = self._store(k)
+        key = ("harmonics", k)
+        if key not in store:
+            K = self.K
+            free, _ = cohomology_generators(K, k)
+            if k != K.dimension or not free:
+                vectors = [(g - K.delta(self._exact_potential(g))).values for g in free]
+            else:
+                n_k = K.n_simplices(k)
+                snf = integer_homology(K, k).snfA
+                Z = snf.VT_rows[snf.rank:]
+                w = self._uneven(k)
+                winv = None if w is None else [1 / Fraction(x) for x in w]
+                gram = RatElim(gram_rows(transpose_rows(Z, n_k), len(Z), winv), len(Z)).run()
+                vectors = []
+                for g in free:
+                    c = gram.solve(periods(K, g))
+                    if c is None:
+                        raise AssertionError("cycle Gram system must be solvable")
+                    h = transpose_apply(Z, c, n_k)
+                    vectors.append(h if winv is None else [x * a for x, a in zip(h, winv)])
+            store[key] = [Cochain(k, tuple(Fraction(v) for v in h)) for h in vectors]
+        return list(store[key])
 
     def harmonic_projection(self, u: Cochain) -> Cochain:
-        if self.exact:
-            return harmonic_projection(
-                self.K, u, degree_weights(self.weights, u.degree), self._cache
-            )
-        return self.decompose(u).harmonic
+        """Orthogonal projection of u onto the harmonic k-cochains.
+
+        Exact: sum_i c_i b_i over the :meth:`harmonic_basis` b_i, with
+        G c = (<b_i, u>)_i for the b_k x b_k Gram matrix
+        G_ij = <b_i, b_j>, factored once and cached like the basis; zero
+        when b_k = 0, with no factorization at all.  CG: the harmonic
+        part of :meth:`decompose`.
+        """
+        if not self.exact:
+            return self.decompose(u).harmonic
+        k = u.degree
+        basis = [b.values for b in self.harmonic_basis(k)]
+        if not basis:
+            return self.K.zero_cochain(k)
+        w = self._uneven(k)
+
+        def inner(b, v):
+            return sum(x * y for x, y in zip(b, v) if x)
+
+        store = self._store(k)
+        key = ("gram", k)
+        if key not in store:
+            wb = basis if w is None else [[a * x for a, x in zip(w, b)] for b in basis]
+            rows = [{j: g for j, c in enumerate(wb) if (g := inner(b, c))} for b in basis]
+            store[key] = RatElim(rows, len(basis)).run()
+        wu = u.values if w is None else [a * x for a, x in zip(w, u.values)]
+        coeffs = store[key].solve([inner(b, wu) for b in basis])
+        if coeffs is None:
+            raise AssertionError("Gram system must be solvable")
+        h = [Fraction(0)] * len(u.values)
+        for c, b in zip(coeffs, basis):
+            for r, x in enumerate(b):
+                if x:
+                    h[r] += c * x
+        return Cochain(k, tuple(h))
 
     def _exact_parts(self, u: Cochain):
         """(H u, x, y) with u = H u + delta x + adjoint_delta(delta y)."""
@@ -269,18 +352,43 @@ class HodgeContext:
         if not self.exact:
             raise HodgeError(f"{what} needs the exact method")
 
+    def harmonic_potential(self, R: Cochain) -> Cochain:
+        """Potential a with harmonic curvature delta a + R, orthogonal to harmonics.
+
+        With H_j the harmonic projection in degree j, a = -(x - H_{k-1} x)
+        for any rational x with delta x = R - H_k R, taken from the Smith
+        form of :func:`~diffchar.cohomology.integer_cohomology` that the
+        generators already use.  Two such x differ by a rational cocycle,
+        that is a harmonic part plus a coboundary, so the character of
+        (a, R) does not depend on the choice of x, on pivot order or on
+        vertex labels.  No normal matrix is factored when
+        b_k = b_{k-1} = 0, nor in the top degree k = n when b_{n-1} = 0
+        (see :meth:`harmonic_basis`).  The character moves with R inside
+        its class: for an integral S, (a, R + delta S) presents the
+        character of (a, R) plus the flat spark (H_{k-1} S, 0).  R must
+        be an integral cocycle (SparkError otherwise).
+        """
+        self._require_exact("harmonic potential")
+        K = self.K
+        _check_charge(K, R)
+        k = R.degree
+        x = integer_cohomology(K, k).preimage_rat((R - self.harmonic_projection(R)).values)
+        if x is None:
+            raise AssertionError("R minus its harmonic part must be exact")
+        x = K.cochain(k - 1, x)
+        return self.harmonic_projection(x) - x
+
     def hodge_spark(self, R: Cochain) -> Spark:
         """The spark with charge R, harmonic curvature and coexact potential.
 
-        The :func:`~diffchar.sparks.harmonic_potential` of R under this
-        context's weights, put in :meth:`spark_normal_form`; the result is
-        the unique such spark.  It depends on the cocycle R, not only on
-        its class: for an integral S, the spark of R + delta S is that of
-        R plus the flat spark (H_{k-1} S, 0).
+        The :meth:`harmonic_potential` of R under this context's
+        weights, put in :meth:`spark_normal_form`; the result is the
+        unique such spark.  It depends on the cocycle R, not only on its
+        class: for an integral S, the spark of R + delta S is that of R
+        plus the flat spark (H_{k-1} S, 0).
         """
         self._require_exact("spark construction")
-        a = harmonic_potential(self.K, R, self.weights, self._cache)
-        return self.spark_normal_form(Spark(a, R))
+        return self.spark_normal_form(Spark(self.harmonic_potential(R), R))
 
     def spark_normal_form(self, s: Spark) -> Spark:
         """Equivalent spark whose potential has no coboundary component."""
@@ -293,6 +401,47 @@ class HodgeDecomposition:
     harmonic: Cochain
     primitive: Cochain
     coprimitive: Cochain
+
+
+def _check_charge(K: SimplicialComplex, R: Cochain):
+    if not R.is_integral():
+        raise SparkError("R must be integral")
+    if not K.delta(R).is_zero():
+        raise SparkError("R must be a cocycle")
+    if R.degree < 0:
+        raise SparkError("cocycle degree must be nonnegative")
+
+
+def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
+    """Spark with the given integral cocycle as its second component.
+
+    R is split on the cached Smith form as G + delta y: G is the
+    combination of :func:`~diffchar.cohomology.cohomology_generators`
+    with R's free and torsion coordinates, y an integral
+    (k-1)-cochain.  The potential is the
+    :meth:`~HodgeContext.harmonic_potential` of G minus y, with uniform
+    weights, so the curvature is the harmonic projection of R, a
+    generator gets exactly its harmonic spark, and cohomologous
+    cocycles get equivalent sparks.  Class invariance costs
+    naturality: when b_{k-1} > 0 the character of a cocycle that is no
+    generator depends on the generators chosen (the flat spark
+    (H_{k-1} y, 0) of the harmonic potential).
+    """
+    _check_charge(K, R)
+    k = R.degree
+    values = [int(v) for v in R.values]
+    Q = integer_cohomology(K, k)
+    free, torsion = cohomology_generators(K, k)
+    free_coords, torsion_coords = Q.coords(values)
+    G = K.zero_cochain(k)
+    for c, g in zip(free_coords + torsion_coords, free + [g for _, g, _ in torsion]):
+        if c:
+            G = G + g.scale(c)
+    y = Q.preimage_int([v - w for v, w in zip(values, G.values)])
+    if y is None:
+        raise AssertionError("R minus its generator combination must be a coboundary")
+    a = HodgeContext(K, method="exact").harmonic_potential(G)
+    return Spark(a - K.cochain(k - 1, y), R)
 
 
 # ---------------------------------------------------------------------------

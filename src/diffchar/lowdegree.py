@@ -560,9 +560,15 @@ def gerbe_spark(
     of gerbe_total_differential make it an integral cocycle.  Other
     subordinate assignments and gauge moves give equivalent sparks.
     """
+    phi, _ = gerbe_total_differential(g)
+    return _glued_spark(g, phi, face_patches, edge_patches, vertex_patches)
+
+
+def _glued_spark(g: CechGerbe, phi, face_patches=None, edge_patches=None,
+                 vertex_patches=None) -> Spark:
+    """:func:`gerbe_spark` of g, given its checked glued curvature phi."""
     cover = g.cover
     K = cover.K
-    phi, _ = gerbe_total_differential(g)
     rho2 = _assignment(cover, 2, face_patches)
     rho1 = _assignment(cover, 1, edge_patches)
     rho0 = _assignment(cover, 0, vertex_patches)

@@ -10,16 +10,11 @@ decides that relation exactly.  It and the holonomy check of
 cycle basis through one kernel, :func:`periods`: a sparse integer
 product with the basis rows of the cached Smith form of the boundary.
 
-Sparks are built from integral cocycles on the Smith forms that the
-cohomology generators already cached.  The harmonic potential of a
-cocycle R makes the curvature the harmonic projection of R and is
-orthogonal to the harmonic cochains; it is natural (independent of
-pivot order and vertex labels) but moves with R inside its class.
-spark_from_cocycle applies it to the generator combination of R's
-class and so depends on the class alone.  The harmonic projection
-(coboundary normal matrices below the top degree, the cycle lattice in
-the top degree, plus a Gram system on the projected generators) lives
-here, shared with weighted Hodge theory.
+Sparks with harmonic curvature are built from integral cocycles in
+:mod:`diffchar.hodge` (``spark_from_cocycle`` and
+``HodgeContext.hodge_spark``), which owns the harmonic projection and
+the normal and Gram systems behind it; this module keeps the calculus
+that needs no solver.
 
 The star product pairs sparks of degrees k and l into one of degree
 k + l + 1, satisfying the Leibniz identity
@@ -43,10 +38,13 @@ from .complexes import (
     Cochain,
     SimplicialComplex,
     is_integer,
+    json_int,
+    json_scalars,
     pull_cochain,
+    scalar_str,
     simplicial_chain_maps,
 )
-from .exact import RatElim, gram_rows, mat_vec, transpose_apply, transpose_rows
+from .exact import mat_vec
 
 
 class SparkError(ValueError):
@@ -106,215 +104,6 @@ def mod1(x) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def degree_weights(weights, k):
-    """Degree-k entry of a weight profile, None when it is uniform.
-
-    ``weights`` maps degree to per-simplex weights (None: all uniform).
-    A None result makes the functions below use K's cache, shared by
-    every caller with uniform weights in that degree.
-    """
-    w = weights.get(k) if weights else None
-    return None if w is None or all(x == 1 for x in w) else w
-
-
-def normal_factorization(K: SimplicialComplex, k, weights=None, cache=None):
-    """The factored normal matrix N_k = delta_k^T W delta_k, eliminated once.
-
-    W is the diagonal of the degree-(k+1) ``weights``.  Uniform weights
-    (None) are cached on K, so spark_from_cocycle and every uniform
-    HodgeContext on K share one factorization per degree; any other
-    profile is cached in ``cache``.
-    """
-    if weights is None:
-        cache = K._cache
-    key = ("normal", k)
-    if key not in cache:
-        n_k = K.n_simplices(k)
-        cache[key] = RatElim(gram_rows(K.delta_rows(k), n_k, weights), n_k).run()
-    return cache[key]
-
-
-def exact_potential(K: SimplicialComplex, u: Cochain, weights=None, cache=None):
-    """(k-1)-cochain x whose coboundary is the exact part of the k-cochain u.
-
-    Solves N_{k-1} x = delta^T W u over Q (see
-    :func:`normal_factorization`), so delta x is the orthogonal
-    projection of u onto the coboundaries, W the diagonal of the
-    degree-k ``weights`` (standard inner product when None).  Free
-    variables of the pivoted solve are set to zero, so the output is
-    deterministic.
-    """
-    k = u.degree - 1
-    n_k = K.n_simplices(k)
-    wu = u.values if weights is None else [w * v for w, v in zip(weights, u.values)]
-    x = normal_factorization(K, k, weights, cache).solve(
-        transpose_apply(K.delta_rows(k), wu, n_k)
-    )
-    if x is None:
-        raise AssertionError("normal equations must be consistent")
-    return K.cochain(k, x)
-
-
-def harmonic_vectors(K: SimplicialComplex, k, weights=None, cache=None):
-    """Harmonic projections of the free generators g of H^k(K; Z).
-
-    The projection is orthogonal under the degree-k ``weights`` W.
-    Below the top degree it is g - delta x, delta x the
-    :func:`exact_potential` of g.  In the top degree n, delta_n = 0, so
-    the harmonic n-cochains are W^{-1} z for the rational n-cycles z:
-    with Z the rows of :func:`~diffchar.cohomology.cycle_lattice_basis`,
-    already sparse in the cached Smith form of the boundary, the
-    projection is W^{-1} Z^T c with (Z W^{-1} Z^T) c = Z g, a b_n x b_n
-    Gram system, and no normal matrix is factored.  The vectors (tuples
-    of Fractions) are cached like :func:`normal_factorization`.
-    """
-    if weights is None:
-        cache = K._cache
-    key = ("harmonics", k)
-    if key not in cache:
-        free, _ = cohomology_generators(K, k)
-        if k == K.dimension:
-            vectors = _cycle_harmonics(K, free, weights)
-        else:
-            vectors = [
-                (g - K.delta(exact_potential(K, g, weights, cache))).values
-                for g in free
-            ]
-        cache[key] = [tuple(Fraction(v) for v in h) for h in vectors]
-    return cache[key]
-
-
-def _cycle_harmonics(K: SimplicialComplex, free, weights):
-    """W^{-1} Z^T c with (Z W^{-1} Z^T) c = Z g for each top-degree g in ``free``."""
-    if not free:
-        return []
-    n = K.dimension
-    n_n = K.n_simplices(n)
-    snf = integer_homology(K, n).snfA
-    Z = snf.VT_rows[snf.rank:]
-    winv = None if weights is None else [1 / Fraction(w) for w in weights]
-    gram = RatElim(gram_rows(transpose_rows(Z, n_n), len(Z), winv), len(Z)).run()
-    out = []
-    for g in free:
-        c = gram.solve(periods(K, g))
-        if c is None:
-            raise AssertionError("cycle Gram system must be solvable")
-        h = transpose_apply(Z, c, n_n)
-        out.append(h if winv is None else [x * w for x, w in zip(h, winv)])
-    return out
-
-
-def harmonic_projection(K: SimplicialComplex, u: Cochain, weights=None, cache=None):
-    """Orthogonal projection of u onto the harmonic k-cochains.
-
-    The inner product is weighted by the degree-k ``weights``.  The
-    harmonic part is sum_i c_i b_i over the :func:`harmonic_vectors`
-    b_i, with G c = (<b_i, u>)_i for the b_k x b_k Gram matrix
-    G_ij = <b_i, b_j>, factored once and cached like the vectors.  Zero
-    when b_k = 0, with no factorization at all.
-    """
-    k = u.degree
-    basis = harmonic_vectors(K, k, weights, cache)
-    if not basis:
-        return K.zero_cochain(k)
-    if weights is None:
-        cache = K._cache
-
-    def inner(b, v):
-        return sum(x * y for x, y in zip(b, v) if x)
-
-    key = ("gram", k)
-    if key not in cache:
-        wb = basis if weights is None else [
-            [w * x for w, x in zip(weights, b)] for b in basis
-        ]
-        rows = [{j: g for j, c in enumerate(wb) if (g := inner(b, c))} for b in basis]
-        cache[key] = RatElim(rows, len(basis)).run()
-    wu = u.values if weights is None else [w * x for w, x in zip(weights, u.values)]
-    coeffs = cache[key].solve([inner(b, wu) for b in basis])
-    if coeffs is None:
-        raise AssertionError("Gram system must be solvable")
-    h = [Fraction(0)] * len(u.values)
-    for c, b in zip(coeffs, basis):
-        for r, x in enumerate(b):
-            if x:
-                h[r] += c * x
-    return Cochain(k, tuple(h))
-
-
-def _check_charge(K: SimplicialComplex, R: Cochain):
-    if not R.is_integral():
-        raise SparkError("R must be integral")
-    if not K.delta(R).is_zero():
-        raise SparkError("R must be a cocycle")
-    if R.degree < 0:
-        raise SparkError("cocycle degree must be nonnegative")
-
-
-def harmonic_potential(
-    K: SimplicialComplex, R: Cochain, weights=None, cache=None
-) -> Cochain:
-    """Potential a with harmonic curvature delta a + R, orthogonal to harmonics.
-
-    With H_j the harmonic projection in degree j, a = -(x - H_{k-1} x)
-    for any rational x with delta x = R - H_k R, taken from the Smith
-    form of :func:`~diffchar.cohomology.integer_cohomology` that the
-    generators already use.  Two such x differ by a rational cocycle,
-    that is a harmonic part plus a coboundary, so the character of
-    (a, R) does not depend on the choice of x, on pivot order or on
-    vertex labels.  No normal matrix is factored when
-    b_k = b_{k-1} = 0, nor in the top degree k = n when b_{n-1} = 0
-    (see :func:`harmonic_vectors`).  The character moves with R inside
-    its class: for an integral S, (a, R + delta S) presents the
-    character of (a, R) plus the flat spark (H_{k-1} S, 0).
-
-    ``weights`` is an optional weight profile (degree -> weights) for
-    both projections, with ``cache`` (a fresh dict when None) holding
-    its non-uniform factorizations; the default is the standard inner
-    product.  R must be an integral cocycle (SparkError otherwise).
-    """
-    _check_charge(K, R)
-    if cache is None:
-        cache = {}
-    k = R.degree
-    h = harmonic_projection(K, R, degree_weights(weights, k), cache)
-    x = integer_cohomology(K, k).preimage_rat((R - h).values)
-    if x is None:
-        raise AssertionError("R minus its harmonic part must be exact")
-    x = K.cochain(k - 1, x)
-    return harmonic_projection(K, x, degree_weights(weights, k - 1), cache) - x
-
-
-def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
-    """Spark with the given integral cocycle as its second component.
-
-    R is split on the cached Smith form as G + delta y: G is the
-    combination of :func:`~diffchar.cohomology.cohomology_generators`
-    with R's free and torsion coordinates, y an integral
-    (k-1)-cochain.  The potential is the :func:`harmonic_potential` of
-    G minus y, so the curvature is the harmonic projection of R, a
-    generator gets exactly its harmonic spark, and cohomologous
-    cocycles get equivalent sparks.  Class invariance costs
-    naturality: when b_{k-1} > 0 the character of a cocycle that is no
-    generator depends on the generators chosen (the flat spark
-    (H_{k-1} y, 0) of :func:`harmonic_potential`).
-    """
-    _check_charge(K, R)
-    k = R.degree
-    values = [int(v) for v in R.values]
-    Q = integer_cohomology(K, k)
-    free, torsion = cohomology_generators(K, k)
-    free_coords, torsion_coords = Q.coords(values)
-    G = K.zero_cochain(k)
-    for c, g in zip(free_coords + torsion_coords, free + [g for _, g, _ in torsion]):
-        if c:
-            G = G + g.scale(c)
-    y = Q.preimage_int([v - w for v, w in zip(values, G.values)])
-    if y is None:
-        raise AssertionError("R minus its generator combination must be a coboundary")
-    return Spark(harmonic_potential(K, G) - K.cochain(k - 1, y), R)
 
 
 def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain, j=1) -> Spark:
@@ -537,8 +326,6 @@ def random_equivalent_shift(K: SimplicialComplex, s: Spark, rng: random.Random) 
 
 
 def spark_to_json(s: Spark):
-    from .complexes import scalar_str
-
     return {
         "degree": s.degree,
         "a": {
@@ -555,8 +342,6 @@ def spark_to_json(s: Spark):
 
 
 def spark_from_json(K: SimplicialComplex, data) -> Spark:
-    from .complexes import json_int, json_scalars
-
     a = K.cochain(
         json_int(data["a"]["degree"], "spark a degree"),
         json_scalars(data["a"]["values"], "spark a values"),

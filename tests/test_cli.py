@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffchar import cli, lowdegree
 from diffchar.builders import build_space, circle, moebius_kuehnel_torus
 from diffchar.cli import canonical_json, main
 from diffchar.cohomology import cohomology_generators
@@ -373,6 +374,32 @@ def test_lowdeg_gerbe_cover_form(tmp_path, capsys):
     assert data["results"]["obstruction"] == {}
 
 
+def test_lowdeg_gerbe_checks_the_layers_once(tmp_path, capsys, monkeypatch):
+    # with a cycle the cover model reports the curvature and the holonomy
+    # of the glued spark from one run of the layer checks
+    K = moebius_kuehnel_torus()
+    g = gerbe_from_global(star_cover(K), K.cochain(2, ("1/3",) + ("0",) * 13))
+    gerbe = tmp_path / "g.json"
+    gerbe.write_text(canonical_json({"patch": [[str(v) for v in c.values] for c in g.patch_part]}))
+    cycle = tmp_path / "z.json"
+    cycle.write_text(canonical_json({"degree": 2, "values": list(K.fundamental_cycle().values)}))
+    calls = []
+    total_differential = lowdegree.gerbe_total_differential
+
+    def counted(g):
+        calls.append(g)
+        return total_differential(g)
+
+    monkeypatch.setattr(lowdegree, "gerbe_total_differential", counted)
+    monkeypatch.setattr(cli, "gerbe_total_differential", counted)
+    code, data = run_json(
+        capsys, "lowdeg", "gerbe", "--space", "torus", "--gerbe", str(gerbe),
+        "--cycle", str(cycle),
+    )
+    assert code == 0 and data["results"]["holonomy"] == "1/3"
+    assert len(calls) == 1
+
+
 def test_lowdeg_gerbe_triple_layer(tmp_path, capsys):
     # pure gluing data on the one triple overlap of the triangle circle
     payload = {"triple": {"0,1,2": ["1/3", "0", "0"]}}
@@ -545,6 +572,20 @@ def test_integer_degree_as_text_loads(tmp_path, capsys, kind):
     code = main([a.format(**paths) for a in NON_INTEGER_DEGREE_COMMANDS[kind]])
     captured = capsys.readouterr()
     assert code == 0, captured.err
+
+
+@pytest.mark.parametrize("command, what", [
+    (["hodge", "decompose", "--space", "rp2", "--cochain"], "cochain"),
+    (["spark", "holonomy", "--space", "rp2", "{spark_ok}", "--cycle"], "chain"),
+], ids=["cochain", "chain"])
+def test_missing_values_is_malformed_input(tmp_path, capsys, command, what):
+    paths = _rp2_input_files(tmp_path, "0")
+    data = tmp_path / "data.json"
+    data.write_text(canonical_json({"degree": 1}))
+    code = main([a.format(**paths) for a in command] + [str(data)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"malformed {what} (" in captured.err and "Traceback" not in captured.err
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):
@@ -762,6 +803,34 @@ def test_hodge_spark_generators_stdout_frozen(tmp_path, capsys, space, weighted)
             text += _without_weights_input(out, weights) if weighted else out
     label = f"{space} {'weighted' if weighted else 'uniform'}"
     assert hashlib.sha256(text.encode()).hexdigest() == HODGE_SPARK_GENERATORS_SHA[label]
+
+
+# sha256 of the concatenated `hodge spark` stdout over the free
+# generators of degrees 1 and 2 on the torus, with weights given in
+# degree 1 only (degrees 0 and 2 uniform); frozen from the construction
+# whose weighted solves lived in the spark module
+HODGE_SPARK_ONE_DEGREE_WEIGHTS_SHA = (
+    "e9527af81b8929253b2896269ef523aef2f40d581fe29267f5e974616085bea7"
+)
+
+
+def test_hodge_spark_one_degree_weights_frozen(tmp_path, capsys):
+    K = build_space("torus")
+    choices = ("1/2", "1", "3/2", "2", "5/2")
+    weights = tmp_path / "w.json"
+    weights.write_text(canonical_json({"1": [choices[i % 5] for i in range(K.n_simplices(1))]}))
+    text = ""
+    for k in (1, 2):
+        for i, g in enumerate(cohomology_generators(K, k)[0]):
+            path = tmp_path / f"gen{k}_{i}.json"
+            path.write_text(canonical_json({"degree": k, "values": [str(v) for v in g.values]}))
+            code, out = run(
+                capsys, "hodge", "spark", "--space", "torus", "--cocycle", str(path),
+                "--weights", str(weights),
+            )
+            assert code == 0
+            text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == HODGE_SPARK_ONE_DEGREE_WEIGHTS_SHA
 
 
 def test_hodge_default_flag_digest_frozen(capsys):

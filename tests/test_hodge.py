@@ -1,11 +1,15 @@
 """Weighted Hodge operators, decomposition, spark potentials, AJ values."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from diffchar import cli, hodge
 from diffchar.builders import (
+    build_space,
     circle,
     moebius_kuehnel_torus,
     rp2,
@@ -23,10 +27,11 @@ from diffchar.hodge import (
     is_principal,
     path_chain,
     point_abel_jacobi,
+    spark_from_cocycle,
     uniform_weights,
     varied_weights,
 )
-from diffchar.sparks import curvature, exact_potential, spark_equivalent
+from diffchar.sparks import curvature, spark_equivalent
 
 F = Fraction
 
@@ -192,7 +197,7 @@ def test_splitting_identity():
     # exact part delta e of x solved on a separately built complex, so no
     # factorization is shared with ctx
     L = moebius_kuehnel_torus()
-    e = exact_potential(L, L.cochain(1, x.values))
+    e = HodgeContext(L)._exact_potential(L.cochain(1, x.values))
     s = -(x - h - K.delta(K.cochain(0, e.values)))
     assert x == h + db - s
 
@@ -260,6 +265,80 @@ def test_weight_validation():
         HodgeContext(K, weights={1: (1, 2)})
     with pytest.raises(HodgeError):
         HodgeContext(K, weights={0: (1, -1, 1)})
+
+
+def _generators(K, k):
+    free, tor = cohomology_generators(K, k)
+    return free + [g for _, g, _ in tor]
+
+
+def test_mixed_weight_profile(monkeypatch):
+    # weights given in the top degree only: the other degrees are
+    # uniform, equal to explicit all-ones tuples there, and share the
+    # factorizations that spark_from_cocycle left on K
+    K = moebius_kuehnel_torus()
+    n = K.dimension
+    w_top = varied_weights(K, random.Random(6))[n]
+    mixed = HodgeContext(K, weights={n: w_top}, method="exact")
+    explicit = HodgeContext(K, weights={**uniform_weights(K), n: w_top}, method="exact")
+    rng = random.Random(8)
+    expected = {}
+    for k in range(n + 1):
+        u = rand_cochain(K, k, rng)
+        assert mixed.decompose(u) == explicit.decompose(u)
+        assert mixed.green(u) == explicit.green(u)
+        for i, g in enumerate(_generators(K, k)):
+            expected[k, i] = mixed.hodge_spark(g)
+            assert expected[k, i] == explicit.hodge_spark(g)
+    K = moebius_kuehnel_torus()
+    for k in range(n + 1):
+        for g in _generators(K, k):
+            spark_from_cocycle(K, g)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("factored again")
+
+    monkeypatch.setattr(hodge, "RatElim", no_elimination)
+    mixed = HodgeContext(K, weights={n: w_top}, method="exact")
+    # degree 0 would factor the empty N_{-2} of a degree -1 normal form
+    for k in range(1, n):
+        for i, g in enumerate(_generators(K, k)):
+            assert mixed.hodge_spark(g) == expected[k, i]
+    # the weighted top degree keeps its own Gram system
+    with pytest.raises(AssertionError, match="factored again"):
+        mixed.harmonic_basis(n)
+
+
+def test_no_reference_cycle_holds_a_complex(monkeypatch, capsys):
+    # with the cyclic collector off, a complex must die with its last
+    # reference: a context cached on K would keep K alive through
+    # K -> cache -> context -> K
+    built = []
+
+    def recorded_build(name, *args):
+        K = build_space(name, *args)
+        built.append(weakref.ref(K))
+        return K
+
+    monkeypatch.setattr(cli, "build_space", recorded_build)
+    gc.collect()
+    gc.disable()
+    try:
+        K = moebius_kuehnel_torus()
+        spark_from_cocycle(K, cohomology_generators(K, 1)[0][0])
+        w = varied_weights(K, random.Random(2))
+        HodgeContext(K, weights={1: w[1]}, method="exact").decompose(
+            rand_cochain(K, 1, random.Random(3))
+        )
+        ref = weakref.ref(K)
+        del K
+        assert ref() is None
+        argv = ["verify", "--space", "torus", "--trials", "2", "--seed", "0"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1 and built[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_exact_required_for_sparks():

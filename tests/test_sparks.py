@@ -19,7 +19,7 @@ from diffchar.builders import (
     sphere,
     surface_of_genus,
 )
-from diffchar import sparks
+from diffchar import hodge, sparks
 from diffchar.cli import canonical_json
 from diffchar.cohomology import cohomology_generators, cycle_lattice_basis
 from diffchar.complexes import (
@@ -42,14 +42,13 @@ from diffchar.sparks import (
     pullback_spark,
     random_equivalent_shift,
     random_spark,
-    spark_from_cocycle,
     spark_from_json,
     spark_to_json,
     star,
     torsion_linking_matrix,
     validate_spark,
 )
-from diffchar.hodge import HodgeContext, varied_weights
+from diffchar.hodge import HodgeContext, spark_from_cocycle, varied_weights
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -163,7 +162,7 @@ class TestConstructors:
         def no_elimination(*args, **kwargs):
             raise AssertionError("normal matrix eliminated again")
 
-        monkeypatch.setattr(sparks, "RatElim", no_elimination)
+        monkeypatch.setattr(hodge, "RatElim", no_elimination)
         assert spark_from_cocycle(K, g1) == s1
         spark_from_cocycle(K, g2)
         assert K._cache[("normal", 0)] is cached
@@ -269,7 +268,7 @@ class TestCanonical:
                 s = spark_from_cocycle(K, pulled.R)
                 assert curvature(K, s) == curvature(K, pulled)
                 assert d2_class(K, s) == d2_class(K, pulled)
-                if not sparks.harmonic_vectors(K, k - 1):
+                if not HodgeContext(K).harmonic_basis(k - 1):
                     assert sparks.spark_equivalent(K, s, pulled)
 
     @pytest.mark.parametrize("name", ["torus", "rp3"])
@@ -309,7 +308,7 @@ class TestCanonical:
                 assert curvature(K, s) == ctx.harmonic_projection(g)
                 assert ctx.harmonic_projection(s.a).is_zero()
                 assert sparks.spark_equivalent(
-                    K, s, Spark(sparks.harmonic_potential(K, g, ctx.weights), g)
+                    K, s, Spark(ctx.harmonic_potential(g), g)
                 )
 
     def test_torsion_charge_factors_no_normal_matrix(self):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar import cohomology, sparks
+from diffchar import cohomology
 from diffchar.builders import build_space
 from diffchar.cohomology import (
     cohomology_generators,
@@ -25,8 +25,7 @@ from diffchar.cohomology import (
 )
 from diffchar.complexes import SimplicialComplex
 from diffchar.exact import RatElim, gram_rows, transpose_apply
-from diffchar.hodge import HodgeContext, varied_weights
-from diffchar.sparks import spark_from_cocycle
+from diffchar.hodge import HodgeContext, spark_from_cocycle, varied_weights
 
 SPHERE = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 EXTRA = {
@@ -72,7 +71,7 @@ def test_top_harmonics_match_normal_route(name, weighted):
     n = K.dimension
     w = _weights(K)[n] if weighted else None
     expected = normal_route_harmonics(K, w)
-    got = sparks.harmonic_vectors(K, n, w, {})
+    got = [b.values for b in HodgeContext(K, {n: w} if w else None, "exact").harmonic_basis(n)]
     assert got == expected
     assert all(type(x) is Fraction for b in got for x in b)
     ctx = HodgeContext(K, weights=_weights(K) if weighted else None, method="exact")
@@ -82,7 +81,7 @@ def test_top_harmonics_match_normal_route(name, weighted):
 @pytest.mark.parametrize("name, b_n", [("rp2", 0), ("two_spheres", 2), ("torus", 1)])
 def test_top_harmonic_count(name, b_n):
     K = _space(name)
-    assert len(sparks.harmonic_vectors(K, K.dimension)) == b_n
+    assert len(HodgeContext(K, method="exact").harmonic_basis(K.dimension)) == b_n
 
 
 def _top_generators(K):
