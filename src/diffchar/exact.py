@@ -9,13 +9,15 @@ Matrices live in two shapes:
 The two workhorses are :func:`smith_normal_form`, whose four
 unimodular transforms serve kernels, integer and rational preimages,
 quotient-group coordinates and torsion witnesses downstream, and
-:class:`RatElim`, a fraction-free sparse Gauss-Jordan that
-eliminates primitive integer rows once and replays the recorded row
-operations on every right-hand side (factor once, solve many).  In the
-library, :class:`RatElim` factors the coboundary normal and harmonic
-Gram systems of :class:`diffchar.hodge.HodgeContext` and gives the
-rational rank of check 7 in :mod:`diffchar.characters`; every kernel
-and preimage comes from a Smith form.
+:class:`SymmetricSolver`, which solves the symmetric positive
+semidefinite systems of :class:`diffchar.hodge.HodgeContext` (the
+coboundary normal matrices and the harmonic Gram systems): an L D L^T
+factorization modulo a prime, p-adic lifting and rational
+reconstruction, and an exact integer check of every solution it
+returns.  :class:`RatElim`, a fraction-free sparse Gauss-Jordan over Q,
+gives the rational rank of check 7 in :mod:`diffchar.characters`, an
+elimination independent of both; the tests also use it as an oracle.
+Every kernel and preimage comes from a Smith form.
 
 Denominators are cleared once per vector, as fraction-free elimination
 clears them once per row: :func:`mat_vec`, :func:`transpose_apply` and
@@ -52,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +650,11 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 class RatElim:
     """Fraction-free sparse Gauss-Jordan over Q: factor once, solve many.
 
-    The library builds it for the normal and Gram systems of
-    :class:`diffchar.hodge.HodgeContext`, whose solutions enter outputs
-    only through unique projections, and for :func:`rat_rank`; so no
-    pivot choice reaches an output.  ``nullspace()``, ``rhs=`` and ``solution()``
-    serve the tests and ``perfbench``.
+    The library builds it only for :func:`rat_rank`, so no pivot choice
+    reaches an output; the symmetric systems of
+    :class:`diffchar.hodge.HodgeContext` go to :class:`SymmetricSolver`.
+    ``solve()``, ``nullspace()``, ``rhs=`` and ``solution()`` serve the
+    tests, as an oracle, and ``perfbench``.
 
     ``rows`` is a list of {col: value} dicts (int or Fraction values),
     read and not modified; ``rhs`` an optional list of dense
@@ -835,6 +837,211 @@ def rat_nullspace(rows, ncols):
 
 def rat_rank(rows, ncols):
     return RatElim(rows, ncols).rank
+
+
+# ---------------------------------------------------------------------------
+# symmetric systems: factored modulo a prime, lifted p-adically, checked exactly
+
+# 2^61 - 1 and the next two primes below it, tried in this order
+PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+class SymmetricSolver:
+    """Exact solutions of N x = b for a symmetric positive semidefinite N.
+
+    ``rows`` are the {col: value} rows of the square matrix N (int or
+    Fraction values), read and not modified.  N is scaled to the integer
+    matrix A = L N by the lcm L of its denominators, which keeps it
+    symmetric, and A is factored as L D L^T over GF(p) for the first
+    prime p of :data:`PRIMES`, with diagonal pivots in minimum-degree
+    order (least count of off-diagonal nonzeros in the active rows, ties
+    by index).  A row that is zero when its turn comes is a free
+    variable.  A zero pivot in a nonzero row makes the prime unlucky:
+    over Q a positive semidefinite matrix with a zero diagonal entry has
+    a zero row there.
+
+    :meth:`solve` scales b to an integer c with A z = c and lifts the
+    solution of the principal subsystem, free variables 0, p-adically
+    (Dixon, Numer. Math. 40, 1982).  After each lift it rebuilds the
+    rationals over one running common denominator by rational
+    reconstruction (Wang 1981) and accepts z = Z / D only if A Z = D c
+    holds exactly, over the whole system.  A Hadamard bound on the
+    numerators and denominators of z caps the lifts: past it the
+    reconstruction is certain, so a failed check, like a residual of
+    the free rows that does not vanish modulo p, means that p is
+    unlucky or that b is inconsistent.  The next prime is then tried,
+    factored on first use; if none gives a solution, ValueError.
+
+    Solutions are lists of ``Fraction``.  Which solution comes back
+    depends on the pivot order, so callers read only quantities that
+    are unique, such as delta x.
+    """
+
+    def __init__(self, rows):
+        scale = lcm(*(v.denominator for row in rows for v in row.values()))
+        self._scale = scale
+        self.rows = [
+            {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+            for row in rows
+        ]
+        # product of the squared norms of the nonzero columns (= rows):
+        # Hadamard's bound on every minor of A, squared
+        self._hadamard2 = 1
+        for row in self.rows:
+            if row:
+                self._hadamard2 *= sum(v * v for v in row.values())
+        self._factors = {}
+        self._factor(PRIMES[0])
+
+    def _factor(self, p):
+        """The L D L^T steps of A over GF(p), or None for an unlucky p.
+
+        One step (k, d^{-1}, [(i, l_ik), ...]) per eliminated index k,
+        in pivot order; d^{-1} is 0 for a free variable.
+        """
+        if p not in self._factors:
+            self._factors[p] = _ldl_mod(self.rows, p)
+        return self._factors[p]
+
+    def solve(self, b):
+        """A solution x of N x = b with ``Fraction`` entries (see the class)."""
+        mult = lcm(*(v.denominator for v in b))
+        c = [v.numerator * (mult // v.denominator) * self._scale for v in b]
+        bound = 2 * self._hadamard2 * max(1, sum(v * v for v in c)) + 1
+        for p in PRIMES:
+            steps = self._factor(p)
+            lifted = None if steps is None else self._lift(steps, p, c, bound)
+            if lifted is not None:
+                Z, D = lifted
+                return [Fraction(z, D * mult) for z in Z]
+        raise ValueError("no prime gives a solution: the system is inconsistent")
+
+    def _lift(self, steps, p, c, bound):
+        """(Z, D) with A Z = D c, or None.
+
+        None when c - A X has a nonzero residual modulo p on a free row,
+        or when no reconstruction has passed the check once p^m exceeds
+        ``bound``.
+        """
+        rows = self.rows
+        X = [0] * len(rows)
+        r = c
+        P = 1
+        while P <= bound:
+            y = _ldl_solve(steps, p, r)
+            if y is None:
+                return None
+            for i, v in enumerate(y):
+                if v:
+                    X[i] += v * P
+            P *= p
+            r = [
+                (ri - sum(a * y[j] for j, a in row.items())) // p
+                for ri, row in zip(r, rows)
+            ]
+            found = _reconstruct(X, P)
+            if found is not None:
+                Z, D = found
+                if all(
+                    sum(a * Z[j] for j, a in row.items()) == D * ci
+                    for row, ci in zip(rows, c)
+                ):
+                    return Z, D
+        return None
+
+
+def _ldl_mod(rows, p):
+    """Minimum-degree L D L^T of the symmetric integer ``rows`` modulo p.
+
+    Returns the steps of :meth:`SymmetricSolver._factor`, or None when
+    a zero pivot has a nonzero row.
+    """
+    active = [
+        {j: w for j, v in row.items() if j != i and (w := v % p)}
+        for i, row in enumerate(rows)
+    ]
+    diag = [row.get(i, 0) % p for i, row in enumerate(rows)]
+    heap = [(len(row), i) for i, row in enumerate(active)]
+    heapify(heap)
+    steps = []
+    while heap:
+        degree, k = heappop(heap)
+        row = active[k]
+        if row is None or degree != len(row):
+            continue
+        active[k] = None
+        d = diag[k]
+        if not d:
+            if row:
+                return None
+            steps.append((k, 0, ()))
+            continue
+        dinv = pow(d, -1, p)
+        col = [(i, v * dinv % p) for i, v in row.items()]
+        for i, l in col:
+            ri = active[i]
+            del ri[k]
+            for j, v in row.items():
+                if j == i:
+                    diag[i] = (diag[i] - l * v) % p
+                    continue
+                w = (ri.get(j, 0) - l * v) % p
+                if w:
+                    ri[j] = w
+                else:
+                    ri.pop(j, None)
+            heappush(heap, (len(ri), i))
+        steps.append((k, dinv, col))
+    return steps
+
+
+def _ldl_solve(steps, p, r):
+    """y in [0, p) with A y = r modulo p and y 0 on the free variables.
+
+    None when r has a nonzero residual modulo p on a free row, that is
+    when r is not in the column space of A over GF(p).
+    """
+    y = list(r)
+    for k, dinv, col in steps:
+        yk = y[k] = y[k] % p
+        if not dinv:
+            if yk:
+                return None
+        elif yk:
+            for i, l in col:
+                y[i] -= l * yk
+    for k, dinv, col in reversed(steps):
+        acc = y[k] * dinv
+        for i, l in col:
+            acc -= l * y[i]
+        y[k] = acc % p
+    return y
+
+
+def _reconstruct(X, P):
+    """(Z, D) with Z_i / D = X_i modulo P for every i, or None.
+
+    Each X_i is rebuilt as a / b with |a| and D b at most
+    sqrt((P - 1) / 2), which makes the rational unique, by the extended
+    Euclidean algorithm on (P, D X_i) with D the common denominator of
+    the entries before it.
+    """
+    N = isqrt((P - 1) // 2)
+    D = 1
+    parts = []
+    for x in X:
+        r0, r1, t0, t1 = P, x * D % P, 0, 1
+        while r1 > N:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        D *= t1
+        if D > N or gcd(r1, t1) != 1:
+            return None
+        parts.append((r1, D))
+    return [a * (D // d) for a, d in parts], D
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,20 @@ rationals or by conjugate gradients in floating point.  Exact mode
 eliminates no Laplacian: every operator comes from the coboundary
 normal matrices N_j = delta_j^T W delta_j (finite-difference Hodge
 theory), each factored once per degree and weight profile, plus a small
-Gram system on the harmonic basis.  :class:`HodgeContext` owns these
-systems and the library's one harmonic projection; what the weights of
-a degree fix is cached on K when they are all 1, so spark_from_cocycle
-and every context uniform in that degree share it.  The
-harmonic representatives are the projections of the integral free
-cohomology generators g: g - delta x below the top degree, and in the
-top degree n, where delta_n = 0 and the harmonic cochains are W^{-1}
-times the rational cycles, a b_n x b_n Gram system on the cycle lattice
-basis with no normal matrix.  delta x, with N_{k-1} x = delta^T W u, is
-the exact part of any u; and N_k y = W v
+Gram system on the harmonic basis.  Every one of these systems is
+symmetric, and a :class:`~diffchar.exact.SymmetricSolver` solves it
+modulo a prime, lifts the solution p-adically and accepts it only after
+an exact check; callers read only what the solution fixes uniquely, so
+outputs do not depend on the prime or the pivot order.
+:class:`HodgeContext` owns these systems and the library's one harmonic
+projection; what the weights of a degree fix is cached on K when they
+are all 1, so spark_from_cocycle and every context uniform in that
+degree share it.  The harmonic representatives are the projections of
+the integral free cohomology generators g: g - delta x below the top
+degree, and in the top degree n, where delta_n = 0 and the harmonic
+cochains are W^{-1} times the rational cycles, a b_n x b_n Gram system
+on the cycle lattice basis with no normal matrix.  delta x, with
+N_{k-1} x = delta^T W u, is the exact part of any u; and N_k y = W v
 inverts adjoint_delta(delta y) = v on coexact v.  Harmonic sparks are
 the weighted harmonic potential of their cocycle in normal form
 (coexact potential, harmonic curvature); they agree with
@@ -31,10 +35,10 @@ from fractions import Fraction
 
 from .cohomology import cohomology_generators, integer_cohomology, integer_homology
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import RatElim, gram_rows, transpose_apply, transpose_rows
+from .exact import SymmetricSolver, gram_rows, transpose_apply, transpose_rows
 from .sparks import Spark, SparkError, mod1, periods
 
-EXACT_SIZE_LIMIT = 2000
+EXACT_SIZE_LIMIT = 3000
 
 
 class HodgeError(Exception):
@@ -143,15 +147,21 @@ class HodgeContext:
         return self._cache if k in self._weighted else self.K._cache
 
     def _normal(self, k):
-        """The factored normal matrix N_k = delta_k^T W_{k+1} delta_k, eliminated once."""
+        """The normal matrix N_k = delta_k^T W_{k+1} delta_k, factored once.
+
+        A :class:`~diffchar.exact.SymmetricSolver`: N_k is factored
+        modulo a prime, each solution is lifted p-adically and accepted
+        only after an exact check of the whole system.  Which solution
+        comes back depends on the pivot order, so its readers use only
+        what every solution gives alike: delta x, delta y and the
+        coexact parts.
+        """
         store = self._store(k + 1)
         key = ("normal", k)
         if key not in store:
-            # no local for the rows: the elimination keeps its own copy,
-            # and the Gram rows are freed before it runs
             n_k = self.K.n_simplices(k)
             w = self._uneven(k + 1)
-            store[key] = RatElim(gram_rows(self.K.delta_rows(k), n_k, w), n_k).run()
+            store[key] = SymmetricSolver(gram_rows(self.K.delta_rows(k), n_k, w))
         return store[key]
 
     def _exact_potential(self, u: Cochain) -> Cochain:
@@ -167,16 +177,12 @@ class HodgeContext:
         w = self._uneven(u.degree)
         wu = u.values if w is None else [a * v for a, v in zip(w, u.values)]
         x = self._normal(k).solve(transpose_apply(K.delta_rows(k), wu, n_k))
-        if x is None:
-            raise AssertionError("normal equations must be consistent")
         return K.cochain(k, x)
 
     def _up_potential(self, v: Cochain) -> Cochain:
         """y with adjoint_delta(delta y) = v for a coexact v: N_k y = W_k v."""
         k = v.degree
         y = self._normal(k).solve([w * x for w, x in zip(self.weight(k), v.values)])
-        if y is None:
-            raise AssertionError("normal equations must be consistent")
         return Cochain(k, tuple(y))
 
     def _coexact_part(self, x: Cochain) -> Cochain:
@@ -211,13 +217,10 @@ class HodgeContext:
                 Z = snf.VT_rows[snf.rank:]
                 w = self._uneven(k)
                 winv = None if w is None else [1 / Fraction(x) for x in w]
-                gram = RatElim(gram_rows(transpose_rows(Z, n_k), len(Z), winv), len(Z)).run()
+                gram = SymmetricSolver(gram_rows(transpose_rows(Z, n_k), len(Z), winv))
                 vectors = []
                 for g in free:
-                    c = gram.solve(periods(K, g))
-                    if c is None:
-                        raise AssertionError("cycle Gram system must be solvable")
-                    h = transpose_apply(Z, c, n_k)
+                    h = transpose_apply(Z, gram.solve(periods(K, g)), n_k)
                     vectors.append(h if winv is None else [x * a for x, a in zip(h, winv)])
             store[key] = [Cochain(k, tuple(Fraction(v) for v in h)) for h in vectors]
         return list(store[key])
@@ -247,11 +250,9 @@ class HodgeContext:
         if key not in store:
             wb = basis if w is None else [[a * x for a, x in zip(w, b)] for b in basis]
             rows = [{j: g for j, c in enumerate(wb) if (g := inner(b, c))} for b in basis]
-            store[key] = RatElim(rows, len(basis)).run()
+            store[key] = SymmetricSolver(rows)
         wu = u.values if w is None else [a * x for a, x in zip(w, u.values)]
         coeffs = store[key].solve([inner(b, wu) for b in basis])
-        if coeffs is None:
-            raise AssertionError("Gram system must be solvable")
         h = [Fraction(0)] * len(u.values)
         for c, b in zip(coeffs, basis):
             for r, x in enumerate(b):
@@ -279,6 +280,14 @@ class HodgeContext:
 
     # -- conjugate gradients ---------------------------------------------
     def _cg(self, op, degree, rhs: Cochain) -> Cochain:
+        """Solve op(x) = rhs by conjugate gradients in the degree's inner product.
+
+        The stop ||r||_W^2 <= tol^2 min(W) bounds every entry of the
+        residual r by tol, whatever the size of rhs, because
+        ||r||_W^2 >= min(W) max_i r_i^2.  In :meth:`decompose` these
+        residuals are the coclosed and closed defects of the harmonic
+        part, which :meth:`decomposition_residuals` reports by max norm.
+        """
         w = [float(x) for x in self.weight(degree)]
         b = [float(x) for x in rhs.values]
         n = len(b)
@@ -292,7 +301,7 @@ class HodgeContext:
         r = list(b)
         p = list(r)
         rr = dot(r, r)
-        target = (self.tol * max(1.0, rr ** 0.5)) ** 2
+        target = self.tol ** 2 * min(w)
         limit = 5 * n + 100
         steps = 0
         while rr > target:

@@ -99,6 +99,27 @@ def test_verify_zero_trials(capsys):
     assert data["inputs"]["trials"] == 0
 
 
+@pytest.mark.parametrize("space, weighted", [("rp3", False), ("torus_grid5", True)])
+def test_verify_cg_defects_within_tol(capsys, tmp_path, space, weighted):
+    # conjugate gradients stop once the max-norm defects that the check
+    # reads are within --tol, however large the right-hand side and
+    # however small the weights
+    argv = ["verify", "--space", space, "--method", "cg", "--trials", "5", "--seed", "0"]
+    if weighted:
+        K = build_space(space)
+        rng = random.Random(5)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            str(k): [rng.choice(("1/64", "1/8", "1", "4")) for _ in range(K.n_simplices(k))]
+            for k in range(K.dimension + 1)
+        }))
+        argv += ["--weights", str(path)]
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert data["results"] == {"dimension": build_space(space).dimension}
+    assert 0 < float(data["residuals"]["hodge_max"]) <= 1e-10
+
+
 # sha256 of `verify --trials 20 --seed 0` stdout, frozen from the
 # term-by-term Fraction kernels (before denominators were cleared once)
 VERIFY_STDOUT_SHA = {

@@ -17,16 +17,19 @@ from diffchar.cohomology import (
 )
 from diffchar.exact import (
     RatElim,
+    SymmetricSolver,
     add_rows,
     dense_to_rows,
     gram_rows,
     invariant_factors,
+    mat_vec,
     mul_rows,
     rat_nullspace,
     rat_rank,
     smith_normal_form,
     transpose_apply,
 )
+from diffchar.hodge import varied_weights
 from test_top_degree import FROZEN_SNF
 
 
@@ -498,6 +501,78 @@ class TestRatElimOracle:
                     continue
                 assert x is not None
                 assert [sum(r.get(j, 0) * x[j] for j in range(m)) for r in rows] == b
+
+
+class TestSymmetricSolver:
+    """SymmetricSolver against RatElim on normal systems A^T W A x = A^T W u.
+
+    The solutions may differ by a kernel vector; A x, the exact part of
+    u, may not.
+    """
+
+    def normal_systems(self, rng):
+        """(A, columns of A, weights of the rows of A)."""
+        for _ in range(80):
+            n, m = rng.randint(1, 9), rng.randint(1, 7)
+            w = [Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(n)]
+            yield random_sparse_rows(rng, n, m), m, w
+        for name in ("torus", "rp2", "cp2"):
+            K = build_space(name)
+            w = varied_weights(K, rng)
+            for k in range(K.dimension):
+                yield K.delta_rows(k), K.n_simplices(k), w[k + 1]
+
+    def test_exact_part_matches_ratelim(self):
+        rng = random.Random(53)
+        kernels = 0
+        for A, m, w in self.normal_systems(rng):
+            N = gram_rows(A, m, w)
+            solver, elim = SymmetricSolver(N), RatElim(N, m)
+            kernels += elim.rank < m
+            for _ in range(3):
+                u = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in A]
+                b = transpose_apply(A, [a * x for a, x in zip(w, u)], m)
+                x = solver.solve(b)
+                assert all(type(v) is Fraction for v in x)
+                assert mat_vec(N, x) == b
+                assert mat_vec(A, x) == mat_vec(A, elim.solve(b))
+        assert kernels > 40
+
+    @pytest.mark.parametrize("rows", [
+        # rank 1 modulo 3: the second row vanishes with the first pivot
+        [{0: 2, 1: 1}, {0: 1, 1: 2}],
+        # a zero pivot modulo 3 in a nonzero row
+        [{0: 3, 1: 1}, {0: 1, 1: 1}],
+    ])
+    def test_unlucky_prime_gives_way_to_the_next(self, monkeypatch, rows):
+        monkeypatch.setattr(exact, "PRIMES", (3,) + exact.PRIMES)
+        solver = SymmetricSolver(rows)
+        for b in ([1, 0], [0, Fraction(1, 5)]):
+            assert solver.solve(b) == RatElim(rows, 2).solve(b)
+        assert list(solver._factors) == [3, exact.PRIMES[1]]
+
+    def test_premature_reconstruction_refused(self):
+        # 3 q = 1 modulo p, so after one lift 1/q reads 3, a small
+        # rational that the exact check must refuse
+        q = (2 * exact.PRIMES[0] + 1) // 3
+        assert 3 * q % exact.PRIMES[0] == 1
+        assert SymmetricSolver([{0: q}]).solve([1]) == [Fraction(1, q)]
+
+    def test_inconsistent_rhs_refused(self):
+        K = build_space("torus")
+        N = gram_rows(K.delta_rows(0), K.n_simplices(0))
+        solver = SymmetricSolver(N)
+        # N is singular on the constants, so a unit vector is no A^T u
+        with pytest.raises(ValueError, match="inconsistent"):
+            solver.solve([1] + [0] * (len(N) - 1))
+        assert list(solver._factors) == list(exact.PRIMES)
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
+        with pytest.raises(ValueError, match="inconsistent"):
+            SymmetricSolver(rows).solve([1, 0])
+        assert SymmetricSolver(rows).solve([2, 2]) == [2, 0]
+
+    def test_empty_system(self):
+        assert SymmetricSolver([]).solve([]) == []
 
 
 class TestInvariantFactors:

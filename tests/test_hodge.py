@@ -184,6 +184,14 @@ def test_decompose_cg_residuals():
     assert all(abs(v) <= 1e-10 for v in res.values()), res
 
 
+def test_auto_is_exact_on_the_lens_fixtures():
+    # EXACT_SIZE_LIMIT lies between lens:7,2 (2928 simplices) and the
+    # 23 x 23 grid torus (3174)
+    for name in ("lens:5,2", "lens:7,2"):
+        assert HodgeContext(build_space(name)).exact
+    assert not HodgeContext(torus_grid(23)).exact
+
+
 def test_splitting_identity():
     # x recombines from harmonic part, a coboundary, and the canonical
     # potential of its own coboundary
@@ -298,7 +306,7 @@ def test_mixed_weight_profile(monkeypatch):
     def no_elimination(*args, **kwargs):
         raise AssertionError("factored again")
 
-    monkeypatch.setattr(hodge, "RatElim", no_elimination)
+    monkeypatch.setattr(hodge, "SymmetricSolver", no_elimination)
     mixed = HodgeContext(K, weights={n: w_top}, method="exact")
     # degree 0 would factor the empty N_{-2} of a degree -1 normal form
     for k in range(1, n):

@@ -162,7 +162,7 @@ class TestConstructors:
         def no_elimination(*args, **kwargs):
             raise AssertionError("normal matrix eliminated again")
 
-        monkeypatch.setattr(hodge, "RatElim", no_elimination)
+        monkeypatch.setattr(hodge, "SymmetricSolver", no_elimination)
         assert spark_from_cocycle(K, g1) == s1
         spark_from_cocycle(K, g2)
         assert K._cache[("normal", 0)] is cached
