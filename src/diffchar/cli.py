@@ -750,15 +750,15 @@ def _cover_from_json(K, choice):
 
 
 def _gerbe_from_data(K, data):
-    """Three-layer gerbe JSON: cover plus patch/pair/triple value lists."""
+    """Gerbe JSON: cover plus patch/pair/triple values, layers 0, 1 and 2."""
     cover = _cover_from_json(K, data.get("cover"))
     patch = None
     if data.get("patch") is not None:
         try:
-            patch = [
-                K.cochain(2, json_scalars(vals, f"patch {i}"))
+            patch = {
+                (i,): K.cochain(2, json_scalars(vals, f"patch {i}"))
                 for i, vals in enumerate(data["patch"])
-            ]
+            }
         except (TypeError, ValueError) as exc:
             raise InputDataError(f"patch layer: {exc}") from exc
 
@@ -775,12 +775,7 @@ def _gerbe_from_data(K, data):
             raise InputDataError(f"{name} layer: {exc}") from exc
         return out
 
-    return cech_gerbe(
-        cover,
-        patch_part=patch,
-        pair_part=overlap_layer("pair", 1),
-        triple_part=overlap_layer("triple", 0),
-    )
+    return cech_gerbe(cover, [patch, overlap_layer("pair", 1), overlap_layer("triple", 0)])
 
 
 def cmd_lowdeg_gerbe(args):

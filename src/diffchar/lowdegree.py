@@ -16,15 +16,16 @@ Chern number) on a closed oriented surface, and degree 2 a gerbe.  In
 every degree k >= 1, flat phases trivialize on each closed vertex star
 through an explicit cone primitive.
 
-Gerbes also come in glued form: a PatchCover carries triangle phases
-per patch, edge gluing data per double overlap, and vertex data per
-triple overlap.  The total differential returns the glued curvature
-together with the integer obstruction on quadruple overlaps.  Glued
-along assignments of simplices to patches, the layers give one spark,
-whose holonomy and equivalence class are the surface holonomy and the
-gauge class of the gerbe.  Flat gerbes also reduce to locally constant
-triple data, a normal form whose class decides gauge equivalence on
-its own.
+Every degree k also comes in glued form: over a PatchCover, layer m
+carries (k-m)-phases per (m+1)-fold overlap, m = 0..k; gerbes are
+k = 2, with triangle phases per patch, edge data per double overlap
+and vertex data per triple overlap.  The total differential returns
+the glued curvature together with the integer obstruction on
+(k+2)-fold overlaps.  Glued along assignments of simplices to patches,
+the layers give one spark, whose holonomy and equivalence class are
+those of the layered data.  Flat data also reduce to locally constant
+last-layer data, a normal form whose class decides gauge equivalence
+on its own.
 
 Principal values live in (-1/2, 1/2]; a value landing exactly on 1/2
 where a branch has to be chosen raises PhaseError rather than picking
@@ -33,8 +34,9 @@ a side silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cohomology import cohomology_structure, integer_cohomology
 from .complexes import (
@@ -199,48 +201,66 @@ def check_star_trivialization(K: SimplicialComplex, t: Cochain, v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# gerbes over a patch cover
+# the cover model, in any degree
 #
-# A gerbe can also be presented in pieces: a rational 2-cochain per
-# patch of a cover, a 1-cochain per double overlap and a 0-cochain per
-# triple overlap, antisymmetric in the patch indices.  The layers are
+# A degree-k character can also be presented in layers over a cover:
+# layer m holds a rational (k-m)-cochain per (m+1)-fold overlap,
+# antisymmetric in the patch indices, for m = 0..k.  The layers are
 # stored as ambient cochains supported on their overlap, which keeps
 # restriction maps trivial.  The total differential of such a package
-# splits into a glued curvature 3-cochain and an integral obstruction
-# on quadruple overlaps; gauge moves shift the layers by a 1-cochain
-# per patch and a 0-cochain per double overlap plus integer constants.
+# splits into a glued curvature (k+1)-cochain and an integral
+# obstruction on (k+2)-fold overlaps; gauge moves shift the layers by a
+# (k-1-m)-cochain per (m+1)-fold overlap plus integer constants on the
+# last layer.  Gerbes are k = 2, with patch, pair and triple layers.
 
 
 @dataclass(frozen=True)
 class PatchCover:
     """Cover of a complex by face-closed patches, with its overlaps.
 
-    ``embeddings[i]`` is the i-th patch as a ComplexEmbedding; the
-    double, triple and quadruple overlap dictionaries are keyed by
-    sorted index tuples and hold only the nonempty intersections.
-    ``acyclicity_flags`` records every overlap whose reduced rational
-    cohomology fails to vanish in the degrees the gerbe machinery
-    solves over (0 through 2); flagged covers are still accepted, but
-    the gauge solves may then report unsolvable systems.
+    ``embeddings[i]`` is the i-th patch as a ComplexEmbedding.
+    ``acyclicity_flags`` records every patch, double and triple overlap
+    whose reduced rational cohomology fails to vanish in degrees 0
+    through 2; flagged covers are still accepted, but the gauge solves
+    may then report unsolvable systems.
     """
 
     K: SimplicialComplex
     embeddings: tuple
     simplex_sets: tuple
-    doubles: dict
-    triples: dict
-    quads: dict
-    acyclicity_flags: tuple
+    _levels: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n_patches(self):
         return len(self.embeddings)
 
     def overlaps(self, n):
-        """The nonempty n-fold overlaps, n = 1..4, keyed by sorted index tuples."""
-        if n == 1:
-            return {(i,): emb for i, emb in enumerate(self.embeddings)}
-        return (self.doubles, self.triples, self.quads)[n - 2]
+        """The nonempty n-fold overlaps, keyed by sorted index tuples."""
+        levels = self._levels
+        if not levels:
+            levels.append({(i,): emb for i, emb in enumerate(self.embeddings)})
+        # an n-fold overlap extends an (n-1)-fold one by a higher index; it
+        # can be nonempty only if all its (n-1)-fold faces are overlaps
+        while len(levels) < n:
+            lower, level = levels[-1], {}
+            for key in sorted(lower):
+                for last in range(key[-1] + 1, self.n_patches):
+                    new = key + (last,)
+                    if all(new[:m] + new[m + 1:] in lower for m in range(len(key))):
+                        inter = frozenset.intersection(*(self.simplex_sets[i] for i in new))
+                        if inter:
+                            level[new] = induced_subcomplex(self.K, inter)
+            levels.append(level)
+        return levels[n - 1]
+
+    @cached_property
+    def acyclicity_flags(self):
+        return tuple(
+            flag
+            for n, kind in enumerate(("patch", "double", "triple"), start=1)
+            for key, emb in self.overlaps(n).items()
+            for flag in _reduced_flags(kind, key, emb.sub)
+        )
 
     def patch_of(self, simp):
         """Lowest patch index containing the simplex, or None."""
@@ -273,49 +293,18 @@ def patch_cover(K: SimplicialComplex, patch_simplices) -> PatchCover:
 
     Each patch is replaced by its face closure.  The patches must
     jointly contain every simplex of the complex, else the glued
-    curvature of a gerbe would have holes.
+    curvature would have holes.
     """
     if not patch_simplices:
         raise GerbeError("a cover needs at least one patch")
-    embeddings = []
-    sets = []
-    for simps in patch_simplices:
-        emb = induced_subcomplex(K, simps)
-        embeddings.append(emb)
-        sets.append(_embedding_simplices(emb))
+    embeddings = [induced_subcomplex(K, simps) for simps in patch_simplices]
+    sets = [_embedding_simplices(emb) for emb in embeddings]
     covered = frozenset().union(*sets)
     for k in range(K.dimension + 1):
         for t in K.simplices[k]:
             if t not in covered:
                 raise GerbeError(f"cover misses simplex {t}")
-    # an n-fold overlap extends an (n-1)-fold one by a higher index; it
-    # can be nonempty only if all its (n-1)-fold faces are overlaps
-    levels = [{(i,): emb for i, emb in enumerate(embeddings)}]
-    for n in (2, 3, 4):
-        lower, level = levels[-1], {}
-        for key in sorted(lower):
-            for last in range(key[-1] + 1, len(sets)):
-                new = key + (last,)
-                if all(new[:m] + new[m + 1:] in lower for m in range(n - 1)):
-                    inter = frozenset.intersection(*(sets[i] for i in new))
-                    if inter:
-                        level[new] = induced_subcomplex(K, inter)
-        levels.append(level)
-    flags = [
-        flag
-        for level, kind in zip(levels, ("patch", "double", "triple"))
-        for key, emb in level.items()
-        for flag in _reduced_flags(kind, key, emb.sub)
-    ]
-    return PatchCover(
-        K=K,
-        embeddings=tuple(embeddings),
-        simplex_sets=tuple(sets),
-        doubles=levels[1],
-        triples=levels[2],
-        quads=levels[3],
-        acyclicity_flags=tuple(flags),
-    )
+    return PatchCover(K, tuple(embeddings), tuple(sets))
 
 
 def star_cover(K: SimplicialComplex) -> PatchCover:
@@ -329,19 +318,15 @@ def same_cover(c1: PatchCover, c2: PatchCover) -> bool:
 
 @dataclass(frozen=True)
 class CechGerbe:
-    """Three-layer gerbe data over a PatchCover.
+    """Layered data of degree k = len(layers) - 1 over a PatchCover.
 
-    ``patch_part[i]`` is an ambient 2-cochain supported on patch i,
-    ``pair_part[(i, j)]`` an ambient 1-cochain supported on the double
-    overlap, ``triple_part[(i, j, k)]`` an ambient 0-cochain supported
-    on the triple overlap; keys are sorted and unsorted index requests
-    are resolved through the antisymmetry sign.
+    ``layers[m]`` maps sorted (m+1)-fold overlap keys to ambient
+    (k-m)-cochains supported on the overlap; absent keys are zero, and
+    unsorted index requests are resolved through the antisymmetry sign.
     """
 
     cover: PatchCover
-    patch_part: tuple
-    pair_part: dict
-    triple_part: dict
+    layers: tuple
 
 
 def _parent_indices(emb: ComplexEmbedding, k):
@@ -367,7 +352,7 @@ def _layer(cover: PatchCover, n, layer, degree):
     """
     K = cover.K
     overlaps = cover.overlaps(n)
-    what = ("patch", "double overlap", "triple overlap")[n - 1]
+    what = {1: "patch", 2: "double overlap", 3: "triple overlap"}.get(n, f"{n}-fold overlap")
     out = {}
     for key in sorted(layer or {}):
         u = layer[key]
@@ -382,92 +367,72 @@ def _layer(cover: PatchCover, n, layer, degree):
     return out
 
 
-def _alternating(layer, idx, zero):
-    """Entry of an antisymmetric layer at an index tuple in any order."""
-    u = layer.get(tuple(sorted(idx))) if len(set(idx)) == len(idx) else None
-    if u is None:
-        return zero
-    return u if _sort_sign(idx) == 1 else -u
-
-
 def _cech(layer, key, zero):
     """Cech coboundary of a layer at a sorted overlap key."""
     out = zero
     for m in range(len(key)):
-        u = _alternating(layer, key[:m] + key[m + 1:], zero)
+        u = layer.get(key[:m] + key[m + 1:], zero)
         out = out - u if m % 2 else out + u
     return out
 
 
-def cech_gerbe(cover: PatchCover, patch_part=None, pair_part=None, triple_part=None):
-    """Assemble and validate gerbe layer data over a cover.
+def cech_gerbe(cover: PatchCover, layers):
+    """Assemble and validate the layers L_0..L_k of degree-k data over a cover.
 
-    Missing layers default to zero.  Every supplied cochain has to be
+    A layer given as None is zero.  Every supplied cochain has to be
     supported on its overlap and carry the right degree.
     """
-    patches = list(patch_part or ())
-    if len(patches) > cover.n_patches:
-        raise GerbeError("one patch cochain per patch, in order")
-    patches += [cover.K.zero_cochain(2)] * (cover.n_patches - len(patches))
-    checked = _layer(cover, 1, {(i,): u for i, u in enumerate(patches)}, 2)
+    k = len(layers) - 1
     return CechGerbe(
-        cover,
-        tuple(checked[(i,)] for i in range(cover.n_patches)),
-        _layer(cover, 2, pair_part, 1),
-        _layer(cover, 3, triple_part, 0),
+        cover, tuple(_layer(cover, m + 1, layer, k - m) for m, layer in enumerate(layers))
     )
 
 
 def gerbe_from_global(cover: PatchCover, t: Cochain) -> CechGerbe:
-    """Single-chart gerbe seen over a cover: restrict t to each patch.
+    """Single-chart k-phases seen over a cover: restrict t to each patch.
 
-    The pair and triple layers vanish because the restrictions agree on
+    The layers past the first vanish because the restrictions agree on
     every overlap.
     """
-    if t.degree != 2:
-        raise GerbeError("gerbe phases live on triangles")
-    parts = [_masked(emb, t) for emb in cover.embeddings]
-    return cech_gerbe(cover, parts)
+    patches = {(i,): _masked(emb, t) for i, emb in enumerate(cover.embeddings)}
+    return cech_gerbe(cover, [patches] + [None] * t.degree)
 
 
 def gerbe_total_differential(g: CechGerbe):
     """Split the total differential into curvature and obstruction.
 
-    Returns (phi, R): phi is the glued ambient 3-cochain of patchwise
-    coboundaries, R maps each quadruple overlap to its integral
-    0-cochain of alternating triple sums.  Raises GerbeError when the
-    patchwise curvatures disagree on an overlap, when a middle layer of
-    the total differential fails to vanish, or when R is not integral.
+    Returns (phi, R): phi is the glued ambient (k+1)-cochain of
+    patchwise coboundaries, R maps each (k+2)-fold overlap to its
+    integral 0-cochain of alternating sums of the last layer.  Raises
+    GerbeError when the patchwise curvatures disagree on an overlap,
+    when a middle layer of the total differential fails to vanish, or
+    when R is not integral.
     """
     cover = g.cover
     K = cover.K
+    k = len(g.layers) - 1
     # the middle layers: the Cech coboundary of one layer plus (-1)^n
     # times the simplicial coboundary of the next, on each n-fold overlap
-    patches = {(i,): u for i, u in enumerate(g.patch_part)}
-    layers = (
-        (patches, g.pair_part, 2, "patch and pair"),
-        (g.pair_part, g.triple_part, 1, "pair and triple"),
-    )
-    for n, (lower, upper, k, what) in enumerate(layers, start=2):
+    for n in range(2, k + 2):
+        lower, upper, d = g.layers[n - 2], g.layers[n - 1], k + 2 - n
         for key, emb in sorted(cover.overlaps(n).items()):
-            d_upper = K.delta(upper.get(key, K.zero_cochain(k - 1)))
-            mism = _cech(lower, key, K.zero_cochain(k)) + d_upper.scale((-1) ** n)
-            if any(mism.values[idx] for idx in _parent_indices(emb, k)):
-                raise GerbeError(f"{what} layers inconsistent on overlap {key}")
-    n3 = K.n_simplices(3)
-    phi_vals = [None] * n3
-    for i, emb in enumerate(cover.embeddings):
-        local_phi = K.delta(g.patch_part[i])
-        for idx in _parent_indices(emb, 3):
+            d_upper = K.delta(upper.get(key, K.zero_cochain(d - 1)))
+            mism = _cech(lower, key, K.zero_cochain(d)) + d_upper.scale((-1) ** n)
+            if any(mism.values[idx] for idx in _parent_indices(emb, d)):
+                raise GerbeError(f"layers {n - 2} and {n - 1} inconsistent on overlap {key}")
+    phi_vals = [None] * K.n_simplices(k + 1)
+    for key, emb in cover.overlaps(1).items():
+        local_phi = K.delta(g.layers[0].get(key, K.zero_cochain(k)))
+        for idx in _parent_indices(emb, k + 1):
             v = local_phi.values[idx]
             if phi_vals[idx] is None:
                 phi_vals[idx] = v
             elif phi_vals[idx] != v:
                 raise GerbeError("curvature mismatch between patches")
-    phi = Cochain(3, tuple(v if v is not None else 0 for v in phi_vals))
+    phi = Cochain(k + 1, tuple(v if v is not None else 0 for v in phi_vals))
     R = {}
-    for key, emb in sorted(cover.quads.items()):
-        r = _cech(g.triple_part, key, K.zero_cochain(0))
+    for key, emb in sorted(cover.overlaps(k + 2).items()):
+        r = _cech(g.layers[k], key, K.zero_cochain(0))
         vals = [0] * K.n_simplices(0)
         for idx in _parent_indices(emb, 0):
             v = r.values[idx]
@@ -483,131 +448,118 @@ def _locally_constant_on(K, emb, u: Cochain) -> bool:
     return all(not du.values[idx] for idx in _parent_indices(emb, 1))
 
 
-def cech_gauge(g: CechGerbe, patch_gauge=None, pair_gauge=None, shift=None):
-    """Apply a gauge move to gerbe layers.
+def cech_gauge(g: CechGerbe, moves=(), shift=None):
+    """Apply a gauge move to the layers of degree-k data.
 
-    patch_gauge maps patch index -> ambient 1-cochain on the patch,
-    pair_gauge maps sorted double key -> ambient 0-cochain on the
-    overlap, shift maps sorted triple key -> integral locally constant
-    0-cochain on the overlap.  The glued curvature is unchanged; the
-    quadruple obstruction moves only by alternating sums of the shift,
-    so it stays integral, and surface holonomy does not move at all.
+    moves[m], m < k, maps sorted (m+1)-fold keys to ambient
+    (k-1-m)-cochains on the overlap; a missing or None move is zero.
+    Layer m moves by delta(moves[m]) + (-1)^m Cech(moves[m-1]).  shift
+    maps sorted (k+1)-fold keys to integral locally constant
+    0-cochains on the overlap, added to layer k.  The glued curvature is
+    unchanged; the obstruction moves only by alternating sums of the
+    shift, so it stays integral, and the holonomy does not move at all.
     """
     cover = g.cover
     K = cover.K
-    b1 = _layer(cover, 1, {(i,): u for i, u in (patch_gauge or {}).items()}, 1)
-    b0 = _layer(cover, 2, pair_gauge, 0)
-    s0 = _layer(cover, 3, shift, 0)
-    for key, u in s0.items():
+    k = len(g.layers) - 1
+    if len(moves) > k:
+        raise GerbeError(f"degree-{k} data takes at most {k} gauge layers")
+    b = [_layer(cover, m + 1, move, k - 1 - m) for m, move in enumerate(moves)]
+    b += [{}] * (k - len(b))
+    s = _layer(cover, k + 1, shift, 0)
+    for key, u in s.items():
         if not u.is_integral():
             raise GerbeError("shifts must be integral")
-        if not _locally_constant_on(K, cover.triples[key], u):
+        if not _locally_constant_on(K, cover.overlaps(k + 1)[key], u):
             raise GerbeError("shifts must be locally constant on their overlap")
-    z1, z0 = K.zero_cochain(1), K.zero_cochain(0)
-    new_patch = [
-        g.patch_part[i] + _masked(emb, K.delta(b1.get((i,), z1)))
-        for i, emb in enumerate(cover.embeddings)
-    ]
-    new_pair = {}
-    for key, emb in cover.doubles.items():
-        move = K.delta(b0.get(key, z0)) - _cech(b1, key, z1)
-        u = g.pair_part.get(key, z1) + _masked(emb, move)
-        if not u.is_zero():
-            new_pair[key] = u
-    new_triple = {}
-    for key, emb in cover.triples.items():
-        u = g.triple_part.get(key, z0) + _masked(emb, _cech(b0, key, z0))
-        u = u + s0.get(key, z0)
-        if not u.is_zero():
-            new_triple[key] = u
-    return cech_gerbe(cover, new_patch, new_pair, new_triple)
+    layers = []
+    for m, layer in enumerate(g.layers):
+        zero = K.zero_cochain(k - m)
+        new = {}
+        for key, emb in cover.overlaps(m + 1).items():
+            if m < k:
+                move = K.delta(b[m].get(key, K.zero_cochain(k - m - 1)))
+            else:
+                move = s.get(key, zero)
+            if m:
+                move = move + _cech(b[m - 1], key, zero).scale((-1) ** m)
+            new[key] = layer.get(key, zero) + _masked(emb, move)
+        layers.append(new)
+    return cech_gerbe(cover, layers)
 
 
-def _assignment(cover: PatchCover, k, given):
-    """Per-simplex patch indices for degree k, validated subordinate."""
-    K = cover.K
-    n = K.n_simplices(k)
+def _assignment(cover: PatchCover, d, given):
+    """One subordinate patch index per d-simplex."""
+    simplices = cover.K.simplices.get(d, [])
     if given is None:
-        out = []
-        for simp in K.simplices.get(k, []):
-            i = cover.patch_of(simp)
-            if i is None:
-                raise GerbeError(f"no patch contains {simp}")
-            out.append(i)
-        return out
-    out = [given[idx] for idx in range(n)]
-    for idx, i in enumerate(out):
-        simp = K.simplices[k][idx]
+        return [cover.patch_of(simp) for simp in simplices]
+    if len(given) != len(simplices):
+        raise GerbeError(
+            f"an assignment names one patch per {d}-simplex: "
+            f"{len(given)} given for {len(simplices)}"
+        )
+    for simp, i in zip(simplices, given):
         if not 0 <= i < cover.n_patches or simp not in cover.simplex_sets[i]:
             raise GerbeError(f"assignment of {simp} to patch {i} is not subordinate")
-    return out
+    return list(given)
 
 
-def gerbe_spark(
-    g: CechGerbe,
-    face_patches=None,
-    edge_patches=None,
-    vertex_patches=None,
-) -> Spark:
-    """The spark of a three-layer gerbe, glued along patch assignments.
+def _entry(layer, key, idx):
+    """Value at simplex idx of an antisymmetric layer, at a key in any order."""
+    u = layer.get(tuple(sorted(key))) if len(set(key)) == len(key) else None
+    return 0 if u is None else _sort_sign(key) * u.values[idx]
 
-    Write i for the patch of a triangle, j for that of its a-th edge e_a
-    and v_b for the b-th vertex of e_a.  The potential on the triangle
-    is B_i plus, for a = 0, 1, 2, the term (-1)^a times
-    A_(j,i)(e_a) + sum_b (-1)^b C_(rho_0(v_b),j,i)(v_b), where B, A and
-    C are the patch, pair and triple layers and rho_0 assigns vertices.
-    The charge is the glued curvature minus delta(a); the layer checks
-    of gerbe_total_differential make it an integral cocycle.  Other
+
+def gerbe_spark(g: CechGerbe, assignments=None) -> Spark:
+    """The spark of degree-k layers, glued along patch assignments.
+
+    ``assignments`` maps a degree d to one subordinate patch per
+    d-simplex; degrees left out take the lowest patch.  The potential
+    on a k-simplex sums L_m over the chains of codimension-one faces
+    sigma = tau_0 > tau_1 > ... > tau_m: L_m is read on tau_m at the
+    patches of tau_m, ..., tau_0, in that order, and the chain is
+    signed by (-1)^(a+j) for tau_(j+1) the a-th face of tau_j.  The
+    charge is the glued curvature minus delta(a); the layer checks of
+    gerbe_total_differential make it an integral cocycle.  Other
     subordinate assignments and gauge moves give equivalent sparks.
     """
     phi, _ = gerbe_total_differential(g)
-    return _glued_spark(g, phi, face_patches, edge_patches, vertex_patches)
+    return _glued_spark(g, phi, assignments)
 
 
-def _glued_spark(g: CechGerbe, phi, face_patches=None, edge_patches=None,
-                 vertex_patches=None) -> Spark:
+def _glued_spark(g: CechGerbe, phi, assignments=None) -> Spark:
     """:func:`gerbe_spark` of g, given its checked glued curvature phi."""
     cover = g.cover
     K = cover.K
-    rho2 = _assignment(cover, 2, face_patches)
-    rho1 = _assignment(cover, 1, edge_patches)
-    rho0 = _assignment(cover, 0, vertex_patches)
-    z1, z0 = K.zero_cochain(1), K.zero_cochain(0)
-    vals = []
-    for idx, (tri, i) in enumerate(zip(K.simplices.get(2, ()), rho2)):
-        x = g.patch_part[i].values[idx]
-        for a in range(3):
-            e = tri[:a] + tri[a + 1:]
-            e_idx = K.index[1][e]
-            j = rho1[e_idx]
-            y = _alternating(g.pair_part, (j, i), z1).values[e_idx]
-            for b, v in enumerate(e):
-                corner = _alternating(g.triple_part, (rho0[v], j, i), z0)
-                y += (-1) ** b * corner.values[v]
-            x += (-1) ** a * y
-        vals.append(x)
-    a = Cochain(2, tuple(vals))
+    k = len(g.layers) - 1
+    assignments = assignments or {}
+    if not set(assignments) <= set(range(k + 1)):
+        raise GerbeError(f"assignments are given for degrees 0..{k}")
+    rho = [_assignment(cover, d, assignments.get(d)) for d in range(k + 1)]
+
+    def glued(tau, m, key):
+        idx = K.index[k - m][tau]
+        key = (rho[k - m][idx],) + key
+        x = _entry(g.layers[m], key, idx)
+        for a in range(len(tau) if m < k else 0):
+            x += (-1) ** (a + m) * glued(tau[:a] + tau[a + 1:], m + 1, key)
+        return x
+
+    a = Cochain(k, tuple(glued(sigma, 0, ()) for sigma in K.simplices.get(k, ())))
     return Spark(a, _integral(phi - K.delta(a)))
 
 
-def gerbe_holonomy(
-    g: CechGerbe,
-    z: Chain,
-    face_patches=None,
-    edge_patches=None,
-    vertex_patches=None,
-) -> Fraction:
-    """Phase mod 1 of a three-layer gerbe on an integral 2-cycle.
+def gerbe_holonomy(g: CechGerbe, z: Chain, assignments=None) -> Fraction:
+    """Phase mod 1 of layered data on an integral k-cycle.
 
     This is the holonomy of the glued spark, so z goes through the
     spark checks.  The value does not depend on the assignments and
     does not move under gauge moves.
     """
-    s = gerbe_spark(g, face_patches, edge_patches, vertex_patches)
-    return holonomy(g.cover.K, s, z)
+    return holonomy(g.cover.K, gerbe_spark(g, assignments), z)
 
 
-def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain, what):
+def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain):
     """Exact primitive of a cochain on an overlap, scattered ambiently."""
     K = emb.parent
     k = target.degree
@@ -615,7 +567,7 @@ def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain, what):
     x = integer_cohomology(emb.sub, k).preimage_rat(local.values)
     if x is None:
         raise GerbeError(
-            f"no primitive for the {what} layer on an overlap; "
+            f"no primitive for a degree-{k} layer entry on an overlap; "
             "the cover fails acyclicity there (see acyclicity_flags)"
         )
     vals = [0] * K.n_simplices(k - 1)
@@ -625,12 +577,12 @@ def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain, what):
 
 
 def gerbe_flat_normal_form(g: CechGerbe):
-    """Gauge a flat three-layer gerbe into pure triple-layer constants.
+    """Gauge flat degree-k data into pure last-layer constants.
 
-    Returns {triple key: ambient 0-cochain}, locally constant on each
-    overlap, whose alternating sums over quadruple overlaps are the
-    integers of the obstruction layer.  The patch and pair layers are
-    removed by exact primitives patch by patch, which needs the flagged
+    Returns {(k+1)-fold key: ambient 0-cochain}, locally constant on
+    each overlap, whose alternating sums over (k+2)-fold overlaps are
+    the integers of the obstruction.  Layers 0..k-1 are removed in turn
+    by exact primitives overlap by overlap, which needs the flagged
     acyclicity; a nonzero glued curvature is refused.
     """
     phi, _ = gerbe_total_differential(g)
@@ -638,29 +590,22 @@ def gerbe_flat_normal_form(g: CechGerbe):
         raise GerbeError("flat normal form needs vanishing curvature")
     cover = g.cover
     K = cover.K
-    patch_gauge = {}
-    for i, emb in enumerate(cover.embeddings):
-        if g.patch_part[i].is_zero():
-            continue
-        patch_gauge[i] = -_solve_on_overlap(emb, g.patch_part[i], "patch")
-    g1 = cech_gauge(g, patch_gauge=patch_gauge)
-    pair_gauge = {}
-    for key, emb in sorted(cover.doubles.items()):
-        u = g1.pair_part.get(key)
-        if u is None:
-            continue
-        pair_gauge[key] = -_solve_on_overlap(emb, u, "pair")
-    g2 = cech_gauge(g1, pair_gauge=pair_gauge)
-    for i in range(cover.n_patches):
-        if not g2.patch_part[i].is_zero():
-            raise AssertionError("patch layer must vanish after gauging")
-    if g2.pair_part:
-        raise AssertionError("pair layer must vanish after gauging")
+    k = len(g.layers) - 1
+    for m in range(k):
+        overlaps = cover.overlaps(m + 1)
+        move = {
+            key: -_solve_on_overlap(overlaps[key], u)
+            for key, u in g.layers[m].items()
+            if not u.is_zero()
+        }
+        g = cech_gauge(g, [None] * m + [move])
+        if any(not u.is_zero() for u in g.layers[m].values()):
+            raise AssertionError(f"layer {m} must vanish after gauging")
     out = {}
-    for key, emb in sorted(cover.triples.items()):
-        u = g2.triple_part.get(key, K.zero_cochain(0))
+    for key, emb in sorted(cover.overlaps(k + 1).items()):
+        u = g.layers[k].get(key, K.zero_cochain(0))
         if not _locally_constant_on(K, emb, u):
-            raise AssertionError("triple layer must be locally constant")
+            raise AssertionError("last layer must be locally constant")
         out[key] = u
     return out
 
@@ -680,33 +625,35 @@ def _component_reps(emb: ComplexEmbedding):
 
 
 def constant_triple_class_trivial(cover: PatchCover, T) -> bool:
-    """Can locally constant triple data be gauged into the integers?
+    """Can locally constant last-layer data be gauged into the integers?
 
-    Decides whether T differs from an alternating sum of locally
-    constant rational pair data by integers, one linear diophantine
-    question answered through a Smith form: the change of basis must
-    turn the target integral beyond the rank.
+    T maps (k+1)-fold keys, k >= 1, to locally constant 0-cochains.
+    Decides whether T differs from the Cech coboundary of locally
+    constant rational data on k-fold overlaps by integers, one linear
+    diophantine question answered through a Smith form: the change of
+    basis must turn the target integral beyond the rank.
     """
-    rows = []
-    rhs = []
+    if not T:
+        return True
+    n = len(next(iter(T)))
     var_index = {}
-    double_labels = {}
-    for key, emb in sorted(cover.doubles.items()):
-        reps, labels = _component_reps(emb)
-        double_labels[key] = labels
+    face_labels = {}
+    for key, emb in sorted(cover.overlaps(n - 1).items()):
+        reps, face_labels[key] = _component_reps(emb)
         for rep in reps:
             var_index[(key, rep)] = len(var_index)
-    for key, emb in sorted(cover.triples.items()):
-        i, j, k = key
+    rows = []
+    rhs = []
+    for key, emb in sorted(cover.overlaps(n).items()):
         u = T.get(key, cover.K.zero_cochain(0))
         if not _locally_constant_on(cover.K, emb, u):
             raise GerbeError("triple data must be locally constant")
-        reps, _ = _component_reps(emb)
-        for rep in reps:
+        for rep in _component_reps(emb)[0]:
             row = {}
-            for pair, sgn in (((j, k), 1), ((i, k), -1), ((i, j), 1)):
-                col = var_index[(pair, double_labels[pair][rep])]
-                row[col] = row.get(col, 0) + sgn
+            for m in range(n):
+                face = key[:m] + key[m + 1:]
+                col = var_index[(face, face_labels[face][rep])]
+                row[col] = row.get(col, 0) + (-1) ** m
             rows.append(row)
             rhs.append(Fraction(u.values[rep]))
     if not rows:
@@ -719,7 +666,7 @@ def constant_triple_class_trivial(cover: PatchCover, T) -> bool:
 
 
 def gerbe_gauge_equivalent(g1: CechGerbe, g2: CechGerbe) -> bool:
-    """Do two three-layer gerbes over one cover present one character?
+    """Do two layered data over one cover present one character?
 
     Decided on their glued sparks by the exact spark equivalence test.
     """

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar.builders import circle, moebius_kuehnel_torus, sphere, torus_grid
+from diffchar.builders import build_space, circle, moebius_kuehnel_torus, sphere, torus_grid
 from diffchar.cohomology import cycle_lattice_basis
 from diffchar.complexes import Chain, Cochain
 from diffchar.lowdegree import (
@@ -28,6 +28,7 @@ from diffchar.lowdegree import (
     gerbe_total_differential,
     patch_cover,
     phase_holonomy,
+    phase_spark,
     star_cover,
     _component_reps,
 )
@@ -85,22 +86,42 @@ def random_gauge(K, cov, rng):
         vals = [F(0)] * K.n_simplices(1)
         for p in emb.simplex_to_parent[1]:
             vals[p] = F(rng.randrange(-6, 7), rng.choice((1, 2, 3, 4)))
-        patch[i] = Cochain(1, tuple(vals))
+        patch[(i,)] = Cochain(1, tuple(vals))
     pair = {}
-    for key, emb in cov.doubles.items():
+    for key, emb in cov.overlaps(2).items():
         vals = [F(0)] * K.n_simplices(0)
         for p in emb.simplex_to_parent[0]:
             vals[p] = F(rng.randrange(-6, 7), rng.choice((1, 2, 3)))
         pair[key] = Cochain(0, tuple(vals))
+    return [patch, pair], random_shift(K, cov, rng, 3)
+
+
+def random_shift(K, cov, rng, n):
+    """Random integers, constant on each component of each n-fold overlap."""
     shift = {}
-    for key, emb in cov.triples.items():
+    for key, emb in cov.overlaps(n).items():
         reps, labels = _component_reps(emb)
         per_rep = {r: rng.randrange(-3, 4) for r in reps}
         vals = [0] * K.n_simplices(0)
         for p in emb.simplex_to_parent[0]:
             vals[p] = per_rep[labels[p]]
         shift[key] = Cochain(0, tuple(vals))
-    return patch, pair, shift
+    return shift
+
+
+def random_moves(K, cov, rng, k):
+    """Random gauge moves in every layer of degree-k data, with shifts."""
+    moves = []
+    for m in range(k):
+        d = k - 1 - m
+        layer = {}
+        for key, emb in cov.overlaps(m + 1).items():
+            vals = [F(0)] * K.n_simplices(d)
+            for p in emb.simplex_to_parent.get(d, []):
+                vals[p] = F(rng.randrange(-6, 7), rng.choice((1, 2, 3)))
+            layer[key] = Cochain(d, tuple(vals))
+        moves.append(layer)
+    return moves, random_shift(K, cov, rng, k + 1)
 
 
 def random_assignment(K, cov, rng, k):
@@ -121,9 +142,7 @@ def difference(g1, g2):
 
     return cech_gerbe(
         g1.cover,
-        [u1 - u2 for u1, u2 in zip(g1.patch_part, g2.patch_part)],
-        sub(g1.pair_part, g2.pair_part, K.zero_cochain(1)),
-        sub(g1.triple_part, g2.triple_part, K.zero_cochain(0)),
+        [sub(a, b, K.zero_cochain(2 - m)) for m, (a, b) in enumerate(zip(g1.layers, g2.layers))],
     )
 
 
@@ -134,9 +153,9 @@ def difference(g1, g2):
 def test_window_cover_shape(windows):
     K, cov = windows
     assert cov.n_patches == 4
-    assert len(cov.doubles) == 6
-    assert len(cov.triples) == 4
-    assert len(cov.quads) == 1
+    assert len(cov.overlaps(2)) == 6
+    assert len(cov.overlaps(3)) == 4
+    assert len(cov.overlaps(4)) == 1
     # strips and corner points disconnect, but nothing is flagged in
     # the degrees the gauge solves run over
     assert all(flag[2] == 0 for flag in cov.acyclicity_flags)
@@ -144,7 +163,7 @@ def test_window_cover_shape(windows):
 
 def test_star_cover_flags_sphere_doubles():
     cov = star_cover(sphere(2))
-    assert cov.n_patches == 4 and len(cov.quads) == 1
+    assert cov.n_patches == 4 and len(cov.overlaps(4)) == 1
     kinds = {(kind, deg) for kind, key, deg, rank in cov.acyclicity_flags}
     assert ("double", 1) in kinds
 
@@ -169,7 +188,7 @@ def test_patch_of_prefers_lowest_index(windows):
 
 def test_trivial_gerbe_differential(windows):
     K, cov = windows
-    phi, R = gerbe_total_differential(cech_gerbe(cov))
+    phi, R = gerbe_total_differential(cech_gerbe(cov, [None] * 3))
     assert phi.is_zero()
     assert all(v.is_zero() for v in R.values())
 
@@ -177,7 +196,7 @@ def test_trivial_gerbe_differential(windows):
 def test_global_restriction_is_flat(windows, third_gerbe):
     K, cov = windows
     t, g = third_gerbe
-    assert g.pair_part == {} and g.triple_part == {}
+    assert g.layers[1] == {} and g.layers[2] == {}
     phi, R = gerbe_total_differential(g)
     assert phi.is_zero()
     z = K.fundamental_cycle()
@@ -216,7 +235,7 @@ def test_inconsistent_patch_layers_rejected():
     cov = star_cover(K)
     bump = Cochain(2, tuple(F(1, 2) if i == 0 else F(0) for i in range(4)))
     parts = [bump if i == 1 else K.zero_cochain(2) for i in range(cov.n_patches)]
-    g = cech_gerbe(cov, parts)
+    g = cech_gerbe(cov, [{(i,): u for i, u in enumerate(parts)}, None, None])
     with pytest.raises(GerbeError, match="inconsistent"):
         gerbe_total_differential(g)
     # no holonomy either, whatever the face assignment; without the layer
@@ -224,7 +243,7 @@ def test_inconsistent_patch_layers_rejected():
     z = K.fundamental_cycle()
     for faces in ([cov.patch_of(t) for t in K.simplices[2]], [1, 3, 0, 1]):
         with pytest.raises(GerbeError, match="inconsistent"):
-            gerbe_holonomy(g, z, face_patches=faces)
+            gerbe_holonomy(g, z, {2: faces})
 
 
 def test_single_third_triple_without_quads_is_flat():
@@ -233,22 +252,22 @@ def test_single_third_triple_without_quads_is_flat():
     # overlap is consistent and is its own normal form
     K = circle(3)
     cov = star_cover(K)
-    assert len(cov.triples) == 1 and len(cov.quads) == 0
+    assert len(cov.overlaps(3)) == 1 and len(cov.overlaps(4)) == 0
     a0 = Cochain(0, (F(1, 3), 0, 0))
-    g = cech_gerbe(cov, triple_part={(0, 1, 2): a0})
+    g = cech_gerbe(cov, [None, None, {(0, 1, 2): a0}])
     phi, R = gerbe_total_differential(g)
     assert phi.is_zero() and R == {}
     T = gerbe_flat_normal_form(g)
     assert T[(0, 1, 2)] == a0
     # every gerbe on a circle is trivial, and the decision agrees
-    assert gerbe_gauge_equivalent(cech_gerbe(cov), g)
+    assert gerbe_gauge_equivalent(cech_gerbe(cov, [None] * 3), g)
 
 
 def test_single_third_triple_with_quads_rejected():
     K = sphere(2)
     cov = star_cover(K)
     a0 = Cochain(0, (F(1, 3),) * 4)
-    g = cech_gerbe(cov, triple_part={(0, 1, 2): a0})
+    g = cech_gerbe(cov, [None, None, {(0, 1, 2): a0}])
     with pytest.raises(GerbeError, match="non-integral"):
         gerbe_total_differential(g)
 
@@ -279,7 +298,18 @@ def test_holonomy_rejects_non_subordinate_assignment(windows, third_gerbe):
     faces = [cov.patch_of(s) for s in K.simplices[2]]
     faces[0] = outside
     with pytest.raises(GerbeError, match="subordinate"):
-        gerbe_holonomy(g, z, face_patches=faces)
+        gerbe_holonomy(g, z, {2: faces})
+
+
+def test_assignment_needs_one_patch_per_simplex():
+    K, cov = torus_star_cover()
+    g = gerbe_from_global(cov, K.cochain(2, (F(1, 3),) + (0,) * 13))
+    faces = [cov.patch_of(s) for s in K.simplices[2]]
+    for bad in (faces[:-1], faces + [5]):
+        with pytest.raises(GerbeError, match="one patch per 2-simplex"):
+            gerbe_spark(g, {2: bad})
+    with pytest.raises(GerbeError, match="degrees 0..2"):
+        gerbe_spark(g, {3: []})
 
 
 def test_holonomy_gauge_invariant(windows, third_gerbe):
@@ -303,7 +333,7 @@ def test_holonomy_assignment_independent(windows, third_gerbe):
     cur = cech_gauge(g, *random_gauge(K, cov, rng))
     z = K.fundamental_cycle()
     values = {
-        gerbe_holonomy(cur, z, *(random_assignment(K, cov, rng, k) for k in (2, 1, 0)))
+        gerbe_holonomy(cur, z, {k: random_assignment(K, cov, rng, k) for k in (2, 1, 0)})
         for _ in range(10)
     }
     assert values == {F(1, 3)}
@@ -352,16 +382,36 @@ def test_glued_spark_is_one_character(windows, where):
     cur = g
     for _ in range(5):
         cur = cech_gauge(cur, *random_gauge(K, cov, rng))
-        s = gerbe_spark(cur, *(random_assignment(K, cov, rng, k) for k in (2, 1, 0)))
+        s = gerbe_spark(cur, {k: random_assignment(K, cov, rng, k) for k in (2, 1, 0)})
         validate_spark(K, s)
         assert spark_equivalent(K, s, ref)
         assert gerbe_holonomy(cur, K.fundamental_cycle()) == F(1, 3)
 
 
+@pytest.mark.parametrize("space", ["circle4", "sphere2", "torus", "sphere3", "rp2"])
+def test_cover_model_glues_to_the_phase_spark_in_every_degree(space):
+    # global k-phases in [0, 1/(2(k+2))) never reach the branch cut, so
+    # phase_spark states their character without any layer algebra; the
+    # cover model must glue to it after gauge moves in every layer and
+    # under any subordinate assignment
+    K = build_space(space)
+    cov = star_cover(K)
+    rng = random.Random(41)
+    for k in range(1, K.dimension + 1):
+        for _ in range(3):
+            theta = Cochain(
+                k, tuple(F(rng.randrange(7), 14 * (k + 2)) for _ in range(K.n_simplices(k)))
+            )
+            g = cech_gauge(gerbe_from_global(cov, theta), *random_moves(K, cov, rng, k))
+            s = gerbe_spark(g, {d: random_assignment(K, cov, rng, d) for d in range(k + 1)})
+            validate_spark(K, s)
+            assert spark_equivalent(K, s, phase_spark(K, theta))
+
+
 def test_glued_spark_without_triangles():
     K = circle(3)
     cov = star_cover(K)
-    g = cech_gerbe(cov, triple_part={(0, 1, 2): Cochain(0, (F(1, 3), 0, 0))})
+    g = cech_gerbe(cov, [None, None, {(0, 1, 2): Cochain(0, (F(1, 3), 0, 0))}])
     s = gerbe_spark(g)
     assert s.a == K.zero_cochain(2) and s.R == K.zero_cochain(3)
 
@@ -376,7 +426,7 @@ def test_flat_normal_form_of_third_gerbe(windows, third_gerbe):
     T = gerbe_flat_normal_form(g)
     denoms = {Fraction(v).denominator for u in T.values() for v in u.values}
     assert denoms <= {1, 3} and 3 in denoms
-    gT = cech_gerbe(cov, triple_part=T)
+    gT = cech_gerbe(cov, [None, None, T])
     phi, R = gerbe_total_differential(gT)
     assert phi.is_zero()
     assert all(v.is_zero() for v in R.values())
@@ -385,7 +435,7 @@ def test_flat_normal_form_of_third_gerbe(windows, third_gerbe):
 
 def test_trivial_normal_form_is_zero(windows):
     K, cov = windows
-    T = gerbe_flat_normal_form(cech_gerbe(cov))
+    T = gerbe_flat_normal_form(cech_gerbe(cov, [None] * 3))
     assert all(u.is_zero() for u in T.values())
 
 
@@ -403,14 +453,14 @@ def decision_pairs(windows, third_gerbe):
     """Pairs of gerbes over the window cover, with the expected answer."""
     K, cov = windows
     _, g = third_gerbe
-    triv = cech_gerbe(cov)
+    triv = cech_gerbe(cov, [None] * 3)
     rng = random.Random(23)
     moved = cech_gauge(triv, *random_gauge(K, cov, rng))
     return [
         (triv, moved, True),
         (g, cech_gauge(g, *random_gauge(K, cov, rng)), True),
         (triv, g, False),
-        (g, cech_gerbe(cov, triple_part=gerbe_flat_normal_form(g)), True),
+        (g, cech_gerbe(cov, [None, None, gerbe_flat_normal_form(g)]), True),
     ]
 
 
@@ -431,7 +481,7 @@ def test_gauge_equivalence_needs_common_cover(windows, third_gerbe):
     _, g = third_gerbe
     other = star_cover(circle(3))
     with pytest.raises(GerbeError, match="common cover"):
-        gerbe_gauge_equivalent(g, cech_gerbe(other))
+        gerbe_gauge_equivalent(g, cech_gerbe(other, [None] * 3))
 
 
 def test_distinct_flat_classes_not_equivalent(windows, third_gerbe):
@@ -450,14 +500,14 @@ def test_layers_validate_support(windows):
     K, cov = windows
     stray = Cochain(1, tuple(F(1) for _ in range(K.n_simplices(1))))
     with pytest.raises(GerbeError, match="support"):
-        cech_gerbe(cov, pair_part={(0, 1): stray})
+        cech_gerbe(cov, [None, {(0, 1): stray}, None])
 
 
 def test_shift_must_be_integral_and_constant(windows, third_gerbe):
     K, cov = windows
     _, g = third_gerbe
-    key = min(cov.triples)
-    emb = cov.triples[key]
+    key = min(cov.overlaps(3))
+    emb = cov.overlaps(3)[key]
     vals = [F(0)] * K.n_simplices(0)
     vals[emb.simplex_to_parent[0][0]] = F(1, 2)
     with pytest.raises(GerbeError, match="integral"):
@@ -466,16 +516,16 @@ def test_shift_must_be_integral_and_constant(windows, third_gerbe):
     # is connected (the sphere star-cover one contains a whole face)
     K2 = sphere(2)
     cov2 = star_cover(K2)
-    emb2 = cov2.triples[(0, 1, 2)]
+    emb2 = cov2.overlaps(3)[(0, 1, 2)]
     vals2 = [0] * K2.n_simplices(0)
     vals2[emb2.simplex_to_parent[0][0]] = 1
     with pytest.raises(GerbeError, match="locally constant"):
         cech_gauge(
-            cech_gerbe(cov2), shift={(0, 1, 2): Cochain(0, tuple(vals2))}
+            cech_gerbe(cov2, [None] * 3), shift={(0, 1, 2): Cochain(0, tuple(vals2))}
         )
 
 
 def test_pair_keys_must_be_overlaps(windows):
     K, cov = windows
     with pytest.raises(GerbeError, match="double overlap"):
-        cech_gerbe(cov, pair_part={(1, 0): K.zero_cochain(1)})
+        cech_gerbe(cov, [None, {(1, 0): K.zero_cochain(1)}, None])

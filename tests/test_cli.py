@@ -380,7 +380,7 @@ def test_lowdeg_gerbe_cover_form(tmp_path, capsys):
     g = gerbe_from_global(star_cover(K), K.cochain(2, ("1/3",) + ("0",) * 13))
     payload = {
         "cover": "star",
-        "patch": [[str(v) for v in c.values] for c in g.patch_part],
+        "patch": [[str(v) for v in c.values] for c in g.layers[0].values()],
     }
     path = tmp_path / "g.json"
     path.write_text(canonical_json(payload))
@@ -401,7 +401,7 @@ def test_lowdeg_gerbe_checks_the_layers_once(tmp_path, capsys, monkeypatch):
     K = moebius_kuehnel_torus()
     g = gerbe_from_global(star_cover(K), K.cochain(2, ("1/3",) + ("0",) * 13))
     gerbe = tmp_path / "g.json"
-    gerbe.write_text(canonical_json({"patch": [[str(v) for v in c.values] for c in g.patch_part]}))
+    gerbe.write_text(canonical_json({"patch": [[str(v) for v in c.values] for c in g.layers[0].values()]}))
     cycle = tmp_path / "z.json"
     cycle.write_text(canonical_json({"degree": 2, "values": list(K.fundamental_cycle().values)}))
     calls = []
@@ -445,7 +445,7 @@ def test_lowdeg_gerbe_rational_cycle_is_input_error(tmp_path, capsys, model):
         payload = {"degree": 2, "values": list(t.values)}
     else:
         g = gerbe_from_global(star_cover(K), t)
-        payload = {"patch": [[str(v) for v in c.values] for c in g.patch_part]}
+        payload = {"patch": [[str(v) for v in c.values] for c in g.layers[0].values()]}
     gerbe = tmp_path / "g.json"
     gerbe.write_text(canonical_json(payload))
     half = [scalar_str(Fraction(v, 2)) for v in K.fundamental_cycle().values]
@@ -1044,3 +1044,32 @@ def test_cover_integer_vertices_load(tmp_path, capsys):
     path.write_text(json.dumps({"cover": [[[0, 1.0], ["1", 2], [0, 2]]]}))
     code = main(["lowdeg", "gerbe", "--space", "circle3", "--gerbe", str(path)])
     assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "space, payload, reason",
+    [
+        ("circle3", {"patch": [[], [], [], []]}, "patch of the cover"),
+        ("circle3", {"pair": {"1,0": ["0", "0", "0"]}}, "not a sorted double overlap"),
+        ("circle3", {"pair": {"0,7": ["0", "0", "0"]}}, "not a sorted double overlap"),
+        ("circle5", {"triple": {"0,2,4": ["0"] * 5}}, "not a sorted triple overlap"),
+        ("circle3", {"pair": [["0", "0", "0"]]}, "pair layer"),
+        ("circle3", {"triple": "0,1,2"}, "triple layer"),
+        ("circle3", {"pair": {"0,x": ["0", "0", "0"]}}, "pair layer"),
+        ("circle3", {"triple": {"0,1.5,2": ["0", "0", "0"]}}, "triple layer"),
+        ("circle3", {"pair": {"0,1": ["0", "0", "1"]}}, "support outside"),
+    ],
+    ids=[
+        "too-many-patches", "unsorted-key", "no-such-patch", "non-overlap-key",
+        "pair-not-object", "triple-not-object", "key-text", "key-fraction",
+        "support-outside",
+    ],
+)
+def test_gerbe_layer_malformed_is_input_error(tmp_path, capsys, space, payload, reason):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload))
+    code = main(["lowdeg", "gerbe", "--space", space, "--gerbe", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert reason in captured.err and "Traceback" not in captured.err

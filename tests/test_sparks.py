@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -601,6 +602,17 @@ class TestDualityPair:
             duality_pair(K, s, s)
 
 
+LENS_SPACES = [
+    ("rp3", 2, 1), ("lens:3,1", 3, 1), ("lens:5,1", 5, 1), ("lens:5,2", 5, 2),
+    ("lens:7,1", 7, 1), ("lens:7,2", 7, 2), ("lens:7,3", 7, 3),
+]
+
+
+def seifert_classes(p, q):
+    """Residues of +-q a^2 modulo p over the units a modulo p."""
+    return {sign * q * a * a % p for a in range(1, p) if gcd(a, p) == 1 for sign in (1, -1)}
+
+
 class TestLinking:
     def test_rp3_half(self):
         assert torsion_linking_matrix(rp3(), 2, 2) == [[Fraction(1, 2)]]
@@ -608,6 +620,30 @@ class TestLinking:
     def test_lens3_nondegenerate(self):
         M = torsion_linking_matrix(lens_space(3, 1), 2, 2)
         assert M[0][0] in (Fraction(1, 3), Fraction(2, 3))
+
+    @pytest.mark.parametrize("space, p, q", LENS_SPACES)
+    def test_flat_pairing_is_minus_the_linking_form(self, space, p, q):
+        # the pairing goes through star, cup and holonomy on [X], the
+        # linking form through one witness cup: each route checks the other
+        K = _shared(space)
+        (m, g, w), = cohomology_generators(K, 2)[1]
+        assert m == p
+        s = flat_spark_from_torsion(K, m, g, w)
+        assert duality_pair(K, s, s) == (-linking_number(K, (m, g, w), g)) % 1
+
+    @pytest.mark.parametrize("space, p, q", LENS_SPACES)
+    def test_linking_form_in_the_seifert_square_class(self, space, p, q):
+        # Seifert: the linking form of L(p, q) is q/p up to a unit square
+        # and a sign, an oracle read off (p, q) alone
+        K = _shared(space)
+        (m, g, w), = cohomology_generators(K, 2)[1]
+        value = p * linking_number(K, (m, g, w), g)
+        assert value.denominator == 1
+        assert int(value) % p in seifert_classes(p, q)
+
+    def test_seifert_classes_separate_lens_spaces_of_equal_homology(self):
+        # 2 is no square modulo 5, and -1 is one
+        assert seifert_classes(5, 1) == {1, 4} and seifert_classes(5, 2) == {2, 3}
 
     def test_witness_independence(self):
         K = rp3()
