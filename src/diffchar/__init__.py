@@ -23,6 +23,7 @@ from .cohomology import (
     cohomology_generators,
     cohomology_structure,
     homology_structure,
+    poincare_dual,
 )
 from .complexes import Chain, Cochain, ComplexError, SimplicialComplex
 from .hodge import (
@@ -82,6 +83,7 @@ __all__ = [
     "is_principal",
     "linking_number",
     "morse_spark",
+    "poincare_dual",
     "point_abel_jacobi",
     "pullback_spark",
     "spark_equivalent",

@@ -78,6 +78,21 @@ def delta_rank(K: SimplicialComplex, k) -> int:
     return integer_cohomology(K, k).snfA.rank
 
 
+def _rational_delta_rank(K: SimplicialComplex, k) -> int:
+    """Rank of delta_k over Q, cached on K.
+
+    A fraction-free elimination, independent of the Smith form behind
+    :func:`delta_rank`, so check 7 of :func:`verify_sequences` compares
+    two routes.
+    """
+    if k < 0 or k > K.dimension:
+        return 0
+    key = ("rat_rank", k)
+    if key not in K._cache:
+        K._cache[key] = rat_rank(K.delta_rows(k), K.n_simplices(k))
+    return K._cache[key]
+
+
 def character_structure(K: SimplicialComplex, k) -> CharacterStructure:
     """Structure of the degree-k character group, -1 <= k <= dim."""
     n = K.dimension
@@ -391,8 +406,7 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
 
     # 7. integer and rational routes agree on the torus rank
     if 0 <= k <= n:
-        r_k = rat_rank(K.delta_rows(k), K.n_simplices(k))
-        r_km1 = rat_rank(K.delta_rows(k - 1), K.n_simplices(k - 1)) if k >= 1 else 0
+        r_k, r_km1 = _rational_delta_rank(K, k), _rational_delta_rank(K, k - 1)
         b_rat = K.n_simplices(k) - r_k - r_km1
         b_int = cohomology_structure(K, k).free_rank
         checks.append(

@@ -68,7 +68,7 @@ from .lowdegree import (
     star_cover,
     total_flux,
 )
-from .morse import MorseError, MorseFlow, greedy_matching, morse_spark, validate_matching
+from .morse import MorseError, MorseFlow, greedy_matching, morse_spark
 from .sparks import (
     SparkError,
     curvature,
@@ -639,7 +639,6 @@ def cmd_hodge_aj(args):
 def cmd_morse_match(args):
     K, inputs = load_complex(args)
     matching = greedy_matching(K)
-    validate_matching(K, matching)
     flow = MorseFlow(K, matching)
     results = {
         "pairs": [list(p) for p in sorted(matching.pairs)],

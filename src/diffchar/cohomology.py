@@ -20,13 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .complexes import Chain, SimplicialComplex
-from .exact import (
-    invariant_factors,
-    mat_vec,
-    mul_rows,
-    rows_to_dense,
-    smith_normal_form,
-)
+from .exact import mat_vec, mul_rows, rows_to_dense, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -165,10 +159,6 @@ class LatticeQuotient:
         full = mat_vec(self.snfW.U_rows, y)
         return tuple(Fraction(x) for x in full[self.snfW.rank:])
 
-    def is_zero_class(self, v):
-        free, torsion = self.coords(v)
-        return not any(free) and not any(torsion)
-
     def preimage_int(self, v):
         """Integer x with B x = v, or None."""
         return self.snfW.solve_int(self._kernel_coords(v))
@@ -245,12 +235,6 @@ def homology_structure(K, k) -> AbelianGroupStructure:
     return integer_homology(K, k).structure()
 
 
-def betti_numbers(K):
-    return tuple(
-        cohomology_structure(K, k).free_rank for k in range(K.dimension + 1)
-    )
-
-
 def circle_cohomology_structure(K, k) -> CircleGroupStructure:
     """H^k(K; S^1) = (S^1)^{b_k} x tor H^{k+1}(K; Z)."""
     b_k = cohomology_structure(K, k).free_rank
@@ -284,16 +268,9 @@ def cohomology_generators(K, k):
 
 def _tensor(a: AbelianGroupStructure, b: AbelianGroupStructure):
     """(free rank, cyclic orders) of the tensor product."""
-    free = a.free_rank * b.free_rank
-    cyclic = []
-    cyclic.extend(d for d in b.torsion for _ in range(a.free_rank))
-    cyclic.extend(d for d in a.torsion for _ in range(b.free_rank))
-    for d1 in a.torsion:
-        for d2 in b.torsion:
-            g = gcd(d1, d2)
-            if g > 1:
-                cyclic.append(g)
-    return free, cyclic
+    cyclic = [d for d in b.torsion for _ in range(a.free_rank)]
+    cyclic += [d for d in a.torsion for _ in range(b.free_rank)]
+    return a.free_rank * b.free_rank, cyclic + _tor_product(a, b)
 
 
 def _tor_product(a: AbelianGroupStructure, b: AbelianGroupStructure):
@@ -331,7 +308,9 @@ def kunneth_structure(factors_a, factors_b, k) -> AbelianGroupStructure:
         cyclic.extend(c)
     for i in range(0, k + 2):
         cyclic.extend(_tor_product(get(factors_a, i), get(factors_b, k + 1 - i)))
-    return AbelianGroupStructure(free, tuple(invariant_factors(cyclic)))
+    # the Smith form of diag(cyclic) has the invariant factors on its diagonal
+    snf = smith_normal_form([{i: d} for i, d in enumerate(cyclic)], ncols=len(cyclic))
+    return AbelianGroupStructure(free, tuple(d for d in snf.diag if d > 1))
 
 
 def cohomology_structures(K):

@@ -40,6 +40,11 @@ def parse_scalar(text):
     return int(f) if f.denominator == 1 else f
 
 
+# the entry types of chains and cochains; text goes through parse_scalar
+# first, and bool, an int subclass, is refused
+_SCALAR_TYPES = frozenset((int, Fraction, float))
+
+
 def scalar_str(x):
     x = Fraction(x)
     if x.denominator == 1:
@@ -243,6 +248,12 @@ class SimplicialComplex:
         if len(values) != self.n_simplices(k):
             raise ValueError(
                 f"expected {self.n_simplices(k)} values in degree {k}, got {len(values)}"
+            )
+        if not _SCALAR_TYPES.issuperset(map(type, values)):
+            i = next(i for i, v in enumerate(values) if type(v) not in _SCALAR_TYPES)
+            raise ValueError(
+                f"entry {i} of a degree-{k} {cls.__name__.lower()} is {values[i]!r}, "
+                "not an int, Fraction or float"
             )
         return cls(k, values)
 
@@ -571,11 +582,6 @@ def _sort_sign(seq):
             arr[i], arr[m] = arr[m], arr[i]
             sign = -sign
     return sign
-
-
-def apply_chain_map(maps, z: Chain) -> Chain:
-    rows = maps[z.degree]
-    return Chain(z.degree, tuple(mat_vec(rows, list(z.values))))
 
 
 def pull_cochain(maps, u: Cochain, src_size) -> Cochain:

@@ -292,25 +292,6 @@ class SmithDecomposition:
     def Vinv_rows(self):
         return self._transform("Vinv_rows", self.ncols, self.col_ops, True)
 
-    # -- materialized views (tests, small matrices) ---------------------
-    def U(self):
-        return rows_to_dense(self.U_rows, self.nrows)
-
-    def Uinv(self):
-        return rows_to_dense(transpose_rows(self.UinvT_rows, self.nrows), self.nrows)
-
-    def V(self):
-        return rows_to_dense(transpose_rows(self.VT_rows, self.ncols), self.ncols)
-
-    def Vinv(self):
-        return rows_to_dense(self.Vinv_rows, self.ncols)
-
-    def D(self):
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for i, d in enumerate(self.diag):
-            out[i][i] = d
-        return out
-
     # -- applications ----------------------------------------------------
     def U_times(self, vec):
         return mat_vec(self.U_rows, vec)
@@ -1042,48 +1023,3 @@ def _reconstruct(X, P):
             return None
         parts.append((r1, D))
     return [a * (D // d) for a, d in parts], D
-
-
-# ---------------------------------------------------------------------------
-# finitely generated abelian group bookkeeping
-
-
-def invariant_factors(cyclic_orders):
-    """Invariant-factor chain for a direct sum of cyclic groups.
-
-    ``cyclic_orders`` lists the orders (>1) of cyclic summands in any
-    order; the result d_1 | d_2 | ... is the canonical chain, largest
-    last.  Plain trial-division factoring; torsion orders here are tiny.
-    """
-    primes = {}
-    for n in cyclic_orders:
-        if n <= 1:
-            continue
-        for p, e in _factor(n).items():
-            primes.setdefault(p, []).append(e)
-    if not primes:
-        return []
-    depth = max(len(v) for v in primes.values())
-    chain = []
-    for slot in range(depth):
-        d = 1
-        for p, exps in primes.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                d *= p ** exps_sorted[slot]
-        chain.append(d)
-    return sorted(chain)
-
-
-def _factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-

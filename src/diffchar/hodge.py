@@ -45,22 +45,6 @@ class HodgeError(Exception):
     pass
 
 
-def uniform_weights(K: SimplicialComplex):
-    return {
-        k: (Fraction(1),) * K.n_simplices(k) for k in range(K.dimension + 1)
-    }
-
-
-def varied_weights(K: SimplicialComplex, rng, choices=None):
-    """Deterministic-for-a-seed positive rational weight profile."""
-    if choices is None:
-        choices = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
-    return {
-        k: tuple(rng.choice(choices) for _ in range(K.n_simplices(k)))
-        for k in range(K.dimension + 1)
-    }
-
-
 class HodgeContext:
     """Hodge-theoretic operators for one complex and weight profile.
 

@@ -23,9 +23,7 @@ and vertex data per triple overlap.  The total differential returns
 the glued curvature together with the integer obstruction on
 (k+2)-fold overlaps.  Glued along assignments of simplices to patches,
 the layers give one spark, whose holonomy and equivalence class are
-those of the layered data.  Flat data also reduce to locally constant
-last-layer data, a normal form whose class decides gauge equivalence
-on its own.
+those of the layered data.
 
 Principal values live in (-1/2, 1/2]; a value landing exactly on 1/2
 where a branch has to be chosen raises PhaseError rather than picking
@@ -38,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .cohomology import cohomology_structure, integer_cohomology
+from .cohomology import cohomology_structure
 from .complexes import (
     Chain,
     Cochain,
@@ -48,8 +46,7 @@ from .complexes import (
     closed_star,
     induced_subcomplex,
 )
-from .exact import smith_normal_form
-from .sparks import Spark, holonomy, mod1, spark_equivalent
+from .sparks import Spark, holonomy, mod1
 
 
 class GerbeError(ValueError):
@@ -159,11 +156,6 @@ def total_flux(K: SimplicialComplex, theta: Cochain):
     return int(flux)
 
 
-def _in_closed_star(K: SimplicialComplex, v, simp) -> bool:
-    cone = tuple(sorted(set(simp) | {v}))
-    return cone in K.index.get(len(cone) - 1, {})
-
-
 def star_trivialization(K: SimplicialComplex, t: Cochain, v):
     """Cone primitive of k-phases, k >= 1, on the closed star of vertex v.
 
@@ -187,19 +179,6 @@ def star_trivialization(K: SimplicialComplex, t: Cochain, v):
     return alpha
 
 
-def check_star_trivialization(K: SimplicialComplex, t: Cochain, v) -> bool:
-    """Does the cone primitive reproduce t mod 1 on the whole closed star?"""
-    k = t.degree
-    alpha = star_trivialization(K, t, v)
-    a = K.cochain(k - 1, (alpha.get(s, 0) for s in K.simplices[k - 1]))
-    rest = gauge(K, t, -a)
-    return all(
-        mod1(rest.values[i]) == 0
-        for i, simp in enumerate(K.simplices[k])
-        if _in_closed_star(K, v, simp)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the cover model, in any degree
 #
@@ -221,8 +200,8 @@ class PatchCover:
     ``embeddings[i]`` is the i-th patch as a ComplexEmbedding.
     ``acyclicity_flags`` records every patch, double and triple overlap
     whose reduced rational cohomology fails to vanish in degrees 0
-    through 2; flagged covers are still accepted, but the gauge solves
-    may then report unsolvable systems.
+    through 2; flagged covers are still accepted, but closed layer
+    entries on a flagged overlap need not have a primitive there.
     """
 
     K: SimplicialComplex
@@ -312,10 +291,6 @@ def star_cover(K: SimplicialComplex) -> PatchCover:
     return patch_cover(K, [closed_star(K, v) for v in range(K.n_vertices)])
 
 
-def same_cover(c1: PatchCover, c2: PatchCover) -> bool:
-    return c1.K is c2.K and c1.simplex_sets == c2.simplex_sets
-
-
 @dataclass(frozen=True)
 class CechGerbe:
     """Layered data of degree k = len(layers) - 1 over a PatchCover.
@@ -336,12 +311,6 @@ def _parent_indices(emb: ComplexEmbedding, k):
 def _support_ok(emb: ComplexEmbedding, u: Cochain) -> bool:
     inside = set(_parent_indices(emb, u.degree))
     return all(not v for idx, v in enumerate(u.values) if idx not in inside)
-
-
-def _masked(emb: ComplexEmbedding, u: Cochain) -> Cochain:
-    inside = set(_parent_indices(emb, u.degree))
-    vals = tuple(v if idx in inside else 0 for idx, v in enumerate(u.values))
-    return Cochain(u.degree, vals)
 
 
 def _layer(cover: PatchCover, n, layer, degree):
@@ -388,16 +357,6 @@ def cech_gerbe(cover: PatchCover, layers):
     )
 
 
-def gerbe_from_global(cover: PatchCover, t: Cochain) -> CechGerbe:
-    """Single-chart k-phases seen over a cover: restrict t to each patch.
-
-    The layers past the first vanish because the restrictions agree on
-    every overlap.
-    """
-    patches = {(i,): _masked(emb, t) for i, emb in enumerate(cover.embeddings)}
-    return cech_gerbe(cover, [patches] + [None] * t.degree)
-
-
 def gerbe_total_differential(g: CechGerbe):
     """Split the total differential into curvature and obstruction.
 
@@ -441,51 +400,6 @@ def gerbe_total_differential(g: CechGerbe):
             vals[idx] = int(v)
         R[key] = Cochain(0, tuple(vals))
     return phi, R
-
-
-def _locally_constant_on(K, emb, u: Cochain) -> bool:
-    du = K.delta(u)
-    return all(not du.values[idx] for idx in _parent_indices(emb, 1))
-
-
-def cech_gauge(g: CechGerbe, moves=(), shift=None):
-    """Apply a gauge move to the layers of degree-k data.
-
-    moves[m], m < k, maps sorted (m+1)-fold keys to ambient
-    (k-1-m)-cochains on the overlap; a missing or None move is zero.
-    Layer m moves by delta(moves[m]) + (-1)^m Cech(moves[m-1]).  shift
-    maps sorted (k+1)-fold keys to integral locally constant
-    0-cochains on the overlap, added to layer k.  The glued curvature is
-    unchanged; the obstruction moves only by alternating sums of the
-    shift, so it stays integral, and the holonomy does not move at all.
-    """
-    cover = g.cover
-    K = cover.K
-    k = len(g.layers) - 1
-    if len(moves) > k:
-        raise GerbeError(f"degree-{k} data takes at most {k} gauge layers")
-    b = [_layer(cover, m + 1, move, k - 1 - m) for m, move in enumerate(moves)]
-    b += [{}] * (k - len(b))
-    s = _layer(cover, k + 1, shift, 0)
-    for key, u in s.items():
-        if not u.is_integral():
-            raise GerbeError("shifts must be integral")
-        if not _locally_constant_on(K, cover.overlaps(k + 1)[key], u):
-            raise GerbeError("shifts must be locally constant on their overlap")
-    layers = []
-    for m, layer in enumerate(g.layers):
-        zero = K.zero_cochain(k - m)
-        new = {}
-        for key, emb in cover.overlaps(m + 1).items():
-            if m < k:
-                move = K.delta(b[m].get(key, K.zero_cochain(k - m - 1)))
-            else:
-                move = s.get(key, zero)
-            if m:
-                move = move + _cech(b[m - 1], key, zero).scale((-1) ** m)
-            new[key] = layer.get(key, zero) + _masked(emb, move)
-        layers.append(new)
-    return cech_gerbe(cover, layers)
 
 
 def _assignment(cover: PatchCover, d, given):
@@ -547,129 +461,3 @@ def _glued_spark(g: CechGerbe, phi, assignments=None) -> Spark:
 
     a = Cochain(k, tuple(glued(sigma, 0, ()) for sigma in K.simplices.get(k, ())))
     return Spark(a, _integral(phi - K.delta(a)))
-
-
-def gerbe_holonomy(g: CechGerbe, z: Chain, assignments=None) -> Fraction:
-    """Phase mod 1 of layered data on an integral k-cycle.
-
-    This is the holonomy of the glued spark, so z goes through the
-    spark checks.  The value does not depend on the assignments and
-    does not move under gauge moves.
-    """
-    return holonomy(g.cover.K, gerbe_spark(g, assignments), z)
-
-
-def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain):
-    """Exact primitive of a cochain on an overlap, scattered ambiently."""
-    K = emb.parent
-    k = target.degree
-    local = emb.restrict_cochain(target)
-    x = integer_cohomology(emb.sub, k).preimage_rat(local.values)
-    if x is None:
-        raise GerbeError(
-            f"no primitive for a degree-{k} layer entry on an overlap; "
-            "the cover fails acyclicity there (see acyclicity_flags)"
-        )
-    vals = [0] * K.n_simplices(k - 1)
-    for loc, parent in enumerate(_parent_indices(emb, k - 1)):
-        vals[parent] = x[loc]
-    return Cochain(k - 1, tuple(vals))
-
-
-def gerbe_flat_normal_form(g: CechGerbe):
-    """Gauge flat degree-k data into pure last-layer constants.
-
-    Returns {(k+1)-fold key: ambient 0-cochain}, locally constant on
-    each overlap, whose alternating sums over (k+2)-fold overlaps are
-    the integers of the obstruction.  Layers 0..k-1 are removed in turn
-    by exact primitives overlap by overlap, which needs the flagged
-    acyclicity; a nonzero glued curvature is refused.
-    """
-    phi, _ = gerbe_total_differential(g)
-    if not phi.is_zero():
-        raise GerbeError("flat normal form needs vanishing curvature")
-    cover = g.cover
-    K = cover.K
-    k = len(g.layers) - 1
-    for m in range(k):
-        overlaps = cover.overlaps(m + 1)
-        move = {
-            key: -_solve_on_overlap(overlaps[key], u)
-            for key, u in g.layers[m].items()
-            if not u.is_zero()
-        }
-        g = cech_gauge(g, [None] * m + [move])
-        if any(not u.is_zero() for u in g.layers[m].values()):
-            raise AssertionError(f"layer {m} must vanish after gauging")
-    out = {}
-    for key, emb in sorted(cover.overlaps(k + 1).items()):
-        u = g.layers[k].get(key, K.zero_cochain(0))
-        if not _locally_constant_on(K, emb, u):
-            raise AssertionError("last layer must be locally constant")
-        out[key] = u
-    return out
-
-
-def _component_reps(emb: ComplexEmbedding):
-    """Parent vertex representative per connected component, sorted."""
-    comps = emb.sub.vertex_components()
-    reps = {}
-    for local, label in enumerate(comps):
-        parent = emb.vertex_to_parent[local]
-        if label not in reps or parent < reps[label]:
-            reps[label] = parent
-    labels = {}
-    for local, label in enumerate(comps):
-        labels[emb.vertex_to_parent[local]] = reps[label]
-    return sorted(set(reps.values())), labels
-
-
-def constant_triple_class_trivial(cover: PatchCover, T) -> bool:
-    """Can locally constant last-layer data be gauged into the integers?
-
-    T maps (k+1)-fold keys, k >= 1, to locally constant 0-cochains.
-    Decides whether T differs from the Cech coboundary of locally
-    constant rational data on k-fold overlaps by integers, one linear
-    diophantine question answered through a Smith form: the change of
-    basis must turn the target integral beyond the rank.
-    """
-    if not T:
-        return True
-    n = len(next(iter(T)))
-    var_index = {}
-    face_labels = {}
-    for key, emb in sorted(cover.overlaps(n - 1).items()):
-        reps, face_labels[key] = _component_reps(emb)
-        for rep in reps:
-            var_index[(key, rep)] = len(var_index)
-    rows = []
-    rhs = []
-    for key, emb in sorted(cover.overlaps(n).items()):
-        u = T.get(key, cover.K.zero_cochain(0))
-        if not _locally_constant_on(cover.K, emb, u):
-            raise GerbeError("triple data must be locally constant")
-        for rep in _component_reps(emb)[0]:
-            row = {}
-            for m in range(n):
-                face = key[:m] + key[m + 1:]
-                col = var_index[(face, face_labels[face][rep])]
-                row[col] = row.get(col, 0) + (-1) ** m
-            rows.append(row)
-            rhs.append(Fraction(u.values[rep]))
-    if not rows:
-        return True
-    dec = smith_normal_form(rows, ncols=max(len(var_index), 1))
-    y = dec.U_times(rhs)
-    return all(
-        Fraction(y[i]).denominator == 1 for i in range(dec.rank, len(y))
-    )
-
-
-def gerbe_gauge_equivalent(g1: CechGerbe, g2: CechGerbe) -> bool:
-    """Do two layered data over one cover present one character?
-
-    Decided on their glued sparks by the exact spark equivalence test.
-    """
-    if not same_cover(g1.cover, g2.cover):
-        raise GerbeError("gauge comparison needs a common cover")
-    return spark_equivalent(g1.cover.K, gerbe_spark(g1), gerbe_spark(g2))

@@ -159,9 +159,8 @@ def greedy_matching(K: SimplicialComplex) -> Matching:
 class MorseFlow:
     """Stabilized flow, homotopy and critical complex of a matching."""
 
-    def __init__(self, K: SimplicialComplex, matching: Matching, validate=True):
-        if validate:
-            validate_matching(K, matching)
+    def __init__(self, K: SimplicialComplex, matching: Matching):
+        validate_matching(K, matching)
         self.K = K
         self.matching = matching
         self.critical = critical_cells(K, matching)

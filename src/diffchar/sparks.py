@@ -106,15 +106,13 @@ def mod1(x) -> Fraction:
 # constructors
 
 
-def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain, j=1) -> Spark:
+def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain) -> Spark:
     """Flat spark from torsion data delta(witness) = order * gen.
 
-    Returns (a, R) = ((j/order) * witness, -j * gen); its curvature is
-    zero and its degree-two class is -j times the class of gen.
+    Returns (a, R) = (witness / order, -gen); its curvature is zero and
+    its degree-two class is minus the class of gen.
     """
-    a = witness.scale(Fraction(j, order))
-    R = gen.scale(-j)
-    return Spark(a, R)
+    return Spark(witness.scale(Fraction(1, order)), gen.scale(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +265,7 @@ def torsion_linking_matrix(K: SimplicialComplex, p, q):
 # randomized material for identity checking
 
 
-def random_spark(K: SimplicialComplex, k, rng: random.Random, denom=6) -> Spark:
+def random_spark(K: SimplicialComplex, k, rng: random.Random) -> Spark:
     """Random spark of degree k with mixed exact and topological charge.
 
     k runs over -1..dimension, the degrees of the character groups.
@@ -278,7 +276,7 @@ def random_spark(K: SimplicialComplex, k, rng: random.Random, denom=6) -> Spark:
     a = K.cochain(
         k,
         tuple(
-            Fraction(rng.randint(-6, 6), rng.randint(1, denom))
+            Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             for _ in range(n_k)
         ),
     )

@@ -1,0 +1,237 @@
+"""Test oracles and fixtures that the library itself does not need.
+
+The flat normal form (``gerbe_flat_normal_form`` with
+``constant_triple_class_trivial``) decides gauge equivalence of flat
+layered data by exact primitives on overlaps and a Smith form,
+independently of the glued spark that ``sparks.spark_equivalent``
+compares.  ``gerbe_from_global`` and ``cech_gauge`` make cover-model
+fixtures, ``check_star_trivialization`` checks the cone primitive on a
+whole closed star, and ``varied_weights`` is a reproducible Hodge
+weight profile.
+"""
+
+from fractions import Fraction
+
+from diffchar.cohomology import integer_cohomology
+from diffchar.complexes import Cochain, ComplexEmbedding, SimplicialComplex
+from diffchar.exact import smith_normal_form
+from diffchar.lowdegree import (
+    CechGerbe,
+    GerbeError,
+    PatchCover,
+    _cech,
+    _layer,
+    _parent_indices,
+    cech_gerbe,
+    gauge,
+    gerbe_total_differential,
+    star_trivialization,
+)
+from diffchar.sparks import mod1
+
+WEIGHT_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
+
+
+def varied_weights(K: SimplicialComplex, rng):
+    """Deterministic-for-a-seed positive rational weight profile."""
+    return {
+        k: tuple(rng.choice(WEIGHT_CHOICES) for _ in range(K.n_simplices(k)))
+        for k in range(K.dimension + 1)
+    }
+
+
+# ---------------------------------------------------------------------------
+# the cone primitive on a closed star
+
+
+def _in_closed_star(K: SimplicialComplex, v, simp) -> bool:
+    cone = tuple(sorted(set(simp) | {v}))
+    return cone in K.index.get(len(cone) - 1, {})
+
+
+def check_star_trivialization(K: SimplicialComplex, t: Cochain, v) -> bool:
+    """Does the cone primitive reproduce t mod 1 on the whole closed star?"""
+    k = t.degree
+    alpha = star_trivialization(K, t, v)
+    a = K.cochain(k - 1, (alpha.get(s, 0) for s in K.simplices[k - 1]))
+    rest = gauge(K, t, -a)
+    return all(
+        mod1(rest.values[i]) == 0
+        for i, simp in enumerate(K.simplices[k])
+        if _in_closed_star(K, v, simp)
+    )
+
+
+# ---------------------------------------------------------------------------
+# cover-model fixtures
+
+
+def _masked(emb: ComplexEmbedding, u: Cochain) -> Cochain:
+    inside = set(_parent_indices(emb, u.degree))
+    vals = tuple(v if idx in inside else 0 for idx, v in enumerate(u.values))
+    return Cochain(u.degree, vals)
+
+
+def _locally_constant_on(K, emb, u: Cochain) -> bool:
+    du = K.delta(u)
+    return all(not du.values[idx] for idx in _parent_indices(emb, 1))
+
+
+def gerbe_from_global(cover: PatchCover, t: Cochain) -> CechGerbe:
+    """Single-chart k-phases seen over a cover: restrict t to each patch.
+
+    The layers past the first vanish because the restrictions agree on
+    every overlap.
+    """
+    patches = {(i,): _masked(emb, t) for i, emb in enumerate(cover.embeddings)}
+    return cech_gerbe(cover, [patches] + [None] * t.degree)
+
+
+def cech_gauge(g: CechGerbe, moves=(), shift=None):
+    """Apply a gauge move to the layers of degree-k data.
+
+    moves[m], m < k, maps sorted (m+1)-fold keys to ambient
+    (k-1-m)-cochains on the overlap; a missing or None move is zero.
+    Layer m moves by delta(moves[m]) + (-1)^m Cech(moves[m-1]).  shift
+    maps sorted (k+1)-fold keys to integral locally constant
+    0-cochains on the overlap, added to layer k.  The glued curvature is
+    unchanged; the obstruction moves only by alternating sums of the
+    shift, so it stays integral, and the holonomy does not move at all.
+    """
+    cover = g.cover
+    K = cover.K
+    k = len(g.layers) - 1
+    if len(moves) > k:
+        raise GerbeError(f"degree-{k} data takes at most {k} gauge layers")
+    b = [_layer(cover, m + 1, move, k - 1 - m) for m, move in enumerate(moves)]
+    b += [{}] * (k - len(b))
+    s = _layer(cover, k + 1, shift, 0)
+    for key, u in s.items():
+        if not u.is_integral():
+            raise GerbeError("shifts must be integral")
+        if not _locally_constant_on(K, cover.overlaps(k + 1)[key], u):
+            raise GerbeError("shifts must be locally constant on their overlap")
+    layers = []
+    for m, layer in enumerate(g.layers):
+        zero = K.zero_cochain(k - m)
+        new = {}
+        for key, emb in cover.overlaps(m + 1).items():
+            if m < k:
+                move = K.delta(b[m].get(key, K.zero_cochain(k - m - 1)))
+            else:
+                move = s.get(key, zero)
+            if m:
+                move = move + _cech(b[m - 1], key, zero).scale((-1) ** m)
+            new[key] = layer.get(key, zero) + _masked(emb, move)
+        layers.append(new)
+    return cech_gerbe(cover, layers)
+
+
+# ---------------------------------------------------------------------------
+# the flat normal form: an independent decision of gauge equivalence
+
+
+def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain):
+    """Exact primitive of a cochain on an overlap, scattered ambiently."""
+    K = emb.parent
+    k = target.degree
+    local = emb.restrict_cochain(target)
+    x = integer_cohomology(emb.sub, k).preimage_rat(local.values)
+    if x is None:
+        raise GerbeError(
+            f"no primitive for a degree-{k} layer entry on an overlap; "
+            "the cover fails acyclicity there (see acyclicity_flags)"
+        )
+    vals = [0] * K.n_simplices(k - 1)
+    for loc, parent in enumerate(_parent_indices(emb, k - 1)):
+        vals[parent] = x[loc]
+    return Cochain(k - 1, tuple(vals))
+
+
+def gerbe_flat_normal_form(g: CechGerbe):
+    """Gauge flat degree-k data into pure last-layer constants.
+
+    Returns {(k+1)-fold key: ambient 0-cochain}, locally constant on
+    each overlap, whose alternating sums over (k+2)-fold overlaps are
+    the integers of the obstruction.  Layers 0..k-1 are removed in turn
+    by exact primitives overlap by overlap, which needs the flagged
+    acyclicity; a nonzero glued curvature is refused.
+    """
+    phi, _ = gerbe_total_differential(g)
+    if not phi.is_zero():
+        raise GerbeError("flat normal form needs vanishing curvature")
+    cover = g.cover
+    K = cover.K
+    k = len(g.layers) - 1
+    for m in range(k):
+        overlaps = cover.overlaps(m + 1)
+        move = {
+            key: -_solve_on_overlap(overlaps[key], u)
+            for key, u in g.layers[m].items()
+            if not u.is_zero()
+        }
+        g = cech_gauge(g, [None] * m + [move])
+        if any(not u.is_zero() for u in g.layers[m].values()):
+            raise AssertionError(f"layer {m} must vanish after gauging")
+    out = {}
+    for key, emb in sorted(cover.overlaps(k + 1).items()):
+        u = g.layers[k].get(key, K.zero_cochain(0))
+        if not _locally_constant_on(K, emb, u):
+            raise AssertionError("last layer must be locally constant")
+        out[key] = u
+    return out
+
+
+def _component_reps(emb: ComplexEmbedding):
+    """Parent vertex representative per connected component, sorted."""
+    comps = emb.sub.vertex_components()
+    reps = {}
+    for local, label in enumerate(comps):
+        parent = emb.vertex_to_parent[local]
+        if label not in reps or parent < reps[label]:
+            reps[label] = parent
+    labels = {}
+    for local, label in enumerate(comps):
+        labels[emb.vertex_to_parent[local]] = reps[label]
+    return sorted(set(reps.values())), labels
+
+
+def constant_triple_class_trivial(cover: PatchCover, T) -> bool:
+    """Can locally constant last-layer data be gauged into the integers?
+
+    T maps (k+1)-fold keys, k >= 1, to locally constant 0-cochains.
+    Decides whether T differs from the Cech coboundary of locally
+    constant rational data on k-fold overlaps by integers, one linear
+    diophantine question answered through a Smith form: the change of
+    basis must turn the target integral beyond the rank.
+    """
+    if not T:
+        return True
+    n = len(next(iter(T)))
+    var_index = {}
+    face_labels = {}
+    for key, emb in sorted(cover.overlaps(n - 1).items()):
+        reps, face_labels[key] = _component_reps(emb)
+        for rep in reps:
+            var_index[(key, rep)] = len(var_index)
+    rows = []
+    rhs = []
+    for key, emb in sorted(cover.overlaps(n).items()):
+        u = T.get(key, cover.K.zero_cochain(0))
+        if not _locally_constant_on(cover.K, emb, u):
+            raise GerbeError("triple data must be locally constant")
+        for rep in _component_reps(emb)[0]:
+            row = {}
+            for m in range(n):
+                face = key[:m] + key[m + 1:]
+                col = var_index[(face, face_labels[face][rep])]
+                row[col] = row.get(col, 0) + (-1) ** m
+            rows.append(row)
+            rhs.append(Fraction(u.values[rep]))
+    if not rows:
+        return True
+    dec = smith_normal_form(rows, ncols=max(len(var_index), 1))
+    y = dec.U_times(rhs)
+    return all(
+        Fraction(y[i]).denominator == 1 for i in range(dec.rank, len(y))
+    )

@@ -38,7 +38,6 @@ from diffchar.hodge import (
     HodgeContext,
     abel_jacobi,
     point_abel_jacobi,
-    varied_weights,
 )
 from diffchar.lowdegree import (
     gauge,
@@ -59,6 +58,7 @@ from diffchar.sparks import (
     star,
     torsion_linking_matrix,
 )
+from oracles import varied_weights
 
 F = Fraction
 

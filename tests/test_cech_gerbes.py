@@ -17,22 +17,22 @@ from diffchar.cohomology import cycle_lattice_basis
 from diffchar.complexes import Chain, Cochain
 from diffchar.lowdegree import (
     GerbeError,
-    cech_gauge,
     cech_gerbe,
-    constant_triple_class_trivial,
-    gerbe_flat_normal_form,
-    gerbe_from_global,
-    gerbe_gauge_equivalent,
-    gerbe_holonomy,
     gerbe_spark,
     gerbe_total_differential,
     patch_cover,
     phase_holonomy,
     phase_spark,
     star_cover,
-    _component_reps,
 )
-from diffchar.sparks import SparkError, spark_equivalent, validate_spark
+from diffchar.sparks import SparkError, holonomy, spark_equivalent, validate_spark
+from oracles import (
+    _component_reps,
+    cech_gauge,
+    constant_triple_class_trivial,
+    gerbe_flat_normal_form,
+    gerbe_from_global,
+)
 
 F = Fraction
 M = 4
@@ -200,8 +200,8 @@ def test_global_restriction_is_flat(windows, third_gerbe):
     phi, R = gerbe_total_differential(g)
     assert phi.is_zero()
     z = K.fundamental_cycle()
-    assert gerbe_holonomy(g, z) == F(1, 3)
-    assert gerbe_holonomy(g, z) == phase_holonomy(K, t, z)
+    assert holonomy(K, gerbe_spark(g), z) == F(1, 3)
+    assert holonomy(K, gerbe_spark(g), z) == phase_holonomy(K, t, z)
 
 
 def test_global_restriction_matches_single_chart_on_star_cover():
@@ -215,7 +215,7 @@ def test_global_restriction_matches_single_chart_on_star_cover():
             tuple(F(rng.randrange(-4, 5), 3) for _ in range(K.n_simplices(2))),
         )
         g = gerbe_from_global(cov, t)
-        assert gerbe_holonomy(g, z) == phase_holonomy(K, t, z)
+        assert holonomy(K, gerbe_spark(g), z) == phase_holonomy(K, t, z)
 
 
 def test_curved_gerbe_on_three_sphere():
@@ -243,7 +243,7 @@ def test_inconsistent_patch_layers_rejected():
     z = K.fundamental_cycle()
     for faces in ([cov.patch_of(t) for t in K.simplices[2]], [1, 3, 0, 1]):
         with pytest.raises(GerbeError, match="inconsistent"):
-            gerbe_holonomy(g, z, {2: faces})
+            holonomy(K, gerbe_spark(g, {2: faces}), z)
 
 
 def test_single_third_triple_without_quads_is_flat():
@@ -260,7 +260,7 @@ def test_single_third_triple_without_quads_is_flat():
     T = gerbe_flat_normal_form(g)
     assert T[(0, 1, 2)] == a0
     # every gerbe on a circle is trivial, and the decision agrees
-    assert gerbe_gauge_equivalent(cech_gerbe(cov, [None] * 3), g)
+    assert spark_equivalent(K, gerbe_spark(cech_gerbe(cov, [None] * 3)), gerbe_spark(g))
 
 
 def test_single_third_triple_with_quads_rejected():
@@ -281,10 +281,10 @@ def test_holonomy_needs_closed_integral_surface(windows, third_gerbe):
     _, g = third_gerbe
     open_chain = Chain(2, tuple(1 if i == 0 else 0 for i in range(K.n_simplices(2))))
     with pytest.raises(SparkError, match="boundary is nonzero"):
-        gerbe_holonomy(g, open_chain)
+        holonomy(K, gerbe_spark(g), open_chain)
     z = K.fundamental_cycle()
     with pytest.raises(SparkError, match="integral cycle"):
-        gerbe_holonomy(g, Chain(2, tuple(F(v, 2) for v in z.values)))
+        holonomy(K, gerbe_spark(g), Chain(2, tuple(F(v, 2) for v in z.values)))
 
 
 def test_holonomy_rejects_non_subordinate_assignment(windows, third_gerbe):
@@ -298,7 +298,7 @@ def test_holonomy_rejects_non_subordinate_assignment(windows, third_gerbe):
     faces = [cov.patch_of(s) for s in K.simplices[2]]
     faces[0] = outside
     with pytest.raises(GerbeError, match="subordinate"):
-        gerbe_holonomy(g, z, {2: faces})
+        holonomy(K, gerbe_spark(g, {2: faces}), z)
 
 
 def test_assignment_needs_one_patch_per_simplex():
@@ -323,7 +323,7 @@ def test_holonomy_gauge_invariant(windows, third_gerbe):
         phi, R = gerbe_total_differential(cur)
         assert phi.is_zero()
         assert all(v.is_integral() for v in R.values())
-        assert gerbe_holonomy(cur, z) == F(1, 3)
+        assert holonomy(K, gerbe_spark(cur), z) == F(1, 3)
 
 
 def test_holonomy_assignment_independent(windows, third_gerbe):
@@ -333,7 +333,9 @@ def test_holonomy_assignment_independent(windows, third_gerbe):
     cur = cech_gauge(g, *random_gauge(K, cov, rng))
     z = K.fundamental_cycle()
     values = {
-        gerbe_holonomy(cur, z, {k: random_assignment(K, cov, rng, k) for k in (2, 1, 0)})
+        holonomy(
+            K, gerbe_spark(cur, {k: random_assignment(K, cov, rng, k) for k in (2, 1, 0)}), z
+        )
         for _ in range(10)
     }
     assert values == {F(1, 3)}
@@ -348,8 +350,8 @@ def test_holonomy_additive_in_the_cycle(windows, third_gerbe):
     for vec in cycle_lattice_basis(K, 2)[:3]:
         za = Chain(2, tuple(vec))
         zsum = Chain(2, tuple(a + b for a, b in zip(za.values, z.values)))
-        total = gerbe_holonomy(cur, za) + gerbe_holonomy(cur, z)
-        assert gerbe_holonomy(cur, zsum) == total % 1
+        total = holonomy(K, gerbe_spark(cur), za) + holonomy(K, gerbe_spark(cur), z)
+        assert holonomy(K, gerbe_spark(cur), zsum) == total % 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ def test_glued_spark_is_one_character(windows, where):
         s = gerbe_spark(cur, {k: random_assignment(K, cov, rng, k) for k in (2, 1, 0)})
         validate_spark(K, s)
         assert spark_equivalent(K, s, ref)
-        assert gerbe_holonomy(cur, K.fundamental_cycle()) == F(1, 3)
+        assert holonomy(K, gerbe_spark(cur), K.fundamental_cycle()) == F(1, 3)
 
 
 @pytest.mark.parametrize("space", ["circle4", "sphere2", "torus", "sphere3", "rp2"])
@@ -430,7 +432,7 @@ def test_flat_normal_form_of_third_gerbe(windows, third_gerbe):
     phi, R = gerbe_total_differential(gT)
     assert phi.is_zero()
     assert all(v.is_zero() for v in R.values())
-    assert gerbe_holonomy(gT, K.fundamental_cycle()) == F(1, 3)
+    assert holonomy(K, gerbe_spark(gT), K.fundamental_cycle()) == F(1, 3)
 
 
 def test_trivial_normal_form_is_zero(windows):
@@ -465,8 +467,9 @@ def decision_pairs(windows, third_gerbe):
 
 
 def test_gauge_equivalence_decision(windows, third_gerbe):
+    K, _ = windows
     for g1, g2, expected in decision_pairs(windows, third_gerbe):
-        assert gerbe_gauge_equivalent(g1, g2) == expected
+        assert spark_equivalent(K, gerbe_spark(g1), gerbe_spark(g2)) == expected
 
 
 def test_gauge_equivalence_agrees_with_normal_form(windows, third_gerbe):
@@ -476,20 +479,12 @@ def test_gauge_equivalence_agrees_with_normal_form(windows, third_gerbe):
         assert constant_triple_class_trivial(cov, T) == expected
 
 
-def test_gauge_equivalence_needs_common_cover(windows, third_gerbe):
-    K, cov = windows
-    _, g = third_gerbe
-    other = star_cover(circle(3))
-    with pytest.raises(GerbeError, match="common cover"):
-        gerbe_gauge_equivalent(g, cech_gerbe(other, [None] * 3))
-
-
 def test_distinct_flat_classes_not_equivalent(windows, third_gerbe):
     K, cov = windows
     t, g = third_gerbe
     doubled = gerbe_from_global(cov, t + t)
     assert gerbe_total_differential(doubled)[0].is_zero()
-    assert not gerbe_gauge_equivalent(g, doubled)
+    assert not spark_equivalent(K, gerbe_spark(g), gerbe_spark(doubled))
 
 
 # ---------------------------------------------------------------------------

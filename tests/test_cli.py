@@ -12,8 +12,7 @@ from diffchar.builders import build_space, circle, moebius_kuehnel_torus
 from diffchar.cli import canonical_json, main
 from diffchar.cohomology import cohomology_generators
 from diffchar.complexes import scalar_str
-from diffchar.hodge import varied_weights
-from diffchar.lowdegree import gerbe_from_global, star_cover
+from diffchar.lowdegree import star_cover
 from diffchar.sparks import (
     Spark,
     holonomy,
@@ -22,6 +21,7 @@ from diffchar.sparks import (
     spark_to_json,
     star,
 )
+from oracles import gerbe_from_global, varied_weights
 
 
 def run(capsys, *argv):
@@ -377,7 +377,7 @@ def test_lowdeg_gerbe_cover_form(tmp_path, capsys):
     # the same one-third gerbe written as patch data over the star
     # cover; same surface holonomy, no gluing obstruction
     K = moebius_kuehnel_torus()
-    g = gerbe_from_global(star_cover(K), K.cochain(2, ("1/3",) + ("0",) * 13))
+    g = gerbe_from_global(star_cover(K), K.cochain(2, (Fraction(1, 3),) + (0,) * 13))
     payload = {
         "cover": "star",
         "patch": [[str(v) for v in c.values] for c in g.layers[0].values()],
@@ -399,7 +399,7 @@ def test_lowdeg_gerbe_checks_the_layers_once(tmp_path, capsys, monkeypatch):
     # with a cycle the cover model reports the curvature and the holonomy
     # of the glued spark from one run of the layer checks
     K = moebius_kuehnel_torus()
-    g = gerbe_from_global(star_cover(K), K.cochain(2, ("1/3",) + ("0",) * 13))
+    g = gerbe_from_global(star_cover(K), K.cochain(2, (Fraction(1, 3),) + (0,) * 13))
     gerbe = tmp_path / "g.json"
     gerbe.write_text(canonical_json({"patch": [[str(v) for v in c.values] for c in g.layers[0].values()]}))
     cycle = tmp_path / "z.json"
@@ -440,7 +440,7 @@ def test_lowdeg_gerbe_rational_cycle_is_input_error(tmp_path, capsys, model):
     # half the fundamental cycle of the 7-vertex torus: both gerbe
     # models refuse it rather than print a gauge-dependent holonomy
     K = moebius_kuehnel_torus()
-    t = K.cochain(2, ("1/7",) * 14)
+    t = K.cochain(2, (Fraction(1, 7),) * 14)
     if model == "global":
         payload = {"degree": 2, "values": list(t.values)}
     else:
@@ -494,7 +494,7 @@ def _rp2_input_files(tmp_path, bad):
     K = build_space("rp2")
     zero = ["0"] * K.n_simplices(1)
     edges = zero[:-1] + [bad]
-    spark = spark_to_json(Spark(K.cochain(1, zero), K.cochain(2, ["0"] * K.n_simplices(2))))
+    spark = spark_to_json(Spark(K.zero_cochain(1), K.zero_cochain(2)))
     bad_spark = json.loads(json.dumps(spark))
     bad_spark["a"]["values"][-1] = bad
     payloads = {

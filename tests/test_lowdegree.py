@@ -9,7 +9,6 @@ from diffchar.builders import circle, moebius_kuehnel_torus, simplex, sphere
 from diffchar.cohomology import integer_cohomology
 from diffchar.lowdegree import (
     PhaseError,
-    check_star_trivialization,
     chern_cocycle,
     gauge,
     phase_curvature,
@@ -21,6 +20,7 @@ from diffchar.lowdegree import (
     total_flux,
 )
 from diffchar.sparks import curvature, pullback_spark, spark_equivalent, validate_spark
+from oracles import check_star_trivialization
 
 F = Fraction
 

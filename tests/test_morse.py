@@ -8,8 +8,8 @@ import pytest
 
 from diffchar.builders import build_space, circle, cp2, moebius_kuehnel_torus, rp2, rp3, sphere
 from diffchar.cohomology import (
-    betti_numbers,
     cohomology_generators,
+    cohomology_structure,
     homology_structure,
     integer_cohomology,
 )
@@ -82,9 +82,8 @@ def test_greedy_matching_is_valid(K):
     crit = critical_cells(K, m)
     total = sum(len(v) for v in crit.values()) + 2 * len(m.pairs)
     assert total == K.total_simplices()
-    b = betti_numbers(K)
     for k in range(K.dimension + 1):
-        assert len(crit[k]) >= b[k]
+        assert len(crit[k]) >= cohomology_structure(K, k).free_rank
     euler = sum((-1) ** k * len(crit[k]) for k in range(K.dimension + 1))
     assert euler == K.euler_characteristic()
 

@@ -25,7 +25,8 @@ from diffchar.cohomology import (
 )
 from diffchar.complexes import SimplicialComplex
 from diffchar.exact import RatElim, gram_rows, transpose_apply
-from diffchar.hodge import HodgeContext, spark_from_cocycle, varied_weights
+from diffchar.hodge import HodgeContext, spark_from_cocycle
+from oracles import varied_weights
 
 SPHERE = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 EXTRA = {
