@@ -342,7 +342,7 @@ def build_space(name, budget=DEFAULT_BUDGET) -> SimplicialComplex:
         return lens_space(p, q)
     if name.startswith("product:"):
         body = name[len("product:"):]
-        left, right = _split_top_comma(body)
+        left, right = split_top_comma(body)
         return product(build_space(left, budget), build_space(right, budget), budget)
     base, num = _split_trailing_int(name)
     if base == "point" and num is None:
@@ -376,11 +376,12 @@ def _split_trailing_int(name):
     return base, (int(name[i:]) if i < len(name) else None)
 
 
-def _split_top_comma(body):
+def split_top_comma(body):
+    """Split "A,B" at the first comma outside nested argument lists."""
     for i, ch in enumerate(body):
         if ch == "," and _balanced_prefix(body[:i]):
             return body[:i], body[i + 1:]
-    raise ComplexError(f"product needs two comma-separated names in {body!r}")
+    raise ComplexError(f"expected two comma-separated names in {body!r}")
 
 
 def _balanced_prefix(prefix):

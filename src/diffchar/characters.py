@@ -23,6 +23,7 @@ from .cohomology import (
     circle_cohomology_structure,
     cohomology_generators,
     cohomology_structure,
+    group_name,
     homology_structure,
     integer_cohomology,
     kunneth_structure,
@@ -49,18 +50,11 @@ class CharacterStructure:
     discrete: AbelianGroupStructure
 
     def format(self):
-        parts = []
-        if self.torus_rank == 1:
-            parts.append("S1")
-        elif self.torus_rank > 1:
-            parts.append(f"(S1)^{self.torus_rank}")
-        if self.exact_dim == 1:
-            parts.append("Q")
-        elif self.exact_dim > 1:
-            parts.append(f"Q^{self.exact_dim}")
-        if not self.discrete.is_trivial():
-            parts.append(self.discrete.format())
-        return " x ".join(parts) if parts else "0"
+        return group_name([
+            ("S1", self.torus_rank),
+            ("Q", self.exact_dim),
+            (self.discrete.format(), int(not self.discrete.is_trivial())),
+        ], " x ")
 
     def to_json_dict(self):
         return {
@@ -137,16 +131,11 @@ class DualStructure:
     discrete: AbelianGroupStructure
 
     def format(self):
-        parts = []
-        if self.torus_rank == 1:
-            parts.append("S1")
-        elif self.torus_rank > 1:
-            parts.append(f"(S1)^{self.torus_rank}")
-        if self.exact_nonzero:
-            parts.append("Q^+")
-        if not self.discrete.is_trivial():
-            parts.append(self.discrete.format())
-        return " x ".join(parts) if parts else "0"
+        return group_name([
+            ("S1", self.torus_rank),
+            ("Q", "+" if self.exact_nonzero else 0),
+            (self.discrete.format(), int(not self.discrete.is_trivial())),
+        ], " x ")
 
 
 def dual_structure(K: SimplicialComplex, k) -> DualStructure:

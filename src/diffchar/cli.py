@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .builders import DEFAULT_BUDGET, build_space
+from .builders import DEFAULT_BUDGET, build_space, split_top_comma
 from .characters import (
     CharacterStructure,
     character_structure,
@@ -40,11 +40,11 @@ from .cohomology import (
 )
 from .complexes import (
     Chain,
-    Cochain,
     ComplexError,
     SimplicialComplex,
     json_int,
     json_scalars,
+    json_vector,
     scalar_str,
 )
 from .hodge import (
@@ -187,93 +187,74 @@ def _render_csv(rows):
 # input loading
 
 
-def _read_json(path):
+def _read_input(path, inputs, key):
+    """Parse the JSON file at ``path``, reading its bytes once.
+
+    The sha256 of those bytes goes into the report ``inputs`` under
+    ``key``, appended when that entry is a list.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    sha = hashlib.sha256(raw).hexdigest()
+    if isinstance(inputs.get(key), list):
+        inputs[key].append(sha)
+    else:
+        inputs[key] = sha
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _file_sha(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def load_complex(args) -> tuple[SimplicialComplex, dict]:
     """Build from --space or load from --input; returns (K, input facts)."""
     if getattr(args, "input", None):
-        data = _read_json(args.input)
+        inputs = {}
+        data = _read_input(args.input, inputs, "input")
         K = SimplicialComplex.from_json_dict(
             data, auto_close=getattr(args, "auto_close", False)
         )
-        return K, {"input": _file_sha(args.input)}
+        return K, inputs
     budget = getattr(args, "budget", DEFAULT_BUDGET)
     return build_space(args.space, budget), {"space": args.space}
 
 
-def _vector_from_data(K, cls, data, where, expect_degree=None):
-    """A Cochain or Chain (``cls``) from ``{"degree": k, "values": [...]}``."""
-    try:
-        k = json_int(data["degree"], f"{where}: degree")
-        values = json_scalars(data["values"], f"{where}: values")
-    except (KeyError, TypeError) as exc:
-        raise InputDataError(f"{where}: malformed {cls.__name__.lower()} ({exc})") from exc
-    if expect_degree is not None and k != expect_degree:
-        raise InputDataError(f"{where}: degree {k}, expected {expect_degree}")
-    if not -1 <= k <= K.dimension:
-        raise InputDataError(f"{where}: degree {k} outside -1..{K.dimension}")
-    return K.cochain(k, values) if cls is Cochain else K.chain(k, values)
+def _load_cochain(K, path, inputs, key):
+    return json_vector(K, _read_input(path, inputs, key), path)
 
 
-def _load_cochain(K, path, expect_degree=None):
-    return _vector_from_data(K, Cochain, _read_json(path), path, expect_degree)
-
-
-def _load_connection(K, path):
+def _load_connection(K, path, inputs):
     """Edge phases, either ``{"edges": [...]}`` or a degree-1 cochain file."""
-    data = _read_json(path)
+    data = _read_input(path, inputs, "theta")
     if isinstance(data, dict) and "edges" in data:
         return K.cochain(1, json_scalars(data["edges"], f"{path}: edges"))
-    return _vector_from_data(K, Cochain, data, path, expect_degree=1)
+    return json_vector(K, data, path, degree=1)
 
 
-def _load_chain(K, path):
-    return _vector_from_data(K, Chain, _read_json(path), path)
+def _load_chain(K, path, inputs):
+    return json_vector(K, _read_input(path, inputs, "cycle"), path, cls=Chain)
 
 
-def _load_spark(K, path):
-    data = _read_json(path)
-    try:
-        return spark_from_json(K, data)
-    except (KeyError, TypeError) as exc:
-        raise InputDataError(f"{path}: malformed spark ({exc})") from exc
+def _load_spark(K, path, inputs, key="spark"):
+    return spark_from_json(K, _read_input(path, inputs, key), path)
 
 
-def _load_weights(K, path):
-    if path is None:
-        return None
-    data = _read_json(path)
-    try:
-        return {
-            int(k): json_scalars(vals, f"{path}: weights {k}")
-            for k, vals in data.items()
-        }
-    except (TypeError, AttributeError) as exc:
-        raise InputDataError(f"{path}: malformed weights ({exc})") from exc
-
-
-def _cochain_json(u):
-    return {
-        "degree": u.degree,
-        "ring": u.ring(),
-        "values": [scalar_str(v) for v in u.values],
-    }
+def _load_spark_pair(K, args, inputs):
+    inputs["sparks"] = []
+    return [_load_spark(K, path, inputs, "sparks") for path in (args.spark, args.spark2)]
 
 
 def _write_artifact(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(obj))
+
+
+def _spark_results(s, out):
+    """The spark for the report, or where ``--out`` wrote it instead."""
+    if not out:
+        return {"spark": spark_to_json(s)}
+    _write_artifact(out, spark_to_json(s))
+    return {"written": out}
 
 
 def _hodge_context(K, args, inputs):
@@ -282,18 +263,21 @@ def _hodge_context(K, args, inputs):
     The flags that differ from their defaults go into ``inputs`` (the
     weights as a file sha), so default-flag digests stay unchanged.
     """
+    weights = None
     if args.weights is not None:
-        inputs["weights"] = _file_sha(args.weights)
+        data = _read_input(args.weights, inputs, "weights")
+        try:
+            weights = {
+                int(k): json_scalars(vals, f"{args.weights}: weights {k}")
+                for k, vals in data.items()
+            }
+        except (TypeError, AttributeError) as exc:
+            raise InputDataError(f"{args.weights}: malformed weights ({exc})") from exc
     if args.method != DEFAULT_METHOD:
         inputs["method"] = args.method
     if args.tol != DEFAULT_TOL:
         inputs["tol"] = args.tol
-    return HodgeContext(
-        K,
-        weights=_load_weights(K, args.weights),
-        method=args.method,
-        tol=args.tol,
-    )
+    return HodgeContext(K, weights=weights, method=args.method, tol=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +364,7 @@ def cmd_tables(args):
         body = name[len("kunneth:"):]
         if "," not in body:
             raise InputDataError(f"expected kunneth:A,B, got {name!r}")
-        left, right = body.split(",", 1)
+        left, right = split_top_comma(body)
         A, B = build_space(left, args.budget), build_space(right, args.budget)
         fa, fb = cohomology_structures(A), cohomology_structures(B)
         total = A.dimension + B.dimension
@@ -481,35 +465,24 @@ def cmd_verify(args):
 def cmd_spark_new(args):
     K, inputs = load_complex(args)
     if args.cocycle:
-        R = _load_cochain(K, args.cocycle)
-        s = spark_from_cocycle(K, R)
-        inputs["cocycle"] = _file_sha(args.cocycle)
+        s = spark_from_cocycle(K, _load_cochain(K, args.cocycle, inputs, "cocycle"))
     else:
         if args.k is None:
             raise InputDataError("spark new needs --cocycle FILE or --k with --seed")
         s = random_spark(K, args.k, random.Random(args.seed))
         inputs.update({"k": args.k, "seed": args.seed})
-    results = {"spark": spark_to_json(s)}
-    if args.out:
-        _write_artifact(args.out, spark_to_json(s))
-        results = {"written": args.out}
-    return RunReport("spark new", inputs, results), None
+    return RunReport("spark new", inputs, _spark_results(s, args.out)), None
 
 
 def cmd_spark_d1(args):
     K, inputs = load_complex(args)
-    s = _load_spark(K, args.spark)
-    inputs["spark"] = _file_sha(args.spark)
-    return (
-        RunReport("spark d1", inputs, {"curvature": _cochain_json(curvature(K, s))}),
-        None,
-    )
+    s = _load_spark(K, args.spark, inputs)
+    return RunReport("spark d1", inputs, {"curvature": curvature(K, s)}), None
 
 
 def cmd_spark_d2(args):
     K, inputs = load_complex(args)
-    s = _load_spark(K, args.spark)
-    inputs["spark"] = _file_sha(args.spark)
+    s = _load_spark(K, args.spark, inputs)
     free, torsion = d2_class(K, s)
     results = {"free": list(free), "torsion": list(torsion)}
     return RunReport("spark d2", inputs, results), None
@@ -517,9 +490,7 @@ def cmd_spark_d2(args):
 
 def cmd_spark_equiv(args):
     K, inputs = load_complex(args)
-    s1 = _load_spark(K, args.spark)
-    s2 = _load_spark(K, args.spark2)
-    inputs["sparks"] = [_file_sha(args.spark), _file_sha(args.spark2)]
+    s1, s2 = _load_spark_pair(K, args, inputs)
     same = spark_equivalent(K, s1, s2)
     report = RunReport(
         "spark equiv", inputs, {"equivalent": same}, checks={"equivalent": same}
@@ -529,11 +500,9 @@ def cmd_spark_equiv(args):
 
 def cmd_spark_holonomy(args):
     K, inputs = load_complex(args)
-    s = _load_spark(K, args.spark)
-    inputs["spark"] = _file_sha(args.spark)
+    s = _load_spark(K, args.spark, inputs)
     if args.cycle:
-        z = _load_chain(K, args.cycle)
-        inputs["cycle"] = _file_sha(args.cycle)
+        z = _load_chain(K, args.cycle, inputs)
     else:
         z = K.fundamental_cycle()
         if z is None:
@@ -543,22 +512,14 @@ def cmd_spark_holonomy(args):
 
 def cmd_spark_star(args):
     K, inputs = load_complex(args)
-    s1 = _load_spark(K, args.spark)
-    s2 = _load_spark(K, args.spark2)
-    inputs["sparks"] = [_file_sha(args.spark), _file_sha(args.spark2)]
+    s1, s2 = _load_spark_pair(K, args, inputs)
     st = star(K, s1, s2)
-    results = {"spark": spark_to_json(st)}
-    if args.out:
-        _write_artifact(args.out, spark_to_json(st))
-        results = {"written": args.out}
-    return RunReport("spark star", inputs, results), None
+    return RunReport("spark star", inputs, _spark_results(st, args.out)), None
 
 
 def cmd_spark_pair(args):
     K, inputs = load_complex(args)
-    s1 = _load_spark(K, args.spark)
-    s2 = _load_spark(K, args.spark2)
-    inputs["sparks"] = [_file_sha(args.spark), _file_sha(args.spark2)]
+    s1, s2 = _load_spark_pair(K, args, inputs)
     return RunReport("spark pair", inputs, {"pairing": duality_pair(K, s1, s2)}), None
 
 
@@ -575,8 +536,7 @@ def cmd_spark_link(args):
 
 def cmd_hodge_decompose(args):
     K, inputs = load_complex(args)
-    u = _load_cochain(K, args.cochain)
-    inputs["cochain"] = _file_sha(args.cochain)
+    u = _load_cochain(K, args.cochain, inputs, "cochain")
     ctx = _hodge_context(K, args, inputs)
     dec = ctx.decompose(u)
     res = {
@@ -587,23 +547,19 @@ def cmd_hodge_decompose(args):
     checks = {"residuals": worst == 0 if ctx.exact else worst <= args.tol}
     results = {
         "method": "exact" if ctx.exact else "cg",
-        "harmonic": _cochain_json(dec.harmonic),
-        "primitive": _cochain_json(dec.primitive),
-        "coprimitive": _cochain_json(dec.coprimitive),
+        "harmonic": dec.harmonic,
+        "primitive": dec.primitive,
+        "coprimitive": dec.coprimitive,
     }
     return RunReport("hodge decompose", inputs, results, dict(res), checks), None
 
 
 def cmd_hodge_spark(args):
     K, inputs = load_complex(args)
-    R = _load_cochain(K, args.cocycle)
-    inputs["cocycle"] = _file_sha(args.cocycle)
+    R = _load_cochain(K, args.cocycle, inputs, "cocycle")
     ctx = _hodge_context(K, args, inputs)
     s = ctx.hodge_spark(R)
-    results = {
-        "spark": spark_to_json(s),
-        "curvature": _cochain_json(curvature(K, s)),
-    }
+    results = {"spark": spark_to_json(s), "curvature": curvature(K, s)}
     if args.out:
         _write_artifact(args.out, spark_to_json(s))
         results["written"] = args.out
@@ -612,8 +568,7 @@ def cmd_hodge_spark(args):
 
 def cmd_hodge_normal(args):
     K, inputs = load_complex(args)
-    s = _load_spark(K, args.spark)
-    inputs["spark"] = _file_sha(args.spark)
+    s = _load_spark(K, args.spark, inputs)
     ctx = _hodge_context(K, args, inputs)
     nf = ctx.spark_normal_form(s)
     checks = {"equivalent": spark_equivalent(K, s, nf)}
@@ -645,7 +600,7 @@ def cmd_morse_match(args):
         "critical": {str(k): len(v) for k, v in sorted(flow.critical.items())},
         "stabilization_exponent": flow.stabilization_exponent,
     }
-    return RunReport("morse match", inputs, results, checks={"acyclic": True}), None
+    return RunReport("morse match", inputs, results), None
 
 
 def cmd_morse_homology(args):
@@ -673,15 +628,10 @@ def cmd_morse_verify(args):
 
 def cmd_morse_spark(args):
     K, inputs = load_complex(args)
-    phi = _load_cochain(K, args.cocycle)
-    inputs["cocycle"] = _file_sha(args.cocycle)
+    phi = _load_cochain(K, args.cocycle, inputs, "cocycle")
     flow = MorseFlow(K, greedy_matching(K))
     s = morse_spark(K, flow, phi)
-    results = {"spark": spark_to_json(s)}
-    if args.out:
-        _write_artifact(args.out, spark_to_json(s))
-        results = {"written": args.out}
-    return RunReport("morse spark", inputs, results), None
+    return RunReport("morse spark", inputs, _spark_results(s, args.out)), None
 
 
 # -- low-degree subcommands -------------------------------------------------
@@ -689,8 +639,7 @@ def cmd_morse_spark(args):
 
 def cmd_lowdeg_circle(args):
     K, inputs = load_complex(args)
-    data = _read_json(args.values)
-    inputs["values"] = _file_sha(args.values)
+    data = _read_input(args.values, inputs, "values")
     theta = K.cochain(0, list(json_scalars(data, args.values)))
     s = phase_spark(K, theta)
     recovered = spark_phases(s).values
@@ -712,13 +661,9 @@ def cmd_lowdeg_circle(args):
 
 def cmd_lowdeg_conn(args):
     K, inputs = load_complex(args)
-    theta = _load_connection(K, args.theta)
-    inputs["theta"] = _file_sha(args.theta)
+    theta = _load_connection(K, args.theta, inputs)
     Fs, N = chern_cocycle(K, theta)
-    results = {
-        "field_strength": _cochain_json(Fs),
-        "integral_part": _cochain_json(N),
-    }
+    results = {"field_strength": Fs, "integral_part": N}
     checks = {}
     z = K.fundamental_cycle()
     if z is not None and K.dimension == 2:
@@ -779,12 +724,10 @@ def _gerbe_from_data(K, data):
 
 def cmd_lowdeg_gerbe(args):
     K, inputs = load_complex(args)
-    data = _read_json(args.gerbe)
-    inputs["gerbe"] = _file_sha(args.gerbe)
+    data = _read_input(args.gerbe, inputs, "gerbe")
     z = None
     if args.cycle:
-        z = _load_chain(K, args.cycle)
-        inputs["cycle"] = _file_sha(args.cycle)
+        z = _load_chain(K, args.cycle, inputs)
     elif K.dimension == 2:
         z = K.fundamental_cycle()
     layered = isinstance(data, dict) and not ("degree" in data and "values" in data)
@@ -795,7 +738,7 @@ def cmd_lowdeg_gerbe(args):
             "model": "cover",
             "n_patches": g.cover.n_patches,
             "flagged_overlaps": len(g.cover.acyclicity_flags),
-            "curvature": _cochain_json(phi),
+            "curvature": phi,
             "flat": phi.is_zero(),
             "obstruction": {
                 ",".join(str(i) for i in key): [scalar_str(v) for v in R.values]
@@ -807,9 +750,9 @@ def cmd_lowdeg_gerbe(args):
             # phi is checked already; gerbe_spark would check the layers again
             results["holonomy"] = holonomy(K, _glued_spark(g, phi), z)
     else:
-        t = _vector_from_data(K, Cochain, data, args.gerbe, expect_degree=2)
+        t = json_vector(K, data, args.gerbe, degree=2)
         phi = phase_curvature(K, t)
-        results = {"model": "global", "curvature": _cochain_json(phi), "flat": phi.is_zero()}
+        results = {"model": "global", "curvature": phi, "flat": phi.is_zero()}
         if z is not None:
             results["holonomy"] = phase_holonomy(K, t, z)
     return RunReport("lowdeg gerbe", inputs, results), None

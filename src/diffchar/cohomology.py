@@ -23,6 +23,21 @@ from .complexes import Chain, SimplicialComplex
 from .exact import mat_vec, mul_rows, rows_to_dense, smith_normal_form
 
 
+def group_name(factors, sep):
+    """Name of a group from its (symbol, power) factors, joined by ``sep``.
+
+    A zero power is left out and a first power is the bare symbol; any
+    other power p reads ``symbol^p``, a symbol of more than one
+    character in parentheses, as in ``(S1)^2``.  No factor left: "0".
+    """
+    parts = [
+        sym if p == 1 else f"({sym})^{p}" if len(sym) > 1 else f"{sym}^{p}"
+        for sym, p in factors
+        if p
+    ]
+    return sep.join(parts) or "0"
+
+
 @dataclass(frozen=True)
 class AbelianGroupStructure:
     """Isomorphism type of a finitely generated abelian group.
@@ -37,13 +52,8 @@ class AbelianGroupStructure:
         return self.free_rank == 0 and not self.torsion
 
     def format(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z_{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        torsion = [(f"Z_{d}", 1) for d in self.torsion]
+        return group_name([("Z", self.free_rank)] + torsion, " + ")
 
     def to_json_dict(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -60,13 +70,8 @@ class CircleGroupStructure:
     torsion: tuple = ()
 
     def format(self):
-        parts = []
-        if self.circle_rank == 1:
-            parts.append("S1")
-        elif self.circle_rank > 1:
-            parts.append(f"(S1)^{self.circle_rank}")
-        parts.extend(f"Z_{d}" for d in self.torsion)
-        return " x ".join(parts) if parts else "0"
+        torsion = [(f"Z_{d}", 1) for d in self.torsion]
+        return group_name([("S1", self.circle_rank)] + torsion, " x ")
 
     def to_json_dict(self):
         return {"circle_rank": self.circle_rank, "torsion": list(self.torsion)}

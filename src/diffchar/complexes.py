@@ -104,6 +104,13 @@ class Cochain(_Vector):
     def ring(self):
         return "INT" if self.is_integral() else "RAT"
 
+    def to_json_dict(self):
+        return {
+            "degree": self.degree,
+            "ring": self.ring(),
+            "values": [scalar_str(v) for v in self.values],
+        }
+
 
 def _check_same(a, b):
     if a.degree != b.degree or len(a.values) != len(b.values):
@@ -459,6 +466,27 @@ def json_scalars(values, what):
         return tuple(map(parse_scalar, values))
     except ValueError as exc:
         raise ComplexError(f"{what}: {exc}") from None
+
+
+def json_vector(K, data, where, cls=Cochain, degree=None, top=None):
+    """A Cochain or Chain (``cls``) of K from ``{"degree": k, "values": [...]}``.
+
+    k must equal ``degree`` when that is given, and lie in -1..``top``,
+    the dimension of K unless given: the charge of a top-degree spark
+    has degree dim + 1.  Malformed data raises ComplexError naming
+    ``where``.
+    """
+    try:
+        k = json_int(data["degree"], f"{where}: degree")
+        values = json_scalars(data["values"], f"{where}: values")
+    except (KeyError, TypeError) as exc:
+        raise ComplexError(f"{where}: malformed {cls.__name__.lower()} ({exc})") from exc
+    if degree is not None and k != degree:
+        raise ComplexError(f"{where}: degree {k}, expected {degree}")
+    top = K.dimension if top is None else top
+    if not -1 <= k <= top:
+        raise ComplexError(f"{where}: degree {k} outside -1..{top}")
+    return K._vector(cls, k, values)
 
 
 # ---------------------------------------------------------------------------

@@ -160,12 +160,7 @@ def mul_rows(A, B):
     for row in A:
         acc = {}
         for m, v in row.items():
-            for c, w in B[m].items():
-                val = acc.get(c, 0) + v * w
-                if val:
-                    acc[c] = val
-                else:
-                    acc.pop(c, None)
+            _row_axpy(acc, B[m], v)
         out.append(acc)
     return out
 
@@ -175,12 +170,7 @@ def add_rows(A, B):
     out = []
     for ra, rb in zip(A, B):
         acc = dict(ra)
-        for c, w in rb.items():
-            val = acc.get(c, 0) + w
-            if val:
-                acc[c] = val
-            else:
-                acc.pop(c, None)
+        _row_axpy(acc, rb, 1)
         out.append(acc)
     return out
 

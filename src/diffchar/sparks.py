@@ -38,10 +38,8 @@ from .complexes import (
     Cochain,
     SimplicialComplex,
     is_integer,
-    json_int,
-    json_scalars,
+    json_vector,
     pull_cochain,
-    scalar_str,
     simplicial_chain_maps,
 )
 from .exact import mat_vec
@@ -73,6 +71,8 @@ class Spark:
 
 
 def validate_spark(K: SimplicialComplex, s: Spark):
+    if not -1 <= s.degree <= K.dimension:
+        raise SparkError(f"spark degree {s.degree} outside -1..{K.dimension}")
     if s.R.degree != s.a.degree + 1:
         raise SparkError(
             f"degree mismatch: a has degree {s.a.degree}, R degree {s.R.degree}"
@@ -324,30 +324,18 @@ def random_equivalent_shift(K: SimplicialComplex, s: Spark, rng: random.Random) 
 
 
 def spark_to_json(s: Spark):
-    return {
-        "degree": s.degree,
-        "a": {
-            "degree": s.a.degree,
-            "ring": s.a.ring(),
-            "values": [scalar_str(v) for v in s.a.values],
-        },
-        "R": {
-            "degree": s.R.degree,
-            "ring": "INT",
-            "values": [scalar_str(v) for v in s.R.values],
-        },
-    }
+    return {"degree": s.degree, "a": s.a.to_json_dict(), "R": s.R.to_json_dict()}
 
 
-def spark_from_json(K: SimplicialComplex, data) -> Spark:
-    a = K.cochain(
-        json_int(data["a"]["degree"], "spark a degree"),
-        json_scalars(data["a"]["values"], "spark a values"),
+def spark_from_json(K: SimplicialComplex, data, where="spark") -> Spark:
+    """The spark of K in ``data``, as :func:`spark_to_json` writes it."""
+    try:
+        a, R = data["a"], data["R"]
+    except (KeyError, TypeError) as exc:
+        raise SparkError(f"{where}: malformed spark ({exc})") from exc
+    s = Spark(
+        json_vector(K, a, f"{where} a"),
+        json_vector(K, R, f"{where} R", top=K.dimension + 1),
     )
-    R = K.cochain(
-        json_int(data["R"]["degree"], "spark R degree"),
-        json_scalars(data["R"]["values"], "spark R values"),
-    )
-    s = Spark(a, R)
     validate_spark(K, s)
     return s

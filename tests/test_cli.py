@@ -254,6 +254,12 @@ def test_morse_commands(capsys):
     assert any(r["morse"] == "Z_2" for r in data["results"]["table"])
     code, data = run_json(capsys, "morse", "verify", "--space", "rp2")
     assert code == 0 and data["checks"]["homotopy_identity"] is True
+    # MorseFlow refuses a cyclic matching (exit 3), so there is no check
+    code, data = run_json(capsys, "morse", "match", "--space", "rp2")
+    assert code == 0 and data["checks"] == {}
+    critical = data["results"]["critical"]
+    assert critical == {"0": 1, "1": 1, "2": 1}
+    assert data["results"]["pairs"]
 
 
 def test_lowdeg_conn_monopole(tmp_path, capsys):
@@ -542,15 +548,30 @@ def test_zero_denominator_is_input_error(tmp_path, capsys, kind):
     ["hodge", "decompose", "--space", "rp2", "--cochain"],
     ["spark", "new", "--space", "rp2", "--cocycle"],
     ["spark", "holonomy", "--space", "rp2", "{spark_ok}", "--cycle"],
-], ids=["cochain", "cocycle", "chain"])
+    ["spark", "d1", "--space", "rp2"],
+], ids=["cochain", "cocycle", "chain", "spark"])
 def test_out_of_range_degree_is_input_error(tmp_path, capsys, command, degree):
     paths = _rp2_input_files(tmp_path, "0")
     data = tmp_path / "data.json"
-    data.write_text(canonical_json({"degree": degree, "values": []}))
+    payload = {"degree": degree, "values": []}
+    if command[1] == "d1":
+        # an empty spark: its potential and charge have no simplices
+        payload = {"degree": degree, "a": payload, "R": {"degree": degree + 1, "values": []}}
+    data.write_text(canonical_json(payload))
     code = main([a.format(**paths) for a in command] + [str(data)])
     captured = capsys.readouterr()
     assert code == 3
     assert f"degree {degree} outside -1..2" in captured.err and captured.out == ""
+
+
+def test_zero_top_degree_spark_loads(tmp_path, capsys):
+    # its charge has degree dim + 1 = 3, where rp2 has no simplices
+    K = build_space("rp2")
+    data = tmp_path / "top.json"
+    data.write_text(canonical_json(spark_to_json(Spark(K.zero_cochain(2), K.zero_cochain(3)))))
+    code, report = run_json(capsys, "spark", "d1", "--space", "rp2", str(data))
+    assert code == 0
+    assert report["results"]["curvature"] == {"degree": 3, "ring": "INT", "values": []}
 
 
 NON_INTEGER_DEGREE_COMMANDS = {
@@ -917,6 +938,29 @@ def test_spark_link_degree_range(capsys, p, q):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "0..3" in captured.err
+
+
+def _table_columns(capsys, space):
+    code, out = run(capsys, "tables", "--space", space, "--format", "csv")
+    assert code == 0
+    return [line.split(",")[:3] for line in out.splitlines()[1:]]
+
+
+def test_kunneth_of_nested_names(capsys):
+    # the names split at their top-level comma, as in product:A,B
+    assert _table_columns(capsys, "kunneth:product:circle,circle,rp2") == _table_columns(
+        capsys, "kunneth:torus,rp2"
+    )
+    # L(3,1) x S1 by hand: H^* of L(3,1) is Z, 0, Z_3, Z and that of S1 is
+    # Z, Z with no torsion, so H^0..4 of the product is Z, Z, Z_3, Z + Z_3, Z
+    assert _table_columns(capsys, "kunneth:lens:3,1,circle") == [
+        ["-1", "0", "Z"],
+        ["0", "1", "Z"],
+        ["1", "1", "Z_3"],
+        ["2", "0", "Z + Z_3"],
+        ["3", "1", "Z"],
+        ["4", "1", "0"],
+    ]
 
 
 def test_kunneth_needs_two_names(capsys):

@@ -69,6 +69,13 @@ class TestBasics:
         with pytest.raises(SparkError, match="cocycle"):
             validate_spark(K, Spark(K.zero_cochain(0), R))
 
+    def test_validate_catches_impossible_degree(self):
+        K = sphere(2)
+        for k in (-4, 3, 7):
+            empty = Spark(K.zero_cochain(k), K.zero_cochain(k + 1))
+            with pytest.raises(SparkError, match=f"degree {k} outside -1..2"):
+                validate_spark(K, empty)
+
     def test_random_spark_degree_range(self):
         K = moebius_kuehnel_torus()
         for k in (-1, K.dimension):
