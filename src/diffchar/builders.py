@@ -4,8 +4,9 @@ Everything returns a :class:`~diffchar.complexes.SimplicialComplex`.
 The named spaces here are the fixtures the character machinery is
 exercised on: spheres, tori of any genus, real and complex projective
 spaces, lens spaces, and staircase products.  Constructions that pass
-through quotients (lens spaces, and RP^3 as lens(2,1)) subdivide once
-before taking orbits so that the orbit map stays simplicial.
+through quotients (lens spaces, and RP^3 as lens(2,1)) take orbits on
+the flags of a barycentric subdivision, so that the orbit map stays
+simplicial.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from math import comb, gcd
 
-from .complexes import ComplexError, SimplicialComplex, barycentric_subdivision
+from .complexes import ComplexError, SimplicialComplex
 
 DEFAULT_BUDGET = 200_000
 
@@ -200,12 +201,14 @@ def cp2() -> SimplicialComplex:
 def lens_space(p, q) -> SimplicialComplex:
     """Lens space L(p, q) as a free cyclic quotient of the 3-sphere.
 
-    The sphere is the join of two 2p-gon circles; the generator rotates
-    the first ring by two steps and the second by 2q steps.  One
-    barycentric subdivision before the quotient makes the orbit map
-    simplicial and injective on closed simplices.  Only the subdivided
-    complex and its vertex labels are read, so the subdivision's chain
-    maps (built on first use) are never formed here.
+    The sphere is the join J of two 2p-gon circles; the generator
+    rotates the first ring by two steps and the second by 2q steps.
+    The quotient is taken on the barycentric subdivision sd J, which
+    makes the orbit map simplicial and injective on closed simplices.
+    sd J is never built: each full flag of a facet of J (a top simplex
+    of sd J) is labelled by the orbits of its simplices, and the label
+    sets span L.  A free action leaves p simplices of sd J over each
+    simplex of L; f(sd J) is counted from the f-vector of J.
     """
     if p < 2:
         raise ComplexError("lens space needs p >= 2")
@@ -214,18 +217,9 @@ def lens_space(p, q) -> SimplicialComplex:
         raise ComplexError("lens space needs gcd(p, q) = 1")
     m = 2 * p
     # a-ring vertices 0..m-1, b-ring vertices m..2m-1
-    facets = []
-    for i in range(m):
-        for j in range(m):
-            facets.append(
-                tuple(
-                    sorted(
-                        (i, (i + 1) % m, m + j, m + (j + 1) % m)
-                    )
-                )
-            )
-    J = SimplicialComplex(facets)
-    sdJ, tr = barycentric_subdivision(J)
+    J = SimplicialComplex(
+        (i, (i + 1) % m, m + j, m + (j + 1) % m) for i in range(m) for j in range(m)
+    )
 
     def rho_vertex(v):
         if v < m:
@@ -254,21 +248,41 @@ def lens_space(p, q) -> SimplicialComplex:
                 label_of[s] = next_label
             next_label += 1
 
-    simplex_of_sd_vertex = {v: t for t, v in tr.vertex_of_simplex.items()}
+    # the full flags ending at t, as label tuples: those ending at each
+    # codimension-one face of t, extended by t (the empty face ends the
+    # empty flag)
+    flags_at = {(): [()]}
+    for k in range(J.dimension + 1):
+        for t in J.simplices[k]:
+            own = label_of[t]
+            flags_at[t] = [
+                c + (own,) for i in range(k + 1) for c in flags_at[t[:i] + t[i + 1:]]
+            ]
     quotient_facets = set()
-    top = sdJ.dimension
-    for flag in sdJ.simplices[top]:
-        labels = tuple(
-            sorted(label_of[simplex_of_sd_vertex[v]] for v in flag)
-        )
-        if len(set(labels)) != len(labels):
-            raise ComplexError("orbit map collapses a simplex; refine first")
-        quotient_facets.add(labels)
-    L = SimplicialComplex(sorted(quotient_facets), n_vertices=next_label)
-    for k in range(top + 1):
-        if L.n_simplices(k) * p != sdJ.n_simplices(k):
-            raise ComplexError("quotient counts inconsistent with free action")
+    for t in J.simplices[J.dimension]:
+        for flag in flags_at[t]:
+            labels = tuple(sorted(flag))
+            if len(set(labels)) != len(labels):
+                raise ComplexError("orbit map collapses a simplex; refine first")
+            quotient_facets.add(labels)
+    L = SimplicialComplex(quotient_facets, n_vertices=next_label)
+    if tuple(p * c for c in L.f_vector()) != _subdivision_f_vector(J):
+        raise ComplexError("quotient counts inconsistent with free action")
     return L
+
+
+def _subdivision_f_vector(K):
+    """f-vector of the barycentric subdivision sd K, counted from K's.
+
+    The k-simplices of sd K ending at a simplex t of K are the chains of
+    k + 1 faces with top t, that is the ordered partitions of t's n
+    vertices into j = k + 1 blocks: the j! S(n, j) maps onto a j-set.
+    """
+    def onto(n, j):
+        return sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1))
+
+    dims = range(K.dimension + 1)
+    return tuple(sum(K.n_simplices(d) * onto(d + 1, k + 1) for d in dims) for k in dims)
 
 
 def rp3() -> SimplicialComplex:

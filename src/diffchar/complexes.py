@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .exact import mat_vec, transpose_apply, transpose_rows
 
@@ -615,117 +614,3 @@ def _sort_sign(seq):
 def pull_cochain(maps, u: Cochain, src_size) -> Cochain:
     """Cochain pullback along a chain map: transpose application."""
     return Cochain(u.degree, tuple(transpose_apply(maps[u.degree], u.values, src_size)))
-
-
-# ---------------------------------------------------------------------------
-# barycentric subdivision
-
-
-@dataclass
-class ChainTransfer:
-    """Chain/cochain traffic between a complex and its subdivision.
-
-    ``subdivide[k]``: C_k(K) -> C_k(sd K) (rows over sd simplices);
-    ``coarsen[k]``: C_k(sd K) -> C_k(K), the last-vertex projection.
-    coarsen o subdivide is the identity on chains.  Both maps are built
-    on first use, so a caller that only needs sd K and its vertex labels
-    (a quotient construction, say) never pays for them.
-    """
-
-    source: SimplicialComplex
-    subdivided: SimplicialComplex
-    vertex_of_simplex: dict
-
-    @cached_property
-    def subdivide(self):
-        """Subdivision chain map, by cone recursion over faces."""
-        K, sdK, vertex_of = self.source, self.subdivided, self.vertex_of_simplex
-        sd_of = {}
-
-        def sd_chain(t):
-            if t in sd_of:
-                return sd_of[t]
-            k = len(t) - 1
-            if k == 0:
-                result = {(vertex_of[t],): 1}
-            else:
-                bdry = {}
-                for i in range(len(t)):
-                    face = t[:i] + t[i + 1:]
-                    s = (-1) ** i
-                    for flag, c in sd_chain(face).items():
-                        bdry[flag] = bdry.get(flag, 0) + s * c
-                apex = vertex_of[t]
-                sign = (-1) ** k
-                result = {
-                    flag + (apex,): sign * c for flag, c in bdry.items() if c
-                }
-            sd_of[t] = result
-            return result
-
-        subdivide = {}
-        for k in range(K.dimension + 1):
-            rows = [dict() for _ in range(sdK.n_simplices(k))]
-            for j, t in enumerate(K.simplices[k]):
-                for flag, c in sd_chain(t).items():
-                    rows[sdK.index[k][flag]][j] = c
-            subdivide[k] = rows
-        for k in range(K.dimension + 1, sdK.dimension + 1):
-            subdivide[k] = [dict() for _ in range(sdK.n_simplices(k))]
-        return subdivide
-
-    @cached_property
-    def coarsen(self):
-        """Chain map of the last-vertex projection sd K -> K."""
-        last_vertex = [None] * self.subdivided.n_vertices
-        for t, v in self.vertex_of_simplex.items():
-            last_vertex[v] = t[-1]
-        return simplicial_chain_maps(self.subdivided, self.source, last_vertex)
-
-    def subdivide_chain(self, z: Chain) -> Chain:
-        return Chain(z.degree, tuple(mat_vec(self.subdivide[z.degree], list(z.values))))
-
-    def coarsen_chain(self, z: Chain) -> Chain:
-        return Chain(z.degree, tuple(mat_vec(self.coarsen[z.degree], list(z.values))))
-
-    def refine_cochain(self, u: Cochain) -> Cochain:
-        """Pull a cochain on K back to sd K along the last-vertex map."""
-        return pull_cochain(self.coarsen, u, self.subdivided.n_simplices(u.degree))
-
-    def restrict_cochain(self, u: Cochain) -> Cochain:
-        """Pull a cochain on sd K back to K along subdivision."""
-        return pull_cochain(self.subdivide, u, self.source.n_simplices(u.degree))
-
-
-def barycentric_subdivision(K: SimplicialComplex):
-    """(sd K, ChainTransfer).  Vertices of sd K are simplices of K.
-
-    sd-vertex ids are assigned dimension-major, so flags (chains in the
-    face poset) are automatically sorted tuples.  The full flags of the
-    maximal simplices of K (one simplex in each dimension) generate sd K:
-    every flag refines to one of them.  The full flags ending at t are
-    those ending at each facet of t, extended by t.
-    """
-    vertex_of = {}
-    for k in range(K.dimension + 1):
-        for t in K.simplices[k]:
-            vertex_of[t] = len(vertex_of)
-
-    maximal = set(K.maximal_simplices())
-    flags_at = {}
-    generators = []
-    for k in range(K.dimension + 1):
-        for t in K.simplices[k]:
-            v = vertex_of[t]
-            if k == 0:
-                flags = [(v,)]
-            else:
-                flags = [
-                    c + (v,) for i in range(k + 1) for c in flags_at[t[:i] + t[i + 1:]]
-                ]
-            flags_at[t] = flags
-            if t in maximal:
-                generators.extend(flags)
-
-    sdK = SimplicialComplex(generators, n_vertices=len(vertex_of))
-    return sdK, ChainTransfer(source=K, subdivided=sdK, vertex_of_simplex=vertex_of)

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf, lcm
 
 from .cohomology import cohomology_generators, integer_cohomology, integer_homology
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import SymmetricSolver, gram_rows, transpose_apply, transpose_rows
+from .exact import SymmetricSolver, gram_rows, mat_vec, transpose_apply, transpose_rows
 from .sparks import Spark, SparkError, mod1, periods
 
 EXACT_SIZE_LIMIT = 3000
@@ -86,6 +87,8 @@ class HodgeContext:
         if method not in ("exact", "cg"):
             raise ValueError(f"unknown method {method!r}")
         self.method = method
+        if not 0 < tol < inf:
+            raise HodgeError(f"tolerance {tol} is not positive and finite")
         self.tol = tol
         self._cache = {}
 
@@ -212,37 +215,36 @@ class HodgeContext:
     def harmonic_projection(self, u: Cochain) -> Cochain:
         """Orthogonal projection of u onto the harmonic k-cochains.
 
-        Exact: sum_i c_i b_i over the :meth:`harmonic_basis` b_i, with
-        G c = (<b_i, u>)_i for the b_k x b_k Gram matrix
-        G_ij = <b_i, b_j>, factored once and cached like the basis; zero
-        when b_k = 0, with no factorization at all.  CG: the harmonic
-        part of :meth:`decompose`.
+        Exact: P^T c, the rows of P the :meth:`harmonic_basis` vectors
+        over their common denominators, with (P W P^T) c = P W u.  The
+        b_k x b_k Gram matrix P W P^T of independent vectors is positive
+        definite, so c is unique; the matrix is factored once and cached
+        like the basis.  Zero when b_k = 0, with no factorization at all.
+        CG: the harmonic part of :meth:`decompose`.
         """
         if not self.exact:
             return self.decompose(u).harmonic
         k = u.degree
-        basis = [b.values for b in self.harmonic_basis(k)]
+        basis = self.harmonic_basis(k)
         if not basis:
             return self.K.zero_cochain(k)
+        n_k = len(u.values)
         w = self._uneven(k)
-
-        def inner(b, v):
-            return sum(x * y for x, y in zip(b, v) if x)
-
         store = self._store(k)
         key = ("gram", k)
         if key not in store:
-            wb = basis if w is None else [[a * x for a, x in zip(w, b)] for b in basis]
-            rows = [{j: g for j, c in enumerate(wb) if (g := inner(b, c))} for b in basis]
-            store[key] = SymmetricSolver(rows)
+            # each basis vector over its common denominator: the integer
+            # rows span the same space and keep the sparse products exact
+            rows = []
+            for b in basis:
+                d = lcm(*(x.denominator for x in b.values))
+                rows.append({r: int(x * d) for r, x in enumerate(b.values) if x})
+            gram = gram_rows(transpose_rows(rows, n_k), len(rows), w)
+            store[key] = rows, SymmetricSolver(gram)
+        rows, gram = store[key]
         wu = u.values if w is None else [a * x for a, x in zip(w, u.values)]
-        coeffs = store[key].solve([inner(b, wu) for b in basis])
-        h = [Fraction(0)] * len(u.values)
-        for c, b in zip(coeffs, basis):
-            for r, x in enumerate(b):
-                if x:
-                    h[r] += c * x
-        return Cochain(k, tuple(h))
+        h = transpose_apply(rows, gram.solve(mat_vec(rows, wu)), n_k)
+        return Cochain(k, tuple(map(Fraction, h)))
 
     def _exact_parts(self, u: Cochain):
         """(H u, x, y) with u = H u + delta x + adjoint_delta(delta y)."""
@@ -448,6 +450,7 @@ def _harmonic_periods(ctx: HodgeContext, chain: Chain, basis) -> tuple:
     free cohomology generators.  On a rational chain the values would
     depend on the chain chosen, so it is refused.
     """
+    ctx._require_exact("Abel-Jacobi values")
     K = ctx.K
     if not chain.is_integral():
         raise HodgeError("the chain to integrate over must be integral")
@@ -471,7 +474,6 @@ def abel_jacobi(ctx: HodgeContext, z: Chain, basis=None):
     cohomology generators).  Changing the bounding chain moves the
     integrals by whole numbers, so the values are well defined.
     """
-    ctx._require_exact("Abel-Jacobi values")
     K = ctx.K
     if not all(x == int(x) for x in z.values):
         raise HodgeError("cycle must be integral")

@@ -485,6 +485,22 @@ def test_hodge_aj_vertex_out_of_range_is_input_error(capsys, src, dst):
     assert "vertex" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["hodge", "aj", "--space", "torus_grid3", "--src", "0", "--dst", "4",
+      "--method", "cg"], "exact method"),
+    (["verify", "--space", "circle3", "--method", "cg", "--tol=-1"], "tolerance"),
+    (["verify", "--space", "circle3", "--method", "cg", "--tol=0"], "tolerance"),
+    (["verify", "--space", "circle3", "--method", "cg", "--tol=nan"], "tolerance"),
+    (["verify", "--space", "circle3", "--method", "cg", "--tol=inf"], "tolerance"),
+], ids=["aj_cg", "tol_negative", "tol_zero", "tol_nan", "tol_inf"])
+def test_inexact_hodge_input_is_input_error(capsys, argv, what):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert what in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("k,expected", [(-2, 3), (-1, 0), (2, 0), (3, 3), (7, 3)])
 def test_spark_new_degree_range(capsys, k, expected):
     code = main(["spark", "new", "--space", "torus", f"--k={k}", "--seed", "1"])

@@ -1,4 +1,4 @@
-"""Complex core: operators, products, subdivision, maps, serialization."""
+"""Complex core: operators, products, subdivision counts, maps, serialization."""
 
 import hashlib
 import random
@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar.builders import build_space
+from diffchar.builders import _subdivision_f_vector, build_space
 from diffchar.complexes import (
     Chain,
     Cochain,
     ComplexError,
     SimplicialComplex,
-    barycentric_subdivision,
     closed_star,
     induced_subcomplex,
     parse_scalar,
@@ -316,51 +315,6 @@ class TestSimplicialMaps:
         assert not any(mat_vec(maps[1], z.values))
 
 
-class TestSubdivision:
-    def test_counts_and_euler(self):
-        K = sphere2()
-        sdK, _ = barycentric_subdivision(K)
-        # each triangle contributes 6 small triangles
-        assert sdK.n_simplices(2) == 24
-        assert sdK.euler_characteristic() == K.euler_characteristic()
-
-    def test_subdivide_is_chain_map(self):
-        K = sphere2()
-        sdK, tr = barycentric_subdivision(K)
-        rng = random.Random(9)
-        for k in range(1, K.dimension + 1):
-            z = Chain(k, tuple(rng.randint(-3, 3) for _ in range(K.n_simplices(k))))
-            assert sdK.boundary(tr.subdivide_chain(z)) == tr.subdivide_chain(
-                K.boundary(z)
-            )
-
-    def test_coarsen_after_subdivide_is_identity(self):
-        K = sphere2()
-        sdK, tr = barycentric_subdivision(K)
-        rng = random.Random(10)
-        for k in range(K.dimension + 1):
-            z = Chain(k, tuple(rng.randint(-3, 3) for _ in range(K.n_simplices(k))))
-            assert tr.coarsen_chain(tr.subdivide_chain(z)) == z
-
-    def test_fundamental_cycle_passes_through(self):
-        K = sphere2()
-        sdK, tr = barycentric_subdivision(K)
-        fc = K.fundamental_cycle()
-        sd_fc = tr.subdivide_chain(fc)
-        assert sdK.boundary(sd_fc).is_zero()
-        assert all(abs(c) == 1 for c in sd_fc.values)
-        got = sdK.fundamental_cycle()
-        assert got is not None
-        assert got.values in (sd_fc.values, tuple(-c for c in sd_fc.values))
-
-    def test_refine_cochain_commutes_with_delta(self):
-        K = triangle_circle()
-        sdK, tr = barycentric_subdivision(K)
-        rng = random.Random(11)
-        u = random_cochain(rng, K, 0)
-        assert sdK.delta(tr.refine_cochain(u)) == tr.refine_cochain(K.delta(u))
-
-
 # ---------------------------------------------------------------------------
 # construction pinned to the all-subsets closure
 
@@ -388,6 +342,10 @@ BUILT_DIGESTS = {
     "lens:3,1": "019edf6bcbfee7f56ec01b90be86ae7683ff3646d150775aa5e12a379f05ef56",
     "lens:5,2": "f5cf0739658ac21c80e00c2ac5bb151a062f8401eb27d7f5df0a0f33f5a273aa",
     "lens:7,2": "da3125fdd5d53b4cb35200c93931cf9549ff8be4734fcfae074258033eef78cf",
+    # frozen from the quotient of a built sd J, before lens spaces read
+    # the flags of J directly
+    "lens:6,1": "e24cd35d0336430436dcba2f7db631aa41810da15ad3228c0da969e63b4e2d55",
+    "lens:9,2": "1df54f61ec13442f7d1f58b1f5c5fdcca541c6d834562478905e0bd08294dc34",
     "product:circle,circle": "3fa18e08930b6e354fde487d5331767d0f44a03376fa3c24dfe6f6d7117d79e6",
     "product:circle,torus": "f8fc41f3662ebac3e580e5f5ae6079c3fa932bc450c310c3726edb1b5e938eca",
     # frozen from the product built on a pairwise subset scan for facets
@@ -519,32 +477,27 @@ def all_flags_subdivision(K):
     return all_subsets_closure(flags, n_vertices=len(vertex_of))
 
 
-def _sparse_digest(maps):
-    shape = sorted((k, len(rows)) for k, rows in maps.items())
-    entries = sorted(
-        (k, i, c, v) for k, rows in maps.items() for i, row in enumerate(rows)
-        for c, v in row.items()
-    )
-    return hashlib.sha256(repr((shape, entries)).encode()).hexdigest()
-
-
-def test_subdivision_of_non_pure_complex():
-    # a triangle, a dangling edge and an isolated vertex
-    K = SimplicialComplex([(0, 1, 2), (2, 3)], n_vertices=5)
-    sdK, tr = barycentric_subdivision(K)
-    got = repr((sdK.n_vertices, sdK.dimension, sdK.simplices, sdK.index))
-    assert got == repr(all_flags_subdivision(K))
-    assert sdK.f_vector() == (10, 14, 6)
-    # frozen from the maps built eagerly by the all-flags subdivision
-    assert _sparse_digest(tr.subdivide) == (
-        "98e4357ca4869cac3bf5683b858db55facdff239d90b4a4d30ff4d7ef7bd5a28"
-    )
-    assert _sparse_digest(tr.coarsen) == (
-        "577cc004abe24059004c562d4e1f8f1ce121a351f1dcb5b2d9ef7276f09a01bc"
-    )
-    for k in range(K.dimension + 1):
-        z = Chain(k, tuple(range(1, K.n_simplices(k) + 1)))
-        assert tr.coarsen_chain(tr.subdivide_chain(z)) == z
+@pytest.mark.parametrize(
+    "K, expected",
+    [
+        (sphere2(), (14, 36, 24)),
+        (solid_tetra(), (15, 50, 60, 24)),
+        # a triangle, a dangling edge and an isolated vertex
+        (SimplicialComplex([(0, 1, 2), (2, 3)], n_vertices=5), (10, 14, 6)),
+        # the join of two hexagons that lens:3,1 subdivides
+        (
+            SimplicialComplex([
+                (i, (i + 1) % 6, 6 + j, 6 + (j + 1) % 6) for i in range(6) for j in range(6)
+            ]),
+            (168, 1032, 1728, 864),
+        ),
+    ],
+    ids=["sphere2", "solid_tetra", "non_pure", "lens_3_1_join"],
+)
+def test_subdivision_f_vector_counts_the_flags(K, expected):
+    _, dimension, simplices, _ = all_flags_subdivision(K)
+    flags = tuple(len(simplices[k]) for k in range(dimension + 1))
+    assert _subdivision_f_vector(K) == flags == expected
 
 
 def test_maximal_simplices_match_pairwise_subset_scan():

@@ -354,6 +354,11 @@ def test_exact_required_for_sparks():
     ctx = HodgeContext(K, method="cg")
     with pytest.raises(HodgeError):
         ctx.hodge_spark(K.cochain(1, (1, 0, 0)))
+    # float periods would print as exact fractions
+    with pytest.raises(HodgeError, match="Abel-Jacobi values needs the exact method"):
+        point_abel_jacobi(ctx, 0, 1)
+    with pytest.raises(HodgeError, match="Abel-Jacobi values needs the exact method"):
+        abel_jacobi(ctx, Chain(0, (-1, 1, 0)))
 
 
 def test_point_abel_jacobi_grid_frozen():
