@@ -212,9 +212,6 @@ class SequenceReport:
     def ok(self):
         return all(c.ok for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
 
 def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceReport:
     """Constructive checks of both degree-k exact sequences.

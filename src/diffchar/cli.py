@@ -48,6 +48,8 @@ from .complexes import (
     scalar_str,
 )
 from .hodge import (
+    DEFAULT_METHOD,
+    DEFAULT_TOL,
     HodgeContext,
     HodgeError,
     path_chain,
@@ -85,10 +87,6 @@ from .sparks import (
     star,
     torsion_linking_matrix,
 )
-
-
-DEFAULT_METHOD = "auto"
-DEFAULT_TOL = 1e-10
 
 
 class InputDataError(Exception):

@@ -240,9 +240,6 @@ class SimplicialComplex:
     def zero_cochain(self, k) -> Cochain:
         return Cochain(k, (0,) * self.n_simplices(k))
 
-    def zero_chain(self, k) -> Chain:
-        return Chain(k, (0,) * self.n_simplices(k))
-
     def cochain(self, k, values) -> Cochain:
         return self._vector(Cochain, k, values)
 
@@ -262,13 +259,6 @@ class SimplicialComplex:
                 "not an int, Fraction or float"
             )
         return cls(k, values)
-
-    def elementary_cochain(self, simp) -> Cochain:
-        simp = tuple(sorted(simp))
-        k = len(simp) - 1
-        vec = [0] * self.n_simplices(k)
-        vec[self.index[k][simp]] = 1
-        return Cochain(k, tuple(vec))
 
     # -- pairings and products ------------------------------------------
     def evaluate(self, u: Cochain, z: Chain):
@@ -338,22 +328,6 @@ class SimplicialComplex:
         return self._cache["fundamental"]
 
     # -- graph structure -------------------------------------------------
-    def vertex_components(self):
-        """Component label per vertex (labels are minimal member ids)."""
-        parent = list(range(self.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.simplices.get(1, []):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return [find(v) for v in range(self.n_vertices)]
-
     def bfs_path(self, src, dst):
         """Deterministic shortest vertex path along edges, or None."""
         if src == dst:
@@ -496,30 +470,12 @@ def json_vector(K, data, where, cls=Cochain, degree=None, top=None):
 class ComplexEmbedding:
     """A face-closed subset of a complex, repackaged as a complex.
 
-    ``vertex_to_parent[i]`` is the parent id of local vertex i and
-    ``simplex_to_parent[k][j]`` the parent index of local k-simplex j.
+    ``simplex_to_parent[k][j]`` is the parent index of local k-simplex j.
     """
 
     sub: SimplicialComplex
     parent: SimplicialComplex
-    vertex_to_parent: tuple
     simplex_to_parent: dict
-
-    def restrict_cochain(self, u: Cochain) -> Cochain:
-        k = u.degree
-        local_n = self.sub.n_simplices(k)
-        vals = tuple(
-            u.values[self.simplex_to_parent[k][j]] for j in range(local_n)
-        )
-        return Cochain(k, vals)
-
-    def push_chain(self, z: Chain) -> Chain:
-        k = z.degree
-        vec = [0] * self.parent.n_simplices(k)
-        for j, c in enumerate(z.values):
-            if c:
-                vec[self.simplex_to_parent[k][j]] += c
-        return Chain(k, tuple(vec))
 
 
 def induced_subcomplex(K: SimplicialComplex, simplices) -> ComplexEmbedding:
@@ -547,7 +503,6 @@ def induced_subcomplex(K: SimplicialComplex, simplices) -> ComplexEmbedding:
     return ComplexEmbedding(
         sub=sub,
         parent=K,
-        vertex_to_parent=tuple(vertices),
         simplex_to_parent=simplex_to_parent,
     )
 

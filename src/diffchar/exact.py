@@ -21,12 +21,12 @@ Every kernel and preimage comes from a Smith form.
 
 Denominators are cleared once per vector, as fraction-free elimination
 clears them once per row: :func:`mat_vec`, :func:`transpose_apply` and
-the right-hand-side replay of :class:`RatElim` scale a rational vector
-by the lcm L of its denominators, run on ints and divide once at the
-end.  A product entry is ``Fraction(acc, L)`` when a nonzero
-``Fraction`` of the vector met it and the int ``acc // L`` otherwise,
-so entries keep the value and the type of the term-by-term
-``Fraction`` sum.  Vectors with float entries are summed as they are.
+the right-hand sides of :class:`RatElim` scale a rational vector by the
+lcm L of its denominators, run on ints and divide once at the end.  A
+product entry is ``Fraction(acc, L)`` when a nonzero ``Fraction`` of
+the vector met it and the int ``acc // L`` otherwise, so entries keep
+the value and the type of the term-by-term ``Fraction`` sum.  Vectors
+with float entries are summed as they are.
 
 Pivoting is Markowitz-style with deterministic tie-breaks, so
 identical inputs give identical outputs everywhere.  The Smith form
@@ -619,42 +619,43 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 
 
 class RatElim:
-    """Fraction-free sparse Gauss-Jordan over Q: factor once, solve many.
+    """Fraction-free sparse Gauss-Jordan over Q.
 
     The library builds it only for :func:`rat_rank`, so no pivot choice
     reaches an output; the symmetric systems of
     :class:`diffchar.hodge.HodgeContext` go to :class:`SymmetricSolver`.
-    ``solve()``, ``nullspace()``, ``rhs=`` and ``solution()`` serve the
-    tests, as an oracle, and ``perfbench``.
+    ``nullspace()``, ``rhs=`` and ``solution()`` serve the tests, as an
+    oracle, and ``perfbench``.
 
     ``rows`` is a list of {col: value} dicts (int or Fraction values),
     read and not modified; ``rhs`` an optional list of dense
-    right-hand-side vectors (one entry per row each).  Each row is scaled by the lcm of its denominators
-    and divided by its content, so elimination runs on primitive integer
-    rows: ``row_r := (p/g) row_r - (c/g) prow`` with ``g = gcd(p, c)``,
-    then ``row_r`` is divided by its content.  Rows stay proportional to
-    the rows of a rational Gauss-Jordan, so the sparsity pattern, the
-    pivots and the results are the same.  ``run()`` records every row
-    operation; :meth:`solve` replays them on a further right-hand side,
-    scaled to integers by the lcm of its denominators, and the
-    constructor's ``rhs`` goes through the same replay.  After
-    ``run()``:
+    right-hand-side vectors (one entry per row each).  Each row is
+    scaled by the lcm of its denominators and divided by its content,
+    so elimination runs on primitive integer rows: ``row_r := (p/g)
+    row_r - (c/g) prow`` with ``g = gcd(p, c)``, then ``row_r`` is
+    divided by its content.  Rows stay proportional to the rows of a
+    rational Gauss-Jordan, so the sparsity pattern, the pivots and the
+    results are the same.  Each right-hand side is scaled to integers
+    by the lcm of its denominators and carried through the same row
+    operations in step with the rows.  After ``run()``:
 
     * ``pivots``  -- list of (row, col) in elimination order,
     * ``rank``    -- len(pivots),
     * ``rows``    -- the eliminated integer rows,
-    * ``solve(b)``        -- particular solution with free vars 0, or
-      None if b is inconsistent,
-    * ``solution(which)`` -- the same for the constructor's rhs,
+    * ``solution(which)`` -- particular solution for the constructor's
+      rhs number ``which``, free vars 0, or None if it is inconsistent,
     * ``nullspace()``     -- basis of the kernel.
 
     Solutions and nullspace vectors have ``Fraction`` entries.
     """
 
     def __init__(self, rows, ncols, rhs=None):
+        # each right-hand side as (L, L * b), L the lcm of its denominators
+        self._rhs = []
+        for b in rhs or ():
+            L, y, _ = _clear_denominators(b)
+            self._rhs.append((L, list(y)))
         self.rows = []
-        # per-row factor num/den taking an input row to its integer row
-        self._scale = {}
         for i, r in enumerate(rows):
             mult = lcm(*(v.denominator for v in r.values()))
             row = {j: v.numerator * (mult // v.denominator) for j, v in r.items()}
@@ -662,18 +663,15 @@ class RatElim:
             if g > 1:
                 row = {j: v // g for j, v in row.items()}
             if mult != 1 or g > 1:
-                self._scale[i] = (mult, g)
+                for _, y in self._rhs:
+                    y[i] = _exact_div(y[i] * mult, g)
             self.rows.append(row)
         self.ncols = ncols
-        self._rhs = list(rhs or [])
         self.cols = [set() for _ in range(ncols)]
         for i, row in enumerate(self.rows):
             for j in row:
                 self.cols[j].add(i)
         self.pivots = []
-        # one (pivot row, [r, a, b, d, r, a, b, d, ...]) per step, for
-        # row_r := (a row_r - b prow) / d; flat lists keep the record small
-        self._ops = []
         self._ran = False
 
     def _pick(self, active_rows):
@@ -695,7 +693,7 @@ class RatElim:
         if self._ran:
             return self
         self._ran = True
-        rows, cols = self.rows, self.cols
+        rows, cols, rhs = self.rows, self.cols, self._rhs
         active = set(range(len(rows)))
         while True:
             picked = self._pick(active)
@@ -706,7 +704,6 @@ class RatElim:
             self.pivots.append((pr, pc))
             prow = rows[pr]
             p = prow[pc]
-            steps = []
             for r in sorted(cols[pc]):
                 if r == pr:
                     continue
@@ -729,33 +726,21 @@ class RatElim:
                 if d > 1:
                     for j in row:
                         row[j] //= d
-                steps += (r, a, b, d)
-            self._ops.append((pr, steps))
+                for _, y in rhs:
+                    y[r] = _exact_div(a * y[r] - b * y[pr], d)
         # dicts keep their peak size after deletions; copies release the fill
         self.rows = [dict(row) for row in rows]
         self.cols = None
-        self._rhs = [self._reduce(b) for b in self._rhs]
         return self
 
-    def _reduce(self, b):
-        """Replay the recorded row operations on the right-hand side b.
+    @property
+    def rank(self):
+        self.run()
+        return len(self.pivots)
 
-        b is scaled by the lcm L of its denominators first, so the
-        replay starts from ints; returns (L, replayed L * b).
-        """
-        L, y, _ = _clear_denominators(b)
-        y = list(y)
-        for i, (num, den) in self._scale.items():
-            y[i] = _exact_div(y[i] * num, den)
-        for pr, steps in self._ops:
-            yp = y[pr]
-            it = iter(steps)
-            for r, a, c, d in zip(it, it, it, it):
-                y[r] = _exact_div(a * y[r] - c * yp, d)
-        return L, y
-
-    def _extract(self, reduced):
-        L, y = reduced
+    def solution(self, which=0):
+        self.run()
+        L, y = self._rhs[which]
         pivot_rows = {r for r, _ in self.pivots}
         if any(y[i] for i in range(len(self.rows)) if i not in pivot_rows):
             return None
@@ -763,20 +748,6 @@ class RatElim:
         for r, c in self.pivots:
             x[c] = Fraction(y[r], self.rows[r][c] * L)
         return x
-
-    @property
-    def rank(self):
-        self.run()
-        return len(self.pivots)
-
-    def solve(self, b):
-        """Particular solution of rows @ x = b (free vars 0), or None."""
-        self.run()
-        return self._extract(self._reduce(b))
-
-    def solution(self, which=0):
-        self.run()
-        return self._extract(self._rhs[which])
 
     def nullspace(self):
         self.run()

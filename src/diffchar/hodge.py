@@ -1,14 +1,14 @@
 """Weighted combinatorial Hodge theory and canonical spark potentials.
 
 Inner products on cochains are diagonal: one positive weight per
-simplex.  On top of the resulting coboundary adjoint sit the Laplacian,
-harmonic projection and Green operator, solved either exactly over the
+simplex.  On top of the resulting coboundary adjoint sit the harmonic
+projection and the Hodge decomposition, solved either exactly over the
 rationals or by conjugate gradients in floating point.  Exact mode
-eliminates no Laplacian: every operator comes from the coboundary
-normal matrices N_j = delta_j^T W delta_j (finite-difference Hodge
-theory), each factored once per degree and weight profile, plus a small
-Gram system on the harmonic basis.  Every one of these systems is
-symmetric, and a :class:`~diffchar.exact.SymmetricSolver` solves it
+eliminates no Laplacian: both come from the coboundary normal matrices
+N_j = delta_j^T W delta_j (finite-difference Hodge theory), each
+factored once per degree and weight profile, plus a small Gram system
+on the harmonic basis.  Every one of these systems is symmetric, and
+a :class:`~diffchar.exact.SymmetricSolver` solves it
 modulo a prime, lifts the solution p-adically and accepts it only after
 an exact check; callers read only what the solution fixes uniquely, so
 outputs do not depend on the prime or the pivot order.
@@ -40,6 +40,9 @@ from .exact import SymmetricSolver, gram_rows, mat_vec, transpose_apply, transpo
 from .sparks import Spark, SparkError, mod1, periods
 
 EXACT_SIZE_LIMIT = 3000
+# the defaults of HodgeContext and of the CLI's --method and --tol
+DEFAULT_METHOD = "auto"
+DEFAULT_TOL = 1e-10
 
 
 class HodgeError(Exception):
@@ -60,8 +63,8 @@ class HodgeContext:
     context uniform there; the other degrees keep theirs in the context.
     """
 
-    def __init__(self, K: SimplicialComplex, weights=None, method="auto",
-                 tol=1e-10):
+    def __init__(self, K: SimplicialComplex, weights=None, method=DEFAULT_METHOD,
+                 tol=DEFAULT_TOL):
         self.K = K
         given = weights or {}
         stray = sorted(set(given) - set(range(K.dimension + 1)))
@@ -111,18 +114,6 @@ class HodgeContext:
         acc = transpose_apply(self.K.delta_rows(k), wu, n_k)
         w_lo = self.weight(k)
         return Cochain(k, tuple(self._one(acc[i]) / w_lo[i] for i in range(n_k)))
-
-    def laplacian(self, u: Cochain) -> Cochain:
-        K = self.K
-        up = self.adjoint_delta(K.delta(u))
-        down = K.delta(self.adjoint_delta(u))
-        return up + down
-
-    def inner(self, u: Cochain, v: Cochain):
-        if u.degree != v.degree:
-            raise ValueError("inner product needs matching degrees")
-        w = self.weight(u.degree)
-        return sum(wi * a * b for wi, a, b in zip(w, u.values, v.values))
 
     # -- exact machinery -------------------------------------------------
     def _uneven(self, k):
@@ -246,24 +237,6 @@ class HodgeContext:
         h = transpose_apply(rows, gram.solve(mat_vec(rows, wu)), n_k)
         return Cochain(k, tuple(map(Fraction, h)))
 
-    def _exact_parts(self, u: Cochain):
-        """(H u, x, y) with u = H u + delta x + adjoint_delta(delta y)."""
-        h = self.harmonic_projection(u)
-        x = self._exact_potential(u)
-        y = self._up_potential(u - h - self.K.delta(x))
-        return h, x, y
-
-    def green(self, u: Cochain) -> Cochain:
-        """Green operator: Laplacian(G u) = u - H(u) and H(G u) = 0."""
-        if self.exact:
-            # the coexact part of y and the exact delta y1 invert the up
-            # and down Laplacians on the coexact and exact parts of u
-            _, x, y = self._exact_parts(u)
-            y1 = self._up_potential(self._coexact_part(x))
-            return self._coexact_part(y) + self.K.delta(y1)
-        v = u - self.harmonic_projection(u)
-        return self._cg(self.laplacian, u.degree, v)
-
     # -- conjugate gradients ---------------------------------------------
     def _cg(self, op, degree, rhs: Cochain) -> Cochain:
         """Solve op(x) = rhs by conjugate gradients in the degree's inner product.
@@ -312,7 +285,10 @@ class HodgeContext:
         """Split u into harmonic + coboundary + adjoint-coboundary parts."""
         K = self.K
         if self.exact:
-            h, x, y = self._exact_parts(u)
+            # u = h + delta x + adjoint_delta(delta y)
+            h = self.harmonic_projection(u)
+            x = self._exact_potential(u)
+            y = self._up_potential(u - h - K.delta(x))
             return HodgeDecomposition(
                 harmonic=h, primitive=self._coexact_part(x), coprimitive=K.delta(y)
             )

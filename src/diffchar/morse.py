@@ -175,20 +175,16 @@ class MorseFlow:
                     sign = K.boundary_rows(k + 1)[i][j]
                     rows[j][i] = -sign
             self._V[k] = rows
-        # flow in each degree
-        self._phi = {}
-        for k in range(n + 1):
-            phi = identity_rows(K.n_simplices(k))
-            phi = add_rows(phi, mul_rows(K.boundary_rows(k + 1), self._V[k]))
-            phi = add_rows(phi, mul_rows(self._V[k - 1], K.boundary_rows(k)))
-            self._phi[k] = phi
-        # stabilize each degree: phi^i = P_k for i >= s_k, and the loop
-        # keeps the sum of the powers below s_k for the homotopy
+        # stabilize the flow phi = 1 + d V + V d in each degree:
+        # phi^i = P_k for i >= s_k, and the loop keeps the sum of the
+        # powers below s_k for the homotopy
         self._P = {}
         below = {}
         exponent = {}
         for k in range(n + 1):
-            phi = self._phi[k]
+            phi = identity_rows(K.n_simplices(k))
+            phi = add_rows(phi, mul_rows(K.boundary_rows(k + 1), self._V[k]))
+            phi = add_rows(phi, mul_rows(self._V[k - 1], K.boundary_rows(k)))
             acc = identity_rows(K.n_simplices(k))
             power, s = phi, 1
             while True:
@@ -200,27 +196,18 @@ class MorseFlow:
             self._P[k] = power
             below[k] = acc
             exponent[k] = s
-        N = max(exponent.values(), default=0)
-        self.stabilization_exponent = N
-        # homotopy T_k = -(sum of flow powers below N) V_k
-        #             = -(sum_{i < s} phi^i + (N - s) P) V_k in degree k + 1;
-        # degree n + 1 is empty, so T_n has no rows
+        self.stabilization_exponent = max(exponent.values(), default=0)
+        # homotopy T_k = -(sum_{i < s} phi^i) V_k, the flow powers below
+        # s = s_{k+1}; the powers from s on add P_{k+1} V_k, which is zero
+        # for an acyclic matching: the stable flow kills every cell that
+        # is matched downward (Forman, Adv. Math. 134, 1998).  Degree
+        # n + 1 is empty, so T_n has no rows
         self._T = {n: []}
         for k in range(-1, n):
-            deg = k + 1
-            acc = below[deg]
-            extra = N - exponent[deg]
-            if extra:
-                acc = add_rows(
-                    acc, [{c: extra * v for c, v in row.items()} for row in self._P[deg]]
-                )
-            prod = mul_rows(acc, self._V[k])
+            prod = mul_rows(below[k + 1], self._V[k])
             self._T[k] = [{c: -v for c, v in row.items()} for row in prod]
 
     # -- chain operators -------------------------------------------------
-    def flow_once(self, z: Chain) -> Chain:
-        return Chain(z.degree, tuple(mat_vec(self._phi[z.degree], list(z.values))))
-
     def project(self, z: Chain) -> Chain:
         return Chain(z.degree, tuple(mat_vec(self._P[z.degree], list(z.values))))
 

@@ -7,14 +7,17 @@ independently of the glued spark that ``sparks.spark_equivalent``
 compares.  ``gerbe_from_global`` and ``cech_gauge`` make cover-model
 fixtures, ``check_star_trivialization`` checks the cone primitive on a
 whole closed star, and ``varied_weights`` is a reproducible Hodge
-weight profile.
+weight profile.  ``green`` solves the weighted Laplacian, built column
+by column from the public adjoint and coboundary, by a rational
+Gauss-Jordan; ``flow_once`` takes one step of the discrete Morse flow
+of a matching, built from the boundary alone.
 """
 
 from fractions import Fraction
 
 from diffchar.cohomology import integer_cohomology
-from diffchar.complexes import Cochain, ComplexEmbedding, SimplicialComplex
-from diffchar.exact import smith_normal_form
+from diffchar.complexes import Chain, Cochain, ComplexEmbedding, SimplicialComplex
+from diffchar.exact import RatElim, smith_normal_form
 from diffchar.lowdegree import (
     CechGerbe,
     GerbeError,
@@ -38,6 +41,80 @@ def varied_weights(K: SimplicialComplex, rng):
         k: tuple(rng.choice(WEIGHT_CHOICES) for _ in range(K.n_simplices(k)))
         for k in range(K.dimension + 1)
     }
+
+
+def elementary_cochain(K: SimplicialComplex, simp) -> Cochain:
+    """The cochain that is 1 on the simplex simp and 0 elsewhere."""
+    simp = tuple(sorted(simp))
+    k = len(simp) - 1
+    return K.cochain(k, (int(s == simp) for s in K.simplices[k]))
+
+
+def vertex_components(K: SimplicialComplex):
+    """Component label per vertex: the least vertex of its component."""
+    label = list(range(K.n_vertices))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in K.simplices.get(1, []):
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return label
+
+
+# ---------------------------------------------------------------------------
+# the weighted Laplacian and its Green operator
+
+
+def inner(ctx, u: Cochain, v: Cochain):
+    """The weighted inner product of two cochains of one degree."""
+    assert u.degree == v.degree
+    return sum(w * a * b for w, a, b in zip(ctx.weight(u.degree), u.values, v.values))
+
+
+def laplacian(ctx, u: Cochain) -> Cochain:
+    """adjoint_delta delta u + delta adjoint_delta u."""
+    K = ctx.K
+    return ctx.adjoint_delta(K.delta(u)) + K.delta(ctx.adjoint_delta(u))
+
+
+def green(ctx, u: Cochain) -> Cochain:
+    """G u: laplacian(G u) = u - H u and H(G u) = 0, H the harmonic projection.
+
+    Any rational solution x of laplacian(x) = u - H u differs from G u
+    by a harmonic cochain, so G u = x - H x.
+    """
+    K, k = ctx.K, u.degree
+    n = K.n_simplices(k)
+    cols = [laplacian(ctx, K.cochain(k, (int(i == j) for i in range(n)))).values for j in range(n)]
+    rows = [{j: c[i] for j, c in enumerate(cols) if c[i]} for i in range(n)]
+    x = RatElim(rows, n, rhs=[(u - ctx.harmonic_projection(u)).values]).solution()
+    assert x is not None
+    x = K.cochain(k, x)
+    return x - ctx.harmonic_projection(x)
+
+
+# ---------------------------------------------------------------------------
+# one step of a discrete Morse flow
+
+
+def flow_once(K: SimplicialComplex, matching, z: Chain) -> Chain:
+    """phi z = z + boundary(V z) + V(boundary z) for the matching's V.
+
+    V sends a k-cell i matched with the (k+1)-cell j to -j/<boundary j, i>,
+    so that the flow cancels i; it is zero on every other cell.
+    """
+
+    def V(c: Chain) -> Chain:
+        k = c.degree
+        out = [0] * K.n_simplices(k + 1)
+        for i, j in matching.up_map(k).items():
+            out[j] -= c.values[i] * K.boundary_rows(k + 1)[i][j]
+        return Chain(k + 1, tuple(out))
+
+    return z + K.boundary(V(z)) + V(K.boundary(z))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +212,8 @@ def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain):
     """Exact primitive of a cochain on an overlap, scattered ambiently."""
     K = emb.parent
     k = target.degree
-    local = emb.restrict_cochain(target)
-    x = integer_cohomology(emb.sub, k).preimage_rat(local.values)
+    local = [target.values[i] for i in _parent_indices(emb, k)]
+    x = integer_cohomology(emb.sub, k).preimage_rat(local)
     if x is None:
         raise GerbeError(
             f"no primitive for a degree-{k} layer entry on an overlap; "
@@ -184,15 +261,16 @@ def gerbe_flat_normal_form(g: CechGerbe):
 
 def _component_reps(emb: ComplexEmbedding):
     """Parent vertex representative per connected component, sorted."""
-    comps = emb.sub.vertex_components()
+    comps = vertex_components(emb.sub)
+    parents = _parent_indices(emb, 0)
     reps = {}
     for local, label in enumerate(comps):
-        parent = emb.vertex_to_parent[local]
+        parent = parents[local]
         if label not in reps or parent < reps[label]:
             reps[label] = parent
     labels = {}
     for local, label in enumerate(comps):
-        labels[emb.vertex_to_parent[local]] = reps[label]
+        labels[parents[local]] = reps[label]
     return sorted(set(reps.values())), labels
 
 

@@ -20,6 +20,7 @@ from diffchar.complexes import (
     simplicial_chain_maps,
 )
 from diffchar.exact import mat_vec, rat_rank, rows_to_dense
+from oracles import vertex_components
 
 
 def triangle_circle():
@@ -252,7 +253,7 @@ class TestFundamentalCycle:
 class TestGraph:
     def test_components(self):
         K = SimplicialComplex([(0, 1), (1, 2), (3, 4)])
-        assert K.vertex_components() == [0, 0, 0, 3, 3]
+        assert vertex_components(K) == [0, 0, 0, 3, 3]
 
     def test_bfs_path(self):
         K = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -273,17 +274,17 @@ class TestSubcomplex:
         assert emb.sub.f_vector() == (4, 6, 3)
         assert emb.sub.euler_characteristic() == 1  # a disc
 
-    def test_restrict_push_round_trip(self):
-        K = sphere2()
-        emb = induced_subcomplex(K, closed_star(K, 0))
-        rng = random.Random(7)
-        u = random_cochain(rng, K, 1)
-        local = emb.restrict_cochain(u)
-        assert len(local.values) == emb.sub.n_simplices(1)
-        z = Chain(1, tuple(rng.randint(-3, 3) for _ in range(emb.sub.n_simplices(1))))
-        pushed = emb.push_chain(z)
-        # <u, push z> == <restrict u, z>
-        assert K.evaluate(u, pushed) == emb.sub.evaluate(local, z)
+    def test_simplex_to_parent_relabels_faces(self):
+        # the local vertices keep the order of the parent vertices they
+        # stand for, and each local simplex maps to their parent simplex
+        K = build_space("torus_grid5")
+        emb = induced_subcomplex(K, closed_star(K, 12))
+        vertex = [K.simplices[0][i][0] for i in emb.simplex_to_parent[0]]
+        assert vertex == sorted(vertex) and len(vertex) == emb.sub.n_vertices
+        assert vertex != list(range(emb.sub.n_vertices))
+        for k in range(emb.sub.dimension + 1):
+            parent = [K.simplices[k][i] for i in emb.simplex_to_parent[k]]
+            assert parent == [tuple(vertex[v] for v in t) for t in emb.sub.simplices[k]]
 
 
 class TestSimplicialMaps:

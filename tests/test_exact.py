@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -390,16 +391,15 @@ class TestRatElim:
             A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
             x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
             b = [sum(r[j] * x[j] for j in range(m)) for r in A]
-            sol = RatElim(dense_to_rows(A), m).solve(b)
+            sol = RatElim(dense_to_rows(A), m, rhs=[b]).solution()
             assert sol is not None
             assert [sum(r[j] * sol[j] for j in range(m)) for r in A] == b
 
     def test_inconsistent_detected(self):
         rows = dense_to_rows([[1, 1], [2, 2]])
-        elim = RatElim(rows, 2)
-        assert elim.solve([1, 3]) is None
-        assert RatElim(rows, 2, rhs=[[1, 3]]).solution() is None
-        assert elim.solve([1, 2]) == [Fraction(1), Fraction(0)]
+        elim = RatElim(rows, 2, rhs=[[1, 3], [1, 2]])
+        assert elim.solution(0) is None
+        assert elim.solution(1) == [Fraction(1), Fraction(0)]
 
     def test_nullspace_annihilates(self):
         A = [[1, 2, 3], [4, 5, 6]]
@@ -415,26 +415,14 @@ class TestRatElim:
         assert inv_cols[0] == [Fraction(1), Fraction(-1)]
         assert inv_cols[1] == [Fraction(-1), Fraction(2)]
 
-    def test_solve_replays_constructor_rhs(self):
-        # one factorization, many right-hand sides: each replay equals a
-        # fresh elimination with that right-hand side
-        rng = random.Random(31)
-        for _ in range(40):
-            n, m = rng.randint(1, 7), rng.randint(1, 7)
-            rows = random_sparse_rows(rng, n, m, fractional=rng.random() < 0.5)
-            elim = RatElim(rows, m)
-            for _ in range(5):
-                b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
-                assert elim.solve(b) == RatElim(rows, m, rhs=[b]).solution()
-
     def test_fractional_rows(self):
         rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(3, 4)}]
-        x = RatElim(rows, 2).solve([Fraction(5, 6), 3])
+        x = RatElim(rows, 2, rhs=[[Fraction(5, 6), 3]]).solution()
         assert x == [Fraction(4), Fraction(-7, 2)]
 
     def test_outputs_are_fractions(self):
-        elim = RatElim(dense_to_rows([[2, 1, 0], [0, 3, 3]]), 3)
-        assert all(type(v) is Fraction for v in elim.solve([1, 1]))
+        elim = RatElim(dense_to_rows([[2, 1, 0], [0, 3, 3]]), 3, rhs=[[1, 1]])
+        assert all(type(v) is Fraction for v in elim.solution())
         assert all(type(v) is Fraction for vec in elim.nullspace() for v in vec)
 
 
@@ -499,10 +487,10 @@ class TestRatElimOracle:
             x0 = [sympy.Rational(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)]
             consistent_b = list(A * sympy.Matrix(x0))
             other_b = [sympy.Rational(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-            elim = RatElim(rows, m)
-            for b in (consistent_b, other_b):
-                b = [Fraction(str(v)) for v in b]
-                x = elim.solve(b)
+            bs = [[Fraction(str(v)) for v in b] for b in (consistent_b, other_b)]
+            elim = RatElim(rows, m, rhs=bs)
+            for i, b in enumerate(bs):
+                x = elim.solution(i)
                 solvable = A.rank() == A.row_join(sympy.Matrix(b)).rank()
                 if not solvable:
                     assert x is None
@@ -535,15 +523,17 @@ class TestSymmetricSolver:
         kernels = 0
         for A, m, w in self.normal_systems(rng):
             N = gram_rows(A, m, w)
-            solver, elim = SymmetricSolver(N), RatElim(N, m)
-            kernels += elim.rank < m
+            bs = []
             for _ in range(3):
                 u = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in A]
-                b = transpose_apply(A, [a * x for a, x in zip(w, u)], m)
+                bs.append(transpose_apply(A, [a * x for a, x in zip(w, u)], m))
+            solver, elim = SymmetricSolver(N), RatElim(N, m, rhs=bs)
+            kernels += elim.rank < m
+            for i, b in enumerate(bs):
                 x = solver.solve(b)
                 assert all(type(v) is Fraction for v in x)
                 assert mat_vec(N, x) == b
-                assert mat_vec(A, x) == mat_vec(A, elim.solve(b))
+                assert mat_vec(A, x) == mat_vec(A, elim.solution(i))
         assert kernels > 40
 
     @pytest.mark.parametrize("rows", [
@@ -556,7 +546,7 @@ class TestSymmetricSolver:
         monkeypatch.setattr(exact, "PRIMES", (3,) + exact.PRIMES)
         solver = SymmetricSolver(rows)
         for b in ([1, 0], [0, Fraction(1, 5)]):
-            assert solver.solve(b) == RatElim(rows, 2).solve(b)
+            assert solver.solve(b) == RatElim(rows, 2, rhs=[b]).solution()
         assert list(solver._factors) == [3, exact.PRIMES[1]]
 
     def test_premature_reconstruction_refused(self):
@@ -647,25 +637,6 @@ def plain_transpose_apply(rows, vec, ncols):
     return out
 
 
-def plain_solve(elim, b):
-    """RatElim.solve replaying its row operations on b in Fractions."""
-    y = list(b)
-    for i, (num, den) in elim._scale.items():
-        y[i] = exact._exact_div(y[i] * num, den)
-    for pr, steps in elim._ops:
-        yp = y[pr]
-        it = iter(steps)
-        for r, a, c, d in zip(it, it, it, it):
-            y[r] = exact._exact_div(a * y[r] - c * yp, d)
-    pivot_rows = {r for r, _ in elim.pivots}
-    if any(y[i] for i in range(len(elim.rows)) if i not in pivot_rows):
-        return None
-    x = [Fraction(0)] * elim.ncols
-    for r, c in elim.pivots:
-        x[c] = Fraction(y[r], elim.rows[r][c])
-    return x
-
-
 BIG_PRIMES = (1_000_003, 998_244_353, 2**61 - 1)
 
 
@@ -733,21 +704,32 @@ class TestClearedDenominators:
         assert_same_entries(exact.mat_vec(rows, vec), [0.0, 0.75])
         assert_same_entries(transpose_apply(rows, vec, 2), [0.5, -0.25])
 
-    def test_ratelim_solve_matches_fraction_replay(self):
+    def test_ratelim_solution_against_smith_form(self):
+        # right-hand sides mixing ints and Fractions, some over large
+        # primes: a solution solves the system exactly in Fractions, and
+        # there is none exactly when the Smith form finds none either
         rng = random.Random(43)
         seen_none = seen_solution = 0
         for _ in range(120):
             n, m = rng.randint(1, 7), rng.randint(1, 7)
             rows = random_sparse_rows(rng, n, m, fractional=rng.random() < 0.5)
-            elim = RatElim(rows, m).run()
-            for _ in range(3):
-                b = [mixed_entry(rng, "mixed") for _ in range(n)]
-                want = plain_solve(elim, b)
-                got = elim.solve(b)
-                if want is None:
-                    assert got is None
+            bs = [[mixed_entry(rng, "mixed") for _ in range(n)] for _ in range(3)]
+            elim = RatElim(rows, m, rhs=bs)
+            # the same system over the integers: each equation times the
+            # lcm of its row's denominators
+            scale = [lcm(*(Fraction(v).denominator for v in r.values())) for r in rows]
+            snf = smith_normal_form(
+                [{j: int(v * s) for j, v in r.items()} for r, s in zip(rows, scale)],
+                nrows=n,
+                ncols=m,
+            )
+            for i, b in enumerate(bs):
+                x = elim.solution(i)
+                if snf.solve_rat([v * s for v, s in zip(b, scale)]) is None:
+                    assert x is None
                     seen_none += 1
-                else:
-                    assert_same_entries(got, want)
-                    seen_solution += 1
+                    continue
+                assert all(type(v) is Fraction for v in x)
+                assert [sum(v * x[j] for j, v in r.items()) for r in rows] == b
+                seen_solution += 1
         assert seen_none and seen_solution

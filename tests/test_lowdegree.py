@@ -20,7 +20,7 @@ from diffchar.lowdegree import (
     total_flux,
 )
 from diffchar.sparks import curvature, pullback_spark, spark_equivalent, validate_spark
-from oracles import check_star_trivialization
+from oracles import check_star_trivialization, elementary_cochain
 
 F = Fraction
 
@@ -299,7 +299,7 @@ def test_holonomy_rejects_rational_cycles():
     K = moebius_kuehnel_torus()
     t = K.cochain(2, (F(1, 7),) * 14)
     half = K.fundamental_cycle().scale(F(1, 2))
-    shifted = gauge(K, t, K.zero_cochain(1), K.elementary_cochain(K.simplices[2][0]))
+    shifted = gauge(K, t, K.zero_cochain(1), elementary_cochain(K, K.simplices[2][0]))
     for phases in (t, shifted):
         with pytest.raises(ValueError, match="integral"):
             phase_holonomy(K, phases, half)

@@ -22,7 +22,9 @@ from diffchar.morse import (
     morse_spark,
     validate_matching,
 )
+from diffchar.exact import mul_rows
 from diffchar.sparks import SparkError, curvature, d2_class
+from oracles import flow_once
 
 FIXTURES = [circle(3), sphere(2), moebius_kuehnel_torus(), rp2()]
 IDS = ["circle", "s2", "t2", "rp2"]
@@ -124,7 +126,20 @@ def test_projection_stable_and_idempotent(K):
         z = K.chain(k, tuple(rng.randint(-4, 4) for _ in range(K.n_simplices(k))))
         p = flow.project(z)
         assert flow.project(p) == p
-        assert flow.flow_once(p) == p
+        assert flow_once(K, flow.matching, p) == p
+
+
+@pytest.mark.parametrize("name", ["circle3", "sphere2", "torus", "rp2", "rp3", "cp2"])
+def test_stable_flow_kills_cells_matched_downward(name):
+    # P_{k+1} V_k = 0 for an acyclic matching (Forman, Adv. Math. 134,
+    # 1998), so the flow powers from s_{k+1} on add nothing to the
+    # homotopy T_k; on cp2 the flow on 1-chains is stable from s_1 = 3,
+    # below the exponent N = 4 of the whole complex
+    K = build_space(name)
+    flow = MorseFlow(K, greedy_matching(K))
+    for k in range(K.dimension):
+        assert not any(mul_rows(flow._P[k + 1], flow._V[k])), k
+    assert flow.homotopy_identity()
 
 
 @pytest.mark.parametrize("K", FIXTURES, ids=IDS)

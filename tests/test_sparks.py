@@ -50,7 +50,7 @@ from diffchar.sparks import (
 )
 from diffchar.exact import mat_vec
 from diffchar.hodge import HodgeContext, spark_from_cocycle
-from oracles import varied_weights
+from oracles import elementary_cochain, varied_weights
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -65,7 +65,7 @@ class TestBasics:
 
     def test_validate_catches_non_cocycle(self):
         K = sphere(2)
-        R = K.elementary_cochain((0, 1))
+        R = elementary_cochain(K, (0, 1))
         with pytest.raises(SparkError, match="cocycle"):
             validate_spark(K, Spark(K.zero_cochain(0), R))
 
@@ -193,7 +193,7 @@ class TestConstructors:
     def test_spark_from_cocycle_rejects_non_cocycle(self):
         K = sphere(2)
         with pytest.raises(SparkError):
-            spark_from_cocycle(K, K.elementary_cochain((0, 1)))
+            spark_from_cocycle(K, elementary_cochain(K, (0, 1)))
 
     def test_flat_spark_is_flat(self):
         K = rp3()
@@ -736,7 +736,7 @@ class TestSerialization:
 
     def test_bad_data_rejected(self):
         K = sphere(2)
-        s = Spark(K.zero_cochain(0), K.elementary_cochain((0, 1)))
+        s = Spark(K.zero_cochain(0), elementary_cochain(K, (0, 1)))
         data = spark_to_json(s)
         with pytest.raises(SparkError):
             spark_from_json(K, data)

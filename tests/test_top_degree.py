@@ -55,12 +55,14 @@ def normal_route_harmonics(K, weights=None):
     free, _ = cohomology_generators(K, n)
     D = K.delta_rows(n - 1)
     m = K.n_simplices(n - 1)
-    N = RatElim(gram_rows(D, m, weights), m).run()
-    out = []
+    rhs = []
     for g in free:
         wg = g.values if weights is None else [w * v for w, v in zip(weights, g.values)]
-        x = N.solve(transpose_apply(D, wg, m))
-        h = g - K.delta(K.cochain(n - 1, x))
+        rhs.append(transpose_apply(D, wg, m))
+    N = RatElim(gram_rows(D, m, weights), m, rhs=rhs)
+    out = []
+    for i, g in enumerate(free):
+        h = g - K.delta(K.cochain(n - 1, N.solution(i)))
         out.append(tuple(Fraction(v) for v in h.values))
     return out
 
