@@ -256,7 +256,7 @@ def _spark_results(s, out):
 
 
 def _hodge_context(K, args, inputs):
-    """Context from --weights/--method/--tol.
+    """Context from --weights, and --method/--tol where the command has them.
 
     The flags that differ from their defaults go into ``inputs`` (the
     weights as a file sha), so default-flag digests stay unchanged.
@@ -271,11 +271,13 @@ def _hodge_context(K, args, inputs):
             }
         except (TypeError, AttributeError) as exc:
             raise InputDataError(f"{args.weights}: malformed weights ({exc})") from exc
-    if args.method != DEFAULT_METHOD:
-        inputs["method"] = args.method
-    if args.tol != DEFAULT_TOL:
-        inputs["tol"] = args.tol
-    return HodgeContext(K, weights=weights, method=args.method, tol=args.tol)
+    method = getattr(args, "method", DEFAULT_METHOD)
+    tol = getattr(args, "tol", DEFAULT_TOL)
+    if method != DEFAULT_METHOD:
+        inputs["method"] = method
+    if tol != DEFAULT_TOL:
+        inputs["tol"] = tol
+    return HodgeContext(K, weights=weights, method=method, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +436,7 @@ def cmd_verify(args):
     )
 
     ctx = _hodge_context(K, args, inputs)
-    worst = Fraction(0) if ctx.exact else 0.0
+    defects = []
     for k in range(n + 1):
         if K.n_simplices(k) == 0:
             continue
@@ -445,9 +447,8 @@ def cmd_verify(args):
                 for _ in range(K.n_simplices(k))
             ),
         )
-        dec = ctx.decompose(u)
-        for val in ctx.decomposition_residuals(u, dec).values():
-            worst = max(worst, abs(val))
+        defects.extend(ctx.decomposition_residuals(u, ctx.decompose(u)).values())
+    worst = max(defects)
     residuals["hodge_max"] = worst
     checks["hodge_residuals"] = (
         worst == 0 if ctx.exact else worst <= args.tol
@@ -537,11 +538,8 @@ def cmd_hodge_decompose(args):
     u = _load_cochain(K, args.cochain, inputs, "cochain")
     ctx = _hodge_context(K, args, inputs)
     dec = ctx.decompose(u)
-    res = {
-        k: v if isinstance(v, float) else Fraction(v)
-        for k, v in ctx.decomposition_residuals(u, dec).items()
-    }
-    worst = max(abs(v) for v in res.values())
+    res = ctx.decomposition_residuals(u, dec)
+    worst = max(res.values())
     checks = {"residuals": worst == 0 if ctx.exact else worst <= args.tol}
     results = {
         "method": "exact" if ctx.exact else "cg",
@@ -549,7 +547,7 @@ def cmd_hodge_decompose(args):
         "primitive": dec.primitive,
         "coprimitive": dec.coprimitive,
     }
-    return RunReport("hodge decompose", inputs, results, dict(res), checks), None
+    return RunReport("hodge decompose", inputs, results, res, checks), None
 
 
 def cmd_hodge_spark(args):
@@ -760,16 +758,15 @@ def cmd_lowdeg_gerbe(args):
 # parser
 
 
-def _add_space_args(p, input_ok=True):
+def _add_space_args(p):
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--space", help="named fixture, e.g. torus, rp3, sphere2")
-    if input_ok:
-        grp.add_argument("--input", help="complex JSON file")
-        p.add_argument(
-            "--auto-close",
-            action="store_true",
-            help="add missing faces when loading --input",
-        )
+    grp.add_argument("--input", help="complex JSON file")
+    p.add_argument(
+        "--auto-close",
+        action="store_true",
+        help="add missing faces when loading --input",
+    )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
 
@@ -779,6 +776,10 @@ def _add_format_arg(p):
 
 def _add_hodge_args(p):
     p.add_argument("--weights", help="JSON file: degree -> list of weights")
+
+
+def _add_solver_args(p):
+    """The solver of the Hodge decomposition, for the commands that decompose."""
     p.add_argument("--method", choices=("auto", "exact", "cg"), default=DEFAULT_METHOD)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
@@ -823,6 +824,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     _add_hodge_args(p)
+    _add_solver_args(p)
     p.set_defaults(handler=cmd_verify)
 
     spark = sub.add_parser("spark", help="spark operations on JSON artifacts")
@@ -876,6 +878,7 @@ def build_parser():
     _add_space_args(p)
     p.add_argument("--cochain", required=True)
     _add_hodge_args(p)
+    _add_solver_args(p)
     p.set_defaults(handler=cmd_hodge_decompose)
 
     p = hsub.add_parser("spark")

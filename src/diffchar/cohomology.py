@@ -16,10 +16,9 @@ coordinates are the identity, also the relation matrix of H^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .complexes import Chain, SimplicialComplex
+from .complexes import Chain, SimplicialComplex, is_integer
 from .exact import mat_vec, mul_rows, rows_to_dense, smith_normal_form
 
 
@@ -138,18 +137,19 @@ class LatticeQuotient:
         return out
 
     # -- coordinates -----------------------------------------------------
-    def _kernel_coords(self, v, rational=False):
+    def _kernel_coords(self, v):
         full = self.snfA.Vinv_times(list(v))
         r = self.snfA.rank
         for j in range(r):
             if full[j]:
                 raise ValueError("vector is not in the kernel of A")
-        if not rational:
-            return full[r:]
-        return [Fraction(x) for x in full[r:]]
+        return full[r:]
 
     def coords(self, v):
-        """(free coords, torsion coords mod d) of an integral kernel vector."""
+        """(free coords, torsion coords mod d) of a kernel vector.
+
+        A rational v is read exactly: its free coords are rational.
+        """
         y = self._kernel_coords(v)
         full = mat_vec(self.snfW.U_rows, y)
         free = tuple(full[self.snfW.rank:])
@@ -158,19 +158,13 @@ class LatticeQuotient:
         )
         return free, torsion
 
-    def coords_rat(self, v):
-        """Free-part coordinates of a rational kernel vector."""
-        y = self._kernel_coords(v, rational=True)
-        full = mat_vec(self.snfW.U_rows, y)
-        return tuple(Fraction(x) for x in full[self.snfW.rank:])
+    def preimage(self, v):
+        """x with B x = v, or None (v rational allowed).
 
-    def preimage_int(self, v):
-        """Integer x with B x = v, or None."""
-        return self.snfW.solve_int(self._kernel_coords(v))
-
-    def preimage_rat(self, v):
-        """Rational x with B x = v, or None (v rational allowed)."""
-        return self.snfW.solve_rat(self._kernel_coords(v, rational=True))
+        The Smith form solve of :class:`~diffchar.exact.SmithDecomposition`:
+        x is integral exactly when an integral preimage exists.
+        """
+        return self.snfW.solve(self._kernel_coords(v))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +367,8 @@ def poincare_dual(K: SimplicialComplex, z: Chain):
         rhs.append(tz[i])
     if not rows:
         return K.zero_cochain(k)
-    sol = smith_normal_form(rows).solve_int(rhs)
-    if sol is None:
+    sol = smith_normal_form(rows).solve(rhs)
+    if sol is None or not all(map(is_integer, sol)):
         return None
     u = K.zero_cochain(k)
     for j, g in enumerate(gens):

@@ -301,27 +301,20 @@ class SmithDecomposition:
         """
         return rows_to_dense(self.VT_rows[self.rank:], self.ncols)
 
-    def solve_int(self, b):
-        """Integer solution x of A x = b, or None."""
+    def solve(self, b):
+        """A solution x of A x = b, or None when there is none.
+
+        x = V c with c_i = y_i / d_i for y = U b (an int when d_i
+        divides y_i) and the free coordinates of c zero; b may be
+        rational.  V is unimodular, so x is integral exactly when A x = b
+        has an integral solution.
+        """
         y = self.U_times(b)
         coeff = [0] * self.ncols
         for i, val in enumerate(y):
             if i < self.rank:
                 d = self.diag[i]
-                if val % d:
-                    return None
-                coeff[i] = val // d
-            elif val:
-                return None
-        return self.V_times(coeff)
-
-    def solve_rat(self, b):
-        """Rational solution x of A x = b, or None (b may be rational)."""
-        y = self.U_times(b)
-        coeff = [0] * self.ncols
-        for i, val in enumerate(y):
-            if i < self.rank:
-                coeff[i] = Fraction(val, 1) / self.diag[i]
+                coeff[i] = val // d if val % d == 0 else Fraction(val, d)
             elif val:
                 return None
         return self.V_times(coeff)

@@ -2,12 +2,12 @@
 
 Inner products on cochains are diagonal: one positive weight per
 simplex.  On top of the resulting coboundary adjoint sit the harmonic
-projection and the Hodge decomposition, solved either exactly over the
-rationals or by conjugate gradients in floating point.  Exact mode
-eliminates no Laplacian: both come from the coboundary normal matrices
-N_j = delta_j^T W delta_j (finite-difference Hodge theory), each
-factored once per degree and weight profile, plus a small Gram system
-on the harmonic basis.  Every one of these systems is symmetric, and
+projection, always exact, and the Hodge decomposition, solved either
+exactly over the rationals or by conjugate gradients in floating
+point.  Exact mode eliminates no Laplacian: both come from the
+coboundary normal matrices N_j = delta_j^T W delta_j (finite-difference
+Hodge theory), each factored once per degree and weight profile, plus
+a small Gram system on the harmonic basis.  Every one of these systems is symmetric, and
 a :class:`~diffchar.exact.SymmetricSolver` solves it
 modulo a prime, lifts the solution p-adically and accepts it only after
 an exact check; callers read only what the solution fixes uniquely, so
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import inf, lcm
 
 from .cohomology import cohomology_generators, integer_cohomology, integer_homology
-from .complexes import Chain, Cochain, SimplicialComplex
+from .complexes import Chain, Cochain, SimplicialComplex, is_integer
 from .exact import SymmetricSolver, gram_rows, mat_vec, transpose_apply, transpose_rows
 from .sparks import Spark, SparkError, mod1, periods
 
@@ -43,6 +43,8 @@ EXACT_SIZE_LIMIT = 3000
 # the defaults of HodgeContext and of the CLI's --method and --tol
 DEFAULT_METHOD = "auto"
 DEFAULT_TOL = 1e-10
+# exact weights only; bool, an int subclass, is refused
+_WEIGHT_TYPES = frozenset((int, Fraction))
 
 
 class HodgeError(Exception):
@@ -52,10 +54,12 @@ class HodgeError(Exception):
 class HodgeContext:
     """Hodge-theoretic operators for one complex and weight profile.
 
-    method is "exact" (rational arithmetic), "cg" (float conjugate
-    gradients) or "auto", which picks exact below EXACT_SIZE_LIMIT total
-    simplices.  Spark-producing operations require the exact method.
-    The exact harmonic basis in degree k holds the weighted harmonic
+    Weights are positive ints or Fractions.  method and tol choose the
+    solver of :meth:`decompose`, the one operation with two routes:
+    "exact" (rational arithmetic), "cg" (float conjugate gradients to
+    tolerance tol) or "auto", which picks exact up to EXACT_SIZE_LIMIT
+    total simplices.  Every other operation is exact under every method.
+    The harmonic basis in degree k holds the weighted harmonic
     projections of the free generators of H^k(K; Z).  Degrees without
     given weights, or with all given weights 1, are uniform: what their
     weights fix (normal factorizations, harmonic bases, Gram systems)
@@ -80,6 +84,8 @@ class HodgeContext:
             w = tuple(given[k])
             if len(w) != K.n_simplices(k):
                 raise HodgeError(f"need {K.n_simplices(k)} weights in degree {k}")
+            if not _WEIGHT_TYPES.issuperset(map(type, w)):
+                raise HodgeError(f"weights in degree {k} must be ints or Fractions")
             if any(x <= 0 for x in w):
                 raise HodgeError("weights must be positive")
             self.weights[k] = w
@@ -181,7 +187,6 @@ class HodgeContext:
         b_n x b_n Gram system, and no normal matrix is factored.  Values
         are Fractions.
         """
-        self._require_exact("harmonic basis")
         store = self._store(k)
         key = ("harmonics", k)
         if key not in store:
@@ -211,10 +216,7 @@ class HodgeContext:
         b_k x b_k Gram matrix P W P^T of independent vectors is positive
         definite, so c is unique; the matrix is factored once and cached
         like the basis.  Zero when b_k = 0, with no factorization at all.
-        CG: the harmonic part of :meth:`decompose`.
         """
-        if not self.exact:
-            return self.decompose(u).harmonic
         k = u.degree
         basis = self.harmonic_basis(k)
         if not basis:
@@ -307,22 +309,23 @@ class HodgeContext:
         return HodgeDecomposition(harmonic=h, primitive=b, coprimitive=c)
 
     def decomposition_residuals(self, u: Cochain, dec: "HodgeDecomposition"):
-        """Reconstruction and (co)closedness defects of a decomposition."""
+        """Reconstruction and (co)closedness defects of a decomposition.
+
+        Max norms, Fractions under the exact method and floats under CG.
+        """
         K = self.K
         recon = u - dec.harmonic - K.delta(dec.primitive) - self.adjoint_delta(dec.coprimitive)
+        defects = {
+            "reconstruction": recon,
+            "closed": K.delta(dec.harmonic),
+            "coclosed": self.adjoint_delta(dec.harmonic),
+        }
         return {
-            "reconstruction": max((abs(x) for x in recon.values), default=0),
-            "closed": max((abs(x) for x in K.delta(dec.harmonic).values), default=0),
-            "coclosed": max(
-                (abs(x) for x in self.adjoint_delta(dec.harmonic).values), default=0
-            ),
+            name: self._one(max((abs(x) for x in v.values), default=0))
+            for name, v in defects.items()
         }
 
     # -- spark potentials ------------------------------------------------
-    def _require_exact(self, what):
-        if not self.exact:
-            raise HodgeError(f"{what} needs the exact method")
-
     def harmonic_potential(self, R: Cochain) -> Cochain:
         """Potential a with harmonic curvature delta a + R, orthogonal to harmonics.
 
@@ -339,11 +342,10 @@ class HodgeContext:
         character of (a, R) plus the flat spark (H_{k-1} S, 0).  R must
         be an integral cocycle (SparkError otherwise).
         """
-        self._require_exact("harmonic potential")
         K = self.K
         _check_charge(K, R)
         k = R.degree
-        x = integer_cohomology(K, k).preimage_rat((R - self.harmonic_projection(R)).values)
+        x = integer_cohomology(K, k).preimage((R - self.harmonic_projection(R)).values)
         if x is None:
             raise AssertionError("R minus its harmonic part must be exact")
         x = K.cochain(k - 1, x)
@@ -358,12 +360,10 @@ class HodgeContext:
         class: for an integral S, the spark of R + delta S is that of R
         plus the flat spark (H_{k-1} S, 0).
         """
-        self._require_exact("spark construction")
         return self.spark_normal_form(Spark(self.harmonic_potential(R), R))
 
     def spark_normal_form(self, s: Spark) -> Spark:
         """Equivalent spark whose potential has no coboundary component."""
-        self._require_exact("spark normal form")
         return Spark(s.a - self.K.delta(self._exact_potential(s.a)), s.R)
 
 
@@ -408,10 +408,10 @@ def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
     for c, g in zip(free_coords + torsion_coords, free + [g for _, g, _ in torsion]):
         if c:
             G = G + g.scale(c)
-    y = Q.preimage_int([v - w for v, w in zip(values, G.values)])
-    if y is None:
+    y = Q.preimage([v - w for v, w in zip(values, G.values)])
+    if y is None or not all(map(is_integer, y)):
         raise AssertionError("R minus its generator combination must be a coboundary")
-    a = HodgeContext(K, method="exact").harmonic_potential(G)
+    a = HodgeContext(K).harmonic_potential(G)
     return Spark(a - K.cochain(k - 1, y), R)
 
 
@@ -426,7 +426,6 @@ def _harmonic_periods(ctx: HodgeContext, chain: Chain, basis) -> tuple:
     free cohomology generators.  On a rational chain the values would
     depend on the chain chosen, so it is refused.
     """
-    ctx._require_exact("Abel-Jacobi values")
     K = ctx.K
     if not chain.is_integral():
         raise HodgeError("the chain to integrate over must be integral")
@@ -455,8 +454,8 @@ def abel_jacobi(ctx: HodgeContext, z: Chain, basis=None):
         raise HodgeError("cycle must be integral")
     q = z.degree
     Hq = integer_homology(K, q)
-    c = Hq.preimage_int([int(x) for x in z.values])
-    if c is None:
+    c = Hq.preimage([int(x) for x in z.values])
+    if c is None or not all(map(is_integer, c)):
         raise HodgeError("cycle does not bound")
     return _harmonic_periods(ctx, K.chain(q + 1, c), basis)
 

@@ -213,7 +213,7 @@ def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain):
     K = emb.parent
     k = target.degree
     local = [target.values[i] for i in _parent_indices(emb, k)]
-    x = integer_cohomology(emb.sub, k).preimage_rat(local)
+    x = integer_cohomology(emb.sub, k).preimage(local)
     if x is None:
         raise GerbeError(
             f"no primitive for a degree-{k} layer entry on an overlap; "

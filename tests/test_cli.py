@@ -485,14 +485,37 @@ def test_hodge_aj_vertex_out_of_range_is_input_error(capsys, src, dst):
     assert "vertex" in err and "Traceback" not in err
 
 
+def test_hodge_aj_default_flags_above_exact_size_limit(capsys):
+    # the 24 x 24 grid torus has more than EXACT_SIZE_LIMIT simplices,
+    # and Abel-Jacobi values are exact whatever its size
+    code, data = run_json(capsys, "hodge", "aj", "--space", "torus_grid24",
+                          "--src", "0", "--dst", "1")
+    assert code == 0
+    assert data["results"]["values"] == ["1/24", "1/24"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["aj", "--src", "0", "--dst", "4"],
+    ["spark", "--cocycle", "R.json"],
+    ["normal", "s.json"],
+], ids=["aj", "spark", "normal"])
+@pytest.mark.parametrize("flag", ["--method=cg", "--tol=1e-8"])
+def test_exact_only_hodge_commands_take_no_solver(capsys, argv, flag):
+    # only decompose has a second solver
+    with pytest.raises(SystemExit) as exc:
+        main(["hodge", *argv, "--space", "torus_grid3", flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
 @pytest.mark.parametrize("argv, what", [
-    (["hodge", "aj", "--space", "torus_grid3", "--src", "0", "--dst", "4",
-      "--method", "cg"], "exact method"),
     (["verify", "--space", "circle3", "--method", "cg", "--tol=-1"], "tolerance"),
     (["verify", "--space", "circle3", "--method", "cg", "--tol=0"], "tolerance"),
     (["verify", "--space", "circle3", "--method", "cg", "--tol=nan"], "tolerance"),
     (["verify", "--space", "circle3", "--method", "cg", "--tol=inf"], "tolerance"),
-], ids=["aj_cg", "tol_negative", "tol_zero", "tol_nan", "tol_inf"])
+], ids=["tol_negative", "tol_zero", "tol_nan", "tol_inf"])
 def test_inexact_hodge_input_is_input_error(capsys, argv, what):
     code = main(argv)
     captured = capsys.readouterr()

@@ -125,7 +125,7 @@ class TestGenerators:
         K = sphere(2)
         u = K.delta(K.cochain(0, (3, -1, 4, 1)))
         Q = integer_cohomology(K, 1)
-        x = Q.preimage_int(list(u.values))
+        x = Q.preimage(list(u.values))
         assert x is not None
         assert K.delta(K.cochain(0, x)) == u
 

@@ -117,19 +117,19 @@ class TestSmith:
             A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
             x = [rng.randint(-6, 6) for _ in range(m)]
             b = [sum(r[j] * x[j] for j in range(m)) for r in A]
-            sol = smith_normal_form(A).solve_int(b)
-            assert sol is not None
+            sol = smith_normal_form(A).solve(b)
+            assert sol is not None and all(type(v) is int for v in sol)
             assert [sum(r[j] * sol[j] for j in range(m)) for r in A] == b
 
     def test_int_solve_detects_non_integral(self):
-        # 2x = 1 has no integer solution
-        assert smith_normal_form([[2]]).solve_int([1]) is None
-        assert smith_normal_form([[2]]).solve_rat([1]) == [Fraction(1, 2)]
+        # 2x = 1 has no integer solution, only a rational one
+        assert smith_normal_form([[2]]).solve([1]) == [Fraction(1, 2)]
+        assert smith_normal_form([[2]]).solve([Fraction(4)]) == [2]
 
     def test_int_solve_detects_inconsistent(self):
         A = [[1, 1], [1, 1]]
-        assert smith_normal_form(A).solve_int([0, 1]) is None
-        assert smith_normal_form(A).solve_rat([0, 1]) is None
+        assert smith_normal_form(A).solve([0, 1]) is None
+        assert smith_normal_form(A).solve([0, Fraction(1, 2)]) is None
 
     def test_sparse_input(self):
         s = smith_normal_form([{0: 2}, {1: 3}], ncols=2)
@@ -725,7 +725,7 @@ class TestClearedDenominators:
             )
             for i, b in enumerate(bs):
                 x = elim.solution(i)
-                if snf.solve_rat([v * s for v, s in zip(b, scale)]) is None:
+                if snf.solve([v * s for v, s in zip(b, scale)]) is None:
                     assert x is None
                     seen_none += 1
                     continue

@@ -17,7 +17,11 @@ from diffchar.builders import (
     torus_grid,
     torus_grid_axis_cocycles,
 )
-from diffchar.cohomology import cohomology_generators, cohomology_structure
+from diffchar.cohomology import (
+    cohomology_generators,
+    cohomology_structure,
+    integer_homology,
+)
 from diffchar.complexes import Chain
 from diffchar.exact import RatElim
 from diffchar.hodge import (
@@ -29,7 +33,7 @@ from diffchar.hodge import (
     point_abel_jacobi,
     spark_from_cocycle,
 )
-from diffchar.sparks import curvature, spark_equivalent
+from diffchar.sparks import Spark, curvature, spark_equivalent
 from oracles import elementary_cochain, green, inner, laplacian, varied_weights
 
 F = Fraction
@@ -168,6 +172,7 @@ def test_decompose_exact_residuals(seed):
             dec = ctx.decompose(u)
             res = ctx.decomposition_residuals(u, dec)
             assert res == {"reconstruction": 0, "closed": 0, "coclosed": 0}
+            assert all(type(v) is Fraction for v in res.values())
             assert dec.primitive.degree == k - 1
             assert dec.coprimitive.degree == k + 1
 
@@ -180,7 +185,7 @@ def test_decompose_cg_residuals():
     u = K.cochain(1, tuple(rng.randint(-5, 5) for _ in range(K.n_simplices(1))))
     dec = ctx.decompose(u)
     res = ctx.decomposition_residuals(u, dec)
-    assert all(abs(v) <= 1e-10 for v in res.values()), res
+    assert all(type(v) is float and abs(v) <= 1e-10 for v in res.values()), res
 
 
 def test_auto_is_exact_on_the_lens_fixtures():
@@ -272,6 +277,10 @@ def test_weight_validation():
         HodgeContext(K, weights={1: (1, 2)})
     with pytest.raises(HodgeError):
         HodgeContext(K, weights={0: (1, -1, 1)})
+    # only exact weights: a float or a bool is refused, as in a cochain
+    for bad in (0.5, True):
+        with pytest.raises(HodgeError, match="ints or Fractions"):
+            HodgeContext(K, weights={1: (1, bad, 1)}, method="exact")
 
 
 def _generators(K, k):
@@ -349,16 +358,28 @@ def test_no_reference_cycle_holds_a_complex(monkeypatch, capsys):
         gc.enable()
 
 
-def test_exact_required_for_sparks():
-    K = circle(3)
-    ctx = HodgeContext(K, method="cg")
-    with pytest.raises(HodgeError):
-        ctx.hodge_spark(K.cochain(1, (1, 0, 0)))
-    # float periods would print as exact fractions
-    with pytest.raises(HodgeError, match="Abel-Jacobi values needs the exact method"):
-        point_abel_jacobi(ctx, 0, 1)
-    with pytest.raises(HodgeError, match="Abel-Jacobi values needs the exact method"):
-        abel_jacobi(ctx, Chain(0, (-1, 1, 0)))
+@pytest.mark.parametrize("name", ["circle3", "torus_grid3"])
+def test_cg_method_leaves_exact_operations_exact(name):
+    # method chooses the solver of decompose alone: sparks, normal
+    # forms, harmonic projections and Abel-Jacobi values stay exact
+    K = build_space(name)
+    cg, exact = HodgeContext(K, method="cg"), HodgeContext(K, method="exact")
+    assert not cg.exact
+    rng = random.Random(4)
+    R = cohomology_generators(K, 1)[0][0]
+    s = Spark(rand_cochain(K, 0, rng), R)
+    u = rand_cochain(K, 1, rng)
+    z = Chain(0, (-1, 1) + (0,) * (K.n_vertices - 2))
+    for op in (
+        lambda c: c.hodge_spark(R).a.values,
+        lambda c: c.spark_normal_form(s).a.values,
+        lambda c: c.harmonic_projection(u).values,
+        lambda c: point_abel_jacobi(c, 0, K.n_vertices - 1),
+        lambda c: abel_jacobi(c, z),
+    ):
+        got = op(cg)
+        assert got == op(exact)
+        assert not any(isinstance(v, float) for v in got)
 
 
 def test_point_abel_jacobi_grid_frozen():
@@ -474,6 +495,13 @@ def test_abel_jacobi_needs_bounding_cycle():
     z = K.chain(0, (1,) + (0,) * 6)
     with pytest.raises(HodgeError):
         abel_jacobi(ctx, z)
+    # the torsion 1-cycle of rp2 bounds over Q, but only twice it over Z
+    K = rp2()
+    ctx = HodgeContext(K)
+    _, z, _ = integer_homology(K, 1).torsion_generator_vectors()[0]
+    with pytest.raises(HodgeError, match="cycle does not bound"):
+        abel_jacobi(ctx, K.chain(1, z))
+    assert abel_jacobi(ctx, K.chain(1, [2 * x for x in z])) == ()
 
 
 def test_abel_jacobi_trivial_on_sphere():
