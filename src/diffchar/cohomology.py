@@ -10,7 +10,13 @@ flat-spark constructions consume downstream.
 The Smith form of each coboundary delta_k is computed once per complex
 and cached on it (:func:`coboundary_smith_form`): it is the A of H^k
 and, in the top degree n, where delta_n has no rows and the kernel
-coordinates are the identity, also the relation matrix of H^n.
+coordinates are the identity, also the relation matrix of H^n.  Since
+boundary_{k+1} = delta_k^T, the same Smith form U delta_k V = D also
+gives the lattice of integral (k+1)-cycles: the rows of U past the rank
+(:func:`cycle_lattice_rows`).  The periods of sparks, the fundamental
+cycle and the top-degree harmonics read their cycles there;
+:func:`integer_homology` forms its own Smith forms of boundary_k and of
+the relation matrix for the homology groups and their coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .complexes import Chain, SimplicialComplex, is_integer
-from .exact import mat_vec, mul_rows, rows_to_dense, smith_normal_form
+from .exact import identity_rows, mat_vec, mul_rows, rows_to_dense, smith_normal_form
 
 
 def group_name(factors, sep):
@@ -241,9 +247,27 @@ def circle_cohomology_structure(K, k) -> CircleGroupStructure:
     return CircleGroupStructure(b_k, tor)
 
 
+def cycle_lattice_rows(K, k):
+    """Sparse rows of a primitive basis of the integral k-cycles.
+
+    Every 0-chain is a cycle: the rows are the identity.  For k >= 1,
+    boundary_k = delta_{k-1}^T, and U delta_{k-1} V = D in the cached
+    :func:`coboundary_smith_form` with U unimodular, so the rows of U
+    past the rank are a primitive basis of ker boundary_k.  The rows
+    are shared with the Smith form and must not be modified.
+    """
+    if k == 0:
+        return identity_rows(K.n_simplices(0))
+    snf = coboundary_smith_form(K, k - 1)
+    return snf.U_rows[snf.rank:]
+
+
 def cycle_lattice_basis(K, k):
-    """Primitive basis of integral k-cycles (kernel of boundary_k)."""
-    return integer_homology(K, k).snfA.kernel_basis()
+    """Primitive basis of integral k-cycles (kernel of boundary_k).
+
+    The rows of :func:`cycle_lattice_rows` as dense integer vectors.
+    """
+    return rows_to_dense(cycle_lattice_rows(K, k), K.n_simplices(k))
 
 
 def cohomology_generators(K, k):

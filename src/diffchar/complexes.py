@@ -313,8 +313,9 @@ class SimplicialComplex:
         Exists (up to global sign, fixed by making the first coefficient
         +1) exactly when the integral top-degree cycles are the multiples
         of one such cycle, as on a closed orientable pseudomanifold.
-        Read off the kernel basis of the cached Smith form of the top
-        boundary matrix.
+        Read off the cycle rows of the cached Smith form of the
+        coboundary delta_{n-1}, whose transpose is the top boundary
+        matrix (:func:`~diffchar.cohomology.cycle_lattice_basis`).
         """
         from .cohomology import cycle_lattice_basis
 

@@ -293,14 +293,6 @@ class SmithDecomposition:
     def Vinv_times(self, vec):
         return mat_vec(self.Vinv_rows, vec)
 
-    def kernel_basis(self):
-        """Basis of the integer kernel of A: V columns past the rank.
-
-        The basis is primitive (spans the full kernel lattice).  Returned
-        as a list of dense length-``ncols`` integer vectors.
-        """
-        return rows_to_dense(self.VT_rows[self.rank:], self.ncols)
-
     def solve(self, b):
         """A solution x of A x = b, or None when there is none.
 

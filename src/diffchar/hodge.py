@@ -34,7 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
-from .cohomology import cohomology_generators, integer_cohomology, integer_homology
+from .cohomology import (
+    cohomology_generators,
+    cycle_lattice_rows,
+    integer_cohomology,
+    integer_homology,
+)
 from .complexes import Chain, Cochain, SimplicialComplex, is_integer
 from .exact import SymmetricSolver, gram_rows, mat_vec, transpose_apply, transpose_rows
 from .sparks import Spark, SparkError, mod1, periods
@@ -181,8 +186,8 @@ class HodgeContext:
         Below the top degree it is g - delta x, delta x the exact part
         of g.  In the top degree n, delta_n = 0, so the harmonic
         n-cochains are W^{-1} z for the rational n-cycles z: with Z the
-        rows of :func:`~diffchar.cohomology.cycle_lattice_basis`,
-        already sparse in the cached Smith form of the boundary, the
+        rows of :func:`~diffchar.cohomology.cycle_lattice_rows`,
+        already sparse in the cached Smith form of delta_{n-1}, the
         projection is W^{-1} Z^T c with (Z W^{-1} Z^T) c = Z g, a
         b_n x b_n Gram system, and no normal matrix is factored.  Values
         are Fractions.
@@ -196,8 +201,7 @@ class HodgeContext:
                 vectors = [(g - K.delta(self._exact_potential(g))).values for g in free]
             else:
                 n_k = K.n_simplices(k)
-                snf = integer_homology(K, k).snfA
-                Z = snf.VT_rows[snf.rank:]
+                Z = cycle_lattice_rows(K, k)
                 w = self._uneven(k)
                 winv = None if w is None else [1 / Fraction(x) for x in w]
                 gram = SymmetricSolver(gram_rows(transpose_rows(Z, n_k), len(Z), winv))

@@ -8,7 +8,8 @@ character when they differ by (delta b - S, delta S) for a rational
 decides that relation exactly.  It and the holonomy check of
 ``diffchar verify`` read a cochain's values on the primitive integral
 cycle basis through one kernel, :func:`periods`: a sparse integer
-product with the basis rows of the cached Smith form of the boundary.
+product with the cycle rows of the cached Smith form of the coboundary
+one degree down.
 
 Sparks with harmonic curvature are built from integral cocycles in
 :mod:`diffchar.hodge` (``spark_from_cocycle`` and
@@ -30,8 +31,8 @@ from fractions import Fraction
 
 from .cohomology import (
     cohomology_generators,
+    cycle_lattice_rows,
     integer_cohomology,
-    integer_homology,
 )
 from .complexes import (
     Chain,
@@ -122,17 +123,17 @@ def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain) -> Spark:
 def periods(K: SimplicialComplex, u: Cochain) -> list:
     """Values of the k-cochain u on the primitive basis of integral k-cycles.
 
-    The basis is :func:`~diffchar.cohomology.cycle_lattice_basis`: the
-    columns of V past the rank in the cached Smith form of boundary_k,
-    kept sparse there.  One :func:`~diffchar.exact.mat_vec` over the lcm
-    of u's denominators gives all periods; an entry is a ``Fraction``
-    when a nonzero ``Fraction`` value of u lies on the cycle, else an
-    int.  Every integral k-cycle is an integer combination of the basis,
-    so these values mod 1 determine the holonomy of a spark with
-    potential u on every integral cycle.
+    The basis is :func:`~diffchar.cohomology.cycle_lattice_rows`: the
+    rows of U past the rank in the cached Smith form of delta_{k-1}
+    (the identity for k = 0), kept sparse there.  One
+    :func:`~diffchar.exact.mat_vec` over the lcm of u's denominators
+    gives all periods; an entry is a ``Fraction`` when a nonzero
+    ``Fraction`` value of u lies on the cycle, else an int.  Every
+    integral k-cycle is an integer combination of the basis, so these
+    values mod 1 determine the holonomy of a spark with potential u on
+    every integral cycle.
     """
-    snf = integer_homology(K, u.degree).snfA
-    return mat_vec(snf.VT_rows[snf.rank:], u.values)
+    return mat_vec(cycle_lattice_rows(K, u.degree), u.values)
 
 
 def spark_equivalent(K: SimplicialComplex, s1: Spark, s2: Spark) -> bool:

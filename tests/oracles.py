@@ -10,14 +10,15 @@ whole closed star, and ``varied_weights`` is a reproducible Hodge
 weight profile.  ``green`` solves the weighted Laplacian, built column
 by column from the public adjoint and coboundary, by a rational
 Gauss-Jordan; ``flow_once`` takes one step of the discrete Morse flow
-of a matching, built from the boundary alone.
+of a matching, built from the boundary alone.  ``kernel_basis`` reads
+the integer kernel of a matrix off its Smith form.
 """
 
 from fractions import Fraction
 
 from diffchar.cohomology import integer_cohomology
 from diffchar.complexes import Chain, Cochain, ComplexEmbedding, SimplicialComplex
-from diffchar.exact import RatElim, smith_normal_form
+from diffchar.exact import RatElim, rows_to_dense, smith_normal_form
 from diffchar.lowdegree import (
     CechGerbe,
     GerbeError,
@@ -41,6 +42,14 @@ def varied_weights(K: SimplicialComplex, rng):
         k: tuple(rng.choice(WEIGHT_CHOICES) for _ in range(K.n_simplices(k)))
         for k in range(K.dimension + 1)
     }
+
+
+def kernel_basis(snf):
+    """Primitive basis of the integer kernel of A from U A V = D.
+
+    The columns of V past the rank, as dense integer vectors.
+    """
+    return rows_to_dense(snf.VT_rows[snf.rank:], snf.ncols)
 
 
 def elementary_cochain(K: SimplicialComplex, simp) -> Cochain:

@@ -23,6 +23,7 @@ from diffchar.cohomology import (
     cohomology_structure,
     cohomology_structures,
     cycle_lattice_basis,
+    cycle_lattice_rows,
     homology_structure,
     integer_cohomology,
     integer_homology,
@@ -30,6 +31,7 @@ from diffchar.cohomology import (
     poincare_dual,
 )
 from diffchar.complexes import Chain
+from diffchar.exact import rat_rank, rows_to_dense, smith_normal_form, transpose_rows
 
 
 def fmt(K):
@@ -152,6 +154,30 @@ class TestCycleLattice:
         basis = cycle_lattice_basis(K, 1)
         # dim of cycle space = n_1 - rank(boundary_1) = 21 - 6 = 15
         assert len(basis) == 15
+
+    @pytest.mark.parametrize(
+        "name", ["rp3", "cp2", "lens:5,2", "torus_grid5", "genus2", "rp2", "torus"]
+    )
+    def test_two_eliminations_give_one_cycle_lattice(self, name):
+        # the cycle rows of the Smith form of delta_{k-1} and the kernel
+        # columns of the Smith form of boundary_k, a second elimination,
+        # span one lattice: each basis is integral in the other
+        K = build_space(name)
+        for k in range(K.dimension + 1):
+            n_k = K.n_simplices(k)
+            snf = integer_homology(K, k).snfA
+            bases = [cycle_lattice_rows(K, k), snf.VT_rows[snf.rank:]]
+            rank = rat_rank(K.boundary_rows(k), n_k)
+            for rows in bases:
+                assert len(rows) == n_k - rank
+                for z in rows_to_dense(rows, n_k):
+                    assert K.boundary(K.chain(k, z)).is_zero()
+            for rows, other in (bases, bases[::-1]):
+                columns = transpose_rows(other, n_k)
+                in_other = smith_normal_form(columns, nrows=n_k, ncols=len(other))
+                for z in rows_to_dense(rows, n_k):
+                    c = in_other.solve(z)
+                    assert c is not None and all(isinstance(x, int) for x in c)
 
 
 class TestCircleCoefficients:
