@@ -21,6 +21,7 @@ from .cohomology import (
     CircleGroupStructure,
     TRIVIAL_GROUP,
     circle_cohomology_structure,
+    coboundary_smith_form,
     cohomology_generators,
     cohomology_structure,
     group_name,
@@ -66,10 +67,10 @@ class CharacterStructure:
 
 
 def delta_rank(K: SimplicialComplex, k) -> int:
-    """Rank of the degree-k coboundary operator."""
+    """Rank of the degree-k coboundary operator, from its own Smith form."""
     if k < 0 or k > K.dimension:
         return 0
-    return integer_cohomology(K, k).snfA.rank
+    return coboundary_smith_form(K, k).rank
 
 
 def _rational_delta_rank(K: SimplicialComplex, k) -> int:
@@ -213,226 +214,162 @@ class SequenceReport:
         return all(c.ok for c in self.checks)
 
 
+def _check(failures, detail):
+    """The check that the generator ``failures`` runs, under its name.
+
+    ``failures`` lazily yields failure messages.  Only its first message
+    is drawn, so a failing check stops there and reports that message; a
+    check that yields none passes with ``detail``.
+    """
+    bad = next(failures, None)
+    return SequenceCheck(failures.__name__, bad is None, detail if bad is None else bad)
+
+
 def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceReport:
-    """Constructive checks of both degree-k exact sequences.
+    """Constructive checks of both degree-k exact sequences, -1 <= k <= dim.
 
     Produces explicit witness sparks for surjectivity of the curvature
     and class maps, flattens kernel elements, and cross-checks the
-    dimension bookkeeping through independent rank computations.
+    dimension bookkeeping through independent rank computations.  Each
+    free and torsion generator of H^{k+1} gets one witness spark, which
+    checks 1 and 8 both read.
+
+    A failing check's detail is its first counterexample; a passing
+    check's detail says what it checked, or is "vacuous" when its degree
+    range is empty (k = -1 for the degree-k checks, k = dim for the
+    random trials in degree k + 1).  A vacuous check draws nothing from
+    ``rng``.
     """
+    n = K.dimension
+    if not (-1 <= k <= n):
+        raise ValueError(f"degree {k} out of range [-1, {n}]")
     if rng is None:
         rng = random.Random(0)
-    n = K.dimension
-    checks = []
+    # H^{k+1}, its generators and one witness spark for each of them
+    has_next = k < n
+    H_next = integer_cohomology(K, k + 1) if has_next else None
+    free_next, tor_next = cohomology_generators(K, k + 1) if has_next else ([], [])
+    generators = free_next + [g for _, g, _ in tor_next]
+    witnesses = [(g, spark_from_cocycle(K, g)) for g in generators]
+    trial_detail = f"{trials} trials" if has_next else "vacuous"
+    zero = Spark(K.zero_cochain(k), K.zero_cochain(k + 1))
 
-    H_next = integer_cohomology(K, k + 1) if k + 1 <= n else None
-    free_next, tor_next = (
-        cohomology_generators(K, k + 1) if k + 1 <= n else ([], [])
-    )
-
-    # 1. every integral class downstairs is hit by a spark class map
-    ok, bad = True, ""
-    for g in free_next + [t[1] for t in tor_next]:
-        s = spark_from_cocycle(K, g)
-        want = H_next.coords(list(g.values))
-        got = d2_class(K, s)
-        if got != want:
-            ok, bad = False, f"class mismatch {got} != {want}"
-            break
-        if not K.delta(curvature(K, s)).is_zero():
-            ok, bad = False, "curvature of witness not closed"
-            break
-    checks.append(
-        SequenceCheck(
-            "class_map_surjective",
-            ok,
-            bad or f"{len(free_next) + len(tor_next)} generator witnesses",
+    # degree k: b_k and the coboundary ranks of both routes, read once
+    free_k, torus_detail = [], "vacuous"
+    bookkeeping = rational = flat_subgroup = (True, "vacuous")
+    if k >= 0:
+        n_k = K.n_simplices(k)
+        b_k = cohomology_structure(K, k).free_rank
+        r_k, r_prev = delta_rank(K, k), delta_rank(K, k - 1)
+        b_rat = n_k - _rational_delta_rank(K, k) - _rational_delta_rank(K, k - 1)
+        free_k = cohomology_generators(K, k)[0]
+        torus_detail = f"{len(free_k)} generators"
+        # 6. dimension bookkeeping n_k = rank d_k + b_k + rank d_{k-1}
+        bookkeeping = (
+            n_k == r_k + b_k + r_prev, f"{n_k} == {r_k} + {b_k} + {r_prev}"
         )
-    )
+        # 7. integer and rational routes agree on the torus rank
+        rational = (b_rat == b_k, f"{b_rat} == {b_k}")
+        # 9. the flat subgroup H^k(S^1) has the universal coefficient
+        # structure Hom(H_k, S^1) = (S^1)^{b_k} x tor H_k, with b_k from
+        # the rational coboundary ranks and the torsion from integral
+        # homology
+        got = circle_cohomology_structure(K, k)
+        want = CircleGroupStructure(b_rat, homology_structure(K, k).torsion)
+        flat_subgroup = (got == want, f"{got.format()} == {want.format()}")
 
-    # 2. sparks with exact charge flatten to charge zero
-    ok, bad = True, ""
-    if k + 1 <= n:
-        for _ in range(trials):
-            a = K.cochain(
-                k,
-                tuple(
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                    for _ in range(K.n_simplices(k))
-                ),
-            )
-            x = K.cochain(
-                k, tuple(rng.randint(-3, 3) for _ in range(K.n_simplices(k)))
-            )
+    def random_fractions(bound):
+        return K.cochain(k, tuple(
+            Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+            for _ in range(K.n_simplices(k))
+        ))
+
+    def combination(pairs):
+        out = K.zero_cochain(k + 1)
+        for c, g in pairs:
+            if c:
+                out = out + g.scale(c)
+        return out
+
+    def class_map_surjective():
+        # 1. every integral class downstairs is hit by a spark class map
+        for g, s in witnesses:
+            want = H_next.coords(list(g.values))
+            got = d2_class(K, s)
+            if got != want:
+                yield f"class mismatch {got} != {want}"
+            if not K.delta(curvature(K, s)).is_zero():
+                yield "curvature of witness not closed"
+
+    def exact_charge_flattens():
+        # 2. sparks with exact charge flatten to charge zero
+        for _ in range(trials if has_next else 0):
+            a = random_fractions(5)
+            x = K.cochain(k, (rng.randint(-3, 3) for _ in range(K.n_simplices(k))))
             s = Spark(a, K.delta(x))
             S = H_next.preimage([int(v) for v in s.R.values])
             if S is None or not all(map(is_integer, S)):
-                ok, bad = False, "no integral primitive for exact charge"
-                break
+                yield "no integral primitive for exact charge"
             flattened = Spark(s.a + K.cochain(k, S), K.zero_cochain(k + 1))
             if not spark_equivalent(K, s, flattened):
-                ok, bad = False, "flattened spark not equivalent"
-                break
-    checks.append(
-        SequenceCheck(
-            "exact_charge_flattens",
-            ok,
-            bad or (f"{trials} trials" if k + 1 <= n else "vacuous"),
-        )
-    )
+                yield "flattened spark not equivalent"
 
-    # 3. every closed rational cochain with integer periods is a curvature
-    ok, bad = True, ""
-    if k + 1 <= n:
-        for _ in range(trials):
-            S0 = K.zero_cochain(k + 1)
-            for g in free_next:
-                c = rng.randint(-2, 2)
-                if c:
-                    S0 = S0 + g.scale(c)
-            for _, g, _ in tor_next:
-                c = rng.randint(-1, 1)
-                if c:
-                    S0 = S0 + g.scale(c)
-            b0 = K.cochain(
-                k,
-                tuple(
-                    Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                    for _ in range(K.n_simplices(k))
-                ),
-            )
-            w = S0 + K.delta(b0)
+    def curvature_map_surjective():
+        # 3. every closed rational cochain with integer periods is a curvature
+        for _ in range(trials if has_next else 0):
+            w = combination(
+                [(rng.randint(-2, 2), g) for g in free_next]
+                + [(rng.randint(-1, 1), g) for _, g, _ in tor_next]
+            ) + K.delta(random_fractions(4))
             # reconstruct a preimage from w alone
             coords = H_next.coords(list(w.values))[0]
             if any(c.denominator != 1 for c in coords):
-                ok, bad = False, "periods not integral"
-                break
-            S = K.zero_cochain(k + 1)
-            for c, g in zip(coords, free_next):
-                if c:
-                    S = S + g.scale(int(c))
-            b_vec = H_next.preimage(
-                [x - y for x, y in zip(w.values, S.values)]
-            )
+                yield "periods not integral"
+            S = combination((int(c), g) for c, g in zip(coords, free_next))
+            b_vec = H_next.preimage([x - y for x, y in zip(w.values, S.values)])
             if b_vec is None:
-                ok, bad = False, "residual not exact over Q"
-                break
-            s = Spark(K.cochain(k, b_vec), S)
-            if curvature(K, s) != w:
-                ok, bad = False, "curvature does not reproduce target"
-                break
-    checks.append(
-        SequenceCheck(
-            "curvature_map_surjective",
-            ok,
-            bad or (f"{trials} trials" if k + 1 <= n else "vacuous"),
-        )
-    )
+                yield "residual not exact over Q"
+            if curvature(K, Spark(K.cochain(k, b_vec), S)) != w:
+                yield "curvature does not reproduce target"
 
-    # 4. torsion classes carry flat sparks of the right order
-    ok, bad = True, ""
-    zero = Spark(K.zero_cochain(k), K.zero_cochain(k + 1))
-    for d, g, w in tor_next:
-        s = flat_spark_from_torsion(K, d, g, w)
-        if not curvature(K, s).is_zero():
-            ok, bad = False, "torsion spark not flat"
-            break
-        if spark_equivalent(K, s, zero):
-            ok, bad = False, "torsion spark trivial"
-            break
-        full = Spark(s.a.scale(d), s.R.scale(d))
-        if not spark_equivalent(K, full, zero):
-            ok, bad = False, f"order of torsion spark exceeds {d}"
-            break
-    checks.append(
-        SequenceCheck(
-            "flat_torsion_generators", ok, bad or f"{len(tor_next)} generators"
-        )
-    )
+    def flat_torsion_generators():
+        # 4. torsion classes carry flat sparks of the right order
+        for d, g, w in tor_next:
+            s = flat_spark_from_torsion(K, d, g, w)
+            if not curvature(K, s).is_zero():
+                yield "torsion spark not flat"
+            if spark_equivalent(K, s, zero):
+                yield "torsion spark trivial"
+            if not spark_equivalent(K, Spark(s.a.scale(d), s.R.scale(d)), zero):
+                yield f"order of torsion spark exceeds {d}"
 
-    # 5. each free degree-k class gives a circle family of flat sparks
-    ok, bad = True, ""
-    if 0 <= k <= n:
-        free_k, _ = cohomology_generators(K, k)
+    def flat_torus_family():
+        # 5. each free degree-k class gives a circle family of flat sparks
         for g in free_k:
             s = Spark(g.scale(Fraction(1, 3)), K.zero_cochain(k + 1))
             if not curvature(K, s).is_zero():
-                ok, bad = False, "torus spark not flat"
-                break
+                yield "torus spark not flat"
             if spark_equivalent(K, s, zero):
-                ok, bad = False, "fractional torus spark trivial"
-                break
-            whole = Spark(g, K.zero_cochain(k + 1))
-            if not spark_equivalent(K, whole, zero):
-                ok, bad = False, "integral cocycle spark should be trivial"
-                break
-        checks.append(
-            SequenceCheck(
-                "flat_torus_family", ok, bad or f"{len(free_k)} generators"
-            )
-        )
-    else:
-        checks.append(SequenceCheck("flat_torus_family", True, "vacuous"))
+                yield "fractional torus spark trivial"
+            if not spark_equivalent(K, Spark(g, K.zero_cochain(k + 1)), zero):
+                yield "integral cocycle spark should be trivial"
 
-    # 6. dimension bookkeeping n_k = rank d_k + b_k + rank d_{k-1}
-    if 0 <= k <= n:
-        n_k = K.n_simplices(k)
-        b_k = cohomology_structure(K, k).free_rank
-        lhs = n_k
-        rhs = delta_rank(K, k) + b_k + delta_rank(K, k - 1)
-        checks.append(
-            SequenceCheck(
-                "dimension_bookkeeping",
-                lhs == rhs,
-                f"{lhs} == {delta_rank(K, k)} + {b_k} + {delta_rank(K, k - 1)}",
-            )
-        )
-    else:
-        checks.append(SequenceCheck("dimension_bookkeeping", True, "vacuous"))
+    def curvature_class_agreement():
+        # 8. curvature classes of witnesses match their integral classes
+        for g, s in witnesses[:len(free_next)]:
+            got = H_next.coords(list(curvature(K, s).values))[0]
+            want = H_next.coords(list(g.values))[0]
+            if got != want:
+                yield f"{got} != {want}"
 
-    # 7. integer and rational routes agree on the torus rank
-    if 0 <= k <= n:
-        r_k, r_km1 = _rational_delta_rank(K, k), _rational_delta_rank(K, k - 1)
-        b_rat = K.n_simplices(k) - r_k - r_km1
-        b_int = cohomology_structure(K, k).free_rank
-        checks.append(
-            SequenceCheck(
-                "rational_rank_agreement", b_rat == b_int, f"{b_rat} == {b_int}"
-            )
-        )
-    else:
-        checks.append(SequenceCheck("rational_rank_agreement", True, "vacuous"))
-
-    # 8. curvature classes of witnesses match their integral classes
-    ok, bad = True, ""
-    for g in free_next:
-        s = spark_from_cocycle(K, g)
-        phi = curvature(K, s)
-        got = H_next.coords(list(phi.values))[0]
-        want = H_next.coords(list(g.values))[0]
-        if got != want:
-            ok, bad = False, f"{got} != {want}"
-            break
-    checks.append(
-        SequenceCheck(
-            "curvature_class_agreement", ok, bad or f"{len(free_next)} classes"
-        )
-    )
-
-    # 9. the flat subgroup H^k(S^1) has the universal coefficient
-    # structure Hom(H_k, S^1) = (S^1)^{b_k} x tor H_k, with b_k from the
-    # rational coboundary ranks and the torsion from integral homology
-    if 0 <= k <= n:
-        got = circle_cohomology_structure(K, k)
-        want = CircleGroupStructure(b_rat, homology_structure(K, k).torsion)
-        checks.append(
-            SequenceCheck(
-                "flat_subgroup_structure",
-                got == want,
-                f"{got.format()} == {want.format()}",
-            )
-        )
-    else:
-        checks.append(SequenceCheck("flat_subgroup_structure", True, "vacuous"))
-
-    return SequenceReport(degree=k, checks=tuple(checks))
+    return SequenceReport(degree=k, checks=(
+        _check(class_map_surjective(), f"{len(witnesses)} generator witnesses"),
+        _check(exact_charge_flattens(), trial_detail),
+        _check(curvature_map_surjective(), trial_detail),
+        _check(flat_torsion_generators(), f"{len(tor_next)} generators"),
+        _check(flat_torus_family(), torus_detail),
+        SequenceCheck("dimension_bookkeeping", *bookkeeping),
+        SequenceCheck("rational_rank_agreement", *rational),
+        _check(curvature_class_agreement(), f"{len(free_next)} classes"),
+        SequenceCheck("flat_subgroup_structure", *flat_subgroup),
+    ))

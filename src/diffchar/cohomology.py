@@ -371,9 +371,7 @@ def poincare_dual(K: SimplicialComplex, z: Chain):
         cap_coords.append(H_target.coords(list(capped.values)))
 
     n_gens = len(gens)
-    tor_orders = [
-        H_target.snfW.diag[i] for i in H_target._torsion_idx
-    ]
+    tor_orders = H_target.structure().torsion
     n_free, n_tor = len(fz), len(tz)
     rows = []
     rhs = []

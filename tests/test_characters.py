@@ -1,10 +1,13 @@
 """Character-group structure, duality predictions, sequence checks."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from diffchar.builders import (
+    build_space,
     circle,
     cp2,
     moebius_kuehnel_torus,
@@ -25,8 +28,13 @@ from diffchar.characters import (
 from diffchar.cohomology import (
     AbelianGroupStructure,
     CircleGroupStructure,
+    cohomology_generators,
     cohomology_structures,
 )
+from diffchar.hodge import spark_from_cocycle
+from diffchar.sparks import Spark, curvature
+
+FROZEN_REPORTS = Path(__file__).parent / "data" / "verify_sequences_frozen.json"
 
 Z = AbelianGroupStructure(1, ())
 ZERO = AbelianGroupStructure(0, ())
@@ -116,6 +124,9 @@ def test_degree_out_of_range():
         character_structure(K, -2)
     with pytest.raises(ValueError):
         character_structure(K, 3)
+    for k in (-2, 3):
+        with pytest.raises(ValueError):
+            verify_sequences(K, k, rng=random.Random(0), trials=1)
 
 
 @pytest.mark.parametrize(
@@ -216,3 +227,83 @@ def test_flat_subgroup_check_is_independent(monkeypatch):
     report = verify_sequences(K, 1, rng=random.Random(1), trials=1)
     check = {c.name: c for c in report.checks}["flat_subgroup_structure"]
     assert not check.ok and check.detail == "S1 == Z_2"
+
+
+def test_verify_sequences_reports_frozen():
+    # every check's (name, ok, detail) in every degree, and the next draw
+    # of the shared rng: a reordered, added or dropped draw moves
+    # "next_random"
+    frozen = json.loads(FROZEN_REPORTS.read_text())
+    for space, want in frozen.items():
+        K = build_space(space)
+        rng = random.Random(11)
+        got = {
+            str(k): [
+                [c.name, c.ok, c.detail]
+                for c in verify_sequences(K, k, rng=rng, trials=3).checks
+            ]
+            for k in range(-1, K.dimension + 1)
+        }
+        assert got == want["reports"], space
+        assert rng.random() == want["next_random"], space
+
+
+# Each check reports its own counterexample when one of its collaborators
+# is wrong (a collaborator that other checks share fails those too).
+# Check 9 is also covered, from its other side, by
+# test_flat_subgroup_check_is_independent.
+FAILURES = [
+    ("class_map_surjective", "torus", "d2_class",
+     lambda K, s: ((7,), ()), "class mismatch ((7,), ()) != ((1,), ())"),
+    ("exact_charge_flattens", "torus", "is_integer",
+     lambda v: False, "no integral primitive for exact charge"),
+    ("curvature_map_surjective", "torus", "curvature",
+     lambda K, s: curvature(K, s).scale(2), "curvature does not reproduce target"),
+    ("flat_torsion_generators", "rp2", "flat_spark_from_torsion",
+     lambda K, d, g, w: Spark(K.zero_cochain(1), K.zero_cochain(2)),
+     "torsion spark trivial"),
+    ("flat_torus_family", "torus", "spark_equivalent",
+     lambda K, s, t: True, "fractional torus spark trivial"),
+    ("dimension_bookkeeping", "torus", "delta_rank",
+     lambda K, k: 0, "21 == 0 + 2 + 0"),
+    ("rational_rank_agreement", "torus", "rat_rank",
+     lambda rows, ncols: 0, "21 == 2"),
+    ("curvature_class_agreement", "torus", "spark_from_cocycle",
+     lambda K, R: spark_from_cocycle(K, R.scale(2)), "(Fraction(2, 1),) != (1,)"),
+    ("flat_subgroup_structure", "rp2", "homology_structure",
+     lambda K, k: AbelianGroupStructure(0, (3,)), "Z_2 == Z_3"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, space, attr, fake, detail", FAILURES, ids=[f[0] for f in FAILURES]
+)
+def test_each_check_reports_its_failure(monkeypatch, check, space, attr, fake, detail):
+    K = build_space(space)
+    monkeypatch.setattr(characters, attr, fake)
+    report = verify_sequences(K, 1, rng=random.Random(1), trials=1)
+    got = {c.name: c for c in report.checks}[check]
+    assert (got.ok, got.detail) == (False, detail)
+    assert [c.name for c in report.checks] == EXPECTED_CHECKS
+
+
+@pytest.mark.parametrize("space", ["rp2", "cp2"])
+def test_one_witness_spark_per_generator(monkeypatch, space):
+    # checks 1 and 8 read one witness per generator of H^{k+1}, free and
+    # torsion (rp2 has a torsion class in degree 2)
+    calls = []
+
+    def counted(K, R):
+        calls.append(R.degree)
+        return spark_from_cocycle(K, R)
+
+    monkeypatch.setattr(characters, "spark_from_cocycle", counted)
+    K = build_space(space)
+    rng = random.Random(2)
+    for k in range(-1, K.dimension + 1):
+        del calls[:]
+        assert verify_sequences(K, k, rng=rng, trials=1).ok
+        free, torsion = (
+            cohomology_generators(K, k + 1) if k < K.dimension else ([], [])
+        )
+        assert calls == [k + 1] * (len(free) + len(torsion)), k
