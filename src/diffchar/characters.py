@@ -21,9 +21,9 @@ from .cohomology import (
     CircleGroupStructure,
     TRIVIAL_GROUP,
     circle_cohomology_structure,
-    coboundary_smith_form,
     cohomology_generators,
     cohomology_structure,
+    delta_rank,
     group_name,
     homology_structure,
     integer_cohomology,
@@ -64,13 +64,6 @@ class CharacterStructure:
             "exact_dim": self.exact_dim,
             "discrete": self.discrete.to_json_dict(),
         }
-
-
-def delta_rank(K: SimplicialComplex, k) -> int:
-    """Rank of the degree-k coboundary operator, from its own Smith form."""
-    if k < 0 or k > K.dimension:
-        return 0
-    return coboundary_smith_form(K, k).rank
 
 
 def _rational_delta_rank(K: SimplicialComplex, k) -> int:

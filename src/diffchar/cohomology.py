@@ -17,6 +17,8 @@ gives the lattice of integral (k+1)-cycles: the rows of U past the rank
 cycle and the top-degree harmonics read their cycles there;
 :func:`integer_homology` forms its own Smith forms of boundary_k and of
 the relation matrix for the homology groups and their coordinates.
+:func:`betti_below` reads b_{k-1} off the rank of H^k's relation
+matrix and that of delta_{k-2}, without forming H^{k-1}.
 """
 
 from __future__ import annotations
@@ -186,6 +188,13 @@ def coboundary_smith_form(K: SimplicialComplex, k):
     return K._cache[key]
 
 
+def delta_rank(K: SimplicialComplex, k) -> int:
+    """Rank of the degree-k coboundary operator, from its own Smith form."""
+    if k < 0 or k > K.dimension:
+        return 0
+    return coboundary_smith_form(K, k).rank
+
+
 def integer_cohomology(K: SimplicialComplex, k) -> LatticeQuotient:
     """H^k(K; Z) = ker(delta_k) / im(delta_{k-1}), cached on K.
 
@@ -212,6 +221,18 @@ def integer_cohomology(K: SimplicialComplex, k) -> LatticeQuotient:
             A, n_k, B, B_cols, snfA=coboundary_smith_form(K, k), snfW=snfW
         )
     return K._cache[key]
+
+
+def betti_below(K: SimplicialComplex, k) -> int:
+    """b_{k-1} = n_{k-1} - rank delta_{k-1} - rank delta_{k-2}, for 0 <= k <= n.
+
+    Read off two ranks in hand, without forming H^{k-1}: rank
+    delta_{k-1} is the rank of the relation matrix of H^k (im
+    delta_{k-1} in the kernel coordinates of delta_k, an injective
+    change of coordinates), and rank delta_{k-2} that of its cached
+    :func:`coboundary_smith_form`.
+    """
+    return K.n_simplices(k - 1) - integer_cohomology(K, k).snfW.rank - delta_rank(K, k - 2)
 
 
 def integer_homology(K: SimplicialComplex, k) -> LatticeQuotient:

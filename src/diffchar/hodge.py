@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import inf, lcm
 
 from .cohomology import (
+    betti_below,
     cohomology_generators,
     cycle_lattice_rows,
     integer_cohomology,
@@ -339,9 +340,15 @@ class HodgeContext:
         generators already use.  Two such x differ by a rational cocycle,
         that is a harmonic part plus a coboundary, so the character of
         (a, R) does not depend on the choice of x, on pivot order or on
-        vertex labels.  No normal matrix is factored when
-        b_k = b_{k-1} = 0, nor in the top degree k = n when b_{n-1} = 0
-        (see :meth:`harmonic_basis`).  The character moves with R inside
+        vertex labels.  Below the top degree, b_{k-1} is read off two
+        ranks in hand (:func:`~diffchar.cohomology.betti_below`: the
+        relation matrix of H^k and the cached Smith form of
+        delta_{k-2}), and when it is 0, H_{k-1} x = 0 and H^{k-1} is not
+        formed.  In the top degree k = n the projection forms H^{n-1},
+        whose A, the Smith form of delta_{n-1}, is H^n's relation matrix
+        already.  No normal matrix is factored when b_k = b_{k-1} = 0,
+        nor in the top degree when b_{n-1} = 0 (see
+        :meth:`harmonic_basis`).  The character moves with R inside
         its class: for an integral S, (a, R + delta S) presents the
         character of (a, R) plus the flat spark (H_{k-1} S, 0).  R must
         be an integral cocycle (SparkError otherwise).
@@ -353,7 +360,11 @@ class HodgeContext:
         if x is None:
             raise AssertionError("R minus its harmonic part must be exact")
         x = K.cochain(k - 1, x)
-        return self.harmonic_projection(x) - x
+        if k < K.dimension and betti_below(K, k) == 0:
+            h = K.zero_cochain(k - 1)
+        else:
+            h = self.harmonic_projection(x)
+        return h - x
 
     def hodge_spark(self, R: Cochain) -> Spark:
         """The spark with charge R, harmonic curvature and coexact potential.

@@ -914,6 +914,68 @@ def test_hodge_spark_one_degree_weights_frozen(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == HODGE_SPARK_ONE_DEGREE_WEIGHTS_SHA
 
 
+# sha256 of the stdout of `spark new --cocycle` and of `hodge spark`,
+# with default flags and with the varied weights file (`spark new` takes
+# no weights), on the degree-2 torsion generators of rp3 and lens:5,2,
+# where b_1 = 0, and on the degree-3 generator of lens:5,2; frozen from
+# the construction that formed H^{k-1} for every potential
+SPARK_CHARGE_STDOUT_SHA = {
+    "rp3 2": {
+        "spark new": (
+            "a25284ebab298ad6cd6ee7eba02ae81134972f6545300dd1e142a4bcad49f03b"
+        ),
+        "hodge spark": (
+            "7de4e74824234105576b13e1a043e8222b8ed16efb5f9ebd2a9a20cbc8f623b7"
+        ),
+        "hodge spark weighted": (
+            "046b3b124d4560fdda53971c749794d005d810b1909a6903119229879472caa9"
+        ),
+    },
+    "lens:5,2 2": {
+        "spark new": (
+            "d15c36465c800ccb7a8c72ec167231ec0eb349df1db9e1dcd7b75da9c1d52a19"
+        ),
+        "hodge spark": (
+            "07cdd2313ed4adf20ef226eaf749495d41e8778379690cea9eecdf77010f0628"
+        ),
+        "hodge spark weighted": (
+            "afe1988178dbf4cecca34aa3a0ced54b631d3dc4c2f689cf0e30a364ce85d593"
+        ),
+    },
+    "lens:5,2 3": {
+        "spark new": (
+            "47bd1da71fcf5cd03569b5f22b6f32dfafcec36a08ee14128fb632dfdab404e6"
+        ),
+        "hodge spark": (
+            "d242e6c8df03930060d0a392e469489f1c73743455b57208e4b40cf959a8b4b2"
+        ),
+        "hodge spark weighted": (
+            "20bed66156ecf4854e3251cbecdcf87258b7c3bb2e1d17a27c9820af5471f27c"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("space, k", [("rp3", 2), ("lens:5,2", 2), ("lens:5,2", 3)])
+def test_spark_of_one_generator_stdout_frozen(tmp_path, capsys, space, k):
+    K = build_space(space)
+    free, tor = cohomology_generators(K, k)
+    (g,) = free + [t[1] for t in tor]
+    path = tmp_path / "gen.json"
+    path.write_text(canonical_json({"degree": k, "values": [scalar_str(v) for v in g.values]}))
+    weights = ["--weights", str(_weights_file(tmp_path, K))]
+    got = {}
+    for label, cmd, extra in (
+        ("spark new", "spark new", []),
+        ("hodge spark", "hodge spark", []),
+        ("hodge spark weighted", "hodge spark", weights),
+    ):
+        code, out = run(capsys, *cmd.split(), "--space", space, "--cocycle", str(path), *extra)
+        assert code == 0
+        got[label] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == SPARK_CHARGE_STDOUT_SHA[f"{space} {k}"]
+
+
 def test_hodge_default_flag_digest_frozen(capsys):
     # frozen from the reports that carried no Hodge flags in their inputs
     code, data = run_json(capsys, "hodge", "aj", "--space", "torus", "--src", "0", "--dst", "3")

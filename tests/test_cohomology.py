@@ -18,12 +18,14 @@ from diffchar.builders import (
 from diffchar.cohomology import (
     AbelianGroupStructure,
     CircleGroupStructure,
+    betti_below,
     circle_cohomology_structure,
     cohomology_generators,
     cohomology_structure,
     cohomology_structures,
     cycle_lattice_basis,
     cycle_lattice_rows,
+    delta_rank,
     homology_structure,
     integer_cohomology,
     integer_homology,
@@ -178,6 +180,26 @@ class TestCycleLattice:
                 for z in rows_to_dense(rows, n_k):
                     c = in_other.solve(z)
                     assert c is not None and all(isinstance(x, int) for x in c)
+
+
+@pytest.mark.parametrize(
+    "name", ["rp2", "rp3", "cp2", "genus2", "torus_grid5", "lens:5,2"]
+)
+def test_betti_below_from_ranks_in_hand(name):
+    # b_{k-1} = n_{k-1} - rank delta_{k-1} - rank delta_{k-2}, with rank
+    # delta_{k-1} read off H^k's relation matrix, against the free rank
+    # of H^{k-1} and against rational ranks, which no Smith form gives
+    K = build_space(name)
+
+    def rational_rank(j):
+        return rat_rank(K.delta_rows(j), K.n_simplices(j)) if j >= 0 else 0
+
+    for k in range(1, K.dimension):
+        n = K.n_simplices(k - 1)
+        b = n - integer_cohomology(K, k).snfW.rank - delta_rank(K, k - 2)
+        assert betti_below(K, k) == b
+        assert b == cohomology_structure(K, k - 1).free_rank
+        assert b == n - rational_rank(k - 1) - rational_rank(k - 2)
 
 
 class TestCircleCoefficients:

@@ -14,6 +14,7 @@ from diffchar.characters import character_table
 from diffchar.cohomology import (
     AbelianGroupStructure,
     coboundary_smith_form,
+    cohomology_generators,
     integer_cohomology,
     integer_homology,
     kunneth_structure,
@@ -33,7 +34,7 @@ from diffchar.exact import (
     transpose_apply,
     transpose_rows,
 )
-from diffchar.hodge import HodgeContext
+from diffchar.hodge import HodgeContext, spark_from_cocycle
 from diffchar.sparks import Spark, periods, spark_equivalent
 from oracles import kernel_basis, varied_weights
 from test_top_degree import FROZEN_SNF
@@ -330,11 +331,8 @@ def test_character_table_builds_only_vinv():
     assert h.hexdigest() == FROZEN_SNF["lens:5,2"]
 
 
-def test_cycle_lattices_form_no_homology_smith_form(monkeypatch):
-    # periods, spark equivalence, the fundamental cycle and the top-degree
-    # harmonics read their cycles off the cached Smith forms of delta_0..2;
-    # the only others are H^2's relation matrix (for d2_class) and the
-    # empty delta_3 of H^3 (for the free generators of the harmonics)
+def _count_smith_forms(monkeypatch):
+    """The (nrows, ncols) of each Smith form formed from now on."""
     formed = []
     run = exact._SnfWorker.run
 
@@ -343,6 +341,15 @@ def test_cycle_lattices_form_no_homology_smith_form(monkeypatch):
         return run(self)
 
     monkeypatch.setattr(exact._SnfWorker, "run", counted)
+    return formed
+
+
+def test_cycle_lattices_form_no_homology_smith_form(monkeypatch):
+    # periods, spark equivalence, the fundamental cycle and the top-degree
+    # harmonics read their cycles off the cached Smith forms of delta_0..2;
+    # the only others are H^2's relation matrix (for d2_class) and the
+    # empty delta_3 of H^3 (for the free generators of the harmonics)
+    formed = _count_smith_forms(monkeypatch)
     K = build_space("rp3")
     for k in range(K.dimension + 1):
         periods(K, K.zero_cochain(k))
@@ -354,6 +361,27 @@ def test_cycle_lattices_form_no_homology_smith_form(monkeypatch):
     assert not [key for key in K._cache if key[0] == "H_int_chain"]
     assert len(formed) == 5
     assert sum(1 for key in K._cache if key[0] == "snf_delta") == 4
+
+
+@pytest.mark.parametrize("space", ["rp3", "lens:5,2"])
+def test_torsion_charge_spark_forms_no_smith_form_of_h1(monkeypatch, space):
+    # b_1 = 0 is read off H^2's relation matrix and delta_0, so the spark
+    # of the degree-2 torsion generator adds only delta_0's Smith form
+    formed = _count_smith_forms(monkeypatch)
+    K = build_space(space)
+    _, ((_, g, _),) = cohomology_generators(K, 2)
+    before = len(formed)
+    spark_from_cocycle(K, g)
+    assert formed[before:] == [(K.n_simplices(1), K.n_simplices(0))]
+    assert ("H_int", 1) not in K._cache and ("snf_delta", 1) not in K._cache
+    # the top degree projects through H^2, whose A is the Smith form of
+    # delta_2 that H^3 holds: only H^2's relation matrix is new
+    K = build_space(space)
+    (top,), _ = cohomology_generators(K, 3)
+    before = len(formed)
+    spark_from_cocycle(K, top)
+    assert formed[before:] == [(integer_cohomology(K, 2).kernel_dim, K.n_simplices(1))]
+    assert ("snf_delta", 1) not in K._cache
 
 
 def test_smith_transforms_are_read_only():
