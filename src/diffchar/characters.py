@@ -287,7 +287,7 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
     def class_map_surjective():
         # 1. every integral class downstairs is hit by a spark class map
         for g, s in witnesses:
-            want = H_next.coords(list(g.values))
+            want = H_next.coords(g.form)
             got = d2_class(K, s)
             if got != want:
                 yield f"class mismatch {got} != {want}"
@@ -300,7 +300,7 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
             a = random_fractions(5)
             x = K.cochain(k, (rng.randint(-3, 3) for _ in range(K.n_simplices(k))))
             s = Spark(a, K.delta(x))
-            S = H_next.preimage([int(v) for v in s.R.values])
+            S = H_next.preimage(s.R.ints_where_integral().form)
             if S is None or not all(map(is_integer, S)):
                 yield "no integral primitive for exact charge"
             flattened = Spark(s.a + K.cochain(k, S), K.zero_cochain(k + 1))
@@ -315,11 +315,11 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
                 + [(rng.randint(-1, 1), g) for _, g, _ in tor_next]
             ) + K.delta(random_fractions(4))
             # reconstruct a preimage from w alone
-            coords = H_next.coords(list(w.values))[0]
+            coords = H_next.coords(w.form)[0]
             if any(c.denominator != 1 for c in coords):
                 yield "periods not integral"
             S = combination((int(c), g) for c, g in zip(coords, free_next))
-            b_vec = H_next.preimage([x - y for x, y in zip(w.values, S.values)])
+            b_vec = H_next.preimage((w - S).form)
             if b_vec is None:
                 yield "residual not exact over Q"
             if curvature(K, Spark(K.cochain(k, b_vec), S)) != w:
@@ -350,8 +350,8 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
     def curvature_class_agreement():
         # 8. curvature classes of witnesses match their integral classes
         for g, s in witnesses[:len(free_next)]:
-            got = H_next.coords(list(curvature(K, s).values))[0]
-            want = H_next.coords(list(g.values))[0]
+            got = H_next.coords(curvature(K, s).form)[0]
+            want = H_next.coords(g.form)[0]
             if got != want:
                 yield f"{got} != {want}"
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .complexes import Chain, SimplicialComplex, is_integer
-from .exact import identity_rows, mat_vec, mul_rows, rows_to_dense, smith_normal_form
+from .exact import identity_rows, mul_rows, rows_to_dense, scaled_product, smith_normal_form
 
 
 def group_name(factors, sep):
@@ -146,28 +146,29 @@ class LatticeQuotient:
 
     # -- coordinates -----------------------------------------------------
     def _kernel_coords(self, v):
-        full = self.snfA.Vinv_times(list(v))
+        full = scaled_product(self.snfA.Vinv_rows, v)
         r = self.snfA.rank
-        for j in range(r):
-            if full[j]:
-                raise ValueError("vector is not in the kernel of A")
-        return full[r:]
+        if any(full.nums[:r]):
+            raise ValueError("vector is not in the kernel of A")
+        return full.tail(r)
 
     def coords(self, v):
         """(free coords, torsion coords mod d) of a kernel vector.
 
-        A rational v is read exactly: its free coords are rational.
+        v is an exact vector as :func:`~diffchar.exact.scaled_product`
+        takes it: a cochain's ``form`` or a sequence of ints and
+        Fractions.  A rational v is read exactly: its free coords are
+        rational.
         """
-        y = self._kernel_coords(v)
-        full = mat_vec(self.snfW.U_rows, y)
-        free = tuple(full[self.snfW.rank:])
+        full = scaled_product(self.snfW.U_rows, self._kernel_coords(v))
+        free = tuple(full.entry(i) for i in range(self.snfW.rank, self.kernel_dim))
         torsion = tuple(
-            full[i] % self.snfW.diag[i] for i in self._torsion_idx
+            full.entry(i) % self.snfW.diag[i] for i in self._torsion_idx
         )
         return free, torsion
 
     def preimage(self, v):
-        """x with B x = v, or None (v rational allowed).
+        """x with B x = v, or None (v rational allowed, as in :meth:`coords`).
 
         The Smith form solve of :class:`~diffchar.exact.SmithDecomposition`:
         x is integral exactly when an integral preimage exists.
@@ -382,14 +383,14 @@ def poincare_dual(K: SimplicialComplex, z: Chain):
     if not (0 <= k <= n):
         raise ValueError("degree out of range")
     H_target = integer_homology(K, z.degree)
-    fz, tz = H_target.coords(list(z.values))
+    fz, tz = H_target.coords(z.form)
 
     free_gens, tor_gens = cohomology_generators(K, k)
     gens = free_gens + [g for _, g, _ in tor_gens]
     cap_coords = []
     for g in gens:
         capped = K.cap(fc, g)
-        cap_coords.append(H_target.coords(list(capped.values)))
+        cap_coords.append(H_target.coords(capped.form))
 
     n_gens = len(gens)
     tor_orders = H_target.structure().torsion

@@ -2,8 +2,14 @@
 
 A complex stores its k-simplices as lexicographically sorted tuples of
 vertex ids 0..N-1.  Boundary and coboundary operators are sparse integer
-matrices; chains and cochains are plain coefficient vectors (int or
-Fraction entries) tagged with a degree.  Products use the standard
+matrices; chains and cochains are coefficient vectors tagged with a
+degree.  Their exact arithmetic (sums, negation, scaling, cup products,
+evaluation, delta and boundary) runs on one
+:class:`~diffchar.exact.ScaledVector`, integer numerators over one
+common denominator, and the tuple of int and ``Fraction`` entries,
+``values``, is built only when something reads it; each entry has the
+value and the type that term-by-term arithmetic gives it.  Vectors with
+float entries keep element-wise arithmetic.  Products use the standard
 front-face/back-face (Alexander-Whitney) formulas, which satisfy the
 Leibniz rule on the nose; that exactness is what the spark calculus
 downstream leans on.
@@ -11,10 +17,11 @@ downstream leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import add, sub
 
-from .exact import mat_vec, transpose_apply, transpose_rows
+from .exact import ScaledVector, mat_vec, scaled_product, transpose_apply, transpose_rows
 
 
 class ComplexError(ValueError):
@@ -52,8 +59,8 @@ def scalar_str(x):
 
 
 def is_integer(x):
-    if isinstance(x, int):
-        return True
+    if isinstance(x, (int, Fraction)):
+        return x.denominator == 1
     return Fraction(x).denominator == 1
 
 
@@ -61,44 +68,147 @@ def is_integer(x):
 # chains and cochains
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+_UNREAD = object()  # a vector built from values whose scaled form is not yet read
+
+
 class _Vector:
     """Coefficients on the k-simplices, tagged with the degree k.
 
-    Chains and cochains share this body.  The generated equality
-    compares classes first, so a chain never equals a cochain.
+    Chains and cochains share this body.  ``Cochain(k, values)`` keeps
+    the given values; arithmetic keeps a
+    :class:`~diffchar.exact.ScaledVector` (integers over one common
+    denominator, and the positions of the ``Fraction`` entries) and
+    builds ``values`` only when it is read, once.  A vector with a float
+    entry has no scaled form and keeps element-wise arithmetic.  Either
+    way every entry has the value and the type that term-by-term
+    arithmetic gives it.  Immutable, with the equality, hash and repr of
+    a frozen dataclass of ``degree`` and ``values``: equality compares
+    classes first, so a chain never equals a cochain.
     """
 
-    degree: int
-    values: tuple
+    __slots__ = ("degree", "_values", "_scaled")
+
+    def __init__(self, degree, values):
+        _set(self, "degree", degree)
+        _set(self, "_values", tuple(values))
+        _set(self, "_scaled", _UNREAD)
+
+    @classmethod
+    def from_scaled(cls, degree, scaled):
+        """The vector of a :class:`~diffchar.exact.ScaledVector`; values built when read."""
+        out = object.__new__(cls)
+        _set(out, "degree", degree)
+        _set(out, "_values", None)
+        _set(out, "_scaled", scaled)
+        return out
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.degree, self.values)
+
+    @property
+    def values(self):
+        if self._values is None:
+            _set(self, "_values", tuple(self._scaled.entries()))
+        return self._values
+
+    def _exact(self):
+        """The ScaledVector of the values, or None when one is a float."""
+        if self._scaled is _UNREAD:
+            _set(self, "_scaled", ScaledVector.of(self._values))
+        return self._scaled
+
+    @property
+    def form(self):
+        """The vector as the kernels of :mod:`diffchar.exact` take it.
+
+        Its ScaledVector, or the tuple of values when one is a float.
+        """
+        scaled = self._exact()
+        return self.values if scaled is None else scaled
+
+    def _size(self):
+        if self._values is not None:
+            return len(self._values)
+        return len(self._scaled.nums)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.degree != other.degree or self._size() != other._size():
+            return False
+        a, b = self._exact(), other._exact()
+        if a is None or b is None:
+            return self.values == other.values
+        return a.same_values(b)
+
+    def __hash__(self):
+        return hash((self.degree, self.values))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(degree={self.degree!r}, values={self.values!r})"
 
     def __add__(self, other):
-        _check_same(self, other)
-        return type(self)(self.degree, tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
         _check_same(self, other)
-        return type(self)(self.degree, tuple(a - b for a, b in zip(self.values, other.values)))
+        a, b = self._exact(), other._exact()
+        if a is None or b is None:
+            op = add if sign > 0 else sub
+            return type(self)(self.degree, tuple(map(op, self.values, other.values)))
+        return self.from_scaled(self.degree, a.combine(b, sign))
 
     def __neg__(self):
-        return type(self)(self.degree, tuple(-a for a in self.values))
+        a = self._exact()
+        if a is None:
+            return type(self)(self.degree, tuple(-x for x in self.values))
+        return self.from_scaled(self.degree, a.times(-1))
 
     def scale(self, c):
-        return type(self)(self.degree, tuple(c * a for a in self.values))
+        a = self._exact()
+        if a is None or not isinstance(c, (int, Fraction)):
+            return type(self)(self.degree, tuple(c * x for x in self.values))
+        return self.from_scaled(self.degree, a.times(c))
+
+    def ints_where_integral(self):
+        """The same vector with every integral entry an int."""
+        a = self._exact()
+        if a is None:
+            values = tuple(int(v) if is_integer(v) else v for v in self.values)
+            return type(self)(self.degree, values)
+        return self.from_scaled(self.degree, a.ints_where_integral())
 
     def is_zero(self):
-        return not any(self.values)
+        a = self._exact()
+        return not any(self.values if a is None else a.nums)
 
     def is_integral(self):
-        return all(is_integer(v) for v in self.values)
+        a = self._exact()
+        if a is None:
+            return all(is_integer(v) for v in self.values)
+        return a.den == 1 or all(x % a.den == 0 for x in a.nums)
 
 
 class Chain(_Vector):
     """Formal sum of k-simplices; values indexed like K.simplices[k]."""
 
+    __slots__ = ()
+
 
 class Cochain(_Vector):
     """Function on k-simplices; values indexed like K.simplices[k]."""
+
+    __slots__ = ()
 
     def ring(self):
         return "INT" if self.is_integral() else "RAT"
@@ -112,8 +222,18 @@ class Cochain(_Vector):
 
 
 def _check_same(a, b):
-    if a.degree != b.degree or len(a.values) != len(b.values):
+    if a.degree != b.degree or a._size() != b._size():
         raise ValueError("degree/length mismatch")
+
+
+def _product(cls, degree, rows, u, ncols=None):
+    """cls(degree, rows @ u), or rows^T @ u with ncols entries when ncols is given."""
+    a = u._exact()
+    if a is not None:
+        return cls.from_scaled(degree, scaled_product(rows, a, ncols))
+    if ncols is None:
+        return cls(degree, tuple(mat_vec(rows, u.values)))
+    return cls(degree, tuple(transpose_apply(rows, u.values, ncols)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +349,10 @@ class SimplicialComplex:
         return self._cache[key]
 
     def boundary(self, z: Chain) -> Chain:
-        rows = self.boundary_rows(z.degree)
-        return Chain(z.degree - 1, tuple(mat_vec(rows, list(z.values))))
+        return _product(Chain, z.degree - 1, self.boundary_rows(z.degree), z)
 
     def delta(self, u: Cochain) -> Cochain:
-        rows = self.delta_rows(u.degree)
-        return Cochain(u.degree + 1, tuple(mat_vec(rows, list(u.values))))
+        return _product(Cochain, u.degree + 1, self.delta_rows(u.degree), u)
 
     # -- constructors ----------------------------------------------------
     def zero_cochain(self, k) -> Cochain:
@@ -264,28 +382,52 @@ class SimplicialComplex:
     def evaluate(self, u: Cochain, z: Chain):
         if u.degree != z.degree:
             raise ValueError("evaluate needs matching degrees")
-        # cycles are mostly zero: multiply only their nonzero entries
-        return sum(a * b for a, b in zip(u.values, z.values) if b)
+        a, b = u._exact(), z._exact()
+        if a is None or b is None:
+            # cycles are mostly zero: multiply only their nonzero entries
+            return sum(x * y for x, y in zip(u.values, z.values) if y)
+        xs = a.nums
+        hit = [(i, y) for i, y in enumerate(b.nums) if y]
+        total = sum(xs[i] * y for i, y in hit)
+        den = a.den * b.den
+        fa, fb = a.fracs, b.fracs
+        if (fa or fb) and any(i in fa or i in fb for i, _ in hit):
+            return Fraction(total, den)
+        return total // den
 
     def cup(self, u: Cochain, v: Cochain) -> Cochain:
         """Front-face/back-face product C^p x C^q -> C^{p+q}.
 
         C^{-1} is empty, so a factor of negative degree gives zero.
+        An entry whose front factor is zero is the int 0.
         """
         p, q = u.degree, v.degree
         k = p + q
         if p < 0 or q < 0 or k > self.dimension:
             return self.zero_cochain(k)
-        out = []
+        front, back = self._faces(p, q)
+        a, b = u._exact(), v._exact()
+        if a is None or b is None:
+            uv, vv = u.values, v.values
+            out = tuple(uv[f] * vv[g] if uv[f] else 0 for f, g in zip(front, back))
+            return Cochain(k, out)
+        xs, ys = a.nums, b.nums
+        nums = [xs[f] * ys[g] for f, g in zip(front, back)]
+        fa, fb = a.fracs, b.fracs
+        fracs = frozenset()
+        if fa or fb:
+            fracs = frozenset(
+                i
+                for i, (f, g) in enumerate(zip(front, back))
+                if xs[f] and (f in fa or g in fb)
+            )
+        return Cochain.from_scaled(k, ScaledVector(a.den * b.den, nums, fracs))
+
+    def _faces(self, p, q):
+        """Indices of the front p-faces and of the back q-faces of the (p+q)-simplices."""
         idx_p, idx_q = self.index[p], self.index[q]
-        uv, vv = u.values, v.values
-        for simp in self.simplices[k]:
-            a = uv[idx_p[simp[: p + 1]]]
-            if a:
-                out.append(a * vv[idx_q[simp[p:]]])
-            else:
-                out.append(0)
-        return Cochain(k, tuple(out))
+        simplices = self.simplices[p + q]
+        return [idx_p[s[: p + 1]] for s in simplices], [idx_q[s[p:]] for s in simplices]
 
     def cap(self, z: Chain, u: Cochain) -> Chain:
         """Cap product C_m x C^p -> C_{m-p}, front face eaten by u.
@@ -569,4 +711,4 @@ def _sort_sign(seq):
 
 def pull_cochain(maps, u: Cochain, src_size) -> Cochain:
     """Cochain pullback along a chain map: transpose application."""
-    return Cochain(u.degree, tuple(transpose_apply(maps[u.degree], u.values, src_size)))
+    return _product(Cochain, u.degree, maps[u.degree], u, src_size)

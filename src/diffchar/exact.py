@@ -19,14 +19,20 @@ gives the rational rank of check 7 in :mod:`diffchar.characters`, an
 elimination independent of both; the tests also use it as an oracle.
 Every kernel and preimage comes from a Smith form.
 
-Denominators are cleared once per vector, as fraction-free elimination
-clears them once per row: :func:`mat_vec`, :func:`transpose_apply` and
-the right-hand sides of :class:`RatElim` scale a rational vector by the
-lcm L of its denominators, run on ints and divide once at the end.  A
-product entry is ``Fraction(acc, L)`` when a nonzero ``Fraction`` of
-the vector met it and the int ``acc // L`` otherwise, so entries keep
-the value and the type of the term-by-term ``Fraction`` sum.  Vectors
-with float entries are summed as they are.
+Exact vectors have one representation, :class:`ScaledVector`: integer
+numerators over one common denominator L, plus the positions whose
+entry is a ``Fraction``.  Chains and cochains keep their values in it,
+and the one sparse kernel, :func:`scaled_product`, reads and returns
+it: every product and sum is an int one, and no ``Fraction`` is built.
+A product entry is a ``Fraction`` exactly when a nonzero ``Fraction``
+entry of the vector met it, so a vector's entries, built only when they
+are read (``Fraction(n, L)`` or the int ``n // L``), keep the value and
+the type of the term-by-term ``Fraction`` arithmetic.
+:func:`mat_vec` and :func:`transpose_apply` are that kernel plus the
+build step.  The Smith-form solve, :class:`SymmetricSolver` and the
+right-hand sides of :class:`RatElim` take the scaled form as well.
+Vectors with float entries (the CG route of the Hodge decomposition)
+have no scaled form and are summed term by term.
 
 Pivoting is Markowitz-style with deterministic tie-breaks, so
 identical inputs give identical outputs everywhere.  The Smith form
@@ -83,75 +89,204 @@ def transpose_rows(rows, ncols):
     return out
 
 
-def _clear_denominators(vec):
-    """(L, scaled, fracs): a dense vector over one common denominator.
+class ScaledVector:
+    """A dense vector of ints and Fractions over one common denominator.
 
-    L is the lcm of the denominators of vec's ``Fraction`` entries,
-    ``scaled`` the integer vector L * vec and ``fracs`` the set of
-    positions holding a nonzero ``Fraction``.  A vector without
-    ``Fraction`` entries, or with an entry that is neither int nor
-    ``Fraction`` (the floats of the CG path), comes back as
-    (1, vec, None), unchanged.
+    Entry i has the value ``nums[i] / den``.  It is a ``Fraction`` when
+    i lies in ``fracs``, else an int, which ``den`` divides; ``den`` is 1
+    when ``fracs`` is empty.  ``fracs`` is a frozenset of positions, or
+    ``range(len(nums))`` when every entry is a ``Fraction``.  Chains and
+    cochains keep their values in this form, and the kernels below read
+    and return it.  Nobody changes ``nums`` after construction.
     """
-    types = set(map(type, vec))
-    if Fraction not in types or not types <= {int, Fraction}:
-        return 1, vec, None
-    dens = {x.denominator for x in vec if type(x) is Fraction}
-    L = lcm(*dens)
-    mult = {d: L // d for d in dens}
-    mult[1] = L  # int entries have denominator 1
-    scaled = [x.numerator * mult[x.denominator] for x in vec]
-    fracs = {j for j, x in enumerate(vec) if x and type(x) is Fraction}
-    return L, scaled, fracs
+
+    __slots__ = ("den", "nums", "fracs")
+
+    def __init__(self, den, nums, fracs):
+        if not fracs and den != 1:
+            nums = [x // den for x in nums]
+            den = 1
+        self.den, self.nums, self.fracs = den, nums, fracs
+
+    @classmethod
+    def of(cls, vec):
+        """vec over the lcm of its denominators, or None.
+
+        None when an entry is neither an int nor a ``Fraction`` (the
+        floats of the CG path): such vectors keep element-wise arithmetic.
+        """
+        types = set(map(type, vec))
+        if not types <= _EXACT_TYPES:
+            return None
+        if Fraction not in types:
+            return cls(1, list(vec), _NO_FRACS)
+        dens = {x.denominator for x in vec}
+        L = lcm(*dens)
+        mult = {d: L // d for d in dens}
+        nums = [x.numerator * mult[x.denominator] for x in vec]
+        if int in types:
+            fracs = frozenset(j for j, x in enumerate(vec) if type(x) is Fraction)
+        else:
+            fracs = range(len(nums))
+        return cls(L, nums, fracs)
+
+    def entry(self, i):
+        n = self.nums[i]
+        return Fraction(n, self.den) if i in self.fracs else n // self.den
+
+    def entries(self):
+        """The list of ints and Fractions the vector stands for."""
+        den, fracs = self.den, self.fracs
+        if not fracs:
+            return list(self.nums)
+        if len(fracs) == len(self.nums):
+            return [Fraction(n, den) for n in self.nums]
+        return [Fraction(n, den) if j in fracs else n // den for j, n in enumerate(self.nums)]
+
+    def tail(self, start):
+        """The entries from ``start`` on, as a ScaledVector."""
+        fracs = frozenset(j - start for j in self.fracs if j >= start)
+        return ScaledVector(self.den, self.nums[start:], fracs)
+
+    def combine(self, other, sign):
+        """self + other (sign 1) or self - other (sign -1), entry by entry."""
+        a, b = self.nums, other.nums
+        if self.den == other.den:
+            den = self.den
+        else:
+            den = lcm(self.den, other.den)
+            ma, mb = den // self.den, den // other.den
+            a = [x * ma for x in a] if ma != 1 else a
+            b = [y * mb for y in b] if mb != 1 else b
+        if sign > 0:
+            nums = [x + y for x, y in zip(a, b)]
+        else:
+            nums = [x - y for x, y in zip(a, b)]
+        return ScaledVector(den, nums, _union(self.fracs, other.fracs))
+
+    def times(self, c):
+        """c times every entry, for an int or ``Fraction`` c.
+
+        An int keeps each entry's type; a ``Fraction`` makes every entry
+        one, as ``c * x`` does.
+        """
+        if isinstance(c, Fraction):
+            nums = [c.numerator * x for x in self.nums]
+            return ScaledVector(self.den * c.denominator, nums, range(len(nums)))
+        return ScaledVector(self.den, [c * x for x in self.nums], self.fracs)
+
+    def ints_where_integral(self):
+        """The same values with every integral entry an int."""
+        nums, den = self.nums, self.den
+        fracs = frozenset(j for j in self.fracs if nums[j] % den)
+        return self if len(fracs) == len(self.fracs) else ScaledVector(den, nums, fracs)
+
+    def mul(self, other):
+        """The entry-wise product, each entry typed as ``x * y`` is."""
+        nums = [x * y for x, y in zip(self.nums, other.nums)]
+        return ScaledVector(self.den * other.den, nums, _union(self.fracs, other.fracs))
+
+    def same_values(self, other):
+        """Whether the entries are equal in value, one by one (types aside)."""
+        if self.den == other.den:
+            return self.nums == other.nums
+        da, db = self.den, other.den
+        return all(x * db == y * da for x, y in zip(self.nums, other.nums))
 
 
-def mat_vec(rows, vec):
-    """Sparse integer rows times dense vector.
+_EXACT_TYPES = frozenset((int, Fraction))
+_NO_FRACS = frozenset()
 
-    A ``vec`` with ``Fraction`` entries goes over one common
-    denominator L first (:func:`_clear_denominators`), so every product
-    and sum is an int one and each output entry is divided once at the
-    end.  An entry is
-    ``Fraction(acc, L)`` when a nonzero ``Fraction`` of ``vec`` met its
-    row, else the int ``acc // L`` (exact).  So each entry equals, in
-    value and in type, the plain sum of ``v * vec[j]`` over the row's
-    nonzero terms, started at int 0.  Vectors without ``Fraction``
-    entries, float ones included, are summed as they are.
+
+def _union(f, g):
+    """The Fraction positions of an entry-wise operation of two vectors."""
+    if type(f) is range:
+        return f
+    if type(g) is range:
+        return g
+    return f | g
+
+
+def scaled_product(rows, vec, ncols=None):
+    """Sparse integer rows times an exact vector, as a ScaledVector.
+
+    vec is a ScaledVector or a sequence of ints and Fractions (a float
+    raises TypeError).  The product is rows @ vec, or rows^T @ vec with
+    ``ncols`` entries when ``ncols`` is given (then vec has one entry per
+    row).  Every product and sum is an int one over vec's denominator.
+    An output entry is a ``Fraction`` when a nonzero ``Fraction`` entry
+    of vec met it, else an int, so it equals in value and in type the
+    plain sum of the terms ``v * x`` with x nonzero, started at int 0.
     """
-    L, xs, fracs = _clear_denominators(vec)
-    out = []
-    for row in rows:
-        acc = 0
-        for j, v in row.items():
-            x = xs[j]
-            if x:
-                acc += v * x
-        out.append(acc)
-    if fracs:
-        out = [
-            acc // L if fracs.isdisjoint(row) else Fraction(acc, L)
-            for row, acc in zip(rows, out)
-        ]
-    return out
+    if not isinstance(vec, ScaledVector):
+        vec = _exact_vector(vec)
+    xs = vec.nums
+    out = _sparse_product(rows, xs, ncols)
+    hot = {j for j in vec.fracs if xs[j]}
+    if not hot:
+        fracs = _NO_FRACS
+    elif ncols is None:
+        fracs = frozenset(i for i, row in enumerate(rows) if not hot.isdisjoint(row))
+    else:
+        fracs = frozenset().union(*(rows[r] for r in hot))
+    return ScaledVector(vec.den, out, fracs)
 
 
-def transpose_apply(rows, vec, ncols):
-    """Transposed sparse integer rows times dense vector: rows^T @ vec.
+def _exact_vector(vec):
+    sv = ScaledVector.of(vec)
+    if sv is None:
+        raise TypeError("exact arithmetic needs int and Fraction entries")
+    return sv
 
-    One entry of ``vec`` per row; denominators are cleared and entry
-    types follow the rule of :func:`mat_vec`.
-    """
-    L, xs, fracs = _clear_denominators(vec)
+
+def _sparse_product(rows, xs, ncols):
+    """rows @ xs, or rows^T @ xs with ncols entries, term by term."""
+    if ncols is None:
+        out = []
+        for row in rows:
+            acc = 0
+            for j, v in row.items():
+                x = xs[j]
+                if x:
+                    acc += v * x
+            out.append(acc)
+        return out
     out = [0] * ncols
     for r, row in enumerate(rows):
         x = xs[r]
         if x:
             for c, v in row.items():
                 out[c] += v * x
-    if fracs:
-        hit = set().union(*(rows[r] for r in fracs))
-        out = [Fraction(acc, L) if c in hit else acc // L for c, acc in enumerate(out)]
     return out
+
+
+def mat_vec(rows, vec):
+    """Sparse integer rows times a dense vector, as a list of entries.
+
+    vec is a :class:`ScaledVector` or a sequence of entries.  An exact
+    vec goes through :func:`scaled_product` and each entry is built once
+    at the end: ``Fraction(acc, den)`` when a nonzero ``Fraction`` of vec
+    met its row, else the int ``acc // den``, the value and the type of
+    the term-by-term sum.  A vec with float entries is summed term by
+    term.
+    """
+    return _apply(rows, vec, None)
+
+
+def transpose_apply(rows, vec, ncols):
+    """Transposed sparse integer rows times a dense vector: rows^T @ vec.
+
+    One entry of vec per row; vec and the entries are as in
+    :func:`mat_vec`.
+    """
+    return _apply(rows, vec, ncols)
+
+
+def _apply(rows, vec, ncols):
+    sv = vec if isinstance(vec, ScaledVector) else ScaledVector.of(vec)
+    if sv is None:
+        return _sparse_product(rows, vec, ncols)
+    return scaled_product(rows, sv, ncols).entries()
 
 
 def mul_rows(A, B):
@@ -283,33 +418,30 @@ class SmithDecomposition:
         return self._transform("Vinv_rows", self.ncols, self.col_ops, True)
 
     # -- applications ----------------------------------------------------
-    def U_times(self, vec):
-        return mat_vec(self.U_rows, vec)
-
     def V_times(self, vec):
         """V @ vec, using V columns = VT rows."""
         return transpose_apply(self.VT_rows, vec, self.ncols)
-
-    def Vinv_times(self, vec):
-        return mat_vec(self.Vinv_rows, vec)
 
     def solve(self, b):
         """A solution x of A x = b, or None when there is none.
 
         x = V c with c_i = y_i / d_i for y = U b (an int when d_i
-        divides y_i) and the free coordinates of c zero; b may be
-        rational.  V is unimodular, so x is integral exactly when A x = b
-        has an integral solution.
+        divides y_i) and the free coordinates of c zero; b is an exact
+        vector as :func:`scaled_product` takes it.  V is unimodular, so
+        x is integral exactly when A x = b has an integral solution.
         """
-        y = self.U_times(b)
-        coeff = [0] * self.ncols
-        for i, val in enumerate(y):
-            if i < self.rank:
-                d = self.diag[i]
-                coeff[i] = val // d if val % d == 0 else Fraction(val, d)
-            elif val:
-                return None
-        return self.V_times(coeff)
+        y = scaled_product(self.U_rows, b)
+        r = self.rank
+        if any(y.nums[r:]):
+            return None
+        # c over the common denominator den * d_r: d_i | d_r
+        top = self.diag[r - 1] if r else 1
+        den = y.den * top
+        nums = [x * (top // d) for x, d in zip(y.nums, self.diag)]
+        fracs = frozenset(i for i, x in enumerate(nums) if x % den)
+        nums += [0] * (self.ncols - r)
+        x = scaled_product(self.VT_rows, ScaledVector(den, nums, fracs), self.ncols)
+        return x.entries()
 
 
 class _SnfWorker:
@@ -638,8 +770,8 @@ class RatElim:
         # each right-hand side as (L, L * b), L the lcm of its denominators
         self._rhs = []
         for b in rhs or ():
-            L, y, _ = _clear_denominators(b)
-            self._rhs.append((L, list(y)))
+            y = _exact_vector(b)
+            self._rhs.append((y.den, list(y.nums)))
         self.rows = []
         for i, r in enumerate(rows):
             mult = lcm(*(v.denominator for v in r.values()))
@@ -831,9 +963,16 @@ class SymmetricSolver:
         return self._factors[p]
 
     def solve(self, b):
-        """A solution x of N x = b with ``Fraction`` entries (see the class)."""
-        mult = lcm(*(v.denominator for v in b))
-        c = [v.numerator * (mult // v.denominator) * self._scale for v in b]
+        """A solution x of N x = b with ``Fraction`` entries (see the class).
+
+        b is an exact vector as :func:`scaled_product` takes it.
+        """
+        if not isinstance(b, ScaledVector):
+            b = _exact_vector(b)
+        # b's least common denominator, and L b over it
+        g = gcd(b.den, *b.nums)
+        mult = b.den // g
+        c = [x // g * self._scale for x in b.nums]
         bound = 2 * self._hadamard2 * max(1, sum(v * v for v in c)) + 1
         for p in PRIMES:
             steps = self._factor(p)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 from .cohomology import (
     betti_below,
@@ -42,7 +42,14 @@ from .cohomology import (
     integer_homology,
 )
 from .complexes import Chain, Cochain, SimplicialComplex, is_integer
-from .exact import SymmetricSolver, gram_rows, mat_vec, transpose_apply, transpose_rows
+from .exact import (
+    ScaledVector,
+    SymmetricSolver,
+    gram_rows,
+    scaled_product,
+    transpose_apply,
+    transpose_rows,
+)
 from .sparks import Spark, SparkError, mod1, periods
 
 EXACT_SIZE_LIMIT = 3000
@@ -117,11 +124,27 @@ class HodgeContext:
     def _one(self, x):
         return Fraction(x) if self.exact else float(x)
 
+    def _weight_form(self, k, inverse=False):
+        """The degree-k weights, or their inverses, as a ScaledVector."""
+        key = ("weight_form", k, inverse)
+        if key not in self._cache:
+            w = self.weight(k)
+            self._cache[key] = ScaledVector.of([1 / Fraction(x) for x in w] if inverse else w)
+        return self._cache[key]
+
     # -- basic operators -------------------------------------------------
     def adjoint_delta(self, u: Cochain) -> Cochain:
-        """Adjoint of the coboundary; maps degree k+1 down to k."""
+        """Adjoint of the coboundary; maps degree k+1 down to k.
+
+        Entries are Fractions under the exact method, floats under CG.
+        """
         k = u.degree - 1
         n_k = self.K.n_simplices(k)
+        form = u.form
+        if self.exact and isinstance(form, ScaledVector):
+            wu = form.mul(self._weight_form(u.degree))
+            acc = scaled_product(self.K.delta_rows(k), wu, n_k)
+            return Cochain.from_scaled(k, acc.mul(self._weight_form(k, inverse=True)))
         wu = [c * w for c, w in zip(u.values, self.weight(u.degree))]
         acc = transpose_apply(self.K.delta_rows(k), wu, n_k)
         w_lo = self.weight(k)
@@ -164,15 +187,16 @@ class HodgeContext:
         K = self.K
         k = u.degree - 1
         n_k = K.n_simplices(k)
-        w = self._uneven(u.degree)
-        wu = u.values if w is None else [a * v for a, v in zip(w, u.values)]
-        x = self._normal(k).solve(transpose_apply(K.delta_rows(k), wu, n_k))
+        wu = u.form
+        if self._uneven(u.degree) is not None:
+            wu = wu.mul(self._weight_form(u.degree))
+        x = self._normal(k).solve(scaled_product(K.delta_rows(k), wu, n_k))
         return K.cochain(k, x)
 
     def _up_potential(self, v: Cochain) -> Cochain:
         """y with adjoint_delta(delta y) = v for a coexact v: N_k y = W_k v."""
         k = v.degree
-        y = self._normal(k).solve([w * x for w, x in zip(self.weight(k), v.values)])
+        y = self._normal(k).solve(v.form.mul(self._weight_form(k)))
         return Cochain(k, tuple(y))
 
     def _coexact_part(self, x: Cochain) -> Cochain:
@@ -226,23 +250,21 @@ class HodgeContext:
         basis = self.harmonic_basis(k)
         if not basis:
             return self.K.zero_cochain(k)
-        n_k = len(u.values)
+        n_k = self.K.n_simplices(k)
         w = self._uneven(k)
         store = self._store(k)
         key = ("gram", k)
         if key not in store:
             # each basis vector over its common denominator: the integer
             # rows span the same space and keep the sparse products exact
-            rows = []
-            for b in basis:
-                d = lcm(*(x.denominator for x in b.values))
-                rows.append({r: int(x * d) for r, x in enumerate(b.values) if x})
+            rows = [{r: x for r, x in enumerate(b.form.nums) if x} for b in basis]
             gram = gram_rows(transpose_rows(rows, n_k), len(rows), w)
             store[key] = rows, SymmetricSolver(gram)
         rows, gram = store[key]
-        wu = u.values if w is None else [a * x for a, x in zip(w, u.values)]
-        h = transpose_apply(rows, gram.solve(mat_vec(rows, wu)), n_k)
-        return Cochain(k, tuple(map(Fraction, h)))
+        wu = u.form if w is None else u.form.mul(self._weight_form(k))
+        h = scaled_product(rows, gram.solve(scaled_product(rows, wu)), n_k)
+        # every entry a Fraction, like the coefficients
+        return Cochain.from_scaled(k, ScaledVector(h.den, h.nums, range(n_k)))
 
     # -- conjugate gradients ---------------------------------------------
     def _cg(self, op, degree, rhs: Cochain) -> Cochain:
@@ -325,10 +347,13 @@ class HodgeContext:
             "closed": K.delta(dec.harmonic),
             "coclosed": self.adjoint_delta(dec.harmonic),
         }
-        return {
-            name: self._one(max((abs(x) for x in v.values), default=0))
-            for name, v in defects.items()
-        }
+        return {name: self._max_norm(v) for name, v in defects.items()}
+
+    def _max_norm(self, v: Cochain):
+        form = v.form
+        if isinstance(form, ScaledVector):
+            return self._one(Fraction(max(map(abs, form.nums), default=0), form.den))
+        return self._one(max(map(abs, form), default=0))
 
     # -- spark potentials ------------------------------------------------
     def harmonic_potential(self, R: Cochain) -> Cochain:

@@ -66,7 +66,7 @@ def principal_value(x) -> Fraction:
 def _integral(u: Cochain) -> Cochain:
     if not u.is_integral():
         raise AssertionError("integer correction must be integral")
-    return Cochain(u.degree, tuple(int(v) for v in u.values))
+    return u.ints_where_integral()
 
 
 def _phases_mod1(u: Cochain) -> Cochain:

@@ -209,26 +209,26 @@ class MorseFlow:
 
     # -- chain operators -------------------------------------------------
     def project(self, z: Chain) -> Chain:
-        return Chain(z.degree, tuple(mat_vec(self._P[z.degree], list(z.values))))
+        return Chain(z.degree, tuple(mat_vec(self._P[z.degree], z.form)))
 
     def homotopy(self, z: Chain) -> Chain:
         """Degree-raising map T with boundary T + T boundary = 1 - P."""
         return Chain(
-            z.degree + 1, tuple(mat_vec(self._T[z.degree], list(z.values)))
+            z.degree + 1, tuple(mat_vec(self._T[z.degree], z.form))
         )
 
     # -- cochain operators (transposes) ----------------------------------
     def project_cochain(self, u: Cochain) -> Cochain:
         n = self.K.n_simplices(u.degree)
         return Cochain(
-            u.degree, tuple(transpose_apply(self._P[u.degree], list(u.values), n))
+            u.degree, tuple(transpose_apply(self._P[u.degree], u.form, n))
         )
 
     def homotopy_cochain(self, u: Cochain) -> Cochain:
         """Degree-lowering transpose of T; pairs with delta like 1 - P."""
         k = u.degree - 1
         n = self.K.n_simplices(k)
-        return Cochain(k, tuple(transpose_apply(self._T[k], list(u.values), n)))
+        return Cochain(k, tuple(transpose_apply(self._T[k], u.form, n)))
 
     def homotopy_identity(self):
         """Whether boundary T + T boundary == 1 - P holds in every degree.
@@ -282,5 +282,4 @@ def morse_spark(K: SimplicialComplex, flow: MorseFlow, phi: Cochain) -> Spark:
     R = flow.project_cochain(phi)
     if not R.is_integral():
         raise SparkError("stable projection of the curvature is not integral")
-    R = Cochain(R.degree, tuple(int(v) for v in R.values))
-    return Spark(a, R)
+    return Spark(a, R.ints_where_integral())

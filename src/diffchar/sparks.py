@@ -96,7 +96,7 @@ def curvature(K: SimplicialComplex, s: Spark) -> Cochain:
 def d2_class(K: SimplicialComplex, s: Spark):
     """Class of R in H^{k+1}(K; Z) as (free coords, torsion coords)."""
     Q = integer_cohomology(K, s.R.degree)
-    return Q.coords([int(v) if is_integer(v) else v for v in s.R.values])
+    return Q.coords(s.R.ints_where_integral().form)
 
 
 def mod1(x) -> Fraction:
@@ -126,14 +126,14 @@ def periods(K: SimplicialComplex, u: Cochain) -> list:
     The basis is :func:`~diffchar.cohomology.cycle_lattice_rows`: the
     rows of U past the rank in the cached Smith form of delta_{k-1}
     (the identity for k = 0), kept sparse there.  One
-    :func:`~diffchar.exact.mat_vec` over the lcm of u's denominators
-    gives all periods; an entry is a ``Fraction`` when a nonzero
-    ``Fraction`` value of u lies on the cycle, else an int.  Every
+    :func:`~diffchar.exact.mat_vec` of u's scaled form gives all
+    periods; an entry is a ``Fraction`` when a nonzero ``Fraction``
+    value of u lies on the cycle, else an int.  Every
     integral k-cycle is an integer combination of the basis, so these
     values mod 1 determine the holonomy of a spark with potential u on
     every integral cycle.
     """
-    return mat_vec(cycle_lattice_rows(K, u.degree), u.values)
+    return mat_vec(cycle_lattice_rows(K, u.degree), u.form)
 
 
 def spark_equivalent(K: SimplicialComplex, s1: Spark, s2: Spark) -> bool:

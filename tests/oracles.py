@@ -10,7 +10,11 @@ whole closed star, and ``varied_weights`` is a reproducible Hodge
 weight profile.  ``green`` solves the weighted Laplacian, built column
 by column from the public adjoint and coboundary, by a rational
 Gauss-Jordan; ``flow_once`` takes one step of the discrete Morse flow
-of a matching, built from the boundary alone.  ``kernel_basis`` reads
+of a matching, built from the boundary alone.  ``elementwise_cup``,
+``elementwise_product`` and ``elementwise_evaluate`` are the cup
+product, the sparse coboundary/boundary product and the pairing on
+plain value tuples, entry by entry, the reference for the scaled
+arithmetic of chains and cochains.  ``kernel_basis`` reads
 the integer kernel of a matrix off its Smith form.
 """
 
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from diffchar.cohomology import integer_cohomology
 from diffchar.complexes import Chain, Cochain, ComplexEmbedding, SimplicialComplex
-from diffchar.exact import RatElim, rows_to_dense, smith_normal_form
+from diffchar.exact import RatElim, mat_vec, rows_to_dense, smith_normal_form
 from diffchar.lowdegree import (
     CechGerbe,
     GerbeError,
@@ -103,6 +107,43 @@ def green(ctx, u: Cochain) -> Cochain:
     assert x is not None
     x = K.cochain(k, x)
     return x - ctx.harmonic_projection(x)
+
+
+# ---------------------------------------------------------------------------
+# chain and cochain algebra, entry by entry
+
+
+def elementwise_cup(K: SimplicialComplex, p, u, q, v):
+    """Front-face/back-face product of value tuples, as a plain loop.
+
+    An entry whose front factor is zero is the int 0; C^{-1} is empty,
+    so a negative degree or one past the dimension gives zeros.
+    """
+    k = p + q
+    if p < 0 or q < 0 or k > K.dimension:
+        return (0,) * K.n_simplices(k)
+    out = []
+    for simp in K.simplices[k]:
+        a = u[K.index[p][simp[: p + 1]]]
+        out.append(a * v[K.index[q][simp[p:]]] if a else 0)
+    return tuple(out)
+
+
+def elementwise_product(rows, vec):
+    """Sparse rows times value tuple: the sum of the nonzero terms, from int 0."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j, c in row.items():
+            if vec[j]:
+                acc += c * vec[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def elementwise_evaluate(u, z):
+    """The pairing of value tuples: the sum over nonzero entries of z, from int 0."""
+    return sum(a * b for a, b in zip(u, z) if b)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +359,7 @@ def constant_triple_class_trivial(cover: PatchCover, T) -> bool:
     if not rows:
         return True
     dec = smith_normal_form(rows, ncols=max(len(var_index), 1))
-    y = dec.U_times(rhs)
+    y = mat_vec(dec.U_rows, rhs)
     return all(
         Fraction(y[i]).denominator == 1 for i in range(dec.rank, len(y))
     )

@@ -1,5 +1,7 @@
 """Every function, class and method in the library has a caller outside the tests.
 
+The library also imports only the standard library and itself.
+
 A name defined in ``src/diffchar`` must be referenced somewhere in
 ``src/`` or ``perfbench/`` (as a name, an attribute or an import), be
 exported in ``diffchar.__all__``, or be listed in :data:`KEPT` with the
@@ -8,6 +10,7 @@ reason it stays.  Helpers that only the tests reach belong in
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import diffchar
@@ -60,3 +63,20 @@ def test_every_library_name_has_a_library_or_benchmark_caller():
 def test_kept_names_are_defined():
     defined = {name for _, _, name in _definitions()}
     assert set(KEPT) <= defined
+
+
+def test_library_imports_only_the_standard_library():
+    foreign = []
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                if top != "diffchar" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno} {module}")
+    assert not foreign, "imports outside the standard library: " + ", ".join(foreign)

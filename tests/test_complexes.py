@@ -20,7 +20,12 @@ from diffchar.complexes import (
     simplicial_chain_maps,
 )
 from diffchar.exact import mat_vec, rat_rank, rows_to_dense
-from oracles import vertex_components
+from oracles import (
+    elementwise_cup,
+    elementwise_evaluate,
+    elementwise_product,
+    vertex_components,
+)
 
 
 def triangle_circle():
@@ -581,3 +586,115 @@ def test_text_and_bool_entries_refused():
         K.cochain(1, (0, 1, True))
     u = K.cochain(1, (0, Fraction(1, 3), 0.5))
     assert K.delta(u).degree == 2
+
+
+# ---------------------------------------------------------------------------
+# the scaled arithmetic of chains and cochains against entry-by-entry sums
+
+
+def algebra_entries(rng, n, kind):
+    """n entries: ints, Fractions (zero, integral, proper), and floats for "float"."""
+    pool = [
+        lambda: 0,
+        lambda: rng.randint(-4, 4),
+        lambda: Fraction(0),
+        lambda: Fraction(rng.randint(-3, 3)),
+        lambda: Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4, 7, 1_000_003))),
+    ]
+    if kind == "int":
+        pool = pool[:2]
+    elif kind == "fraction":
+        pool = pool[2:]
+    elif kind == "float":
+        pool += [lambda: 0.0, lambda: rng.uniform(-2, 2)]
+    return tuple(rng.choice(pool)() for _ in range(n))
+
+
+def algebra_program(K, rng):
+    """A random chain of up to four operations, the library's and the reference's.
+
+    Returns (library result, reference result): a chain or cochain and
+    (class, degree, values), or two scalars when the last operation is
+    evaluate.  No library intermediate has its values read.
+    """
+    kinds = ("int", "fraction", "mixed", "mixed", "float")
+
+    def operand(cls, k):
+        values = algebra_entries(rng, K.n_simplices(k), rng.choice(kinds))
+        return cls(k, values), values
+
+    cls = rng.choice((Chain, Cochain))
+    k = rng.randint(0, K.dimension)
+    got, ref = operand(cls, k)
+    for _ in range(rng.randint(1, 4)):
+        ops = ["add", "sub", "neg", "scale"]
+        if cls is Cochain and k <= K.dimension:
+            ops += ["cup", "delta", "evaluate"]
+        if cls is Chain and k >= 1:
+            ops += ["boundary", "evaluate"]
+        op = rng.choice(ops)
+        if op in ("add", "sub"):
+            other, vals = operand(cls, k)
+            if op == "add":
+                got, ref = got + other, tuple(a + b for a, b in zip(ref, vals))
+            else:
+                got, ref = got - other, tuple(a - b for a, b in zip(ref, vals))
+        elif op == "neg":
+            got, ref = -got, tuple(-a for a in ref)
+        elif op == "scale":
+            c = rng.choice((-2, 3, Fraction(-2, 3), Fraction(5), 0.5))
+            got, ref = got.scale(c), tuple(c * a for a in ref)
+        elif op == "cup":
+            q = rng.randint(0, K.dimension - k)
+            other, vals = operand(Cochain, q)
+            if rng.random() < 0.5:
+                got, ref = K.cup(got, other), elementwise_cup(K, k, ref, q, vals)
+            else:
+                got, ref = K.cup(other, got), elementwise_cup(K, q, vals, k, ref)
+            k += q
+        elif op == "delta":
+            got, ref = K.delta(got), elementwise_product(K.delta_rows(k), ref)
+            k += 1
+        elif op == "boundary":
+            got, ref = K.boundary(got), elementwise_product(K.boundary_rows(k), ref)
+            k -= 1
+        else:
+            dual = Chain if cls is Cochain else Cochain
+            other, vals = operand(dual, k)
+            if cls is Cochain:
+                return K.evaluate(got, other), elementwise_evaluate(ref, vals)
+            return K.evaluate(other, got), elementwise_evaluate(vals, ref)
+    return got, (cls, k, ref)
+
+
+def assert_same_entry(a, b):
+    assert type(a) is type(b) and a == b, (a, b)
+
+
+@pytest.mark.parametrize("space", ["torus", "rp2", "cp2"])
+def test_scaled_algebra_matches_elementwise_reference(space):
+    K = build_space(space)
+    rng = random.Random(f"algebra {space}")
+    vectors = 0
+    for _ in range(120):
+        got, want = algebra_program(K, rng)
+        if not isinstance(want, tuple):
+            assert_same_entry(got, want)
+            continue
+        vectors += 1
+        cls, k, values = want
+        # equality and hash of the lazily built result against the same
+        # vector built from its values, before the result's values are read
+        built = cls(k, values)
+        assert got == built and built == got
+        assert hash(got) == hash(built)
+        assert got != (Chain if cls is Cochain else Cochain)(k, values)
+        assert type(got) is cls and got.degree == k
+        assert len(got.values) == len(values)
+        for a, b in zip(got.values, values):
+            assert_same_entry(a, b)
+        assert repr(got) == f"{cls.__name__}(degree={k}, values={values!r})"
+        for name in ("degree", "values", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(got, name, 0)
+    assert vectors > 60
