@@ -3,13 +3,13 @@
 A complex stores its k-simplices as lexicographically sorted tuples of
 vertex ids 0..N-1.  Boundary and coboundary operators are sparse integer
 matrices; chains and cochains are coefficient vectors tagged with a
-degree.  Their exact arithmetic (sums, negation, scaling, cup products,
-evaluation, delta and boundary) runs on one
-:class:`~diffchar.exact.ScaledVector`, integer numerators over one
-common denominator, and the tuple of int and ``Fraction`` entries,
-``values``, is built only when something reads it; each entry has the
-value and the type that term-by-term arithmetic gives it.  Vectors with
-float entries keep element-wise arithmetic.  Products use the standard
+degree.  Their entries are ints and ``Fraction`` values only; their
+arithmetic (sums, negation, scaling, cup products, evaluation, delta
+and boundary) runs on one :class:`~diffchar.exact.ScaledVector`,
+integer numerators over one common denominator, and the tuple of
+entries, ``values``, is built only when something reads it; each entry
+has the value and the type that term-by-term arithmetic gives it.
+Products use the standard
 front-face/back-face (Alexander-Whitney) formulas, which satisfy the
 Leibniz rule on the nose; that exactness is what the spark calculus
 downstream leans on.
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from operator import add, sub
 
-from .exact import ScaledVector, mat_vec, scaled_product, transpose_apply, transpose_rows
+from .exact import ScaledVector, scaled_product, transpose_rows
 
 
 class ComplexError(ValueError):
@@ -48,7 +47,7 @@ def parse_scalar(text):
 
 # the entry types of chains and cochains; text goes through parse_scalar
 # first, and bool, an int subclass, is refused
-_SCALAR_TYPES = frozenset((int, Fraction, float))
+_SCALAR_TYPES = frozenset((int, Fraction))
 
 
 def scalar_str(x):
@@ -59,9 +58,8 @@ def scalar_str(x):
 
 
 def is_integer(x):
-    if isinstance(x, (int, Fraction)):
-        return x.denominator == 1
-    return Fraction(x).denominator == 1
+    """Whether an int or ``Fraction`` is integral."""
+    return x.denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +74,15 @@ class _Vector:
     """Coefficients on the k-simplices, tagged with the degree k.
 
     Chains and cochains share this body.  ``Cochain(k, values)`` keeps
-    the given values; arithmetic keeps a
+    the given ints and ``Fraction`` values; arithmetic keeps a
     :class:`~diffchar.exact.ScaledVector` (integers over one common
     denominator, and the positions of the ``Fraction`` entries) and
-    builds ``values`` only when it is read, once.  A vector with a float
-    entry has no scaled form and keeps element-wise arithmetic.  Either
-    way every entry has the value and the type that term-by-term
-    arithmetic gives it.  Immutable, with the equality, hash and repr of
-    a frozen dataclass of ``degree`` and ``values``: equality compares
-    classes first, so a chain never equals a cochain.
+    builds ``values`` only when it is read, once, every entry with the
+    value and the type that term-by-term arithmetic gives it.  The first
+    operation on a vector with any other entry, a float or a bool,
+    raises ValueError naming it.  Immutable, with the equality, hash and
+    repr of a frozen dataclass of ``degree`` and ``values``: equality
+    compares classes first, so a chain never equals a cochain.
     """
 
     __slots__ = ("degree", "_values", "_scaled")
@@ -118,20 +116,16 @@ class _Vector:
             _set(self, "_values", tuple(self._scaled.entries()))
         return self._values
 
-    def _exact(self):
-        """The ScaledVector of the values, or None when one is a float."""
-        if self._scaled is _UNREAD:
-            _set(self, "_scaled", ScaledVector.of(self._values))
-        return self._scaled
-
     @property
     def form(self):
-        """The vector as the kernels of :mod:`diffchar.exact` take it.
-
-        Its ScaledVector, or the tuple of values when one is a float.
-        """
-        scaled = self._exact()
-        return self.values if scaled is None else scaled
+        """The :class:`~diffchar.exact.ScaledVector` of the values, built once."""
+        scaled = self._scaled
+        if scaled is _UNREAD:
+            scaled = ScaledVector.of(self._values)
+            if scaled is None:
+                _refuse(type(self), self.degree, self._values)
+            _set(self, "_scaled", scaled)
+        return scaled
 
     def _size(self):
         if self._values is not None:
@@ -143,10 +137,7 @@ class _Vector:
             return NotImplemented
         if self.degree != other.degree or self._size() != other._size():
             return False
-        a, b = self._exact(), other._exact()
-        if a is None or b is None:
-            return self.values == other.values
-        return a.same_values(b)
+        return self.form.same_values(other.form)
 
     def __hash__(self):
         return hash((self.degree, self.values))
@@ -162,40 +153,26 @@ class _Vector:
 
     def _combine(self, other, sign):
         _check_same(self, other)
-        a, b = self._exact(), other._exact()
-        if a is None or b is None:
-            op = add if sign > 0 else sub
-            return type(self)(self.degree, tuple(map(op, self.values, other.values)))
-        return self.from_scaled(self.degree, a.combine(b, sign))
+        return self.from_scaled(self.degree, self.form.combine(other.form, sign))
 
     def __neg__(self):
-        a = self._exact()
-        if a is None:
-            return type(self)(self.degree, tuple(-x for x in self.values))
-        return self.from_scaled(self.degree, a.times(-1))
+        return self.from_scaled(self.degree, self.form.times(-1))
 
     def scale(self, c):
-        a = self._exact()
-        if a is None or not isinstance(c, (int, Fraction)):
-            return type(self)(self.degree, tuple(c * x for x in self.values))
-        return self.from_scaled(self.degree, a.times(c))
+        """c times every entry, for an int or ``Fraction`` c."""
+        if type(c) not in _SCALAR_TYPES:
+            raise ValueError(f"scalar {c!r} is not an int or Fraction")
+        return self.from_scaled(self.degree, self.form.times(c))
 
     def ints_where_integral(self):
         """The same vector with every integral entry an int."""
-        a = self._exact()
-        if a is None:
-            values = tuple(int(v) if is_integer(v) else v for v in self.values)
-            return type(self)(self.degree, values)
-        return self.from_scaled(self.degree, a.ints_where_integral())
+        return self.from_scaled(self.degree, self.form.ints_where_integral())
 
     def is_zero(self):
-        a = self._exact()
-        return not any(self.values if a is None else a.nums)
+        return not any(self.form.nums)
 
     def is_integral(self):
-        a = self._exact()
-        if a is None:
-            return all(is_integer(v) for v in self.values)
+        a = self.form
         return a.den == 1 or all(x % a.den == 0 for x in a.nums)
 
 
@@ -226,14 +203,13 @@ def _check_same(a, b):
         raise ValueError("degree/length mismatch")
 
 
-def _product(cls, degree, rows, u, ncols=None):
-    """cls(degree, rows @ u), or rows^T @ u with ncols entries when ncols is given."""
-    a = u._exact()
-    if a is not None:
-        return cls.from_scaled(degree, scaled_product(rows, a, ncols))
-    if ncols is None:
-        return cls(degree, tuple(mat_vec(rows, u.values)))
-    return cls(degree, tuple(transpose_apply(rows, u.values, ncols)))
+def _refuse(cls, k, values):
+    """Raise ValueError naming the first entry that is no int or ``Fraction``."""
+    i = next(i for i, v in enumerate(values) if type(v) not in _SCALAR_TYPES)
+    raise ValueError(
+        f"entry {i} of a degree-{k} {cls.__name__.lower()} is {values[i]!r}, "
+        "not an int or Fraction"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +325,12 @@ class SimplicialComplex:
         return self._cache[key]
 
     def boundary(self, z: Chain) -> Chain:
-        return _product(Chain, z.degree - 1, self.boundary_rows(z.degree), z)
+        rows = self.boundary_rows(z.degree)
+        return Chain.from_scaled(z.degree - 1, scaled_product(rows, z.form))
 
     def delta(self, u: Cochain) -> Cochain:
-        return _product(Cochain, u.degree + 1, self.delta_rows(u.degree), u)
+        rows = self.delta_rows(u.degree)
+        return Cochain.from_scaled(u.degree + 1, scaled_product(rows, u.form))
 
     # -- constructors ----------------------------------------------------
     def zero_cochain(self, k) -> Cochain:
@@ -371,21 +349,14 @@ class SimplicialComplex:
                 f"expected {self.n_simplices(k)} values in degree {k}, got {len(values)}"
             )
         if not _SCALAR_TYPES.issuperset(map(type, values)):
-            i = next(i for i, v in enumerate(values) if type(v) not in _SCALAR_TYPES)
-            raise ValueError(
-                f"entry {i} of a degree-{k} {cls.__name__.lower()} is {values[i]!r}, "
-                "not an int, Fraction or float"
-            )
+            _refuse(cls, k, values)
         return cls(k, values)
 
     # -- pairings and products ------------------------------------------
     def evaluate(self, u: Cochain, z: Chain):
         if u.degree != z.degree:
             raise ValueError("evaluate needs matching degrees")
-        a, b = u._exact(), z._exact()
-        if a is None or b is None:
-            # cycles are mostly zero: multiply only their nonzero entries
-            return sum(x * y for x, y in zip(u.values, z.values) if y)
+        a, b = u.form, z.form
         xs = a.nums
         hit = [(i, y) for i, y in enumerate(b.nums) if y]
         total = sum(xs[i] * y for i, y in hit)
@@ -406,11 +377,7 @@ class SimplicialComplex:
         if p < 0 or q < 0 or k > self.dimension:
             return self.zero_cochain(k)
         front, back = self._faces(p, q)
-        a, b = u._exact(), v._exact()
-        if a is None or b is None:
-            uv, vv = u.values, v.values
-            out = tuple(uv[f] * vv[g] if uv[f] else 0 for f, g in zip(front, back))
-            return Cochain(k, out)
+        a, b = u.form, v.form
         xs, ys = a.nums, b.nums
         nums = [xs[f] * ys[g] for f, g in zip(front, back)]
         fa, fb = a.fracs, b.fracs
@@ -711,4 +678,4 @@ def _sort_sign(seq):
 
 def pull_cochain(maps, u: Cochain, src_size) -> Cochain:
     """Cochain pullback along a chain map: transpose application."""
-    return _product(Cochain, u.degree, maps[u.degree], u, src_size)
+    return Cochain.from_scaled(u.degree, scaled_product(maps[u.degree], u.form, src_size))

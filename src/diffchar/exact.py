@@ -30,9 +30,11 @@ are read (``Fraction(n, L)`` or the int ``n // L``), keep the value and
 the type of the term-by-term ``Fraction`` arithmetic.
 :func:`mat_vec` and :func:`transpose_apply` are that kernel plus the
 build step.  The Smith-form solve, :class:`SymmetricSolver` and the
-right-hand sides of :class:`RatElim` take the scaled form as well.
-Vectors with float entries (the CG route of the Hodge decomposition)
-have no scaled form and are summed term by term.
+right-hand sides of :class:`RatElim` take the scaled form as well, and
+:class:`SymmetricSolver` returns it.  The one float kernel is the
+term-by-term product that :func:`mat_vec` and :func:`transpose_apply`
+fall back to on a list with float entries: the conjugate-gradient route
+of the Hodge decomposition iterates on such lists.
 
 Pivoting is Markowitz-style with deterministic tie-breaks, so
 identical inputs give identical outputs everywhere.  The Smith form
@@ -112,8 +114,7 @@ class ScaledVector:
     def of(cls, vec):
         """vec over the lcm of its denominators, or None.
 
-        None when an entry is neither an int nor a ``Fraction`` (the
-        floats of the CG path): such vectors keep element-wise arithmetic.
+        None when an entry is neither an int nor a ``Fraction``.
         """
         types = set(map(type, vec))
         if not types <= _EXACT_TYPES:
@@ -267,8 +268,8 @@ def mat_vec(rows, vec):
     vec goes through :func:`scaled_product` and each entry is built once
     at the end: ``Fraction(acc, den)`` when a nonzero ``Fraction`` of vec
     met its row, else the int ``acc // den``, the value and the type of
-    the term-by-term sum.  A vec with float entries is summed term by
-    term.
+    the term-by-term sum.  A vec with float entries (the iterates of
+    conjugate gradients) is summed term by term.
     """
     return _apply(rows, vec, None)
 
@@ -931,9 +932,9 @@ class SymmetricSolver:
     unlucky or that b is inconsistent.  The next prime is then tried,
     factored on first use; if none gives a solution, ValueError.
 
-    Solutions are lists of ``Fraction``.  Which solution comes back
-    depends on the pivot order, so callers read only quantities that
-    are unique, such as delta x.
+    Solutions are :class:`ScaledVector` values whose every entry is a
+    ``Fraction``.  Which solution comes back depends on the pivot order,
+    so callers read only quantities that are unique, such as delta x.
     """
 
     def __init__(self, rows):
@@ -963,9 +964,10 @@ class SymmetricSolver:
         return self._factors[p]
 
     def solve(self, b):
-        """A solution x of N x = b with ``Fraction`` entries (see the class).
+        """A solution x of N x = b, every entry a ``Fraction`` (see the class).
 
-        b is an exact vector as :func:`scaled_product` takes it.
+        b is an exact vector as :func:`scaled_product` takes it; x is
+        the :class:`ScaledVector` Z / (D mult) of the lifted solution.
         """
         if not isinstance(b, ScaledVector):
             b = _exact_vector(b)
@@ -979,7 +981,7 @@ class SymmetricSolver:
             lifted = None if steps is None else self._lift(steps, p, c, bound)
             if lifted is not None:
                 Z, D = lifted
-                return [Fraction(z, D * mult) for z in Z]
+                return ScaledVector(D * mult, Z, range(len(Z)))
         raise ValueError("no prime gives a solution: the system is inconsistent")
 
     def _lift(self, steps, p, c, bound):

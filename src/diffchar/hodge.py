@@ -4,7 +4,10 @@ Inner products on cochains are diagonal: one positive weight per
 simplex.  On top of the resulting coboundary adjoint sit the harmonic
 projection, always exact, and the Hodge decomposition, solved either
 exactly over the rationals or by conjugate gradients in floating
-point.  Exact mode eliminates no Laplacian: both come from the
+point.  Conjugate gradients iterate on plain float lists inside
+:class:`HodgeContext` and hand back cochains of the exact rationals of
+their floats, so cochains stay exact on both routes.  Exact mode
+eliminates no Laplacian: both come from the
 coboundary normal matrices N_j = delta_j^T W delta_j (finite-difference
 Hodge theory), each factored once per degree and weight profile, plus
 a small Gram system on the harmonic basis.  Every one of these systems is symmetric, and
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, isfinite
 
 from .cohomology import (
     betti_below,
@@ -46,6 +49,7 @@ from .exact import (
     ScaledVector,
     SymmetricSolver,
     gram_rows,
+    mat_vec,
     scaled_product,
     transpose_apply,
     transpose_rows,
@@ -121,9 +125,6 @@ class HodgeContext:
     def weight(self, k):
         return self.weights.get(k, ())
 
-    def _one(self, x):
-        return Fraction(x) if self.exact else float(x)
-
     def _weight_form(self, k, inverse=False):
         """The degree-k weights, or their inverses, as a ScaledVector."""
         key = ("weight_form", k, inverse)
@@ -136,19 +137,13 @@ class HodgeContext:
     def adjoint_delta(self, u: Cochain) -> Cochain:
         """Adjoint of the coboundary; maps degree k+1 down to k.
 
-        Entries are Fractions under the exact method, floats under CG.
+        W_k^{-1} delta_k^T W_{k+1} u, exact under every method; its
+        entries are Fractions.
         """
         k = u.degree - 1
-        n_k = self.K.n_simplices(k)
-        form = u.form
-        if self.exact and isinstance(form, ScaledVector):
-            wu = form.mul(self._weight_form(u.degree))
-            acc = scaled_product(self.K.delta_rows(k), wu, n_k)
-            return Cochain.from_scaled(k, acc.mul(self._weight_form(k, inverse=True)))
-        wu = [c * w for c, w in zip(u.values, self.weight(u.degree))]
-        acc = transpose_apply(self.K.delta_rows(k), wu, n_k)
-        w_lo = self.weight(k)
-        return Cochain(k, tuple(self._one(acc[i]) / w_lo[i] for i in range(n_k)))
+        wu = u.form.mul(self._weight_form(u.degree))
+        acc = scaled_product(self.K.delta_rows(k), wu, self.K.n_simplices(k))
+        return Cochain.from_scaled(k, acc.mul(self._weight_form(k, inverse=True)))
 
     # -- exact machinery -------------------------------------------------
     def _uneven(self, k):
@@ -191,13 +186,12 @@ class HodgeContext:
         if self._uneven(u.degree) is not None:
             wu = wu.mul(self._weight_form(u.degree))
         x = self._normal(k).solve(scaled_product(K.delta_rows(k), wu, n_k))
-        return K.cochain(k, x)
+        return Cochain.from_scaled(k, x)
 
     def _up_potential(self, v: Cochain) -> Cochain:
         """y with adjoint_delta(delta y) = v for a coexact v: N_k y = W_k v."""
         k = v.degree
-        y = self._normal(k).solve(v.form.mul(self._weight_form(k)))
-        return Cochain(k, tuple(y))
+        return Cochain.from_scaled(k, self._normal(k).solve(v.form.mul(self._weight_form(k))))
 
     def _coexact_part(self, x: Cochain) -> Cochain:
         """x minus its harmonic and exact parts."""
@@ -267,23 +261,34 @@ class HodgeContext:
         return Cochain.from_scaled(k, ScaledVector(h.den, h.nums, range(n_k)))
 
     # -- conjugate gradients ---------------------------------------------
-    def _cg(self, op, degree, rhs: Cochain) -> Cochain:
+    def _float_adjoint(self, k, y):
+        """adjoint_delta of a list in degree k + 1 as floats: c * w, transposed, float / w."""
+        wu = [c * w for c, w in zip(y, self.weight(k + 1))]
+        acc = transpose_apply(self.K.delta_rows(k), wu, self.K.n_simplices(k))
+        return [float(a) / w for a, w in zip(acc, self.weight(k))]
+
+    def _cg(self, op, degree, rhs):
         """Solve op(x) = rhs by conjugate gradients in the degree's inner product.
 
-        The stop ||r||_W^2 <= tol^2 min(W) bounds every entry of the
-        residual r by tol, whatever the size of rhs, because
-        ||r||_W^2 >= min(W) max_i r_i^2.  In :meth:`decompose` these
-        residuals are the coclosed and closed defects of the harmonic
-        part, which :meth:`decomposition_residuals` reports by max norm.
+        On lists of floats.  The stop ||r||_W^2 <= tol^2 min(W) bounds
+        every entry of the residual r by tol, whatever the size of rhs,
+        because ||r||_W^2 >= min(W) max_i r_i^2.  In :meth:`decompose`
+        these residuals are the coclosed and closed defects of the
+        harmonic part, which :meth:`decomposition_residuals` reports by
+        max norm.  Inner products sum left to right, as ``sum()`` did
+        before Python 3.12, so every Python gives the same bits.
         """
         w = [float(x) for x in self.weight(degree)]
-        b = [float(x) for x in rhs.values]
+        b = [float(x) for x in rhs]
         n = len(b)
         if n == 0:
-            return Cochain(degree, ())
+            return []
 
         def dot(x, y):
-            return sum(wi * a * c for wi, a, c in zip(w, x, y))
+            total = 0
+            for wi, a, c in zip(w, x, y):
+                total += wi * a * c
+            return total
 
         x = [0.0] * n
         r = list(b)
@@ -295,7 +300,7 @@ class HodgeContext:
         while rr > target:
             if steps >= limit:
                 raise HodgeError("conjugate gradients did not converge")
-            ap = [float(v) for v in op(Cochain(degree, tuple(p))).values]
+            ap = [float(v) for v in op(p)]
             denom = dot(p, ap)
             if denom <= 0:
                 raise HodgeError("operator lost positivity in conjugate gradients")
@@ -307,53 +312,66 @@ class HodgeContext:
             p = [ri + beta * pi for ri, pi in zip(r, p)]
             rr = rr_new
             steps += 1
-        return Cochain(degree, tuple(x))
+        return x
 
     # -- decomposition ---------------------------------------------------
     def decompose(self, u: Cochain) -> "HodgeDecomposition":
-        """Split u into harmonic + coboundary + adjoint-coboundary parts."""
+        """Split u into harmonic + coboundary + adjoint-coboundary parts.
+
+        Exact: u = h + delta x + adjoint_delta(delta y).  CG: b and c
+        solve their normal equations in floats, h = u - delta b -
+        adjoint_delta c, and each part is the cochain of the exact values
+        of its floats; a value or weight that fits no float, or a part
+        that is not finite, raises HodgeError.
+        """
         K = self.K
         if self.exact:
-            # u = h + delta x + adjoint_delta(delta y)
             h = self.harmonic_projection(u)
             x = self._exact_potential(u)
             y = self._up_potential(u - h - K.delta(x))
             return HodgeDecomposition(
                 harmonic=h, primitive=self._coexact_part(x), coprimitive=K.delta(y)
             )
-        k = u.degree
-        b = self._cg(
-            lambda x: self.adjoint_delta(K.delta(x)),
-            k - 1,
-            self.adjoint_delta(u),
-        )
-        c = self._cg(
-            lambda y: K.delta(self.adjoint_delta(y)),
-            k + 1,
-            K.delta(u),
-        )
-        h = u - K.delta(b) - self.adjoint_delta(c)
-        return HodgeDecomposition(harmonic=h, primitive=b, coprimitive=c)
+        k, adjoint = u.degree, self._float_adjoint
+        delta_lo, delta = K.delta_rows(k - 1), K.delta_rows(k)
+        try:
+            b = self._cg(lambda x: adjoint(k - 1, mat_vec(delta_lo, x)), k - 1,
+                         adjoint(k - 1, u.values))
+            c = self._cg(lambda y: mat_vec(delta, adjoint(k, y)), k + 1, mat_vec(delta, u.form))
+            h = [a - d - e for a, d, e in zip(u.values, mat_vec(delta_lo, b), adjoint(k, c))]
+        except OverflowError:
+            raise HodgeError("a cochain value or weight does not fit a float") from None
+        parts = []
+        for degree, xs in ((k, h), (k - 1, b), (k + 1, c)):
+            if not all(map(isfinite, xs)):
+                raise HodgeError("conjugate gradients reached a value that is not finite")
+            parts.append(Cochain(degree, tuple(map(Fraction, xs))))
+        return HodgeDecomposition(*parts)
 
     def decomposition_residuals(self, u: Cochain, dec: "HodgeDecomposition"):
-        """Reconstruction and (co)closedness defects of a decomposition.
+        """Reconstruction and (co)closedness defects of a decomposition, by max norm.
 
-        Max norms, Fractions under the exact method and floats under CG.
+        Fractions under the exact method.  Floats under CG, recomputed
+        from the floats whose exact values the parts hold, entry by
+        entry: ((u - h) - delta b) - adjoint_delta c, delta h and
+        adjoint_delta h.
         """
         K = self.K
-        recon = u - dec.harmonic - K.delta(dec.primitive) - self.adjoint_delta(dec.coprimitive)
-        defects = {
-            "reconstruction": recon,
-            "closed": K.delta(dec.harmonic),
-            "coclosed": self.adjoint_delta(dec.harmonic),
-        }
-        return {name: self._max_norm(v) for name, v in defects.items()}
-
-    def _max_norm(self, v: Cochain):
-        form = v.form
-        if isinstance(form, ScaledVector):
-            return self._one(Fraction(max(map(abs, form.nums), default=0), form.den))
-        return self._one(max(map(abs, form), default=0))
+        k = u.degree
+        if self.exact:
+            recon = (u - dec.harmonic - K.delta(dec.primitive)
+                     - self.adjoint_delta(dec.coprimitive))
+            defects = (recon, K.delta(dec.harmonic), self.adjoint_delta(dec.harmonic))
+            norms = [Fraction(max(map(abs, v.form.nums), default=0), v.form.den)
+                     for v in defects]
+        else:
+            h, b, c = ([float(x) for x in v.values]
+                       for v in (dec.harmonic, dec.primitive, dec.coprimitive))
+            recon = [a - x - d - e for a, x, d, e in zip(
+                u.values, h, mat_vec(K.delta_rows(k - 1), b), self._float_adjoint(k, c))]
+            defects = (recon, mat_vec(K.delta_rows(k), h), self._float_adjoint(k - 1, h))
+            norms = [float(max(map(abs, v), default=0)) for v in defects]
+        return dict(zip(("reconstruction", "closed", "coclosed"), norms))
 
     # -- spark potentials ------------------------------------------------
     def harmonic_potential(self, R: Cochain) -> Cochain:

@@ -186,7 +186,7 @@ def pullback_spark(
     else:
         a = pull_cochain(maps, s.a, src.n_simplices(k))
     R = pull_cochain(maps, s.R, src.n_simplices(k + 1))
-    R = Cochain(R.degree, tuple(int(v) for v in R.values))
+    R = R.ints_where_integral()
     out = Spark(a, R)
     validate_spark(src, out)
     return out

@@ -73,6 +73,8 @@ def battery():
         for space in VERIFY_SPACES:
             _record(table, f"verify {space}",
                     ("verify", "--space", space, "--trials", 20, "--seed", 0))
+        _record(table, "verify rp3 cg",
+                ("verify", "--space", "rp3", "--method", "cg", "--trials", 20, "--seed", 0))
         for space in SPARK_SPACES:
             _spark_commands(table, tmp, space)
         for space in DECOMPOSE_SPACES:
@@ -114,7 +116,10 @@ def _spark_commands(table, tmp, space):
 
 
 def _decompose_commands(table, tmp, space):
-    """hodge decompose of one seeded cochain per degree, uniform and weighted."""
+    """hodge decompose of one seeded cochain per degree, uniform and weighted.
+
+    Each runs twice: with the default method and with ``--method cg``.
+    """
     K = build_space(space)
     rng = random.Random(f"weights {space}")
     weights = _write(tmp / f"{space}-w.json", {
@@ -126,9 +131,10 @@ def _decompose_commands(table, tmp, space):
         values = [Fraction(rng.choice(DECOMPOSE_CHOICES)) for _ in range(K.n_simplices(k))]
         cochain = _write(tmp / f"{space}-u{k}.json", _vector(k, values))
         argv = ("hodge", "decompose", "--space", space, "--cochain", cochain)
-        _record(table, f"hodge decompose {space} k={k} uniform", argv)
-        _record(table, f"hodge decompose {space} k={k} weighted",
-                (*argv, "--weights", weights))
+        for suffix, method in (("", ()), (" cg", ("--method", "cg"))):
+            _record(table, f"hodge decompose {space} k={k} uniform{suffix}", (*argv, *method))
+            _record(table, f"hodge decompose {space} k={k} weighted{suffix}",
+                    (*argv, *method, "--weights", weights))
 
 
 def load_frozen():

@@ -524,6 +524,34 @@ def test_inexact_hodge_input_is_input_error(capsys, argv, what):
     assert what in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command, what", [
+    ("decompose 10^200", "not finite"),
+    ("decompose 10^400", "does not fit a float"),
+    ("verify 10^400", "does not fit a float"),
+], ids=["iterate_not_finite", "value_overflow", "weight_overflow"])
+def test_cg_values_beyond_floats_are_input_errors(capsys, tmp_path, command, what):
+    # one huge entry: 10^200 fits a float, but its square does not, and
+    # the iterates of conjugate gradients turn to NaN; 10^400 fits no float
+    K = build_space("torus")
+    name, value = command.split()
+    big = str(10 ** int(value.split("^")[1]))
+    path = tmp_path / "input.json"
+    if name == "decompose":
+        values = [big] + ["0"] * (K.n_simplices(1) - 1)
+        path.write_text(json.dumps({"degree": 1, "values": values}))
+        argv = ["hodge", "decompose", "--cochain", str(path)]
+    else:
+        weights = {str(k): ["1"] * K.n_simplices(k) for k in range(K.dimension + 1)}
+        weights["1"][0] = big
+        path.write_text(json.dumps(weights))
+        argv = ["verify", "--weights", str(path)]
+    code = main([*argv, "--space", "torus", "--method", "cg"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert what in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("k,expected", [(-2, 3), (-1, 0), (2, 0), (3, 3), (7, 3)])
 def test_spark_new_degree_range(capsys, k, expected):
     code = main(["spark", "new", "--space", "torus", f"--k={k}", "--seed", "1"])

@@ -687,6 +687,15 @@ class TestPullback:
         s = random_spark(K, 1, rng)
         assert pullback_spark(K, K, list(range(K.n_vertices)), s) == s
 
+    def test_non_integral_charge_refused_not_truncated(self):
+        # R = (3/2) g pulls back to itself; rounded to ints it would read
+        # as the valid charge g
+        K = build_space("torus")
+        g = cohomology_generators(K, 2)[0][0]
+        s = Spark(K.zero_cochain(1), g.scale(Fraction(3, 2)))
+        with pytest.raises(SparkError, match="R must be integral"):
+            pullback_spark(K, K, list(range(K.n_vertices)), s)
+
     def test_double_cover_doubles_the_class(self):
         K3, K6 = circle(3), circle(6)
         s = self.winding_spark(K3)
