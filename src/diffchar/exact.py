@@ -935,6 +935,9 @@ class SymmetricSolver:
     Solutions are :class:`ScaledVector` values whose every entry is a
     ``Fraction``.  Which solution comes back depends on the pivot order,
     so callers read only quantities that are unique, such as delta x.
+    Unique in value, not in type: the support of the solution decides
+    which entries of delta x meet a nonzero ``Fraction`` and so which
+    of its zero entries are ints.
     """
 
     def __init__(self, rows):
@@ -1022,7 +1025,9 @@ def _ldl_mod(rows, p):
     """Minimum-degree L D L^T of the symmetric integer ``rows`` modulo p.
 
     Returns the steps of :meth:`SymmetricSolver._factor`, or None when
-    a zero pivot has a nonzero row.
+    a zero pivot has a nonzero row.  The active rows stay symmetric, so
+    a pivot step computes the update of each pair (i, j), (j, i) once;
+    the steps are those of updating every row on its own.
     """
     active = [
         {j: w for j, v in row.items() if j != i and (w := v % p)}
@@ -1045,20 +1050,21 @@ def _ldl_mod(rows, p):
             steps.append((k, 0, ()))
             continue
         dinv = pow(d, -1, p)
-        col = [(i, v * dinv % p) for i, v in row.items()]
-        for i, l in col:
+        items = list(row.items())
+        col = [(i, v * dinv % p) for i, v in items]
+        for a, (i, l) in enumerate(col):
             ri = active[i]
             del ri[k]
-            for j, v in row.items():
-                if j == i:
-                    diag[i] = (diag[i] - l * v) % p
-                    continue
+            diag[i] = (diag[i] - l * items[a][1]) % p
+            for j, v in items[a + 1:]:
                 w = (ri.get(j, 0) - l * v) % p
                 if w:
-                    ri[j] = w
+                    ri[j] = active[j][i] = w
                 else:
                     ri.pop(j, None)
-            heappush(heap, (len(ri), i))
+                    active[j].pop(i, None)
+        for i, _ in col:
+            heappush(heap, (len(active[i]), i))
         steps.append((k, dinv, col))
     return steps
 

@@ -10,11 +10,18 @@ their floats, so cochains stay exact on both routes.  Exact mode
 eliminates no Laplacian: both come from the
 coboundary normal matrices N_j = delta_j^T W delta_j (finite-difference
 Hodge theory), each factored once per degree and weight profile, plus
-a small Gram system on the harmonic basis.  Every one of these systems is symmetric, and
+a small Gram system on the harmonic basis.  For j >= 1 the normal
+matrix is factored on a Morse gauge, N_S = delta_S^T W delta_S over
+the j-cells S that :func:`~diffchar.morse.greedy_matching` does not
+match downward, whose columns span im delta_j; the unknowns off S are
+zero.  Every one of these systems is symmetric, and
 a :class:`~diffchar.exact.SymmetricSolver` solves it
 modulo a prime, lifts the solution p-adically and accepts it only after
 an exact check; callers read only what the solution fixes uniquely, so
-outputs do not depend on the prime or the pivot order.
+output values do not depend on the prime, the gauge or the pivot order.
+Types can: an entry of delta x is a Fraction where a nonzero entry of
+the solution x meets it, else an int, so the support of the solution
+decides the type of some zero entries.
 :class:`HodgeContext` owns these systems and the library's one harmonic
 projection; what the weights of a degree fix is cached on K when they
 are all 1, so spark_from_cocycle and every context uniform in that
@@ -54,6 +61,7 @@ from .exact import (
     transpose_apply,
     transpose_rows,
 )
+from .morse import greedy_matching
 from .sparks import Spark, SparkError, mod1, periods
 
 EXACT_SIZE_LIMIT = 3000
@@ -155,43 +163,89 @@ class HodgeContext:
         return self._cache if k in self._weighted else self.K._cache
 
     def _normal(self, k):
-        """The normal matrix N_k = delta_k^T W_{k+1} delta_k, factored once.
+        """The normal system of degree k on its gauge, factored once.
 
-        A :class:`~diffchar.exact.SymmetricSolver`: N_k is factored
-        modulo a prime, each solution is lifted p-adically and accepted
-        only after an exact check of the whole system.  Which solution
-        comes back depends on the pivot order, so its readers use only
-        what every solution gives alike: delta x, delta y and the
-        coexact parts.
+        (gauge, rows, solver).  For k >= 1 the gauge S lists the
+        k-cells that :func:`~diffchar.morse.greedy_matching` does not
+        match downward: the up-matched and the critical ones.  For an
+        acyclic matching the columns of delta_k on S span im delta_k
+        (Forman, Adv. Math. 134, 1998): the coboundary of a cell matched
+        down to a face t is, by delta delta t = 0, a combination of
+        those of t's other cofacets, and acyclicity ends the recursion.
+        So delta x, delta y and the coexact parts come out the same from
+        an x that lives on S.  No vertex is matched downward, so for
+        k <= 0 the gauge is every cell and the matching is not formed.
+        rows are those of delta_k with their columns renumbered along
+        S, and solver is the :class:`~diffchar.exact.SymmetricSolver`
+        of N_S = delta_S^T W_{k+1} delta_S: factored modulo a prime,
+        each solution lifted p-adically and accepted only after an
+        exact check of the whole gauged system.  Critical cells that
+        are cocycles are its free variables.  Which solution comes back
+        depends on the pivot order wherever N_S is singular, so its
+        readers use only what every solution gives alike.  That fixes
+        values, not types: an entry of delta x is a Fraction where a
+        nonzero entry of x meets it, so the support of the solution
+        decides which zero entries of delta x are ints.
         """
         store = self._store(k + 1)
         key = ("normal", k)
         if key not in store:
-            n_k = self.K.n_simplices(k)
-            w = self._uneven(k + 1)
-            store[key] = SymmetricSolver(gram_rows(self.K.delta_rows(k), n_k, w))
+            K = self.K
+            n_k = K.n_simplices(k)
+            rows = K.delta_rows(k)
+            if k <= 0:
+                gauge = range(n_k)
+            else:
+                down = set(greedy_matching(K).up_map(k - 1).values())
+                gauge = [c for c in range(n_k) if c not in down]
+                at = {c: i for i, c in enumerate(gauge)}
+                rows = [{at[c]: v for c, v in row.items() if c in at} for row in rows]
+            solver = SymmetricSolver(gram_rows(rows, len(gauge), self._uneven(k + 1)))
+            store[key] = gauge, rows, solver
         return store[key]
 
-    def _exact_potential(self, u: Cochain) -> Cochain:
-        """x with delta x the exact part of u: N_{k-1} x = delta^T W_k u.
+    def _normal_solve(self, k, b_S):
+        """x with N_S x_S = b_S on the gauge of degree k and zeros off it.
 
-        delta x is the orthogonal projection of u onto the coboundaries.
-        Free variables of the pivoted solve are set to zero, so the
-        output is deterministic.
+        Every entry is a Fraction, like the solver's.
         """
-        K = self.K
+        gauge, _, solver = self._normal(k)
+        x = solver.solve(b_S)
+        n_k = self.K.n_simplices(k)
+        if len(gauge) == n_k:
+            return x
+        nums = [0] * n_k
+        for c, z in zip(gauge, x.nums):
+            nums[c] = z
+        return ScaledVector(x.den, nums, range(n_k))
+
+    def _exact_potential(self, u: Cochain) -> Cochain:
+        """x with delta x the exact part of u: N_S x_S = delta_S^T W_k u.
+
+        delta x is the orthogonal projection of u onto the coboundaries,
+        with x zero off the gauge S of :meth:`_normal`.  Free variables
+        of the pivoted solve are set to zero, so the output is
+        deterministic.
+        """
         k = u.degree - 1
-        n_k = K.n_simplices(k)
         wu = u.form
         if self._uneven(u.degree) is not None:
             wu = wu.mul(self._weight_form(u.degree))
-        x = self._normal(k).solve(scaled_product(K.delta_rows(k), wu, n_k))
-        return Cochain.from_scaled(k, x)
+        gauge, rows, _ = self._normal(k)
+        return Cochain.from_scaled(k, self._normal_solve(k, scaled_product(rows, wu, len(gauge))))
 
     def _up_potential(self, v: Cochain) -> Cochain:
-        """y with adjoint_delta(delta y) = v for a coexact v: N_k y = W_k v."""
+        """y with adjoint_delta(delta y) = v for a coexact v: N_S y_S = (W_k v)_S.
+
+        W_k v = delta^T W z lies in im delta^T, and so does N_k y; a
+        vector of im delta^T that is zero on the gauge S is zero, since
+        the columns on S span im delta, so the rows on S fix y.
+        """
         k = v.degree
-        return Cochain.from_scaled(k, self._normal(k).solve(v.form.mul(self._weight_form(k))))
+        wv = v.form.mul(self._weight_form(k))
+        gauge = self._normal(k)[0]
+        b_S = ScaledVector(wv.den, [wv.nums[c] for c in gauge], range(len(gauge)))
+        return Cochain.from_scaled(k, self._normal_solve(k, b_S))
 
     def _coexact_part(self, x: Cochain) -> Cochain:
         """x minus its harmonic and exact parts."""

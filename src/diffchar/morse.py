@@ -111,13 +111,21 @@ def validate_matching(K: SimplicialComplex, matching: Matching):
 
 
 def greedy_matching(K: SimplicialComplex) -> Matching:
-    """Deterministic collapse-based acyclic matching.
+    """Deterministic collapse-based acyclic matching, cached on K.
 
     Repeatedly matches the lexicographically first cell that has exactly
     one unassigned cofacet; when stuck, the first unassigned cell of the
     highest remaining dimension becomes critical.  Free-face collapses
-    can never create a V-path cycle.
+    can never create a V-path cycle.  It is formed once per complex:
+    the Morse commands and the gauge of the Hodge normal systems share
+    it.
     """
+    if "greedy_matching" not in K._cache:
+        K._cache["greedy_matching"] = _greedy_matching(K)
+    return K._cache["greedy_matching"]
+
+
+def _greedy_matching(K):
     assigned = set()
     pairs = []
     cof = {k: _cofacet_lists(K, k) for k in range(K.dimension)}

@@ -15,10 +15,13 @@ of a matching, built from the boundary alone.  ``elementwise_cup``,
 product, the sparse coboundary/boundary product and the pairing on
 plain value tuples, entry by entry, the reference for the scaled
 arithmetic of chains and cochains.  ``kernel_basis`` reads
-the integer kernel of a matrix off its Smith form.
+the integer kernel of a matrix off its Smith form.  ``ldl_mod_rowwise``
+is the minimum-degree L D L^T modulo a prime that updates each active
+row on its own, the reference for the steps of ``exact._ldl_mod``.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from diffchar.cohomology import integer_cohomology
 from diffchar.complexes import Chain, Cochain, ComplexEmbedding, SimplicialComplex
@@ -144,6 +147,56 @@ def elementwise_product(rows, vec):
 def elementwise_evaluate(u, z):
     """The pairing of value tuples: the sum over nonzero entries of z, from int 0."""
     return sum(a * b for a, b in zip(u, z) if b)
+
+
+# ---------------------------------------------------------------------------
+# symmetric factorization modulo a prime, row by row
+
+
+def ldl_mod_rowwise(rows, p):
+    """The steps of ``exact._ldl_mod``, each active row updated on its own.
+
+    Every off-diagonal update of a pivot step is computed twice, once
+    for (i, j) and once for (j, i), and each updated row is pushed on
+    the heap as soon as it is done.
+    """
+    active = [
+        {j: w for j, v in row.items() if j != i and (w := v % p)}
+        for i, row in enumerate(rows)
+    ]
+    diag = [row.get(i, 0) % p for i, row in enumerate(rows)]
+    heap = [(len(row), i) for i, row in enumerate(active)]
+    heapify(heap)
+    steps = []
+    while heap:
+        degree, k = heappop(heap)
+        row = active[k]
+        if row is None or degree != len(row):
+            continue
+        active[k] = None
+        d = diag[k]
+        if not d:
+            if row:
+                return None
+            steps.append((k, 0, ()))
+            continue
+        dinv = pow(d, -1, p)
+        col = [(i, v * dinv % p) for i, v in row.items()]
+        for i, l in col:
+            ri = active[i]
+            del ri[k]
+            for j, v in row.items():
+                if j == i:
+                    diag[i] = (diag[i] - l * v) % p
+                    continue
+                w = (ri.get(j, 0) - l * v) % p
+                if w:
+                    ri[j] = w
+                else:
+                    ri.pop(j, None)
+            heappush(heap, (len(ri), i))
+        steps.append((k, dinv, col))
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from diffchar.exact import (
 )
 from diffchar.hodge import HodgeContext, spark_from_cocycle
 from diffchar.sparks import Spark, periods, spark_equivalent
-from oracles import kernel_basis, varied_weights
+from oracles import kernel_basis, ldl_mod_rowwise, varied_weights
 from test_top_degree import FROZEN_SNF
 
 
@@ -627,6 +627,22 @@ class TestSymmetricSolver:
 
     def test_empty_system(self):
         assert SymmetricSolver([]).solve([]).entries() == []
+
+    @pytest.mark.parametrize("name", ["torus", "rp2", "rp3", "cp2", "torus_grid5", "genus2"])
+    def test_symmetric_updates_keep_the_rowwise_steps(self, name):
+        # pivots, d^{-1} and the order of every column match the routine
+        # that updates (i, j) and (j, i) apart, for every prime, on the
+        # full and the gauged normal systems, uniform and varied weights
+        K = build_space(name)
+        weights = varied_weights(K, random.Random(4))
+        for k in range(K.dimension):
+            for w in (None, weights):
+                solvers = [SymmetricSolver(gram_rows(K.delta_rows(k), K.n_simplices(k),
+                                                     w and w[k + 1])),
+                           HodgeContext(K, w)._normal(k)[2]]
+                for solver in solvers:
+                    for p in exact.PRIMES:
+                        assert exact._ldl_mod(solver.rows, p) == ldl_mod_rowwise(solver.rows, p)
 
 
 def invariant_factors(orders):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar import cli, hodge
+from diffchar import cli, exact, hodge
 from diffchar.builders import (
     build_space,
     circle,
@@ -18,12 +18,13 @@ from diffchar.builders import (
     torus_grid_axis_cocycles,
 )
 from diffchar.cohomology import (
+    coboundary_smith_form,
     cohomology_generators,
     cohomology_structure,
     integer_homology,
 )
 from diffchar.complexes import Chain
-from diffchar.exact import RatElim
+from diffchar.exact import RatElim, SymmetricSolver, gram_rows, rat_rank, smith_normal_form
 from diffchar.hodge import (
     HodgeContext,
     HodgeError,
@@ -33,6 +34,7 @@ from diffchar.hodge import (
     point_abel_jacobi,
     spark_from_cocycle,
 )
+from diffchar.morse import greedy_matching
 from diffchar.sparks import Spark, curvature, spark_equivalent
 from oracles import elementary_cochain, green, inner, laplacian, varied_weights
 
@@ -548,3 +550,114 @@ def test_varied_weights_reproducible():
     a = varied_weights(K, random.Random(5))
     b = varied_weights(K, random.Random(5))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the Morse gauge of the normal systems
+
+GAUGE_FIXTURES = [
+    "circle5", "sphere3", "torus", "torus_grid5", "genus2", "rp2", "rp3", "cp2",
+    "simplex3", "lens:5,2", "lens:6,1", "product:circle,torus",
+]
+
+
+def _gauge(K, k):
+    """The k-cells that the greedy matching does not match downward."""
+    down = set(greedy_matching(K).up_map(k - 1).values())
+    return [c for c in range(K.n_simplices(k)) if c not in down]
+
+
+@pytest.mark.parametrize("name", GAUGE_FIXTURES)
+def test_gauge_columns_keep_the_coboundary_rank(name):
+    # the columns of delta_k on the gauge span im delta_k: both ranks,
+    # by Smith form and by rational elimination, agree with the cached
+    # Smith form of the whole delta_k
+    K = build_space(name)
+    for k in range(1, K.dimension + 1):
+        gauge = _gauge(K, k)
+        at = {c: i for i, c in enumerate(gauge)}
+        rows = [{at[c]: v for c, v in row.items() if c in at} for row in K.delta_rows(k)]
+        rank = coboundary_smith_form(K, k).rank
+        assert rat_rank(K.delta_rows(k), K.n_simplices(k)) == rank
+        assert smith_normal_form(rows, nrows=len(rows), ncols=len(gauge)).rank == rank
+        assert rat_rank(rows, len(gauge)) == rank
+
+
+class FullSystems(HodgeContext):
+    """Every normal system factored over all n_k columns, with no gauge."""
+
+    def _normal(self, k):
+        key = ("full normal", k)
+        if key not in self._cache:
+            n_k, rows = self.K.n_simplices(k), self.K.delta_rows(k)
+            solver = SymmetricSolver(gram_rows(rows, n_k, self._uneven(k + 1)))
+            self._cache[key] = range(n_k), rows, solver
+        return self._cache[key]
+
+
+@pytest.mark.parametrize("name", ["rp3", "cp2", "lens:5,2", "torus_grid5"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "varied"])
+def test_gauged_solves_match_full_systems(name, weighted):
+    # the full context gets its own complex: uniform harmonic bases are
+    # cached on K
+    K, K_full = build_space(name), build_space(name)
+    weights = varied_weights(K, random.Random(11)) if weighted else None
+    ctx, full = HodgeContext(K, weights), FullSystems(K_full, weights)
+    rng = random.Random(12)
+    for k in range(K.dimension + 1):
+        assert [b.values for b in ctx.harmonic_basis(k)] == [
+            b.values for b in full.harmonic_basis(k)
+        ]
+        if k >= 1:
+            assert ctx._normal(k)[0] == _gauge(K, k)
+        u = rand_cochain(K, k, rng)
+        if k >= 1:
+            assert K.delta(ctx._exact_potential(u)) == K.delta(full._exact_potential(u))
+        assert ctx.decompose(u) == full.decompose(u)
+
+
+# (k, n_k, |S|, nnz of N_S, flops sum |col|^2) of each normal factorization,
+# in order, that `verify --trials 5 --seed 0` makes
+NORMAL_LEDGER = {
+    "cp2": [(-1, 0, 0, 0, 0), (1, 36, 28, 344, 3070), (0, 9, 9, 81, 204),
+            (-2, 0, 0, 0, 0), (2, 84, 56, 570, 7689), (3, 90, 35, 151, 122),
+            (4, 36, 1, 0, 0)],
+    "rp3": [(-1, 0, 0, 0, 0), (0, 40, 40, 504, 4138), (-2, 0, 0, 0, 0),
+            (1, 232, 193, 1715, 101689), (2, 384, 192, 692, 451), (3, 192, 1, 0, 0)],
+    "torus_grid5": [(-1, 0, 0, 0, 0), (0, 25, 25, 175, 1559), (-2, 0, 0, 0, 0),
+                    (1, 75, 51, 175, 142), (2, 50, 1, 0, 0)],
+    "lens:5,2": [(-1, 0, 0, 0, 0), (0, 88, 88, 1224, 16636), (-2, 0, 0, 0, 0),
+                 (1, 568, 481, 4399, 830931), (2, 960, 480, 1662, 992), (3, 480, 1, 0, 0)],
+}
+
+
+def _count_normal_factorizations(monkeypatch):
+    """(k, n_k, |S|, nnz, flops) of each normal L D L^T formed from now on."""
+    formed, degrees = [], []
+    ldl, normal = exact._ldl_mod, HodgeContext._normal
+
+    def counted_ldl(rows, p):
+        steps = ldl(rows, p)
+        if degrees:
+            flops = sum(len(col) ** 2 for _, _, col in steps)
+            formed.append((*degrees[-1], len(rows), sum(map(len, rows)), flops))
+        return steps
+
+    def counted_normal(self, k):
+        degrees.append((k, self.K.n_simplices(k)))
+        try:
+            return normal(self, k)
+        finally:
+            degrees.pop()
+
+    monkeypatch.setattr(exact, "_ldl_mod", counted_ldl)
+    monkeypatch.setattr(HodgeContext, "_normal", counted_normal)
+    return formed
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_LEDGER))
+def test_verify_normal_factorizations_frozen(monkeypatch, capsys, name):
+    formed = _count_normal_factorizations(monkeypatch)
+    assert cli.main(["verify", "--space", name, "--trials", "5", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert formed == NORMAL_LEDGER[name]

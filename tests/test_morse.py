@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffchar import cli, morse
 from diffchar.builders import build_space, circle, cp2, moebius_kuehnel_torus, rp2, rp3, sphere
 from diffchar.cohomology import (
     cohomology_generators,
@@ -88,6 +89,23 @@ def test_greedy_matching_is_valid(K):
         assert len(crit[k]) >= cohomology_structure(K, k).free_rank
     euler = sum((-1) ** k * len(crit[k]) for k in range(K.dimension + 1))
     assert euler == K.euler_characteristic()
+
+
+def test_verify_forms_the_matching_once(monkeypatch, capsys):
+    # the Hodge gauge and verify's MorseFlow read one matching off K
+    calls = []
+    real = morse._greedy_matching
+
+    def counted(K):
+        calls.append(K)
+        return real(K)
+
+    monkeypatch.setattr(morse, "_greedy_matching", counted)
+    assert cli.main(["verify", "--space", "cp2", "--trials", "2", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    K = build_space("rp2")
+    assert greedy_matching(K) is greedy_matching(K)
 
 
 @pytest.mark.parametrize("K", FIXTURES, ids=IDS)

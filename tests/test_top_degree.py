@@ -95,13 +95,16 @@ def _top_generators(K):
 # sha256 of repr((spark_from_cocycle, uniform hodge_spark, varied
 # hodge_spark)) over the free then torsion generators of H^n, frozen
 # from the normal-matrix route; lens:5,2 from normal forms whose N_{n-2}
-# was eliminated over Q by RatElim
+# was eliminated over Q by RatElim; cp2 re-frozen on the Morse gauge of
+# N_{n-2}, where three zero entries of the uniform hodge_spark potential
+# changed type (54 and 61 int -> Fraction, 76 Fraction -> int) and no
+# value moved (FROZEN_SPARK_VALUES)
 FROZEN_SPARKS = {
     "lens:5,2": "31a8d4c8ed64ae248c2faa2ef122d0eba777412170e7a7e433e544d6731d04b9",
     "rp3": "6430ccf87fa2e99c3be8ed09996909c967d5444511453e61d90763aae10ac980",
     "torus": "164a8e3247012b2b1adea088be0a6899a18625aa0d9c2f65a616b43a49ba545e",
     "genus2": "f1757466b606b4f8c2cd60e0de3aee34e4a1fff14ff205ab426b040b431aee0c",
-    "cp2": "08b45c9af2dd752fcdd34448c49c14c18ce2b30aa5b71ec277a800197a5f7bdd",
+    "cp2": "ba9fc7013197ea3a0a6892918ed99c702426635f0bcf8c64d5ba8be3cfb40a61",
     "torus_grid5": "020cc08e6c296244311c911040378406971f007b34fbab7d01431ca6c6734b5e",
     "rp2": "b2311cd622ce5cfddd22a1da46ad55964012f7ca4cc7d35dcf151e3463f73f1d",
     "sphere_dangling_edge": "f57da331b8ba06d721db17ce647d250fa52432af9397c2a50a527e2b42127f56",
