@@ -11,10 +11,10 @@ unimodular transforms serve kernels, integer and rational preimages,
 quotient-group coordinates and torsion witnesses downstream, and
 :class:`SymmetricSolver`, which solves the symmetric positive
 semidefinite systems of :class:`diffchar.hodge.HodgeContext` (the
-coboundary normal matrices and the harmonic Gram systems): an L D L^T
-factorization modulo a prime, p-adic lifting and rational
-reconstruction, and an exact integer check of every solution it
-returns.  :class:`RatElim`, a fraction-free sparse Gauss-Jordan over Q,
+coboundary normal matrices on their Morse gauges and the harmonic Gram
+systems): an L D L^T factorization modulo a prime, p-adic lifting and
+rational reconstruction, and an exact integer check of every solution
+it returns.  :class:`RatElim`, a fraction-free sparse Gauss-Jordan over Q,
 gives the rational rank of check 7 in :mod:`diffchar.characters`, an
 elimination independent of both; the tests also use it as an oracle.
 Every kernel and preimage comes from a Smith form.

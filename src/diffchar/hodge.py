@@ -165,27 +165,23 @@ class HodgeContext:
     def _normal(self, k):
         """The normal system of degree k on its gauge, factored once.
 
-        (gauge, rows, solver).  For k >= 1 the gauge S lists the
-        k-cells that :func:`~diffchar.morse.greedy_matching` does not
-        match downward: the up-matched and the critical ones.  For an
-        acyclic matching the columns of delta_k on S span im delta_k
-        (Forman, Adv. Math. 134, 1998): the coboundary of a cell matched
-        down to a face t is, by delta delta t = 0, a combination of
-        those of t's other cofacets, and acyclicity ends the recursion.
-        So delta x, delta y and the coexact parts come out the same from
-        an x that lives on S.  No vertex is matched downward, so for
-        k <= 0 the gauge is every cell and the matching is not formed.
-        rows are those of delta_k with their columns renumbered along
-        S, and solver is the :class:`~diffchar.exact.SymmetricSolver`
-        of N_S = delta_S^T W_{k+1} delta_S: factored modulo a prime,
-        each solution lifted p-adically and accepted only after an
-        exact check of the whole gauged system.  Critical cells that
-        are cocycles are its free variables.  Which solution comes back
-        depends on the pivot order wherever N_S is singular, so its
-        readers use only what every solution gives alike.  That fixes
-        values, not types: an entry of delta x is a Fraction where a
-        nonzero entry of x meets it, so the support of the solution
-        decides which zero entries of delta x are ints.
+        (gauge, rows, solver).  For k >= 1 the gauge S lists the k-cells
+        that :func:`~diffchar.morse.greedy_matching` does not match
+        downward: the up-matched and the critical ones.  For an acyclic
+        matching the columns of delta_k on S span im delta_k (Forman,
+        Adv. Math. 134, 1998): the coboundary of a cell matched down to
+        a face t is, by delta delta t = 0, a combination of those of
+        t's other cofacets, and acyclicity ends the recursion.  No
+        vertex is matched downward, so for k <= 0 the gauge is every
+        cell and no matching is formed.  rows are those of delta_k with
+        their columns renumbered along S; solver is the
+        :class:`~diffchar.exact.SymmetricSolver` of N_S = delta_S^T
+        W_{k+1} delta_S, whose free variables are the critical cells
+        that are cocycles.  Which solution comes back depends on the
+        pivot order, so its readers use only what every solution gives
+        alike: delta x, delta y and the coexact parts, equal in value;
+        the support of the solution sets which zero entries of delta x
+        are ints.
         """
         store = self._store(k + 1)
         key = ("normal", k)

@@ -637,8 +637,8 @@ class TestSymmetricSolver:
         weights = varied_weights(K, random.Random(4))
         for k in range(K.dimension):
             for w in (None, weights):
-                solvers = [SymmetricSolver(gram_rows(K.delta_rows(k), K.n_simplices(k),
-                                                     w and w[k + 1])),
+                w_up = None if w is None else w[k + 1]
+                solvers = [SymmetricSolver(gram_rows(K.delta_rows(k), K.n_simplices(k), w_up)),
                            HodgeContext(K, w)._normal(k)[2]]
                 for solver in solvers:
                     for p in exact.PRIMES:
