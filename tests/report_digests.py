@@ -86,21 +86,33 @@ def battery():
 
 
 def _spark_commands(table, tmp, space):
-    """spark new, hodge spark, spark d2 and spark holonomy per generator.
+    """The spark, hodge and morse commands on each generator.
 
     The generators are the free, then the torsion, cocycles of
-    ``cohomology_generators`` in each degree 1..n.  d2 and holonomy read
-    the spark that ``spark new`` printed; holonomy runs on the sum of
-    the primitive integral (k-1)-cycles, k the degree of the cocycle.
+    ``cohomology_generators`` in each degree 1..n.  Per generator:
+    ``spark new``, ``hodge spark`` and ``morse spark`` of the cocycle;
+    ``spark d1``, ``spark d2``, ``hodge normal`` and ``spark holonomy``
+    of the spark that ``spark new`` printed, holonomy on the sum of the
+    primitive integral (k-1)-cycles, k the degree of the cocycle;
+    ``spark equiv`` of that spark and the one ``hodge spark`` printed;
+    ``spark star`` and ``spark pair`` of that spark and the seeded
+    random spark of the complementary degree n - k (``spark new --k
+    n-k --seed 0``, recorded once per degree k), whose star is a
+    top-degree spark.
     """
     K = build_space(space)
-    for k in range(1, K.dimension + 1):
+    n = K.dimension
+    for k in range(1, n + 1):
         free, tor = cohomology_generators(K, k)
         gens = [("free", i, g) for i, g in enumerate(free)]
         gens += [("torsion", i, g) for i, (_, g, _) in enumerate(tor)]
         cycles = cycle_lattice_basis(K, k - 1)
         cycle = _write(tmp / f"{space}-z{k}.json",
                        _vector(k - 1, map(sum, zip(*cycles))))
+        if gens:
+            out = _record(table, f"spark new {space} k={n - k} seed 0",
+                          ("spark", "new", "--space", space, "--k", n - k, "--seed", 0))
+            partner = _write(tmp / "partner.json", json.loads(out)["results"]["spark"])
         for kind, i, g in gens:
             tag = f"{space} k={k} {kind} {i}"
             cocycle = _write(tmp / "cocycle.json", _vector(k, g.values))
@@ -108,11 +120,21 @@ def _spark_commands(table, tmp, space):
             out = _record(table, f"spark new {tag}",
                           ("spark", "new", *base, "--cocycle", cocycle))
             spark = _write(tmp / "spark.json", json.loads(out)["results"]["spark"])
-            _record(table, f"hodge spark {tag}",
-                    ("hodge", "spark", *base, "--cocycle", cocycle))
+            out = _record(table, f"hodge spark {tag}",
+                          ("hodge", "spark", *base, "--cocycle", cocycle))
+            harmonic = _write(tmp / "hodge-spark.json", json.loads(out)["results"]["spark"])
+            _record(table, f"morse spark {tag}",
+                    ("morse", "spark", *base, "--cocycle", cocycle))
+            _record(table, f"spark d1 {tag}", ("spark", "d1", *base, spark))
             _record(table, f"spark d2 {tag}", ("spark", "d2", *base, spark))
+            _record(table, f"hodge normal {tag}", ("hodge", "normal", *base, spark))
             _record(table, f"spark holonomy {tag}",
                     ("spark", "holonomy", *base, spark, "--cycle", cycle))
+            _record(table, f"spark equiv {tag}", ("spark", "equiv", *base, spark, harmonic))
+            _record(table, f"spark star {tag}",
+                    ("spark", "star", *base, spark, partner))
+            _record(table, f"spark pair {tag}",
+                    ("spark", "pair", *base, spark, partner))
 
 
 def _decompose_commands(table, tmp, space):

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from diffchar import exact
+from diffchar import cli, exact
 from diffchar.builders import build_space
 from diffchar.characters import character_table
 from diffchar.cohomology import (
@@ -332,16 +332,28 @@ def test_character_table_builds_only_vinv():
 
 
 def _count_smith_forms(monkeypatch):
-    """The (nrows, ncols) of each Smith form formed from now on."""
+    """The (nrows, ncols, rank) of each Smith form formed from now on."""
     formed = []
     run = exact._SnfWorker.run
 
     def counted(self):
-        formed.append((self.nrows, self.ncols))
-        return run(self)
+        snf = run(self)
+        formed.append((snf.nrows, snf.ncols, snf.rank))
+        return snf
 
     monkeypatch.setattr(exact._SnfWorker, "run", counted)
     return formed
+
+
+def test_tables_smith_forms_frozen(monkeypatch, capsys):
+    # the tables entry of the Smith-form ledger; smith_ledger imports
+    # this module, so it is imported here
+    from smith_ledger import frozen_entries
+
+    formed = _count_smith_forms(monkeypatch)
+    assert cli.main(["tables", "--space", "lens:5,2"]) == 0
+    capsys.readouterr()
+    assert formed == frozen_entries("tables lens:5,2")
 
 
 def test_cycle_lattices_form_no_homology_smith_form(monkeypatch):
@@ -372,7 +384,7 @@ def test_torsion_charge_spark_forms_no_smith_form_of_h1(monkeypatch, space):
     _, ((_, g, _),) = cohomology_generators(K, 2)
     before = len(formed)
     spark_from_cocycle(K, g)
-    assert formed[before:] == [(K.n_simplices(1), K.n_simplices(0))]
+    assert formed[before:] == [(K.n_simplices(1), K.n_simplices(0), K.n_vertices - 1)]
     assert ("H_int", 1) not in K._cache and ("snf_delta", 1) not in K._cache
     # the top degree projects through H^2, whose A is the Smith form of
     # delta_2 that H^3 holds: only H^2's relation matrix is new
@@ -380,7 +392,8 @@ def test_torsion_charge_spark_forms_no_smith_form_of_h1(monkeypatch, space):
     (top,), _ = cohomology_generators(K, 3)
     before = len(formed)
     spark_from_cocycle(K, top)
-    assert formed[before:] == [(integer_cohomology(K, 2).kernel_dim, K.n_simplices(1))]
+    H2 = integer_cohomology(K, 2)
+    assert formed[before:] == [(H2.kernel_dim, K.n_simplices(1), H2.kernel_dim)]
     assert ("snf_delta", 1) not in K._cache
 
 

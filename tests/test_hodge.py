@@ -37,6 +37,8 @@ from diffchar.hodge import (
 from diffchar.morse import greedy_matching
 from diffchar.sparks import Spark, curvature, spark_equivalent
 from oracles import elementary_cochain, green, inner, laplacian, varied_weights
+from smith_ledger import frozen_entries
+from test_exact import _count_smith_forms
 
 F = Fraction
 
@@ -657,7 +659,10 @@ def _count_normal_factorizations(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(NORMAL_LEDGER))
 def test_verify_normal_factorizations_frozen(monkeypatch, capsys, name):
+    # the same runs also give the verify entries of the Smith-form ledger
     formed = _count_normal_factorizations(monkeypatch)
+    smith = _count_smith_forms(monkeypatch)
     assert cli.main(["verify", "--space", name, "--trials", "5", "--seed", "0"]) == 0
     capsys.readouterr()
     assert formed == NORMAL_LEDGER[name]
+    assert smith == frozen_entries(f"verify {name}")
