@@ -300,7 +300,7 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
             a = random_fractions(5)
             x = K.cochain(k, (rng.randint(-3, 3) for _ in range(K.n_simplices(k))))
             s = Spark(a, K.delta(x))
-            S = H_next.preimage(s.R.ints_where_integral().form)
+            S = H_next.preimage(s.R.form)
             if S is None or not all(map(is_integer, S)):
                 yield "no integral primitive for exact charge"
             flattened = Spark(s.a + K.cochain(k, S), K.zero_cochain(k + 1))

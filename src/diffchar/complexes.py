@@ -8,8 +8,7 @@ arithmetic (sums, negation, scaling, cup products, evaluation, delta
 and boundary) runs on one :class:`~diffchar.exact.ScaledVector`,
 integer numerators over one common denominator, and the tuple of
 entries, ``values``, is built only when something reads it; each entry
-has the value and the type that term-by-term arithmetic gives it.
-Products use the standard
+is an int exactly when it is integral.  Products use the standard
 front-face/back-face (Alexander-Whitney) formulas, which satisfy the
 Leibniz rule on the nose; that exactness is what the spark calculus
 downstream leans on.
@@ -74,11 +73,10 @@ class _Vector:
     """Coefficients on the k-simplices, tagged with the degree k.
 
     Chains and cochains share this body.  ``Cochain(k, values)`` keeps
-    the given ints and ``Fraction`` values; arithmetic keeps a
+    the given ints and ``Fraction`` values as given; arithmetic keeps a
     :class:`~diffchar.exact.ScaledVector` (integers over one common
-    denominator, and the positions of the ``Fraction`` entries) and
-    builds ``values`` only when it is read, once, every entry with the
-    value and the type that term-by-term arithmetic gives it.  The first
+    denominator) and builds ``values`` only when it is read, once, every
+    entry an int exactly when it is integral.  The first
     operation on a vector with any other entry, a float or a bool,
     raises ValueError naming it.  Immutable, with the equality, hash and
     repr of a frozen dataclass of ``degree`` and ``values``: equality
@@ -163,10 +161,6 @@ class _Vector:
         if type(c) not in _SCALAR_TYPES:
             raise ValueError(f"scalar {c!r} is not an int or Fraction")
         return self.from_scaled(self.degree, self.form.times(c))
-
-    def ints_where_integral(self):
-        """The same vector with every integral entry an int."""
-        return self.from_scaled(self.degree, self.form.ints_where_integral())
 
     def is_zero(self):
         return not any(self.form.nums)
@@ -357,20 +351,15 @@ class SimplicialComplex:
         if u.degree != z.degree:
             raise ValueError("evaluate needs matching degrees")
         a, b = u.form, z.form
-        xs = a.nums
-        hit = [(i, y) for i, y in enumerate(b.nums) if y]
-        total = sum(xs[i] * y for i, y in hit)
+        total = sum(x * y for x, y in zip(a.nums, b.nums) if y)
         den = a.den * b.den
-        fa, fb = a.fracs, b.fracs
-        if (fa or fb) and any(i in fa or i in fb for i, _ in hit):
-            return Fraction(total, den)
-        return total // den
+        return Fraction(total, den) if total % den else total // den
 
     def cup(self, u: Cochain, v: Cochain) -> Cochain:
         """Front-face/back-face product C^p x C^q -> C^{p+q}.
 
         C^{-1} is empty, so a factor of negative degree gives zero.
-        An entry whose front factor is zero is the int 0.
+        Each entry is an int exactly when it is integral.
         """
         p, q = u.degree, v.degree
         k = p + q
@@ -380,15 +369,7 @@ class SimplicialComplex:
         a, b = u.form, v.form
         xs, ys = a.nums, b.nums
         nums = [xs[f] * ys[g] for f, g in zip(front, back)]
-        fa, fb = a.fracs, b.fracs
-        fracs = frozenset()
-        if fa or fb:
-            fracs = frozenset(
-                i
-                for i, (f, g) in enumerate(zip(front, back))
-                if xs[f] and (f in fa or g in fb)
-            )
-        return Cochain.from_scaled(k, ScaledVector(a.den * b.den, nums, fracs))
+        return Cochain.from_scaled(k, ScaledVector(a.den * b.den, nums))
 
     def _faces(self, p, q):
         """Indices of the front p-faces and of the back q-faces of the (p+q)-simplices."""

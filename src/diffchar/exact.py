@@ -20,16 +20,13 @@ elimination independent of both; the tests also use it as an oracle.
 Every kernel and preimage comes from a Smith form.
 
 Exact vectors have one representation, :class:`ScaledVector`: integer
-numerators over one common denominator L, plus the positions whose
-entry is a ``Fraction``.  Chains and cochains keep their values in it,
-and the one sparse kernel, :func:`scaled_product`, reads and returns
-it: every product and sum is an int one, and no ``Fraction`` is built.
-A product entry is a ``Fraction`` exactly when a nonzero ``Fraction``
-entry of the vector met it, so a vector's entries, built only when they
-are read (``Fraction(n, L)`` or the int ``n // L``), keep the value and
-the type of the term-by-term ``Fraction`` arithmetic.
-:func:`mat_vec` and :func:`transpose_apply` are that kernel plus the
-build step.  The Smith-form solve, :class:`SymmetricSolver` and the
+numerators over one common denominator L.  Chains and cochains keep
+their values in it, and the one sparse kernel, :func:`scaled_product`,
+reads and returns it: every product and sum is an int one, and no
+``Fraction`` is built.  An entry is built only when it is read, and its
+type follows its value alone: the int ``n // L`` when L divides n, else
+``Fraction(n, L)``.  :func:`mat_vec` and :func:`transpose_apply` are that
+kernel plus the build step.  The Smith-form solve, :class:`SymmetricSolver` and the
 right-hand sides of :class:`RatElim` take the scaled form as well, and
 :class:`SymmetricSolver` returns it.  The one float kernel is the
 term-by-term product that :func:`mat_vec` and :func:`transpose_apply`
@@ -94,21 +91,17 @@ def transpose_rows(rows, ncols):
 class ScaledVector:
     """A dense vector of ints and Fractions over one common denominator.
 
-    Entry i has the value ``nums[i] / den``.  It is a ``Fraction`` when
-    i lies in ``fracs``, else an int, which ``den`` divides; ``den`` is 1
-    when ``fracs`` is empty.  ``fracs`` is a frozenset of positions, or
-    ``range(len(nums))`` when every entry is a ``Fraction``.  Chains and
-    cochains keep their values in this form, and the kernels below read
-    and return it.  Nobody changes ``nums`` after construction.
+    Entry i has the value ``nums[i] / den`` and is typed by it: the int
+    ``nums[i] // den`` when ``den`` divides ``nums[i]``, else
+    ``Fraction(nums[i], den)``.  Chains and cochains keep their values in
+    this form, and the kernels below read and return it.  Nobody changes
+    ``nums`` after construction.
     """
 
-    __slots__ = ("den", "nums", "fracs")
+    __slots__ = ("den", "nums")
 
-    def __init__(self, den, nums, fracs):
-        if not fracs and den != 1:
-            nums = [x // den for x in nums]
-            den = 1
-        self.den, self.nums, self.fracs = den, nums, fracs
+    def __init__(self, den, nums):
+        self.den, self.nums = den, nums
 
     @classmethod
     def of(cls, vec):
@@ -120,34 +113,26 @@ class ScaledVector:
         if not types <= _EXACT_TYPES:
             return None
         if Fraction not in types:
-            return cls(1, list(vec), _NO_FRACS)
+            return cls(1, list(vec))
         dens = {x.denominator for x in vec}
         L = lcm(*dens)
         mult = {d: L // d for d in dens}
-        nums = [x.numerator * mult[x.denominator] for x in vec]
-        if int in types:
-            fracs = frozenset(j for j, x in enumerate(vec) if type(x) is Fraction)
-        else:
-            fracs = range(len(nums))
-        return cls(L, nums, fracs)
+        return cls(L, [x.numerator * mult[x.denominator] for x in vec])
 
     def entry(self, i):
-        n = self.nums[i]
-        return Fraction(n, self.den) if i in self.fracs else n // self.den
+        n, den = self.nums[i], self.den
+        return Fraction(n, den) if n % den else n // den
 
     def entries(self):
         """The list of ints and Fractions the vector stands for."""
-        den, fracs = self.den, self.fracs
-        if not fracs:
+        den = self.den
+        if den == 1:
             return list(self.nums)
-        if len(fracs) == len(self.nums):
-            return [Fraction(n, den) for n in self.nums]
-        return [Fraction(n, den) if j in fracs else n // den for j, n in enumerate(self.nums)]
+        return [Fraction(n, den) if n % den else n // den for n in self.nums]
 
     def tail(self, start):
         """The entries from ``start`` on, as a ScaledVector."""
-        fracs = frozenset(j - start for j in self.fracs if j >= start)
-        return ScaledVector(self.den, self.nums[start:], fracs)
+        return ScaledVector(self.den, self.nums[start:])
 
     def combine(self, other, sign):
         """self + other (sign 1) or self - other (sign -1), entry by entry."""
@@ -163,32 +148,22 @@ class ScaledVector:
             nums = [x + y for x, y in zip(a, b)]
         else:
             nums = [x - y for x, y in zip(a, b)]
-        return ScaledVector(den, nums, _union(self.fracs, other.fracs))
+        return ScaledVector(den, nums)
 
     def times(self, c):
-        """c times every entry, for an int or ``Fraction`` c.
-
-        An int keeps each entry's type; a ``Fraction`` makes every entry
-        one, as ``c * x`` does.
-        """
+        """c times every entry, for an int or ``Fraction`` c."""
         if isinstance(c, Fraction):
             nums = [c.numerator * x for x in self.nums]
-            return ScaledVector(self.den * c.denominator, nums, range(len(nums)))
-        return ScaledVector(self.den, [c * x for x in self.nums], self.fracs)
-
-    def ints_where_integral(self):
-        """The same values with every integral entry an int."""
-        nums, den = self.nums, self.den
-        fracs = frozenset(j for j in self.fracs if nums[j] % den)
-        return self if len(fracs) == len(self.fracs) else ScaledVector(den, nums, fracs)
+            return ScaledVector(self.den * c.denominator, nums)
+        return ScaledVector(self.den, [c * x for x in self.nums])
 
     def mul(self, other):
-        """The entry-wise product, each entry typed as ``x * y`` is."""
+        """The entry-wise product."""
         nums = [x * y for x, y in zip(self.nums, other.nums)]
-        return ScaledVector(self.den * other.den, nums, _union(self.fracs, other.fracs))
+        return ScaledVector(self.den * other.den, nums)
 
     def same_values(self, other):
-        """Whether the entries are equal in value, one by one (types aside)."""
+        """Whether the entries are equal in value, one by one."""
         if self.den == other.den:
             return self.nums == other.nums
         da, db = self.den, other.den
@@ -196,16 +171,6 @@ class ScaledVector:
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
-_NO_FRACS = frozenset()
-
-
-def _union(f, g):
-    """The Fraction positions of an entry-wise operation of two vectors."""
-    if type(f) is range:
-        return f
-    if type(g) is range:
-        return g
-    return f | g
 
 
 def scaled_product(rows, vec, ncols=None):
@@ -214,23 +179,12 @@ def scaled_product(rows, vec, ncols=None):
     vec is a ScaledVector or a sequence of ints and Fractions (a float
     raises TypeError).  The product is rows @ vec, or rows^T @ vec with
     ``ncols`` entries when ``ncols`` is given (then vec has one entry per
-    row).  Every product and sum is an int one over vec's denominator.
-    An output entry is a ``Fraction`` when a nonzero ``Fraction`` entry
-    of vec met it, else an int, so it equals in value and in type the
-    plain sum of the terms ``v * x`` with x nonzero, started at int 0.
+    row).  Every product and sum is an int one over vec's denominator,
+    and each entry reads by its value, as in :class:`ScaledVector`.
     """
     if not isinstance(vec, ScaledVector):
         vec = _exact_vector(vec)
-    xs = vec.nums
-    out = _sparse_product(rows, xs, ncols)
-    hot = {j for j in vec.fracs if xs[j]}
-    if not hot:
-        fracs = _NO_FRACS
-    elif ncols is None:
-        fracs = frozenset(i for i, row in enumerate(rows) if not hot.isdisjoint(row))
-    else:
-        fracs = frozenset().union(*(rows[r] for r in hot))
-    return ScaledVector(vec.den, out, fracs)
+    return ScaledVector(vec.den, _sparse_product(rows, vec.nums, ncols))
 
 
 def _exact_vector(vec):
@@ -266,10 +220,8 @@ def mat_vec(rows, vec):
 
     vec is a :class:`ScaledVector` or a sequence of entries.  An exact
     vec goes through :func:`scaled_product` and each entry is built once
-    at the end: ``Fraction(acc, den)`` when a nonzero ``Fraction`` of vec
-    met its row, else the int ``acc // den``, the value and the type of
-    the term-by-term sum.  A vec with float entries (the iterates of
-    conjugate gradients) is summed term by term.
+    at the end, an int exactly when it is integral.  A vec with float
+    entries (the iterates of conjugate gradients) is summed term by term.
     """
     return _apply(rows, vec, None)
 
@@ -439,10 +391,8 @@ class SmithDecomposition:
         top = self.diag[r - 1] if r else 1
         den = y.den * top
         nums = [x * (top // d) for x, d in zip(y.nums, self.diag)]
-        fracs = frozenset(i for i, x in enumerate(nums) if x % den)
         nums += [0] * (self.ncols - r)
-        x = scaled_product(self.VT_rows, ScaledVector(den, nums, fracs), self.ncols)
-        return x.entries()
+        return scaled_product(self.VT_rows, ScaledVector(den, nums), self.ncols).entries()
 
 
 class _SnfWorker:
@@ -932,12 +882,10 @@ class SymmetricSolver:
     unlucky or that b is inconsistent.  The next prime is then tried,
     factored on first use; if none gives a solution, ValueError.
 
-    Solutions are :class:`ScaledVector` values whose every entry is a
-    ``Fraction``.  Which solution comes back depends on the pivot order,
-    so callers read only quantities that are unique, such as delta x.
-    Unique in value, not in type: the support of the solution decides
-    which entries of delta x meet a nonzero ``Fraction`` and so which
-    of its zero entries are ints.
+    Solutions are :class:`ScaledVector` values.  Which solution comes
+    back depends on the pivot order, so callers read only quantities
+    that are unique, such as delta x; its entries are typed by value, so
+    they read the same whatever the solution.
     """
 
     def __init__(self, rows):
@@ -967,7 +915,7 @@ class SymmetricSolver:
         return self._factors[p]
 
     def solve(self, b):
-        """A solution x of N x = b, every entry a ``Fraction`` (see the class).
+        """A solution x of N x = b (see the class).
 
         b is an exact vector as :func:`scaled_product` takes it; x is
         the :class:`ScaledVector` Z / (D mult) of the lifted solution.
@@ -984,7 +932,7 @@ class SymmetricSolver:
             lifted = None if steps is None else self._lift(steps, p, c, bound)
             if lifted is not None:
                 Z, D = lifted
-                return ScaledVector(D * mult, Z, range(len(Z)))
+                return ScaledVector(D * mult, Z)
         raise ValueError("no prime gives a solution: the system is inconsistent")
 
     def _lift(self, steps, p, c, bound):

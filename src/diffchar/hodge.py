@@ -18,10 +18,8 @@ zero.  Every one of these systems is symmetric, and
 a :class:`~diffchar.exact.SymmetricSolver` solves it
 modulo a prime, lifts the solution p-adically and accepts it only after
 an exact check; callers read only what the solution fixes uniquely, so
-output values do not depend on the prime, the gauge or the pivot order.
-Types can: an entry of delta x is a Fraction where a nonzero entry of
-the solution x meets it, else an int, so the support of the solution
-decides the type of some zero entries.
+outputs do not depend on the prime, the gauge or the pivot order: every
+entry is typed by its value, an int exactly when it is integral.
 :class:`HodgeContext` owns these systems and the library's one harmonic
 projection; what the weights of a degree fix is cached on K when they
 are all 1, so spark_from_cocycle and every context uniform in that
@@ -145,8 +143,7 @@ class HodgeContext:
     def adjoint_delta(self, u: Cochain) -> Cochain:
         """Adjoint of the coboundary; maps degree k+1 down to k.
 
-        W_k^{-1} delta_k^T W_{k+1} u, exact under every method; its
-        entries are Fractions.
+        W_k^{-1} delta_k^T W_{k+1} u, exact under every method.
         """
         k = u.degree - 1
         wu = u.form.mul(self._weight_form(u.degree))
@@ -179,9 +176,7 @@ class HodgeContext:
         W_{k+1} delta_S, whose free variables are the critical cells
         that are cocycles.  Which solution comes back depends on the
         pivot order, so its readers use only what every solution gives
-        alike: delta x, delta y and the coexact parts, equal in value;
-        the support of the solution sets which zero entries of delta x
-        are ints.
+        alike: delta x, delta y and the coexact parts.
         """
         store = self._store(k + 1)
         key = ("normal", k)
@@ -203,7 +198,7 @@ class HodgeContext:
     def _normal_solve(self, k, b_S):
         """x with N_S x_S = b_S on the gauge of degree k and zeros off it.
 
-        Every entry is a Fraction, like the solver's.
+        A :class:`~diffchar.exact.ScaledVector`, typed by value when read.
         """
         gauge, _, solver = self._normal(k)
         x = solver.solve(b_S)
@@ -213,7 +208,7 @@ class HodgeContext:
         nums = [0] * n_k
         for c, z in zip(gauge, x.nums):
             nums[c] = z
-        return ScaledVector(x.den, nums, range(n_k))
+        return ScaledVector(x.den, nums)
 
     def _exact_potential(self, u: Cochain) -> Cochain:
         """x with delta x the exact part of u: N_S x_S = delta_S^T W_k u.
@@ -240,7 +235,7 @@ class HodgeContext:
         k = v.degree
         wv = v.form.mul(self._weight_form(k))
         gauge = self._normal(k)[0]
-        b_S = ScaledVector(wv.den, [wv.nums[c] for c in gauge], range(len(gauge)))
+        b_S = ScaledVector(wv.den, [wv.nums[c] for c in gauge])
         return Cochain.from_scaled(k, self._normal_solve(k, b_S))
 
     def _coexact_part(self, x: Cochain) -> Cochain:
@@ -258,8 +253,9 @@ class HodgeContext:
         rows of :func:`~diffchar.cohomology.cycle_lattice_rows`,
         already sparse in the cached Smith form of delta_{n-1}, the
         projection is W^{-1} Z^T c with (Z W^{-1} Z^T) c = Z g, a
-        b_n x b_n Gram system, and no normal matrix is factored.  Values
-        are Fractions.
+        b_n x b_n Gram system, and no normal matrix is factored.  The
+        vectors are computed cochains, so their entries are ints exactly
+        where they are integral, with weights or without.
         """
         store = self._store(k)
         key = ("harmonics", k)
@@ -267,18 +263,20 @@ class HodgeContext:
             K = self.K
             free, _ = cohomology_generators(K, k)
             if k != K.dimension or not free:
-                vectors = [(g - K.delta(self._exact_potential(g))).values for g in free]
+                basis = [g - K.delta(self._exact_potential(g)) for g in free]
             else:
                 n_k = K.n_simplices(k)
                 Z = cycle_lattice_rows(K, k)
                 w = self._uneven(k)
-                winv = None if w is None else [1 / Fraction(x) for x in w]
-                gram = SymmetricSolver(gram_rows(transpose_rows(Z, n_k), len(Z), winv))
-                vectors = []
+                winv = None if w is None else self._weight_form(k, inverse=True)
+                gram = SymmetricSolver(gram_rows(
+                    transpose_rows(Z, n_k), len(Z), None if w is None else winv.entries()
+                ))
+                basis = []
                 for g in free:
-                    h = transpose_apply(Z, gram.solve(periods(K, g)), n_k)
-                    vectors.append(h if winv is None else [x * a for x, a in zip(h, winv)])
-            store[key] = [Cochain(k, tuple(Fraction(v) for v in h)) for h in vectors]
+                    h = scaled_product(Z, gram.solve(periods(K, g)), n_k)
+                    basis.append(Cochain.from_scaled(k, h if w is None else h.mul(winv)))
+            store[key] = basis
         return list(store[key])
 
     def harmonic_projection(self, u: Cochain) -> Cochain:
@@ -289,6 +287,7 @@ class HodgeContext:
         b_k x b_k Gram matrix P W P^T of independent vectors is positive
         definite, so c is unique; the matrix is factored once and cached
         like the basis.  Zero when b_k = 0, with no factorization at all.
+        Entries are ints exactly where they are integral.
         """
         k = u.degree
         basis = self.harmonic_basis(k)
@@ -306,9 +305,7 @@ class HodgeContext:
             store[key] = rows, SymmetricSolver(gram)
         rows, gram = store[key]
         wu = u.form if w is None else u.form.mul(self._weight_form(k))
-        h = scaled_product(rows, gram.solve(scaled_product(rows, wu)), n_k)
-        # every entry a Fraction, like the coefficients
-        return Cochain.from_scaled(k, ScaledVector(h.den, h.nums, range(n_k)))
+        return Cochain.from_scaled(k, scaled_product(rows, gram.solve(scaled_product(rows, wu)), n_k))
 
     # -- conjugate gradients ---------------------------------------------
     def _float_adjoint(self, k, y):

@@ -66,7 +66,7 @@ def principal_value(x) -> Fraction:
 def _integral(u: Cochain) -> Cochain:
     if not u.is_integral():
         raise AssertionError("integer correction must be integral")
-    return u.ints_where_integral()
+    return u
 
 
 def _phases_mod1(u: Cochain) -> Cochain:

@@ -290,4 +290,4 @@ def morse_spark(K: SimplicialComplex, flow: MorseFlow, phi: Cochain) -> Spark:
     R = flow.project_cochain(phi)
     if not R.is_integral():
         raise SparkError("stable projection of the curvature is not integral")
-    return Spark(a, R.ints_where_integral())
+    return Spark(a, R)

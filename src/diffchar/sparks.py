@@ -43,7 +43,7 @@ from .complexes import (
     pull_cochain,
     simplicial_chain_maps,
 )
-from .exact import mat_vec
+from .exact import ScaledVector, mat_vec
 
 
 class SparkError(ValueError):
@@ -96,7 +96,7 @@ def curvature(K: SimplicialComplex, s: Spark) -> Cochain:
 def d2_class(K: SimplicialComplex, s: Spark):
     """Class of R in H^{k+1}(K; Z) as (free coords, torsion coords)."""
     Q = integer_cohomology(K, s.R.degree)
-    return Q.coords(s.R.ints_where_integral().form)
+    return Q.coords(s.R.form)
 
 
 def mod1(x) -> Fraction:
@@ -127,8 +127,7 @@ def periods(K: SimplicialComplex, u: Cochain) -> list:
     rows of U past the rank in the cached Smith form of delta_{k-1}
     (the identity for k = 0), kept sparse there.  One
     :func:`~diffchar.exact.mat_vec` of u's scaled form gives all
-    periods; an entry is a ``Fraction`` when a nonzero ``Fraction``
-    value of u lies on the cycle, else an int.  Every
+    periods, each an int exactly when it is integral.  Every
     integral k-cycle is an integer combination of the basis, so these
     values mod 1 determine the holonomy of a spark with potential u on
     every integral cycle.
@@ -186,7 +185,6 @@ def pullback_spark(
     else:
         a = pull_cochain(maps, s.a, src.n_simplices(k))
     R = pull_cochain(maps, s.R, src.n_simplices(k + 1))
-    R = R.ints_where_integral()
     out = Spark(a, R)
     validate_spark(src, out)
     return out
@@ -274,13 +272,9 @@ def random_spark(K: SimplicialComplex, k, rng: random.Random) -> Spark:
     if not -1 <= k <= K.dimension:
         raise SparkError(f"spark degree {k} outside -1..{K.dimension}")
     n_k = K.n_simplices(k)
-    a = K.cochain(
-        k,
-        tuple(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-            for _ in range(n_k)
-        ),
-    )
+    # the drawn values typed by value, as a computed cochain's are
+    draws = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n_k)]
+    a = Cochain.from_scaled(k, ScaledVector.of(draws))
     # R: an exact part plus a random generator combination
     chi = K.cochain(
         k + 1, tuple(0 for _ in range(K.n_simplices(k + 1)))

@@ -14,7 +14,9 @@ of a matching, built from the boundary alone.  ``elementwise_cup``,
 ``elementwise_product`` and ``elementwise_evaluate`` are the cup
 product, the sparse coboundary/boundary product and the pairing on
 plain value tuples, entry by entry, the reference for the scaled
-arithmetic of chains and cochains.  ``kernel_basis`` reads
+arithmetic of chains and cochains; ``by_value`` and ``typed_by_value``
+state the type rule of the library's vectors, an entry is an int
+exactly when it is integral.  ``kernel_basis`` reads
 the integer kernel of a matrix off its Smith form.  ``ldl_mod_rowwise``
 is the minimum-degree L D L^T modulo a prime that updates each active
 row on its own, the reference for the steps of ``exact._ldl_mod``.
@@ -130,6 +132,18 @@ def elementwise_cup(K: SimplicialComplex, p, u, q, v):
         a = u[K.index[p][simp[: p + 1]]]
         out.append(a * v[K.index[q][simp[p:]]] if a else 0)
     return tuple(out)
+
+
+def by_value(x):
+    """x typed by its value: an integral ``Fraction`` as its int, all else unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def typed_by_value(values):
+    """Whether every int or ``Fraction`` entry is an int exactly when it is integral."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
 
 
 def elementwise_product(rows, vec):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -50,7 +51,7 @@ from diffchar.sparks import (
 )
 from diffchar.exact import mat_vec
 from diffchar.hodge import HodgeContext, spark_from_cocycle
-from oracles import elementary_cochain, varied_weights
+from oracles import elementary_cochain, typed_by_value, varied_weights
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -328,6 +329,44 @@ class TestCanonical:
         spark_from_cocycle(K, tor[0][1])
         assert ("normal", 1) not in K._cache
         assert not [key for key in K._cache if key[0] == "normal"]
+
+
+class TestTypedByValue:
+    """Every vector the library computes has an int entry exactly where
+    the value is integral, whatever the pivot order, gauge or terms."""
+
+    @pytest.mark.parametrize("name", ["cp2", "rp3", "torus_grid5", "lens:5,2"])
+    def test_computed_vectors_are_typed_by_value(self, name):
+        K = _shared(name)
+        n = K.dimension
+        rng = random.Random(f"typed {name}")
+        contexts = [HodgeContext(K), HodgeContext(K, varied_weights(K, rng))]
+        vectors = []
+        for k in range(1, n + 1):
+            for g in _generators(K, k):
+                vectors += _parts(spark_from_cocycle(K, g))
+                for ctx in contexts:
+                    vectors += _parts(ctx.hodge_spark(g))
+        for k in range(n + 1):
+            u = K.cochain(k, [F(rng.randint(-6, 6), rng.randint(1, 4))
+                              for _ in range(K.n_simplices(k))])
+            for ctx in contexts:
+                vectors += _parts(ctx.decompose(u))
+                vectors += ctx.harmonic_basis(k)
+        for k in range(-1, n + 1):
+            s = random_spark(K, k, rng)
+            vectors += _parts(s) + _parts(random_equivalent_shift(K, s, rng))
+            vectors += _parts(star(K, s, random_spark(K, n - 1 - k, rng)))
+        assert all(typed_by_value(v.values) for v in vectors)
+        # both types occur, so the rule is not met by accident
+        entries = [x for v in vectors for x in v.values]
+        assert any(type(x) is Fraction for x in entries)
+        assert sum(type(x) is int for x in entries) > 100
+
+
+def _parts(x):
+    """The fields of a spark or decomposition: its chains and cochains."""
+    return tuple(getattr(x, f.name) for f in fields(x))
 
 
 class TestEquivalence:

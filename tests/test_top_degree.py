@@ -26,7 +26,7 @@ from diffchar.cohomology import (
 from diffchar.complexes import SimplicialComplex
 from diffchar.exact import RatElim, gram_rows, transpose_apply
 from diffchar.hodge import HodgeContext, spark_from_cocycle
-from oracles import varied_weights
+from oracles import typed_by_value, varied_weights
 
 SPHERE = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 EXTRA = {
@@ -76,7 +76,7 @@ def test_top_harmonics_match_normal_route(name, weighted):
     expected = normal_route_harmonics(K, w)
     got = [b.values for b in HodgeContext(K, {n: w} if w else None, "exact").harmonic_basis(n)]
     assert got == expected
-    assert all(type(x) is Fraction for b in got for x in b)
+    assert all(map(typed_by_value, got))
     ctx = HodgeContext(K, weights=_weights(K) if weighted else None, method="exact")
     assert [b.values for b in ctx.harmonic_basis(n)] == expected
 
@@ -95,20 +95,22 @@ def _top_generators(K):
 # sha256 of repr((spark_from_cocycle, uniform hodge_spark, varied
 # hodge_spark)) over the free then torsion generators of H^n, frozen
 # from the normal-matrix route; lens:5,2 from normal forms whose N_{n-2}
-# was eliminated over Q by RatElim; cp2 re-frozen on the Morse gauge of
-# N_{n-2}, where three zero entries of the uniform hodge_spark potential
-# changed type (54 and 61 int -> Fraction, 76 Fraction -> int) and no
+# was eliminated over Q by RatElim.  cp2, rp2, sphere_dangling_edge and
+# two_spheres were re-frozen when every entry came to be typed by its
+# value: integral entries that term-by-term arithmetic had made
+# Fractions became ints (all zeros in the uniform hodge_spark
+# potentials, and one -1 in rp2's spark_from_cocycle potential), and no
 # value moved (FROZEN_SPARK_VALUES)
 FROZEN_SPARKS = {
     "lens:5,2": "31a8d4c8ed64ae248c2faa2ef122d0eba777412170e7a7e433e544d6731d04b9",
     "rp3": "6430ccf87fa2e99c3be8ed09996909c967d5444511453e61d90763aae10ac980",
     "torus": "164a8e3247012b2b1adea088be0a6899a18625aa0d9c2f65a616b43a49ba545e",
     "genus2": "f1757466b606b4f8c2cd60e0de3aee34e4a1fff14ff205ab426b040b431aee0c",
-    "cp2": "ba9fc7013197ea3a0a6892918ed99c702426635f0bcf8c64d5ba8be3cfb40a61",
+    "cp2": "18bd01eafb9d5ecd6061cdc129d01b5515463fdd45bdde48115fe4d32edaf2bd",
     "torus_grid5": "020cc08e6c296244311c911040378406971f007b34fbab7d01431ca6c6734b5e",
-    "rp2": "b2311cd622ce5cfddd22a1da46ad55964012f7ca4cc7d35dcf151e3463f73f1d",
-    "sphere_dangling_edge": "f57da331b8ba06d721db17ce647d250fa52432af9397c2a50a527e2b42127f56",
-    "two_spheres": "adf47cb8f961d5a1e137e8c5027479116601a13fad44301a0c94f8d2a1626791",
+    "rp2": "d5e599aa24a29779564b7d8888c0dfd2c35b6ea401a0f8f21adfbf839178d44b",
+    "sphere_dangling_edge": "fdf2b14b56f8dc3b9a4f0e3db81dc7b028d4486c77ca4b2a47888fe85478823f",
+    "two_spheres": "88ad1f212ced972830d123f2059f3060b0789ba4dd44c0178a7c9eeb38720411",
 }
 
 
@@ -122,9 +124,9 @@ def test_top_sparks_frozen(name):
     ]
     h = hashlib.sha256()
     for g in _top_generators(K):
-        h.update(repr(
-            (spark_from_cocycle(K, g), *(ctx.hodge_spark(g) for ctx in contexts))
-        ).encode())
+        sparks = (spark_from_cocycle(K, g), *(ctx.hodge_spark(g) for ctx in contexts))
+        assert all(typed_by_value(v.values) for s in sparks for v in (s.a, s.R))
+        h.update(repr(sparks).encode())
     assert h.hexdigest() == FROZEN_SPARKS[name]
     for cache in [K._cache] + [ctx._cache for ctx in contexts]:
         assert ("normal", n - 1) not in cache
@@ -136,8 +138,7 @@ def _erased(s):
 
 
 # sha256 of the same sparks as FROZEN_SPARKS with every entry mapped
-# through Fraction, so only values count: the type of an entry follows
-# the support of the solution that a pivoted solve returns
+# through Fraction, so only values count
 FROZEN_SPARK_VALUES = {
     "lens:5,2": "9421526235c5cf057dd478d347dc0f01db232fdd8196328d330986c618b61968",
     "rp3": "f2300489a9b109887a7c2e247e0fadd6477b61b04dbb524e5179589e9dea54fa",
@@ -176,9 +177,9 @@ def test_top_sparks_factor_no_normal_matrix(name):
     ]
     h = hashlib.sha256()
     for g in _top_generators(K):
-        h.update(repr(
-            (spark_from_cocycle(K, g), *(ctx.hodge_spark(g) for ctx in contexts))
-        ).encode())
+        sparks = (spark_from_cocycle(K, g), *(ctx.hodge_spark(g) for ctx in contexts))
+        assert all(typed_by_value(v.values) for s in sparks for v in (s.a, s.R))
+        h.update(repr(sparks).encode())
     assert h.hexdigest() == FROZEN_SPARKS[name]
     for ctx in contexts:
         assert len(ctx.harmonic_basis(n)) == 1
