@@ -966,16 +966,19 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, rows = args.handler(args)
+        # rendered inside the boundary: a value too long to print is an
+        # input error too
+        fmt = getattr(args, "format", "json")
+        if fmt == "md" and rows is not None:
+            out = _render_md(rows) + "\n"
+        elif fmt == "csv" and rows is not None:
+            out = _render_csv(rows)
+        else:
+            out = canonical_json(report.to_dict())
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    fmt = getattr(args, "format", "json")
-    if fmt == "md" and rows is not None:
-        print(_render_md(rows))
-    elif fmt == "csv" and rows is not None:
-        print(_render_csv(rows), end="")
-    else:
-        print(canonical_json(report.to_dict()), end="")
+    print(out, end="")
     elapsed = time.perf_counter() - start
     print(f"[{report.command}] wall time {elapsed:.3f}s", file=sys.stderr)
     return 0 if report.passed() else 1

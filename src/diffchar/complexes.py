@@ -16,6 +16,8 @@ downstream leans on.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
@@ -30,17 +32,36 @@ class ComplexError(ValueError):
 # scalars
 
 
+# the exponent that ends decimal text such as "-1.5e-3"
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_scalar(text):
     """Parse "p/q" or "p" into Fraction or int (integers stay int).
 
-    Raises ValueError on malformed text and on a zero denominator.
+    Raises ValueError on malformed text, on a zero denominator, and on a
+    value whose numerator or denominator has more digits than ``str``
+    prints (``sys.get_int_max_str_digits``).  An exponent that alone
+    makes one of them that long is refused before the number is built.
     """
     if isinstance(text, int):
         return text
+    text = str(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = _EXPONENT.search(text)
+    if limit and m and "/" not in text and abs(int(m.group(1))) > limit + len(text):
+        # x 10^e with fewer than len(text) digits in x: a nonzero x has
+        # a numerator or a reduced denominator of more than limit digits
+        if Fraction(text[:m.start()]):
+            raise ValueError(f"{text!r} has more than {limit} digits")
+        return 0
     try:
-        f = Fraction(str(text))
+        f = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    big = max(abs(f.numerator), f.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"{text!r} has more than {limit} digits")
     return int(f) if f.denominator == 1 else f
 
 

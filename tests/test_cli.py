@@ -610,6 +610,41 @@ def test_zero_denominator_is_input_error(tmp_path, capsys, kind):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1e4000000"])
+def test_oversized_scalars_are_input_errors(tmp_path, capsys, value):
+    # a value too long to print, and one whose exponent alone would take
+    # seconds to build: both are refused as they are parsed
+    K = build_space("torus")
+    values = [value] + ["0"] * (K.n_simplices(1) - 1)
+    cochain = tmp_path / "u.json"
+    cochain.write_text(json.dumps({"degree": 1, "values": values}))
+    code = main(["hodge", "decompose", "--space", "torus", "--cochain", str(cochain)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"{value!r} has more than 4300 digits" in captured.err
+
+
+def test_result_too_long_to_print_is_input_error(tmp_path, capsys):
+    # potentials 1/q1 and 1/q2 of 4001-digit coprime denominators on the
+    # ends of an edge: the curvature there has a denominator of 8001 digits
+    K = build_space("torus")
+    a, b = K.simplices[1][0]
+    values = ["0"] * K.n_vertices
+    values[a], values[b] = f"1/{10**4000 + 1}", f"1/{10**4000 + 3}"
+    spark = tmp_path / "s.json"
+    spark.write_text(json.dumps({
+        "degree": 0,
+        "a": {"degree": 0, "values": values},
+        "R": {"degree": 1, "values": [0] * K.n_simplices(1)},
+    }))
+    code = main(["spark", "d1", "--space", "torus", str(spark)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "4300 digits" in captured.err
+
+
 @pytest.mark.parametrize("degree", [-3, -2, 3, 9])
 @pytest.mark.parametrize("command", [
     ["hodge", "decompose", "--space", "rp2", "--cochain"],

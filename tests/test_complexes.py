@@ -553,6 +553,16 @@ class TestSerialization:
         assert scalar_str(Fraction(-3, 6)) == "-1/2"
         assert scalar_str(Fraction(4, 2)) == "2"
 
+    def test_scalars_too_long_to_print_are_refused(self):
+        # 10^4299 has 4300 digits, the most str prints by default
+        assert parse_scalar("1e4299") == 10**4299
+        assert parse_scalar("1e-4299") == Fraction(1, 10**4299)
+        assert parse_scalar("-25e-4300") == Fraction(-1, 4 * 10**4298)
+        assert parse_scalar("0e4000000") == 0
+        for text in ("1e4300", "1e-4300", "123e4298", "1e4000000", "-1.5e-4000000"):
+            with pytest.raises(ValueError, match="has more than 4300 digits"):
+                parse_scalar(text)
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
