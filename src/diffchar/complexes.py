@@ -407,15 +407,14 @@ class SimplicialComplex:
         if p > m:
             raise ValueError("cap needs deg(cochain) <= deg(chain)")
         q = m - p
-        vec = [0] * self.n_simplices(q)
+        a, b = u.form, z.form
+        xs = a.nums
+        nums = [0] * self.n_simplices(q)
         idx_p, idx_q = self.index[p], self.index[q]
-        for simp, c in zip(self.simplices[m], z.values):
-            if not c:
-                continue
-            a = u.values[idx_p[simp[: p + 1]]]
-            if a:
-                vec[idx_q[simp[p:]]] += c * a
-        return Chain(q, tuple(vec))
+        for simp, y in zip(self.simplices[m], b.nums):
+            if y:
+                nums[idx_q[simp[p:]]] += y * xs[idx_p[simp[: p + 1]]]
+        return Chain.from_scaled(q, ScaledVector(a.den * b.den, nums))
 
     # -- fundamental cycle ----------------------------------------------
     def fundamental_cycle(self):

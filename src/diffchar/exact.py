@@ -25,13 +25,14 @@ their values in it, and the one sparse kernel, :func:`scaled_product`,
 reads and returns it: every product and sum is an int one, and no
 ``Fraction`` is built.  An entry is built only when it is read, and its
 type follows its value alone: the int ``n // L`` when L divides n, else
-``Fraction(n, L)``.  :func:`mat_vec` and :func:`transpose_apply` are that
-kernel plus the build step.  The Smith-form solve, :class:`SymmetricSolver` and the
-right-hand sides of :class:`RatElim` take the scaled form as well, and
-:class:`SymmetricSolver` returns it.  The one float kernel is the
-term-by-term product that :func:`mat_vec` and :func:`transpose_apply`
-fall back to on a list with float entries: the conjugate-gradient route
-of the Hodge decomposition iterates on such lists.
+``Fraction(n, L)``.  :func:`mat_vec` and :func:`transpose_apply` are
+that kernel plus the build step.  The Smith-form solve,
+:class:`SymmetricSolver` and the right-hand sides of :class:`RatElim`
+take the scaled form as well, and :class:`SymmetricSolver` returns it.
+The one float kernel is the term-by-term product that :func:`mat_vec`
+and :func:`transpose_apply` fall back to on a list with float entries:
+the conjugate-gradient route of the Hodge decomposition iterates on
+such lists.
 
 Pivoting is Markowitz-style with deterministic tie-breaks, so
 identical inputs give identical outputs everywhere.  The Smith form

@@ -305,7 +305,8 @@ class HodgeContext:
             store[key] = rows, SymmetricSolver(gram)
         rows, gram = store[key]
         wu = u.form if w is None else u.form.mul(self._weight_form(k))
-        return Cochain.from_scaled(k, scaled_product(rows, gram.solve(scaled_product(rows, wu)), n_k))
+        c = gram.solve(scaled_product(rows, wu))
+        return Cochain.from_scaled(k, scaled_product(rows, c, n_k))
 
     # -- conjugate gradients ---------------------------------------------
     def _float_adjoint(self, k, y):
@@ -392,7 +393,7 @@ class HodgeContext:
         for degree, xs in ((k, h), (k - 1, b), (k + 1, c)):
             if not all(map(isfinite, xs)):
                 raise HodgeError("conjugate gradients reached a value that is not finite")
-            parts.append(Cochain(degree, tuple(map(Fraction, xs))))
+            parts.append(Cochain.from_scaled(degree, ScaledVector.of(list(map(Fraction, xs)))))
         return HodgeDecomposition(*parts)
 
     def decomposition_residuals(self, u: Cochain, dec: "HodgeDecomposition"):

@@ -353,6 +353,8 @@ class TestTypedByValue:
             for ctx in contexts:
                 vectors += _parts(ctx.decompose(u))
                 vectors += ctx.harmonic_basis(k)
+            vectors += _parts(HodgeContext(K, method="cg").decompose(u))
+            vectors.append(K.cap(K.fundamental_cycle(), u))
         for k in range(-1, n + 1):
             s = random_spark(K, k, rng)
             vectors += _parts(s) + _parts(random_equivalent_shift(K, s, rng))
