@@ -13,8 +13,9 @@ Run from the root of a checkout::
     PYTHONPATH=src python tests/smith_ledger.py           # compare
     PYTHONPATH=src python tests/smith_ledger.py --write   # regenerate
 
-Both print each entry that differs from the file as ``old -> new`` and
-exit 1 when one does; ``--write`` also rewrites the file.
+Both print each Smith form that differs from the file as
+``label #i: old -> new`` and exit 1 when one does; ``--write`` also
+rewrites the file.
 """
 
 from __future__ import annotations
