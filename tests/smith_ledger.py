@@ -1,10 +1,12 @@
-"""Frozen (nrows, ncols, rank) of every Smith form a fixed list of CLI runs forms.
+"""Frozen shape, rank and op counts of every Smith form a fixed list of CLI runs forms.
 
 Each entry of ``tests/data/smith_ledger.json`` lists, in the order they
 are formed, the Smith forms of one ``diffchar`` command run in process:
 ``verify --trials 5 --seed 0`` on each of :data:`VERIFY_SPACES` and
-``tables`` of lens:5,2.  They are counted by wrapping the Smith
-elimination (``test_exact._count_smith_forms``); the verify entries are
+``tables`` of lens:5,2, each as (nrows, ncols, rank, row ops, column
+ops), the last two the elementary operations the elimination logged on
+each side.  They are counted by wrapping the Smith elimination
+(``test_exact._count_smith_forms``); the verify entries are
 checked in the runs that ``test_hodge`` also reads its normal
 factorizations from.
 
@@ -43,7 +45,7 @@ COMMANDS = {
 
 
 def count(argv):
-    """(exit code, [(nrows, ncols, rank), ...]) of one in-process run."""
+    """(exit code, [(nrows, ncols, rank, row ops, col ops), ...]) of one in-process run."""
     with pytest.MonkeyPatch.context() as mp:
         formed = _count_smith_forms(mp)
         code, _ = run_cli(*argv)
@@ -51,7 +53,7 @@ def count(argv):
 
 
 def ledger():
-    """{label: [[nrows, ncols, rank], ...]} over every command."""
+    """{label: [[nrows, ncols, rank, row ops, col ops], ...]} over every command."""
     table = {}
     for label, argv in COMMANDS.items():
         code, formed = count(argv)
@@ -82,7 +84,7 @@ def changes(old, new):
 
 
 def frozen_entries(label):
-    """The frozen Smith forms of one command, as (nrows, ncols, rank) tuples."""
+    """The frozen Smith forms of one command, as tuples in the order of :func:`count`."""
     return [tuple(entry) for entry in load_frozen()[label]]
 
 

@@ -306,6 +306,31 @@ def test_smith_transforms_frozen(space):
     assert h.hexdigest() == FROZEN_TRANSFORMS[space]
 
 
+# sha256 of repr((rank, diag, row_ops, col_ops)) over every Smith form of
+# integer_cohomology then integer_homology, degrees -1..dim+1, on each of
+# OP_LOG_SPACES in turn, then of 300 random_snf_rows matrices (seed 61),
+# which have non-unit pivots, steps with no unit entry and leftover swaps;
+# frozen from the elimination before its per-step bookkeeping was rewritten
+OP_LOG_SPACES = ("lens:5,2", "lens:7,2", "rp3", "cp2", "torus_grid5")
+FROZEN_OP_LOGS = "c5397ad5ca13fab53fd6a241c04beaeee41e45aecf784da76ec453463850d252"
+
+
+def test_smith_op_logs_frozen():
+    h = hashlib.sha256()
+    for space in OP_LOG_SPACES:
+        K = build_space(space)
+        for k in range(-1, K.dimension + 2):
+            for q in (integer_cohomology(K, k), integer_homology(K, k)):
+                for s in (q.snfA, q.snfW):
+                    h.update(repr((s.rank, s.diag, s.row_ops, s.col_ops)).encode())
+    rng = random.Random(61)
+    for _ in range(300):
+        rows, m = random_snf_rows(rng)
+        s = smith_normal_form(rows, ncols=m)
+        h.update(repr((s.rank, s.diag, s.row_ops, s.col_ops)).encode())
+    assert h.hexdigest() == FROZEN_OP_LOGS
+
+
 def test_character_table_builds_only_vinv():
     # a character table reads V^{-1} of the delta_k Smith forms and no
     # transform of a relation Smith form; the others stay an unreplayed log
@@ -332,13 +357,16 @@ def test_character_table_builds_only_vinv():
 
 
 def _count_smith_forms(monkeypatch):
-    """The (nrows, ncols, rank) of each Smith form formed from now on."""
+    """(nrows, ncols, rank, row ops, column ops) of each Smith form formed
+    from now on, counting the elementary operations each side logged."""
     formed = []
     run = exact._SnfWorker.run
 
     def counted(self):
         snf = run(self)
-        formed.append((snf.nrows, snf.ncols, snf.rank))
+        formed.append(
+            (snf.nrows, snf.ncols, snf.rank, len(snf.row_ops) // 3, len(snf.col_ops) // 3)
+        )
         return snf
 
     monkeypatch.setattr(exact._SnfWorker, "run", counted)
@@ -384,7 +412,9 @@ def test_torsion_charge_spark_forms_no_smith_form_of_h1(monkeypatch, space):
     _, ((_, g, _),) = cohomology_generators(K, 2)
     before = len(formed)
     spark_from_cocycle(K, g)
-    assert formed[before:] == [(K.n_simplices(1), K.n_simplices(0), K.n_vertices - 1)]
+    assert [f[:3] for f in formed[before:]] == [
+        (K.n_simplices(1), K.n_simplices(0), K.n_vertices - 1)
+    ]
     assert ("H_int", 1) not in K._cache and ("snf_delta", 1) not in K._cache
     # the top degree projects through H^2, whose A is the Smith form of
     # delta_2 that H^3 holds: only H^2's relation matrix is new
@@ -393,7 +423,7 @@ def test_torsion_charge_spark_forms_no_smith_form_of_h1(monkeypatch, space):
     before = len(formed)
     spark_from_cocycle(K, top)
     H2 = integer_cohomology(K, 2)
-    assert formed[before:] == [(H2.kernel_dim, K.n_simplices(1), H2.kernel_dim)]
+    assert [f[:3] for f in formed[before:]] == [(H2.kernel_dim, K.n_simplices(1), H2.kernel_dim)]
     assert ("snf_delta", 1) not in K._cache
 
 
