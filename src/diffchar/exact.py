@@ -45,6 +45,12 @@ whenever it has grown past :data:`HEAP_SLACK` times the size of its
 last rebuild; it stays within a constant multiple of the live keys, and the
 pivots are the same as with no rebuild.
 
+Clearing a Smith pivot runs a column sweep, then a row sweep while the
+pivot's column holds the pivot alone, so each column step of the row
+sweep changes one entry in place (see :class:`_SnfWorker`).  The order
+of each sparse row's dict decides which column a leftover remainder
+brings in, so the swaps keep it as well as the entries.
+
 The Smith elimination keeps no transform up to date.  It logs its
 elementary operations instead, one list for the row side and one for
 the column side, and each transform is replayed from the identity on
@@ -424,6 +430,22 @@ class _SnfWorker:
     columns, and ``heapify`` orders them.  The first pick builds the
     heap the same way.  A rebuild holds every key a pop would accept and
     no stale one, so the pivot sequence is the same as without it.
+
+    :meth:`_clear_pivot` alternates two sweeps, one loop for every
+    pivot.  The column sweep takes each other row of column t, in row
+    order, to its least remainder by the pivot; if one survives, the
+    least row holding one becomes row t and the loop starts over.
+    Otherwise column t is {t}, so in the row sweep ``col c -= q * col t``
+    changes entry (t, c) alone: it is updated in place, marked and
+    logged as :meth:`col_axpy` would.  A remainder surviving the row
+    sweep brings in the first other column of row t in dict order.  That
+    order is part of the log: it follows from the order in which the
+    operations popped and inserted a row's entries, so :meth:`col_swap`
+    keeps each row's pop-then-insert order, and a swap of the two
+    values in place, with the same matrix, would bring in other
+    columns.  The heap traffic does not depend on how the bookkeeping
+    is done: the rows and columns marked dirty and the keys pushed, as
+    ints, are the same, so are the pushes, pops and rebuilds.
     """
 
     def __init__(self, rows, nrows, ncols):
@@ -443,9 +465,10 @@ class _SnfWorker:
 
     # elementary operations, logged for the transforms -----------------
     def row_axpy(self, i, j, c):
-        """row i += c * row j."""
+        """row i += c * row j, for c != 0."""
         row_j = self.rows[j]
         row_i = self.rows[i]
+        cols = self.cols
         dirty_cols = self._dirty_cols
         for col, v in row_j.items():
             old = row_i.get(col, 0)
@@ -453,11 +476,12 @@ class _SnfWorker:
             if w:
                 row_i[col] = w
                 if not old:
-                    self.cols[col].add(i)
+                    cols[col].add(i)
                     dirty_cols.add(col)
             else:
-                row_i.pop(col, None)
-                self.cols[col].discard(i)
+                # c * v != 0, so old != 0 and the entry is there
+                del row_i[col]
+                cols[col].discard(i)
                 dirty_cols.add(col)
         self._dirty_rows.add(i)
         self.row_ops += (i, j, c)
@@ -484,34 +508,41 @@ class _SnfWorker:
     def row_swap(self, i, j):
         if i == j:
             return
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
-        for col in set(self.rows[i]) | set(self.rows[j]):
-            members = self.cols[col]
-            has_i = col in self.rows[i]
-            has_j = col in self.rows[j]
-            if has_i:
+        rows, cols = self.rows, self.cols
+        row_i, row_j = rows[j], rows[i]
+        rows[i], rows[j] = row_i, row_j
+        # a column in both rows keeps both members
+        for col in row_i:
+            if col not in row_j:
+                members = cols[col]
                 members.add(i)
-            else:
-                members.discard(i)
-            if has_j:
-                members.add(j)
-            else:
                 members.discard(j)
+        for col in row_j:
+            if col not in row_i:
+                members = cols[col]
+                members.discard(i)
+                members.add(j)
         self._dirty_rows.update((i, j))
         self.row_ops += (i, j, 0)
 
     def col_swap(self, i, j):
         if i == j:
             return
-        for r in self.cols[i] | self.cols[j]:
-            row = self.rows[r]
-            vi = row.pop(i, None)
-            vj = row.pop(j, None)
-            if vj is not None:
-                row[i] = vj
-            if vi is not None:
-                row[j] = vi
-        self.cols[i], self.cols[j] = self.cols[j], self.cols[i]
+        rows, cols = self.rows, self.cols
+        col_i, col_j = cols[i], cols[j]
+        # each row pops before it inserts, i before j: the order of a
+        # row's dict decides the leftover column of _clear_pivot
+        for r in col_i:
+            row = rows[r]
+            vi = row.pop(i)
+            if r in col_j:
+                row[i] = row.pop(j)
+            row[j] = vi
+        for r in col_j:
+            if r not in col_i:
+                row = rows[r]
+                row[i] = row.pop(j)
+        cols[i], cols[j] = col_j, col_i
         self._dirty_cols.update((i, j))
         self.col_ops += (i, j, 0)
 
@@ -527,34 +558,43 @@ class _SnfWorker:
         rows, cols, heap = self.rows, self.cols, self._heap
         dirty_rows, dirty_cols = self._dirty_rows, self._dirty_cols
         m, n = self.ncols, self.nrows
+        # the key (cost * m + j) * n + i as cost * mn + j * n + i, with
+        # cost * mn = (len(row) - 1) * (len(col) - 1) * mn
+        mn = m * n
         if len(heap) > self._heap_limit:
             # stale keys dominate: rebuild from the current key of every
             # active unit entry, which covers the dirty rows and columns
             heap.clear()
+            append = heap.append
             for i in range(t, n):
                 row = rows[i]
-                rcost = len(row) - 1
+                rmn = (len(row) - 1) * mn
                 for j, v in row.items():
                     if v == 1 or v == -1:
-                        heap.append((rcost * (len(cols[j]) - 1) * m + j) * n + i)
+                        append((len(cols[j]) - 1) * rmn + j * n + i)
             heapify(heap)
             self._heap_limit = HEAP_SLACK * max(len(heap), 64)
         else:
+            push = heappush
             for i in dirty_rows:
                 if i >= t:
                     row = rows[i]
-                    rcost = len(row) - 1
+                    rmn = (len(row) - 1) * mn
                     for j, v in row.items():
                         if v == 1 or v == -1:
-                            heappush(heap, (rcost * (len(cols[j]) - 1) * m + j) * n + i)
+                            push(heap, (len(cols[j]) - 1) * rmn + j * n + i)
             for j in dirty_cols:
                 if j >= t:
-                    ccost = len(cols[j]) - 1
-                    for i in cols[j]:
-                        v = rows[i][j]
+                    col = cols[j]
+                    cmn = (len(col) - 1) * mn
+                    jn = j * n
+                    for i in col:
                         # entries of dirty rows were pushed above
-                        if (v == 1 or v == -1) and i not in dirty_rows:
-                            heappush(heap, ((len(rows[i]) - 1) * ccost * m + j) * n + i)
+                        if i not in dirty_rows:
+                            row = rows[i]
+                            v = row[j]
+                            if v == 1 or v == -1:
+                                push(heap, (len(row) - 1) * cmn + jn + i)
         dirty_rows.clear()
         dirty_cols.clear()
         while heap:
@@ -577,41 +617,41 @@ class _SnfWorker:
 
     def _clear_pivot(self, t):
         """Make (t,t) the only nonzero of row t and column t via gcd steps."""
+        rows, cols = self.rows, self.cols
+        dirty_rows, dirty_cols, col_ops = self._dirty_rows, self._dirty_cols, self.col_ops
         while True:
-            piv = self.rows[t][t]
+            row_t = rows[t]
+            piv = row_t[t]
             # column sweep
-            again = False
-            for r in sorted(self.cols[t]):
-                if r == t:
-                    continue
-                a = self.rows[r][t]
-                q = _nearest_div(a, piv)
-                if q:
-                    self.row_axpy(r, t, -q)
-            for r in sorted(self.cols[t]):
+            for r in sorted(cols[t]):
                 if r != t:
-                    # remainder survived: strictly smaller pivot available
-                    self.row_swap(t, r)
-                    again = True
-                    break
-            if again:
+                    q = _nearest_div(rows[r][t], piv)
+                    if q:
+                        self.row_axpy(r, t, -q)
+            col_t = cols[t]
+            if len(col_t) > 1:
+                # remainder survived: strictly smaller pivot available
+                self.row_swap(t, min(r for r in col_t if r != t))
                 continue
-            # row sweep
-            piv = self.rows[t][t]
-            for c in sorted(self.rows[t]):
-                if c == t:
-                    continue
-                a = self.rows[t][c]
-                q = _nearest_div(a, piv)
-                if q:
-                    self.col_axpy(c, t, -q)
-            leftover = [c for c in self.rows[t] if c != t]
-            if leftover:
-                self.col_swap(t, leftover[0])
-                continue
-            if len(self.cols[t]) > 1:
-                continue
-            return
+            # row sweep: column t is {t}, so col c -= q * col t changes
+            # entry (t, c) alone, marked and logged as col_axpy would
+            for c in sorted(row_t):
+                if c != t:
+                    q = _nearest_div(row_t[c], piv)
+                    if q:
+                        w = row_t[c] - q * piv
+                        if w:
+                            row_t[c] = w
+                        else:
+                            del row_t[c]
+                            cols[c].discard(t)
+                            dirty_rows.add(t)
+                        dirty_cols.add(c)
+                        col_ops += (c, t, -q)
+            if len(row_t) == 1:
+                return
+            # remainder survived: the first in row t's dict order
+            self.col_swap(t, next(c for c in row_t if c != t))
 
     def run(self):
         t = 0
