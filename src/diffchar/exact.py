@@ -913,15 +913,21 @@ class SymmetricSolver:
 
     :meth:`solve` scales b to an integer c with A z = c and lifts the
     solution of the principal subsystem, free variables 0, p-adically
-    (Dixon, Numer. Math. 40, 1982).  After each lift it rebuilds the
-    rationals over one running common denominator by rational
-    reconstruction (Wang 1981) and accepts z = Z / D only if A Z = D c
-    holds exactly, over the whole system.  A Hadamard bound on the
-    numerators and denominators of z caps the lifts: past it the
-    reconstruction is certain, so a failed check, like a residual of
-    the free rows that does not vanish modulo p, means that p is
-    unlucky or that b is inconsistent.  The next prime is then tried,
-    factored on first use; if none gives a solution, ValueError.
+    (Dixon, Numer. Math. 40, 1982).  After lifts 1, 2, 4, 8, ... and
+    after the last lift the bound allows, it rebuilds the rationals over
+    one running common denominator by rational reconstruction (Wang
+    1981) and accepts z = Z / D only if A Z = D c holds exactly, over
+    the whole system.  A reconstruction costs more the longer p^m is,
+    so at doubling lift counts all of them together cost a constant
+    multiple of the last one, where one after every lift grew with the
+    square of the lift count.  With the free variables 0 the principal
+    subsystem has one solution, so a later reconstruction accepts the
+    same z.  A Hadamard bound on the numerators and denominators of z
+    caps the lifts: past it the reconstruction is certain, so a failed
+    check, like a residual of the free rows that does not vanish modulo
+    p, means that p is unlucky or that b is inconsistent.  The next
+    prime is then tried, factored on first use; if none gives a
+    solution, ValueError.
 
     Solutions are :class:`ScaledVector` values.  Which solution comes
     back depends on the pivot order, so callers read only quantities
@@ -987,6 +993,7 @@ class SymmetricSolver:
         X = [0] * len(rows)
         r = c
         P = 1
+        lifts, check_at = 0, 1
         while P <= bound:
             y = _ldl_solve(steps, p, r)
             if y is None:
@@ -995,10 +1002,15 @@ class SymmetricSolver:
                 if v:
                     X[i] += v * P
             P *= p
+            lifts += 1
             r = [
                 (ri - sum(a * y[j] for j, a in row.items())) // p
                 for ri, row in zip(r, rows)
             ]
+            # reconstruct at lift counts 1, 2, 4, ... and at the last lift
+            if lifts < check_at and P <= bound:
+                continue
+            check_at *= 2
             found = _reconstruct(X, P)
             if found is not None:
                 Z, D = found

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar import cli, lowdegree
+from diffchar import cli, exact, lowdegree
 from diffchar.builders import build_space, circle, moebius_kuehnel_torus
 from diffchar.cli import canonical_json, main
 from diffchar.cohomology import cohomology_generators
@@ -643,6 +643,54 @@ def test_result_too_long_to_print_is_input_error(tmp_path, capsys):
     assert code == 3
     assert captured.out == "" and "Traceback" not in captured.err
     assert "4300 digits" in captured.err
+
+
+def _decompose_counting_reconstructions(tmp_path, capsys, monkeypatch, head):
+    """(exit code, stdout, stderr, _reconstruct calls) of `hodge decompose`
+    on the torus 1-cochain that starts with ``head`` and is 0 after it."""
+    calls = []
+    reconstruct = exact._reconstruct
+
+    def counted(X, P):
+        calls.append(P)
+        return reconstruct(X, P)
+
+    monkeypatch.setattr(exact, "_reconstruct", counted)
+    K = build_space("torus")
+    cochain = tmp_path / "u.json"
+    cochain.write_text(json.dumps(
+        {"degree": 1, "values": head + ["0"] * (K.n_simplices(1) - len(head))}
+    ))
+    code = main(["hodge", "decompose", "--space", "torus", "--cochain", str(cochain)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, len(calls)
+
+
+def test_long_lifts_reconstruct_at_doubling_counts(tmp_path, capsys, monkeypatch):
+    # 1313 p-adic lifts over the 8 solves: a reconstruction after every
+    # lift took 1313 calls and 10 s, at lift counts 1, 2, 4, ... 35 calls;
+    # the parts are still too long to print
+    code, out, err, calls = _decompose_counting_reconstructions(
+        tmp_path, capsys, monkeypatch, [f"1/{10**4000 + 1}", f"1/{10**4000 + 3}"]
+    )
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+    assert "Exceeds the limit (4300 digits) for integer string conversion" in err
+    assert calls <= 64
+
+
+# sha256 of the `hodge decompose` stdout of the cochain below, frozen when
+# SymmetricSolver reconstructed after every lift (32 calls)
+DOUBLING_REPORT_SHA = "331dbd36510206535557377415f7769a56d8e773e57387d8720406aefd3ae8da"
+
+
+def test_doubling_reconstruction_keeps_the_report(tmp_path, capsys, monkeypatch):
+    code, out, _, calls = _decompose_counting_reconstructions(
+        tmp_path, capsys, monkeypatch, [f"1/{10**40 + 1}", f"1/{10**40 + 3}", "7/3"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DOUBLING_REPORT_SHA
+    assert calls < 32
 
 
 @pytest.mark.parametrize("degree", [-3, -2, 3, 9])
