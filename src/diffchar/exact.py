@@ -445,7 +445,7 @@ class _SnfWorker:
     values in place, with the same matrix, would bring in other
     columns.  The heap traffic does not depend on how the bookkeeping
     is done: the rows and columns marked dirty and the keys pushed, as
-    ints, are the same, so are the pushes, pops and rebuilds.
+    ints, are the same, and so are the pushes, pops and rebuilds.
     """
 
     def __init__(self, rows, nrows, ncols):
@@ -509,8 +509,8 @@ class _SnfWorker:
         if i == j:
             return
         rows, cols = self.rows, self.cols
-        row_i, row_j = rows[j], rows[i]
-        rows[i], rows[j] = row_i, row_j
+        rows[i], rows[j] = rows[j], rows[i]
+        row_i, row_j = rows[i], rows[j]
         # a column in both rows keeps both members
         for col in row_i:
             if col not in row_j:
