@@ -668,8 +668,8 @@ def _decompose_counting_reconstructions(tmp_path, capsys, monkeypatch, head):
 
 def test_long_lifts_reconstruct_at_doubling_counts(tmp_path, capsys, monkeypatch):
     # 1313 p-adic lifts over the 8 solves: a reconstruction after every
-    # lift took 1313 calls and 10 s, at lift counts 1, 2, 4, ... 35 calls;
-    # the parts are still too long to print
+    # lift made 1313 calls, one at lift counts 1, 2, 4, ... makes 35; the
+    # parts are still too long to print
     code, out, err, calls = _decompose_counting_reconstructions(
         tmp_path, capsys, monkeypatch, [f"1/{10**4000 + 1}", f"1/{10**4000 + 3}"]
     )
