@@ -436,8 +436,10 @@ class _SnfWorker:
     order, to its least remainder by the pivot; if one survives, the
     least row holding one becomes row t and the loop starts over.
     Otherwise column t is {t}, so in the row sweep ``col c -= q * col t``
-    changes entry (t, c) alone: it is updated in place, marked and
-    logged as :meth:`col_axpy` would.  A remainder surviving the row
+    changes entry (t, c) alone, and :meth:`col_axpy` updates just that
+    entry.  Its other caller, the divisibility chain, adds a column j
+    that is {j} too, since every column below the rank is diagonal by
+    then.  A remainder surviving the row
     sweep brings in the first other column of row t in dict order.  That
     order is part of the log: it follows from the order in which the
     operations popped and inserted a row's entries, so :meth:`col_swap`
@@ -487,21 +489,20 @@ class _SnfWorker:
         self.row_ops += (i, j, c)
 
     def col_axpy(self, i, j, c):
-        """col i += c * col j."""
-        dirty_rows = self._dirty_rows
-        for r in list(self.cols[j]):
-            row = self.rows[r]
-            old = row.get(i, 0)
-            w = old + c * row[j]
-            if w:
-                row[i] = w
-                if not old:
-                    self.cols[i].add(r)
-                    dirty_rows.add(r)
-            else:
-                row.pop(i, None)
-                self.cols[i].discard(r)
-                dirty_rows.add(r)
+        """col i += c * col j, for a column j that is {j}: entry (j, i)
+        alone changes."""
+        row = self.rows[j]
+        old = row.get(i, 0)
+        w = old + c * row[j]
+        if w:
+            row[i] = w
+            if not old:
+                self.cols[i].add(j)
+                self._dirty_rows.add(j)
+        else:
+            del row[i]
+            self.cols[i].discard(j)
+            self._dirty_rows.add(j)
         self._dirty_cols.add(i)
         self.col_ops += (i, j, c)
 
@@ -618,7 +619,6 @@ class _SnfWorker:
     def _clear_pivot(self, t):
         """Make (t,t) the only nonzero of row t and column t via gcd steps."""
         rows, cols = self.rows, self.cols
-        dirty_rows, dirty_cols, col_ops = self._dirty_rows, self._dirty_cols, self.col_ops
         while True:
             row_t = rows[t]
             piv = row_t[t]
@@ -634,20 +634,12 @@ class _SnfWorker:
                 self.row_swap(t, min(r for r in col_t if r != t))
                 continue
             # row sweep: column t is {t}, so col c -= q * col t changes
-            # entry (t, c) alone, marked and logged as col_axpy would
+            # entry (t, c) alone
             for c in sorted(row_t):
                 if c != t:
                     q = _nearest_div(row_t[c], piv)
                     if q:
-                        w = row_t[c] - q * piv
-                        if w:
-                            row_t[c] = w
-                        else:
-                            del row_t[c]
-                            cols[c].discard(t)
-                            dirty_rows.add(t)
-                        dirty_cols.add(c)
-                        col_ops += (c, t, -q)
+                        self.col_axpy(c, t, -q)
             if len(row_t) == 1:
                 return
             # remainder survived: the first in row t's dict order
