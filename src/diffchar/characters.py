@@ -21,6 +21,7 @@ from .cohomology import (
     CircleGroupStructure,
     TRIVIAL_GROUP,
     circle_cohomology_structure,
+    coboundary_smith_form,
     cohomology_generators,
     cohomology_structure,
     delta_rank,
@@ -30,7 +31,7 @@ from .cohomology import (
     kunneth_structure,
 )
 from .complexes import SimplicialComplex, is_integer
-from .exact import rat_rank
+from .exact import identity_rows, mul_rows, transpose_rows
 from .hodge import spark_from_cocycle
 from .sparks import (
     Spark,
@@ -66,19 +67,31 @@ class CharacterStructure:
         }
 
 
-def _rational_delta_rank(K: SimplicialComplex, k) -> int:
-    """Rank of delta_k over Q, cached on K.
+def _smith_certificate(snf, rows):
+    """The first identity that the Smith form ``snf`` of ``rows`` breaks, or None.
 
-    A fraction-free elimination, independent of the Smith form behind
-    :func:`delta_rank`, so check 7 of :func:`verify_sequences` compares
-    two routes.
+    Together, 0 < d_1 | ... | d_r, U delta = D V^{-1} row by row,
+    U U^{-1} = I and V^{-1} V = I prove the rank r with no second elimination.
     """
-    if k < 0 or k > K.dimension:
-        return 0
-    key = ("rat_rank", k)
-    if key not in K._cache:
-        K._cache[key] = rat_rank(K.delta_rows(k), K.n_simplices(k))
-    return K._cache[key]
+    n, m, d = snf.nrows, snf.ncols, snf.diag
+    if any(a <= 0 or b % a for a, b in zip(d, d[1:] + d[-1:])):
+        return "not 0 < d_1 | ... | d_r"
+    D_Vinv = [{j: c * v for j, v in row.items()} for c, row in zip(d, snf.Vinv_rows)]
+    if mul_rows(snf.U_rows, rows) != D_Vinv + [{}] * (n - snf.rank):
+        return "U delta != D V^-1"
+    if mul_rows(snf.U_rows, transpose_rows(snf.UinvT_rows, n)) != identity_rows(n):
+        return "U U^-1 != I"
+    if mul_rows(snf.Vinv_rows, transpose_rows(snf.VT_rows, m)) != identity_rows(m):
+        return "V^-1 V != I"
+
+
+def _broken_identity(K: SimplicialComplex, k):
+    """The identity the Smith form of delta_k breaks, as "delta_k: ...", or None; cached on K."""
+    key = ("smith_certificate", k)
+    if 0 <= k <= K.dimension and key not in K._cache:
+        bad = _smith_certificate(coboundary_smith_form(K, k), K.delta_rows(k))
+        K._cache[key] = bad and f"delta_{k}: {bad}"
+    return K._cache.get(key)
 
 
 def character_structure(K: SimplicialComplex, k) -> CharacterStructure:
@@ -86,16 +99,9 @@ def character_structure(K: SimplicialComplex, k) -> CharacterStructure:
     n = K.dimension
     if not (-1 <= k <= n):
         raise ValueError(f"degree {k} out of range [-1, {n}]")
-    if k == -1:
-        return CharacterStructure(
-            degree=-1,
-            torus_rank=0,
-            exact_dim=0,
-            discrete=cohomology_structure(K, 0),
-        )
     return CharacterStructure(
         degree=k,
-        torus_rank=cohomology_structure(K, k).free_rank,
+        torus_rank=cohomology_structure(K, k).free_rank if k >= 0 else 0,
         exact_dim=delta_rank(K, k),
         discrete=cohomology_structure(K, k + 1),
     )
@@ -138,10 +144,8 @@ def dual_structure(K: SimplicialComplex, k) -> DualStructure:
     if not (-1 <= k <= n):
         raise ValueError(f"degree {k} out of range [-1, {n}]")
     h_next = cohomology_structure(K, k + 1)
+    # k = -1 is dual to the integers: a bare torus of rank b_0 = components
     b_k = cohomology_structure(K, k).free_rank if k >= 0 else 0
-    if k == -1:
-        # dual of the integers: a bare torus of rank b_0 = components
-        b_k = 0
     return DualStructure(
         degree=n - k - 1,
         torus_rank=h_next.free_rank,
@@ -223,7 +227,7 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
 
     Produces explicit witness sparks for surjectivity of the curvature
     and class maps, flattens kernel elements, and cross-checks the
-    dimension bookkeeping through independent rank computations.  Each
+    dimension bookkeeping against certified Smith forms (check 7).  Each
     free and torsion generator of H^{k+1} gets one witness spark, which
     checks 1 and 8 both read.
 
@@ -247,28 +251,30 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
     trial_detail = f"{trials} trials" if has_next else "vacuous"
     zero = Spark(K.zero_cochain(k), K.zero_cochain(k + 1))
 
-    # degree k: b_k and the coboundary ranks of both routes, read once
+    # degree k: b_k and the coboundary ranks, certified once per complex
     free_k, torus_detail = [], "vacuous"
     bookkeeping = rational = flat_subgroup = (True, "vacuous")
     if k >= 0:
         n_k = K.n_simplices(k)
         b_k = cohomology_structure(K, k).free_rank
+        # the ranks of the cached Smith forms that check 7 certifies
         r_k, r_prev = delta_rank(K, k), delta_rank(K, k - 1)
-        b_rat = n_k - _rational_delta_rank(K, k) - _rational_delta_rank(K, k - 1)
+        b_cert = n_k - r_k - r_prev
         free_k = cohomology_generators(K, k)[0]
         torus_detail = f"{len(free_k)} generators"
         # 6. dimension bookkeeping n_k = rank d_k + b_k + rank d_{k-1}
         bookkeeping = (
             n_k == r_k + b_k + r_prev, f"{n_k} == {r_k} + {b_k} + {r_prev}"
         )
-        # 7. integer and rational routes agree on the torus rank
-        rational = (b_rat == b_k, f"{b_rat} == {b_k}")
+        # 7. the certified Smith forms of delta_{k-1} and delta_k give b_k
+        bad = _broken_identity(K, k - 1) or _broken_identity(K, k)
+        rational = (not bad and b_cert == b_k, bad or f"{b_cert} == {b_k}")
         # 9. the flat subgroup H^k(S^1) has the universal coefficient
         # structure Hom(H_k, S^1) = (S^1)^{b_k} x tor H_k, with b_k from
-        # the rational coboundary ranks and the torsion from integral
+        # the certified coboundary ranks and the torsion from integral
         # homology
         got = circle_cohomology_structure(K, k)
-        want = CircleGroupStructure(b_rat, homology_structure(K, k).torsion)
+        want = CircleGroupStructure(b_cert, homology_structure(K, k).torsion)
         flat_subgroup = (got == want, f"{got.format()} == {want.format()}")
 
     def random_fractions(bound):

@@ -821,7 +821,8 @@ def build_parser():
     p = sub.add_parser("verify", help="full invariant suite on one fixture")
     _add_space_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    trials_help = "N star, ring and holonomy trials; the sequence checks always run 4"
+    p.add_argument("--trials", type=int, default=100, metavar="N", help=trials_help)
     _add_hodge_args(p)
     _add_solver_args(p)
     p.set_defaults(handler=cmd_verify)

@@ -14,10 +14,9 @@ semidefinite systems of :class:`diffchar.hodge.HodgeContext` (the
 coboundary normal matrices on their Morse gauges and the harmonic Gram
 systems): an L D L^T factorization modulo a prime, p-adic lifting and
 rational reconstruction, and an exact integer check of every solution
-it returns.  :class:`RatElim`, a fraction-free sparse Gauss-Jordan over Q,
-gives the rational rank of check 7 in :mod:`diffchar.characters`, an
-elimination independent of both; the tests also use it as an oracle.
-Every kernel and preimage comes from a Smith form.
+it returns.  Every kernel, preimage and rank comes from a Smith form
+(check 7 of :mod:`diffchar.characters` certifies the ranks); only
+``perfbench`` and the tests build :class:`RatElim`, a sparse Gauss-Jordan.
 
 Exact vectors have one representation, :class:`ScaledVector`: integer
 numerators over one common denominator L.  Chains and cochains keep
@@ -722,11 +721,9 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 class RatElim:
     """Fraction-free sparse Gauss-Jordan over Q.
 
-    The library builds it only for :func:`rat_rank`, so no pivot choice
-    reaches an output; the symmetric systems of
-    :class:`diffchar.hodge.HodgeContext` go to :class:`SymmetricSolver`.
-    ``nullspace()``, ``rhs=`` and ``solution()`` serve the tests, as an
-    oracle, and ``perfbench``.
+    Only ``perfbench`` and the tests, as an oracle, build it: the library
+    reads ranks off certified Smith forms and solves its symmetric systems
+    with :class:`SymmetricSolver`.
 
     ``rows`` is a list of {col: value} dicts (int or Fraction values),
     read and not modified; ``rhs`` an optional list of dense
@@ -876,10 +873,6 @@ def _exact_div(t, d):
 
 def rat_nullspace(rows, ncols):
     return RatElim(rows, ncols).nullspace()
-
-
-def rat_rank(rows, ncols):
-    return RatElim(rows, ncols).rank
 
 
 # ---------------------------------------------------------------------------

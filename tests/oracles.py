@@ -16,12 +16,16 @@ product, the sparse coboundary/boundary product and the pairing on
 plain value tuples, entry by entry, the reference for the scaled
 arithmetic of chains and cochains; ``by_value`` and ``typed_by_value``
 state the type rule of the library's vectors, an entry is an int
-exactly when it is integral.  ``kernel_basis`` reads
-the integer kernel of a matrix off its Smith form.  ``ldl_mod_rowwise``
-is the minimum-degree L D L^T modulo a prime that updates each active
-row on its own, the reference for the steps of ``exact._ldl_mod``.
+exactly when it is integral.  ``kernel_basis`` reads the integer kernel
+of a matrix off its Smith form, and ``rat_rank`` gives the rank over Q
+by a fraction-free elimination, independent of every Smith form.
+``plant_coefficient`` copies a Smith form with one logged coefficient
+changed, a fault its certificate must catch.  ``ldl_mod_rowwise`` is
+the minimum-degree L D L^T modulo a prime that updates each active row
+on its own, the reference for the steps of ``exact._ldl_mod``.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -59,6 +63,24 @@ def kernel_basis(snf):
     The columns of V past the rank, as dense integer vectors.
     """
     return rows_to_dense(snf.VT_rows[snf.rank:], snf.ncols)
+
+
+def rat_rank(rows, ncols):
+    """Rank over Q of the sparse ``rows``, by :class:`RatElim`."""
+    return RatElim(rows, ncols).rank
+
+
+def plant_coefficient(snf, side, at):
+    """A copy of ``snf`` whose ``side`` log has one axpy coefficient off by one.
+
+    ``side`` is "row_ops" or "col_ops"; ``at`` picks the axpy, an index
+    into that log's ops with c != 0.  The coefficient moves away from 0,
+    so the op stays an axpy.  The copy replays its own transforms.
+    """
+    ops = list(getattr(snf, side))
+    t = [t for t in range(2, len(ops), 3) if ops[t]][at]
+    ops[t] += 1 if ops[t] > 0 else -1
+    return replace(snf, **{side: ops})
 
 
 def elementary_cochain(K: SimplicialComplex, simp) -> Cochain:

@@ -28,11 +28,13 @@ from diffchar.characters import (
 from diffchar.cohomology import (
     AbelianGroupStructure,
     CircleGroupStructure,
+    coboundary_smith_form,
     cohomology_generators,
     cohomology_structures,
 )
 from diffchar.hodge import spark_from_cocycle
 from diffchar.sparks import Spark, curvature
+from oracles import plant_coefficient
 
 FROZEN_REPORTS = Path(__file__).parent / "data" / "verify_sequences_frozen.json"
 
@@ -248,6 +250,13 @@ def test_verify_sequences_reports_frozen():
         assert rng.random() == want["next_random"], space
 
 
+def _first_row_axpy_off_by_one_in_degree_1(K, k):
+    # the Smith form of delta_1 with one logged row operation wrong: same
+    # rank, so only the certificate of check 7 can see it
+    snf = coboundary_smith_form(K, k)
+    return plant_coefficient(snf, "row_ops", 0) if k == 1 else snf
+
+
 # Each check reports its own counterexample when one of its collaborators
 # is wrong (a collaborator that other checks share fails those too).
 # Check 9 is also covered, from its other side, by
@@ -266,8 +275,8 @@ FAILURES = [
      lambda K, s, t: True, "fractional torus spark trivial"),
     ("dimension_bookkeeping", "torus", "delta_rank",
      lambda K, k: 0, "21 == 0 + 2 + 0"),
-    ("rational_rank_agreement", "torus", "rat_rank",
-     lambda rows, ncols: 0, "21 == 2"),
+    ("rational_rank_agreement", "torus", "coboundary_smith_form",
+     _first_row_axpy_off_by_one_in_degree_1, "delta_1: U delta != D V^-1"),
     ("curvature_class_agreement", "torus", "spark_from_cocycle",
      lambda K, R: spark_from_cocycle(K, R.scale(2)), "(2,) != (1,)"),
     ("flat_subgroup_structure", "rp2", "homology_structure",

@@ -33,7 +33,8 @@ from diffchar.cohomology import (
     poincare_dual,
 )
 from diffchar.complexes import Chain
-from diffchar.exact import rat_rank, rows_to_dense, smith_normal_form, transpose_rows
+from diffchar.exact import rows_to_dense, smith_normal_form, transpose_rows
+from oracles import rat_rank
 
 
 def fmt(K):

@@ -19,12 +19,13 @@ from diffchar.complexes import (
     scalar_str,
     simplicial_chain_maps,
 )
-from diffchar.exact import mat_vec, rat_rank, rows_to_dense
+from diffchar.exact import mat_vec, rows_to_dense
 from oracles import (
     by_value,
     elementwise_cup,
     elementwise_evaluate,
     elementwise_product,
+    rat_rank,
     vertex_components,
 )
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: Smith form, sparse kernels, rational elimination."""
 
+import dataclasses
 import hashlib
 import heapq
 import random
@@ -8,7 +9,7 @@ from math import lcm
 
 import pytest
 
-from diffchar import cli, exact
+from diffchar import characters, cli, exact
 from diffchar.builders import build_space
 from diffchar.characters import character_table
 from diffchar.cohomology import (
@@ -28,7 +29,6 @@ from diffchar.exact import (
     mat_vec,
     mul_rows,
     rat_nullspace,
-    rat_rank,
     rows_to_dense,
     smith_normal_form,
     transpose_apply,
@@ -36,7 +36,15 @@ from diffchar.exact import (
 )
 from diffchar.hodge import HodgeContext, spark_from_cocycle
 from diffchar.sparks import Spark, periods, spark_equivalent
-from oracles import by_value, kernel_basis, ldl_mod_rowwise, typed_by_value, varied_weights
+from oracles import (
+    by_value,
+    kernel_basis,
+    ldl_mod_rowwise,
+    plant_coefficient,
+    rat_rank,
+    typed_by_value,
+    varied_weights,
+)
 from test_top_degree import FROZEN_SNF
 
 
@@ -447,6 +455,65 @@ def test_smith_diag_matches_sympy():
         D = sympy_snf(sympy.Matrix(A), domain=sympy.ZZ)
         oracle = [abs(int(D[i, i])) for i in range(min(n, m)) if D[i, i] != 0]
         assert smith_normal_form(A).diag == oracle
+
+
+def _axpy_count(ops):
+    return sum(1 for t in range(2, len(ops), 3) if ops[t])
+
+
+@pytest.mark.parametrize("space", ["rp3", "lens:5,2"])
+def test_smith_certificate_catches_planted_faults(monkeypatch, space):
+    # check 7 certifies the Smith form of each delta_k.  On every delta_k
+    # with an axpy on a side, a copy with the first, middle or last axpy
+    # coefficient of that side off by one breaks U delta = D V^{-1}, and a
+    # copy whose U^{-1 T} is replayed as U^T breaks U U^{-1} = I; each
+    # fails with its degree and identity, and the true form passes
+    K = build_space(space)
+    planted = set()
+    for k in range(K.dimension + 1):
+        snf = coboundary_smith_form(K, k)
+        faults = [(snf, None)]
+        for side in ("row_ops", "col_ops"):
+            n = _axpy_count(getattr(snf, side))
+            for at in sorted({0, n // 2, n - 1} if n else ()):
+                faults.append((plant_coefficient(snf, side, at), "U delta != D V^-1"))
+                planted.add((k, side))
+        if _axpy_count(snf.row_ops):
+            swapped = dataclasses.replace(snf)
+            swapped.built["UinvT_rows"] = transpose_rows(snf.U_rows, snf.nrows)
+            faults.append((swapped, "U U^-1 != I"))
+        for form, identity in faults:
+            monkeypatch.setattr(characters, "coboundary_smith_form", lambda K, j: form)
+            got = characters._broken_identity(build_space(space), k)
+            assert got == (identity and f"delta_{k}: {identity}"), (k, identity)
+    # delta_0..2 carry axpys on both sides; delta_3 has no rows
+    assert planted == {(k, side) for k in range(3) for side in ("row_ops", "col_ops")}
+
+
+def test_smith_certificate_names_each_identity():
+    # hand-made forms, each breaking one identity of the certificate
+    def form(rows, ncols, rank, diag, row_ops=(), col_ops=()):
+        return exact.SmithDecomposition(len(rows), ncols, rank, diag, row_ops, col_ops), rows
+
+    # row 1 -= 2 row 0 takes [[2, 0], [4, 2]] to diag(2, 2)
+    assert characters._smith_certificate(*form([{0: 2}, {0: 4, 1: 2}], 2, 2, [2, 2], [1, 0, -2])) is None
+    cases = [
+        # row 1 -= 2 row 0 logged as row 1 -= 3 row 0
+        ("U delta != D V^-1", form([{0: 2}, {0: 4, 1: 2}], 2, 2, [2, 2], [1, 0, -3])),
+        # 2 does not divide 3
+        ("not 0 < d_1 | ... | d_r", form([{0: 2}, {1: 3}], 2, 2, [2, 3])),
+        # a zero on the diagonal claims a rank the matrix does not have
+        ("not 0 < d_1 | ... | d_r", form([{0: 1}, {}], 2, 2, [1, 0])),
+    ]
+    for identity, (snf, rows) in cases:
+        assert characters._smith_certificate(snf, rows) == identity
+    snf, rows = form([{0: 1, 1: 1}], 2, 1, [1], col_ops=[1, 0, -1])
+    assert characters._smith_certificate(snf, rows) is None
+    snf.built["VT_rows"] = snf.Vinv_rows  # V read as V^{-1 T}
+    assert characters._smith_certificate(snf, rows) == "V^-1 V != I"
+    snf, rows = form([{0: 1}, {0: 1}], 1, 1, [1], row_ops=[1, 0, -1])
+    snf.built["UinvT_rows"] = snf.U_rows  # U^{-1} read as U^T
+    assert characters._smith_certificate(snf, rows) == "U U^-1 != I"
 
 
 class TestSparseKernels:

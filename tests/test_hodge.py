@@ -24,7 +24,7 @@ from diffchar.cohomology import (
     integer_homology,
 )
 from diffchar.complexes import Chain
-from diffchar.exact import RatElim, SymmetricSolver, gram_rows, rat_rank, smith_normal_form
+from diffchar.exact import RatElim, SymmetricSolver, gram_rows, smith_normal_form
 from diffchar.hodge import (
     HodgeContext,
     HodgeError,
@@ -36,7 +36,7 @@ from diffchar.hodge import (
 )
 from diffchar.morse import greedy_matching
 from diffchar.sparks import Spark, curvature, spark_equivalent
-from oracles import elementary_cochain, green, inner, laplacian, varied_weights
+from oracles import elementary_cochain, green, inner, laplacian, rat_rank, varied_weights
 from smith_ledger import frozen_entries
 from test_exact import _count_smith_forms
 
