@@ -3,7 +3,8 @@
 A matching pairs each non-critical cell with a cell one dimension up.
 The associated flow operator stabilizes after finitely many steps to a
 projection P, with an explicit homotopy T satisfying, exactly over the
-integers, boundary T + T boundary = 1 - P.  Restricting P-stable chains
+integers, boundary T + T boundary = 1 - P; both follow the gradient
+paths of the matching cell by cell.  Restricting P-stable chains
 to the critical cells yields a small complex computing the same
 homology, and transposing everything gives cochain versions that
 compress a closed cochain into potential plus critical charge.
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 from .cohomology import AbelianGroupStructure, LatticeQuotient
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import add_rows, identity_rows, mat_vec, mul_rows, transpose_apply
+from .exact import _row_axpy, add_rows, identity_rows, mat_vec, mul_rows
+from .exact import transpose_apply, transpose_rows
 from .sparks import Spark, SparkError
 
 
@@ -37,11 +39,7 @@ class Matching:
         return {i: j for kk, i, j in self.pairs if kk == k}
 
     def cells(self):
-        out = set()
-        for k, i, j in self.pairs:
-            out.add((k, i))
-            out.add((k + 1, j))
-        return out
+        return {(k, i) for k, i, _ in self.pairs} | {(k + 1, j) for k, _, j in self.pairs}
 
 
 def critical_cells(K: SimplicialComplex, matching: Matching):
@@ -54,14 +52,13 @@ def critical_cells(K: SimplicialComplex, matching: Matching):
     }
 
 
-def _cofacet_lists(K, k):
-    # boundary_rows(k+1) is indexed by k-simplices, columns by cofacets
-    cof = [sorted(row) for row in K.boundary_rows(k + 1)]
-    return cof
-
-
 def validate_matching(K: SimplicialComplex, matching: Matching):
-    """Check facet incidence, disjointness, and acyclicity of V-paths."""
+    """Check facet incidence, disjointness, and acyclicity of V-paths.
+
+    Returns a dict from each degree k < dimension to the k-cells matched
+    upward in V-path order: each cell comes after every matched cell its
+    V-paths reach.
+    """
     seen = set()
     for k, i, j in matching.pairs:
         if not (0 <= k < K.dimension):
@@ -77,37 +74,27 @@ def validate_matching(K: SimplicialComplex, matching: Matching):
                 raise MorseError(f"cell {cell} matched twice")
             seen.add(cell)
     # V-paths in degree k step from a matched k-cell through its partner
-    # to another matched facet of that partner; they must not cycle
+    # to another matched facet of that partner; they must not cycle.
+    # Peel the cells whose V-paths stop there, then the cells whose steps
+    # all lead to peeled cells, and so on: a cycle is never peeled
+    order = {}
     for k in range(K.dimension):
-        up = matching.up_map(k)
-        facets = K.delta_rows(k)
-        succ = {
-            i: [i2 for i2 in facets[j] if i2 != i and i2 in up]
-            for i, j in up.items()
-        }
-        state = {}
-
-        def visit(node):
-            stack = [(node, iter(succ[node]))]
-            state[node] = 1
-            while stack:
-                cur, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state.get(nxt) == 1:
-                        raise MorseError(f"matching has a V-path cycle in degree {k}")
-                    if nxt not in state:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[cur] = 2
-                    stack.pop()
-
-        for node in succ:
-            if node not in state:
-                visit(node)
+        up, facets = matching.up_map(k), K.delta_rows(k)
+        left, back = {}, {i: [] for i in up}
+        for i, j in up.items():
+            steps = [f for f in facets[j] if f != i and f in up]
+            left[i] = len(steps)
+            for f in steps:
+                back[f].append(i)
+        done = order[k] = [i for i in up if not left[i]]
+        for f in done:
+            for i in back[f]:
+                left[i] -= 1
+                if not left[i]:
+                    done.append(i)
+        if len(done) < len(up):
+            raise MorseError(f"matching has a V-path cycle in degree {k}")
+    return order
 
 
 def greedy_matching(K: SimplicialComplex) -> Matching:
@@ -128,7 +115,11 @@ def greedy_matching(K: SimplicialComplex) -> Matching:
 def _greedy_matching(K):
     assigned = set()
     pairs = []
-    cof = {k: _cofacet_lists(K, k) for k in range(K.dimension)}
+    # boundary_rows(k+1) is indexed by k-simplices, columns by cofacets
+    cof = {
+        k: [sorted(row) for row in K.boundary_rows(k + 1)]
+        for k in range(K.dimension)
+    }
     while True:
         progress = True
         while progress:
@@ -168,52 +159,58 @@ class MorseFlow:
     """Stabilized flow, homotopy and critical complex of a matching."""
 
     def __init__(self, K: SimplicialComplex, matching: Matching):
-        validate_matching(K, matching)
+        order = validate_matching(K, matching)
         self.K = K
         self.matching = matching
         self.critical = critical_cells(K, matching)
-        n = K.dimension
-        # V_k: C_k -> C_{k+1}, rows indexed by (k+1)-simplices;
-        # V(sigma) = -(incidence)^{-1} partner, so the flow cancels sigma
-        self._V = {}
-        for k in range(-1, n + 1):
-            rows = [dict() for _ in range(K.n_simplices(k + 1))]
-            if 0 <= k < n:
-                for i, j in matching.up_map(k).items():
-                    sign = K.boundary_rows(k + 1)[i][j]
-                    rows[j][i] = -sign
-            self._V[k] = rows
-        # stabilize the flow phi = 1 + d V + V d in each degree:
-        # phi^i = P_k for i >= s_k, and the loop keeps the sum of the
-        # powers below s_k for the homotopy
-        self._P = {}
-        below = {}
-        exponent = {}
-        for k in range(n + 1):
-            phi = identity_rows(K.n_simplices(k))
-            phi = add_rows(phi, mul_rows(K.boundary_rows(k + 1), self._V[k]))
-            phi = add_rows(phi, mul_rows(self._V[k - 1], K.boundary_rows(k)))
-            acc = identity_rows(K.n_simplices(k))
-            power, s = phi, 1
-            while True:
-                nxt = mul_rows(power, phi)
-                if nxt == power:
+        # V sends a k-cell i matched with j to -e j, e = <d j, i>, so the
+        # flow phi = 1 + dV + Vd cancels i.  The matching is acyclic, so
+        # T = -sum_s phi^s V and the stable flow P = phi^s (s large) are
+        # recursions along V-paths, taken in the order validate_matching
+        # gives (Forman, Adv. Math. 134, 1998):
+        #   T(i) = e (j - sum_{f != i} <d j, f> T(f)), T = 0 on other cells;
+        #   P(c) = c - sum_g <d c, g> T(g) for a critical c;
+        #   P(i) = -e sum_{f != i} <d j, f> P(f), from P d = d P, P V = 0;
+        #   P = 0 on every cell matched downward.
+        # Columns are built per cell, then stored as rows.
+        self._P, self._T = {}, {-1: [{} for _ in range(K.n_simplices(0))]}
+        self.stabilization_exponent = 1
+        t_low = []
+        for k in range(K.dimension + 1):
+            up, facets, n_k = matching.up_map(k), K.delta_rows(k), K.n_simplices(k)
+            p, t = [{} for _ in range(n_k)], [{} for _ in range(n_k)]
+            for c in self.critical[k]:
+                p[c] = {c: 1}
+                for g, v in K.delta_rows(k - 1)[c].items():
+                    _row_axpy(p[c], t_low[g], -v)
+            # step: phi on the cells matched downward, partner(i) going to
+            # sum_f <d j, f> V f over the matched facets f != i of j = up[i]
+            step, depth = {}, {}
+            for i in order.get(k, ()):
+                j = up[i]
+                e = facets[j][i]
+                t[i], step[i] = {j: e}, {}
+                for f, v in facets[j].items():
+                    if f != i:
+                        _row_axpy(t[i], t[f], -e * v)
+                        _row_axpy(p[i], p[f], -e * v)
+                        if f in up:
+                            step[i][f] = -v * facets[up[f]][f]
+                depth[i] = 1 + max(map(depth.get, step[i]), default=0)
+            self._P[k] = transpose_rows(p, n_k)
+            self._T[k] = transpose_rows(t, K.n_simplices(k + 1))
+            t_low = t
+            # phi^s = phi^(s+1) once phi^s kills every cell matched
+            # downward, and not before: the exponent is the longest run of
+            # nonzero iterates phi^i j.  Entries can cancel, so the path
+            # depth only bounds the run; iterate from the deepest cell on
+            for i in sorted(depth, key=depth.get, reverse=True):
+                if depth[i] <= self.stabilization_exponent:
                     break
-                acc = add_rows(acc, power)
-                power, s = nxt, s + 1
-            self._P[k] = power
-            below[k] = acc
-            exponent[k] = s
-        self.stabilization_exponent = max(exponent.values(), default=0)
-        # homotopy T_k = -(sum_{i < s} phi^i) V_k, the flow powers below
-        # s = s_{k+1}; the powers from s on add P_{k+1} V_k, which is zero
-        # for an acyclic matching: the stable flow kills every cell that
-        # is matched downward (Forman, Adv. Math. 134, 1998).  Degree
-        # n + 1 is empty, so T_n has no rows
-        self._T = {n: []}
-        for k in range(-1, n):
-            prod = mul_rows(below[k + 1], self._V[k])
-            self._T[k] = [{c: -v for c, v in row.items()} for row in prod]
+                w, s = {i: 1}, 0
+                while w:
+                    w, s = mul_rows([w], step)[0], s + 1
+                self.stabilization_exponent = max(self.stabilization_exponent, s)
 
     # -- chain operators -------------------------------------------------
     def project(self, z: Chain) -> Chain:

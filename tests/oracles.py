@@ -10,7 +10,9 @@ whole closed star, and ``varied_weights`` is a reproducible Hodge
 weight profile.  ``green`` solves the weighted Laplacian, built column
 by column from the public adjoint and coboundary, by a rational
 Gauss-Jordan; ``flow_once`` takes one step of the discrete Morse flow
-of a matching, built from the boundary alone.  ``elementwise_cup``,
+of a matching, built from the boundary alone, and ``flow_powers``
+multiplies the flow by itself until it stabilizes, the reference for
+the stable flow, homotopy and exponent of ``morse.MorseFlow``.  ``elementwise_cup``,
 ``elementwise_product`` and ``elementwise_evaluate`` are the cup
 product, the sparse coboundary/boundary product and the pairing on
 plain value tuples, entry by entry, the reference for the scaled
@@ -31,7 +33,15 @@ from heapq import heapify, heappop, heappush
 
 from diffchar.cohomology import integer_cohomology
 from diffchar.complexes import Chain, Cochain, ComplexEmbedding, SimplicialComplex
-from diffchar.exact import RatElim, mat_vec, rows_to_dense, smith_normal_form
+from diffchar.exact import (
+    RatElim,
+    add_rows,
+    identity_rows,
+    mat_vec,
+    mul_rows,
+    rows_to_dense,
+    smith_normal_form,
+)
 from diffchar.lowdegree import (
     CechGerbe,
     GerbeError,
@@ -254,6 +264,44 @@ def flow_once(K: SimplicialComplex, matching, z: Chain) -> Chain:
         return Chain(k + 1, tuple(out))
 
     return z + K.boundary(V(z)) + V(K.boundary(z))
+
+
+def flow_powers(K: SimplicialComplex, matching):
+    """(exponent, P, T) of the matching's flow, by powers of the flow.
+
+    In each degree k, phi = 1 + boundary V + V boundary is multiplied by
+    itself until phi^s = phi^(s+1); P_k = phi^s, s_k is the least such
+    s >= 1 and the exponent is the largest s_k.  T_k = -(sum_{i < s}
+    phi^i) V_k with s = s_{k+1}: the powers from s on add P_{k+1} V_k,
+    which is zero for an acyclic matching.  P and T are dicts of sparse
+    rows, T from degree -1 to the dimension, as ``MorseFlow`` keeps them.
+    """
+    n = K.dimension
+    V = {}
+    for k in range(-1, n + 1):
+        rows = [dict() for _ in range(K.n_simplices(k + 1))]
+        for i, j in matching.up_map(k).items():
+            rows[j][i] = -K.boundary_rows(k + 1)[i][j]
+        V[k] = rows
+    P, below, exponent = {}, {}, 1
+    for k in range(n + 1):
+        phi = identity_rows(K.n_simplices(k))
+        phi = add_rows(phi, mul_rows(K.boundary_rows(k + 1), V[k]))
+        phi = add_rows(phi, mul_rows(V[k - 1], K.boundary_rows(k)))
+        acc = identity_rows(K.n_simplices(k))
+        power, s = phi, 1
+        while True:
+            nxt = mul_rows(power, phi)
+            if nxt == power:
+                break
+            acc = add_rows(acc, power)
+            power, s = nxt, s + 1
+        P[k], below[k], exponent = power, acc, max(exponent, s)
+    T = {n: []}
+    for k in range(-1, n):
+        prod = mul_rows(below[k + 1], V[k])
+        T[k] = [{c: -v for c, v in row.items()} for row in prod]
+    return exponent, P, T
 
 
 # ---------------------------------------------------------------------------

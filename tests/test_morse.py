@@ -23,9 +23,10 @@ from diffchar.morse import (
     morse_spark,
     validate_matching,
 )
+from diffchar.complexes import SimplicialComplex
 from diffchar.exact import mul_rows
 from diffchar.sparks import SparkError, curvature, d2_class
-from oracles import flow_once
+from oracles import flow_once, flow_powers
 
 FIXTURES = [circle(3), sphere(2), moebius_kuehnel_torus(), rp2()]
 IDS = ["circle", "s2", "t2", "rp2"]
@@ -151,13 +152,54 @@ def test_projection_stable_and_idempotent(K):
 def test_stable_flow_kills_cells_matched_downward(name):
     # P_{k+1} V_k = 0 for an acyclic matching (Forman, Adv. Math. 134,
     # 1998), so the flow powers from s_{k+1} on add nothing to the
-    # homotopy T_k; on cp2 the flow on 1-chains is stable from s_1 = 3,
-    # below the exponent N = 4 of the whole complex
+    # homotopy T_k; V_k is built here from the matching, as flow_once
+    # builds it: V sends k-cell i matched with j to -j/<boundary j, i>
     K = build_space(name)
     flow = MorseFlow(K, greedy_matching(K))
     for k in range(K.dimension):
-        assert not any(mul_rows(flow._P[k + 1], flow._V[k])), k
+        V = [dict() for _ in range(K.n_simplices(k + 1))]
+        for i, j in flow.matching.up_map(k).items():
+            V[j][i] = -K.boundary_rows(k + 1)[i][j]
+        assert any(V) == bool(flow.matching.up_map(k)), k
+        assert not any(mul_rows(flow._P[k + 1], V)), k
     assert flow.homotopy_identity()
+
+
+def test_flow_matches_power_oracle_on_sub_matchings():
+    # every subset of an acyclic matching is acyclic; the library's flow
+    # along V-paths must equal the powers of phi entry for entry
+    rng = random.Random(32)
+    for name in ["rp2", "torus", "cp2", "rp3", "torus_grid5", "lens:5,2"]:
+        K = build_space(name)
+        pairs = greedy_matching(K).pairs
+        for keep in (0.2, 0.5, 0.8, 0.95, 1.0):
+            m = Matching(tuple(p for p in pairs if rng.random() < keep))
+            flow = MorseFlow(K, m)
+            exponent, P, T = flow_powers(K, m)
+            assert flow.stabilization_exponent == exponent, (name, keep)
+            assert flow._P == P, (name, keep)
+            assert flow._T == T, (name, keep)
+
+
+def test_exponent_counts_cancelled_paths_out():
+    # the longest V-path from {0,1,2} passes three triangles, but its two
+    # paths to {0,3,4} cancel, so phi^2 = phi^3 already: the power loop
+    # reports 2, and a path-length count would report 3
+    K = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 3, 4)])
+    edge = {s: i for i, s in enumerate(K.simplices[1])}
+    tri = {s: i for i, s in enumerate(K.simplices[2])}
+    m = Matching(tuple(sorted(
+        (1, edge[e], tri[t])
+        for e, t in [((0, 1), (0, 1, 3)), ((0, 2), (0, 2, 3)),
+                     ((0, 3), (0, 3, 4)), ((1, 2), (0, 1, 2))]
+    )))
+    flow = MorseFlow(K, m)
+    assert flow.stabilization_exponent == 2 == flow_powers(K, m)[0]
+    assert flow.homotopy_identity()
+    for k in range(K.dimension + 1):
+        for i in range(K.n_simplices(k)):
+            p = flow.project(elementary(K, k, i))
+            assert flow_once(K, m, p) == p == flow.project(p), (k, i)
 
 
 @pytest.mark.parametrize("K", FIXTURES, ids=IDS)
