@@ -36,6 +36,7 @@ from diffchar.complexes import scalar_str
 DIGEST_FILE = Path(__file__).parent / "data" / "cli_report_digests.json"
 
 VERIFY_SPACES = ("cp2", "torus_grid5", "rp3", "lens:5,2")
+CG_VERIFY_SPACES = ("rp3", "lens:5,2")
 SPARK_SPACES = ("torus", "rp3", "cp2")
 DECOMPOSE_SPACES = ("rp2", "cp2")
 DECOMPOSE_CHOICES = ("0", "1", "-2", "1/2", "-3/4", "5/3")
@@ -73,8 +74,9 @@ def battery():
         for space in VERIFY_SPACES:
             _record(table, f"verify {space}",
                     ("verify", "--space", space, "--trials", 20, "--seed", 0))
-        _record(table, "verify rp3 cg",
-                ("verify", "--space", "rp3", "--method", "cg", "--trials", 20, "--seed", 0))
+        for space in CG_VERIFY_SPACES:
+            _record(table, f"verify {space} cg",
+                    ("verify", "--space", space, "--method", "cg", "--trials", 20, "--seed", 0))
         for space in SPARK_SPACES:
             _spark_commands(table, tmp, space)
         for space in DECOMPOSE_SPACES:
