@@ -30,8 +30,8 @@ from .cohomology import (
     integer_cohomology,
     kunneth_structure,
 )
-from .complexes import SimplicialComplex, is_integer
-from .exact import identity_rows, mul_rows, transpose_rows
+from .complexes import Cochain, SimplicialComplex
+from .exact import ScaledVector, identity_rows, mul_rows, transpose_rows
 from .hodge import spark_from_cocycle
 from .sparks import (
     Spark,
@@ -89,7 +89,12 @@ def _broken_identity(K: SimplicialComplex, k):
     """The identity the Smith form of delta_k breaks, as "delta_k: ...", or None; cached on K."""
     key = ("smith_certificate", k)
     if 0 <= k <= K.dimension and key not in K._cache:
-        bad = _smith_certificate(coboundary_smith_form(K, k), K.delta_rows(k))
+        snf = coboundary_smith_form(K, k)
+        kept = set(snf.built)
+        bad = _smith_certificate(snf, K.delta_rows(k))
+        # the transforms that only the certificate read would outlive it
+        for name in snf.built.keys() - kept:
+            del snf.built[name]
         K._cache[key] = bad and f"delta_{k}: {bad}"
     return K._cache.get(key)
 
@@ -307,9 +312,9 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
             x = K.cochain(k, (rng.randint(-3, 3) for _ in range(K.n_simplices(k))))
             s = Spark(a, K.delta(x))
             S = H_next.preimage(s.R.form)
-            if S is None or not all(map(is_integer, S)):
+            if S is None or not S.is_integral():
                 yield "no integral primitive for exact charge"
-            flattened = Spark(s.a + K.cochain(k, S), K.zero_cochain(k + 1))
+            flattened = Spark(s.a + Cochain.from_scaled(k, S), K.zero_cochain(k + 1))
             if not spark_equivalent(K, s, flattened):
                 yield "flattened spark not equivalent"
 
@@ -322,13 +327,13 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
             ) + K.delta(random_fractions(4))
             # reconstruct a preimage from w alone
             coords = H_next.coords(w.form)[0]
-            if any(c.denominator != 1 for c in coords):
+            if not ScaledVector.of(coords).is_integral():
                 yield "periods not integral"
             S = combination((int(c), g) for c, g in zip(coords, free_next))
             b_vec = H_next.preimage((w - S).form)
             if b_vec is None:
                 yield "residual not exact over Q"
-            if curvature(K, Spark(K.cochain(k, b_vec), S)) != w:
+            if curvature(K, Spark(Cochain.from_scaled(k, b_vec), S)) != w:
                 yield "curvature does not reproduce target"
 
     def flat_torsion_generators():

@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import Chain, SimplicialComplex, is_integer
-from .exact import identity_rows, mul_rows, rows_to_dense, scaled_product, smith_normal_form
+from .complexes import Chain, SimplicialComplex
+from .exact import ScaledVector, identity_rows, mul_rows, rows_to_dense, scaled_product
+from .exact import smith_normal_form
 
 
 def group_name(factors, sep):
@@ -122,8 +123,8 @@ class LatticeQuotient:
 
     # -- generators ------------------------------------------------------
     def _from_kernel_coords(self, y):
-        padded = [0] * self.snfA.rank + list(y)
-        return self.snfA.V_times(padded)
+        padded = ScaledVector(1, [0] * self.snfA.rank + y)
+        return scaled_product(self.snfA.VT_rows, padded, self.ncols).nums
 
     def _uinv_column(self, i):
         return rows_to_dense([self.snfW.UinvT_rows[i]], self.kernel_dim)[0]
@@ -155,10 +156,10 @@ class LatticeQuotient:
     def coords(self, v):
         """(free coords, torsion coords mod d) of a kernel vector.
 
-        v is an exact vector as :func:`~diffchar.exact.scaled_product`
-        takes it: a cochain's ``form`` or a sequence of ints and
-        Fractions.  A rational v is read exactly: its free coords are
-        rational.
+        v is a :class:`~diffchar.exact.ScaledVector`, a chain's or a
+        cochain's ``form``.  A rational v is read exactly: its free
+        coords are rational.  Each coord is an int or a Fraction, by its
+        value.
         """
         full = scaled_product(self.snfW.U_rows, self._kernel_coords(v))
         free = tuple(full.entry(i) for i in range(self.snfW.rank, self.kernel_dim))
@@ -168,7 +169,7 @@ class LatticeQuotient:
         return free, torsion
 
     def preimage(self, v):
-        """x with B x = v, or None (v rational allowed, as in :meth:`coords`).
+        """x with B x = v as a ScaledVector, or None (v as in :meth:`coords`).
 
         The Smith form solve of :class:`~diffchar.exact.SmithDecomposition`:
         x is integral exactly when an integral preimage exists.
@@ -395,27 +396,19 @@ def poincare_dual(K: SimplicialComplex, z: Chain):
     n_gens = len(gens)
     tor_orders = H_target.structure().torsion
     n_free, n_tor = len(fz), len(tz)
-    rows = []
-    rhs = []
-    for i in range(n_free):
-        rows.append(
-            [cap_coords[j][0][i] for j in range(n_gens)] + [0] * n_tor
-        )
-        rhs.append(fz[i])
+    rows = [{j: c[0][i] for j, c in enumerate(cap_coords) if c[0][i]} for i in range(n_free)]
     for i in range(n_tor):
-        slack = [0] * n_tor
-        slack[i] = tor_orders[i]
-        rows.append(
-            [cap_coords[j][1][i] for j in range(n_gens)] + slack
-        )
-        rhs.append(tz[i])
+        # torsion coordinate i holds modulo its order: slack column n_gens + i
+        row = {j: c[1][i] for j, c in enumerate(cap_coords) if c[1][i]}
+        row[n_gens + i] = tor_orders[i]
+        rows.append(row)
     if not rows:
         return K.zero_cochain(k)
-    sol = smith_normal_form(rows).solve(rhs)
-    if sol is None or not all(map(is_integer, sol)):
+    sol = smith_normal_form(rows, ncols=n_gens + n_tor).solve(ScaledVector.of(fz + tz))
+    if sol is None or not sol.is_integral():
         return None
     u = K.zero_cochain(k)
     for j, g in enumerate(gens):
-        if sol[j]:
-            u = u + g.scale(sol[j])
+        if sol.nums[j]:
+            u = u + g.scale(sol.entry(j))
     return u

@@ -77,11 +77,6 @@ def scalar_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def is_integer(x):
-    """Whether an int or ``Fraction`` is integral."""
-    return x.denominator == 1
-
-
 # ---------------------------------------------------------------------------
 # chains and cochains
 
@@ -187,8 +182,7 @@ class _Vector:
         return not any(self.form.nums)
 
     def is_integral(self):
-        a = self.form
-        return a.den == 1 or all(x % a.den == 0 for x in a.nums)
+        return self.form.is_integral()
 
 
 class Chain(_Vector):

@@ -20,18 +20,16 @@ it returns.  Every kernel, preimage and rank comes from a Smith form
 
 Exact vectors have one representation, :class:`ScaledVector`: integer
 numerators over one common denominator L.  Chains and cochains keep
-their values in it, and the one sparse kernel, :func:`scaled_product`,
-reads and returns it: every product and sum is an int one, and no
+their values in it, and every exact kernel takes and returns it: the
+one sparse product, :func:`scaled_product`, the Smith-form solve and
+:class:`SymmetricSolver`.  Every product and sum is an int one, and no
 ``Fraction`` is built.  An entry is built only when it is read, and its
 type follows its value alone: the int ``n // L`` when L divides n, else
-``Fraction(n, L)``.  :func:`mat_vec` and :func:`transpose_apply` are
-that kernel plus the build step.  The Smith-form solve,
-:class:`SymmetricSolver` and the right-hand sides of :class:`RatElim`
-take the scaled form as well, and :class:`SymmetricSolver` returns it.
-The one float kernel is the term-by-term product that :func:`mat_vec`
-and :func:`transpose_apply` fall back to on a list with float entries:
-the conjugate-gradient route of the Hodge decomposition iterates on
-such lists.
+``Fraction(n, L)``; :meth:`ScaledVector.is_integral` is the one test of
+integrality.  Under :func:`scaled_product` is the term-by-term product
+:func:`sparse_product`, which the conjugate-gradient route of the Hodge
+decomposition calls on its lists of floats.  Only the right-hand sides
+of :class:`RatElim` may still be lists.
 
 Pivoting is Markowitz-style with deterministic tie-breaks, so
 identical inputs give identical outputs everywhere.  The Smith form
@@ -70,11 +68,6 @@ from math import gcd, isqrt, lcm
 
 # ---------------------------------------------------------------------------
 # shape helpers
-
-def dense_to_rows(mat):
-    """Dense list-of-lists -> sparse list of {col: value} rows."""
-    return [{j: v for j, v in enumerate(row) if v} for row in mat]
-
 
 def rows_to_dense(rows, ncols):
     out = []
@@ -168,6 +161,11 @@ class ScaledVector:
         nums = [x * y for x, y in zip(self.nums, other.nums)]
         return ScaledVector(self.den * other.den, nums)
 
+    def is_integral(self):
+        """Whether every entry is an int."""
+        den = self.den
+        return den == 1 or all(x % den == 0 for x in self.nums)
+
     def same_values(self, other):
         """Whether the entries are equal in value, one by one."""
         if self.den == other.den:
@@ -180,28 +178,22 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def scaled_product(rows, vec, ncols=None):
-    """Sparse integer rows times an exact vector, as a ScaledVector.
+    """Sparse integer rows times a :class:`ScaledVector`, as a ScaledVector.
 
-    vec is a ScaledVector or a sequence of ints and Fractions (a float
-    raises TypeError).  The product is rows @ vec, or rows^T @ vec with
-    ``ncols`` entries when ``ncols`` is given (then vec has one entry per
-    row).  Every product and sum is an int one over vec's denominator,
-    and each entry reads by its value, as in :class:`ScaledVector`.
+    The product is rows @ vec, or rows^T @ vec with ``ncols`` entries
+    when ``ncols`` is given (then vec has one entry per row).  Every
+    product and sum is an int one over vec's denominator, and each entry
+    reads by its value, as in :class:`ScaledVector`.
     """
-    if not isinstance(vec, ScaledVector):
-        vec = _exact_vector(vec)
-    return ScaledVector(vec.den, _sparse_product(rows, vec.nums, ncols))
+    return ScaledVector(vec.den, sparse_product(rows, vec.nums, ncols))
 
 
-def _exact_vector(vec):
-    sv = ScaledVector.of(vec)
-    if sv is None:
-        raise TypeError("exact arithmetic needs int and Fraction entries")
-    return sv
+def sparse_product(rows, xs, ncols=None):
+    """rows @ xs, or rows^T @ xs with ncols entries, summed term by term.
 
-
-def _sparse_product(rows, xs, ncols):
-    """rows @ xs, or rows^T @ xs with ncols entries, term by term."""
+    xs is a list of numbers; on floats each entry is the left-to-right
+    sum of its terms.
+    """
     if ncols is None:
         out = []
         for row in rows:
@@ -219,33 +211,6 @@ def _sparse_product(rows, xs, ncols):
             for c, v in row.items():
                 out[c] += v * x
     return out
-
-
-def mat_vec(rows, vec):
-    """Sparse integer rows times a dense vector, as a list of entries.
-
-    vec is a :class:`ScaledVector` or a sequence of entries.  An exact
-    vec goes through :func:`scaled_product` and each entry is built once
-    at the end, an int exactly when it is integral.  A vec with float
-    entries (the iterates of conjugate gradients) is summed term by term.
-    """
-    return _apply(rows, vec, None)
-
-
-def transpose_apply(rows, vec, ncols):
-    """Transposed sparse integer rows times a dense vector: rows^T @ vec.
-
-    One entry of vec per row; vec and the entries are as in
-    :func:`mat_vec`.
-    """
-    return _apply(rows, vec, ncols)
-
-
-def _apply(rows, vec, ncols):
-    sv = vec if isinstance(vec, ScaledVector) else ScaledVector.of(vec)
-    if sv is None:
-        return _sparse_product(rows, vec, ncols)
-    return scaled_product(rows, sv, ncols).entries()
 
 
 def mul_rows(A, B):
@@ -376,18 +341,12 @@ class SmithDecomposition:
     def Vinv_rows(self):
         return self._transform("Vinv_rows", self.ncols, self.col_ops, True)
 
-    # -- applications ----------------------------------------------------
-    def V_times(self, vec):
-        """V @ vec, using V columns = VT rows."""
-        return transpose_apply(self.VT_rows, vec, self.ncols)
-
     def solve(self, b):
-        """A solution x of A x = b, or None when there is none.
+        """A solution x of A x = b as a :class:`ScaledVector`, or None when there is none.
 
-        x = V c with c_i = y_i / d_i for y = U b (an int when d_i
-        divides y_i) and the free coordinates of c zero; b is an exact
-        vector as :func:`scaled_product` takes it.  V is unimodular, so
-        x is integral exactly when A x = b has an integral solution.
+        x = V c with c_i = y_i / d_i for y = U b and the free coordinates
+        of c zero; b is a ScaledVector.  V is unimodular, so x is
+        integral exactly when A x = b has an integral solution.
         """
         y = scaled_product(self.U_rows, b)
         r = self.rank
@@ -398,7 +357,7 @@ class SmithDecomposition:
         den = y.den * top
         nums = [x * (top // d) for x, d in zip(y.nums, self.diag)]
         nums += [0] * (self.ncols - r)
-        return scaled_product(self.VT_rows, ScaledVector(den, nums), self.ncols).entries()
+        return scaled_product(self.VT_rows, ScaledVector(den, nums), self.ncols)
 
 
 class _SnfWorker:
@@ -695,23 +654,13 @@ def _nearest_div(a, b):
     return q
 
 
-def smith_normal_form(mat, nrows=None, ncols=None):
-    """Smith normal form with transforms.
+def smith_normal_form(rows, nrows=None, *, ncols):
+    """Smith normal form, with transforms, of sparse integer ``rows``.
 
-    ``mat`` is dense (list of row lists) or sparse (list of row dicts,
-    in which case ``ncols`` is required).
+    ``rows`` is a list of {col: value} dicts, read and not modified.
     """
-    if mat and isinstance(mat[0], dict):
-        rows = [dict(r) for r in mat]
-        if ncols is None:
-            raise ValueError("ncols required for sparse input")
-        nrows = len(rows) if nrows is None else nrows
-    else:
-        rows = dense_to_rows(mat)
-        nrows = len(mat)
-        ncols = len(mat[0]) if mat else (ncols or 0)
-    worker = _SnfWorker(rows, nrows, ncols)
-    return worker.run()
+    nrows = len(rows) if nrows is None else nrows
+    return _SnfWorker([dict(r) for r in rows], nrows, ncols).run()
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +812,13 @@ class RatElim:
         return basis
 
 
+def _exact_vector(vec):
+    sv = ScaledVector.of(vec)
+    if sv is None:
+        raise TypeError("exact arithmetic needs int and Fraction entries")
+    return sv
+
+
 def _exact_div(t, d):
     """t / d for an int or Fraction t; an int whenever the quotient is one."""
     if type(t) is int:
@@ -949,11 +905,9 @@ class SymmetricSolver:
     def solve(self, b):
         """A solution x of N x = b (see the class).
 
-        b is an exact vector as :func:`scaled_product` takes it; x is
-        the :class:`ScaledVector` Z / (D mult) of the lifted solution.
+        b is a :class:`ScaledVector`; x is the ScaledVector Z / (D mult)
+        of the lifted solution.
         """
-        if not isinstance(b, ScaledVector):
-            b = _exact_vector(b)
         # b's least common denominator, and L b over it
         g = gcd(b.den, *b.nums)
         mult = b.den // g
@@ -988,10 +942,7 @@ class SymmetricSolver:
                     X[i] += v * P
             P *= p
             lifts += 1
-            r = [
-                (ri - sum(a * y[j] for j, a in row.items())) // p
-                for ri, row in zip(r, rows)
-            ]
+            r = [(ri - ay) // p for ri, ay in zip(r, sparse_product(rows, y))]
             # reconstruct at lift counts 1, 2, 4, ... and at the last lift
             if lifts < check_at and P <= bound:
                 continue
@@ -999,10 +950,7 @@ class SymmetricSolver:
             found = _reconstruct(X, P)
             if found is not None:
                 Z, D = found
-                if all(
-                    sum(a * Z[j] for j, a in row.items()) == D * ci
-                    for row, ci in zip(rows, c)
-                ):
+                if all(az == D * ci for az, ci in zip(sparse_product(rows, Z), c)):
                     return Z, D
         return None
 

@@ -49,14 +49,13 @@ from .cohomology import (
     integer_cohomology,
     integer_homology,
 )
-from .complexes import Chain, Cochain, SimplicialComplex, is_integer
+from .complexes import Chain, Cochain, SimplicialComplex
 from .exact import (
     ScaledVector,
     SymmetricSolver,
     gram_rows,
-    mat_vec,
     scaled_product,
-    transpose_apply,
+    sparse_product,
     transpose_rows,
 )
 from .morse import greedy_matching
@@ -310,9 +309,12 @@ class HodgeContext:
 
     # -- conjugate gradients ---------------------------------------------
     def _float_adjoint(self, k, y):
-        """adjoint_delta of a list in degree k + 1 as floats: c * w, transposed, float / w."""
+        """adjoint_delta of a list in degree k + 1 as floats: c * w, transposed, float / w.
+
+        The transpose sums term by term, exactly on an exact list.
+        """
         wu = [c * w for c, w in zip(y, self.weight(k + 1))]
-        acc = transpose_apply(self.K.delta_rows(k), wu, self.K.n_simplices(k))
+        acc = sparse_product(self.K.delta_rows(k), wu, self.K.n_simplices(k))
         return [float(a) / w for a, w in zip(acc, self.weight(k))]
 
     def _cg(self, op, degree, rhs):
@@ -383,10 +385,12 @@ class HodgeContext:
         k, adjoint = u.degree, self._float_adjoint
         delta_lo, delta = K.delta_rows(k - 1), K.delta_rows(k)
         try:
-            b = self._cg(lambda x: adjoint(k - 1, mat_vec(delta_lo, x)), k - 1,
+            b = self._cg(lambda x: adjoint(k - 1, sparse_product(delta_lo, x)), k - 1,
                          adjoint(k - 1, u.values))
-            c = self._cg(lambda y: mat_vec(delta, adjoint(k, y)), k + 1, mat_vec(delta, u.form))
-            h = [a - d - e for a, d, e in zip(u.values, mat_vec(delta_lo, b), adjoint(k, c))]
+            c = self._cg(lambda y: sparse_product(delta, adjoint(k, y)), k + 1,
+                         scaled_product(delta, u.form).entries())
+            h = [a - d - e for a, d, e in zip(u.values, sparse_product(delta_lo, b),
+                                               adjoint(k, c))]
         except OverflowError:
             raise HodgeError("a cochain value or weight does not fit a float") from None
         parts = []
@@ -416,8 +420,8 @@ class HodgeContext:
             h, b, c = ([float(x) for x in v.values]
                        for v in (dec.harmonic, dec.primitive, dec.coprimitive))
             recon = [a - x - d - e for a, x, d, e in zip(
-                u.values, h, mat_vec(K.delta_rows(k - 1), b), self._float_adjoint(k, c))]
-            defects = (recon, mat_vec(K.delta_rows(k), h), self._float_adjoint(k - 1, h))
+                u.values, h, sparse_product(K.delta_rows(k - 1), b), self._float_adjoint(k, c))]
+            defects = (recon, sparse_product(K.delta_rows(k), h), self._float_adjoint(k - 1, h))
             norms = [float(max(map(abs, v), default=0)) for v in defects]
         return dict(zip(("reconstruction", "closed", "coclosed"), norms))
 
@@ -447,10 +451,10 @@ class HodgeContext:
         K = self.K
         _check_charge(K, R)
         k = R.degree
-        x = integer_cohomology(K, k).preimage((R - self.harmonic_projection(R)).values)
+        x = integer_cohomology(K, k).preimage((R - self.harmonic_projection(R)).form)
         if x is None:
             raise AssertionError("R minus its harmonic part must be exact")
-        x = K.cochain(k - 1, x)
+        x = Cochain.from_scaled(k - 1, x)
         if k < K.dimension and betti_below(K, k) == 0:
             h = K.zero_cochain(k - 1)
         else:
@@ -506,19 +510,18 @@ def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
     """
     _check_charge(K, R)
     k = R.degree
-    values = [int(v) for v in R.values]
     Q = integer_cohomology(K, k)
     free, torsion = cohomology_generators(K, k)
-    free_coords, torsion_coords = Q.coords(values)
+    free_coords, torsion_coords = Q.coords(R.form)
     G = K.zero_cochain(k)
     for c, g in zip(free_coords + torsion_coords, free + [g for _, g, _ in torsion]):
         if c:
             G = G + g.scale(c)
-    y = Q.preimage([v - w for v, w in zip(values, G.values)])
-    if y is None or not all(map(is_integer, y)):
+    y = Q.preimage((R - G).form)
+    if y is None or not y.is_integral():
         raise AssertionError("R minus its generator combination must be a coboundary")
     a = HodgeContext(K).harmonic_potential(G)
-    return Spark(a - K.cochain(k - 1, y), R)
+    return Spark(a - Cochain.from_scaled(k - 1, y), R)
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +559,12 @@ def abel_jacobi(ctx: HodgeContext, z: Chain, basis=None):
     integrals by whole numbers, so the values are well defined.
     """
     K = ctx.K
-    if not all(x == int(x) for x in z.values):
+    if not z.is_integral():
         raise HodgeError("cycle must be integral")
-    q = z.degree
-    Hq = integer_homology(K, q)
-    c = Hq.preimage([int(x) for x in z.values])
-    if c is None or not all(map(is_integer, c)):
+    c = integer_homology(K, z.degree).preimage(z.form)
+    if c is None or not c.is_integral():
         raise HodgeError("cycle does not bound")
-    return _harmonic_periods(ctx, K.chain(q + 1, c), basis)
+    return _harmonic_periods(ctx, Chain.from_scaled(z.degree + 1, c), basis)
 
 
 def is_principal(ctx: HodgeContext, z: Chain, basis=None) -> bool:

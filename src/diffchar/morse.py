@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .cohomology import AbelianGroupStructure, LatticeQuotient
 from .complexes import Chain, Cochain, SimplicialComplex
-from .exact import _row_axpy, add_rows, identity_rows, mat_vec, mul_rows
-from .exact import transpose_apply, transpose_rows
+from .exact import _row_axpy, add_rows, identity_rows, mul_rows, scaled_product
+from .exact import transpose_rows
 from .sparks import Spark, SparkError
 
 
@@ -214,26 +214,21 @@ class MorseFlow:
 
     # -- chain operators -------------------------------------------------
     def project(self, z: Chain) -> Chain:
-        return Chain(z.degree, tuple(mat_vec(self._P[z.degree], z.form)))
+        return Chain.from_scaled(z.degree, scaled_product(self._P[z.degree], z.form))
 
     def homotopy(self, z: Chain) -> Chain:
         """Degree-raising map T with boundary T + T boundary = 1 - P."""
-        return Chain(
-            z.degree + 1, tuple(mat_vec(self._T[z.degree], z.form))
-        )
+        return Chain.from_scaled(z.degree + 1, scaled_product(self._T[z.degree], z.form))
 
     # -- cochain operators (transposes) ----------------------------------
     def project_cochain(self, u: Cochain) -> Cochain:
         n = self.K.n_simplices(u.degree)
-        return Cochain(
-            u.degree, tuple(transpose_apply(self._P[u.degree], u.form, n))
-        )
+        return Cochain.from_scaled(u.degree, scaled_product(self._P[u.degree], u.form, n))
 
     def homotopy_cochain(self, u: Cochain) -> Cochain:
         """Degree-lowering transpose of T; pairs with delta like 1 - P."""
         k = u.degree - 1
-        n = self.K.n_simplices(k)
-        return Cochain(k, tuple(transpose_apply(self._T[k], u.form, n)))
+        return Cochain.from_scaled(k, scaled_product(self._T[k], u.form, self.K.n_simplices(k)))
 
     def homotopy_identity(self):
         """Whether boundary T + T boundary == 1 - P holds in every degree.

@@ -38,12 +38,11 @@ from .complexes import (
     Chain,
     Cochain,
     SimplicialComplex,
-    is_integer,
     json_vector,
     pull_cochain,
     simplicial_chain_maps,
 )
-from .exact import ScaledVector, mat_vec
+from .exact import ScaledVector, scaled_product
 
 
 class SparkError(ValueError):
@@ -120,19 +119,19 @@ def flat_spark_from_torsion(K, order, gen: Cochain, witness: Cochain) -> Spark:
 # equivalence and holonomy
 
 
-def periods(K: SimplicialComplex, u: Cochain) -> list:
+def periods(K: SimplicialComplex, u: Cochain) -> ScaledVector:
     """Values of the k-cochain u on the primitive basis of integral k-cycles.
 
     The basis is :func:`~diffchar.cohomology.cycle_lattice_rows`: the
     rows of U past the rank in the cached Smith form of delta_{k-1}
     (the identity for k = 0), kept sparse there.  One
-    :func:`~diffchar.exact.mat_vec` of u's scaled form gives all
-    periods, each an int exactly when it is integral.  Every
+    :func:`~diffchar.exact.scaled_product` of u's scaled form gives all
+    periods, as a :class:`~diffchar.exact.ScaledVector`.  Every
     integral k-cycle is an integer combination of the basis, so these
     values mod 1 determine the holonomy of a spark with potential u on
     every integral cycle.
     """
-    return mat_vec(cycle_lattice_rows(K, u.degree), u.form)
+    return scaled_product(cycle_lattice_rows(K, u.degree), u.form)
 
 
 def spark_equivalent(K: SimplicialComplex, s1: Spark, s2: Spark) -> bool:
@@ -152,7 +151,7 @@ def spark_equivalent(K: SimplicialComplex, s1: Spark, s2: Spark) -> bool:
         return False
     if d2_class(K, s1) != d2_class(K, s2):
         return False
-    return all(is_integer(p) for p in periods(K, diff))
+    return periods(K, diff).is_integral()
 
 
 def holonomy(K: SimplicialComplex, s: Spark, z: Chain) -> Fraction:

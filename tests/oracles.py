@@ -18,9 +18,17 @@ product, the sparse coboundary/boundary product and the pairing on
 plain value tuples, entry by entry, the reference for the scaled
 arithmetic of chains and cochains; ``by_value`` and ``typed_by_value``
 state the type rule of the library's vectors, an entry is an int
-exactly when it is integral.  ``kernel_basis`` reads the integer kernel
-of a matrix off its Smith form, and ``rat_rank`` gives the rank over Q
-by a fraction-free elimination, independent of every Smith form.
+exactly when it is integral.  ``fraction_product``,
+``fraction_smith_solve``, ``fraction_coords``, ``fraction_periods`` and
+``fraction_is_integral`` redo the Smith-form solve, lattice coordinates
+and preimages, periods and the integrality test of the library's
+``ScaledVector`` kernels in plain ``Fraction`` arithmetic;
+``elementwise_product`` adds one term at a time, so on floats it is the
+product that conjugate gradients must see.  ``dense_to_rows`` turns a
+dense test matrix into the sparse rows the Smith form takes.
+``kernel_basis`` reads the integer kernel of a matrix off its Smith
+form, and ``rat_rank`` gives the rank over Q by a fraction-free
+elimination, independent of every Smith form.
 ``plant_coefficient`` copies a Smith form with one logged coefficient
 changed, a fault its certificate must catch.  ``ldl_mod_rowwise`` is
 the minimum-degree L D L^T modulo a prime that updates each active row
@@ -31,16 +39,18 @@ from dataclasses import replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from diffchar.cohomology import integer_cohomology
+from diffchar.cohomology import cycle_lattice_basis, integer_cohomology
 from diffchar.complexes import Chain, Cochain, ComplexEmbedding, SimplicialComplex
 from diffchar.exact import (
     RatElim,
+    ScaledVector,
     add_rows,
     identity_rows,
-    mat_vec,
     mul_rows,
     rows_to_dense,
+    scaled_product,
     smith_normal_form,
+    transpose_rows,
 )
 from diffchar.lowdegree import (
     CechGerbe,
@@ -65,6 +75,11 @@ def varied_weights(K: SimplicialComplex, rng):
         k: tuple(rng.choice(WEIGHT_CHOICES) for _ in range(K.n_simplices(k)))
         for k in range(K.dimension + 1)
     }
+
+
+def dense_to_rows(mat):
+    """Dense list of row lists -> sparse list of {col: value} rows, zeros left out."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
 
 
 def kernel_basis(snf):
@@ -193,6 +208,59 @@ def elementwise_product(rows, vec):
 def elementwise_evaluate(u, z):
     """The pairing of value tuples: the sum over nonzero entries of z, from int 0."""
     return sum(a * b for a, b in zip(u, z) if b)
+
+
+# ---------------------------------------------------------------------------
+# the exact-vector kernels in plain Fractions, and the float product
+
+
+def fraction_product(rows, vec, ncols=None):
+    """rows @ vec, or rows^T @ vec with ncols entries, as ``Fraction`` sums.
+
+    vec is a list of ints and Fractions; each entry is typed by its value.
+    """
+    if ncols is not None:
+        rows = transpose_rows(rows, ncols)
+    return [by_value(Fraction(x)) for x in elementwise_product(rows, vec)]
+
+
+def fraction_smith_solve(snf, b):
+    """``SmithDecomposition.solve`` of the list b in ``Fraction``: entries, or None.
+
+    V c with c_i = (U b)_i / d_i and the free coordinates of c zero.
+    """
+    y = fraction_product(snf.U_rows, b)
+    if any(y[snf.rank:]):
+        return None
+    c = [Fraction(x) / d for x, d in zip(y, snf.diag)] + [0] * (snf.ncols - snf.rank)
+    return fraction_product(snf.VT_rows, c, snf.ncols)
+
+
+def fraction_coords(Q, v):
+    """(``Q.coords(v)``, ``Q.preimage(v)`` as entries) of the list v, in ``Fraction``.
+
+    ValueError when v is not in the kernel of Q's A, as ``coords`` raises.
+    """
+    full = fraction_product(Q.snfA.Vinv_rows, v)
+    r, W = Q.snfA.rank, Q.snfW
+    if any(full[:r]):
+        raise ValueError("vector is not in the kernel of A")
+    y = fraction_product(W.U_rows, full[r:])
+    torsion = tuple(y[i] % d for i, d in enumerate(W.diag) if d > 1)
+    return (tuple(y[W.rank:]), torsion), fraction_smith_solve(W, full[r:])
+
+
+def fraction_periods(K: SimplicialComplex, u: Cochain):
+    """``sparks.periods`` of u in ``Fraction``: u summed over each dense basis cycle."""
+    return [
+        by_value(sum((Fraction(a) * c for a, c in zip(u.values, z) if c), Fraction(0)))
+        for z in cycle_lattice_basis(K, u.degree)
+    ]
+
+
+def fraction_is_integral(den, nums):
+    """Whether every ``Fraction(n, den)`` is integral."""
+    return all(Fraction(n, den).denominator == 1 for n in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +468,7 @@ def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain):
     K = emb.parent
     k = target.degree
     local = [target.values[i] for i in _parent_indices(emb, k)]
-    x = integer_cohomology(emb.sub, k).preimage(local)
+    x = integer_cohomology(emb.sub, k).preimage(ScaledVector.of(local))
     if x is None:
         raise GerbeError(
             f"no primitive for a degree-{k} layer entry on an overlap; "
@@ -408,7 +476,7 @@ def _solve_on_overlap(emb: ComplexEmbedding, target: Cochain):
         )
     vals = [0] * K.n_simplices(k - 1)
     for loc, parent in enumerate(_parent_indices(emb, k - 1)):
-        vals[parent] = x[loc]
+        vals[parent] = x.entry(loc)
     return Cochain(k - 1, tuple(vals))
 
 
@@ -496,7 +564,4 @@ def constant_triple_class_trivial(cover: PatchCover, T) -> bool:
     if not rows:
         return True
     dec = smith_normal_form(rows, ncols=max(len(var_index), 1))
-    y = mat_vec(dec.U_rows, rhs)
-    return all(
-        Fraction(y[i]).denominator == 1 for i in range(dec.rank, len(y))
-    )
+    return scaled_product(dec.U_rows, ScaledVector.of(rhs)).tail(dec.rank).is_integral()

@@ -31,7 +31,9 @@ from diffchar.cohomology import (
     coboundary_smith_form,
     cohomology_generators,
     cohomology_structures,
+    integer_cohomology,
 )
+from diffchar.exact import ScaledVector
 from diffchar.hodge import spark_from_cocycle
 from diffchar.sparks import Spark, curvature
 from oracles import plant_coefficient
@@ -257,6 +259,20 @@ def _first_row_axpy_off_by_one_in_degree_1(K, k):
     return plant_coefficient(snf, "row_ops", 0) if k == 1 else snf
 
 
+class _PreimagesOffByHalf:
+    """A lattice quotient whose preimages have 1/2 added to every entry."""
+
+    def __init__(self, Q):
+        self._Q = Q
+
+    def __getattr__(self, name):
+        return getattr(self._Q, name)
+
+    def preimage(self, v):
+        x = self._Q.preimage(v)
+        return x.combine(ScaledVector(2, [1] * len(x.nums)), 1)
+
+
 # Each check reports its own counterexample when one of its collaborators
 # is wrong (a collaborator that other checks share fails those too).
 # Check 9 is also covered, from its other side, by
@@ -264,8 +280,9 @@ def _first_row_axpy_off_by_one_in_degree_1(K, k):
 FAILURES = [
     ("class_map_surjective", "torus", "d2_class",
      lambda K, s: ((7,), ()), "class mismatch ((7,), ()) != ((1,), ())"),
-    ("exact_charge_flattens", "torus", "is_integer",
-     lambda v: False, "no integral primitive for exact charge"),
+    ("exact_charge_flattens", "torus", "integer_cohomology",
+     lambda K, k: _PreimagesOffByHalf(integer_cohomology(K, k)),
+     "no integral primitive for exact charge"),
     ("curvature_map_surjective", "torus", "curvature",
      lambda K, s: curvature(K, s).scale(2), "curvature does not reproduce target"),
     ("flat_torsion_generators", "rp2", "flat_spark_from_torsion",

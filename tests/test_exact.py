@@ -14,6 +14,7 @@ from diffchar.builders import build_space
 from diffchar.characters import character_table
 from diffchar.cohomology import (
     AbelianGroupStructure,
+    LatticeQuotient,
     coboundary_smith_form,
     cohomology_generators,
     integer_cohomology,
@@ -22,22 +23,29 @@ from diffchar.cohomology import (
 )
 from diffchar.exact import (
     RatElim,
+    ScaledVector,
     SymmetricSolver,
     add_rows,
-    dense_to_rows,
     gram_rows,
-    mat_vec,
     mul_rows,
     rat_nullspace,
     rows_to_dense,
+    scaled_product,
     smith_normal_form,
-    transpose_apply,
+    sparse_product,
     transpose_rows,
 )
 from diffchar.hodge import HodgeContext, spark_from_cocycle
 from diffchar.sparks import Spark, periods, spark_equivalent
 from oracles import (
     by_value,
+    dense_to_rows,
+    elementwise_product,
+    fraction_coords,
+    fraction_is_integral,
+    fraction_periods,
+    fraction_product,
+    fraction_smith_solve,
     kernel_basis,
     ldl_mod_rowwise,
     plant_coefficient,
@@ -59,6 +67,11 @@ def eye(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def dense_snf(A):
+    """The Smith form of a dense matrix with at least one row."""
+    return smith_normal_form(dense_to_rows(A), ncols=len(A[0]))
+
+
 def assert_valid_snf(A, s):
     """Full certificate: U A V = D, transforms unimodular, chain divides."""
     m, n = s.nrows, s.ncols
@@ -77,23 +90,23 @@ def assert_valid_snf(A, s):
 
 class TestSmith:
     def test_diag_2_3(self):
-        s = smith_normal_form([[2, 0], [0, 3]])
+        s = dense_snf([[2, 0], [0, 3]])
         assert_valid_snf([[2, 0], [0, 3]], s)
         assert s.diag == [1, 6]
 
     def test_zero_matrix(self):
-        s = smith_normal_form([[0, 0], [0, 0], [0, 0]])
+        s = dense_snf([[0, 0], [0, 0], [0, 0]])
         assert s.rank == 0
         assert s.diag == []
         assert len(kernel_basis(s)) == 2
 
     def test_single_entry(self):
-        s = smith_normal_form([[-7]])
+        s = dense_snf([[-7]])
         assert s.diag == [7]
 
     def test_determinant_conservation(self):
         A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        s = smith_normal_form(A)
+        s = dense_snf(A)
         assert_valid_snf(A, s)
         prod = 1
         for d in s.diag:
@@ -106,7 +119,7 @@ class TestSmith:
         for _ in range(150):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
             A = [[rng.randint(-7, 7) for _ in range(m)] for _ in range(n)]
-            s = smith_normal_form(A)
+            s = dense_snf(A)
             assert_valid_snf(A, s)
 
     def test_kernel_annihilates(self):
@@ -114,7 +127,7 @@ class TestSmith:
         for _ in range(60):
             n, m = rng.randint(1, 5), rng.randint(2, 6)
             A = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-            s = smith_normal_form(A)
+            s = dense_snf(A)
             assert len(kernel_basis(s)) == m - s.rank
             for vec in kernel_basis(s):
                 assert all(
@@ -128,19 +141,21 @@ class TestSmith:
             A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
             x = [rng.randint(-6, 6) for _ in range(m)]
             b = [sum(r[j] * x[j] for j in range(m)) for r in A]
-            sol = smith_normal_form(A).solve(b)
-            assert sol is not None and all(type(v) is int for v in sol)
+            sol = dense_snf(A).solve(ScaledVector(1, b))
+            assert sol is not None
+            sol = sol.entries()
+            assert all(type(v) is int for v in sol)
             assert [sum(r[j] * sol[j] for j in range(m)) for r in A] == b
 
     def test_int_solve_detects_non_integral(self):
         # 2x = 1 has no integer solution, only a rational one
-        assert smith_normal_form([[2]]).solve([1]) == [Fraction(1, 2)]
-        assert smith_normal_form([[2]]).solve([Fraction(4)]) == [2]
+        assert dense_snf([[2]]).solve(ScaledVector.of([1])).entries() == [Fraction(1, 2)]
+        assert dense_snf([[2]]).solve(ScaledVector.of([Fraction(4)])).entries() == [2]
 
     def test_int_solve_detects_inconsistent(self):
         A = [[1, 1], [1, 1]]
-        assert smith_normal_form(A).solve([0, 1]) is None
-        assert smith_normal_form(A).solve([0, Fraction(1, 2)]) is None
+        assert dense_snf(A).solve(ScaledVector.of([0, 1])) is None
+        assert dense_snf(A).solve(ScaledVector.of([0, Fraction(1, 2)])) is None
 
     def test_sparse_input(self):
         s = smith_normal_form([{0: 2}, {1: 3}], ncols=2)
@@ -436,7 +451,7 @@ def test_torsion_charge_spark_forms_no_smith_form_of_h1(monkeypatch, space):
 
 
 def test_smith_transforms_are_read_only():
-    s = smith_normal_form([[2, 4], [6, 8]])
+    s = dense_snf([[2, 4], [6, 8]])
     with pytest.raises(AttributeError):
         s.U_rows = []
     assert s.U_rows is s.U_rows
@@ -454,7 +469,7 @@ def test_smith_diag_matches_sympy():
             A[-1] = [2 * a for a in A[0]]
         D = sympy_snf(sympy.Matrix(A), domain=sympy.ZZ)
         oracle = [abs(int(D[i, i])) for i in range(min(n, m)) if D[i, i] != 0]
-        assert smith_normal_form(A).diag == oracle
+        assert dense_snf(A).diag == oracle
 
 
 def _axpy_count(ops):
@@ -531,7 +546,7 @@ class TestSparseKernels:
             )
             vec = [rng.randint(-3, 3) for _ in range(n)]
             AT = [list(col) for col in zip(*A)]
-            assert transpose_apply(rA, vec, m) == [
+            assert scaled_product(rA, ScaledVector(1, vec), m).entries() == [
                 sum(a * x for a, x in zip(row, vec)) for row in AT
             ]
             w = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n)]
@@ -692,14 +707,15 @@ class TestSymmetricSolver:
             bs = []
             for _ in range(3):
                 u = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in A]
-                bs.append(transpose_apply(A, [a * x for a, x in zip(w, u)], m))
+                wu = ScaledVector.of([a * x for a, x in zip(w, u)])
+                bs.append(scaled_product(A, wu, m).entries())
             solver, elim = SymmetricSolver(N), RatElim(N, m, rhs=bs)
             kernels += elim.rank < m
             for i, b in enumerate(bs):
-                x = solver.solve(b).entries()
+                x = solver.solve(ScaledVector.of(b)).entries()
                 assert typed_by_value(x)
-                assert mat_vec(N, x) == b
-                assert mat_vec(A, x) == mat_vec(A, elim.solution(i))
+                assert list(elementwise_product(N, x)) == b
+                assert elementwise_product(A, x) == elementwise_product(A, elim.solution(i))
         assert kernels > 40
 
     @pytest.mark.parametrize("rows", [
@@ -712,7 +728,7 @@ class TestSymmetricSolver:
         monkeypatch.setattr(exact, "PRIMES", (3,) + exact.PRIMES)
         solver = SymmetricSolver(rows)
         for b in ([1, 0], [0, Fraction(1, 5)]):
-            assert solver.solve(b).entries() == RatElim(rows, 2, rhs=[b]).solution()
+            assert solver.solve(ScaledVector.of(b)).entries() == RatElim(rows, 2, rhs=[b]).solution()
         assert list(solver._factors) == [3, exact.PRIMES[1]]
 
     def test_premature_reconstruction_refused(self):
@@ -720,7 +736,7 @@ class TestSymmetricSolver:
         # rational that the exact check must refuse
         q = (2 * exact.PRIMES[0] + 1) // 3
         assert 3 * q % exact.PRIMES[0] == 1
-        assert SymmetricSolver([{0: q}]).solve([1]).entries() == [Fraction(1, q)]
+        assert SymmetricSolver([{0: q}]).solve(ScaledVector(1, [1])).entries() == [Fraction(1, q)]
 
     def test_inconsistent_rhs_refused(self):
         K = build_space("torus")
@@ -728,15 +744,15 @@ class TestSymmetricSolver:
         solver = SymmetricSolver(N)
         # N is singular on the constants, so a unit vector is no A^T u
         with pytest.raises(ValueError, match="inconsistent"):
-            solver.solve([1] + [0] * (len(N) - 1))
+            solver.solve(ScaledVector(1, [1] + [0] * (len(N) - 1)))
         assert list(solver._factors) == list(exact.PRIMES)
         rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
         with pytest.raises(ValueError, match="inconsistent"):
-            SymmetricSolver(rows).solve([1, 0])
-        assert SymmetricSolver(rows).solve([2, 2]).entries() == [2, 0]
+            SymmetricSolver(rows).solve(ScaledVector(1, [1, 0]))
+        assert SymmetricSolver(rows).solve(ScaledVector(1, [2, 2])).entries() == [2, 0]
 
     def test_empty_system(self):
-        assert SymmetricSolver([]).solve([]).entries() == []
+        assert SymmetricSolver([]).solve(ScaledVector(1, [])).entries() == []
 
     @pytest.mark.parametrize("name", ["torus", "rp2", "rp3", "cp2", "torus_grid5", "genus2"])
     def test_symmetric_updates_keep_the_rowwise_steps(self, name):
@@ -809,6 +825,18 @@ def plain_mat_vec(rows, vec):
     return out
 
 
+def library_product(rows, vec, ncols=None):
+    """rows @ vec (rows^T @ vec with ncols entries) by the library's kernels.
+
+    :func:`scaled_product` on an exact vec, read back as entries;
+    :func:`sparse_product` on a vec with float entries.
+    """
+    sv = ScaledVector.of(vec)
+    if sv is None:
+        return sparse_product(rows, vec, ncols)
+    return scaled_product(rows, sv, ncols).entries()
+
+
 def plain_transpose_apply(rows, vec, ncols):
     out = [0] * ncols
     for r, row in enumerate(rows):
@@ -868,17 +896,17 @@ class TestClearedDenominators:
             rows = [{j: int(v) for j, v in r.items()} for r in random_sparse_rows(rng, n, m)]
             vec = mixed_vector(rng, m)
             want = map(by_value, plain_mat_vec(rows, vec))
-            assert_same_entries(exact.mat_vec(rows, vec), list(want))
+            assert_same_entries(library_product(rows, vec), list(want))
             vec_t = mixed_vector(rng, n)
             want = map(by_value, plain_transpose_apply(rows, vec_t, m))
-            assert_same_entries(transpose_apply(rows, vec_t, m), list(want))
+            assert_same_entries(library_product(rows, vec_t, m), list(want))
 
     def test_cancelling_fractions_stay_fractions(self):
         # Fractions that cancel to an integer sum to an int: the type
         # follows the value, not the terms
         rows = [{0: 1, 1: 1}, {2: 3}, {0: 2, 2: 1}]
         vec = [Fraction(1, 3), Fraction(-1, 3), 2]
-        got = exact.mat_vec(rows, vec)
+        got = scaled_product(rows, ScaledVector.of(vec)).entries()
         assert_same_entries(got, [0, 6, Fraction(8, 3)])
         assert plain_mat_vec(rows, vec) == [Fraction(0), 6, Fraction(8, 3)]
         assert_same_entries(got, [by_value(x) for x in plain_mat_vec(rows, vec)])
@@ -886,8 +914,8 @@ class TestClearedDenominators:
     def test_float_vectors_pass_unchanged(self):
         rows = [{0: 1, 1: -2}, {1: 3}]
         vec = [0.5, 0.25]
-        assert_same_entries(exact.mat_vec(rows, vec), [0.0, 0.75])
-        assert_same_entries(transpose_apply(rows, vec, 2), [0.5, -0.25])
+        assert_same_entries(sparse_product(rows, vec), [0.0, 0.75])
+        assert_same_entries(sparse_product(rows, vec, 2), [0.5, -0.25])
 
     def test_ratelim_solution_against_smith_form(self):
         # right-hand sides mixing ints and Fractions, some over large
@@ -910,7 +938,7 @@ class TestClearedDenominators:
             )
             for i, b in enumerate(bs):
                 x = elim.solution(i)
-                if snf.solve([v * s for v, s in zip(b, scale)]) is None:
+                if snf.solve(ScaledVector.of([v * s for v, s in zip(b, scale)])) is None:
                     assert x is None
                     seen_none += 1
                     continue
@@ -918,3 +946,177 @@ class TestClearedDenominators:
                 assert [sum(v * x[j] for j, v in r.items()) for r in rows] == b
                 seen_solution += 1
         assert seen_none and seen_solution
+
+
+# ---------------------------------------------------------------------------
+# the ScaledVector boundary of the exact kernels against plain Fractions
+
+
+def random_rationals(rng, n):
+    return [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7))) for _ in range(n)]
+
+
+def int_rows(rng, n, m, density=0.4):
+    return [{j: int(v) for j, v in r.items()} for r in random_sparse_rows(rng, n, m, density=density)]
+
+
+def assert_same_solution(got, want):
+    """A ScaledVector or None against the oracle's entries or None."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert_same_entries(got.entries(), want)
+
+
+def assert_quotient_matches(Q, B, v):
+    """coords and preimage of the list v against :func:`fraction_coords`.
+
+    Returns whether v lies in the kernel of Q's A.
+    """
+    sv = ScaledVector.of(v)
+    try:
+        (free, torsion), pre = fraction_coords(Q, v)
+    except ValueError:
+        with pytest.raises(ValueError, match="kernel"):
+            Q.coords(sv)
+        return False
+    got_free, got_torsion = Q.coords(sv)
+    assert_same_entries(list(got_free), list(free))
+    assert_same_entries(list(got_torsion), list(torsion))
+    x = Q.preimage(sv)
+    assert_same_solution(x, pre)
+    if x is not None:
+        assert fraction_product(B, x.entries()) == v
+    return True
+
+
+def float_bits(x):
+    return (type(x), x.hex() if isinstance(x, float) else x)
+
+
+class TestScaledVectorBoundary:
+    """The Smith solve, lattice coordinates and preimages and the periods take
+    and return ScaledVectors; read back, their entries equal a plain-Fraction
+    oracle's in value and in type."""
+
+    def test_smith_solve_on_random_systems(self):
+        rng = random.Random(71)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            rows = int_rows(rng, n, m)
+            snf = smith_normal_form(rows, ncols=m)
+            for b in (fraction_product(rows, random_rationals(rng, m)), random_rationals(rng, n)):
+                got = snf.solve(ScaledVector.of(b))
+                assert_same_solution(got, fraction_smith_solve(snf, b))
+                # None exactly when A x = b has no rational solution
+                assert (got is None) == (RatElim(rows, m, rhs=[b]).solution() is None)
+                if got is not None:
+                    assert fraction_product(rows, got.entries()) == b
+                seen[got is None] += 1
+        assert all(seen.values()), seen
+
+    def test_lattice_quotients_on_random_relations(self):
+        rng = random.Random(73)
+        seen = {"outside": 0, "torsion": 0, "preimage": 0, "none": 0}
+        for _ in range(80):
+            n, p = rng.randint(1, 6), rng.randint(1, 5)
+            B = int_rows(rng, n, p, density=0.5)
+            # rows annihilating the columns of B: the kernel of B^T
+            left = smith_normal_form(transpose_rows(B, p), ncols=n)
+            A = [row for row in left.VT_rows[left.rank:] if rng.random() < 0.7]
+            Q = LatticeQuotient(A, n, B, p)
+            seen["torsion"] += bool(Q.structure().torsion)
+            vectors = [
+                fraction_product(B, random_rationals(rng, p)),
+                fraction_product(B, [rng.randint(-3, 3) for _ in range(p)]),
+                [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)],
+            ]
+            for v in vectors:
+                if not assert_quotient_matches(Q, B, v):
+                    seen["outside"] += 1
+                elif Q.preimage(ScaledVector.of(v)) is None:
+                    seen["none"] += 1
+                else:
+                    seen["preimage"] += 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("name", ["rp3", "lens:5,2"])
+    def test_spaces_against_fractions(self, name):
+        K = build_space(name)
+        rng = random.Random(79)
+        seen = {"preimage": 0, "none": 0, "solve": 0, "inconsistent": 0}
+        for k in range(K.dimension + 1):
+            n_k = K.n_simplices(k)
+            free, torsion = cohomology_generators(K, k)
+            Q = integer_cohomology(K, k)
+            # H^k's relation matrix, delta_{k-1}: none below degree 1
+            B, n_lo = (K.delta_rows(k - 1), K.n_simplices(k - 1)) if k else ([{}] * n_k, 0)
+            snf = coboundary_smith_form(K, k)
+            for _ in range(3):
+                # a rational cocycle: generators with rational weights plus
+                # the coboundary of a rational cochain, and that coboundary
+                exact = K.cochain(k, fraction_product(B, random_rationals(rng, n_lo)))
+                u = exact
+                for g in free + [g for _, g, _ in torsion]:
+                    u = u + g.scale(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 5))))
+                for v in (u, exact):
+                    assert assert_quotient_matches(Q, B, list(v.values))
+                    seen["none" if Q.preimage(v.form) is None else "preimage"] += 1
+                b_exact = K.delta(K.cochain(k, random_rationals(rng, n_k))).values
+                for b in (list(b_exact), random_rationals(rng, len(b_exact))):
+                    got = snf.solve(ScaledVector.of(b))
+                    assert_same_solution(got, fraction_smith_solve(snf, b))
+                    seen["inconsistent" if got is None else "solve"] += 1
+                w = K.cochain(k, random_rationals(rng, n_k))
+                assert_same_entries(periods(K, w).entries(), fraction_periods(K, w))
+        assert all(seen.values()), seen
+
+    def test_is_integral_against_fractions(self):
+        rng = random.Random(83)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            den = rng.choice((1, 2, 3, 4, 6, 12, 2**61 - 1))
+            n = rng.randint(0, 6)
+            if rng.random() < 0.5:
+                # den divides every numerator, negative ones included
+                nums = [den * rng.randint(-9, 9) for _ in range(n)]
+            else:
+                nums = [rng.randint(-30, 30) for _ in range(n)]
+            sv = ScaledVector(den, nums)
+            assert sv.is_integral() == fraction_is_integral(den, nums)
+            assert sv.is_integral() == all(type(x) is int for x in sv.entries())
+            seen[sv.is_integral()] += 1
+        assert all(seen.values()), seen
+        assert ScaledVector(3, [-6, 9, 0, -3]).is_integral()
+        assert not ScaledVector(3, [-6, -4]).is_integral()
+        assert not ScaledVector(4, [8, -2]).is_integral()
+        assert ScaledVector(7, []).is_integral()
+
+    def test_sparse_product_on_floats_sums_left_to_right(self):
+        rng = random.Random(89)
+        order_matters = 0
+
+        def draw(k):
+            return [
+                rng.choice((0, 0.0, -0.0, rng.uniform(-1, 1), rng.uniform(-1, 1) * 1e16))
+                for _ in range(k)
+            ]
+
+        for _ in range(300):
+            n, m = rng.randint(1, 8), rng.randint(1, 8)
+            rows = int_rows(rng, n, m, density=0.7)
+            xs, ys = draw(m), draw(n)
+            # each sum one term at a time, left to right: the transposed
+            # product in the order of the rows
+            for got, want in (
+                (sparse_product(rows, xs), elementwise_product(rows, xs)),
+                (sparse_product(rows, ys, m), elementwise_product(transpose_rows(rows, m), ys)),
+            ):
+                assert list(map(float_bits, got)) == list(map(float_bits, want))
+            # the data tells the orders apart: summed right to left, some
+            # entries come out other bits
+            flipped = [dict(reversed(row.items())) for row in rows]
+            order_matters += list(map(float_bits, elementwise_product(flipped, xs))) != list(
+                map(float_bits, elementwise_product(rows, xs))
+            )
+        assert order_matters > 20

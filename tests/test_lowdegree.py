@@ -94,7 +94,7 @@ def test_monopole_spark_charge():
     validate_spark(K, s)
     assert curvature(K, s) == phase_curvature(K, K.cochain(1, MONOPOLE))
     assert K.evaluate(s.R, K.fundamental_cycle()) == 1
-    free, _ = integer_cohomology(K, 2).coords([int(v) for v in s.R.values])
+    free, _ = integer_cohomology(K, 2).coords(s.R.form)
     assert free in ((1,), (-1,))
 
 

@@ -235,7 +235,7 @@ def test_morse_spark_integral_charge():
     s = morse_spark(K, flow, g)
     assert curvature(K, s) == g
     H2 = integer_cohomology(K, 2)
-    assert d2_class(K, s) == H2.coords(list(g.values))
+    assert d2_class(K, s) == H2.coords(g.form)
 
 
 def test_morse_spark_rejects_fractional_periods():

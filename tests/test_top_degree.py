@@ -24,7 +24,7 @@ from diffchar.cohomology import (
     integer_homology,
 )
 from diffchar.complexes import SimplicialComplex
-from diffchar.exact import RatElim, gram_rows, transpose_apply
+from diffchar.exact import RatElim, ScaledVector, gram_rows, scaled_product
 from diffchar.hodge import HodgeContext, spark_from_cocycle
 from oracles import typed_by_value, varied_weights
 
@@ -58,7 +58,7 @@ def normal_route_harmonics(K, weights=None):
     rhs = []
     for g in free:
         wg = g.values if weights is None else [w * v for w, v in zip(weights, g.values)]
-        rhs.append(transpose_apply(D, wg, m))
+        rhs.append(scaled_product(D, ScaledVector.of(wg), m).entries())
     N = RatElim(gram_rows(D, m, weights), m, rhs=rhs)
     out = []
     for i, g in enumerate(free):
