@@ -38,6 +38,7 @@ from .sparks import (
     curvature,
     d2_class,
     flat_spark_from_torsion,
+    random_cochain,
     spark_equivalent,
 )
 
@@ -282,12 +283,6 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
         want = CircleGroupStructure(b_cert, homology_structure(K, k).torsion)
         flat_subgroup = (got == want, f"{got.format()} == {want.format()}")
 
-    def random_fractions(bound):
-        return K.cochain(k, tuple(
-            Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
-            for _ in range(K.n_simplices(k))
-        ))
-
     def combination(pairs):
         out = K.zero_cochain(k + 1)
         for c, g in pairs:
@@ -308,8 +303,8 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
     def exact_charge_flattens():
         # 2. sparks with exact charge flatten to charge zero
         for _ in range(trials if has_next else 0):
-            a = random_fractions(5)
-            x = K.cochain(k, (rng.randint(-3, 3) for _ in range(K.n_simplices(k))))
+            a = random_cochain(K, k, rng, 5, 4)
+            x = random_cochain(K, k, rng, 3)
             s = Spark(a, K.delta(x))
             S = H_next.preimage(s.R.form)
             if S is None or not S.is_integral():
@@ -324,7 +319,7 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
             w = combination(
                 [(rng.randint(-2, 2), g) for g in free_next]
                 + [(rng.randint(-1, 1), g) for _, g, _ in tor_next]
-            ) + K.delta(random_fractions(4))
+            ) + K.delta(random_cochain(K, k, rng, 4, 4))
             # reconstruct a preimage from w alone
             coords = H_next.coords(w.form)[0]
             if not ScaledVector.of(coords).is_integral():

@@ -79,6 +79,7 @@ from .sparks import (
     holonomy,
     mod1,
     periods,
+    random_cochain,
     random_equivalent_shift,
     random_spark,
     spark_equivalent,
@@ -438,13 +439,7 @@ def cmd_verify(args):
     for k in range(n + 1):
         if K.n_simplices(k) == 0:
             continue
-        u = K.cochain(
-            k,
-            tuple(
-                Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
-                for _ in range(K.n_simplices(k))
-            ),
-        )
+        u = random_cochain(K, k, rng, 12, 4)
         defects.extend(ctx.decomposition_residuals(u, ctx.decompose(u)).values())
     worst = max(defects)
     residuals["hodge_max"] = worst

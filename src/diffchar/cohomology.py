@@ -297,15 +297,22 @@ def cohomology_generators(K, k):
     """Integral cocycle generators of H^k: free ones, then torsion.
 
     Returns (free: [Cochain], torsion: [(order, Cochain, witness Cochain)])
-    with delta(witness) = order * generator.
+    with delta(witness) = order * generator.  The cochains are built
+    once per degree and cached on K; each call returns new lists of
+    them, which the caller may change, but the cochains are shared and
+    callers must not modify their vectors.
     """
-    Q = integer_cohomology(K, k)
-    free = [K.cochain(k, vec) for vec in Q.free_generator_vectors()]
-    torsion = [
-        (d, K.cochain(k, g), K.cochain(k - 1, w) if k >= 1 else K.cochain(0, w))
-        for d, g, w in Q.torsion_generator_vectors()
-    ]
-    return free, torsion
+    key = ("generators", k)
+    if key not in K._cache:
+        Q = integer_cohomology(K, k)
+        free = [K.cochain(k, vec) for vec in Q.free_generator_vectors()]
+        torsion = [
+            (d, K.cochain(k, g), K.cochain(k - 1, w) if k >= 1 else K.cochain(0, w))
+            for d, g, w in Q.torsion_generator_vectors()
+        ]
+        K._cache[key] = free, torsion
+    free, torsion = K._cache[key]
+    return list(free), list(torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,9 @@ class SimplicialComplex:
         """Front-face/back-face product C^p x C^q -> C^{p+q}.
 
         C^{-1} is empty, so a factor of negative degree gives zero.
-        Each entry is an int exactly when it is integral.
+        Each entry is an int exactly when it is integral.  The face
+        index lists are formed once per (p, q) and cached on the
+        complex (:meth:`_faces`).
         """
         p, q = u.degree, v.degree
         k = p + q
@@ -387,10 +389,19 @@ class SimplicialComplex:
         return Cochain.from_scaled(k, ScaledVector(a.den * b.den, nums))
 
     def _faces(self, p, q):
-        """Indices of the front p-faces and of the back q-faces of the (p+q)-simplices."""
-        idx_p, idx_q = self.index[p], self.index[q]
-        simplices = self.simplices[p + q]
-        return [idx_p[s[: p + 1]] for s in simplices], [idx_q[s[p:]] for s in simplices]
+        """Indices of the front p-faces and of the back q-faces of the (p+q)-simplices.
+
+        Cached on the complex; callers read the lists and never change them.
+        """
+        key = ("faces", p, q)
+        if key not in self._cache:
+            idx_p, idx_q = self.index[p], self.index[q]
+            simplices = self.simplices[p + q]
+            self._cache[key] = (
+                [idx_p[s[: p + 1]] for s in simplices],
+                [idx_q[s[p:]] for s in simplices],
+            )
+        return self._cache[key]
 
     def cap(self, z: Chain, u: Cochain) -> Chain:
         """Cap product C_m x C^p -> C_{m-p}, front face eaten by u.
@@ -404,10 +415,10 @@ class SimplicialComplex:
         a, b = u.form, z.form
         xs = a.nums
         nums = [0] * self.n_simplices(q)
-        idx_p, idx_q = self.index[p], self.index[q]
-        for simp, y in zip(self.simplices[m], b.nums):
+        front, back = self._faces(p, q)
+        for f, g, y in zip(front, back, b.nums):
             if y:
-                nums[idx_q[simp[p:]]] += y * xs[idx_p[simp[: p + 1]]]
+                nums[g] += y * xs[f]
         return Chain.from_scaled(q, ScaledVector(a.den * b.den, nums))
 
     # -- fundamental cycle ----------------------------------------------

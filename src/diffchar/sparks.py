@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cohomology import (
     cohomology_generators,
@@ -263,53 +264,78 @@ def torsion_linking_matrix(K: SimplicialComplex, p, q):
 # randomized material for identity checking
 
 
+def random_cochain(K: SimplicialComplex, k, rng: random.Random, bound, dmax=1) -> Cochain:
+    """Random k-cochain with entries n / d, n in -bound..bound, d in 1..dmax.
+
+    Entry by entry it draws n as ``rng.randint(-bound, bound)`` would,
+    then, when dmax > 1, d as ``rng.randint(1, dmax)`` would.  A draw
+    from a range of width w reads ``rng.getrandbits(w.bit_length())``
+    and reads again while the result is w or more, which is randint's
+    own rule for a ``random.Random``.  So the bits consumed and every
+    value equal those of the loop
+    ``Fraction(rng.randint(-bound, bound), rng.randint(1, dmax))`` (for
+    dmax = 1, of ``rng.randint(-bound, bound)`` alone, which draws no
+    denominator).  The numerators sit over lcm(1..dmax), with no
+    ``Fraction`` formed; each entry reads by its value.
+    """
+    getrandbits = rng.getrandbits
+    width = 2 * bound + 1
+    nbits, dbits = width.bit_length(), dmax.bit_length()
+    den = lcm(*range(1, dmax + 1))
+    mult = [den // d for d in range(1, dmax + 1)]
+    nums = []
+    for _ in range(K.n_simplices(k)):
+        r = getrandbits(nbits)
+        while r >= width:
+            r = getrandbits(nbits)
+        d = 0
+        if dmax > 1:
+            d = getrandbits(dbits)
+            while d >= dmax:
+                d = getrandbits(dbits)
+        nums.append((r - bound) * mult[d])
+    return Cochain.from_scaled(k, ScaledVector(den, nums))
+
+
 def random_spark(K: SimplicialComplex, k, rng: random.Random) -> Spark:
     """Random spark of degree k with mixed exact and topological charge.
 
-    k runs over -1..dimension, the degrees of the character groups.
+    k runs over -1..dimension, the degrees of the character groups.  The
+    potential is a :func:`random_cochain` with entries n / d, |n| <= 6,
+    1 <= d <= 6; the charge is the coboundary of an integral one with
+    entries in -2..2 plus a random combination of the cached
+    :func:`~diffchar.cohomology.cohomology_generators` of H^{k+1}, free
+    ones with coefficients in -2..2 and torsion ones in -1..1.
     """
     if not -1 <= k <= K.dimension:
         raise SparkError(f"spark degree {k} outside -1..{K.dimension}")
-    n_k = K.n_simplices(k)
-    # the drawn values typed by value, as a computed cochain's are
-    draws = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n_k)]
-    a = Cochain.from_scaled(k, ScaledVector.of(draws))
-    # R: an exact part plus a random generator combination
-    chi = K.cochain(
-        k + 1, tuple(0 for _ in range(K.n_simplices(k + 1)))
-    )
-    if k + 1 <= K.dimension:
-        chi = chi + K.delta(
-            K.cochain(k, tuple(rng.randint(-2, 2) for _ in range(n_k)))
-        )
-        free, tor = cohomology_generators(K, k + 1)
-        for g in free:
-            c = rng.randint(-2, 2)
-            if c:
-                chi = chi + g.scale(c)
-        for _, g, _ in tor:
-            c = rng.randint(-1, 1)
-            if c:
-                chi = chi + g.scale(c)
+    a = random_cochain(K, k, rng, 6, 6)
+    if k == K.dimension:
+        return Spark(a, K.zero_cochain(k + 1))
+    chi = K.delta(random_cochain(K, k, rng, 2))
+    free, tor = cohomology_generators(K, k + 1)
+    for g in free:
+        c = rng.randint(-2, 2)
+        if c:
+            chi = chi + g.scale(c)
+    for _, g, _ in tor:
+        c = rng.randint(-1, 1)
+        if c:
+            chi = chi + g.scale(c)
     return Spark(a, chi)
 
 
 def random_equivalent_shift(K: SimplicialComplex, s: Spark, rng: random.Random) -> Spark:
-    """Equivalent spark via a random allowed shift (delta b - S, delta S)."""
+    """Equivalent spark via a random allowed shift (delta b - S, delta S).
+
+    S is a :func:`random_cochain` with integer entries in -3..3 and, in
+    degree k >= 1, b one with entries n / d, |n| <= 4, 1 <= d <= 5.
+    """
     k = s.degree
-    S = K.cochain(
-        k, tuple(rng.randint(-3, 3) for _ in range(K.n_simplices(k)))
-    )
+    S = random_cochain(K, k, rng, 3)
     a_new = s.a - S
     if k >= 1:
-        b = K.cochain(
-            k - 1,
-            tuple(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-                for _ in range(K.n_simplices(k - 1))
-            ),
-        )
-        a_new = a_new + K.delta(b)
+        a_new = a_new + K.delta(random_cochain(K, k - 1, rng, 4, 5))
     return Spark(a_new, s.R + K.delta(S))
 
 

@@ -18,7 +18,9 @@ product, the sparse coboundary/boundary product and the pairing on
 plain value tuples, entry by entry, the reference for the scaled
 arithmetic of chains and cochains; ``by_value`` and ``typed_by_value``
 state the type rule of the library's vectors, an entry is an int
-exactly when it is integral.  ``fraction_product``,
+exactly when it is integral.  ``randint_entries`` draws entries by
+``rng.randint``, the reference for the draws of
+``sparks.random_cochain``.  ``fraction_product``,
 ``fraction_smith_solve``, ``fraction_coords``, ``fraction_periods`` and
 ``fraction_is_integral`` redo the Smith-form solve, lattice coordinates
 and preimages, periods and the integrality test of the library's
@@ -191,6 +193,20 @@ def by_value(x):
 def typed_by_value(values):
     """Whether every int or ``Fraction`` entry is an int exactly when it is integral."""
     return all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
+
+
+def randint_entries(rng, n, bound, dmax=1):
+    """n entries drawn by the loop that ``sparks.random_cochain`` replaces.
+
+    ``Fraction(rng.randint(-bound, bound), rng.randint(1, dmax))`` per
+    entry, or ``rng.randint(-bound, bound)`` alone when dmax is 1, typed
+    by value through ``ScaledVector.of`` as a computed cochain's are.
+    """
+    if dmax == 1:
+        draws = [rng.randint(-bound, bound) for _ in range(n)]
+    else:
+        draws = [Fraction(rng.randint(-bound, bound), rng.randint(1, dmax)) for _ in range(n)]
+    return ScaledVector.of(draws).entries()
 
 
 def elementwise_product(rows, vec):

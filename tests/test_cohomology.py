@@ -97,6 +97,19 @@ class TestGenerators:
             assert K.delta(g).is_zero()
             assert g.is_integral()
 
+    def test_each_call_returns_new_lists(self):
+        # the cochains are cached on K, the lists are the caller's to change
+        K = rp3()
+        for k in range(K.dimension + 1):
+            free, tor = cohomology_generators(K, k)
+            want = (list(free), list(tor))
+            assert want == cohomology_generators(rp3(), k)
+            free.clear()
+            tor.append((2, K.zero_cochain(k), K.zero_cochain(max(k - 1, 0))))
+            again = cohomology_generators(K, k)
+            assert again == want
+            assert again[0] is not free and again[1] is not tor
+
     def test_torsion_witness_identity(self):
         for K, k, order in ((rp3(), 2, 2), (lens_space(3, 1), 2, 3), (rp2(), 2, 2)):
             free, tor = cohomology_generators(K, k)

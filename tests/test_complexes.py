@@ -173,6 +173,22 @@ class TestProducts:
                 )
                 assert K.evaluate(K.cup(u, w), z) == K.evaluate(w, K.cap(z, u))
 
+    @pytest.mark.parametrize("name", ["cp2", "rp3"])
+    def test_cup_reads_cached_faces_as_built_from_scratch(self, name):
+        # the second pass reads every (p, q) face table from the cache
+        K = build_space(name)
+        rng = random.Random(11)
+        n = K.dimension
+        for _ in range(2):
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    u, v = random_cochain(rng, K, p), random_cochain(rng, K, q)
+                    got = K.cup(u, v).values
+                    want = elementwise_cup(K, p, u.values, q, v.values)
+                    assert [type(x) for x in got] == [type(by_value(x)) for x in want]
+                    assert list(got) == list(want), (p, q)
+                    assert (("faces", p, q) in K._cache) == (p + q <= n)
+
     def test_cap_of_cycle_by_cocycle_is_cycle(self):
         K = sphere2()
         fc = K.fundamental_cycle()

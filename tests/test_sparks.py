@@ -51,7 +51,7 @@ from diffchar.sparks import (
 )
 from diffchar.exact import scaled_product
 from diffchar.hodge import HodgeContext, spark_from_cocycle
-from oracles import elementary_cochain, typed_by_value, varied_weights
+from oracles import elementary_cochain, randint_entries, typed_by_value, varied_weights
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -102,6 +102,36 @@ class TestBasics:
         s, t = random_spark(K, 1, rng), random_spark(K, 1, rng)
         assert (s + t) - t == s
         assert (-s).a == -s.a
+
+
+class TestRandomCochain:
+    """``random_cochain`` reads the bits that the ``randint`` loop reads."""
+
+    def test_matches_the_randint_loop(self):
+        # the values, the type of each entry and the generator state after
+        complexes = {n: SimplicialComplex([], n_vertices=n) for n in (0, 1, 7, 40)}
+        rng, ref = random.Random(), random.Random()
+        for seed in range(200):
+            start = random.Random(seed).getstate()
+            for bound in (0, 1, 2, 3, 4, 5, 6, 12):
+                for dmax in range(1, 7):
+                    for n, K in complexes.items():
+                        rng.setstate(start)
+                        ref.setstate(start)
+                        got = sparks.random_cochain(K, 0, rng, bound, dmax).values
+                        want = randint_entries(ref, n, bound, dmax)
+                        case = (seed, bound, dmax, n)
+                        assert list(got) == want, case
+                        assert list(map(type, got)) == list(map(type, want)), case
+                        assert rng.getstate() == ref.getstate(), case
+
+    def test_choice_of_four_draws_as_randint(self):
+        # the Hodge cochains of verify drew their denominators by choice
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = [rng.choice((1, 2, 3, 4)) for _ in range(50)]
+            assert got == [ref.randint(1, 4) for _ in range(50)], seed
+            assert rng.getstate() == ref.getstate(), seed
 
 
 class TestConstructors:
