@@ -14,9 +14,10 @@ coordinates are the identity, also the relation matrix of H^n.  Since
 boundary_{k+1} = delta_k^T, the same Smith form U delta_k V = D also
 gives the lattice of integral (k+1)-cycles: the rows of U past the rank
 (:func:`cycle_lattice_rows`).  The periods of sparks, the fundamental
-cycle and the top-degree harmonics read their cycles there;
-:func:`integer_homology` forms its own Smith forms of boundary_k and of
-the relation matrix for the homology groups and their coordinates.
+cycle and the top-degree harmonics read their cycles there.
+:func:`integer_homology` reads the Smith form of boundary_k, cached on
+the complex as well (:func:`boundary_smith_form`), and forms its own of
+the relation matrix, except in degree 0, where that is boundary_1's.
 :func:`betti_below` reads b_{k-1} off the rank of H^k's relation
 matrix and that of delta_{k-2}, without forming H^{k-1}.
 """
@@ -237,8 +238,23 @@ def betti_below(K: SimplicialComplex, k) -> int:
     return K.n_simplices(k - 1) - integer_cohomology(K, k).snfW.rank - delta_rank(K, k - 2)
 
 
+def boundary_smith_form(K: SimplicialComplex, k):
+    """Smith form of boundary_k (no rows outside 0..n), cached on K."""
+    key = ("snf_boundary", k)
+    if key not in K._cache:
+        A = K.boundary_rows(k) if 0 <= k <= K.dimension else []
+        K._cache[key] = smith_normal_form(A, nrows=len(A), ncols=K.n_simplices(k))
+    return K._cache[key]
+
+
 def integer_homology(K: SimplicialComplex, k) -> LatticeQuotient:
-    """H_k(K; Z) = ker(boundary_k) / im(boundary_{k+1}), cached on K."""
+    """H_k(K; Z) = ker(boundary_k) / im(boundary_{k+1}), cached on K.
+
+    A is boundary_k with its :func:`boundary_smith_form`.  In degree 0,
+    boundary_0 has no rows, so the kernel coordinates are the identity
+    and the relation matrix is boundary_1 itself: its Smith form is the
+    cached one H_1 uses as its A.
+    """
     key = ("H_int_chain", k)
     if key not in K._cache:
         n_k = K.n_simplices(k)
@@ -247,7 +263,9 @@ def integer_homology(K: SimplicialComplex, k) -> LatticeQuotient:
             dict() for _ in range(n_k)
         ]
         B_cols = K.n_simplices(k + 1)
-        K._cache[key] = LatticeQuotient(A, n_k, B, B_cols)
+        snfA = boundary_smith_form(K, k)
+        snfW = boundary_smith_form(K, 1) if k == 0 < K.dimension else None
+        K._cache[key] = LatticeQuotient(A, n_k, B, B_cols, snfA=snfA, snfW=snfW)
     return K._cache[key]
 
 

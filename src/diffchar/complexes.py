@@ -324,7 +324,11 @@ class SimplicialComplex:
         """Sparse rows of the coboundary matrix C^k -> C^{k+1}.
 
         Row index runs over (k+1)-simplices; it is the transpose of
-        ``boundary_rows(k+1)``.
+        ``boundary_rows(k+1)``.  Row sigma lists the k + 2 faces of
+        sigma by rising face index.  Simplices are sorted tuples, so the
+        face index falls as the position of the removed vertex rises:
+        position p holds the face without vertex k + 1 - p, with sign
+        (-1)^(k+1-p).
         """
         key = ("delta", k)
         if key not in self._cache:
@@ -338,8 +342,31 @@ class SimplicialComplex:
         return Chain.from_scaled(z.degree - 1, scaled_product(rows, z.form))
 
     def delta(self, u: Cochain) -> Cochain:
-        rows = self.delta_rows(u.degree)
-        return Cochain.from_scaled(u.degree + 1, scaled_product(rows, u.form))
+        """The coboundary, (delta u)(sigma) = sum_i (-1)^i u(sigma without vertex i).
+
+        Reads the face columns of :meth:`delta_rows`, cached on the
+        complex: column p holds, for every (k+1)-simplex, the index of
+        its face without vertex k + 1 - p.  The last column has sign +1,
+        the one before it -1, and so on, so the product is a sum of
+        column differences, plus the first column when k + 2 is odd.
+        delta_{-1} and the top degree have no columns and give zeros.
+        """
+        k = u.degree
+        key = ("delta_columns", k)
+        cols = self._cache.get(key)
+        if cols is None:
+            cols = self._cache[key] = list(zip(*self.delta_rows(k)))
+        a = u.form
+        xs = a.nums
+        if cols:
+            nums = [xs[f] - xs[g] for f, g in zip(cols[-1], cols[-2])]
+            for p in range(len(cols) - 3, 0, -2):
+                nums = [s + xs[f] - xs[g] for s, f, g in zip(nums, cols[p], cols[p - 1])]
+            if len(cols) % 2:
+                nums = [s + xs[f] for s, f in zip(nums, cols[0])]
+        else:
+            nums = [0] * self.n_simplices(k + 1)
+        return Cochain.from_scaled(k + 1, ScaledVector(a.den, nums))
 
     # -- constructors ----------------------------------------------------
     def zero_cochain(self, k) -> Cochain:

@@ -113,41 +113,43 @@ def greedy_matching(K: SimplicialComplex) -> Matching:
 
 
 def _greedy_matching(K):
-    assigned = set()
+    n = K.dimension
+    assigned = [[False] * K.n_simplices(k) for k in range(n + 1)]
+    # the cofacets of each k-cell, rising, and how many are unassigned;
+    # assigning a k-cell takes one off the count of each of its faces,
+    # its row of delta_rows(k - 1)
+    cof = [[sorted(row) for row in K.boundary_rows(k + 1)] for k in range(n)]
+    free = [[len(c) for c in cells] for cells in cof]
     pairs = []
-    # boundary_rows(k+1) is indexed by k-simplices, columns by cofacets
-    cof = {
-        k: [sorted(row) for row in K.boundary_rows(k + 1)]
-        for k in range(K.dimension)
-    }
+
+    def assign(k, i):
+        assigned[k][i] = True
+        if k:
+            below = free[k - 1]
+            for f in K.delta_rows(k - 1)[i]:
+                below[f] -= 1
+
     while True:
         progress = True
         while progress:
             progress = False
-            for k in range(K.dimension):
-                for i in range(K.n_simplices(k)):
-                    if (k, i) in assigned:
+            for k in range(n):
+                done, up = assigned[k], assigned[k + 1]
+                for i, count in enumerate(free[k]):
+                    if count != 1 or done[i]:
                         continue
-                    free = [
-                        j for j in cof[k][i] if (k + 1, j) not in assigned
-                    ]
-                    if len(free) == 1:
-                        j = free[0]
-                        pairs.append((k, i, j))
-                        assigned.add((k, i))
-                        assigned.add((k + 1, j))
-                        progress = True
-        remaining = None
-        for k in range(K.dimension, -1, -1):
-            for i in range(K.n_simplices(k)):
-                if (k, i) not in assigned:
-                    remaining = (k, i)
-                    break
-            if remaining:
-                break
+                    j = next(j for j in cof[k][i] if not up[j])
+                    pairs.append((k, i, j))
+                    assign(k, i)
+                    assign(k + 1, j)
+                    progress = True
+        remaining = next(
+            ((k, i) for k in range(n, -1, -1) for i, a in enumerate(assigned[k]) if not a),
+            None,
+        )
         if remaining is None:
             break
-        assigned.add(remaining)
+        assign(*remaining)
     return Matching(tuple(sorted(pairs)))
 
 

@@ -12,11 +12,15 @@ by column from the public adjoint and coboundary, by a rational
 Gauss-Jordan; ``flow_once`` takes one step of the discrete Morse flow
 of a matching, built from the boundary alone, and ``flow_powers``
 multiplies the flow by itself until it stabilizes, the reference for
-the stable flow, homotopy and exponent of ``morse.MorseFlow``.  ``elementwise_cup``,
+the stable flow, homotopy and exponent of ``morse.MorseFlow``;
+``rescan_greedy_matching`` forms the greedy matching by listing each
+cell's free cofacets anew on every pass.  ``elementwise_cup``,
 ``elementwise_product`` and ``elementwise_evaluate`` are the cup
 product, the sparse coboundary/boundary product and the pairing on
 plain value tuples, entry by entry, the reference for the scaled
-arithmetic of chains and cochains; ``by_value`` and ``typed_by_value``
+arithmetic of chains and cochains; ``rows_delta`` is the coboundary as
+the product of its dict rows, the reference for the column kernel of
+``SimplicialComplex.delta``; ``by_value`` and ``typed_by_value``
 state the type rule of the library's vectors, an entry is an int
 exactly when it is integral.  ``randint_entries`` draws entries by
 ``rng.randint``, the reference for the draws of
@@ -66,6 +70,7 @@ from diffchar.lowdegree import (
     gerbe_total_differential,
     star_trivialization,
 )
+from diffchar.morse import Matching
 from diffchar.sparks import mod1
 
 WEIGHT_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
@@ -221,6 +226,15 @@ def elementwise_product(rows, vec):
     return tuple(out)
 
 
+def rows_delta(K: SimplicialComplex, u: Cochain) -> Cochain:
+    """delta u as the product of the coboundary's dict rows with u's numerators.
+
+    The reference for ``SimplicialComplex.delta``, which reads face
+    columns instead of rows.
+    """
+    return Cochain.from_scaled(u.degree + 1, scaled_product(K.delta_rows(u.degree), u.form))
+
+
 def elementwise_evaluate(u, z):
     """The pairing of value tuples: the sum over nonzero entries of z, from int 0."""
     return sum(a * b for a, b in zip(u, z) if b)
@@ -327,6 +341,56 @@ def ldl_mod_rowwise(rows, p):
             heappush(heap, (len(ri), i))
         steps.append((k, dinv, col))
     return steps
+
+
+# ---------------------------------------------------------------------------
+# the greedy matching by rescans
+
+
+def rescan_greedy_matching(K: SimplicialComplex):
+    """The greedy collapse matching, each cell's free cofacets listed anew.
+
+    Every pass visits the unassigned cells in order and rebuilds the
+    list of unassigned cofacets of each; a cell with exactly one is
+    matched with it.  When a pass matches nothing, the first unassigned
+    cell of the highest dimension becomes critical.  The reference for
+    ``morse.greedy_matching``, which keeps counts instead of lists.
+    """
+    assigned = set()
+    pairs = []
+    cof = {
+        k: [sorted(row) for row in K.boundary_rows(k + 1)]
+        for k in range(K.dimension)
+    }
+    while True:
+        progress = True
+        while progress:
+            progress = False
+            for k in range(K.dimension):
+                for i in range(K.n_simplices(k)):
+                    if (k, i) in assigned:
+                        continue
+                    free = [
+                        j for j in cof[k][i] if (k + 1, j) not in assigned
+                    ]
+                    if len(free) == 1:
+                        j = free[0]
+                        pairs.append((k, i, j))
+                        assigned.add((k, i))
+                        assigned.add((k + 1, j))
+                        progress = True
+        remaining = None
+        for k in range(K.dimension, -1, -1):
+            for i in range(K.n_simplices(k)):
+                if (k, i) not in assigned:
+                    remaining = (k, i)
+                    break
+            if remaining:
+                break
+        if remaining is None:
+            break
+        assigned.add(remaining)
+    return Matching(tuple(sorted(pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,24 @@ def test_verify_cg_defects_within_tol(capsys, tmp_path, space, weighted):
     assert 0 < float(data["residuals"]["hodge_max"]) <= 1e-10
 
 
+def test_verify_ring_check_reads_the_shifted_charge(capsys, monkeypatch):
+    # the ring check compares the class of the shifted sparks' charge
+    # t1.R cup t2.R with that of the star product: a "shift" that
+    # triples each charge moves that class, and only the ring check sees
+    # it (the holonomy check reads the potentials)
+    real = cli.random_equivalent_shift
+
+    def tripled(K, s, rng):
+        t = real(K, s, rng)
+        return Spark(t.a, t.R.scale(3))
+
+    monkeypatch.setattr(cli, "random_equivalent_shift", tripled)
+    code, data = run_json(capsys, "verify", "--space", "torus", "--trials", "10", "--seed", "0")
+    checks = data["checks"]
+    assert code == 1
+    assert [name for name, ok in checks.items() if not ok] == ["d2_ring_homomorphism"]
+
+
 # sha256 of `verify --trials 20 --seed 0` stdout, frozen from the
 # term-by-term Fraction kernels (before denominators were cleared once)
 VERIFY_STDOUT_SHA = {

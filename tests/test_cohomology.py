@@ -18,7 +18,9 @@ from diffchar.builders import (
 from diffchar.cohomology import (
     AbelianGroupStructure,
     CircleGroupStructure,
+    LatticeQuotient,
     betti_below,
+    boundary_smith_form,
     circle_cohomology_structure,
     cohomology_generators,
     cohomology_structure,
@@ -214,6 +216,27 @@ def test_betti_below_from_ranks_in_hand(name):
         assert betti_below(K, k) == b
         assert b == cohomology_structure(K, k - 1).free_rank
         assert b == n - rational_rank(k - 1) - rational_rank(k - 2)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("name", ["circle5", "rp2", "cp2", "genus2", "lens:5,2"])
+def test_h0_relations_share_h1_smith_form(name, first):
+    # boundary_0 has no rows, so H_0's relation matrix is boundary_1: its
+    # Smith form is formed once, whichever group comes first, and equals
+    # (op logs included) the one LatticeQuotient forms from the relations
+    K = build_space(name)
+    integer_homology(K, first)
+    H0, H1 = integer_homology(K, 0), integer_homology(K, 1)
+    assert H0.snfW is H1.snfA is boundary_smith_form(K, 1)
+    n0, n1 = K.n_simplices(0), K.n_simplices(1)
+    assert H0.snfW == LatticeQuotient(K.boundary_rows(0), n0, K.boundary_rows(1), n1).snfW
+    assert H1.snfA == smith_normal_form(K.boundary_rows(1), nrows=n0, ncols=n1)
+
+
+def test_h0_of_a_point_forms_its_own_relations():
+    K = point()
+    assert integer_homology(K, 0).structure() == AbelianGroupStructure(1, ())
+    assert integer_homology(K, 0).snfW.ncols == 0
 
 
 class TestCircleCoefficients:

@@ -1,11 +1,13 @@
 """Complex core: operators, products, subdivision counts, maps, serialization."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from diffchar import cli
 from diffchar.builders import _subdivision_f_vector, build_space
 from diffchar.complexes import (
     Chain,
@@ -19,13 +21,14 @@ from diffchar.complexes import (
     scalar_str,
     simplicial_chain_maps,
 )
-from diffchar.exact import rows_to_dense, scaled_product
+from diffchar.exact import ScaledVector, rows_to_dense, scaled_product
 from oracles import (
     by_value,
     elementwise_cup,
     elementwise_evaluate,
     elementwise_product,
     rat_rank,
+    rows_delta,
     vertex_components,
 )
 
@@ -116,6 +119,80 @@ class TestBoundary:
         K = sphere2()
         # 4 faces, one 2-cycle (the fundamental one): rank 3
         assert rat_rank([dict(r) for r in K.boundary_rows(2)], 4) == 3
+
+
+# every builder fixture, and one --input complex read with --auto-close
+DELTA_SPACES = [
+    "point", "circle5", "sphere3", "torus", "rp2", "rp3", "cp2", "simplex3",
+    "lens:5,2", "product:circle,torus", "input:torus",
+]
+
+
+def _delta_space(name, tmp_path):
+    """The built space, or for "input:S" the top simplices of S with the
+    vertex labels shuffled, loaded by the CLI with --auto-close."""
+    if not name.startswith("input:"):
+        return build_space(name)
+    K = build_space(name.partition(":")[2])
+    perm = list(range(K.n_vertices))
+    random.Random(3).shuffle(perm)
+    top = [[perm[v] for v in reversed(t)] for t in K.simplices[K.dimension]]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"vertices": K.n_vertices, "simplices": {"top": top}}))
+    args = cli.build_parser().parse_args(
+        ["build", "--input", str(path), "--auto-close"]
+    )
+    L, _ = cli.load_complex(args)
+    assert L.f_vector() == K.f_vector()
+    return L
+
+
+def _delta_inputs(K, k, rng):
+    """Integral, rational (numerators near 10^40 over 1..7) and zero k-cochains."""
+    n = K.n_simplices(k)
+    big = 10**40
+    return [
+        K.cochain(k, [rng.randint(-9, 9) for _ in range(n)]),
+        K.cochain(k, [
+            Fraction(rng.choice((-1, 1)) * big + rng.randint(-99, 99), rng.randint(1, 7))
+            for _ in range(n)
+        ]),
+        K.zero_cochain(k),
+        Cochain.from_scaled(k, ScaledVector(6, [0] * n)),
+    ]
+
+
+class TestCoboundaryColumns:
+    @pytest.mark.parametrize("name", DELTA_SPACES)
+    def test_delta_equals_rows_product(self, name, tmp_path):
+        K = _delta_space(name, tmp_path)
+        rng = random.Random(7)
+        for k in range(-1, K.dimension + 1):
+            for _ in range(2):  # the second pass reads the cached columns
+                for u in _delta_inputs(K, k, rng):
+                    got, want = K.delta(u), rows_delta(K, u)
+                    assert got.degree == want.degree == k + 1
+                    assert got.values == want.values, (k, u.values[:3])
+                    assert list(map(type, got.values)) == list(map(type, want.values))
+            assert ("delta_columns", k) in K._cache
+
+    @pytest.mark.parametrize("name", DELTA_SPACES)
+    def test_rows_list_faces_by_removed_vertex(self, name, tmp_path):
+        # the invariant the columns read: position p of row sigma holds the
+        # face without vertex k + 1 - p, with sign (-1)^(k+1-p)
+        K = _delta_space(name, tmp_path)
+        for k in range(-1, K.dimension + 1):
+            rows = K.delta_rows(k)
+            assert len(rows) == K.n_simplices(k + 1)
+            if k == -1:  # C^{-1} = 0
+                assert not any(rows)
+                continue
+            for sigma, row in zip(K.simplices.get(k + 1, ()), rows):
+                want = [
+                    (K.index[k][sigma[:i] + sigma[i + 1:]], (-1) ** i)
+                    for i in range(k + 1, -1, -1)
+                ]
+                assert list(row.items()) == want, sigma
 
 
 class TestProducts:

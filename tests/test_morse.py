@@ -26,7 +26,7 @@ from diffchar.morse import (
 from diffchar.complexes import SimplicialComplex
 from diffchar.exact import mul_rows
 from diffchar.sparks import SparkError, curvature, d2_class
-from oracles import flow_once, flow_powers
+from oracles import flow_once, flow_powers, rescan_greedy_matching
 
 FIXTURES = [circle(3), sphere(2), moebius_kuehnel_torus(), rp2()]
 IDS = ["circle", "s2", "t2", "rp2"]
@@ -90,6 +90,31 @@ def test_greedy_matching_is_valid(K):
         assert len(crit[k]) >= cohomology_structure(K, k).free_rank
     euler = sum((-1) ** k * len(crit[k]) for k in range(K.dimension + 1))
     assert euler == K.euler_characteristic()
+
+
+MATCHING_SPACES = [
+    "point", "circle5", "sphere3", "torus", "torus_grid5", "genus2", "rp2", "rp3",
+    "cp2", "simplex3", "lens:5,2", "product:circle,torus",
+]
+
+
+@pytest.mark.parametrize("name", MATCHING_SPACES)
+def test_counted_matching_equals_rescans(name):
+    K = build_space(name)
+    assert morse._greedy_matching(K) == rescan_greedy_matching(K)
+
+
+def test_counted_matching_equals_rescans_on_random_complexes():
+    # mixed dimensions, cones and free faces, several components
+    rng = random.Random(4)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        gens = [
+            rng.sample(range(n), rng.randint(1, min(n, 5)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        K = SimplicialComplex(gens, n_vertices=n)
+        assert morse._greedy_matching(K) == rescan_greedy_matching(K), gens
 
 
 def test_verify_forms_the_matching_once(monkeypatch, capsys):
