@@ -414,7 +414,7 @@ def cmd_verify(args):
             ok_leibniz = ok_leibniz and lhs == rhs
             t1 = random_equivalent_shift(K, s1, rng)
             t2 = random_equivalent_shift(K, s2, rng)
-            # the charge of star(t1, t2) is t1.R cup t2.R, all d2_class reads of it
+            # d2_class reads only the charge of star(t1, t2): t1.R cup t2.R
             R = K.cup(t1.R, t2.R)
             ring_class = integer_cohomology(K, R.degree).coords(R.form)
             ok_ring = ok_ring and ring_class == d2_class(K, st)
