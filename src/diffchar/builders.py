@@ -23,10 +23,18 @@ class SimplexBudgetError(ComplexError):
     """Construction would exceed the allowed number of simplices."""
 
 
-def _check_budget(count, budget):
+def _check_budget(count, budget, what="top cells"):
     if budget is not None and count > budget:
         raise SimplexBudgetError(
-            f"construction needs {count} top cells, budget is {budget}"
+            f"construction needs {count} {what}, budget is {budget}"
+        )
+
+
+def _check_power_budget(e, c, budget):
+    # 2^e - c > budget exactly when e >= (budget + c).bit_length(): no 2^e is formed
+    if budget is not None and e >= (budget + c).bit_length():
+        raise SimplexBudgetError(
+            f"construction needs 2^{e} - {c} simplices, budget is {budget}"
         )
 
 
@@ -345,6 +353,13 @@ def build_space(name, budget=DEFAULT_BUDGET) -> SimplicialComplex:
     ``torus_grid[m]``, ``genus[g]``, ``rp2``, ``rp3``, ``cp2``,
     ``lens:p,q``, ``product:NAME,NAME`` (nesting allowed, split at the
     top-level comma).
+
+    ``budget`` bounds the simplices of every family with a size, counted
+    in closed form before anything is built: sphere[n] 2^(n+2) - 2,
+    simplex[n] 2^(n+1) - 1, circle[m] 2m, torus_grid[m] 6m^2, genus[g]
+    34g + 8 (42 for the torus, 34 per further handle) and lens:p,q
+    416p + 16 (f(sd J) / p for the join J of two 2p-gons).  A product
+    bounds its top cells.  Past the budget, SimplexBudgetError.
     """
     name = name.strip().lower()
     if name.startswith("lens:"):
@@ -353,6 +368,7 @@ def build_space(name, budget=DEFAULT_BUDGET) -> SimplicialComplex:
             p, q = (int(x) for x in body.split(","))
         except ValueError as exc:
             raise ComplexError(f"bad lens parameters {body!r}") from exc
+        _check_budget(416 * p + 16, budget, "simplices")
         return lens_space(p, q)
     if name.startswith("product:"):
         body = name[len("product:"):]
@@ -362,14 +378,21 @@ def build_space(name, budget=DEFAULT_BUDGET) -> SimplicialComplex:
     if base == "point" and num is None:
         return point()
     if base == "circle":
-        return circle(3 if num is None else num)
+        m = 3 if num is None else num
+        _check_budget(2 * m, budget, "simplices")
+        return circle(m)
     if base == "sphere":
-        return sphere(2 if num is None else num)
+        n = 2 if num is None else num
+        _check_power_budget(n + 2, 2, budget)
+        return sphere(n)
     if base == "torus" and num is None:
         return moebius_kuehnel_torus()
     if base == "torus_grid":
-        return torus_grid(3 if num is None else num)
+        m = 3 if num is None else num
+        _check_budget(6 * m * m, budget, "simplices")
+        return torus_grid(m)
     if base == "genus" and num is not None:
+        _check_budget(34 * num + 8, budget, "simplices")
         return surface_of_genus(num)
     if base == "rp" and num == 2:
         return rp2()
@@ -378,7 +401,9 @@ def build_space(name, budget=DEFAULT_BUDGET) -> SimplicialComplex:
     if base == "cp" and num == 2:
         return cp2()
     if base == "simplex":
-        return simplex(2 if num is None else num)
+        n = 2 if num is None else num
+        _check_power_budget(n + 1, 1, budget)
+        return simplex(n)
     raise ComplexError(f"unknown space name {name!r}")
 
 

@@ -640,7 +640,7 @@ def cmd_lowdeg_circle(args):
         holonomy(K, s, K.chain(0, [int(w == v) for w in range(n)])) == mod1(t)
         for v, t in enumerate(theta.values)
     ) and (curvature(K, s) - K.delta(theta)).is_integral()
-    results = {"spark": spark_to_json(s), "recovered": list(recovered)}
+    results = {"spark": spark_to_json(s), "recovered": [scalar_str(v) for v in recovered]}
     return (
         RunReport(
             "lowdeg circle", inputs, results, checks={"round_trip": round_trip}

@@ -325,7 +325,7 @@ def cohomology_generators(K, k):
         Q = integer_cohomology(K, k)
         free = [K.cochain(k, vec) for vec in Q.free_generator_vectors()]
         torsion = [
-            (d, K.cochain(k, g), K.cochain(k - 1, w) if k >= 1 else K.cochain(0, w))
+            (d, K.cochain(k, g), K.cochain(k - 1, w))
             for d, g, w in Q.torsion_generator_vectors()
         ]
         K._cache[key] = free, torsion

@@ -3,12 +3,13 @@
 A complex stores its k-simplices as lexicographically sorted tuples of
 vertex ids 0..N-1.  Boundary and coboundary operators are sparse integer
 matrices; chains and cochains are coefficient vectors tagged with a
-degree.  Their entries are ints and ``Fraction`` values only; their
-arithmetic (sums, negation, scaling, cup products, evaluation, delta
-and boundary) runs on one :class:`~diffchar.exact.ScaledVector`,
-integer numerators over one common denominator, and the tuple of
-entries, ``values``, is built only when something reads it; each entry
-is an int exactly when it is integral.  Products use the standard
+degree.  Each holds one :class:`~diffchar.exact.ScaledVector`,
+integer numerators over one common denominator, built from ints and
+``Fraction`` values only and refused when built from anything else;
+their arithmetic (sums, negation, scaling, cup products, evaluation,
+delta and boundary) runs on it, and the tuple of entries, ``values``,
+is built only when something reads it; each entry is an int exactly
+when it is integral.  Products use the standard
 front-face/back-face (Alexander-Whitney) formulas, which satisfy the
 Leibniz rule on the nose; that exactness is what the spark calculus
 downstream leans on.
@@ -65,11 +66,6 @@ def parse_scalar(text):
     return int(f) if f.denominator == 1 else f
 
 
-# the entry types of chains and cochains; text goes through parse_scalar
-# first, and bool, an int subclass, is refused
-_SCALAR_TYPES = frozenset((int, Fraction))
-
-
 def scalar_str(x):
     x = Fraction(x)
     if x.denominator == 1:
@@ -82,37 +78,40 @@ def scalar_str(x):
 
 
 _set = object.__setattr__
-_UNREAD = object()  # a vector built from values whose scaled form is not yet read
 
 
 class _Vector:
     """Coefficients on the k-simplices, tagged with the degree k.
 
-    Chains and cochains share this body.  ``Cochain(k, values)`` keeps
-    the given ints and ``Fraction`` values as given; arithmetic keeps a
-    :class:`~diffchar.exact.ScaledVector` (integers over one common
-    denominator) and builds ``values`` only when it is read, once, every
-    entry an int exactly when it is integral.  The first
-    operation on a vector with any other entry, a float or a bool,
-    raises ValueError naming it.  Immutable, with the equality, hash and
-    repr of a frozen dataclass of ``degree`` and ``values``: equality
-    compares classes first, so a chain never equals a cochain.
+    Chains and cochains share this body.  A vector is one
+    :class:`~diffchar.exact.ScaledVector`, ``form``: integers over one
+    common denominator.  ``Cochain(k, values)`` builds it from ints and
+    ``Fraction`` values and raises ValueError naming the first other
+    entry, a float, a bool or text.  ``values`` is built from ``form``
+    when it is first read, every entry an int exactly when it is
+    integral.  Immutable, with the equality, hash and repr of a frozen
+    dataclass of ``degree`` and ``values``: equality compares classes
+    first, so a chain never equals a cochain.
     """
 
-    __slots__ = ("degree", "_values", "_scaled")
+    __slots__ = ("degree", "form", "_values")
 
     def __init__(self, degree, values):
+        values = tuple(values)
+        form = ScaledVector.of(values)
+        if form is None:
+            _refuse(type(self), degree, values)
         _set(self, "degree", degree)
-        _set(self, "_values", tuple(values))
-        _set(self, "_scaled", _UNREAD)
+        _set(self, "form", form)
+        _set(self, "_values", None)
 
     @classmethod
     def from_scaled(cls, degree, scaled):
         """The vector of a :class:`~diffchar.exact.ScaledVector`; values built when read."""
         out = object.__new__(cls)
         _set(out, "degree", degree)
+        _set(out, "form", scaled)
         _set(out, "_values", None)
-        _set(out, "_scaled", scaled)
         return out
 
     def __setattr__(self, name, value):
@@ -127,29 +126,13 @@ class _Vector:
     @property
     def values(self):
         if self._values is None:
-            _set(self, "_values", tuple(self._scaled.entries()))
+            _set(self, "_values", tuple(self.form.entries()))
         return self._values
-
-    @property
-    def form(self):
-        """The :class:`~diffchar.exact.ScaledVector` of the values, built once."""
-        scaled = self._scaled
-        if scaled is _UNREAD:
-            scaled = ScaledVector.of(self._values)
-            if scaled is None:
-                _refuse(type(self), self.degree, self._values)
-            _set(self, "_scaled", scaled)
-        return scaled
-
-    def _size(self):
-        if self._values is not None:
-            return len(self._values)
-        return len(self._scaled.nums)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.degree != other.degree or self._size() != other._size():
+        if self.degree != other.degree or len(self.form.nums) != len(other.form.nums):
             return False
         return self.form.same_values(other.form)
 
@@ -174,7 +157,7 @@ class _Vector:
 
     def scale(self, c):
         """c times every entry, for an int or ``Fraction`` c."""
-        if type(c) not in _SCALAR_TYPES:
+        if ScaledVector.of((c,)) is None:
             raise ValueError(f"scalar {c!r} is not an int or Fraction")
         return self.from_scaled(self.degree, self.form.times(c))
 
@@ -208,13 +191,13 @@ class Cochain(_Vector):
 
 
 def _check_same(a, b):
-    if a.degree != b.degree or a._size() != b._size():
+    if a.degree != b.degree or len(a.form.nums) != len(b.form.nums):
         raise ValueError("degree/length mismatch")
 
 
 def _refuse(cls, k, values):
     """Raise ValueError naming the first entry that is no int or ``Fraction``."""
-    i = next(i for i, v in enumerate(values) if type(v) not in _SCALAR_TYPES)
+    i = next(i for i, v in enumerate(values) if ScaledVector.of((v,)) is None)
     raise ValueError(
         f"entry {i} of a degree-{k} {cls.__name__.lower()} is {values[i]!r}, "
         "not an int or Fraction"
@@ -370,7 +353,7 @@ class SimplicialComplex:
 
     # -- constructors ----------------------------------------------------
     def zero_cochain(self, k) -> Cochain:
-        return Cochain(k, (0,) * self.n_simplices(k))
+        return Cochain.from_scaled(k, ScaledVector(1, [0] * self.n_simplices(k)))
 
     def cochain(self, k, values) -> Cochain:
         return self._vector(Cochain, k, values)
@@ -384,8 +367,6 @@ class SimplicialComplex:
             raise ValueError(
                 f"expected {self.n_simplices(k)} values in degree {k}, got {len(values)}"
             )
-        if not _SCALAR_TYPES.issuperset(map(type, values)):
-            _refuse(cls, k, values)
         return cls(k, values)
 
     # -- pairings and products ------------------------------------------

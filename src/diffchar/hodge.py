@@ -65,8 +65,6 @@ EXACT_SIZE_LIMIT = 3000
 # the defaults of HodgeContext and of the CLI's --method and --tol
 DEFAULT_METHOD = "auto"
 DEFAULT_TOL = 1e-10
-# exact weights only; bool, an int subclass, is refused
-_WEIGHT_TYPES = frozenset((int, Fraction))
 
 
 class HodgeError(Exception):
@@ -106,7 +104,7 @@ class HodgeContext:
             w = tuple(given[k])
             if len(w) != K.n_simplices(k):
                 raise HodgeError(f"need {K.n_simplices(k)} weights in degree {k}")
-            if not _WEIGHT_TYPES.issuperset(map(type, w)):
+            if ScaledVector.of(w) is None:
                 raise HodgeError(f"weights in degree {k} must be ints or Fractions")
             if any(x <= 0 for x in w):
                 raise HodgeError("weights must be positive")
@@ -397,7 +395,7 @@ class HodgeContext:
         for degree, xs in ((k, h), (k - 1, b), (k + 1, c)):
             if not all(map(isfinite, xs)):
                 raise HodgeError("conjugate gradients reached a value that is not finite")
-            parts.append(Cochain.from_scaled(degree, ScaledVector.of(list(map(Fraction, xs)))))
+            parts.append(Cochain(degree, map(Fraction, xs)))
         return HodgeDecomposition(*parts)
 
     def decomposition_residuals(self, u: Cochain, dec: "HodgeDecomposition"):

@@ -151,9 +151,9 @@ def total_flux(K: SimplicialComplex, theta: Cochain):
     if z is None or K.dimension != 2:
         raise PhaseError("total flux needs a closed oriented surface")
     flux = K.evaluate(phase_curvature(K, theta), z)
-    if flux != int(flux):
+    if isinstance(flux, Fraction):
         raise AssertionError("total flux must be an integer")
-    return int(flux)
+    return flux
 
 
 def star_trivialization(K: SimplicialComplex, t: Cochain, v):

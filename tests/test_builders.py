@@ -151,6 +151,37 @@ class TestProducts:
             product(sphere(2), sphere(2), budget=10)
 
 
+# every named family with a size, with its simplex count
+NAMED_COUNTS = [
+    ("sphere0", 2), ("sphere3", 30), ("sphere", 14),
+    ("simplex0", 1), ("simplex4", 31), ("simplex", 7),
+    ("circle3", 6), ("circle7", 14),
+    ("torus_grid3", 54), ("torus_grid5", 150),
+    ("genus1", 42), ("genus3", 110),
+    ("lens:2,1", 848), ("lens:3,1", 1264), ("lens:5,2", 2096),
+]
+
+
+@pytest.mark.parametrize("name, count", NAMED_COUNTS, ids=[n for n, _ in NAMED_COUNTS])
+def test_budget_bounds_every_named_space_by_its_simplex_count(name, count):
+    # the closed form is the built count, and one simplex less is refused
+    assert build_space(name, budget=count).total_simplices() == count
+    with pytest.raises(SimplexBudgetError, match=f"budget is {count - 1}"):
+        build_space(name, budget=count - 1)
+
+
+@pytest.mark.parametrize("name", ["sphere40", "simplex60", "circle100000000",
+                                  "torus_grid100000", "genus1000000", "lens:100000,1",
+                                  "sphere" + "9" * 4000])
+def test_oversized_named_spaces_refused_before_building(name):
+    with pytest.raises(SimplexBudgetError, match="construction needs"):
+        build_space(name)
+
+
+def test_budget_none_builds_without_a_bound():
+    assert build_space("sphere3", budget=None).total_simplices() == 30
+
+
 class TestNames:
     @pytest.mark.parametrize(
         "name,dim",

@@ -301,6 +301,19 @@ FAILURES = [
 ]
 
 
+def test_a_wrong_rank_fails_the_bookkeeping_alone(monkeypatch):
+    # checks 7 and 9 read no coboundary rank: check 7 certifies the Smith
+    # forms and check 9 reads b_k from integral homology, so neither
+    # restates check 6
+    K = build_space("torus")
+    monkeypatch.setattr(characters, "delta_rank", lambda K, k: 0)
+    report = verify_sequences(K, 1, rng=random.Random(1), trials=1)
+    assert [c.name for c in report.checks if not c.ok] == ["dimension_bookkeeping"]
+    checks = {c.name: c.detail for c in report.checks}
+    assert checks["rational_rank_agreement"] == "delta_0 and delta_1 certified"
+    assert checks["flat_subgroup_structure"] == "(S1)^2 == (S1)^2"
+
+
 @pytest.mark.parametrize(
     "check, space, attr, fake, detail", FAILURES, ids=[f[0] for f in FAILURES]
 )

@@ -49,6 +49,15 @@ def test_json_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_budget_refuses_an_oversized_named_space(capsys):
+    # sphere8 has 1022 simplices; the budget bounds every named space
+    code = main(["build", "--space", "sphere8", "--budget", "10"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "error: construction needs 2^10 - 2 simplices, budget is 10\n"
+    assert run(capsys, "build", "--space", "sphere8", "--budget", "1022")[0] == 0
+
+
 def test_kunneth_tables(capsys):
     code, data = run_json(capsys, "tables", "--space", "kunneth:cp2,cp2")
     assert code == 0

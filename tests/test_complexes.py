@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -697,16 +698,50 @@ def test_text_and_bool_entries_refused():
 
 
 def test_float_entry_of_a_direct_vector_refused_by_name():
-    # a vector built directly is not checked, but its first operation
-    # names the entry instead of failing further in
+    # a vector built directly is refused when it is built, with the
+    # message of K.cochain and K.chain, whatever its values are given as
     K = build_space("circle3")
-    u = Cochain(1, (0, 0.25, 0))
-    for op in (K.delta, lambda v: v + v, lambda v: -v, Cochain.is_zero, Cochain.ring,
-               lambda v: K.cup(K.zero_cochain(0), v), lambda v: v == v):
-        with pytest.raises(ValueError, match=r"entry 1 of a degree-1 cochain is 0\.25"):
-            op(u)
+    for cls in (Cochain, Chain):
+        kind = cls.__name__.lower()
+        for bad, shown in ((0.25, r"0\.25"), (True, "True"), ("1/3", "'1/3'")):
+            for values in ((0, bad, 0), [0, bad, 0], iter((0, bad, 0))):
+                with pytest.raises(
+                    ValueError,
+                    match=rf"entry 1 of a degree-1 {kind} is {shown}, not an int or Fraction",
+                ):
+                    cls(1, values)
     with pytest.raises(ValueError, match=r"scalar 0\.5 is not an int or Fraction"):
         K.cochain(1, (1, 2, 3)).scale(0.5)
+    with pytest.raises(ValueError, match="scalar True is not an int or Fraction"):
+        K.cochain(1, (1, 2, 3)).scale(True)
+
+
+def test_direct_vectors_type_each_entry_by_its_value():
+    half = Fraction(1, 2)
+    given = (Fraction(2), half, Fraction(0), -3, Fraction(-6, 3))
+    for cls in (Cochain, Chain):
+        v = cls(1, given)
+        assert v.values == (2, half, 0, -3, -2)
+        assert [type(x) for x in v.values] == [int, Fraction, int, int, int]
+        assert cls(1, iter(given)) == v
+        assert repr(v) == f"{cls.__name__}(degree=1, values=(2, Fraction(1, 2), 0, -3, -2))"
+    # all-integral Fractions make an integral vector with int entries
+    u = Cochain(0, (Fraction(4, 2), Fraction(0)))
+    assert u.values == (2, 0) and all(type(x) is int for x in u.values)
+    assert u.is_integral() and u.ring() == "INT"
+
+
+def test_pickle_round_trip_keeps_vectors_equal():
+    K = build_space("torus")
+    half = Fraction(1, 2)
+    u = K.cochain(1, [(i % 5 - 2) * half for i in range(K.n_simplices(1))])
+    for v in (u, K.delta(u), u.scale(2), K.zero_cochain(2),
+              K.chain(0, [Fraction(i, 3) for i in range(K.n_simplices(0))]),
+              Chain(1, (0,) * K.n_simplices(1))):
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is type(v) and back == v and hash(back) == hash(v)
+        assert back.values == v.values
+        assert [type(x) for x in back.values] == [type(x) for x in v.values]
 
 
 # ---------------------------------------------------------------------------

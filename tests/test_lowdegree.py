@@ -139,6 +139,8 @@ def test_connection_of_spark_reduces_phases():
     K = circle(3)
     s = phase_spark(K, K.cochain(1, (F(5, 4), F(-1, 3), 2)))
     assert spark_phases(s).values == (F(1, 4), F(2, 3), 0)
+    # each phase is typed by its value: an integral phase is the int 0
+    assert [type(x) for x in spark_phases(s).values] == [F, F, int]
 
 
 def test_flux_branch_cut_rejected():
