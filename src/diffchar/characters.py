@@ -21,6 +21,7 @@ from .cohomology import (
     CircleGroupStructure,
     TRIVIAL_GROUP,
     circle_cohomology_structure,
+    class_cocycle,
     coboundary_smith_form,
     cohomology_generators,
     cohomology_structure,
@@ -284,13 +285,6 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
         want = CircleGroupStructure(H_k.free_rank, H_k.torsion)
         flat_subgroup = (got == want, f"{got.format()} == {want.format()}")
 
-    def combination(pairs):
-        out = K.zero_cochain(k + 1)
-        for c, g in pairs:
-            if c:
-                out = out + g.scale(c)
-        return out
-
     def class_map_surjective():
         # 1. every integral class downstairs is hit by a spark class map
         for g, s in witnesses:
@@ -317,15 +311,14 @@ def verify_sequences(K: SimplicialComplex, k, rng=None, trials=4) -> SequenceRep
     def curvature_map_surjective():
         # 3. every closed rational cochain with integer periods is a curvature
         for _ in range(trials if has_next else 0):
-            w = combination(
-                [(rng.randint(-2, 2), g) for g in free_next]
-                + [(rng.randint(-1, 1), g) for _, g, _ in tor_next]
-            ) + K.delta(random_cochain(K, k, rng, 4, 4))
+            free_coeffs = [rng.randint(-2, 2) for _ in free_next]
+            w = class_cocycle(K, k + 1, free_coeffs, [rng.randint(-1, 1) for _ in tor_next])
+            w = w + K.delta(random_cochain(K, k, rng, 4, 4))
             # reconstruct a preimage from w alone
             coords = H_next.coords(w.form)[0]
             if not ScaledVector.of(coords).is_integral():
                 yield "periods not integral"
-            S = combination((int(c), g) for c, g in zip(coords, free_next))
+            S = class_cocycle(K, k + 1, map(int, coords))
             b_vec = H_next.preimage((w - S).form)
             if b_vec is None:
                 yield "residual not exact over Q"

@@ -268,7 +268,8 @@ def _hodge_context(K, args, inputs):
         data = _read_input(args.weights, inputs, "weights")
         try:
             weights = {
-                int(k): json_scalars(vals, f"{args.weights}: weights {k}")
+                json_int(k, f"{args.weights}: weights degree"):
+                json_scalars(vals, f"{args.weights}: weights {k}")
                 for k, vals in data.items()
             }
         except (TypeError, AttributeError) as exc:
@@ -573,7 +574,7 @@ def cmd_hodge_aj(args):
     ctx = _hodge_context(K, args, inputs)
     path = None
     if args.path:
-        path = path_chain(K, [int(v) for v in args.path.split(",")])
+        path = path_chain(K, [json_int(v, "--path: vertex") for v in args.path.split(",")])
     values = point_abel_jacobi(ctx, args.src, args.dst, path=path)
     return RunReport("hodge aj", inputs, {"values": list(values)}), None
 
@@ -703,7 +704,7 @@ def _gerbe_from_data(K, data):
         out = {}
         try:
             for key, vals in raw.items():
-                idx = tuple(int(p) for p in key.split(","))
+                idx = tuple(json_int(p, f"overlap {key!r}: patch") for p in key.split(","))
                 out[idx] = K.cochain(degree, json_scalars(vals, key))
         except (AttributeError, TypeError, ValueError) as exc:
             raise InputDataError(f"{name} layer: {exc}") from exc

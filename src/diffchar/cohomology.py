@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import Chain, SimplicialComplex
+from .complexes import Chain, Cochain, SimplicialComplex
 from .exact import ScaledVector, identity_rows, mul_rows, rows_to_dense, scaled_product
 from .exact import smith_normal_form
 
@@ -333,6 +333,21 @@ def cohomology_generators(K, k):
     return list(free), list(torsion)
 
 
+def class_cocycle(K, k, free, torsion=()):
+    """Sum c_i g_i, integer c_i, over the :func:`cohomology_generators` of H^k.
+
+    ``free`` and then ``torsion`` weigh the free and torsion generators;
+    coefficients not given are 0.  The inverse of ``coords`` of
+    :func:`integer_cohomology` on the coordinates of an integral class.
+    """
+    gens, tors = cohomology_generators(K, k)
+    nums = [0] * K.n_simplices(k)
+    for c, g in [*zip(free, gens), *zip(torsion, (g for _, g, _ in tors))]:
+        if c:
+            nums = [x + c * y for x, y in zip(nums, g.form.nums)]
+    return Cochain.from_scaled(k, ScaledVector(1, nums))
+
+
 # ---------------------------------------------------------------------------
 # Kunneth arithmetic
 
@@ -432,8 +447,5 @@ def poincare_dual(K: SimplicialComplex, z: Chain):
     sol = smith_normal_form(rows, ncols=n_gens + n_tor).solve(ScaledVector.of(fz + tz))
     if sol is None or not sol.is_integral():
         return None
-    u = K.zero_cochain(k)
-    for j, g in enumerate(gens):
-        if sol.nums[j]:
-            u = u + g.scale(sol.entry(j))
-    return u
+    coeffs = [sol.entry(j) for j in range(n_gens)]
+    return class_cocycle(K, k, coeffs[:len(free_gens)], coeffs[len(free_gens):])

@@ -532,7 +532,8 @@ def json_int(value, what):
 
     Anything else (1.5, true, null, "x") raises ComplexError with the
     message ``what`` followed by the value; this rule reads the integer
-    fields of complex, cochain, chain and spark files alike.
+    fields of complex, cochain, chain, spark, weight and cover files and
+    the vertices of ``--path`` alike.
     """
     try:
         n = int(value)

@@ -44,6 +44,7 @@ from math import inf, isfinite
 
 from .cohomology import (
     betti_below,
+    class_cocycle,
     cohomology_generators,
     cycle_lattice_rows,
     integer_cohomology,
@@ -59,7 +60,7 @@ from .exact import (
     transpose_rows,
 )
 from .morse import greedy_matching
-from .sparks import Spark, SparkError, mod1, periods
+from .sparks import Spark, check_charge, mod1, periods
 
 EXACT_SIZE_LIMIT = 3000
 # the defaults of HodgeContext and of the CLI's --method and --tol
@@ -96,21 +97,19 @@ class HodgeContext:
             raise HodgeError(
                 f"weights given in degree {stray[0]}, outside 0..{K.dimension}"
             )
-        self.weights = {
-            k: (Fraction(1),) * K.n_simplices(k) for k in range(K.dimension + 1)
-        }
-        self._weighted = set()
+        # (W, W^-1) as ScaledVectors, in the degrees with a weight other than 1
+        self._weights = {}
         for k in sorted(given):
             w = tuple(given[k])
             if len(w) != K.n_simplices(k):
                 raise HodgeError(f"need {K.n_simplices(k)} weights in degree {k}")
-            if ScaledVector.of(w) is None:
+            W = ScaledVector.of(w)
+            if W is None:
                 raise HodgeError(f"weights in degree {k} must be ints or Fractions")
             if any(x <= 0 for x in w):
                 raise HodgeError("weights must be positive")
-            self.weights[k] = w
             if any(x != 1 for x in w):
-                self._weighted.add(k)
+                self._weights[k] = W, ScaledVector.of([1 / Fraction(x) for x in w])
         if method == "auto":
             method = "exact" if K.total_simplices() <= EXACT_SIZE_LIMIT else "cg"
         if method not in ("exact", "cg"):
@@ -126,15 +125,13 @@ class HodgeContext:
         return self.method == "exact"
 
     def weight(self, k):
-        return self.weights.get(k, ())
+        """The degree-k weights, each typed by its value: 1s in a uniform degree."""
+        return self._uneven(k) or [1] * self.K.n_simplices(k)
 
-    def _weight_form(self, k, inverse=False):
-        """The degree-k weights, or their inverses, as a ScaledVector."""
-        key = ("weight_form", k, inverse)
-        if key not in self._cache:
-            w = self.weight(k)
-            self._cache[key] = ScaledVector.of([1 / Fraction(x) for x in w] if inverse else w)
-        return self._cache[key]
+    def _times_weights(self, v, k, inverse=False):
+        """The ScaledVector v times W_k, or W_k^-1: v itself where W_k = 1."""
+        pair = self._weights.get(k)
+        return v if pair is None else v.mul(pair[inverse])
 
     # -- basic operators -------------------------------------------------
     def adjoint_delta(self, u: Cochain) -> Cochain:
@@ -143,18 +140,19 @@ class HodgeContext:
         W_k^{-1} delta_k^T W_{k+1} u, exact under every method.
         """
         k = u.degree - 1
-        wu = u.form.mul(self._weight_form(u.degree))
+        wu = self._times_weights(u.form, u.degree)
         acc = scaled_product(self.K.delta_rows(k), wu, self.K.n_simplices(k))
-        return Cochain.from_scaled(k, acc.mul(self._weight_form(k, inverse=True)))
+        return Cochain.from_scaled(k, self._times_weights(acc, k, inverse=True))
 
     # -- exact machinery -------------------------------------------------
-    def _uneven(self, k):
-        """The degree-k weights when some differ from 1, else None."""
-        return self.weights[k] if k in self._weighted else None
+    def _uneven(self, k, inverse=False):
+        """The entries of W_k, or W_k^-1, when some weight differs from 1, else None."""
+        pair = self._weights.get(k)
+        return None if pair is None else pair[inverse].entries()
 
     def _store(self, k):
         """Cache for what the degree-k weights fix: K's when they are uniform."""
-        return self._cache if k in self._weighted else self.K._cache
+        return self._cache if k in self._weights else self.K._cache
 
     def _normal(self, k):
         """The normal system of degree k on its gauge, factored once.
@@ -216,9 +214,7 @@ class HodgeContext:
         deterministic.
         """
         k = u.degree - 1
-        wu = u.form
-        if self._uneven(u.degree) is not None:
-            wu = wu.mul(self._weight_form(u.degree))
+        wu = self._times_weights(u.form, u.degree)
         gauge, rows, _ = self._normal(k)
         return Cochain.from_scaled(k, self._normal_solve(k, scaled_product(rows, wu, len(gauge))))
 
@@ -230,7 +226,7 @@ class HodgeContext:
         the columns on S span im delta, so the rows on S fix y.
         """
         k = v.degree
-        wv = v.form.mul(self._weight_form(k))
+        wv = self._times_weights(v.form, k)
         gauge = self._normal(k)[0]
         b_S = ScaledVector(wv.den, [wv.nums[c] for c in gauge])
         return Cochain.from_scaled(k, self._normal_solve(k, b_S))
@@ -264,15 +260,13 @@ class HodgeContext:
             else:
                 n_k = K.n_simplices(k)
                 Z = cycle_lattice_rows(K, k)
-                w = self._uneven(k)
-                winv = None if w is None else self._weight_form(k, inverse=True)
                 gram = SymmetricSolver(gram_rows(
-                    transpose_rows(Z, n_k), len(Z), None if w is None else winv.entries()
+                    transpose_rows(Z, n_k), len(Z), self._uneven(k, inverse=True)
                 ))
                 basis = []
                 for g in free:
                     h = scaled_product(Z, gram.solve(periods(K, g)), n_k)
-                    basis.append(Cochain.from_scaled(k, h if w is None else h.mul(winv)))
+                    basis.append(Cochain.from_scaled(k, self._times_weights(h, k, inverse=True)))
             store[key] = basis
         return list(store[key])
 
@@ -291,18 +285,16 @@ class HodgeContext:
         if not basis:
             return self.K.zero_cochain(k)
         n_k = self.K.n_simplices(k)
-        w = self._uneven(k)
         store = self._store(k)
         key = ("gram", k)
         if key not in store:
             # each basis vector over its common denominator: the integer
             # rows span the same space and keep the sparse products exact
             rows = [{r: x for r, x in enumerate(b.form.nums) if x} for b in basis]
-            gram = gram_rows(transpose_rows(rows, n_k), len(rows), w)
+            gram = gram_rows(transpose_rows(rows, n_k), len(rows), self._uneven(k))
             store[key] = rows, SymmetricSolver(gram)
         rows, gram = store[key]
-        wu = u.form if w is None else u.form.mul(self._weight_form(k))
-        c = gram.solve(scaled_product(rows, wu))
+        c = gram.solve(scaled_product(rows, self._times_weights(u.form, k)))
         return Cochain.from_scaled(k, scaled_product(rows, c, n_k))
 
     # -- conjugate gradients ---------------------------------------------
@@ -447,7 +439,7 @@ class HodgeContext:
         be an integral cocycle (SparkError otherwise).
         """
         K = self.K
-        _check_charge(K, R)
+        check_charge(K, R)
         k = R.degree
         x = integer_cohomology(K, k).preimage((R - self.harmonic_projection(R)).form)
         if x is None:
@@ -482,22 +474,12 @@ class HodgeDecomposition:
     coprimitive: Cochain
 
 
-def _check_charge(K: SimplicialComplex, R: Cochain):
-    if not R.is_integral():
-        raise SparkError("R must be integral")
-    if not K.delta(R).is_zero():
-        raise SparkError("R must be a cocycle")
-    if R.degree < 0:
-        raise SparkError("cocycle degree must be nonnegative")
-
-
 def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
     """Spark with the given integral cocycle as its second component.
 
     R is split on the cached Smith form as G + delta y: G is the
-    combination of :func:`~diffchar.cohomology.cohomology_generators`
-    with R's free and torsion coordinates, y an integral
-    (k-1)-cochain.  The potential is the
+    :func:`~diffchar.cohomology.class_cocycle` of R's free and torsion
+    coordinates, y an integral (k-1)-cochain.  The potential is the
     :meth:`~HodgeContext.harmonic_potential` of G minus y, with uniform
     weights, so the curvature is the harmonic projection of R, a
     generator gets exactly its harmonic spark, and cohomologous
@@ -506,15 +488,10 @@ def spark_from_cocycle(K: SimplicialComplex, R: Cochain) -> Spark:
     generator depends on the generators chosen (the flat spark
     (H_{k-1} y, 0) of the harmonic potential).
     """
-    _check_charge(K, R)
+    check_charge(K, R)
     k = R.degree
     Q = integer_cohomology(K, k)
-    free, torsion = cohomology_generators(K, k)
-    free_coords, torsion_coords = Q.coords(R.form)
-    G = K.zero_cochain(k)
-    for c, g in zip(free_coords + torsion_coords, free + [g for _, g, _ in torsion]):
-        if c:
-            G = G + g.scale(c)
+    G = class_cocycle(K, k, *Q.coords(R.form))
     y = Q.preimage((R - G).form)
     if y is None or not y.is_integral():
         raise AssertionError("R minus its generator combination must be a coboundary")

@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cohomology import (
+    class_cocycle,
     cohomology_generators,
     cycle_lattice_rows,
     integer_cohomology,
@@ -82,10 +83,17 @@ def validate_spark(K: SimplicialComplex, s: Spark):
         raise SparkError("cochain a has wrong length for this complex")
     if len(s.R.values) != K.n_simplices(s.R.degree):
         raise SparkError("cocycle R has wrong length for this complex")
-    if not s.R.is_integral():
+    check_charge(K, s.R)
+
+
+def check_charge(K: SimplicialComplex, R: Cochain):
+    """Refuse R unless it is an integral cocycle of nonnegative degree."""
+    if not R.is_integral():
         raise SparkError("R must be integral")
-    if not K.delta(s.R).is_zero():
+    if not K.delta(R).is_zero():
         raise SparkError("R must be a cocycle")
+    if R.degree < 0:
+        raise SparkError("cocycle degree must be nonnegative")
 
 
 def curvature(K: SimplicialComplex, s: Spark) -> Cochain:
@@ -305,7 +313,8 @@ def random_spark(K: SimplicialComplex, k, rng: random.Random) -> Spark:
     1 <= d <= 6; the charge is the coboundary of an integral one with
     entries in -2..2 plus a random combination of the cached
     :func:`~diffchar.cohomology.cohomology_generators` of H^{k+1}, free
-    ones with coefficients in -2..2 and torsion ones in -1..1.
+    ones with coefficients in -2..2 and torsion ones in -1..1, summed by
+    :func:`~diffchar.cohomology.class_cocycle`.
     """
     if not -1 <= k <= K.dimension:
         raise SparkError(f"spark degree {k} outside -1..{K.dimension}")
@@ -314,15 +323,8 @@ def random_spark(K: SimplicialComplex, k, rng: random.Random) -> Spark:
         return Spark(a, K.zero_cochain(k + 1))
     chi = K.delta(random_cochain(K, k, rng, 2))
     free, tor = cohomology_generators(K, k + 1)
-    for g in free:
-        c = rng.randint(-2, 2)
-        if c:
-            chi = chi + g.scale(c)
-    for _, g, _ in tor:
-        c = rng.randint(-1, 1)
-        if c:
-            chi = chi + g.scale(c)
-    return Spark(a, chi)
+    free_coeffs = [rng.randint(-2, 2) for _ in free]
+    return Spark(a, chi + class_cocycle(K, k + 1, free_coeffs, [rng.randint(-1, 1) for _ in tor]))
 
 
 def random_equivalent_shift(K: SimplicialComplex, s: Spark, rng: random.Random) -> Spark:

@@ -637,6 +637,84 @@ def test_zero_denominator_is_input_error(tmp_path, capsys, kind):
     assert captured.out == ""
 
 
+# lowdeg gerbe (cover model), --weights and --path input that is no
+# layer, weight profile or vertex list: (command, payload of {input})
+MALFORMED_INPUTS = {
+    "pair_as_list": ("gerbe", {"pair": [["0", "0", "0"]]}),
+    "pair_key_text": ("gerbe", {"pair": {"0,x": ["0", "0", "0"]}}),
+    "pair_key_empty": ("gerbe", {"pair": {"": ["0", "0", "0"]}}),
+    "pair_key_descending": ("gerbe", {"pair": {"1,0": ["0", "0", "0"]}}),
+    "triple_value_text": ("gerbe", {"triple": {"0,1,2": "1/3"}}),
+    "patch_not_list": ("gerbe", {"patch": 7}),
+    "cover_empty": ("gerbe", {"cover": []}),
+    "weights_as_list": ("weights", [["1", "1", "1"]]),
+    "weights_key_text": ("weights", {"x": ["1", "1", "1"]}),
+    "path_vertex_text": ("path", None),
+}
+
+
+def _malformed_command(tmp_path, kind):
+    command, payload = MALFORMED_INPUTS[kind]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    cochain = tmp_path / "u.json"
+    cochain.write_text(json.dumps({"degree": 1, "values": ["0", "0", "0"]}))
+    return {
+        "gerbe": ["lowdeg", "gerbe", "--space", "circle3", "--gerbe", str(path)],
+        "weights": [
+            "hodge", "decompose", "--space", "circle3",
+            "--cochain", str(cochain), "--weights", str(path),
+        ],
+        "path": ["hodge", "aj", "--space", "torus", "--src", "0", "--dst", "1",
+                 "--path", "0,x"],
+    }[command], str(path)
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_INPUTS))
+def test_malformed_cover_weights_and_path_are_input_errors(tmp_path, capsys, kind):
+    argv, _ = _malformed_command(tmp_path, kind)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, names", [
+    ("weights_key_text", "{path}: weights degree 'x' is not an integer"),
+    ("path_vertex_text", "--path: vertex 'x' is not an integer"),
+    ("pair_key_text", "pair layer: overlap '0,x': patch 'x' is not an integer"),
+], ids=["weights", "path", "overlap"])
+def test_integer_input_errors_name_the_input(tmp_path, capsys, kind, names):
+    # weight degrees, --path vertices and overlap keys are read by
+    # json_int, whose message names the file, flag or key and the field
+    argv, path = _malformed_command(tmp_path, kind)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"error: {names.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("space", ["torus_grid5", "rp3"])
+def test_verify_exact_with_weights_in_every_degree(capsys, tmp_path, space):
+    # the exact route under weights: adjoint_delta, the up potential and
+    # the weighted normal and Gram systems, with no residual left
+    K = build_space(space)
+    rng = random.Random(0)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({
+        str(k): [rng.choice(("1/3", "1", "2", "5/2")) for _ in range(K.n_simplices(k))]
+        for k in range(K.dimension + 1)
+    }))
+    code, data = run_json(
+        capsys, "verify", "--space", space, "--trials", "5", "--seed", "0",
+        "--weights", str(path),
+    )
+    assert code == 0
+    assert data["checks"] and all(v is True for v in data["checks"].values())
+    assert data["residuals"] == {"hodge_max": "0"}
+
+
 @pytest.mark.parametrize("value", ["1e5000", "1e4000000"])
 def test_oversized_scalars_are_input_errors(tmp_path, capsys, value):
     # a value too long to print, and one whose exponent alone would take

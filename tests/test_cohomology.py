@@ -1,5 +1,7 @@
 """Integer cohomology: structures, generators, witnesses, duality."""
 
+import random
+
 import pytest
 
 from diffchar.builders import (
@@ -22,6 +24,7 @@ from diffchar.cohomology import (
     betti_below,
     boundary_smith_form,
     circle_cohomology_structure,
+    class_cocycle,
     cohomology_generators,
     cohomology_structure,
     cohomology_structures,
@@ -302,6 +305,28 @@ class TestDuality:
         m = [[K.evaluate(K.cup(a, b), fc) for b in (u1, u2)] for a in (u1, u2)]
         assert m[0][0] == 0 and m[1][1] == 0
         assert abs(m[0][1]) == 1 and m[1][0] == -m[0][1]
+
+    @pytest.mark.parametrize("name", ["torus", "rp3", "cp2", "lens:5,2", "lens:6,1"])
+    def test_class_cocycle_inverts_coords(self, name):
+        # integer coefficients of the free, then torsion, generators give
+        # an integral cocycle whose coords are those coefficients (the
+        # torsion ones modulo their orders), and a generator's coords
+        # give the generator back
+        K = build_space(name)
+        rng = random.Random(7)
+        for k in range(K.dimension + 1):
+            Q = integer_cohomology(K, k)
+            free_gens, tor_gens = cohomology_generators(K, k)
+            for _ in range(3):
+                free = tuple(rng.randint(-3, 3) for _ in free_gens)
+                torsion = tuple(rng.randint(-5, 5) for _ in tor_gens)
+                u = class_cocycle(K, k, free, torsion)
+                assert u.is_integral() and K.delta(u).is_zero()
+                want = tuple(c % d for c, (d, _, _) in zip(torsion, tor_gens))
+                assert Q.coords(u.form) == (free, want)
+            for g in free_gens + [g for _, g, _ in tor_gens]:
+                assert class_cocycle(K, k, *Q.coords(g.form)) == g
+            assert class_cocycle(K, k, ()).is_zero()
 
     def test_poincare_dual_torus_class(self):
         K = moebius_kuehnel_torus()

@@ -5,7 +5,7 @@ import hashlib
 import heapq
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -680,6 +680,35 @@ class TestRatElimOracle:
                 assert [sum(r.get(j, 0) * x[j] for j in range(m)) for r in rows] == b
 
 
+# the first 13 primes, and the least n that is a strong pseudoprime to all
+# of them is at least this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+SPRP_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def strong_probable_prime(n, bases=SPRP_BASES):
+    """Whether n passes the strong probable-prime test to every base."""
+    if n < 2:
+        return False
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class TestSymmetricSolver:
     """SymmetricSolver against RatElim on normal systems A^T W A x = A^T W u.
 
@@ -730,6 +759,25 @@ class TestSymmetricSolver:
         for b in ([1, 0], [0, Fraction(1, 5)]):
             assert solver.solve(ScaledVector.of(b)).entries() == RatElim(rows, 2, rhs=[b]).solution()
         assert list(solver._factors) == [3, exact.PRIMES[1]]
+
+    def test_every_prime_is_prime(self):
+        # pow(d, -1, p) in _ldl_mod and the p-adic lift assume a prime p;
+        # a strong probable prime to the first 13 prime bases is prime
+        # below SPRP_PROOF_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+        assert len(SPRP_BASES) == 13
+        assert all(strong_probable_prime(p) for p in exact.PRIMES)
+        assert all(p < SPRP_PROOF_BOUND for p in exact.PRIMES)
+        assert len(set(exact.PRIMES)) == len(exact.PRIMES)
+
+    def test_strong_probable_prime_refuses_composites(self):
+        # 3215031751 = 151 * 751 * 28351 passes the bases 2, 3, 5 and 7
+        # and fails 11; every other composite below 10^4 fails too
+        n = 3215031751
+        assert n == 151 * 751 * 28351
+        assert strong_probable_prime(n, (2, 3, 5, 7))
+        assert not strong_probable_prime(n)
+        small = [q for q in range(10_000) if strong_probable_prime(q)]
+        assert small == [q for q in range(2, 10_000) if all(q % d for d in range(2, isqrt(q) + 1))]
 
     def test_premature_reconstruction_refused(self):
         # 3 q = 1 modulo p, so after one lift 1/q reads 3, a small

@@ -58,6 +58,29 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestBasics:
+    def test_one_charge_rule_for_every_route(self):
+        # validate_spark, spark_from_cocycle and hodge_spark refuse a
+        # charge by check_charge alone: integrality is read first
+        K = build_space("torus")
+        edge = elementary_cochain(K, K.simplices[1][0])
+        g = cohomology_generators(K, 1)[0][0]
+        for R, message in (
+            (edge.scale(F(1, 2)), "R must be integral"),
+            (g.scale(F(3, 2)), "R must be integral"),
+            (edge, "R must be a cocycle"),
+        ):
+            routes = (
+                lambda: validate_spark(K, Spark(K.zero_cochain(0), R)),
+                lambda: spark_from_cocycle(K, R),
+                lambda: HodgeContext(K).hodge_spark(R),
+                lambda: sparks.check_charge(K, R),
+            )
+            for route in routes:
+                with pytest.raises(SparkError, match=f"^{message}$"):
+                    route()
+        with pytest.raises(SparkError, match="^cocycle degree must be nonnegative$"):
+            sparks.check_charge(K, K.zero_cochain(-1))
+
     def test_validate_catches_rational_R(self):
         K = sphere(2)
         s = Spark(K.zero_cochain(0), K.cochain(1, (Fraction(1, 2),) + (0,) * 5))
