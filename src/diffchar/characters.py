@@ -31,7 +31,7 @@ from .cohomology import (
     integer_cohomology,
     kunneth_structure,
 )
-from .complexes import Cochain, SimplicialComplex
+from .complexes import Cochain, SimplicialComplex, cached
 from .exact import ScaledVector, identity_rows, mul_rows, transpose_rows
 from .hodge import spark_from_cocycle
 from .sparks import (
@@ -87,18 +87,18 @@ def _smith_certificate(snf, rows):
         return "V^-1 V != I"
 
 
+@cached("smith_certificate")
 def _broken_identity(K: SimplicialComplex, k):
     """The identity the Smith form of delta_k breaks, as "delta_k: ...", or None; cached on K."""
-    key = ("smith_certificate", k)
-    if 0 <= k <= K.dimension and key not in K._cache:
-        snf = coboundary_smith_form(K, k)
-        kept = set(snf.built)
-        bad = _smith_certificate(snf, K.delta_rows(k))
-        # the transforms that only the certificate read would outlive it
-        for name in snf.built.keys() - kept:
-            del snf.built[name]
-        K._cache[key] = bad and f"delta_{k}: {bad}"
-    return K._cache.get(key)
+    if not 0 <= k <= K.dimension:
+        return None
+    snf = coboundary_smith_form(K, k)
+    kept = set(snf.built)
+    bad = _smith_certificate(snf, K.delta_rows(k))
+    # the transforms that only the certificate read would outlive it
+    for name in snf.built.keys() - kept:
+        del snf.built[name]
+    return bad and f"delta_{k}: {bad}"
 
 
 def character_structure(K: SimplicialComplex, k) -> CharacterStructure:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import Chain, Cochain, SimplicialComplex
+from .complexes import Chain, Cochain, SimplicialComplex, cached
 from .exact import ScaledVector, identity_rows, mul_rows, rows_to_dense, scaled_product
 from .exact import smith_normal_form
 
@@ -182,13 +182,11 @@ class LatticeQuotient:
 # complex-facing wrappers
 
 
+@cached("snf_delta")
 def coboundary_smith_form(K: SimplicialComplex, k):
     """Smith form of delta_k (no rows outside 0..n-1), cached on K."""
-    key = ("snf_delta", k)
-    if key not in K._cache:
-        A = K.delta_rows(k) if 0 <= k <= K.dimension else []
-        K._cache[key] = smith_normal_form(A, nrows=len(A), ncols=K.n_simplices(k))
-    return K._cache[key]
+    A = K.delta_rows(k) if 0 <= k <= K.dimension else []
+    return smith_normal_form(A, nrows=len(A), ncols=K.n_simplices(k))
 
 
 def delta_rank(K: SimplicialComplex, k) -> int:
@@ -198,6 +196,7 @@ def delta_rank(K: SimplicialComplex, k) -> int:
     return coboundary_smith_form(K, k).rank
 
 
+@cached("H_int")
 def integer_cohomology(K: SimplicialComplex, k) -> LatticeQuotient:
     """H^k(K; Z) = ker(delta_k) / im(delta_{k-1}), cached on K.
 
@@ -207,23 +206,18 @@ def integer_cohomology(K: SimplicialComplex, k) -> LatticeQuotient:
     form is the cached one of delta_{n-1}, the object H^{n-1} uses, and
     H^n forms no Smith form of its own beyond the empty delta_n.
     """
-    key = ("H_int", k)
-    if key not in K._cache:
-        n_k = K.n_simplices(k)
-        A = K.delta_rows(k) if 0 <= k <= K.dimension else []
-        snfW = None
-        if 0 < k <= K.dimension:
-            B = K.delta_rows(k - 1)
-            B_cols = K.n_simplices(k - 1)
-            if k == K.dimension:
-                snfW = coboundary_smith_form(K, k - 1)
-        else:
-            B = [dict() for _ in range(n_k)]
-            B_cols = 0
-        K._cache[key] = LatticeQuotient(
-            A, n_k, B, B_cols, snfA=coboundary_smith_form(K, k), snfW=snfW
-        )
-    return K._cache[key]
+    n_k = K.n_simplices(k)
+    A = K.delta_rows(k) if 0 <= k <= K.dimension else []
+    snfW = None
+    if 0 < k <= K.dimension:
+        B = K.delta_rows(k - 1)
+        B_cols = K.n_simplices(k - 1)
+        if k == K.dimension:
+            snfW = coboundary_smith_form(K, k - 1)
+    else:
+        B = [dict() for _ in range(n_k)]
+        B_cols = 0
+    return LatticeQuotient(A, n_k, B, B_cols, snfA=coboundary_smith_form(K, k), snfW=snfW)
 
 
 def betti_below(K: SimplicialComplex, k) -> int:
@@ -238,15 +232,14 @@ def betti_below(K: SimplicialComplex, k) -> int:
     return K.n_simplices(k - 1) - integer_cohomology(K, k).snfW.rank - delta_rank(K, k - 2)
 
 
+@cached("snf_boundary")
 def boundary_smith_form(K: SimplicialComplex, k):
     """Smith form of boundary_k (no rows outside 0..n), cached on K."""
-    key = ("snf_boundary", k)
-    if key not in K._cache:
-        A = K.boundary_rows(k) if 0 <= k <= K.dimension else []
-        K._cache[key] = smith_normal_form(A, nrows=len(A), ncols=K.n_simplices(k))
-    return K._cache[key]
+    A = K.boundary_rows(k) if 0 <= k <= K.dimension else []
+    return smith_normal_form(A, nrows=len(A), ncols=K.n_simplices(k))
 
 
+@cached("H_int_chain")
 def integer_homology(K: SimplicialComplex, k) -> LatticeQuotient:
     """H_k(K; Z) = ker(boundary_k) / im(boundary_{k+1}), cached on K.
 
@@ -255,18 +248,13 @@ def integer_homology(K: SimplicialComplex, k) -> LatticeQuotient:
     and the relation matrix is boundary_1 itself: its Smith form is the
     cached one H_1 uses as its A.
     """
-    key = ("H_int_chain", k)
-    if key not in K._cache:
-        n_k = K.n_simplices(k)
-        A = K.boundary_rows(k) if 0 <= k <= K.dimension else []
-        B = K.boundary_rows(k + 1) if 0 <= k < K.dimension else [
-            dict() for _ in range(n_k)
-        ]
-        B_cols = K.n_simplices(k + 1)
-        snfA = boundary_smith_form(K, k)
-        snfW = boundary_smith_form(K, 1) if k == 0 < K.dimension else None
-        K._cache[key] = LatticeQuotient(A, n_k, B, B_cols, snfA=snfA, snfW=snfW)
-    return K._cache[key]
+    n_k = K.n_simplices(k)
+    A = K.boundary_rows(k) if 0 <= k <= K.dimension else []
+    B = K.boundary_rows(k + 1) if 0 <= k < K.dimension else [dict() for _ in range(n_k)]
+    B_cols = K.n_simplices(k + 1)
+    snfA = boundary_smith_form(K, k)
+    snfW = boundary_smith_form(K, 1) if k == 0 < K.dimension else None
+    return LatticeQuotient(A, n_k, B, B_cols, snfA=snfA, snfW=snfW)
 
 
 def cohomology_structure(K, k) -> AbelianGroupStructure:
@@ -320,17 +308,16 @@ def cohomology_generators(K, k):
     them, which the caller may change, but the cochains are shared and
     callers must not modify their vectors.
     """
-    key = ("generators", k)
-    if key not in K._cache:
-        Q = integer_cohomology(K, k)
-        free = [K.cochain(k, vec) for vec in Q.free_generator_vectors()]
-        torsion = [
-            (d, K.cochain(k, g), K.cochain(k - 1, w))
-            for d, g, w in Q.torsion_generator_vectors()
-        ]
-        K._cache[key] = free, torsion
-    free, torsion = K._cache[key]
+    free, torsion = _generators(K, k)
     return list(free), list(torsion)
+
+
+@cached("generators")
+def _generators(K, k):
+    Q = integer_cohomology(K, k)
+    free = [K.cochain(k, vec) for vec in Q.free_generator_vectors()]
+    tors = Q.torsion_generator_vectors()
+    return free, [(d, K.cochain(k, g), K.cochain(k - 1, w)) for d, g, w in tors]
 
 
 def class_cocycle(K, k, free, torsion=()):

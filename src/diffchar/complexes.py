@@ -17,6 +17,7 @@ downstream leans on.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass
@@ -27,6 +28,29 @@ from .exact import ScaledVector, scaled_product, transpose_rows
 
 class ComplexError(ValueError):
     """Malformed simplicial data (closure violations, bad ids, ...)."""
+
+
+# ---------------------------------------------------------------------------
+# the cache
+
+
+def cached(name, owner=None):
+    """Build ``f(obj, *args)`` once and keep it in the ``_cache`` of ``owner(obj, *args)``.
+
+    The owner is ``obj`` itself by default, and the key is ``(name,
+    *args)``.  What is kept is shared: its readers never change it.
+    This is the one reader and writer of every ``_cache``.
+    """
+    def decorate(f):
+        @functools.wraps(f)
+        def read(obj, *args):
+            store = (obj if owner is None else owner(obj, *args))._cache
+            key = (name, *args)
+            if key not in store:
+                store[key] = f(obj, *args)
+            return store[key]
+        return read
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +310,22 @@ class SimplicialComplex:
         return out
 
     # -- operators -------------------------------------------------------
+    @cached("boundary")
     def boundary_rows(self, k):
         """Sparse rows of the boundary matrix C_k -> C_{k-1}.
 
         Row index runs over (k-1)-simplices, column over k-simplices.
         """
-        key = ("boundary", k)
-        if key not in self._cache:
-            rows = [dict() for _ in range(self.n_simplices(k - 1))]
-            if 1 <= k <= self.dimension:
-                idx = self.index[k - 1]
-                for j, simp in enumerate(self.simplices[k]):
-                    for i in range(len(simp)):
-                        face = simp[:i] + simp[i + 1:]
-                        rows[idx[face]][j] = (-1) ** i
-            self._cache[key] = rows
-        return self._cache[key]
+        rows = [dict() for _ in range(self.n_simplices(k - 1))]
+        if 1 <= k <= self.dimension:
+            idx = self.index[k - 1]
+            for j, simp in enumerate(self.simplices[k]):
+                for i in range(len(simp)):
+                    face = simp[:i] + simp[i + 1:]
+                    rows[idx[face]][j] = (-1) ** i
+        return rows
 
+    @cached("delta")
     def delta_rows(self, k):
         """Sparse rows of the coboundary matrix C^k -> C^{k+1}.
 
@@ -313,12 +336,7 @@ class SimplicialComplex:
         position p holds the face without vertex k + 1 - p, with sign
         (-1)^(k+1-p).
         """
-        key = ("delta", k)
-        if key not in self._cache:
-            self._cache[key] = transpose_rows(
-                self.boundary_rows(k + 1), self.n_simplices(k + 1)
-            )
-        return self._cache[key]
+        return transpose_rows(self.boundary_rows(k + 1), self.n_simplices(k + 1))
 
     def boundary(self, z: Chain) -> Chain:
         rows = self.boundary_rows(z.degree)
@@ -335,10 +353,7 @@ class SimplicialComplex:
         delta_{-1} and the top degree have no columns and give zeros.
         """
         k = u.degree
-        key = ("delta_columns", k)
-        cols = self._cache.get(key)
-        if cols is None:
-            cols = self._cache[key] = list(zip(*self.delta_rows(k)))
+        cols = self._delta_columns(k)
         a = u.form
         xs = a.nums
         if cols:
@@ -350,6 +365,10 @@ class SimplicialComplex:
         else:
             nums = [0] * self.n_simplices(k + 1)
         return Cochain.from_scaled(k + 1, ScaledVector(a.den, nums))
+
+    @cached("delta_columns")
+    def _delta_columns(self, k):
+        return list(zip(*self.delta_rows(k)))
 
     # -- constructors ----------------------------------------------------
     def zero_cochain(self, k) -> Cochain:
@@ -396,20 +415,12 @@ class SimplicialComplex:
         nums = [xs[f] * ys[g] for f, g in zip(front, back)]
         return Cochain.from_scaled(k, ScaledVector(a.den * b.den, nums))
 
+    @cached("faces")
     def _faces(self, p, q):
-        """Indices of the front p-faces and of the back q-faces of the (p+q)-simplices.
-
-        Cached on the complex; callers read the lists and never change them.
-        """
-        key = ("faces", p, q)
-        if key not in self._cache:
-            idx_p, idx_q = self.index[p], self.index[q]
-            simplices = self.simplices[p + q]
-            self._cache[key] = (
-                [idx_p[s[: p + 1]] for s in simplices],
-                [idx_q[s[p:]] for s in simplices],
-            )
-        return self._cache[key]
+        """Indices of the front p-faces and of the back q-faces of the (p+q)-simplices."""
+        idx_p, idx_q = self.index[p], self.index[q]
+        simplices = self.simplices[p + q]
+        return [idx_p[s[: p + 1]] for s in simplices], [idx_q[s[p:]] for s in simplices]
 
     def cap(self, z: Chain, u: Cochain) -> Chain:
         """Cap product C_m x C^p -> C_{m-p}, front face eaten by u.
@@ -430,6 +441,7 @@ class SimplicialComplex:
         return Chain.from_scaled(q, ScaledVector(a.den * b.den, nums))
 
     # -- fundamental cycle ----------------------------------------------
+    @cached("fundamental")
     def fundamental_cycle(self):
         """Top-degree cycle with all coefficients +-1, or None.
 
@@ -442,14 +454,11 @@ class SimplicialComplex:
         """
         from .cohomology import cycle_lattice_basis
 
-        if "fundamental" not in self._cache:
-            basis = cycle_lattice_basis(self, self.dimension)
-            fc = None
-            if len(basis) == 1 and all(abs(v) == 1 for v in basis[0]):
-                sign = basis[0][0]
-                fc = Chain(self.dimension, tuple(sign * v for v in basis[0]))
-            self._cache["fundamental"] = fc
-        return self._cache["fundamental"]
+        basis = cycle_lattice_basis(self, self.dimension)
+        if len(basis) == 1 and all(abs(v) == 1 for v in basis[0]):
+            sign = basis[0][0]
+            return Chain(self.dimension, tuple(sign * v for v in basis[0]))
+        return None
 
     # -- graph structure -------------------------------------------------
     def bfs_path(self, src, dst):

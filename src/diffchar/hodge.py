@@ -50,7 +50,7 @@ from .cohomology import (
     integer_cohomology,
     integer_homology,
 )
-from .complexes import Chain, Cochain, SimplicialComplex
+from .complexes import Chain, Cochain, SimplicialComplex, cached
 from .exact import (
     ScaledVector,
     SymmetricSolver,
@@ -150,10 +150,11 @@ class HodgeContext:
         pair = self._weights.get(k)
         return None if pair is None else pair[inverse].entries()
 
-    def _store(self, k):
-        """Cache for what the degree-k weights fix: K's when they are uniform."""
-        return self._cache if k in self._weights else self.K._cache
+    def _owner(self, k):
+        """Who keeps what the degree-k weights fix: K when they are uniform, else the context."""
+        return self if k in self._weights else self.K
 
+    @cached("normal", owner=lambda ctx, k: ctx._owner(k + 1))
     def _normal(self, k):
         """The normal system of degree k on its gauge, factored once.
 
@@ -173,22 +174,17 @@ class HodgeContext:
         pivot order, so its readers use only what every solution gives
         alike: delta x, delta y and the coexact parts.
         """
-        store = self._store(k + 1)
-        key = ("normal", k)
-        if key not in store:
-            K = self.K
-            n_k = K.n_simplices(k)
-            rows = K.delta_rows(k)
-            if k <= 0:
-                gauge = range(n_k)
-            else:
-                down = set(greedy_matching(K).up_map(k - 1).values())
-                gauge = [c for c in range(n_k) if c not in down]
-                at = {c: i for i, c in enumerate(gauge)}
-                rows = [{at[c]: v for c, v in row.items() if c in at} for row in rows]
-            solver = SymmetricSolver(gram_rows(rows, len(gauge), self._uneven(k + 1)))
-            store[key] = gauge, rows, solver
-        return store[key]
+        K = self.K
+        n_k = K.n_simplices(k)
+        rows = K.delta_rows(k)
+        if k <= 0:
+            gauge = range(n_k)
+        else:
+            down = set(greedy_matching(K).up_map(k - 1).values())
+            gauge = [c for c in range(n_k) if c not in down]
+            at = {c: i for i, c in enumerate(gauge)}
+            rows = [{at[c]: v for c, v in row.items() if c in at} for row in rows]
+        return gauge, rows, SymmetricSolver(gram_rows(rows, len(gauge), self._uneven(k + 1)))
 
     def _normal_solve(self, k, b_S):
         """x with N_S x_S = b_S on the gauge of degree k and zeros off it.
@@ -250,25 +246,24 @@ class HodgeContext:
         vectors are computed cochains, so their entries are ints exactly
         where they are integral, with weights or without.
         """
-        store = self._store(k)
-        key = ("harmonics", k)
-        if key not in store:
-            K = self.K
-            free, _ = cohomology_generators(K, k)
-            if k != K.dimension or not free:
-                basis = [g - K.delta(self._exact_potential(g)) for g in free]
-            else:
-                n_k = K.n_simplices(k)
-                Z = cycle_lattice_rows(K, k)
-                gram = SymmetricSolver(gram_rows(
-                    transpose_rows(Z, n_k), len(Z), self._uneven(k, inverse=True)
-                ))
-                basis = []
-                for g in free:
-                    h = scaled_product(Z, gram.solve(periods(K, g)), n_k)
-                    basis.append(Cochain.from_scaled(k, self._times_weights(h, k, inverse=True)))
-            store[key] = basis
-        return list(store[key])
+        return list(self._harmonics(k))
+
+    @cached("harmonics", owner=_owner)
+    def _harmonics(self, k):
+        K = self.K
+        free, _ = cohomology_generators(K, k)
+        if k != K.dimension or not free:
+            return [g - K.delta(self._exact_potential(g)) for g in free]
+        n_k = K.n_simplices(k)
+        Z = cycle_lattice_rows(K, k)
+        gram = SymmetricSolver(gram_rows(
+            transpose_rows(Z, n_k), len(Z), self._uneven(k, inverse=True)
+        ))
+        basis = []
+        for g in free:
+            h = scaled_product(Z, gram.solve(periods(K, g)), n_k)
+            basis.append(Cochain.from_scaled(k, self._times_weights(h, k, inverse=True)))
+        return basis
 
     def harmonic_projection(self, u: Cochain) -> Cochain:
         """Orthogonal projection of u onto the harmonic k-cochains.
@@ -281,31 +276,36 @@ class HodgeContext:
         Entries are ints exactly where they are integral.
         """
         k = u.degree
-        basis = self.harmonic_basis(k)
-        if not basis:
+        if not self._harmonics(k):
             return self.K.zero_cochain(k)
         n_k = self.K.n_simplices(k)
-        store = self._store(k)
-        key = ("gram", k)
-        if key not in store:
-            # each basis vector over its common denominator: the integer
-            # rows span the same space and keep the sparse products exact
-            rows = [{r: x for r, x in enumerate(b.form.nums) if x} for b in basis]
-            gram = gram_rows(transpose_rows(rows, n_k), len(rows), self._uneven(k))
-            store[key] = rows, SymmetricSolver(gram)
-        rows, gram = store[key]
+        rows, gram = self._gram(k)
         c = gram.solve(scaled_product(rows, self._times_weights(u.form, k)))
         return Cochain.from_scaled(k, scaled_product(rows, c, n_k))
 
+    @cached("gram", owner=_owner)
+    def _gram(self, k):
+        # each basis vector over its common denominator: the integer
+        # rows span the same space and keep the sparse products exact
+        rows = [{r: x for r, x in enumerate(b.form.nums) if x} for b in self._harmonics(k)]
+        gram = gram_rows(transpose_rows(rows, self.K.n_simplices(k)), len(rows), self._uneven(k))
+        return rows, SymmetricSolver(gram)
+
     # -- conjugate gradients ---------------------------------------------
-    def _float_adjoint(self, k, y):
+    @cached("float_weight")
+    def _float_weight(self, k):
+        """The degree-k weights as floats; c * w and c / w round as with the exact w."""
+        return [float(w) for w in self.weight(k)]
+
+    def _float_adjoint(self, k, y, exact=False):
         """adjoint_delta of a list in degree k + 1 as floats: c * w, transposed, float / w.
 
-        The transpose sums term by term, exactly on an exact list.
+        With ``exact``, y holds ints and Fractions and is weighed by the
+        exact weights, so the transpose sums exact terms.
         """
-        wu = [c * w for c, w in zip(y, self.weight(k + 1))]
+        wu = [c * w for c, w in zip(y, self.weight(k + 1) if exact else self._float_weight(k + 1))]
         acc = sparse_product(self.K.delta_rows(k), wu, self.K.n_simplices(k))
-        return [float(a) / w for a, w in zip(acc, self.weight(k))]
+        return [float(a) / w for a, w in zip(acc, self._float_weight(k))]
 
     def _cg(self, op, degree, rhs):
         """Solve op(x) = rhs by conjugate gradients in the degree's inner product.
@@ -318,7 +318,7 @@ class HodgeContext:
         max norm.  Inner products sum left to right, as ``sum()`` did
         before Python 3.12, so every Python gives the same bits.
         """
-        w = [float(x) for x in self.weight(degree)]
+        w = self._float_weight(degree)
         b = [float(x) for x in rhs]
         n = len(b)
         if n == 0:
@@ -376,7 +376,7 @@ class HodgeContext:
         delta_lo, delta = K.delta_rows(k - 1), K.delta_rows(k)
         try:
             b = self._cg(lambda x: adjoint(k - 1, sparse_product(delta_lo, x)), k - 1,
-                         adjoint(k - 1, u.values))
+                         adjoint(k - 1, u.values, exact=True))
             c = self._cg(lambda y: sparse_product(delta, adjoint(k, y)), k + 1,
                          scaled_product(delta, u.form).entries())
             h = [a - d - e for a, d, e in zip(u.values, sparse_product(delta_lo, b),

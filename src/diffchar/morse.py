@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import AbelianGroupStructure, LatticeQuotient
-from .complexes import Chain, Cochain, SimplicialComplex
+from .complexes import Chain, Cochain, SimplicialComplex, cached
 from .exact import _row_axpy, add_rows, identity_rows, mul_rows, scaled_product
 from .exact import transpose_rows
 from .sparks import Spark, SparkError
@@ -97,6 +97,7 @@ def validate_matching(K: SimplicialComplex, matching: Matching):
     return order
 
 
+@cached("greedy_matching")
 def greedy_matching(K: SimplicialComplex) -> Matching:
     """Deterministic collapse-based acyclic matching, cached on K.
 
@@ -107,9 +108,7 @@ def greedy_matching(K: SimplicialComplex) -> Matching:
     the Morse commands and the gauge of the Hodge normal systems share
     it.
     """
-    if "greedy_matching" not in K._cache:
-        K._cache["greedy_matching"] = _greedy_matching(K)
-    return K._cache["greedy_matching"]
+    return _greedy_matching(K)
 
 
 def _greedy_matching(K):

@@ -1,6 +1,7 @@
 """Every function, class and method in the library has a caller outside the tests.
 
-The library also imports only the standard library and itself.
+The library also imports only the standard library and itself, and only
+``complexes.cached`` reads or writes a ``_cache``.
 
 A name defined in ``src/diffchar`` must be referenced somewhere in
 ``src/`` or ``perfbench/`` (as a name, an attribute or an import), be
@@ -80,3 +81,39 @@ def test_library_imports_only_the_standard_library():
                 if top != "diffchar" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno} {module}")
     assert not foreign, "imports outside the standard library: " + ", ".join(foreign)
+
+
+def _scoped(node, scope=()):
+    """Every node below ``node``, with the names of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_only_complexes_cached_touches_a_cache():
+    # what a complex or a Hodge context derives is built once through
+    # complexes.cached; the two constructors only start an empty cache
+    starts = {("SimplicialComplex", "__init__"), ("HodgeContext", "__init__")}
+    found, started = [], []
+    for path in LIBRARY:
+        nodes = list(_scoped(ast.parse(path.read_text(), str(path))))
+        fresh = set()
+        for scope, node in nodes:
+            if (scope in starts and isinstance(node, ast.Assign)
+                    and ast.unparse(node) == "self._cache = {}"):
+                fresh.add(id(node.targets[0]))
+                started.append(scope[0])
+        for scope, node in nodes:
+            if path.name == "complexes.py" and scope[:1] == ("cached",):
+                continue
+            touches = (
+                isinstance(node, ast.Attribute) and node.attr == "_cache"
+                and id(node) not in fresh
+            ) or (isinstance(node, ast.Constant) and node.value == "_cache")
+            if touches:
+                found.append(f"{path.name}:{node.lineno} in {'.'.join(scope) or 'the module'}")
+    assert not found, "a _cache touched outside complexes.cached: " + ", ".join(found)
+    assert sorted(started) == ["HodgeContext", "SimplicialComplex"]

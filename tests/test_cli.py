@@ -108,6 +108,48 @@ def test_verify_zero_trials(capsys):
     assert data["inputs"]["trials"] == 0
 
 
+def test_verify_input_matches_the_named_space(tmp_path, capsys):
+    # build --out, then verify --input: the same checks, residuals and
+    # results as verify --space
+    path = tmp_path / "cp2.json"
+    assert run(capsys, "build", "--space", "cp2", "--out", str(path))[0] == 0
+    argv = ["verify", "--trials", "5", "--seed", "0"]
+    code, named = run_json(capsys, *argv, "--space", "cp2")
+    assert code == 0
+    code, loaded = run_json(capsys, *argv, "--input", str(path))
+    assert code == 0
+    for part in ("checks", "residuals", "results"):
+        assert loaded[part] == named[part], part
+
+
+@pytest.mark.parametrize("trials", ["0", "5"])
+@pytest.mark.parametrize(
+    "vertices, checks",
+    [
+        # the empty complex: every check vacuous
+        (0, ["hodge_residuals", "holonomy_invariance", "morse_homology",
+             "morse_homotopy_identity", "sequences_k-1"]),
+        # a lone vertex, the control
+        (1, ["duality", "hodge_residuals", "holonomy_invariance", "morse_homology",
+             "morse_homotopy_identity", "sequences_k-1", "sequences_k0"]),
+    ],
+    ids=["empty", "vertex"],
+)
+def test_verify_input_of_the_empty_complex(tmp_path, capsys, trials, vertices, checks):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"vertices": vertices, "simplices": {}}))
+    code, data = run_json(capsys, "verify", "--input", str(path), "--trials", trials)
+    assert code == 0
+    assert sorted(data["checks"]) == checks
+    assert all(v is True for v in data["checks"].values())
+    assert data["residuals"] == {"hodge_max": "0"}
+    assert data["results"] == {"dimension": vertices - 1}
+    if not vertices:
+        # the maximum over no degree is the zero of the route: a float under CG
+        code, data = run_json(capsys, "verify", "--input", str(path), "--method", "cg")
+        assert (code, data["residuals"]) == (0, {"hodge_max": "0.0"})
+
+
 @pytest.mark.parametrize("space, weighted", [("rp3", False), ("torus_grid5", True)])
 def test_verify_cg_defects_within_tol(capsys, tmp_path, space, weighted):
     # conjugate gradients stop once the max-norm defects that the check

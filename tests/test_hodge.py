@@ -192,6 +192,31 @@ def test_decompose_cg_residuals():
     assert all(type(v) is float and abs(v) <= 1e-10 for v in res.values()), res
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "varied"])
+def test_float_adjoint_rounds_as_with_exact_weights(weighted):
+    # the float weights are built once per degree; every product and
+    # quotient of the float adjoint rounds as it does against the exact
+    # weights, and an exact list keeps its exact product
+    K = torus_grid(4)
+    rng = random.Random(13)
+    choices = (F(1, 3), 1, 2, F(5, 2), F(7, 10))
+    weights = {
+        k: [rng.choice(choices) for _ in range(K.n_simplices(k))] for k in range(3)
+    } if weighted else None
+    ctx = HodgeContext(K, weights, method="cg")
+    for k in range(K.dimension):
+        w_up, w = ctx.weight(k + 1), ctx.weight(k)
+        floats = [rng.uniform(-5, 5) for _ in w_up]
+        rationals = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in w_up]
+        for y, exact_values in ((floats, False), (rationals, True)):
+            wy = [c * x for c, x in zip(y, w_up)]
+            acc = exact.sparse_product(K.delta_rows(k), wy, len(w))
+            want = [float(a) / x for a, x in zip(acc, w)]
+            got = ctx._float_adjoint(k, y, exact=exact_values)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert ctx._float_weight(1) is ctx._float_weight(1)
+
+
 def test_auto_is_exact_on_the_lens_fixtures():
     # EXACT_SIZE_LIMIT lies between lens:7,2 (2928 simplices) and the
     # 23 x 23 grid torus (3174)
