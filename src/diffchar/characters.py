@@ -32,7 +32,7 @@ from .cohomology import (
     kunneth_structure,
 )
 from .complexes import Cochain, SimplicialComplex, cached
-from .exact import ScaledVector, identity_rows, mul_rows, transpose_rows
+from .exact import ScaledVector
 from .hodge import spark_from_cocycle
 from .sparks import (
     Spark,
@@ -60,44 +60,13 @@ class CharacterStructure:
             (self.discrete.format(), int(not self.discrete.is_trivial())),
         ], " x ")
 
-    def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "torus_rank": self.torus_rank,
-            "exact_dim": self.exact_dim,
-            "discrete": self.discrete.to_json_dict(),
-        }
-
-
-def _smith_certificate(snf, rows):
-    """The first identity that the Smith form ``snf`` of ``rows`` breaks, or None.
-
-    Together, 0 < d_1 | ... | d_r, U delta = D V^{-1} row by row,
-    U U^{-1} = I and V^{-1} V = I prove the rank r with no second elimination.
-    """
-    n, m, d = snf.nrows, snf.ncols, snf.diag
-    if any(a <= 0 or b % a for a, b in zip(d, d[1:] + d[-1:])):
-        return "not 0 < d_1 | ... | d_r"
-    D_Vinv = [{j: c * v for j, v in row.items()} for c, row in zip(d, snf.Vinv_rows)]
-    if mul_rows(snf.U_rows, rows) != D_Vinv + [{}] * (n - snf.rank):
-        return "U delta != D V^-1"
-    if mul_rows(snf.U_rows, transpose_rows(snf.UinvT_rows, n)) != identity_rows(n):
-        return "U U^-1 != I"
-    if mul_rows(snf.Vinv_rows, transpose_rows(snf.VT_rows, m)) != identity_rows(m):
-        return "V^-1 V != I"
-
 
 @cached("smith_certificate")
 def _broken_identity(K: SimplicialComplex, k):
     """The identity the Smith form of delta_k breaks, as "delta_k: ...", or None; cached on K."""
     if not 0 <= k <= K.dimension:
         return None
-    snf = coboundary_smith_form(K, k)
-    kept = set(snf.built)
-    bad = _smith_certificate(snf, K.delta_rows(k))
-    # the transforms that only the certificate read would outlive it
-    for name in snf.built.keys() - kept:
-        del snf.built[name]
+    bad = coboundary_smith_form(K, k).broken_identity(K.delta_rows(k))
     return bad and f"delta_{k}: {bad}"
 
 

@@ -359,6 +359,32 @@ class SmithDecomposition:
         nums += [0] * (self.ncols - r)
         return scaled_product(self.VT_rows, ScaledVector(den, nums), self.ncols)
 
+    def broken_identity(self, rows):
+        """The first identity that this Smith form of the coboundary ``rows`` breaks, or None.
+
+        Together, 0 < d_1 | ... | d_r, U delta = D V^{-1} row by row,
+        U U^{-1} = I and V^{-1} V = I prove the rank r with no second
+        elimination.  A transform that no reader has built is replayed
+        for the check alone and not kept.
+        """
+        def read(name, n, ops, inverse):
+            return self.built[name] if name in self.built else _replay(n, ops, inverse)
+
+        n, m, d = self.nrows, self.ncols, self.diag
+        if any(a <= 0 or b % a for a, b in zip(d, d[1:] + d[-1:])):
+            return "not 0 < d_1 | ... | d_r"
+        Vinv = read("Vinv_rows", m, self.col_ops, True)
+        D_Vinv = [{j: c * v for j, v in row.items()} for c, row in zip(d, Vinv)]
+        U = read("U_rows", n, self.row_ops, False)
+        if mul_rows(U, rows) != D_Vinv + [{}] * (n - self.rank):
+            return "U delta != D V^-1"
+        UinvT = read("UinvT_rows", n, self.row_ops, True)
+        if mul_rows(U, transpose_rows(UinvT, n)) != identity_rows(n):
+            return "U U^-1 != I"
+        VT = read("VT_rows", m, self.col_ops, False)
+        if mul_rows(Vinv, transpose_rows(VT, m)) != identity_rows(m):
+            return "V^-1 V != I"
+
 
 class _SnfWorker:
     """Sparse Smith elimination with a Markowitz pivot queue kept across steps.

@@ -68,7 +68,7 @@ DEFAULT_METHOD = "auto"
 DEFAULT_TOL = 1e-10
 
 
-class HodgeError(Exception):
+class HodgeError(ValueError):
     pass
 
 
@@ -415,6 +415,14 @@ class HodgeContext:
             norms = [float(max(map(abs, v), default=0)) for v in defects]
         return dict(zip(("reconstruction", "closed", "coclosed"), norms))
 
+    def judge(self, defects):
+        """(largest, passed) of residual defects; the largest of none is the route's zero.
+
+        They pass when the largest is exactly 0, or at most tol under CG.
+        """
+        worst = max(defects, default=Fraction(0) if self.exact else 0.0)
+        return worst, worst == 0 if self.exact else worst <= self.tol
+
     # -- spark potentials ------------------------------------------------
     def harmonic_potential(self, R: Cochain) -> Cochain:
         """Potential a with harmonic curvature delta a + R, orthogonal to harmonics.
@@ -556,7 +564,8 @@ def is_principal(ctx: HodgeContext, z: Chain, basis=None) -> bool:
 def path_chain(K: SimplicialComplex, vertices) -> Chain:
     """1-chain of a vertex path, oriented along the direction of travel."""
     values = [0] * K.n_simplices(1)
-    idx = K.index[1]
+    # a 0-dimensional complex has no edge table
+    idx = K.index.get(1, {})
     for a, b in zip(vertices, vertices[1:]):
         if a == b:
             continue

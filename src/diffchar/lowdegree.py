@@ -53,7 +53,7 @@ class GerbeError(ValueError):
     """Cover or layer data that does not fit together."""
 
 
-class PhaseError(Exception):
+class PhaseError(ValueError):
     """Phases on the branch cut, or phases that wind."""
 
 

@@ -21,7 +21,7 @@ from .exact import transpose_rows
 from .sparks import Spark, SparkError
 
 
-class MorseError(Exception):
+class MorseError(ValueError):
     pass
 
 

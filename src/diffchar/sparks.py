@@ -40,6 +40,7 @@ from .complexes import (
     Chain,
     Cochain,
     SimplicialComplex,
+    json_int,
     json_vector,
     pull_cochain,
     simplicial_chain_maps,
@@ -350,7 +351,11 @@ def spark_to_json(s: Spark):
 
 
 def spark_from_json(K: SimplicialComplex, data, where="spark") -> Spark:
-    """The spark of K in ``data``, as :func:`spark_to_json` writes it."""
+    """The spark of K in ``data``, as :func:`spark_to_json` writes it.
+
+    A ``degree`` that ``data`` declares must be that of ``a``, as a
+    complex file's declared dimension must be its own (SparkError).
+    """
     try:
         a, R = data["a"], data["R"]
     except (KeyError, TypeError) as exc:
@@ -359,5 +364,8 @@ def spark_from_json(K: SimplicialComplex, data, where="spark") -> Spark:
         json_vector(K, a, f"{where} a"),
         json_vector(K, R, f"{where} R", top=K.dimension + 1),
     )
+    declared = data.get("degree")
+    if "degree" in data and json_int(declared, f"{where}: degree") != s.degree:
+        raise SparkError(f"{where}: declared degree {declared} but a has degree {s.degree}")
     validate_spark(K, s)
     return s

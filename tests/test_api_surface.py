@@ -11,6 +11,7 @@ reason it stays.  Helpers that only the tests reach belong in
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -117,3 +118,33 @@ def test_only_complexes_cached_touches_a_cache():
                 found.append(f"{path.name}:{node.lineno} in {'.'.join(scope) or 'the module'}")
     assert not found, "a _cache touched outside complexes.cached: " + ", ".join(found)
     assert sorted(started) == ["HodgeContext", "SimplicialComplex"]
+
+
+def test_only_exact_names_a_smith_transform_cache():
+    # the transforms a Smith form has built are exact's own; the
+    # certificate, SmithDecomposition.broken_identity, reads them there
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in LIBRARY if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "built")
+        or (isinstance(node, ast.Constant) and node.value == "built")
+    ]
+    assert not found, "a Smith form's built transforms named outside exact: " + ", ".join(found)
+
+
+def test_every_library_exception_is_a_value_error():
+    # the command line ends every input error with exit 3 by catching
+    # OSError and ValueError alone
+    defined = [
+        obj
+        for path in LIBRARY
+        for obj in vars(importlib.import_module(f"diffchar.{path.stem}")).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == f"diffchar.{path.stem}"
+    ]
+    assert {cls.__name__ for cls in defined} >= {
+        "ComplexError", "SparkError", "HodgeError", "MorseError", "PhaseError",
+        "GerbeError", "SimplexBudgetError", "InputDataError",
+    }
+    assert [cls.__name__ for cls in defined if not issubclass(cls, ValueError)] == []

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from diffchar import cli, exact, lowdegree
 from diffchar.builders import build_space, circle, moebius_kuehnel_torus
 from diffchar.cli import canonical_json, main
 from diffchar.cohomology import cohomology_generators
-from diffchar.complexes import scalar_str
+from diffchar.complexes import SimplicialComplex, scalar_str
 from diffchar.lowdegree import star_cover
 from diffchar.sparks import (
     Spark,
@@ -1476,3 +1477,162 @@ def test_gerbe_layer_malformed_is_input_error(tmp_path, capsys, space, payload, 
     assert code == 3
     assert captured.out == ""
     assert reason in captured.err and "Traceback" not in captured.err
+
+
+def test_spark_holonomy_defaults_to_the_fundamental_cycle(tmp_path, capsys):
+    # without --cycle the holonomy is over the fundamental cycle; a space
+    # without one (rp2 is not orientable) is an input error
+    K = moebius_kuehnel_torus()
+    s = random_spark(K, 2, random.Random(3))
+    spark, cycle = tmp_path / "s.json", tmp_path / "z.json"
+    spark.write_text(canonical_json(spark_to_json(s)))
+    z = K.fundamental_cycle()
+    cycle.write_text(canonical_json({"degree": z.degree, "values": [str(v) for v in z.values]}))
+    argv = ["spark", "holonomy", "--space", "torus", str(spark)]
+    code, default = run_json(capsys, *argv)
+    assert code == 0
+    assert default["results"] == {"holonomy": scalar_str(holonomy(K, s, z))}
+    code, given = run_json(capsys, *argv, "--cycle", str(cycle))
+    assert code == 0 and given["results"] == default["results"]
+    rp2 = build_space("rp2")
+    spark.write_text(canonical_json(spark_to_json(random_spark(rp2, 2, random.Random(3)))))
+    code = main(["spark", "holonomy", "--space", "rp2", str(spark)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: no fundamental cycle; pass --cycle FILE\n"
+
+
+def test_spark_new_needs_a_cocycle_or_a_degree(capsys):
+    code = main(["spark", "new", "--space", "torus", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: spark new needs --cocycle FILE or --k with --seed\n"
+
+
+def test_hodge_spark_out_writes_the_artifact(tmp_path, capsys):
+    K = moebius_kuehnel_torus()
+    cocycle, out = tmp_path / "R.json", tmp_path / "s.json"
+    g = cohomology_generators(K, 1)[0][0]
+    cocycle.write_text(canonical_json({"degree": 1, "values": [str(v) for v in g.values]}))
+    argv = ["hodge", "spark", "--space", "torus", "--cocycle", str(cocycle)]
+    code, shown = run_json(capsys, *argv)
+    assert code == 0 and "written" not in shown["results"]
+    code, data = run_json(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert data["results"] == {**shown["results"], "written": str(out)}
+    assert json.loads(out.read_text()) == shown["results"]["spark"]
+
+
+@pytest.mark.parametrize("declared, expected", [
+    (None, 0), (1, 0), ("1", 0), (5, 3), (2, 3), ("x", 3), (True, 3),
+])
+def test_spark_file_degree_must_be_that_of_a(tmp_path, capsys, declared, expected):
+    # a declared degree is checked like a complex file's declared dimension
+    K = moebius_kuehnel_torus()
+    payload = spark_to_json(random_spark(K, 1, random.Random(4)))
+    del payload["degree"]
+    if declared is not None:
+        payload["degree"] = declared
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    code = main(["spark", "d2", "--space", "torus", str(path)])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected == 3:
+        assert captured.out == "" and "degree" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def _lone_complex(tmp_path, vertices):
+    path = tmp_path / f"complex-{vertices}.json"
+    path.write_text(json.dumps({"vertices": vertices, "simplices": {}}))
+    return ["--input", str(path)]
+
+
+@pytest.mark.parametrize("space", ["point", "simplex0", "sphere0", "vertex"])
+@pytest.mark.parametrize("path", [None, "0", "0,0"])
+def test_hodge_aj_on_a_zero_dimensional_complex(tmp_path, capsys, space, path):
+    # no edges, so no degree-1 table: every Abel-Jacobi value list is empty
+    where = _lone_complex(tmp_path, 1) if space == "vertex" else ["--space", space]
+    argv = ["hodge", "aj", *where, "--src", "0", "--dst", "0"]
+    code, data = run_json(capsys, *argv, *(["--path", path] if path else []))
+    assert code == 0
+    assert data["results"] == {"values": []}
+
+
+def test_hodge_aj_on_the_empty_complex_checks_the_vertices_first(tmp_path, capsys):
+    argv = ["hodge", "aj", *_lone_complex(tmp_path, 0), "--src", "0", "--dst", "0"]
+    for extra in ([], ["--path", "0"]):
+        code = main([*argv, *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "error: vertex 0 outside 0..-1\n"
+
+
+def _degenerate_commands(tmp_path, K, where):
+    """argv of every command on K, with input files of K's top degree d.
+
+    The spark is a random one of degree d; one file of d zeros serves
+    as cochain, cocycle and cycle; the gerbe has degree 2, above d, so
+    lowdeg gerbe is an input error.
+    """
+    d = K.dimension
+    payloads = {
+        "cochain": {"degree": d, "values": ["0"] * K.n_simplices(d)},
+        "spark": spark_to_json(random_spark(K, d, random.Random(0))),
+        "values": ["0"] * K.n_simplices(0),
+        "theta": {"edges": []},
+        "gerbe": {"degree": 2, "values": []},
+    }
+    f = {}
+    for name, payload in payloads.items():
+        f[name] = str(tmp_path / f"{name}.json")
+        Path(f[name]).write_text(canonical_json(payload))
+    commands = [
+        ["build"], ["cohomology", "--k", "0"], ["characters"], ["dual"],
+        ["verify", "--trials", "3"], ["verify", "--trials", "3", "--method", "cg"],
+        ["spark", "new", "--k", str(d)], ["spark", "new", "--cocycle", f["cochain"]],
+        ["spark", "new"], ["spark", "d1", f["spark"]], ["spark", "d2", f["spark"]],
+        ["spark", "equiv", f["spark"], f["spark"]], ["spark", "star", f["spark"], f["spark"]],
+        ["spark", "pair", f["spark"], f["spark"]], ["spark", "holonomy", f["spark"]],
+        ["spark", "holonomy", f["spark"], "--cycle", f["cochain"]],
+        ["spark", "link", "--p", "0", "--q", "0"],
+        ["hodge", "decompose", "--cochain", f["cochain"]],
+        ["hodge", "decompose", "--cochain", f["cochain"], "--method", "cg"],
+        ["hodge", "spark", "--cocycle", f["cochain"]], ["hodge", "normal", f["spark"]],
+        ["hodge", "aj", "--src", "0", "--dst", "0"],
+        ["hodge", "aj", "--src", "0", "--dst", "0", "--path", "0"],
+        ["morse", "match"], ["morse", "homology"], ["morse", "verify"],
+        ["morse", "spark", "--cocycle", f["cochain"]],
+        ["lowdeg", "circle", "--values", f["values"]],
+        ["lowdeg", "conn", "--theta", f["theta"]],
+        ["lowdeg", "gerbe", "--gerbe", f["gerbe"]],
+    ]
+    if where[0] == "--space":
+        commands.append(["tables"])
+    for argv in commands:
+        # the space goes after the command, and after the subcommand of a group
+        at = 2 if argv[0] in ("spark", "hodge", "morse", "lowdeg") else 1
+        yield [*argv[:at], *where, *argv[at:]]
+
+
+@pytest.mark.parametrize("space", ["point", "sphere0", "empty", "vertex"])
+def test_every_command_on_a_degenerate_complex_ends_without_a_traceback(
+    tmp_path, capsys, space
+):
+    # exit 0, 1 or 3 with no traceback: an exception that leaves main
+    # fails the test with its own traceback
+    if space in ("empty", "vertex"):
+        where = _lone_complex(tmp_path, int(space == "vertex"))
+        K = SimplicialComplex.from_json_dict({"vertices": int(space == "vertex"), "simplices": {}})
+    else:
+        where, K = ["--space", space], build_space(space)
+    bad = []
+    for argv in _degenerate_commands(tmp_path, K, where):
+        code = main(argv)
+        captured = capsys.readouterr()
+        if code not in (0, 1, 3) or "Traceback" in captured.err:
+            bad.append(f"{' '.join(argv)}: exit {code}")
+        elif code == 3 and captured.out:
+            bad.append(f"{' '.join(argv)}: exit 3 with a report")
+    assert not bad, bad

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -855,3 +856,13 @@ def test_scaled_algebra_matches_elementwise_reference(space):
             with pytest.raises(AttributeError):
                 setattr(got, name, 0)
     assert vectors > 60
+
+
+@pytest.mark.parametrize("cls", [Cochain, Chain])
+def test_vector_fields_cannot_be_deleted(cls):
+    # a vector is frozen: del of a field, or of a name it lacks, is refused
+    v = cls(1, (1, Fraction(1, 2)))
+    for name in ("degree", "values", "form", "extra"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(v, name)
+    assert v == cls(1, (1, Fraction(1, 2))) and v.degree == 1

@@ -511,7 +511,8 @@ def test_smith_certificate_names_each_identity():
         return exact.SmithDecomposition(len(rows), ncols, rank, diag, row_ops, col_ops), rows
 
     # row 1 -= 2 row 0 takes [[2, 0], [4, 2]] to diag(2, 2)
-    assert characters._smith_certificate(*form([{0: 2}, {0: 4, 1: 2}], 2, 2, [2, 2], [1, 0, -2])) is None
+    snf, rows = form([{0: 2}, {0: 4, 1: 2}], 2, 2, [2, 2], [1, 0, -2])
+    assert snf.broken_identity(rows) is None
     cases = [
         # row 1 -= 2 row 0 logged as row 1 -= 3 row 0
         ("U delta != D V^-1", form([{0: 2}, {0: 4, 1: 2}], 2, 2, [2, 2], [1, 0, -3])),
@@ -521,14 +522,32 @@ def test_smith_certificate_names_each_identity():
         ("not 0 < d_1 | ... | d_r", form([{0: 1}, {}], 2, 2, [1, 0])),
     ]
     for identity, (snf, rows) in cases:
-        assert characters._smith_certificate(snf, rows) == identity
+        assert snf.broken_identity(rows) == identity
     snf, rows = form([{0: 1, 1: 1}], 2, 1, [1], col_ops=[1, 0, -1])
-    assert characters._smith_certificate(snf, rows) is None
+    assert snf.broken_identity(rows) is None
     snf.built["VT_rows"] = snf.Vinv_rows  # V read as V^{-1 T}
-    assert characters._smith_certificate(snf, rows) == "V^-1 V != I"
+    assert snf.broken_identity(rows) == "V^-1 V != I"
     snf, rows = form([{0: 1}, {0: 1}], 1, 1, [1], row_ops=[1, 0, -1])
     snf.built["UinvT_rows"] = snf.U_rows  # U^{-1} read as U^T
-    assert characters._smith_certificate(snf, rows) == "U U^-1 != I"
+    assert snf.broken_identity(rows) == "U U^-1 != I"
+
+
+@pytest.mark.parametrize("space", ["rp3", "cp2"])
+def test_smith_certificate_keeps_no_transform(space):
+    # the certificate replays what no reader has built for the check
+    # alone: each delta_k Smith form keeps exactly what it held before
+    K = build_space(space)
+    character_table(K)
+    for k in range(K.dimension + 1):
+        snf = coboundary_smith_form(K, k)
+        before = dict(snf.built)
+        assert characters._broken_identity(K, k) is None
+        assert snf.built.keys() == before.keys()
+        assert all(snf.built[name] is rows for name, rows in before.items())
+        # and certified against the transforms built by reading each one
+        for name in ("U_rows", "UinvT_rows", "VT_rows", "Vinv_rows"):
+            getattr(snf, name)
+        assert snf.broken_identity(K.delta_rows(k)) is None
 
 
 class TestSparseKernels:

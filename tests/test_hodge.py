@@ -691,3 +691,31 @@ def test_verify_normal_factorizations_frozen(monkeypatch, capsys, name):
     capsys.readouterr()
     assert formed == NORMAL_LEDGER[name]
     assert smith == frozen_entries(f"verify {name}")
+
+
+@pytest.mark.parametrize("method", ["exact", "cg"])
+def test_judge_reads_the_largest_defect(method):
+    # the largest of no defect is the route's zero; the exact route
+    # passes 0 alone, CG anything up to tol
+    ctx = HodgeContext(circle(3), method=method, tol=1e-6)
+    worst, passed = ctx.judge([])
+    assert (worst, passed) == (0, True)
+    assert type(worst) is (Fraction if method == "exact" else float)
+    if method == "exact":
+        assert ctx.judge([F(0), F(1, 10**9), F(0)]) == (F(1, 10**9), False)
+        assert ctx.judge(iter([F(0), F(0)])) == (0, True)
+    else:
+        assert ctx.judge([0.0, 5e-7]) == (5e-7, True)
+        assert ctx.judge([1e-6, 0.0]) == (1e-6, True)
+        assert ctx.judge([2e-6, 1e-7]) == (2e-6, False)
+
+
+@pytest.mark.parametrize("name", ["point", "sphere0"])
+def test_path_chain_on_a_zero_dimensional_complex(name):
+    # no degree-1 table: a path that stays put is the empty 1-chain, and
+    # a step is refused as a missing edge
+    K = build_space(name)
+    assert path_chain(K, [0, 0]) == Chain(1, ())
+    if K.n_vertices > 1:
+        with pytest.raises(HodgeError, match="no edge"):
+            path_chain(K, [0, 1])
